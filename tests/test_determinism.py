@@ -38,6 +38,13 @@ MIX_HASH = "bec8c2cfa975ef0b8cfff1a87c8ff4cb3e5bd2ef307d006b6c0d7e34e3c9426b"
 # produce these candidates and MPKIs whether Stage 2 replays candidates
 # one at a time or through the shared-context batch engine.
 SEARCH_HASH = "25451957fce2529e70cc7ebc80843c0475e3e04242d942b9d72584574e9534aa"
+# The paper's two baselines on the same workload, single-core cells and
+# the same mixes replayed under each baseline on the shared LLC.
+BASELINE_POLICIES = ("perceptron", "hawkeye")
+BASELINE_SINGLE_HASH = \
+    "4e626f56ab48d50d11ccc47e3af038b295ab568b43ab2655c585800105f6c61a"
+BASELINE_MIX_HASH = \
+    "4686c853d78f1453913b92cd84aa97442263e3c3c829fb960049a087d77d7561"
 
 # Stage-2 kernel backends: "off" always exists (per-access Python
 # replay); accelerated backends run wherever their import succeeds.
@@ -50,7 +57,7 @@ _KERNEL_BACKENDS = ["off"] + [
 ]
 
 
-def _single_cells():
+def _single_cells(policies=POLICIES):
     return [
         SingleCell(
             trace=TraceSpec(benchmark, TINY.hierarchy.llc_bytes, ACCESSES),
@@ -58,12 +65,12 @@ def _single_cells():
             hierarchy=TINY.hierarchy,
             warmup_fraction=TINY.warmup_fraction,
         )
-        for policy in POLICIES
+        for policy in policies
         for benchmark in BENCHMARKS
     ]
 
 
-def _mix_cells():
+def _mix_cells(policies=("lru",)):
     suite_spec = SuiteSpec(TINY.hierarchy.llc_bytes, ACCESSES)
     suite = build_suite(TINY.hierarchy.llc_bytes, ACCESSES)
     segments = [s for name in sorted(suite) for s in suite[name]]
@@ -73,17 +80,18 @@ def _mix_cells():
             suite=suite_spec,
             mix_name=mix.name,
             segment_names=tuple(s.name for s in mix.segments),
-            policy="lru",
+            policy=policy,
             hierarchy=TINY.multi_hierarchy,
             warmup_fraction=TINY.warmup_fraction,
         )
+        for policy in policies
         for mix in mixes
     ]
 
 
-def _hashes(engine):
-    singles = engine.run(_single_cells(), label="pin/single")
-    mixes = engine.run(_mix_cells(), label="pin/mix")
+def _hashes(engine, single_policies=POLICIES, mix_policies=("lru",)):
+    singles = engine.run(_single_cells(single_policies), label="pin/single")
+    mixes = engine.run(_mix_cells(mix_policies), label="pin/mix")
     return (
         stable_hash({"results": [r.to_dict() for r in singles]}),
         stable_hash({"results": [r.to_dict() for r in mixes]}),
@@ -151,6 +159,29 @@ class TestPinnedHashes:
         """Every Stage-2 kernel backend reproduces the pinned hashes."""
         monkeypatch.setenv("REPRO_STAGE2_KERNEL", backend)
         _assert_pinned(ParallelRunner(jobs=1, store=None, verbose=False))
+
+
+class TestBaselinePins:
+    """Perceptron and Hawkeye pin identically whichever Stage-2 path
+    replays them, serial or parallel, with telemetry on or off."""
+
+    @pytest.mark.parametrize("telemetry", [False, True])
+    @pytest.mark.parametrize("jobs", [1, 2])
+    @pytest.mark.parametrize("backend", _KERNEL_BACKENDS)
+    def test_baseline_pins(self, backend, jobs, telemetry, tmp_path,
+                           monkeypatch):
+        from repro import obs
+
+        monkeypatch.setenv("REPRO_STAGE2_KERNEL", backend)
+        store = ResultStore(tmp_path / "cache") if telemetry else None
+        if telemetry:
+            obs.enable()
+        try:
+            engine = ParallelRunner(jobs=jobs, store=store, verbose=False)
+            hashes = _hashes(engine, BASELINE_POLICIES, BASELINE_POLICIES)
+        finally:
+            obs.disable()
+        assert hashes == (BASELINE_SINGLE_HASH, BASELINE_MIX_HASH)
 
 
 class TestFaultedPins:
