@@ -21,8 +21,7 @@ class is used only as a management policy, not in the ROC study.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 from repro.cache.access import AccessContext
 from repro.cache.replacement.base import ReplacementPolicy
@@ -66,12 +65,6 @@ class OptGen:
         return stamp
 
 
-@dataclass
-class _History:
-    last_time: int
-    last_pc: int
-
-
 class HawkeyePredictor:
     """OPTgen-trained PC classifier (3-bit counters)."""
 
@@ -91,7 +84,8 @@ class HawkeyePredictor:
         self.table_bits = table_bits
         self.counters = [self.FRIENDLY_THRESHOLD] * (1 << table_bits)
         self._optgens = [OptGen(llc_ways) for _ in range(sampler_sets)]
-        self._histories: List[Dict[int, _History]] = [
+        # Per sampled set: block -> (last_time, last_pc) of its last access.
+        self._histories: List[Dict[int, Tuple[int, int]]] = [
             {} for _ in range(sampler_sets)
         ]
 
@@ -116,13 +110,14 @@ class HawkeyePredictor:
         history = self._histories[sampler_idx]
         record = history.get(ctx.block)
         if record is not None:
-            opt_hit = optgen.access(record.last_time)
-            self._train(record.last_pc, friendly=opt_hit)
+            last_time, last_pc = record
+            opt_hit = optgen.access(last_time)
+            self._train(last_pc, friendly=opt_hit)
         stamp = optgen.advance()
-        history[ctx.block] = _History(last_time=stamp, last_pc=ctx.pc)
+        history[ctx.block] = (stamp, ctx.pc)
         if len(history) > 4 * optgen.window:
             horizon = optgen.time - optgen.window
-            for block in [b for b, r in history.items() if r.last_time < horizon]:
+            for block in [b for b, (t, _) in history.items() if t < horizon]:
                 del history[block]
 
     def _train(self, pc: int, friendly: bool) -> None:

@@ -15,6 +15,10 @@ through a backend compiled against that fixed schema —
   (:mod:`~repro.sim.kernel.numba_backend`), with a one-line notice
   and graceful fallback to ``numpy`` when requested but absent.
 
+The Perceptron and Hawkeye baselines have one fixed-shape columnar
+replay each (:mod:`~repro.sim.kernel.baselines`), used whenever the
+resolved backend is not ``off``.
+
 Selection follows the repo's knob pattern (``REPRO_STAGE2_BATCH``,
 ``REPRO_STAGE3_VECTOR``): the ``REPRO_STAGE2_KERNEL`` environment
 variable picks ``off`` / ``numpy`` / ``numba``, defaulting to the best

@@ -18,6 +18,9 @@ pass itself to numpy array expressions over the whole stream:
 Every column is bit-identical to what
 :meth:`~repro.sim.batch.BatchLLCSimulator._shared_pass` produces with
 scalar Python integers; ``tests/test_kernel.py`` pins the round trip.
+:func:`lower_perceptron` and :func:`lower_hawkeye` lower the two
+baseline predictors' inputs the same way, sharing the stream decode
+and the PC-history gather.
 All intermediate arithmetic runs in ``uint64`` (64-bit address/PC
 slices and the hash multiplies overflow ``int64``) and results are
 narrowed to ``int64`` at the end, whose ``.tolist()`` yields the plain
@@ -36,6 +39,8 @@ from repro.sim.llc import LLCAccess
 from repro.util.hashing import _GOLDEN64, _MIX1, _MIX2
 
 _XOR_MASK = MAX_TABLE_SIZE - 1
+# Width of the baselines' sampler tags (repro.predictors.base.partial_tag).
+_PARTIAL_TAG_BITS = 16
 
 
 def mix64_array(values: "np.ndarray") -> "np.ndarray":
@@ -108,6 +113,62 @@ class StreamColumns:
         return self._lists
 
 
+def _decode(stream: Sequence[LLCAccess]) -> Tuple:
+    """``(pcs, blocks, offsets, mems, prefetch)`` arrays of ``stream``."""
+    n = len(stream)
+    pcs = np.fromiter((a.pc for a in stream), dtype=np.int64, count=n)
+    blocks = np.fromiter((a.block for a in stream), dtype=np.int64, count=n)
+    offsets = np.fromiter((a.offset for a in stream), dtype=np.int64,
+                          count=n)
+    mems = np.fromiter((a.mem_index for a in stream), dtype=np.int64,
+                       count=n)
+    prefetch = np.fromiter((a.is_prefetch for a in stream), dtype=np.uint8,
+                           count=n)
+    return pcs, blocks, offsets, mems, prefetch
+
+
+def _placement(blocks: "np.ndarray", num_sets: int, stride: int,
+               sampler_sets: int, tag_bits: int) -> Tuple:
+    """``(set_idxs, tags, samp_idxs)``: set index, the sampler's partial
+    tag (:func:`repro.predictors.base.partial_tag`) and the
+    :class:`~repro.predictors.base.SetSampler` set, -1 when unsampled."""
+    set_idxs = blocks & np.int64(num_sets - 1)
+    ublocks = blocks.astype(np.uint64)
+    tag_mask = np.uint64((1 << tag_bits) - 1)
+    tags = ((ublocks ^ (ublocks >> np.uint64(tag_bits))
+             ^ (ublocks >> np.uint64(2 * tag_bits)))
+            & tag_mask).astype(np.int64)
+    quotient = set_idxs // np.int64(stride)
+    sampled = (set_idxs % np.int64(stride) == 0) & (quotient < sampler_sets)
+    samp_idxs = np.where(sampled, quotient, np.int64(-1))
+    return set_idxs, tags, samp_idxs
+
+
+def _history_gather(hbase: "np.ndarray", hist: "np.ndarray",
+                   depth: int) -> "np.ndarray":
+    """The PC ``depth`` memory accesses before each history base, as
+    ``uint64``; zero where that position falls outside ``hist``.
+
+    ``hbase`` is ``mem_index + is_prefetch``: the same base the
+    sequential :class:`~repro.cache.access.AccessContext` readers use,
+    so prefetches observe the history *including* their triggering
+    access.
+    """
+    hlen = len(hist)
+    if hlen == 0:
+        return np.zeros(len(hbase), dtype=np.uint64)
+    idx = hbase - np.int64(depth)
+    valid = (idx >= 0) & (idx < hlen)
+    return np.where(valid, hist[np.clip(idx, 0, hlen - 1)],
+                    np.int64(0)).astype(np.uint64)
+
+
+def _hash_to(values: "np.ndarray", bits: int) -> "np.ndarray":
+    """Vectorized :func:`repro.util.hashing.hash_to` over ``uint64``."""
+    return (mix64_array(values) & np.uint64((1 << bits) - 1)).astype(
+        np.int64)
+
+
 def lower_stream(
     stream: Sequence[LLCAccess],
     pc_trace: Sequence[int],
@@ -125,33 +186,11 @@ def lower_stream(
     ``("s"|"sx", (source, lo, hi, bits))`` with ``source`` one of
     ``pc``/``addr``/``off``/``pd<depth>``.
     """
-    n = len(stream)
-    pcs = np.fromiter((a.pc for a in stream), dtype=np.int64, count=n)
-    blocks = np.fromiter((a.block for a in stream), dtype=np.int64, count=n)
-    offsets = np.fromiter((a.offset for a in stream), dtype=np.int64,
-                          count=n)
-    mems = np.fromiter((a.mem_index for a in stream), dtype=np.int64,
-                       count=n)
-    prefetch = np.fromiter((a.is_prefetch for a in stream), dtype=np.uint8,
-                           count=n)
-
-    set_idxs = blocks & np.int64(num_sets - 1)
-    ublocks = blocks.astype(np.uint64)
-    tag_mask = np.uint64((1 << tag_bits) - 1)
-    tags = ((ublocks ^ (ublocks >> np.uint64(tag_bits))
-             ^ (ublocks >> np.uint64(2 * tag_bits)))
-            & tag_mask).astype(np.int64)
-
-    quotient = set_idxs // np.int64(stride)
-    sampled = (set_idxs % np.int64(stride) == 0) & (quotient < sampler_sets)
-    samp_idxs = np.where(sampled, quotient, np.int64(-1))
-
-    # Same history base the sequential AccessContext uses: prefetches
-    # observe the history *including* their triggering access.
+    pcs, blocks, offsets, mems, prefetch = _decode(stream)
+    set_idxs, tags, samp_idxs = _placement(blocks, num_sets, stride,
+                                           sampler_sets, tag_bits)
     hbase = mems + prefetch.astype(np.int64)
     hist = np.asarray(pc_trace, dtype=np.int64)
-    hlen = len(hist)
-
     hashed_pc = (mix64_array((pcs >> np.int64(2)).astype(np.uint64))
                  & np.uint64(_XOR_MASK)).astype(np.int64)
 
@@ -164,20 +203,13 @@ def lower_stream(
         if name == "pc":
             value = pcs.astype(np.uint64)
         elif name == "addr":
-            value = ((ublocks << np.uint64(BLOCK_OFFSET_BITS))
+            value = ((blocks.astype(np.uint64)
+                      << np.uint64(BLOCK_OFFSET_BITS))
                      | offsets.astype(np.uint64))
         elif name == "off":
             value = offsets.astype(np.uint64)
         else:  # pd<depth>: PC-history probe, zero out of range
-            depth = int(name[2:])
-            idx = hbase - np.int64(depth)
-            if hlen == 0:
-                value = np.zeros(n, dtype=np.uint64)
-            else:
-                valid = (idx >= 0) & (idx < hlen)
-                value = np.where(
-                    valid, hist[np.clip(idx, 0, hlen - 1)], np.int64(0)
-                ).astype(np.uint64)
+            value = _history_gather(hbase, hist, int(name[2:]))
         sources[name] = value
         return value
 
@@ -195,7 +227,7 @@ def lower_stream(
         cols.append(value)
 
     return StreamColumns(
-        n=n,
+        n=len(stream),
         blocks=blocks,
         set_idxs=set_idxs,
         tags=tags,
@@ -203,3 +235,65 @@ def lower_stream(
         prefetch=prefetch,
         cols=cols,
     )
+
+
+def lower_perceptron(
+    stream: Sequence[LLCAccess],
+    pc_trace: Sequence[int],
+    num_sets: int,
+    stride: int,
+    sampler_sets: int,
+    table_bits: int,
+) -> StreamColumns:
+    """Lower ``stream`` for the Perceptron baseline's replay.
+
+    ``cols`` holds the six table indices of
+    :meth:`~repro.predictors.perceptron.PerceptronPredictor.feature_indices`
+    for every access.  Each is a pure function of the stream: the
+    shifted PC, the three previous memory-access PCs and two shifts of
+    the block.  ``hash_to(combine(x, k), bits)`` is three chained
+    splitmix64 rounds, ``mix64(mix64(mix64(x) ^ k))``.
+    """
+    pcs, blocks, _offsets, mems, prefetch = _decode(stream)
+    set_idxs, tags, samp_idxs = _placement(blocks, num_sets, stride,
+                                           sampler_sets,
+                                           _PARTIAL_TAG_BITS)
+    hbase = mems + prefetch.astype(np.int64)
+    hist = np.asarray(pc_trace, dtype=np.int64)
+
+    def combined(values: "np.ndarray", salt: int) -> "np.ndarray":
+        return _hash_to(mix64_array(mix64_array(values) ^ np.uint64(salt)),
+                        table_bits)
+
+    cols = [_hash_to((pcs >> np.int64(2)).astype(np.uint64), table_bits)]
+    cols += [combined(_history_gather(hbase, hist, depth), depth)
+             for depth in (1, 2, 3)]
+    ublocks = blocks.astype(np.uint64)
+    cols += [combined(ublocks >> np.uint64(4), 4),
+             combined(ublocks >> np.uint64(7), 5)]
+    return StreamColumns(n=len(stream), blocks=blocks, set_idxs=set_idxs,
+                         tags=tags, samp_idxs=samp_idxs, prefetch=prefetch,
+                         cols=cols)
+
+
+def lower_hawkeye(
+    stream: Sequence[LLCAccess],
+    num_sets: int,
+    stride: int,
+    sampler_sets: int,
+    table_bits: int,
+) -> StreamColumns:
+    """Lower ``stream`` for the Hawkeye baseline's replay.
+
+    ``cols`` is ``[index, pc]``: the predictor's ``hash_to(pc >> 2,
+    table_bits)`` counter index and the raw PC that sampler history
+    records and the detraining path keep.
+    """
+    pcs, blocks, _offsets, _mems, prefetch = _decode(stream)
+    set_idxs, tags, samp_idxs = _placement(blocks, num_sets, stride,
+                                           sampler_sets,
+                                           _PARTIAL_TAG_BITS)
+    index = _hash_to((pcs >> np.int64(2)).astype(np.uint64), table_bits)
+    return StreamColumns(n=len(stream), blocks=blocks, set_idxs=set_idxs,
+                         tags=tags, samp_idxs=samp_idxs, prefetch=prefetch,
+                         cols=[index, pcs])

@@ -307,6 +307,47 @@ class TestEngineTelemetry:
         assert any(e["name"] == "mpppb/confidence" and e["count"] > 0
                    for e in hists)
 
+    def test_baselines_stay_on_the_kernel_with_telemetry(self, tmp_path,
+                                                          monkeypatch):
+        """Telemetry does not fork the baselines' code path: with the
+        kernel on, perceptron and hawkeye cells never reach
+        LLCSimulator.run, and still report the llc/* counters the
+        sequential replay reports."""
+        pytest.importorskip("numpy")
+        from repro.sim.llc import LLCSimulator
+
+        cells = [
+            SingleCell(
+                trace=TraceSpec("soplex", TINY.hierarchy.llc_bytes, ACCESSES),
+                policy=policy,
+                hierarchy=TINY.hierarchy,
+                warmup_fraction=TINY.warmup_fraction,
+            )
+            for policy in ("perceptron", "hawkeye")
+        ]
+
+        def llc_counters(kernel):
+            monkeypatch.setenv("REPRO_STAGE2_KERNEL", kernel)
+            engine = ParallelRunner(jobs=1, verbose=False,
+                                    store=ResultStore(tmp_path / kernel))
+            engine.run(cells, label="obs-baselines")
+            return sorted(
+                (e["cell"], e["name"], e["value"])
+                for e in read_events(engine.last_events_path)
+                if e["type"] == "counter" and e["name"].startswith("llc/"))
+
+        obs.enable()
+        reference = llc_counters("off")
+        assert {name for _, name, _ in reference} >= {
+            "llc/accesses", "llc/hits", "llc/misses", "llc/fills",
+            "llc/bypasses", "llc/evictions", "llc/demand-misses"}
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("baseline replay reached LLCSimulator.run")
+
+        monkeypatch.setattr(LLCSimulator, "run", refuse)
+        assert llc_counters("numpy") == reference
+
     def test_serial_and_parallel_span_sets_match(self, tmp_path):
         obs.enable()
         serial = self._run(tmp_path, 1)
