@@ -72,6 +72,18 @@ class LLCResult:
     warm_stats: LLCStats
 
 
+def policy_cache(capacity_bytes: int, ways: int, policy: ReplacementPolicy,
+                 block_bytes: int = 64) -> SetAssociativeCache:
+    """A fresh LLC for ``policy``; raises if their geometries differ."""
+    cache = SetAssociativeCache(capacity_bytes, ways, block_bytes)
+    if policy.num_sets != cache.num_sets or policy.ways != ways:
+        raise ValueError(
+            f"policy geometry ({policy.num_sets}x{policy.ways}) does not "
+            f"match cache geometry ({cache.num_sets}x{ways})"
+        )
+    return cache
+
+
 class LLCSimulator:
     """Drives one replacement policy over an LLC access stream."""
 
@@ -82,12 +94,7 @@ class LLCSimulator:
         policy: ReplacementPolicy,
         block_bytes: int = 64,
     ) -> None:
-        self.cache = SetAssociativeCache(capacity_bytes, ways, block_bytes)
-        if policy.num_sets != self.cache.num_sets or policy.ways != ways:
-            raise ValueError(
-                f"policy geometry ({policy.num_sets}x{policy.ways}) does not "
-                f"match cache geometry ({self.cache.num_sets}x{ways})"
-            )
+        self.cache = policy_cache(capacity_bytes, ways, policy, block_bytes)
         self.policy = policy
         self._last_was_miss = [False] * self.cache.num_sets
 
