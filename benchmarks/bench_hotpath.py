@@ -2,8 +2,8 @@
 
 Unlike the ``bench_fig*`` files (which reproduce paper figures), this
 bench measures the *simulator itself*: trace synthesis, Stage-1
-filtering, the per-policy Stage-2 replay under both feature pipelines
-(``fused`` vs ``legacy``), and a 3-policy compare against cold and
+filtering, the per-policy Stage 2+3 replay, the telemetry on/off
+replay cost, trace ingest, and a 3-policy compare against cold and
 warm artifact caches.  It writes ``BENCH_hotpath.json``, which the CI
 perf-smoke job uploads and gates on.
 

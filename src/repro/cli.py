@@ -747,25 +747,17 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
         description="Multiperspective Reuse Prediction reproduction CLI",
-        epilog="Accelerator knobs (all bit-identical to the reference "
-               "simulator): REPRO_STAGE2_KERNEL=off|numpy|numba selects "
-               "the columnar Stage-2 replay backend (default: best "
-               "available), REPRO_STAGE2_BATCH=off disables shared-context "
-               "batching, REPRO_STAGE3_VECTOR=off disables vectorized "
-               "timing, REPRO_GRAPH=off disables the cost-aware "
-               "experiment-graph scheduler.  --stage2-kernel and --graph "
-               "override their knobs for one invocation.  Real traces: "
+        epilog="Execution knobs (results are bit-identical either way): "
+               "REPRO_STAGE2_KERNEL=off replays Stage 2 on the reference "
+               "simulator instead of the columnar kernel, REPRO_GRAPH=off "
+               "disables the cost-aware experiment-graph scheduler (--graph "
+               "overrides it for one invocation).  Real traces: "
                "--trace-file/--trace-format (or REPRO_TRACE_FILE, "
                "REPRO_TRACE_FORMAT, REPRO_TRACE_NAME, REPRO_TRACE_SKIP, "
                "REPRO_TRACE_ACCESSES, REPRO_TRACE_SEGMENTS, "
                "REPRO_TRACE_WEIGHTS, REPRO_TRACE_CHUNK) ingest a "
                "ChampSim-style binary, text, or CSV trace as a workload.",
     )
-    parser.add_argument(
-        "--stage2-kernel", default=None,
-        choices=["off", "numpy", "numba", "auto"], metavar="BACKEND",
-        help="Stage-2 replay kernel backend (off|numpy|numba|auto); "
-             "overrides REPRO_STAGE2_KERNEL for this invocation")
     parser.add_argument(
         "--graph", default=None, choices=["on", "off"],
         help="cost-aware experiment-graph scheduler (default: on); "
@@ -796,8 +788,7 @@ def build_parser() -> argparse.ArgumentParser:
     search.add_argument("--seed", type=int, default=2017)
     search.add_argument("--batch-size", type=int, default=None, metavar="K",
                         help="candidates per shared-context Stage-2 replay "
-                             "(default: whole generation; "
-                             "REPRO_STAGE2_BATCH=off disables batching)")
+                             "(default: whole generation)")
     _add_scale(search)
     _add_trace(search)
     _add_exec(search)
@@ -827,10 +818,11 @@ def build_parser() -> argparse.ArgumentParser:
     perf.add_argument("--output", default="BENCH_hotpath.json",
                       metavar="PATH")
     perf.add_argument("--check", action="store_true",
-                      help="exit 1 if the fused pipeline is slower than "
-                           "the legacy path")
+                      help="exit 1 if a perf gate fails (telemetry "
+                           "budgets, ingest throughput, graph and fleet "
+                           "overhead)")
     perf.add_argument("--tolerance", type=float, default=1.0,
-                      help="allowed fused/legacy ratio for --check")
+                      help="multiplier loosening the --check timing budgets")
     _add_scale(perf)
     perf.set_defaults(func=cmd_perf)
 
@@ -918,8 +910,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     # Record the launching argv (for run manifests / `resume`) exactly
     # as the subcommand received it.
     args.argv = list(argv) if argv is not None else list(sys.argv[1:])
-    if getattr(args, "stage2_kernel", None):
-        os.environ["REPRO_STAGE2_KERNEL"] = args.stage2_kernel
     if getattr(args, "graph", None):
         os.environ["REPRO_GRAPH"] = args.graph
     _ACTIVE_ENGINE = None

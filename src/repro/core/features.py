@@ -369,7 +369,7 @@ def _fold_into(bits: int, cache: dict) -> Callable[[int], int]:
 
     The slow path of the inline slice-and-fold sequence emitted by
     :func:`compile_fused`; mirrors :func:`_slice_and_fold` exactly so
-    both pipelines stay bit-identical.
+    the fused function stays bit-identical to :meth:`Feature.compile`.
     """
     fold_mask = (1 << bits) - 1
 
@@ -403,8 +403,8 @@ def compile_fused(features: Sequence[Feature]) -> Callable[[AccessContext], list
     policy construction skips the ``exec``.
 
     The generated function is bit-identical to evaluating each
-    feature's :meth:`~Feature.compile` closure in order — the fused
-    pipeline is a pure strength reduction, enforced by
+    feature's :meth:`~Feature.compile` closure in order — a pure
+    strength reduction of that per-feature reference, enforced by
     ``tests/test_core_features.py``.
     """
     cache_key = tuple(features)

@@ -74,7 +74,7 @@ class TimingResult:
 
 
 class TimingModel:
-    """Streaming cycle accounting over (instr_index, latency) load events."""
+    """Cycle accounting over (instr_index, latency, depends) load events."""
 
     def __init__(self, config: TimingConfig) -> None:
         self.config = config
@@ -82,50 +82,22 @@ class TimingModel:
     def simulate(
         self, load_events: Iterable[Sequence], total_instructions: int
     ) -> TimingResult:
-        """Compute cycles for a program slice.
+        """Compute cycles for a program slice from per-load records.
 
         ``load_events`` yields ``(instr_index, latency_cycles)`` or
         ``(instr_index, latency_cycles, depends)`` records in program
         order for every load; ``total_instructions`` is the total
         retired instruction count of the slice (memory and
-        non-memory).
+        non-memory).  Unzips the records into columns for
+        :meth:`simulate_packed`.
         """
-        width = self.config.width
-        window = self.config.window
-        mshr_limit = self.config.mshr_limit
-        llc_latency = self.config.llc_latency
-        in_flight: Deque[Tuple[int, float]] = deque()
-        mshrs: List[float] = []  # completion times of outstanding LLC requests
-        retire_floor = 0.0
-        last_completion = 0.0
-        prev_load_completion = 0.0
-        for event in load_events:
-            instr_index, latency = event[0], event[1]
-            depends = len(event) > 2 and event[2]
-            boundary = instr_index - window
-            while in_flight and in_flight[0][0] <= boundary:
-                _, completion = in_flight.popleft()
-                if completion > retire_floor:
-                    retire_floor = completion
-            dispatch = instr_index / width
-            if retire_floor > dispatch:
-                dispatch = retire_floor
-            if depends and prev_load_completion > dispatch:
-                dispatch = prev_load_completion
-            if latency >= llc_latency:
-                # This request occupies an MSHR until it completes.
-                while mshrs and mshrs[0] <= dispatch:
-                    heapq.heappop(mshrs)
-                if len(mshrs) >= mshr_limit:
-                    dispatch = max(dispatch, heapq.heappop(mshrs))
-                heapq.heappush(mshrs, dispatch + latency)
-            completion = dispatch + latency
-            in_flight.append((instr_index, completion))
-            prev_load_completion = completion
-            if completion > last_completion:
-                last_completion = completion
-        cycles = max(total_instructions / width, last_completion)
-        return TimingResult(cycles=cycles, instructions=total_instructions)
+        events = list(load_events)
+        return self.simulate_packed(
+            [event[0] for event in events],
+            [event[1] for event in events],
+            [len(event) > 2 and event[2] for event in events],
+            total_instructions,
+        )
 
     def simulate_packed(
         self,
@@ -134,21 +106,22 @@ class TimingModel:
         depends: Sequence[bool],
         total_instructions: int,
     ) -> TimingResult:
-        """Column-input variant of :meth:`simulate`.
+        """Compute cycles for a program slice from event columns.
 
-        Takes the three event fields as parallel sequences (as produced
-        by :func:`repro.sim.single.demand_load_arrays`) instead of an
-        iterable of per-event records, skipping one tuple allocation
-        and two subscripts per load.  The accounting below must stay in
-        lockstep with :meth:`simulate` statement for statement — the
-        two are pinned bit-identical by ``tests/test_timing.py``.
+        The three columns are parallel sequences, one entry per load in
+        program order (as produced by
+        :func:`repro.sim.single.demand_load_arrays`): the load's
+        instruction index, its latency in cycles, and whether it is
+        address-dependent on the previous load.  ``total_instructions``
+        is the total retired instruction count of the slice (memory and
+        non-memory).
         """
         width = self.config.width
         window = self.config.window
         mshr_limit = self.config.mshr_limit
         llc_latency = self.config.llc_latency
         in_flight: Deque[Tuple[int, float]] = deque()
-        mshrs: List[float] = []
+        mshrs: List[float] = []  # completion times of outstanding LLC requests
         retire_floor = 0.0
         last_completion = 0.0
         prev_load_completion = 0.0
@@ -165,6 +138,7 @@ class TimingModel:
             if dep and prev_load_completion > dispatch:
                 dispatch = prev_load_completion
             if latency >= llc_latency:
+                # This request occupies an MSHR until it completes.
                 while mshrs and mshrs[0] <= dispatch:
                     heapq.heappop(mshrs)
                 if len(mshrs) >= mshr_limit:

@@ -12,7 +12,8 @@ Two metric kinds cover everything the pipeline wants to report:
   summing counts).  Used for per-predictor confidence distributions;
   the per-access ``observe`` is a bisect over ~a dozen bounds and only
   runs when telemetry is enabled — the disabled path is an attribute
-  ``is None`` test at the call site.
+  ``is None`` test at the call site.  ``observe_many`` folds a replay's
+  collected values in one vectorized pass.
 
 A :class:`MetricsRegistry` is always owned by one telemetry context
 (see ``repro.obs``): worker processes run their own registry and ship
@@ -25,6 +26,8 @@ from __future__ import annotations
 import threading
 from bisect import bisect_left
 from typing import Any, Dict, List, Optional, Sequence, Tuple
+
+import numpy as np
 
 
 class Histogram:
@@ -59,6 +62,28 @@ class Histogram:
             self.min = value
         if self.max is None or value > self.max:
             self.max = value
+
+    def observe_many(self, values: Sequence[int]) -> None:
+        """Equal to ``observe`` on each of ``values`` in turn.
+
+        ``searchsorted(side="left")`` is ``bisect_left`` over the whole
+        array; integer values keep ``total`` exact.
+        """
+        if not len(values):
+            return
+        array = np.asarray(values)
+        buckets = np.bincount(
+            np.searchsorted(self.bounds, array, side="left"),
+            minlength=len(self.counts))
+        for index, count in enumerate(buckets.tolist()):
+            self.counts[index] += count
+        self.count += len(array)
+        self.total += array.sum().item()
+        low, high = array.min().item(), array.max().item()
+        if self.min is None or low < self.min:
+            self.min = low
+        if self.max is None or high > self.max:
+            self.max = high
 
     @property
     def mean(self) -> float:

@@ -7,44 +7,17 @@ policy compare against cold and warm artifact caches, producing the
 Report schema (``REPORT_SCHEMA``)::
 
     {
-      "schema": 5,                # REPORT_SCHEMA, not the cache schema
+      "schema": 9,                # REPORT_SCHEMA, not the cache schema
       "scale": "tiny",
       "benchmark": "soplex",      # hot-path micro-benchmark workload
       "accesses": 4000,
       "repeats": 3,               # best-of-N for every timing
-      "backends": {               # what this host could actually run,
-        "<name>": {               # so trajectory comparisons between
-          "available": bool,      # reports aren't apples-to-oranges --
-          "error": str|null       # and *why* a backend is missing
-        }                         # (the import error, verbatim)
-      },
       "hotpath": {
         "trace_gen_s": float,     # synthesize all segments once
         "stage1_s": float,        # upper-level hierarchy, all segments
-        "stage2": {               # per policy: replay, both pipelines
-          "<policy>": {"fused": float, "legacy": float}
-        }
-      },
-      "search-batch": {           # K-candidate evaluation, both engines
-        "k": int, "segments": int, "accesses": int,
-        "sequential_s": float,    # REPRO_STAGE2_BATCH=off (per candidate)
-        "batched_s": float,       # shared-context batch replay
-        "speedup": float          # sequential_s / batched_s
-      },
-      "kernel": {                 # columnar Stage-2 replay kernel
-        "k": int, "segments": int, "accesses": int,
-        "python_s": float,        # REPRO_STAGE2_KERNEL=off (batched
-                                  # bytecode replay, the PR 3 path)
-        "numpy_s": float|null,    # columnar numpy backend
-        "numba_s": float|null,    # numba JIT backend (post-warmup)
-        "numpy_speedup": float|null,  # python_s / numpy_s
-        "numba_speedup": float|null   # python_s / numba_s
-      },
-      "timing": {                 # Stage 3 alone, scalar vs vectorized
-        "benchmark": str, "loads": int,
-        "scalar_s": float,        # generator events + simulate()
-        "vector_s": float|null,   # numpy fill + simulate_packed()
-        "speedup": float|null
+        "stage2": {               # per policy: Stage 2+3 replay on the
+          "<policy>": float       # default path (the columnar kernel
+        }                         # for mpppb/perceptron/hawkeye)
       },
       "telemetry": {              # repro.obs instrumentation cost
         "benchmark": str,
@@ -91,18 +64,11 @@ Report schema (``REPORT_SCHEMA``)::
     }
 
 All timings are best-of-``repeats`` wall seconds: minimums are far more
-stable than means on shared CI runners.  :func:`check_report` gates
-three strength reductions that must never regress — fused-vs-legacy
-Stage 2 (``mpppb*`` policies only — nothing else uses the feature
-pipeline), batched-vs-sequential candidate evaluation, and the columnar
-numpy kernel (at least :data:`KERNEL_MIN_SPEEDUP` x over the batched
-bytecode replay) — plus the telemetry disabled-path budget (estimated
-instrumentation cost with telemetry off must stay under 2% of a
-Stage-2 replay).
-
-Micro-benchmarks that time a *specific* Stage-2 implementation pin
-``REPRO_STAGE2_KERNEL`` explicitly, so the measurements keep meaning
-what their names say regardless of the ambient knob.
+stable than means on shared CI runners.  :func:`check_report` gates the
+telemetry budgets (estimated instrumentation cost with telemetry off
+must stay under 2% of a Stage-2 replay; the recording path, which runs
+the instrumented kernel, under 15%), trace-ingest throughput, and the
+graph-scheduler and worker-fleet overheads.
 """
 
 from __future__ import annotations
@@ -120,7 +86,7 @@ from repro.sim.single import SingleThreadRunner
 from repro.traces.trace import Segment
 from repro.traces.workloads import build_segments
 
-REPORT_SCHEMA = 8
+REPORT_SCHEMA = 9
 # Instrumentation with telemetry disabled may cost at most this
 # fraction of a Stage-2 replay (the obs layer's headline promise).
 TELEMETRY_DISABLED_BUDGET = 0.02
@@ -137,9 +103,6 @@ TELEMETRY_ENABLED_BUDGET = 0.15
 # tiny-scale warm run; the factor bounds everything that does scale.
 GRAPH_MAX_SLOWDOWN = 1.05
 GRAPH_OVERHEAD_ALLOWANCE_S = 0.02
-# The columnar numpy kernel must beat the batched bytecode replay by
-# at least this factor on the Stage-2 replay itself.
-KERNEL_MIN_SPEEDUP = 1.5
 # The worker-fleet backend may tax an artifact-warm compare by at most
 # this factor over the local pool, plus the measured transport startup
 # and a fixed allowance.  The allowance covers the per-run cost that
@@ -184,11 +147,6 @@ def _env(name: str, value: str):
             os.environ[name] = old
 
 
-def _pipeline(name: str):
-    """Pin ``REPRO_FEATURE_PIPELINE`` for the duration of a timing."""
-    return _env("REPRO_FEATURE_PIPELINE", name)
-
-
 # -- stage micro-benchmarks ------------------------------------------------
 
 
@@ -215,258 +173,18 @@ def bench_hotpath(scale: ReproScale, benchmark: str,
     for segment in segments:
         runner.upper_result(segment)
 
-    # Fused-vs-legacy times the *sequential* feature pipelines, so the
-    # columnar kernel (which bypasses per-access feature evaluation
-    # entirely and has its own bench section) is pinned off here.
-    stage2: Dict[str, Dict[str, float]] = {}
-    with _env("REPRO_STAGE2_KERNEL", "off"):
-        for policy in policies:
-            timings: Dict[str, float] = {}
-            for pipeline in ("fused", "legacy"):
-                with _pipeline(pipeline):
-                    timings[pipeline] = _best_of(repeats, lambda: [
-                        runner.run_segment(s, policy_factory(policy, None))
-                        for s in segments
-                    ])
-            stage2[policy] = timings
+    stage2 = {
+        policy: _best_of(repeats, lambda: [
+            runner.run_segment(s, policy_factory(policy, None))
+            for s in segments
+        ])
+        for policy in policies
+    }
 
     return {
         "trace_gen_s": round(trace_gen_s, 6),
         "stage1_s": round(stage1_s, 6),
-        "stage2": {p: {k: round(v, 6) for k, v in t.items()}
-                   for p, t in stage2.items()},
-    }
-
-
-# -- batched candidate evaluation (search hot path) ------------------------
-
-
-def bench_search_batch(scale: ReproScale, repeats: int,
-                       k: int = 8) -> Dict[str, Any]:
-    """Time a K-candidate evaluation, per-candidate vs batch replay.
-
-    Mirrors the ``search`` command's workload (three benchmarks at a
-    quarter of the scale's accesses) and candidate shape (a Table 1a
-    base plus distinct single-feature perturbations — exactly a
-    hill-climb neighborhood).  Stage 1 is pre-warmed and the MPKI memo
-    cleared before every repetition, so the two timings isolate the
-    Stage-2/3 evaluation engines the ``REPRO_STAGE2_BATCH`` knob picks
-    between.
-    """
-    import random
-
-    from repro.core.features import parse_feature_set, perturb_feature
-    from repro.core.presets import TABLE_1A_SPECS
-    from repro.search.evaluator import FeatureSetEvaluator
-    from repro.traces.workloads import all_segments
-
-    accesses = max(2_000, scale.segment_accesses // 4)
-    segments = all_segments(scale.hierarchy.llc_bytes, accesses,
-                            names=["gamess", "lbm", "soplex"])
-    evaluator = FeatureSetEvaluator(segments, scale.hierarchy,
-                                    warmup_fraction=scale.warmup_fraction)
-    for segment in segments:
-        evaluator.runner.upper_result(segment)
-
-    rng = random.Random(2017)
-    base = list(parse_feature_set(TABLE_1A_SPECS))
-    candidates = [tuple(base)]
-    seen = {tuple(feature.spec() for feature in base)}
-    while len(candidates) < k:
-        mutated = list(base)
-        victim = rng.randrange(len(mutated))
-        mutated[victim] = perturb_feature(mutated[victim], rng)
-        spec = tuple(feature.spec() for feature in mutated)
-        if spec in seen:
-            continue
-        seen.add(spec)
-        candidates.append(tuple(mutated))
-
-    def evaluate() -> None:
-        evaluator._cache.clear()
-        evaluator.evaluate_many(candidates)
-
-    # Both arms pin the kernel off: this section isolates the batched
-    # bytecode engine against K sequential replays, the comparison the
-    # REPRO_STAGE2_BATCH knob picks between.
-    with _env("REPRO_STAGE2_KERNEL", "off"):
-        with _env("REPRO_STAGE2_BATCH", "off"):
-            sequential_s = _best_of(repeats, evaluate)
-        with _env("REPRO_STAGE2_BATCH", "on"):
-            batched_s = _best_of(repeats, evaluate)
-    return {
-        "k": len(candidates),
-        "segments": len(segments),
-        "accesses": accesses,
-        "sequential_s": round(sequential_s, 6),
-        "batched_s": round(batched_s, 6),
-        "speedup": (round(sequential_s / batched_s, 3)
-                    if batched_s > 0 else float("inf")),
-    }
-
-
-# -- columnar Stage-2 kernel (bytecode replay vs numpy vs numba) -----------
-
-
-def bench_kernel(scale: ReproScale, repeats: int,
-                 k: int = 8) -> Dict[str, Any]:
-    """Time the Stage-2 replay itself under each kernel backend.
-
-    Same workload shape as :func:`bench_search_batch` (three
-    benchmarks, a hill-climb-neighborhood candidate batch), but timing
-    :meth:`~repro.sim.batch.BatchLLCSimulator.run` directly — the
-    acceptance gate is on the Stage-2 replay, and the evaluator's
-    fixed Stage-3/aggregation cost would dilute it.  Fresh policies
-    are built inside the timed region (identical across arms, so the
-    ratio is unaffected).  The numba arm is timed only when numba is
-    importable, after one untimed warmup replay so JIT compilation is
-    excluded (steady-state cost is what a long search pays).
-    """
-    import random
-
-    from repro.core.features import parse_feature_set, perturb_feature
-    from repro.core.mpppb import MPPPBConfig, MPPPBPolicy
-    from repro.core.presets import TABLE_1A_SPECS
-    from repro.sim.batch import BatchLLCSimulator
-    from repro.sim.kernel import available_backends
-    from repro.traces.workloads import all_segments
-
-    hierarchy = scale.hierarchy
-    accesses = max(2_000, scale.segment_accesses // 4)
-    segments = all_segments(hierarchy.llc_bytes, accesses,
-                            names=["gamess", "lbm", "soplex"])
-    upper = UpperLevels(hierarchy)
-    stage1 = [(upper.run(s.trace), s.trace) for s in segments]
-
-    rng = random.Random(2017)
-    base = list(parse_feature_set(TABLE_1A_SPECS))
-    candidates = [tuple(base)]
-    seen = {tuple(feature.spec() for feature in base)}
-    while len(candidates) < k:
-        mutated = list(base)
-        victim = rng.randrange(len(mutated))
-        mutated[victim] = perturb_feature(mutated[victim], rng)
-        spec = tuple(feature.spec() for feature in mutated)
-        if spec in seen:
-            continue
-        seen.add(spec)
-        candidates.append(tuple(mutated))
-
-    ways = hierarchy.llc_ways
-    num_sets = hierarchy.llc_bytes // (ways * hierarchy.block_bytes)
-
-    def replay() -> None:
-        for upper_result, trace in stage1:
-            policies = [
-                MPPPBPolicy(num_sets, ways, MPPPBConfig(features=features))
-                for features in candidates
-            ]
-            sim = BatchLLCSimulator(hierarchy.llc_bytes, ways, policies,
-                                    hierarchy.block_bytes)
-            sim.run(upper_result.llc_stream, pc_trace=trace.pcs,
-                    warmup=len(upper_result.llc_stream) // 4)
-
-    backends = available_backends()
-    with _env("REPRO_STAGE2_KERNEL", "off"):
-        python_s = _best_of(repeats, replay)
-    numpy_s = numba_s = None
-    if backends["numpy"]:
-        with _env("REPRO_STAGE2_KERNEL", "numpy"):
-            numpy_s = round(_best_of(repeats, replay), 6)
-    if backends["numba"]:
-        with _env("REPRO_STAGE2_KERNEL", "numba"):
-            replay()  # untimed JIT warmup
-            numba_s = round(_best_of(repeats, replay), 6)
-    return {
-        "k": len(candidates),
-        "segments": len(segments),
-        "accesses": accesses,
-        "python_s": round(python_s, 6),
-        "numpy_s": numpy_s,
-        "numba_s": numba_s,
-        "numpy_speedup": (round(python_s / numpy_s, 3)
-                          if numpy_s else None),
-        "numba_speedup": (round(python_s / numba_s, 3)
-                          if numba_s else None),
-    }
-
-
-# -- Stage-3 timing model (scalar vs vectorized events) --------------------
-
-
-def bench_timing(scale: ReproScale, benchmark: str,
-                 repeats: int) -> Dict[str, Any]:
-    """Time Stage 3 alone over one segment's real LRU outcomes.
-
-    ``scalar_s`` runs the :func:`~repro.sim.single.demand_load_events`
-    generator into :meth:`~repro.cpu.timing.TimingModel.simulate`;
-    ``vector_s`` fills the shared numpy event skeleton
-    (:func:`~repro.sim.single.demand_load_arrays`) and runs
-    :meth:`~repro.cpu.timing.TimingModel.simulate_packed` — the
-    steady-state per-policy cost, since the skeleton itself is built
-    once per segment.  ``vector_s`` is ``None`` without numpy.
-    """
-    from repro.cpu.timing import TimingModel
-    from repro.policies import policy_factory
-    from repro.sim.llc import LLCSimulator
-    from repro.sim.single import (
-        build_stage3_events,
-        demand_load_arrays,
-        demand_load_events,
-        stage3_vector_enabled,
-    )
-
-    hierarchy = scale.hierarchy
-    segment = build_segments(benchmark, hierarchy.llc_bytes,
-                             scale.segment_accesses)[0]
-    runner = SingleThreadRunner(hierarchy,
-                                warmup_fraction=scale.warmup_fraction)
-    upper = runner.upper_result(segment)
-    trace = segment.trace
-    warm_mem = int(len(trace.pcs) * scale.warmup_fraction)
-    warm_llc = upper.llc_warmup_boundary(warm_mem)
-
-    num_sets = hierarchy.llc_bytes // (hierarchy.llc_ways
-                                       * hierarchy.block_bytes)
-    policy = policy_factory("lru", None)(num_sets, hierarchy.llc_ways)
-    sim = LLCSimulator(hierarchy.llc_bytes, hierarchy.llc_ways, policy,
-                       hierarchy.block_bytes)
-    outcomes = sim.run(upper.llc_stream, pc_trace=trace.pcs,
-                       warmup=warm_llc).outcomes
-
-    timing = runner.timing
-    model = TimingModel(timing)
-    measured_instr = upper.num_instructions - (
-        upper.instr_indices[warm_mem] if warm_mem < len(trace.pcs) else 0
-    )
-
-    scalar_s = _best_of(repeats, lambda: model.simulate(
-        demand_load_events(trace, upper, outcomes, timing,
-                           start_mem=warm_mem),
-        measured_instr,
-    ))
-
-    vector_s = loads = None
-    with _env("REPRO_STAGE3_VECTOR", "on"):
-        if stage3_vector_enabled():
-            events = build_stage3_events(trace, upper, timing,
-                                         start_mem=warm_mem)
-            loads = len(events.instr)
-
-            def vector() -> None:
-                instr, latencies, depends = demand_load_arrays(
-                    events, outcomes, timing)
-                model.simulate_packed(instr, latencies, depends,
-                                      measured_instr)
-
-            vector_s = round(_best_of(repeats, vector), 6)
-    return {
-        "benchmark": benchmark,
-        "loads": loads,
-        "scalar_s": round(scalar_s, 6),
-        "vector_s": vector_s,
-        "speedup": (round(scalar_s / vector_s, 3)
-                    if vector_s else None),
+        "stage2": {p: round(t, 6) for p, t in stage2.items()},
     }
 
 
@@ -479,7 +197,10 @@ def bench_telemetry(scale: ReproScale, benchmark: str,
 
     ``disabled_s`` vs ``enabled_s`` time the same mpppb Stage-2/3
     replay (Stage 1 pre-seeded) with telemetry off and inside a fresh
-    :func:`repro.obs.capture` context.  The instrumented code cannot be
+    :func:`repro.obs.capture` context, both on the default path: the
+    enabled run replays through the kernel's instrumented variant, so
+    :data:`TELEMETRY_ENABLED_BUDGET` gates what ``--telemetry`` really
+    costs.  The instrumented code cannot be
     compared against an un-instrumented build, so the disabled-path
     cost is *estimated*: one disabled :func:`repro.obs.span` round trip
     is micro-timed (``null_span_ns``), multiplied by the span count an
@@ -498,12 +219,8 @@ def bench_telemetry(scale: ReproScale, benchmark: str,
         runner.upper_result(segment)
 
     def replay() -> None:
-        # Kernel pinned off so both timings cover the *same* (fully
-        # instrumented, sequential) replay loop — telemetry-on runs
-        # always take that loop for its per-access observations.
-        with _env("REPRO_STAGE2_KERNEL", "off"):
-            for segment in segments:
-                runner.run_segment(segment, policy_factory("mpppb-1a", None))
+        for segment in segments:
+            runner.run_segment(segment, policy_factory("mpppb-1a", None))
 
     obs.disable()
     disabled_s = _best_of(repeats, replay)
@@ -855,24 +572,14 @@ def build_report(scale_name: str = "", benchmark: str = "soplex",
     """Run the full harness; returns the report payload."""
     import tempfile
 
-    from repro.sim.kernel import available_backends, backend_errors
-
     scale = get_scale(scale_name)
-    errors = backend_errors()
     report: Dict[str, Any] = {
         "schema": REPORT_SCHEMA,
         "scale": scale.name,
         "benchmark": benchmark,
         "accesses": scale.segment_accesses,
         "repeats": repeats,
-        "backends": {
-            name: {"available": present, "error": errors.get(name)}
-            for name, present in available_backends().items()
-        },
         "hotpath": bench_hotpath(scale, benchmark, policies, repeats),
-        "search-batch": bench_search_batch(scale, repeats),
-        "kernel": bench_kernel(scale, repeats),
-        "timing": bench_timing(scale, benchmark, repeats),
         "telemetry": bench_telemetry(scale, benchmark, repeats),
         "ingest": bench_ingest(repeats),
     }
@@ -896,17 +603,8 @@ def build_report(scale_name: str = "", benchmark: str = "soplex",
 
 def check_report(report: Dict[str, Any],
                  tolerance: float = 1.0) -> List[str]:
-    """Regression gate on the report's strength reductions.
+    """Regression gate on the report's budgets.
 
-    * Fused Stage 2 must not be slower than legacy.  Only ``mpppb*``
-      policies are gated — they are the only consumers of the feature
-      pipeline, so for other policies fused-vs-legacy is pure timer
-      noise.
-    * Batched K-candidate evaluation must not be slower than K
-      per-candidate replays.
-    * The columnar numpy kernel must beat the batched bytecode replay
-      by at least :data:`KERNEL_MIN_SPEEDUP` on the Stage-2 replay
-      (skipped when numpy is unavailable on the host).
     * Telemetry must respect both budgets: the disabled path under
       :data:`TELEMETRY_DISABLED_BUDGET`, the fully enabled replay
       under :data:`TELEMETRY_ENABLED_BUDGET` overhead.
@@ -923,34 +621,6 @@ def check_report(report: Dict[str, Any],
     Returns a list of failure messages (empty = pass).
     """
     failures: List[str] = []
-    for policy, timings in report["hotpath"]["stage2"].items():
-        if not policy.startswith("mpppb"):
-            continue
-        fused, legacy = timings["fused"], timings["legacy"]
-        if fused > legacy * tolerance:
-            failures.append(
-                f"{policy}: fused stage-2 {fused:.4f}s slower than "
-                f"legacy {legacy:.4f}s (tolerance x{tolerance})"
-            )
-    batch = report.get("search-batch")
-    if batch is not None:
-        sequential, batched = batch["sequential_s"], batch["batched_s"]
-        if batched > sequential * tolerance:
-            failures.append(
-                f"search-batch: batched {batch['k']}-candidate evaluation "
-                f"{batched:.4f}s slower than sequential {sequential:.4f}s "
-                f"(tolerance x{tolerance})"
-            )
-    kernel = report.get("kernel")
-    if kernel is not None and kernel.get("numpy_s"):
-        python_s, numpy_s = kernel["python_s"], kernel["numpy_s"]
-        if numpy_s * KERNEL_MIN_SPEEDUP > python_s * tolerance:
-            failures.append(
-                f"kernel: numpy Stage-2 replay {numpy_s:.4f}s is only "
-                f"{python_s / numpy_s:.2f}x over the batched Python "
-                f"path {python_s:.4f}s (required "
-                f"{KERNEL_MIN_SPEEDUP:.1f}x, tolerance x{tolerance})"
-            )
     telemetry = report.get("telemetry")
     if telemetry is not None:
         overhead = telemetry["disabled_overhead"]
@@ -1014,51 +684,8 @@ def format_report(report: Dict[str, Any]) -> str:
         f"  trace gen {hot['trace_gen_s']:8.4f}s   "
         f"stage 1 {hot['stage1_s']:8.4f}s",
     ]
-    for policy, timings in hot["stage2"].items():
-        fused, legacy = timings["fused"], timings["legacy"]
-        ratio = legacy / fused if fused > 0 else float("inf")
-        lines.append(f"  stage 2 {policy:12s} fused {fused:8.4f}s   "
-                     f"legacy {legacy:8.4f}s   ({ratio:.2f}x)")
-    batch = report.get("search-batch")
-    if batch is not None:
-        lines.append(
-            f"  search  {batch['k']} candidates x {batch['segments']} "
-            f"segments: sequential {batch['sequential_s']:.4f}s  "
-            f"batched {batch['batched_s']:.4f}s  "
-            f"({batch['speedup']:.2f}x)"
-        )
-    kernel = report.get("kernel")
-    if kernel is not None:
-        backends = report.get("backends", {})
-        parts = [f"python {kernel['python_s']:.4f}s"]
-        for name in ("numpy", "numba"):
-            seconds = kernel.get(f"{name}_s")
-            entry = backends.get(name, False)
-            present = (entry.get("available") if isinstance(entry, dict)
-                       else bool(entry))
-            if seconds is not None:
-                parts.append(f"{name} {seconds:.4f}s "
-                             f"({kernel[f'{name}_speedup']:.2f}x)")
-            elif not present:
-                parts.append(f"{name} n/a")
-        lines.append(
-            f"  kernel  {kernel['k']} candidates x {kernel['segments']} "
-            f"segments: " + "  ".join(parts)
-        )
-    stage3 = report.get("timing")
-    if stage3 is not None:
-        if stage3["vector_s"] is not None:
-            lines.append(
-                f"  stage 3 {stage3['benchmark']:12s} "
-                f"scalar {stage3['scalar_s']:8.4f}s   "
-                f"vector {stage3['vector_s']:8.4f}s   "
-                f"({stage3['speedup']:.2f}x)"
-            )
-        else:
-            lines.append(
-                f"  stage 3 {stage3['benchmark']:12s} "
-                f"scalar {stage3['scalar_s']:8.4f}s   (numpy unavailable)"
-            )
+    for policy, seconds in hot["stage2"].items():
+        lines.append(f"  stage 2 {policy:12s} {seconds:8.4f}s")
     telemetry = report.get("telemetry")
     if telemetry is not None:
         lines.append(

@@ -23,7 +23,6 @@ from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 from repro import obs
 from repro.core.features import Feature
 from repro.core.mpppb import MPPPBConfig, MPPPBPolicy
-from repro.sim.batch import stage2_batch_enabled
 from repro.sim.hierarchy import HierarchyConfig
 from repro.sim.single import SingleThreadRunner
 from repro.traces.trace import Segment
@@ -63,7 +62,7 @@ class FeatureSetEvaluator:
         self.executor = executor
         self.spec = spec
         # Candidates per shared-context replay; None = whole generation
-        # in one batch.  Ignored when REPRO_STAGE2_BATCH=off.
+        # in one batch.
         self.batch_size = batch_size
         self.evaluations = 0
         self._cache: Dict[tuple, float] = {}
@@ -145,9 +144,9 @@ class FeatureSetEvaluator:
     ) -> List[float]:
         """In-process evaluation of a candidate batch; input order.
 
-        The shared-context engine handles unique uncached candidates
-        (when enabled and there is more than one); results land in the
-        in-memory memo exactly like :meth:`evaluate`'s.
+        Unique uncached candidates replay through the shared-context
+        engine; results land in the in-memory memo exactly like
+        :meth:`evaluate`'s.
         """
         keys = [tuple(features) for features in feature_sets]
         pending: List[Tuple[Feature, ...]] = []
@@ -157,12 +156,7 @@ class FeatureSetEvaluator:
                 seen.add(key)
                 pending.append(key)
         if pending:
-            if stage2_batch_enabled() and len(pending) > 1:
-                self._evaluate_batch_local(pending)
-            else:
-                for key in pending:
-                    self._cache[key] = self._evaluate_local(key)
-                    self.evaluations += 1
+            self._evaluate_batch_local(pending)
         return [self._cache[key] for key in keys]
 
     def evaluate(self, features: Sequence[Feature]) -> float:
@@ -187,8 +181,7 @@ class FeatureSetEvaluator:
         on-disk result cache; otherwise they evaluate in process.
         Either way, candidates that share a generation are grouped into
         shared-context Stage-2 replays (:mod:`repro.sim.batch`) of at
-        most ``batch_size`` candidates unless ``REPRO_STAGE2_BATCH=off``
-        pins the sequential per-candidate path.
+        most ``batch_size`` candidates.
         """
         self._generation += 1
         with obs.span(f"search-gen-{self._generation}"):
@@ -219,11 +212,8 @@ class FeatureSetEvaluator:
                 )
                 for features in unique_pending
             ]
-            if stage2_batch_enabled():
-                values = self.executor.run_search_batches(
-                    cells, batch_size=self.batch_size, label="search")
-            else:
-                values = self.executor.run(cells, label="search")
+            values = self.executor.run_search_batches(
+                cells, batch_size=self.batch_size, label="search")
             unresolved = 0
             for features, value in zip(unique_pending, values):
                 if value is None:

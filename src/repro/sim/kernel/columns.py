@@ -1,11 +1,8 @@
 """Columnar lowering of a Stage-1 LLC stream (the kernel's phase 1).
 
-The batched replay engine (:mod:`repro.sim.batch`) already splits a
-Stage-2 replay into a candidate-invariant *shared pass* and K
-per-candidate replays, but its shared pass still executes Python
-bytecode per access: one ``array('q')`` append per column plus one
-compiled static-slot call.  This module strength-reduces the shared
-pass itself to numpy array expressions over the whole stream:
+Everything a replay needs to know about an access that does not depend
+on cache state is computed here once per stream, as numpy array
+expressions over the whole stream:
 
 * **Stream columns** — block, set index, 16-bit partial tag, sampler
   set, prefetch flag — become vectorized mask/shift/mod expressions.
@@ -15,16 +12,17 @@ pass itself to numpy array expressions over the whole stream:
   hash (:func:`repro.util.hashing.mix64` replicated in wrapping
   ``uint64`` arithmetic) and the PC-history gathers.
 
-Every column is bit-identical to what
-:meth:`~repro.sim.batch.BatchLLCSimulator._shared_pass` produces with
-scalar Python integers; ``tests/test_kernel.py`` pins the round trip.
+Every slot column, combined with a candidate's dynamic bits, equals
+the index :func:`repro.core.features.compile_fused` computes from the
+access's :class:`~repro.cache.access.AccessContext`;
+``tests/test_kernel.py`` pins that access by access.
 :func:`lower_perceptron` and :func:`lower_hawkeye` lower the two
 baseline predictors' inputs the same way, sharing the stream decode
 and the PC-history gather.
 All intermediate arithmetic runs in ``uint64`` (64-bit address/PC
 slices and the hash multiplies overflow ``int64``) and results are
 narrowed to ``int64`` at the end, whose ``.tolist()`` yields the plain
-Python ints the replay backends index with.
+Python ints the replay loops index with.
 """
 
 from __future__ import annotations
@@ -85,7 +83,7 @@ class StreamColumns:
     ``cols`` holds one ``int64`` array per shared slot in the batch
     engine's slot layout — slot 0 is the hashed PC when any feature
     XORs — so a per-candidate ``("slot", j)`` entry reads ``cols[j]``.
-    The numpy replay backend indexes Python lists (scalar ``list``
+    The replay loops index Python lists (scalar ``list``
     subscripts beat zero-dim numpy scalars by a wide margin in a
     bytecode loop); :meth:`as_lists` materializes them once, lazily.
     """

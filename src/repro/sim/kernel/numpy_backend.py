@@ -1,19 +1,17 @@
 """Numpy-column replay backend: a specialized, fully-inlined loop.
 
-Profiling the batched Python replay at tiny scale shows where the
-time actually goes: ~52% inside ``ReuseSampler.access`` (attribute
-walks, ``SamplerEntry`` shuffling, per-feature method calls), with
-most of the rest split across the compiled eval call, the replacement
-policy's method dispatch, and ``LLCStats`` attribute increments.  At
-the paper's geometry every sampler helper is hot — at tiny scale the
-sampler stride is 1 so *every* access trains.  Chunked numpy
-vectorization cannot help a loop whose state (weights, sampler LRU,
-tree bits) is serially dependent access to access; what helps is
-eliminating every function call and attribute load from the loop.
+Profiling a per-access Python replay at tiny scale put about half its
+time in the sampler's access path (attribute walks, ``SamplerEntry``
+shuffling, per-feature method calls) and most of the rest in the
+replacement policy's method dispatch and ``LLCStats`` attribute
+increments.  Chunked numpy vectorization cannot help a loop whose
+state (weights, sampler LRU, tree bits) is serially dependent access
+to access; what helps is eliminating every function call and
+attribute load from the loop.
 
 So this backend generates one flat Python function per candidate
-*shape* (feature entries x default policy x geometry x thresholds)
-with everything inlined as local-variable bytecode:
+*shape* (feature entries x default policy x geometry x thresholds x
+instrumentation) with everything inlined as local-variable bytecode:
 
 * the perceptron sum, with per-feature index expressions specialized
   separately for the hit branch (``ins=0``, live PLRU position) and
@@ -27,11 +25,18 @@ with everything inlined as local-variable bytecode:
   the SRRIP scan/age loop), operating on the policy's own
   ``tree.bits`` / ``rrpvs`` lists in place;
 * fill tracking via a per-set fill cursor instead of a per-way
-  invalid scan (valid ways in a :class:`SetAssociativeCache` that has
-  only ever installed are a prefix — checked by the caller's
-  preflight, with fallback to the Python replay if violated);
+  invalid scan (a :class:`SetAssociativeCache` that has only ever
+  installed at its lowest invalid way holds its valid ways as a
+  prefix);
 * scalar local counters instead of per-access ``LLCStats``
   increments; aggregate stats are derived afterwards.
+
+The *instrumented* variant, built when the policy records the
+``mpppb/confidence`` histogram (telemetry on), also appends every
+access's saturated confidence to a list, warm and measured alike —
+exactly the values ``MPPPBPolicy.on_access`` observes — which
+:func:`replay_all` folds into the histogram after the replay.  The uninstrumented
+variant emits no trace of it.
 
 The generated function runs a half-open access range so the driver
 invokes it twice — warmup segment, then measured segment — exactly
@@ -163,11 +168,14 @@ def _emit(lines: List[str], depth: int, chunk) -> None:
 
 def _build_source(key: Tuple) -> str:
     (entries, ncols, kind, ways, levels, promote_pos, tau_bypass, taus,
-     placements, tau_np, theta, sampler_ways, rrpv_max, needs_h) = key
+     placements, tau_np, theta, sampler_ways, rrpv_max, needs_h,
+     instrumented) = key
     nf = len(entries)
     uses_hv = needs_h and any(
         e[0] == "dyn" and e[2] for e in entries)
     col_params = "".join(f", c{j}" for j in range(ncols))
+    if instrumented:
+        col_params += ", CONFS"
 
     hit_idx = _index_exprs(entries, 0, "mru")
     miss_idx = _index_exprs(entries, 1, "0")
@@ -184,6 +192,8 @@ def _build_source(key: Tuple) -> str:
         e(1, f"W{f} = WL[{f}]")
     e(1, "hits = 0; dhits = 0; byp = 0; evc = 0; sup = 0")
     e(1, "t_live = 0; t_dead = 0")
+    if instrumented:
+        e(1, "observe = CONFS.append")
     e(1, "for i in range(lo, hi):")
     e(2, "block = blocks[i]")
     e(2, "s = set_idxs[i]")
@@ -213,6 +223,8 @@ def _build_source(key: Tuple) -> str:
     e(3, f"conf = {CONFIDENCE_MIN}")
     e(2, "else:")
     e(3, "conf = total")
+    if instrumented:
+        e(2, "observe(conf)")
     # --- sampler (inlined ReuseSampler.access) -------------------------
     e(2, "si = samp_idxs[i]")
     e(2, "if si >= 0:")
@@ -336,29 +348,6 @@ def _kernel_for(key: Tuple):
     return fn
 
 
-def prefix_fills(cache) -> List[int]:
-    """Per-set valid counts, or ``None`` if validity is not a prefix.
-
-    A fresh cache (all invalid) and any cache that has only ever been
-    driven through install/evict have prefix-shaped validity, because
-    ``invalid_way`` always returns the lowest invalid way.  A cache
-    manipulated some other way (e.g. explicit ``invalidate``) falls
-    back to the Python replay rather than risking a divergence.
-    """
-    fills: List[int] = []
-    for valid_row in cache.valid:
-        count = 0
-        for flag in valid_row:
-            if flag:
-                count += 1
-            else:
-                break
-        if any(valid_row[count:]):
-            return None
-        fills.append(count)
-    return fills
-
-
 def _candidate_key(sim, k: int) -> Tuple:
     policy = sim.policies[k]
     config = policy.config
@@ -388,6 +377,7 @@ def _candidate_key(sim, k: int) -> Tuple:
         policy.sampler.ways,
         rrpv_max,
         sim._needs_h,
+        policy._conf_hist is not None,
     )
 
 
@@ -395,37 +385,23 @@ def sim_ncols(sim) -> int:
     return len(sim._slots) + (1 if sim._needs_h else 0)
 
 
-def replay_all(sim, columns, warmup: int):
-    """Replay every candidate of ``sim`` over ``columns``.
-
-    Returns a list of :class:`LLCResult` (one per candidate) or
-    ``None`` when a precondition fails — checked for *all* candidates
-    before any state is touched, so a fallback to the Python replay
-    never double-runs a candidate.
-    """
-    all_fills = []
-    for cache in sim.caches:
-        fills = prefix_fills(cache)
-        if fills is None:
-            return None
-        all_fills.append(fills)
-
+def replay_all(sim, columns, warmup: int) -> List[LLCResult]:
+    """Replay every candidate of ``sim`` over ``columns``; one
+    :class:`LLCResult` per candidate."""
     n = columns.n
     warm_boundary = min(max(warmup, 0), n)
     warm_prefetches = int(columns.prefetch[:warm_boundary].sum())
     measured_prefetches = int(columns.prefetch[warm_boundary:].sum())
     blocks, set_idxs, tags, samp_idxs, prefetch, cols = columns.as_lists()
-
-    results = []
-    for k in range(len(sim.policies)):
-        results.append(_replay_candidate(
-            sim, k, all_fills[k], n, warm_boundary, warm_prefetches,
-            measured_prefetches, blocks, set_idxs, tags, samp_idxs,
-            prefetch, cols))
-    return results
+    return [
+        _replay_candidate(sim, k, n, warm_boundary, warm_prefetches,
+                          measured_prefetches, blocks, set_idxs, tags,
+                          samp_idxs, prefetch, cols)
+        for k in range(len(sim.policies))
+    ]
 
 
-def _replay_candidate(sim, k, fills, n, warm_boundary, warm_prefetches,
+def _replay_candidate(sim, k, n, warm_boundary, warm_prefetches,
                       measured_prefetches, blocks, set_idxs, tags,
                       samp_idxs, prefetch, cols):
     policy = sim.policies[k]
@@ -434,6 +410,9 @@ def _replay_candidate(sim, k, fills, n, warm_boundary, warm_prefetches,
     kernel = _kernel_for(_candidate_key(sim, k))
 
     outcomes = [False] * n
+    # The cache has only ever installed at its lowest invalid way, so
+    # each set's valid ways are a prefix: the fill cursor is its length.
+    fills = [sum(valid_row) for valid_row in cache.valid]
     lastm = bytearray(cache.num_sets)
     default = policy.default
     if type(default).__name__ == "MDPPPolicy":
@@ -463,6 +442,10 @@ def _replay_candidate(sim, k, fills, n, warm_boundary, warm_prefetches,
     state = (cache._where, cache.tags, fills, lastm, def_state,
              s_tags, s_ind, s_conf, policy.predictor._weights,
              live, live_n, demotions, *cols)
+    hist = policy._conf_hist
+    if hist is not None:
+        confs: List[int] = []
+        state += (confs,)
     warm_counts = kernel(0, warm_boundary, blocks, set_idxs, tags,
                          samp_idxs, prefetch, outcomes, *state)
     counts = kernel(warm_boundary, n, blocks, set_idxs, tags,
@@ -482,6 +465,8 @@ def _replay_candidate(sim, k, fills, n, warm_boundary, warm_prefetches,
     policy.promotions_suppressed += warm_counts[4] + counts[4]
     sampler.trainings_live += warm_counts[5] + counts[5]
     sampler.trainings_dead += warm_counts[6] + counts[6]
+    if hist is not None:
+        hist.observe_many(confs)
 
     warm_stats = _segment_stats(warm_boundary, warm_prefetches,
                                 warm_counts)

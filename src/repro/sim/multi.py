@@ -28,7 +28,12 @@ from repro.cache.replacement.lru import LRUPolicy
 from repro.cpu.timing import TimingConfig, TimingModel
 from repro.sim.hierarchy import HierarchyConfig, UpperLevelResult, UpperLevels
 from repro.sim.llc import LLCAccess, LLCSimulator
-from repro.sim.single import demand_load_events, replay_segment
+from repro.sim.single import (
+    Stage3Events,
+    build_stage3_events,
+    demand_load_arrays,
+    replay_segment,
+)
 from repro.traces.mixes import Mix
 from repro.traces.trace import Segment
 from repro.util.stats import mpki as mpki_of
@@ -47,6 +52,10 @@ class ThreadData:
     timestamps: List[float]
     warm_mem: int
     warm_llc: int
+    # Measured-window Stage-3 skeleton, filled per mix by each policy's
+    # outcomes (see SingleThreadRunner._stage3_cache).
+    stage3: Stage3Events
+    measured_instr: int
 
 
 @dataclass(frozen=True)
@@ -146,18 +155,20 @@ class MultiProgrammedRunner:
         standalone = sim.run(upper.llc_stream, pc_trace=segment.trace.pcs,
                              warmup=warm_llc)
         model = TimingModel(self.timing)
-        full_events = demand_load_events(
-            segment.trace, upper, standalone.outcomes, self.timing, start_mem=0
-        )
-        full_timing = model.simulate(full_events, upper.num_instructions)
-        measured_events = demand_load_events(
-            segment.trace, upper, standalone.outcomes, self.timing,
-            start_mem=warm_mem,
-        )
+        trace = segment.trace
+        full_timing = model.simulate_packed(
+            *demand_load_arrays(
+                build_stage3_events(trace, upper, self.timing, start_mem=0),
+                standalone.outcomes, self.timing),
+            upper.num_instructions)
+        stage3 = build_stage3_events(trace, upper, self.timing,
+                                     start_mem=warm_mem)
         measured_instr = upper.num_instructions - (
-            upper.instr_indices[warm_mem] if warm_mem < len(segment.trace.pcs) else 0
+            upper.instr_indices[warm_mem] if warm_mem < len(trace.pcs) else 0
         )
-        single_ipc = model.simulate(measured_events, measured_instr).ipc
+        single_ipc = model.simulate_packed(
+            *demand_load_arrays(stage3, standalone.outcomes, self.timing),
+            measured_instr).ipc
         cpi = full_timing.cycles / max(1, upper.num_instructions)
         timestamps = [a.instr_index * cpi for a in upper.llc_stream]
         data = ThreadData(
@@ -168,6 +179,8 @@ class MultiProgrammedRunner:
             timestamps=timestamps,
             warm_mem=warm_mem,
             warm_llc=warm_llc,
+            stage3=stage3,
+            measured_instr=measured_instr,
         )
         self._threads[segment.name] = data
         return data
@@ -205,20 +218,12 @@ class MultiProgrammedRunner:
 
         model = TimingModel(self.timing)
         ipcs = []
-        total_measured_instr = 0
         with obs.span("stage3-timing"):
-            for thread_idx, thread in enumerate(threads):
-                trace = thread.segment.trace
-                events = demand_load_events(
-                    trace, thread.upper, per_thread_outcomes[thread_idx],
-                    self.timing, start_mem=thread.warm_mem,
-                )
-                measured_instr = thread.upper.num_instructions - (
-                    thread.upper.instr_indices[thread.warm_mem]
-                    if thread.warm_mem < len(trace.pcs) else 0
-                )
-                total_measured_instr += measured_instr
-                ipcs.append(model.simulate(events, measured_instr).ipc)
+            for thread, outcomes in zip(threads, per_thread_outcomes):
+                ipcs.append(model.simulate_packed(
+                    *demand_load_arrays(thread.stage3, outcomes, self.timing),
+                    thread.measured_instr).ipc)
+        total_measured_instr = sum(t.measured_instr for t in threads)
 
         return MixResult(
             mix_name=mix.name,

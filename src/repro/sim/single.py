@@ -14,7 +14,6 @@ relative to LRU and summarized by geometric mean.
 
 from __future__ import annotations
 
-import os
 import time
 from dataclasses import asdict, dataclass
 from typing import (
@@ -28,15 +27,15 @@ from typing import (
     Tuple,
 )
 
-try:  # numpy backs the vectorized Stage-3 event builder; optional.
-    import numpy as _np
-except ImportError:  # pragma: no cover - environment without numpy
-    _np = None
+import numpy as np
 
 from repro import obs
 from repro.cache.replacement.base import ReplacementPolicy
-from repro.core.mpppb import MPPPBConfig
+from repro.core.mpppb import MPPPBConfig, MPPPBPolicy
 from repro.cpu.timing import TimingConfig, TimingModel
+from repro.predictors.hawkeye import HawkeyePolicy
+from repro.predictors.perceptron import PerceptronPolicy
+from repro.sim.batch import BatchLLCSimulator
 from repro.sim.hierarchy import (
     SERVICE_L1,
     SERVICE_L2,
@@ -44,6 +43,8 @@ from repro.sim.hierarchy import (
     UpperLevelResult,
     UpperLevels,
 )
+from repro.sim.kernel import stage2_kernel_enabled
+from repro.sim.kernel.baselines import replay_baseline
 from repro.sim.llc import LLCResult, LLCSimulator
 from repro.traces.trace import Segment, Trace
 from repro.util.stats import mpki as mpki_of
@@ -127,6 +128,10 @@ def demand_load_events(
 ) -> Iterable[Tuple[int, int, bool]]:
     """Yield ``(instr_index, latency, depends)`` per measured demand load.
 
+    The readable reference for :func:`build_stage3_events` +
+    :func:`demand_load_arrays`, which produce the same events as
+    columns (``tests/test_sim_single.py`` pins them equal).
+
     ``instr_index`` is relative to the first measured instruction,
     ``latency`` comes from the level that serviced the load, and
     ``depends`` flags loads address-dependent on the previous load
@@ -153,20 +158,6 @@ def demand_load_events(
         else:
             latency = llc_hit if outcomes[level] else llc_miss
         yield instr_indices[mem_index] - base_instr, latency, deps[mem_index]
-
-
-def stage3_vector_enabled() -> bool:
-    """Vectorized Stage-3 selector: ``REPRO_STAGE3_VECTOR`` (default on).
-
-    Requires numpy; the scalar :func:`demand_load_events` generator is
-    the fallback and the two paths produce bit-identical IPC (integer
-    latencies and instruction counts divide identically in IEEE-754
-    float64 either way).
-    """
-    if _np is None:
-        return False
-    return os.environ.get("REPRO_STAGE3_VECTOR", "on").lower() not in (
-        "off", "0", "false", "no", "none")
 
 
 @dataclass
@@ -196,17 +187,17 @@ def build_stage3_events(
     start_mem: int = 0,
 ) -> Stage3Events:
     """Vectorized equivalent of :func:`demand_load_events`' static part."""
-    service = _np.asarray(upper.service[start_mem:], dtype=_np.int64)
-    loads = ~_np.asarray(trace.writes[start_mem:], dtype=bool)
+    service = np.asarray(upper.service[start_mem:], dtype=np.int64)
+    loads = ~np.asarray(trace.writes[start_mem:], dtype=bool)
     service = service[loads]
     base_instr = (upper.instr_indices[start_mem]
                   if start_mem < len(trace.pcs) else 0)
-    instr = _np.asarray(upper.instr_indices[start_mem:],
-                        dtype=_np.int64)[loads] - base_instr
-    depends = _np.asarray(trace.deps[start_mem:], dtype=bool)[loads]
-    latencies = _np.full(len(service), timing.l1_latency, dtype=_np.int64)
+    instr = np.asarray(upper.instr_indices[start_mem:],
+                       dtype=np.int64)[loads] - base_instr
+    depends = np.asarray(trace.deps[start_mem:], dtype=bool)[loads]
+    latencies = np.full(len(service), timing.l1_latency, dtype=np.int64)
     latencies[service == SERVICE_L2] = timing.l2_latency
-    llc_positions = _np.nonzero(service >= 0)[0]
+    llc_positions = np.nonzero(service >= 0)[0]
     return Stage3Events(
         instr=instr.tolist(),
         depends=depends.tolist(),
@@ -228,8 +219,8 @@ def demand_load_arrays(
     element for element to iterating :func:`demand_load_events`.
     """
     latencies = events.base_latencies.copy()
-    hits = _np.asarray(outcomes, dtype=bool)[events.llc_stream_idx]
-    latencies[events.llc_positions] = _np.where(
+    hits = np.asarray(outcomes, dtype=bool)[events.llc_stream_idx]
+    latencies[events.llc_positions] = np.where(
         hits, timing.llc_latency, timing.llc_miss_latency)
     return events.instr, latencies.tolist(), events.depends
 
@@ -245,41 +236,27 @@ def replay_segment(
 ) -> LLCResult:
     """Stage-2 replay of one stream against one policy.
 
-    When the columnar kernel is active (``REPRO_STAGE2_KERNEL`` != off,
-    which implies numpy imports; a ``numba`` resolution takes the same
-    routes) two routes leave the sequential simulator:
+    With the columnar kernel on (the default; ``REPRO_STAGE2_KERNEL=off``
+    turns it off), two routes leave the sequential simulator:
 
     * Policies whose exact type is
       :class:`~repro.predictors.perceptron.PerceptronPolicy` or
       :class:`~repro.predictors.hawkeye.HawkeyePolicy` replay through
-      :func:`repro.sim.kernel.baselines.replay_baseline`, with or
-      without telemetry; it flushes the same ``llc/*`` counters.
+      :func:`repro.sim.kernel.baselines.replay_baseline`.
     * MPPPB policies route through a single-candidate
       :class:`~repro.sim.batch.BatchLLCSimulator`, so compare and mix
       runs ride the kernel exactly like the batched search path.
-      Instrumented MPPPB runs (telemetry enabled) stay on the
-      sequential simulator, which fills the per-access confidence
-      histogram the inlined loop does not record.
 
-    Each fast path starts from a fresh cache, like a fresh
-    :class:`LLCSimulator`, and is bit-identical to it.  Everything
-    else, and the kernel-off mode, uses the sequential simulator.
+    Both routes record the same telemetry as the sequential simulator.
+    Each starts from a fresh cache, like a fresh :class:`LLCSimulator`,
+    and is bit-identical to it.  Every other policy uses the sequential
+    simulator.
     """
-    from repro.core.mpppb import MPPPBPolicy
-    from repro.predictors.hawkeye import HawkeyePolicy
-    from repro.predictors.perceptron import PerceptronPolicy
-    from repro.sim.kernel import stage2_kernel_backend
-
-    if type(policy) in (PerceptronPolicy, HawkeyePolicy):
-        if stage2_kernel_backend() != "off":
-            from repro.sim.kernel.baselines import replay_baseline
-
+    if stage2_kernel_enabled():
+        if type(policy) in (PerceptronPolicy, HawkeyePolicy):
             return replay_baseline(llc_bytes, ways, policy, block_bytes,
                                    llc_stream, pcs, warmup)
-    elif isinstance(policy, MPPPBPolicy) and not obs.enabled():
-        if stage2_kernel_backend() != "off":
-            from repro.sim.batch import BatchLLCSimulator
-
+        if isinstance(policy, MPPPBPolicy):
             sim = BatchLLCSimulator(llc_bytes, ways, [policy], block_bytes)
             return sim.run(llc_stream, pc_trace=pcs, warmup=warmup)[0]
     sim = LLCSimulator(llc_bytes, ways, policy, block_bytes)
@@ -398,9 +375,6 @@ class SingleThreadRunner:
         candidate-invariant per-access context are paid once; see
         :class:`repro.sim.batch.BatchLLCSimulator`.
         """
-        from repro.core.mpppb import MPPPBPolicy
-        from repro.sim.batch import BatchLLCSimulator
-
         upper = self.upper_result(segment)
         trace = segment.trace
         warm_mem = int(len(trace.pcs) * self.warmup_fraction)
@@ -436,21 +410,12 @@ class SingleThreadRunner:
         measured_instr = upper.num_instructions - (
             upper.instr_indices[warm_mem] if warm_mem < len(trace.pcs) else 0
         )
-        model = TimingModel(self.timing)
         with obs.span("stage3-timing"):
-            if stage3_vector_enabled():
-                instr, latencies, depends = demand_load_arrays(
-                    self._stage3_events(segment, upper, warm_mem),
-                    llc.outcomes, self.timing,
-                )
-                timing_result = model.simulate_packed(
-                    instr, latencies, depends, measured_instr)
-            else:
-                events = demand_load_events(
-                    trace, upper, llc.outcomes, self.timing,
-                    start_mem=warm_mem
-                )
-                timing_result = model.simulate(events, measured_instr)
+            instr, latencies, depends = demand_load_arrays(
+                self._stage3_events(segment, upper, warm_mem), llc.outcomes,
+                self.timing)
+            timing_result = TimingModel(self.timing).simulate_packed(
+                instr, latencies, depends, measured_instr)
         return SegmentResult(
             segment_name=segment.name,
             weight=segment.weight,

@@ -11,6 +11,8 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, List, Sequence, Tuple
 
+import numpy as np
+
 
 def geometric_mean(values: Iterable[float]) -> float:
     """Geometric mean of positive values; raises on empty input."""
@@ -75,24 +77,19 @@ def roc_curve(
     fraction of live blocks mispredicted dead; the true positive rate
     is the fraction of dead blocks correctly predicted (Section 6.3).
 
-    Delegates to :func:`roc_curve_fast` when numpy is importable; the
-    pure-Python loop remains as the no-dependency fallback.  Both paths
-    produce equal points (counting threshold comparisons over the same
-    values), which ``tests/test_util_stats.py`` pins with hypothesis.
+    Computed by :func:`roc_curve_fast`; the pure-Python
+    :func:`_roc_curve_scalar` is its parity oracle, which
+    ``tests/test_util_stats.py`` pins with hypothesis.
     """
     if len(confidences) != len(labels):
         raise ValueError("confidences and labels must have equal length")
-    try:
-        import numpy  # noqa: F401 - availability probe only
-    except ImportError:
-        return _roc_curve_scalar(confidences, labels, thresholds)
     return roc_curve_fast(confidences, labels, thresholds)
 
 
 def _roc_curve_scalar(
     confidences: Sequence[float], labels: Sequence[bool], thresholds: Sequence[float]
 ) -> List[RocPoint]:
-    """Pure-Python ROC fallback (and parity oracle for the fast path)."""
+    """Pure-Python ROC: the parity oracle for :func:`roc_curve_fast`."""
     dead_total = sum(1 for label in labels if label)
     live_total = len(labels) - dead_total
     points = []
@@ -114,8 +111,6 @@ def roc_curve_fast(
     confidences: Sequence[float], labels: Sequence[bool], thresholds: Sequence[float]
 ) -> List[RocPoint]:
     """Vectorized ROC computation for large prediction logs."""
-    import numpy as np
-
     conf = np.asarray(confidences, dtype=np.float64)
     lab = np.asarray(labels, dtype=bool)
     dead_total = int(lab.sum())

@@ -1,6 +1,6 @@
 """Pinned-hash determinism regression tests.
 
-The perf work (fused feature pipeline, artifact cache, array-backed
+The perf work (columnar Stage-2 kernel, artifact cache, array-backed
 state) must never change simulation *results* — only how fast they
 are produced.  These tests run a small reference workload and compare
 a stable hash of the full result tables against hashes pinned when
@@ -22,7 +22,6 @@ from repro.config import TINY
 from repro.exec import MixCell, ParallelRunner, SingleCell, SuiteSpec, TraceSpec
 from repro.exec.cachekey import stable_hash
 from repro.exec.store import ResultStore
-from repro.sim.kernel import available_backends
 from repro.traces.mixes import generate_mixes
 from repro.traces.workloads import build_suite
 
@@ -35,8 +34,7 @@ POLICIES = ("lru", "mpppb-1a", "srrip")
 SINGLE_HASH = "4f06a70f16f97bdb76676eef33c124e3b8115326498dff212deb7fd617cd5e75"
 MIX_HASH = "bec8c2cfa975ef0b8cfff1a87c8ff4cb3e5bd2ef307d006b6c0d7e34e3c9426b"
 # Feature-search pin: random search + hill climb on a fixed seed must
-# produce these candidates and MPKIs whether Stage 2 replays candidates
-# one at a time or through the shared-context batch engine.
+# produce these candidates and MPKIs whatever the batch width.
 SEARCH_HASH = "25451957fce2529e70cc7ebc80843c0475e3e04242d942b9d72584574e9534aa"
 # The paper's two baselines on the same workload, single-core cells and
 # the same mixes replayed under each baseline on the shared LLC.
@@ -46,15 +44,16 @@ BASELINE_SINGLE_HASH = \
 BASELINE_MIX_HASH = \
     "4686c853d78f1453913b92cd84aa97442263e3c3c829fb960049a087d77d7561"
 
-# Stage-2 kernel backends: "off" always exists (per-access Python
-# replay); accelerated backends run wherever their import succeeds.
-_AVAILABLE = available_backends()
-_KERNEL_BACKENDS = ["off"] + [
-    pytest.param(name,
-                 marks=pytest.mark.skipif(not present,
-                                          reason=f"{name} not installed"))
-    for name, present in _AVAILABLE.items()
-]
+# The two Stage-2 legs: "off" replays on the LLCSimulator reference,
+# "numpy" on the columnar numpy kernel, the default path.
+_KERNEL_BACKENDS = ["off", "numpy"]
+
+
+def _select_stage2(monkeypatch, backend):
+    if backend == "off":
+        monkeypatch.setenv("REPRO_STAGE2_KERNEL", "off")
+    else:
+        monkeypatch.delenv("REPRO_STAGE2_KERNEL", raising=False)
 
 
 def _single_cells(policies=POLICIES):
@@ -144,26 +143,16 @@ class TestPinnedHashes:
         assert engine.artifact_root is None
         _assert_pinned(engine)
 
-    @pytest.mark.parametrize("pipeline", ["fused", "legacy"])
-    def test_both_feature_pipelines(self, pipeline, monkeypatch):
-        monkeypatch.setenv("REPRO_FEATURE_PIPELINE", pipeline)
-        _assert_pinned(ParallelRunner(jobs=1, store=None, verbose=False))
-
-    @pytest.mark.parametrize("vector", ["on", "off"])
-    def test_both_stage3_paths(self, vector, monkeypatch):
-        monkeypatch.setenv("REPRO_STAGE3_VECTOR", vector)
-        _assert_pinned(ParallelRunner(jobs=1, store=None, verbose=False))
-
     @pytest.mark.parametrize("backend", _KERNEL_BACKENDS)
     def test_stage2_kernel_backends(self, backend, monkeypatch):
-        """Every Stage-2 kernel backend reproduces the pinned hashes."""
-        monkeypatch.setenv("REPRO_STAGE2_KERNEL", backend)
+        """Both Stage-2 legs reproduce the pinned hashes."""
+        _select_stage2(monkeypatch, backend)
         _assert_pinned(ParallelRunner(jobs=1, store=None, verbose=False))
 
 
 class TestBaselinePins:
-    """Perceptron and Hawkeye pin identically whichever Stage-2 path
-    replays them, serial or parallel, with telemetry on or off."""
+    """Perceptron and Hawkeye pin identically on either Stage-2 leg,
+    serial or parallel, with telemetry on or off."""
 
     @pytest.mark.parametrize("telemetry", [False, True])
     @pytest.mark.parametrize("jobs", [1, 2])
@@ -172,7 +161,7 @@ class TestBaselinePins:
                            monkeypatch):
         from repro import obs
 
-        monkeypatch.setenv("REPRO_STAGE2_KERNEL", backend)
+        _select_stage2(monkeypatch, backend)
         store = ResultStore(tmp_path / "cache") if telemetry else None
         if telemetry:
             obs.enable()
@@ -310,7 +299,7 @@ class TestTelemetryPins:
             obs.disable()
 
 
-def _search_hash():
+def _search_hash(batch_size=None):
     from repro.search.evaluator import FeatureSetEvaluator
     from repro.search.hillclimb import hill_climb
     from repro.search.random_search import random_search
@@ -319,7 +308,8 @@ def _search_hash():
     segments = all_segments(TINY.hierarchy.llc_bytes, ACCESSES,
                             names=["gamess", "soplex"])
     evaluator = FeatureSetEvaluator(segments, TINY.hierarchy,
-                                    warmup_fraction=TINY.warmup_fraction)
+                                    warmup_fraction=TINY.warmup_fraction,
+                                    batch_size=batch_size)
     candidates = random_search(evaluator, num_sets=6, seed=123)
     refined = hill_climb(evaluator, candidates[0].features, steps=4,
                          seed=123)
@@ -573,12 +563,14 @@ class TestIngestPins:
 
 class TestSearchPinned:
     @pytest.mark.parametrize("mode", ["on", "off"])
-    def test_stage2_batch_modes(self, mode, monkeypatch):
-        monkeypatch.setenv("REPRO_STAGE2_BATCH", mode)
-        assert _search_hash() == SEARCH_HASH
+    def test_stage2_batch_modes(self, mode):
+        """The search pins identically whether a generation replays as
+        one batch ("on") or one candidate at a time ("off")."""
+        assert _search_hash(batch_size=None if mode == "on" else 1) \
+            == SEARCH_HASH
 
     @pytest.mark.parametrize("backend", _KERNEL_BACKENDS)
     def test_stage2_kernel_backends(self, backend, monkeypatch):
-        """The batched search replay pins identically per kernel backend."""
-        monkeypatch.setenv("REPRO_STAGE2_KERNEL", backend)
+        """The batched search replay pins identically on both legs."""
+        _select_stage2(monkeypatch, backend)
         assert _search_hash() == SEARCH_HASH

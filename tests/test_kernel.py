@@ -1,23 +1,22 @@
-"""Columnar Stage-2 kernel: lowering, backends, knob, and fallbacks.
+"""Columnar Stage-2 kernel: lowering, replay, and the reference switch.
 
-Three contracts, each pinned independently:
+Each contract is pinned independently:
 
 * **Lowering** — :func:`repro.sim.kernel.columns.lower_stream` must
-  reproduce the batch engine's scalar shared pass column for column
-  (blocks, set indices, partial tags, sampler sets, prefetch flags,
-  and every deduplicated static feature slot).
-* **Replay** — both kernel backends (the exec-specialized numpy loop
-  and the flat-array numba kernel, exercised undecorated so the test
-  runs without numba installed) must finish bit-identical to
-  :class:`~repro.sim.llc.LLCSimulator`: outcomes, stats, policy
-  counters, sampler entries, and perceptron weights.  A hypothesis
-  lockstep drive over adversarial random streams backs the fixed
-  workloads.
-* **Selection** — ``REPRO_STAGE2_KERNEL`` resolves per the knob
-  table; a requested-but-missing backend degrades one tier with a
-  one-line stderr notice, never an exception; unsupported cache
-  preconditions make the kernel decline so the batch engine falls
-  back to the Python replay with identical results.
+  reproduce the stream decode (blocks, set indices, partial tags,
+  sampler sets, prefetch flags), and every deduplicated static feature
+  slot, run through the kernel's own index expressions together with
+  the access's dynamic bits, must equal the index
+  :func:`repro.core.features.compile_fused` computes from the
+  :class:`~repro.cache.access.AccessContext`.
+* **Replay** — the exec-specialized numpy loop must finish
+  bit-identical to :class:`~repro.sim.llc.LLCSimulator`: outcomes,
+  stats, policy counters, sampler entries, and perceptron weights.  A
+  hypothesis lockstep drive over adversarial random streams backs the
+  fixed workloads.  Its instrumented variant differs from the plain
+  source only by the confidence recording.
+* **Switch** — ``REPRO_STAGE2_KERNEL=off`` selects the reference
+  replay; anything else (including unset) the kernel.
 * **Baselines** — the Perceptron and Hawkeye columns equal the
   predictors' own index functions access by access; their replays
   match ``LLCSimulator`` down to every piece of policy state on
@@ -29,13 +28,18 @@ Three contracts, each pinned independently:
 import random
 from unittest import mock
 
+import numpy as np
 import pytest
 
 from hypothesis import given, settings, strategies as st
 
 from repro.cache.access import AccessContext
 from repro.config import TINY
-from repro.core.features import parse_feature_set, random_feature_set
+from repro.core.features import (
+    compile_fused,
+    parse_feature_set,
+    random_feature_set,
+)
 from repro.core.mpppb import MPPPBConfig, MPPPBPolicy
 from repro.core.presets import TABLE_1A_SPECS, TABLE_1B_SPECS
 from repro.predictors.base import partial_tag
@@ -44,14 +48,11 @@ from repro.predictors.perceptron import PerceptronPolicy, PerceptronPredictor
 from repro.sim import kernel as kernel_mod
 from repro.sim.batch import BatchLLCSimulator
 from repro.sim.hierarchy import UpperLevels
+from repro.sim.kernel import baselines as baselines_mod
+from repro.sim.kernel import columns as columns_mod
+from repro.sim.kernel import numpy_backend
 from repro.sim.llc import LLCAccess, LLCSimulator
 from repro.traces.workloads import build_segments
-
-np = pytest.importorskip("numpy")
-
-from repro.sim.kernel import baselines as baselines_mod  # noqa: E402
-from repro.sim.kernel import columns as columns_mod  # noqa: E402
-from repro.sim.kernel import numba_backend, numpy_backend  # noqa: E402
 
 LLC_BYTES = TINY.hierarchy.llc_bytes
 WAYS = TINY.hierarchy.llc_ways
@@ -122,25 +123,64 @@ def _assert_identical(result, policy, seq_result, seq_policy):
     assert policy.predictor._weights == seq_policy.predictor._weights
 
 
+def _contexts(stream, pcs):
+    """The AccessContext LLCSimulator builds for each access."""
+    for index, access in enumerate(stream):
+        yield AccessContext(
+            pc=access.pc, address=(access.block << 6) | access.offset,
+            block=access.block, offset=access.offset,
+            is_write=access.is_write, is_prefetch=access.is_prefetch,
+            stream_index=index, history_index=access.mem_index,
+            pc_history=pcs)
+
+
 # -- lowering round trip ---------------------------------------------------
 
 
-def test_columns_match_shared_pass(stage1):
-    """Vectorized lowering == the batch engine's scalar shared pass."""
-    stream, pcs = stage1
-    sim = _batch(_configs(k=4))
-    blocks, set_idxs, tags, samp_idxs, prefetch, slot_values = (
-        sim._shared_pass(stream, pcs)
-    )
+def _assert_columns_match_compile_fused(configs, stream, pcs, seed=3):
+    """Stream columns equal the scalar decode, and each candidate's
+    kernel index expressions over the slot columns equal
+    ``compile_fused`` on the access context, under random dynamic
+    bits (hit or miss, MRU hit, set's last access a miss)."""
+    sim = _batch(configs)
     cols = _lower(sim, stream, pcs)
+    sampler = sim.policies[0].sampler
     assert cols.n == len(stream)
-    assert cols.blocks.tolist() == list(blocks)
-    assert cols.set_idxs.tolist() == list(set_idxs)
-    assert cols.tags.tolist() == list(tags)
-    assert cols.samp_idxs.tolist() == list(samp_idxs)
-    assert cols.prefetch.tolist() == list(prefetch)
-    per_access = list(zip(*(col.tolist() for col in cols.cols)))
-    assert per_access == slot_values
+    assert cols.blocks.tolist() == [a.block for a in stream]
+    set_idxs = [a.block & (NUM_SETS - 1) for a in stream]
+    assert cols.set_idxs.tolist() == set_idxs
+    assert cols.tags.tolist() == [partial_tag(a.block, sampler.tag_bits)
+                                  for a in stream]
+    assert cols.samp_idxs.tolist() == [sampler.mapper.sampler_index(s)
+                                       for s in set_idxs]
+    assert cols.prefetch.tolist() == [int(a.is_prefetch) for a in stream]
+
+    rng = random.Random(seed)
+    env = {f"c{j}": col.tolist() for j, col in enumerate(cols.cols)}
+    for config, entries in zip(configs, sim._entry_sets):
+        fused = compile_fused(config.features)
+        exprs = {
+            hit: [compile(expr, "<index>", "eval")
+                  for expr in numpy_backend._index_exprs(
+                      entries, 0 if hit else 1, "mru" if hit else "0")]
+            for hit in (True, False)
+        }
+        for i, ctx in enumerate(_contexts(stream, pcs)):
+            hit = rng.random() < 0.5
+            ctx.is_insert = not hit
+            ctx.is_mru_hit = hit and rng.random() < 0.5
+            ctx.last_was_miss = rng.random() < 0.5
+            env.update(i=i, mru=int(ctx.is_mru_hit),
+                       lm=int(ctx.last_was_miss))
+            if sim._needs_h:
+                env["hv"] = env["c0"][i]
+            assert [eval(e, env) for e in exprs[hit]] == fused(ctx)
+
+
+def test_columns_match_compile_fused(stage1):
+    """Vectorized lowering + kernel index expressions == compile_fused."""
+    stream, pcs = stage1
+    _assert_columns_match_compile_fused(_configs(k=6), stream, pcs)
 
 
 def test_columns_empty_history_and_stream():
@@ -150,10 +190,7 @@ def test_columns_empty_history_and_stream():
     assert cols.as_lists()[0] == []
     access = LLCAccess(pc=0x4000, block=17, offset=8, is_write=False,
                        is_prefetch=False, mem_index=0, instr_index=0)
-    blocks, *_rest, slot_values = sim._shared_pass([access], [])
-    cols = _lower(sim, [access], [])
-    assert cols.blocks.tolist() == list(blocks)
-    assert list(zip(*(c.tolist() for c in cols.cols))) == slot_values
+    _assert_columns_match_compile_fused(_configs(k=2), [access], [])
 
 
 def test_mix64_array_matches_scalar():
@@ -202,117 +239,44 @@ class TestLockstep:
         sim = _batch(configs)
         cols = _lower(sim, stream, pcs)
         results = numpy_backend.replay_all(sim, cols, warmup)
-        assert results is not None
         for config, policy, result in zip(configs, sim.policies, results):
             seq_result, seq_policy = _sequential(stream, pcs, config,
                                                  warmup)
             _assert_identical(result, policy, seq_result, seq_policy)
 
     @pytest.mark.parametrize("default_policy", ["mdpp", "srrip"])
-    def test_numba_semantics_lockstep(self, stage1, default_policy):
-        """The numba kernel's semantics, run undecorated, match the
-        sequential simulator on a real workload — so the JIT leg in CI
-        only re-proves compilation, not logic."""
-        stream, pcs = stage1
-        configs = _configs(k=3, default_policy=default_policy)
-        sim = _batch(configs)
-        cols = _lower(sim, stream, pcs)
-        results = numba_backend.replay_all(
-            sim, cols, warmup=500, kernel=numba_backend._kernel_py)
-        assert results is not None
-        for config, policy, result in zip(configs, sim.policies, results):
-            seq_result, seq_policy = _sequential(stream, pcs, config, 500)
-            _assert_identical(result, policy, seq_result, seq_policy)
+    def test_instrumented_source_only_adds_recording(self, default_policy):
+        """The instrumented variant is the plain source plus the two
+        confidence-recording lines and one extra parameter."""
+        sim = _batch(_configs(k=3, default_policy=default_policy))
+        for k in range(len(sim.policies)):
+            key = numpy_backend._candidate_key(sim, k)
+            assert key[-1] is False  # telemetry off at construction
+            plain = numpy_backend._build_source(key)
+            instrumented = numpy_backend._build_source(key[:-1] + (True,))
+            assert "        observe(conf)\n" in instrumented
+            assert instrumented.replace(", CONFS):", "):").replace(
+                "    observe = CONFS.append\n", "").replace(
+                "        observe(conf)\n", "") == plain
 
 
-# -- backend selection and fallbacks ---------------------------------------
-
-
-@pytest.fixture
-def fresh_notices(monkeypatch):
-    """Reset the once-per-process notice dedup so tests can observe it."""
-    monkeypatch.setattr(kernel_mod, "_notices_emitted", set())
+# -- the reference switch ----------------------------------------------------
 
 
 class TestKnob:
     def test_disabled_values(self, monkeypatch):
         for value in ("off", "0", "false", "no", "none", "OFF"):
             monkeypatch.setenv("REPRO_STAGE2_KERNEL", value)
-            assert kernel_mod.stage2_kernel_backend() == "off"
-
-    def test_auto_prefers_best_available(self, monkeypatch):
-        monkeypatch.delenv("REPRO_STAGE2_KERNEL", raising=False)
-        resolved = kernel_mod.stage2_kernel_backend()
-        if kernel_mod._numba_available():
-            assert resolved == "numba"
-        else:
-            assert resolved == "numpy"  # numpy importorskip'd above
-
-    def test_unknown_value_degrades_to_auto(self, monkeypatch,
-                                            fresh_notices, capsys):
-        monkeypatch.setenv("REPRO_STAGE2_KERNEL", "gpu")
-        auto = kernel_mod.stage2_kernel_backend()
+            assert not kernel_mod.stage2_kernel_enabled()
         monkeypatch.delenv("REPRO_STAGE2_KERNEL")
-        assert auto == kernel_mod.stage2_kernel_backend()
-        assert "unknown REPRO_STAGE2_KERNEL" in capsys.readouterr().err
-
-    def test_missing_numba_falls_back_to_numpy(self, monkeypatch,
-                                               fresh_notices, capsys):
-        monkeypatch.setenv("REPRO_STAGE2_KERNEL", "numba")
-        monkeypatch.setattr(kernel_mod, "_numba_available", lambda: False)
-        assert kernel_mod.stage2_kernel_backend() == "numpy"
-        err = capsys.readouterr().err
-        assert "numba is not installed" in err
-        assert err.count("\n") == 1  # exactly one line
-        # Dedup: a second resolution stays silent.
-        assert kernel_mod.stage2_kernel_backend() == "numpy"
-        assert capsys.readouterr().err == ""
-
-    def test_missing_numpy_disables_kernel(self, monkeypatch,
-                                           fresh_notices, capsys):
-        monkeypatch.setattr(kernel_mod, "_np", None)
-        monkeypatch.setattr(kernel_mod, "_numba_available", lambda: False)
-        monkeypatch.setenv("REPRO_STAGE2_KERNEL", "numpy")
-        assert kernel_mod.stage2_kernel_backend() == "off"
-        assert "falling back to the Python replay" in capsys.readouterr().err
-        monkeypatch.delenv("REPRO_STAGE2_KERNEL")
-        assert kernel_mod.stage2_kernel_backend() == "off"
-        assert kernel_mod.replay_batch(None, [], [], 0, "numpy") is None
-
-    def test_available_backends_report(self):
-        report = kernel_mod.available_backends()
-        assert report["numpy"] is True
-        assert isinstance(report["numba"], bool)
+        assert kernel_mod.stage2_kernel_enabled()
 
 
 class TestFallbacks:
-    def test_non_prefix_validity_declines(self, stage1):
-        """Oddly-shaped cache state makes the kernel decline, and the
-        batch engine's Python fallback still reproduces the sequential
-        results from that same state."""
-        stream, pcs = stage1
-        config = _configs(k=1)[0]
-        sim = _batch([config])
-        # Install into way 1 of set 0, leaving way 0 invalid: validity
-        # is no longer a prefix, which the columnar fill cursor cannot
-        # represent.
-        sim.caches[0].install(0, 1, NUM_SETS * 5)
-        assert numpy_backend.prefix_fills(sim.caches[0]) is None
-        cols = _lower(sim, stream, pcs)
-        assert numpy_backend.replay_all(sim, cols, 100) is None
-        results = sim.run(stream, pc_trace=pcs, warmup=100)
-
-        seq_policy = MPPPBPolicy(NUM_SETS, WAYS, config)
-        seq_sim = LLCSimulator(LLC_BYTES, WAYS, seq_policy)
-        seq_sim.cache.install(0, 1, NUM_SETS * 5)
-        seq_result = seq_sim.run(stream, pc_trace=pcs, warmup=100)
-        _assert_identical(results[0], sim.policies[0], seq_result,
-                          seq_policy)
-
     def test_batch_run_uses_kernel(self, stage1, monkeypatch):
         """BatchLLCSimulator.run really routes through the kernel."""
         stream, pcs = stage1
-        monkeypatch.setenv("REPRO_STAGE2_KERNEL", "numpy")
+        monkeypatch.delenv("REPRO_STAGE2_KERNEL", raising=False)
         calls = []
         original = numpy_backend.replay_all
 
@@ -325,6 +289,24 @@ class TestFallbacks:
         sim.run(stream, pc_trace=pcs, warmup=250)
         assert calls == [250]
 
+    def test_batch_run_off_uses_reference(self, stage1, monkeypatch):
+        """With the switch off, every candidate replays on LLCSimulator
+        and lands in the batch's own caches."""
+        stream, pcs = stage1
+        monkeypatch.setenv("REPRO_STAGE2_KERNEL", "off")
+
+        def refuse(*args):
+            raise AssertionError("kernel used with REPRO_STAGE2_KERNEL=off")
+
+        monkeypatch.setattr(numpy_backend, "replay_all", refuse)
+        configs = _configs(k=2)
+        sim = _batch(configs)
+        results = sim.run(stream, pc_trace=pcs, warmup=250)
+        for config, policy, result in zip(configs, sim.policies, results):
+            seq_result, seq_policy = _sequential(stream, pcs, config, 250)
+            _assert_identical(result, policy, seq_result, seq_policy)
+        assert all(any(cache._where) for cache in sim.caches)
+
 
 # -- baseline predictors (Perceptron, Hawkeye) ------------------------------
 
@@ -334,17 +316,6 @@ class TestFallbacks:
 SMALL_SETS = 4
 SMALL_WAYS = 4
 SMALL_BYTES = SMALL_SETS * SMALL_WAYS * 64
-
-
-def _contexts(stream, pcs):
-    """The AccessContext LLCSimulator builds for each access."""
-    for index, access in enumerate(stream):
-        yield AccessContext(
-            pc=access.pc, address=(access.block << 6) | access.offset,
-            block=access.block, offset=access.offset,
-            is_write=access.is_write, is_prefetch=access.is_prefetch,
-            stream_index=index, history_index=access.mem_index,
-            pc_history=pcs)
 
 
 def _edge_stream(stream, pcs):

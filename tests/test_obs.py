@@ -130,6 +130,12 @@ class TestHistogram:
             assert changed == [bucket], f"value {value}"
         assert hist.count == 5
         assert hist.min == -5 and hist.max == 11
+        # The vectorized fold the Stage-2 kernel uses lands identically.
+        folded = Histogram([0, 10])
+        folded.observe_many([])
+        folded.observe_many([1, -5, 0])
+        folded.observe_many([11, 10])
+        assert folded.to_dict() == hist.to_dict()
 
     def test_rejects_bad_bounds(self):
         with pytest.raises(ValueError):
@@ -309,44 +315,93 @@ class TestEngineTelemetry:
 
     def test_baselines_stay_on_the_kernel_with_telemetry(self, tmp_path,
                                                           monkeypatch):
-        """Telemetry does not fork the baselines' code path: with the
-        kernel on, perceptron and hawkeye cells never reach
-        LLCSimulator.run, and still report the llc/* counters the
-        sequential replay reports."""
-        pytest.importorskip("numpy")
-        from repro.sim.llc import LLCSimulator
+        """Telemetry does not fork the Stage-2 code path: with the
+        kernel on, no MPPPB, Perceptron or Hawkeye replay — single
+        cells, a shared-LLC mix, or a search batch — reaches
+        LLCSimulator.run, and each still records the same llc/*,
+        sampler/* and mpppb/* counters and the same mpppb/confidence
+        histogram as the reference replay."""
+        import random
 
-        cells = [
+        from repro.core.features import random_feature_set
+        from repro.exec import MixCell, SuiteSpec
+        from repro.exec.runner import SearchCell
+        from repro.sim.llc import LLCSimulator
+        from repro.traces.mixes import generate_mixes
+        from repro.traces.workloads import build_suite
+
+        singles = [
             SingleCell(
                 trace=TraceSpec("soplex", TINY.hierarchy.llc_bytes, ACCESSES),
                 policy=policy,
                 hierarchy=TINY.hierarchy,
                 warmup_fraction=TINY.warmup_fraction,
             )
-            for policy in ("perceptron", "hawkeye")
+            for policy in ("perceptron", "hawkeye", "mpppb-1a")
+        ]
+        suite = SuiteSpec(TINY.hierarchy.llc_bytes, ACCESSES,
+                          names=("gamess", "soplex", "mcf", "lbm"))
+        built = build_suite(TINY.hierarchy.llc_bytes, ACCESSES,
+                            names=suite.names)
+        mix = generate_mixes([s for name in sorted(built)
+                              for s in built[name]], 1)[0]
+        mixes = [MixCell(suite=suite, mix_name=mix.name,
+                         segment_names=tuple(s.name for s in mix.segments),
+                         policy="mpppb-mp", hierarchy=TINY.multi_hierarchy,
+                         warmup_fraction=TINY.warmup_fraction)]
+        rng = random.Random(13)
+        searches = [
+            SearchCell(suite=suite, features=random_feature_set(rng),
+                       hierarchy=TINY.hierarchy, base_config=None,
+                       prefetch=True, warmup_fraction=TINY.warmup_fraction)
+            for _ in range(3)
         ]
 
-        def llc_counters(kernel):
-            monkeypatch.setenv("REPRO_STAGE2_KERNEL", kernel)
+        def recorded(kernel):
+            """(counters, confidence histograms) per cell on one leg."""
+            if kernel == "off":
+                monkeypatch.setenv("REPRO_STAGE2_KERNEL", "off")
+            else:
+                monkeypatch.delenv("REPRO_STAGE2_KERNEL")
             engine = ParallelRunner(jobs=1, verbose=False,
                                     store=ResultStore(tmp_path / kernel))
-            engine.run(cells, label="obs-baselines")
-            return sorted(
-                (e["cell"], e["name"], e["value"])
-                for e in read_events(engine.last_events_path)
-                if e["type"] == "counter" and e["name"].startswith("llc/"))
+            events = []
+            for drive in (lambda: engine.run(singles + mixes, label="obs"),
+                          lambda: engine.run_search_batches(
+                              searches, label="obs-search")):
+                drive()
+                events += read_events(engine.last_events_path)
+            counters = sorted(
+                (e["cell"], e["name"], e["value"]) for e in events
+                if e["type"] == "counter"
+                and e["name"].split("/")[0] in ("llc", "sampler", "mpppb"))
+            hists = sorted(
+                (e["cell"], e["counts"], e["count"], e["sum"], e["min"],
+                 e["max"]) for e in events
+                if e["type"] == "hist" and e["name"] == "mpppb/confidence")
+            return counters, hists
 
         obs.enable()
-        reference = llc_counters("off")
-        assert {name for _, name, _ in reference} >= {
+        reference = recorded("off")
+        counters, hists = reference
+        assert {name for _, name, _ in counters} >= {
             "llc/accesses", "llc/hits", "llc/misses", "llc/fills",
-            "llc/bypasses", "llc/evictions", "llc/demand-misses"}
+            "llc/bypasses", "llc/evictions", "llc/demand-misses",
+            "sampler/trainings", "mpppb/bypass-decisions",
+            "mpppb/promotions-suppressed"}
+        # One confidence histogram per MPPPB single, mix and search cell.
+        assert len(hists) == 3 and all(h[2] > 0 for h in hists)
 
-        def refuse(*args, **kwargs):
-            raise AssertionError("baseline replay reached LLCSimulator.run")
+        real_run = LLCSimulator.run
+        refused = {"MPPPBPolicy", "PerceptronPolicy", "HawkeyePolicy"}
 
-        monkeypatch.setattr(LLCSimulator, "run", refuse)
-        assert llc_counters("numpy") == reference
+        def guarded(sim, *args, **kwargs):
+            kind = type(sim.policy).__name__
+            assert kind not in refused, f"{kind} replay reached LLCSimulator"
+            return real_run(sim, *args, **kwargs)
+
+        monkeypatch.setattr(LLCSimulator, "run", guarded)
+        assert recorded("kernel") == reference
 
     def test_serial_and_parallel_span_sets_match(self, tmp_path):
         obs.enable()

@@ -1,7 +1,7 @@
 """Bit-identity tests for the batched Stage-2 replay engine.
 
-The batched path must be a pure strength reduction over K sequential
-:class:`~repro.sim.llc.LLCSimulator` replays: identical outcomes,
+The batched kernel path must be a pure strength reduction over K
+sequential :class:`~repro.sim.llc.LLCSimulator` replays: identical outcomes,
 stats, policy counters, sampler training, and final perceptron
 weights, for any mix of feature families (XOR'd and plain, history
 depths, single-bit state features) and both default policies.
@@ -19,7 +19,7 @@ from repro.core.features import (
 )
 from repro.core.mpppb import MPPPBConfig, MPPPBPolicy
 from repro.core.presets import TABLE_1A_SPECS, TABLE_1B_SPECS
-from repro.sim.batch import BatchLLCSimulator, stage2_batch_enabled
+from repro.sim.batch import BatchLLCSimulator
 from repro.sim.hierarchy import UpperLevels
 from repro.sim.llc import LLCSimulator
 from repro.sim.single import SingleThreadRunner
@@ -137,16 +137,6 @@ def test_batch_rejects_mismatched_geometry():
     wrong = MPPPBPolicy(NUM_SETS * 2, WAYS, config)
     with pytest.raises(ValueError):
         BatchLLCSimulator(LLC_BYTES, WAYS, [wrong])
-
-
-def test_stage2_batch_knob(monkeypatch):
-    monkeypatch.delenv("REPRO_STAGE2_BATCH", raising=False)
-    assert stage2_batch_enabled()
-    for value in ("off", "0", "false"):
-        monkeypatch.setenv("REPRO_STAGE2_BATCH", value)
-        assert not stage2_batch_enabled()
-    monkeypatch.setenv("REPRO_STAGE2_BATCH", "on")
-    assert stage2_batch_enabled()
 
 
 def test_run_segment_batch_matches_run_segment():

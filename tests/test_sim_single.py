@@ -148,7 +148,8 @@ class TestSingleThreadRunner:
 
 
 class TestStage3Vector:
-    """The numpy Stage-3 event path must equal the scalar generator."""
+    """The numpy Stage-3 event columns must equal the reference
+    generator, :func:`~repro.sim.single.demand_load_events`."""
 
     @pytest.fixture(scope="class")
     def runner(self):
@@ -164,11 +165,8 @@ class TestStage3Vector:
             build_stage3_events,
             demand_load_arrays,
             demand_load_events,
-            stage3_vector_enabled,
         )
 
-        if not stage3_vector_enabled():
-            pytest.skip("numpy unavailable")
         upper = runner.upper_result(segment)
         trace = segment.trace
         warm_mem = int(len(trace.pcs) * 0.25)
@@ -185,15 +183,6 @@ class TestStage3Vector:
         expected = list(demand_load_events(trace, upper, llc.outcomes,
                                            timing, start_mem=warm_mem))
         assert list(zip(instr, latencies, depends)) == expected
-
-    def test_run_segment_knob_equivalence(self, segment, monkeypatch):
-        results = {}
-        for mode in ("on", "off"):
-            monkeypatch.setenv("REPRO_STAGE3_VECTOR", mode)
-            fresh = SingleThreadRunner(SMALL, warmup_fraction=0.25)
-            results[mode] = fresh.run_segment(segment,
-                                              policy_factory("lru"))
-        assert results["on"] == results["off"]
 
 
 class TestCrossValidation:

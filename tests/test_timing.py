@@ -98,25 +98,6 @@ class TestTimingModel:
 
 
 class TestSimulatePacked:
-    """Column-input variant must stay in lockstep with simulate()."""
-
-    @settings(max_examples=60, deadline=None)
-    @given(st.lists(st.tuples(st.integers(min_value=0, max_value=4000),
-                              st.sampled_from([3, 12, 30, 230]),
-                              st.booleans()),
-                    max_size=64))
-    def test_matches_simulate(self, raw_events):
-        events = sorted(raw_events, key=lambda event: event[0])
-        model = TimingModel(TimingConfig())
-        expected = model.simulate(events, total_instructions=5000)
-        packed = model.simulate_packed(
-            [event[0] for event in events],
-            [event[1] for event in events],
-            [event[2] for event in events],
-            total_instructions=5000,
-        )
-        assert packed == expected
-
     def test_empty_columns(self):
         model = TimingModel(TimingConfig())
         assert (model.simulate_packed([], [], [], 400)
