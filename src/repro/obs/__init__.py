@@ -3,7 +3,8 @@
 Three pieces, all stdlib-only:
 
 * :mod:`repro.obs.spans` — nestable wall-clock spans (``trace-gen``,
-  ``stage1``, ``stage2``, ``stage3-timing``, per-cell compute).
+  ``stage1``, ``interleave`` (a mix's timestamp merge), ``stage2``,
+  ``stage3-timing``, per-cell compute).
 * :mod:`repro.obs.metrics` — named counters and fixed-bucket
   histograms fed from the simulators' aggregate stats.
 * :mod:`repro.obs.events` — the per-run ``events.jsonl`` sink and its

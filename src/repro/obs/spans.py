@@ -1,7 +1,8 @@
 """Nestable wall-clock spans (the tracing half of ``repro.obs``).
 
 A span is one timed region of the pipeline — ``trace-gen``, ``stage1``,
-``stage2``, ``stage3-timing``, a ``cell`` compute, a ``drive`` — named
+``interleave``, ``stage2``, ``stage3-timing``, a ``cell`` compute, a
+``drive`` — named
 at the call site and nested by a per-thread stack, so a collector ends
 up with slash-joined paths (``cell/stage1``) that reconstruct the call
 tree without the collector ever walking frames.

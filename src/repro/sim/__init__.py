@@ -7,7 +7,13 @@ from repro.sim.hierarchy import (
     UpperLevelResult,
     UpperLevels,
 )
-from repro.sim.llc import LLCAccess, LLCResult, LLCSimulator, LLCStats
+from repro.sim.llc import (
+    LLCAccess,
+    LLCColumns,
+    LLCResult,
+    LLCSimulator,
+    LLCStats,
+)
 from repro.sim.multi import (
     MixResult,
     MultiProgrammedRunner,
@@ -31,6 +37,7 @@ __all__ = [
     "UpperLevelResult",
     "UpperLevels",
     "LLCAccess",
+    "LLCColumns",
     "LLCResult",
     "LLCSimulator",
     "LLCStats",

@@ -20,9 +20,12 @@ access's :class:`~repro.cache.access.AccessContext`;
 baseline predictors' inputs the same way, sharing the stream decode
 and the PC-history gather.
 All intermediate arithmetic runs in ``uint64`` (64-bit address/PC
-slices and the hash multiplies overflow ``int64``) and results are
+slices and the hash multiplies overflow ``int64``; PCs, including
+kernel-space ones >= 2**63, enter as ``uint64``) and results are
 narrowed to ``int64`` at the end, whose ``.tolist()`` yields the plain
-Python ints the replay loops index with.
+Python ints the replay loops index with.  :func:`_decode` is the one
+reader of a stream; an :class:`~repro.sim.llc.LLCColumns` stream (a
+mix's merged stream) is read as the arrays it already is.
 """
 
 from __future__ import annotations
@@ -33,7 +36,7 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.core.features import BLOCK_OFFSET_BITS, MAX_TABLE_SIZE
-from repro.sim.llc import LLCAccess
+from repro.sim.llc import LLCAccess, LLCColumns
 from repro.util.hashing import _GOLDEN64, _MIX1, _MIX2
 
 _XOR_MASK = MAX_TABLE_SIZE - 1
@@ -112,9 +115,17 @@ class StreamColumns:
 
 
 def _decode(stream: Sequence[LLCAccess]) -> Tuple:
-    """``(pcs, blocks, offsets, mems, prefetch)`` arrays of ``stream``."""
+    """``(pcs, blocks, offsets, mems, prefetch)`` arrays of ``stream``.
+
+    PCs are ``uint64`` and ``prefetch`` is ``uint8``; the rest are
+    ``int64``.  An :class:`~repro.sim.llc.LLCColumns` stream hands over
+    its own arrays without building any :class:`LLCAccess`.
+    """
+    if isinstance(stream, LLCColumns):
+        return (stream.pc, stream.block, stream.offset, stream.mem_index,
+                stream.is_prefetch.view(np.uint8))
     n = len(stream)
-    pcs = np.fromiter((a.pc for a in stream), dtype=np.int64, count=n)
+    pcs = np.fromiter((a.pc for a in stream), dtype=np.uint64, count=n)
     blocks = np.fromiter((a.block for a in stream), dtype=np.int64, count=n)
     offsets = np.fromiter((a.offset for a in stream), dtype=np.int64,
                           count=n)
@@ -144,8 +155,9 @@ def _placement(blocks: "np.ndarray", num_sets: int, stride: int,
 
 def _history_gather(hbase: "np.ndarray", hist: "np.ndarray",
                    depth: int) -> "np.ndarray":
-    """The PC ``depth`` memory accesses before each history base, as
-    ``uint64``; zero where that position falls outside ``hist``.
+    """The PC ``depth`` memory accesses before each history base, from
+    the ``uint64`` PC history ``hist``; zero where that position falls
+    outside ``hist``.
 
     ``hbase`` is ``mem_index + is_prefetch``: the same base the
     sequential :class:`~repro.cache.access.AccessContext` readers use,
@@ -157,8 +169,9 @@ def _history_gather(hbase: "np.ndarray", hist: "np.ndarray",
         return np.zeros(len(hbase), dtype=np.uint64)
     idx = hbase - np.int64(depth)
     valid = (idx >= 0) & (idx < hlen)
-    return np.where(valid, hist[np.clip(idx, 0, hlen - 1)],
-                    np.int64(0)).astype(np.uint64)
+    # A uint64 zero keeps the result uint64: an int64 one would
+    # promote it to float64 and drop the low bits of large PCs.
+    return np.where(valid, hist[np.clip(idx, 0, hlen - 1)], np.uint64(0))
 
 
 def _hash_to(values: "np.ndarray", bits: int) -> "np.ndarray":
@@ -188,8 +201,8 @@ def lower_stream(
     set_idxs, tags, samp_idxs = _placement(blocks, num_sets, stride,
                                            sampler_sets, tag_bits)
     hbase = mems + prefetch.astype(np.int64)
-    hist = np.asarray(pc_trace, dtype=np.int64)
-    hashed_pc = (mix64_array((pcs >> np.int64(2)).astype(np.uint64))
+    hist = np.asarray(pc_trace, dtype=np.uint64)
+    hashed_pc = (mix64_array(pcs >> np.uint64(2))
                  & np.uint64(_XOR_MASK)).astype(np.int64)
 
     sources: Dict[str, Any] = {}
@@ -199,7 +212,7 @@ def lower_stream(
         if known is not None:
             return known
         if name == "pc":
-            value = pcs.astype(np.uint64)
+            value = pcs
         elif name == "addr":
             value = ((blocks.astype(np.uint64)
                       << np.uint64(BLOCK_OFFSET_BITS))
@@ -257,13 +270,13 @@ def lower_perceptron(
                                            sampler_sets,
                                            _PARTIAL_TAG_BITS)
     hbase = mems + prefetch.astype(np.int64)
-    hist = np.asarray(pc_trace, dtype=np.int64)
+    hist = np.asarray(pc_trace, dtype=np.uint64)
 
     def combined(values: "np.ndarray", salt: int) -> "np.ndarray":
         return _hash_to(mix64_array(mix64_array(values) ^ np.uint64(salt)),
                         table_bits)
 
-    cols = [_hash_to((pcs >> np.int64(2)).astype(np.uint64), table_bits)]
+    cols = [_hash_to(pcs >> np.uint64(2), table_bits)]
     cols += [combined(_history_gather(hbase, hist, depth), depth)
              for depth in (1, 2, 3)]
     ublocks = blocks.astype(np.uint64)
@@ -291,7 +304,7 @@ def lower_hawkeye(
     set_idxs, tags, samp_idxs = _placement(blocks, num_sets, stride,
                                            sampler_sets,
                                            _PARTIAL_TAG_BITS)
-    index = _hash_to((pcs >> np.int64(2)).astype(np.uint64), table_bits)
+    index = _hash_to(pcs >> np.uint64(2), table_bits)
     return StreamColumns(n=len(stream), blocks=blocks, set_idxs=set_idxs,
                          tags=tags, samp_idxs=samp_idxs, prefetch=prefetch,
                          cols=[index, pcs])

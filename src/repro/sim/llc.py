@@ -11,8 +11,11 @@ policy comparisons cheap and exactly aligned.
 
 from __future__ import annotations
 
+import collections.abc
 from dataclasses import dataclass
-from typing import List, Sequence
+from typing import List, Sequence, Union
+
+import numpy as np
 
 from repro import obs
 from repro.cache.access import AccessContext
@@ -35,6 +38,82 @@ class LLCAccess:
     is_prefetch: bool
     mem_index: int
     instr_index: int
+
+
+# :class:`LLCColumns` field order (``LLCAccess``'s) and column dtypes.
+# PCs are ``uint64``: real traces carry kernel-space PCs >= 2**63.
+_COLUMN_DTYPES = (
+    ("pc", np.uint64),
+    ("block", np.int64),
+    ("offset", np.int64),
+    ("is_write", np.bool_),
+    ("is_prefetch", np.bool_),
+    ("mem_index", np.int64),
+    ("instr_index", np.int64),
+)
+# Accesses materialized per step while iterating, so a replay never
+# holds more than this many objects built from the columns.
+_ITER_CHUNK = 1 << 14
+
+
+class LLCColumns(collections.abc.Sequence[LLCAccess]):
+    """An LLC access stream held as one numpy array per field.
+
+    A read-only ``Sequence[LLCAccess]``: indexing, slicing and
+    iteration build :class:`LLCAccess` objects on demand from
+    ``.tolist()`` values, so every field is a plain Python ``int`` or
+    ``bool`` and :class:`LLCSimulator` replays it unchanged.  Built
+    objects are not cached: a stream is replayed once, and keeping them
+    would hold the whole stream as objects again.  The columnar Stage-2
+    kernel reads the arrays directly
+    (:func:`repro.sim.kernel.columns._decode`).
+    """
+
+    __slots__ = tuple(name for name, _ in _COLUMN_DTYPES)
+
+    def __init__(self, pc, block, offset, is_write, is_prefetch, mem_index,
+                 instr_index) -> None:
+        self.pc = pc
+        self.block = block
+        self.offset = offset
+        self.is_write = is_write
+        self.is_prefetch = is_prefetch
+        self.mem_index = mem_index
+        self.instr_index = instr_index
+
+    @classmethod
+    def from_accesses(cls, stream: Sequence[LLCAccess]) -> "LLCColumns":
+        """The columns of a materialized stream."""
+        n = len(stream)
+        return cls(*(
+            np.fromiter((getattr(a, name) for a in stream), dtype=dtype,
+                        count=n)
+            for name, dtype in _COLUMN_DTYPES
+        ))
+
+    def arrays(self) -> tuple:
+        """The seven arrays, in :class:`LLCAccess` field order."""
+        return (self.pc, self.block, self.offset, self.is_write,
+                self.is_prefetch, self.mem_index, self.instr_index)
+
+    def __len__(self) -> int:
+        return len(self.block)
+
+    def __getitem__(
+        self, index: Union[int, slice]
+    ) -> Union[LLCAccess, List[LLCAccess]]:
+        if isinstance(index, slice):
+            return list(map(LLCAccess,
+                            *(col[index].tolist() for col in self.arrays())))
+        n = len(self)
+        position = index + n if index < 0 else index
+        if not 0 <= position < n:
+            raise IndexError("LLCColumns index out of range")
+        return LLCAccess(*(col[position].item() for col in self.arrays()))
+
+    def __iter__(self):
+        for start in range(0, len(self), _ITER_CHUNK):
+            yield from self[start:start + _ITER_CHUNK]
 
 
 @dataclass

@@ -7,27 +7,32 @@ Implements the FIESTA-flavored methodology at the LLC:
 * The four LLC access streams are interleaved by their *standalone*
   timestamps — a fixed-interleave approximation of the paper's
   closed-loop simulation, documented in DESIGN.md — and replayed
-  against the shared LLC under the policy under test.
+  against the shared LLC under the policy under test.  The merge is
+  one ``np.lexsort`` over every thread's timestamp keys; its output
+  stays in columns (:class:`~repro.sim.llc.LLCColumns`), which the
+  columnar Stage-2 kernel reads directly.
 * A thread that exhausts its region restarts from the beginning, so
   all cores stay active until every thread finishes at least one full
   region (the paper's "starts over at the beginning" rule).
 * Per-thread IPC is computed from that thread's lap-0 hit/miss
-  outcomes; weighted speedup is ``sum(IPC_i / SingleIPC_i)``,
+  outcomes, scattered back with array masks over the merge's origin
+  columns; weighted speedup is ``sum(IPC_i / SingleIPC_i)``,
   normalized to the LRU run by the caller (Section 4.5).
 """
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+
+import numpy as np
 
 from repro import obs
 from repro.cache.replacement.base import ReplacementPolicy
 from repro.cache.replacement.lru import LRUPolicy
 from repro.cpu.timing import TimingConfig, TimingModel
 from repro.sim.hierarchy import HierarchyConfig, UpperLevelResult, UpperLevels
-from repro.sim.llc import LLCAccess, LLCSimulator
+from repro.sim.llc import LLCColumns, LLCSimulator
 from repro.sim.single import (
     Stage3Events,
     build_stage3_events,
@@ -49,7 +54,11 @@ class ThreadData:
     upper: UpperLevelResult
     single_ipc: float
     single_cycles: float
-    timestamps: List[float]
+    # Standalone cycle of each LLC access: ``instr_index * cpi`` as a
+    # float64 array, nondecreasing along the stream.
+    timestamps: np.ndarray
+    # ``upper.llc_stream`` as columns, the input of every mix's merge.
+    llc_columns: LLCColumns
     warm_mem: int
     warm_llc: int
     # Measured-window Stage-3 skeleton, filled per mix by each policy's
@@ -111,6 +120,8 @@ class MultiProgrammedRunner:
         warmup_fraction: float = 0.25,
         stage1_store: Optional[Any] = None,
     ) -> None:
+        if not 0.0 <= warmup_fraction < 1.0:
+            raise ValueError("warmup_fraction must be in [0, 1)")
         self.hierarchy = hierarchy
         self.timing = timing or TimingConfig()
         self.prefetch = prefetch
@@ -170,13 +181,14 @@ class MultiProgrammedRunner:
             *demand_load_arrays(stage3, standalone.outcomes, self.timing),
             measured_instr).ipc
         cpi = full_timing.cycles / max(1, upper.num_instructions)
-        timestamps = [a.instr_index * cpi for a in upper.llc_stream]
+        llc_columns = LLCColumns.from_accesses(upper.llc_stream)
         data = ThreadData(
             segment=segment,
             upper=upper,
             single_ipc=single_ipc,
             single_cycles=full_timing.cycles,
-            timestamps=timestamps,
+            timestamps=llc_columns.instr_index * cpi,
+            llc_columns=llc_columns,
             warm_mem=warm_mem,
             warm_llc=warm_llc,
             stage3=stage3,
@@ -189,32 +201,35 @@ class MultiProgrammedRunner:
 
     def run_mix(self, mix: Mix, policy_factory: PolicyFactory) -> MixResult:
         threads = [self.thread_data(s) for s in mix.segments]
-        merged, origins, merged_pcs, pc_offsets = self._interleave(threads)
+        with obs.span("interleave"):
+            merged, origins, merged_pcs, pc_offsets = self._interleave(threads)
 
         llc_bytes, ways, num_sets = self._geometry
         policy = policy_factory(num_sets, ways)
         with obs.span("stage2"):
-            # Same kernel routing as single-core: MPPPB mixes ride the
-            # columnar Stage-2 kernel when it is enabled.
+            # Same routing as single-core: MPPPB, Perceptron and Hawkeye
+            # mixes ride the columnar Stage-2 kernel, which reads the
+            # merged columns directly; other policies (and every policy
+            # under REPRO_STAGE2_KERNEL=off) replay on LLCSimulator.
             result = replay_segment(llc_bytes, ways, policy,
                                     self.hierarchy.block_bytes, merged,
                                     merged_pcs, 0)
 
         # Scatter lap-0 outcomes back to per-thread outcome arrays.
-        per_thread_outcomes: List[List[bool]] = [
-            [False] * len(t.upper.llc_stream) for t in threads
-        ]
+        hits = np.asarray(result.outcomes, dtype=bool)
+        origin_thread, origin_local, origin_lap = origins
+        lap0 = origin_lap == 0
+        per_thread_outcomes = []
         measured_misses = 0
-        for merged_idx, (thread_idx, local_idx, lap) in enumerate(origins):
-            if lap != 0:
-                continue
-            hit = result.outcomes[merged_idx]
-            per_thread_outcomes[thread_idx][local_idx] = hit
-            thread = threads[thread_idx]
-            access = thread.upper.llc_stream[local_idx]
-            if (not hit and not access.is_prefetch
-                    and local_idx >= thread.warm_llc):
-                measured_misses += 1
+        for thread_idx, thread in enumerate(threads):
+            mine = lap0 & (origin_thread == thread_idx)
+            local, hit = origin_local[mine], hits[mine]
+            outcomes = np.zeros(len(thread.timestamps), dtype=bool)
+            outcomes[local] = hit
+            per_thread_outcomes.append(outcomes)
+            demand = ~thread.llc_columns.is_prefetch[local]
+            measured_misses += int(np.count_nonzero(
+                ~hit & demand & (local >= thread.warm_llc)))
 
         model = TimingModel(self.timing)
         ipcs = []
@@ -237,12 +252,31 @@ class MultiProgrammedRunner:
 
     def _interleave(
         self, threads: Sequence[ThreadData]
-    ) -> Tuple[List[LLCAccess], List[Tuple[int, int, int]], List[int], List[int]]:
+    ) -> Tuple[LLCColumns, Tuple[np.ndarray, np.ndarray, np.ndarray],
+               List[int], List[int]]:
         """Timestamp-merge the threads' LLC streams with region laps.
 
-        PC traces are concatenated; each thread's accesses get their
+        Returns ``(merged, origins, merged_pcs, pc_offsets)``.  PC
+        traces are concatenated into ``merged_pcs`` (a list:
+        ``LLCSimulator``'s features index it per access), thread ``t``'s
+        starting at ``pc_offsets[t]``; each merged access gets its
         ``mem_index`` rebased into the concatenation so PC-history
-        features keep working across threads.
+        features keep working across threads.  ``origins`` is three
+        ``int64`` arrays, the ``(thread, local, lap)`` of every merged
+        access.
+
+        Access ``local`` of thread ``t`` on lap ``lap`` has the key
+        ``(ts[local] + lap * single_cycles, t, local, lap)``.  The merge
+        is every key up to the *stop key*, the largest lap-0 tail
+        ``(ts[-1], t, n - 1, 0)`` over non-empty threads, in key order:
+        it ends once every thread has completed its region once.  One
+        ``np.lexsort`` produces that order.  It is the order a heap
+        merge of the threads' lap sequences pops, because each
+        thread's keys are nondecreasing along its sequence:
+        ``instr_index`` never decreases along a Stage-1 stream and
+        ``cpi > 0``, so timestamps never decrease within a lap, and
+        ``ts[-1] < single_cycles``, so every lap starts after the one
+        before it ends.
         """
         pc_offsets: List[int] = []
         merged_pcs: List[int] = []
@@ -250,38 +284,55 @@ class MultiProgrammedRunner:
             pc_offsets.append(len(merged_pcs))
             merged_pcs.extend(thread.segment.trace.pcs)
 
-        heap: List[Tuple[float, int, int, int]] = []  # ts, thread, local, lap
-        done = [len(t.upper.llc_stream) == 0 for t in threads]
-        for thread_idx, thread in enumerate(threads):
-            if thread.timestamps:
-                heapq.heappush(heap, (thread.timestamps[0], thread_idx, 0, 0))
+        live = [t for t, thread in enumerate(threads)
+                if len(thread.timestamps)]
+        if not live:
+            empty = np.zeros(0, dtype=np.int64)
+            return (LLCColumns.from_accesses([]), (empty, empty, empty),
+                    merged_pcs, pc_offsets)
+        stop_ts, stop_thread = max((threads[t].timestamps[-1], t)
+                                   for t in live)
 
-        merged: List[LLCAccess] = []
-        origins: List[Tuple[int, int, int]] = []
-        while heap and not all(done):
-            ts, thread_idx, local_idx, lap = heapq.heappop(heap)
-            thread = threads[thread_idx]
-            access = thread.upper.llc_stream[local_idx]
-            merged.append(
-                LLCAccess(
-                    pc=access.pc,
-                    block=access.block,
-                    offset=access.offset,
-                    is_write=access.is_write,
-                    is_prefetch=access.is_prefetch,
-                    mem_index=access.mem_index + pc_offsets[thread_idx],
-                    instr_index=access.instr_index,
-                )
-            )
-            origins.append((thread_idx, local_idx, lap))
-            next_local = local_idx + 1
-            if next_local >= len(thread.timestamps):
-                done[thread_idx] = True
-                next_local = 0
-                lap += 1
-            next_ts = thread.timestamps[next_local] + (lap * thread.single_cycles)
-            heapq.heappush(heap, (next_ts, thread_idx, next_local, lap))
-        return merged, origins, merged_pcs, pc_offsets
+        keys, thread_ids, locals_, laps = [], [], [], []
+        stop_entry = 0
+        for t in live:
+            thread = threads[t]
+            ts = thread.timestamps
+            n = len(ts)
+            if t == stop_thread:  # its lap-0 tail; lap 0 is all kept
+                stop_entry = sum(len(k) for k in keys) + n - 1
+            # Every lap whose first access can fall at or before the
+            # stop, plus one in case the division rounds down; the
+            # filter below is exact.
+            lap = np.arange(int((stop_ts - ts[0]) // thread.single_cycles)
+                            + 2)
+            # The heap merge's float expression, ts + lap * cycles.
+            key = (ts + (lap * thread.single_cycles)[:, None]).ravel()
+            keep = key <= stop_ts
+            keys.append(key[keep])
+            thread_ids.append(np.full(np.count_nonzero(keep), t,
+                                      dtype=np.int64))
+            locals_.append(np.tile(np.arange(n), len(lap))[keep])
+            laps.append(np.repeat(lap, n)[keep])
+
+        key, thread_id, local, lap = (
+            np.concatenate(parts) for parts in (keys, thread_ids, locals_,
+                                                laps))
+        order = np.lexsort((lap, local, thread_id, key))
+        # Keys equal to the stop key's timestamp sort after it when
+        # their (thread, local, lap) is larger: cut at the stop entry.
+        order = order[:np.flatnonzero(order == stop_entry)[0] + 1]
+        thread_id, local, lap = thread_id[order], local[order], lap[order]
+
+        starts = np.cumsum([0] + [len(t.timestamps) for t in threads])
+        rows = starts[thread_id] + local
+        pc, block, offset, is_write, is_prefetch, mem_index, instr_index = (
+            np.concatenate(column)[rows]
+            for column in zip(*(t.llc_columns.arrays() for t in threads)))
+        mem_index += np.asarray(pc_offsets, dtype=np.int64)[thread_id]
+        merged = LLCColumns(pc, block, offset, is_write, is_prefetch,
+                            mem_index, instr_index)
+        return merged, (thread_id, local, lap), merged_pcs, pc_offsets
 
 
 def normalized_weighted_speedups(

@@ -23,6 +23,10 @@ Each contract is pinned independently:
   random streams, a geometry that reaches every replacement and
   training path, and a merged 4-thread mix; and their output
   satisfies the accounting identities with no reference involved.
+* **Columnar streams** — an :class:`~repro.sim.llc.LLCColumns` stream
+  behaves as its materialized list and lowers to the same columns, and
+  kernel-space PCs (>= 2**63) replay on the kernel exactly as on the
+  reference, for a single segment and a 4-thread mix.
 """
 
 import random
@@ -42,22 +46,30 @@ from repro.core.features import (
 )
 from repro.core.mpppb import MPPPBConfig, MPPPBPolicy
 from repro.core.presets import TABLE_1A_SPECS, TABLE_1B_SPECS
+from repro.policies import policy_factory
 from repro.predictors.base import partial_tag
 from repro.predictors.hawkeye import HawkeyePolicy, HawkeyePredictor, OptGen
 from repro.predictors.perceptron import PerceptronPolicy, PerceptronPredictor
 from repro.sim import kernel as kernel_mod
+from repro.sim import llc as llc_mod
 from repro.sim.batch import BatchLLCSimulator
 from repro.sim.hierarchy import UpperLevels
 from repro.sim.kernel import baselines as baselines_mod
 from repro.sim.kernel import columns as columns_mod
 from repro.sim.kernel import numpy_backend
-from repro.sim.llc import LLCAccess, LLCSimulator
+from repro.sim.llc import LLCAccess, LLCColumns, LLCSimulator
+from repro.sim.multi import MultiProgrammedRunner
+from repro.sim.single import replay_segment
+from repro.traces.mixes import Mix
+from repro.traces.trace import Segment, Trace
 from repro.traces.workloads import build_segments
 
 LLC_BYTES = TINY.hierarchy.llc_bytes
 WAYS = TINY.hierarchy.llc_ways
 NUM_SETS = LLC_BYTES // (WAYS * 64)
 ACCESSES = 2_000
+# Base of the kernel-space PCs real x86-64 traces carry (>= 2**63).
+KERNEL_PC = 0xFFFFFFFF81000000
 
 
 @pytest.fixture(scope="module")
@@ -217,7 +229,8 @@ def _synthetic_stream(picks):
 
 
 _access_st = st.tuples(
-    st.integers(min_value=0, max_value=2**40).map(lambda v: v << 2),
+    # Word-aligned PCs over the full 64 bits, kernel half included.
+    st.integers(min_value=0, max_value=2**62 - 1).map(lambda v: v << 2),
     # Blocks from a small window so sets conflict, hit, and evict.
     st.integers(min_value=0, max_value=NUM_SETS * (WAYS + 4)),
     st.integers(min_value=0, max_value=63),
@@ -460,8 +473,10 @@ def _assert_baseline_lockstep(make, llc_bytes, ways, stream, pcs, warmup):
 
 
 _baseline_access_st = st.tuples(
-    # A small PC pool so table and counter entries are shared.
-    st.integers(min_value=0, max_value=15).map(lambda v: 0x400 + 4 * v),
+    # A small PC pool so table and counter entries are shared, with a
+    # few kernel-space PCs (>= 2**63) among the user-space ones.
+    st.sampled_from([0x400 + 4 * v for v in range(16)]
+                    + [KERNEL_PC + 4 * v for v in range(4)]),
     # Tight loops (OptGen occupancy reaches the associativity), a few
     # dozen blocks (conflicts and reuse), and a wide range (sampler
     # churn, OptGen history prunes).
@@ -601,7 +616,6 @@ class TestBaselineLockstep:
 
 @pytest.fixture(scope="module")
 def mix_stream():
-    from repro.sim.multi import MultiProgrammedRunner
     from repro.traces.mixes import generate_mixes
     from repro.traces.workloads import build_suite
 
@@ -668,3 +682,135 @@ class TestBaselineAccounting:
         _assert_accounting(result, cache, stream,
                            never_bypasses=policy_cls is HawkeyePolicy)
         assert result.stats.evictions > 0
+
+
+# -- columnar streams (LLCColumns) -------------------------------------------
+
+
+def _with_kernel_pcs(stream):
+    """``stream`` with every third access's PC moved to kernel space."""
+    return [
+        LLCAccess(pc=KERNEL_PC + a.pc if i % 3 == 0 else a.pc,
+                  block=a.block, offset=a.offset, is_write=a.is_write,
+                  is_prefetch=a.is_prefetch, mem_index=a.mem_index,
+                  instr_index=a.instr_index)
+        for i, a in enumerate(stream)
+    ]
+
+
+def _assert_same_lowering(ours, theirs):
+    assert ours.n == theirs.n
+    for name in ("blocks", "set_idxs", "tags", "samp_idxs", "prefetch"):
+        a, b = getattr(ours, name), getattr(theirs, name)
+        assert a.dtype == b.dtype and np.array_equal(a, b), name
+    assert len(ours.cols) == len(theirs.cols)
+    for a, b in zip(ours.cols, theirs.cols):
+        assert a.dtype == b.dtype and np.array_equal(a, b)
+
+
+class TestLLCColumns:
+    @pytest.fixture(scope="class")
+    def streams(self, stage1):
+        stream, pcs = stage1
+        stream = _with_kernel_pcs(_edge_stream(stream, pcs))
+        return stream, LLCColumns.from_accesses(stream), pcs
+
+    def test_sequence_equals_materialized_list(self, streams, monkeypatch):
+        stream, columns, _pcs = streams
+        n = len(stream)
+        assert len(columns) == n
+        for index in (0, 1, n // 2, n - 1, -1, -n):
+            assert columns[index] == stream[index]
+        for bad in (n, -n - 1):
+            with pytest.raises(IndexError):
+                columns[bad]
+        for cut in (slice(None), slice(3, 40), slice(-25, None),
+                    slice(10, 200, 7), slice(None, None, -3),
+                    slice(n, n + 5)):
+            assert columns[cut] == stream[cut]
+        # Iteration materializes chunk by chunk; a small chunk crosses
+        # many chunk boundaries.
+        monkeypatch.setattr(llc_mod, "_ITER_CHUNK", 7)
+        assert list(columns) == stream
+
+    def test_fields_are_python_scalars(self, streams):
+        _stream, columns, _pcs = streams
+        for access in [columns[0], columns[-1], *columns[:5]]:
+            assert all(type(getattr(access, name)) is int
+                       for name in ("pc", "block", "offset", "mem_index",
+                                    "instr_index"))
+            assert type(access.is_write) is bool
+            assert type(access.is_prefetch) is bool
+        assert max(a.pc for a in columns) >= 2**63
+
+    def test_lowerings_equal_list_lowerings(self, streams):
+        stream, columns, pcs = streams
+        sim = _batch(_configs(k=4))
+        _assert_same_lowering(_lower(sim, columns, pcs),
+                              _lower(sim, stream, pcs))
+        predictor = PerceptronPredictor(NUM_SETS)
+        sampler = predictor.sampler
+        args = (NUM_SETS, sampler._stride, sampler.sampler_sets,
+                predictor.table_bits)
+        _assert_same_lowering(
+            columns_mod.lower_perceptron(columns, pcs, *args),
+            columns_mod.lower_perceptron(stream, pcs, *args))
+        predictor = HawkeyePredictor(NUM_SETS, WAYS)
+        sampler = predictor.sampler
+        args = (NUM_SETS, sampler._stride, sampler.sampler_sets,
+                predictor.table_bits)
+        _assert_same_lowering(columns_mod.lower_hawkeye(columns, *args),
+                              columns_mod.lower_hawkeye(stream, *args))
+
+
+# -- kernel-space PCs (>= 2**63) end to end ------------------------------------
+
+_KERNEL_POLICIES = ["mpppb-1a", "perceptron", "hawkeye"]
+
+
+def _kernel_space(segment):
+    """``segment`` with every PC moved into the kernel half."""
+    trace = segment.trace
+    moved = Trace(trace.name, [KERNEL_PC + pc for pc in trace.pcs],
+                  trace.addresses, trace.writes, trace.gaps, trace.deps)
+    return Segment(segment.name, moved, segment.weight)
+
+
+def _on_both_legs(monkeypatch, run):
+    """``run()`` on the kernel, then on the LLCSimulator reference."""
+    monkeypatch.delenv("REPRO_STAGE2_KERNEL", raising=False)
+    kernel = run()
+    monkeypatch.setenv("REPRO_STAGE2_KERNEL", "off")
+    return kernel, run()
+
+
+class TestKernelSpacePcs:
+    @pytest.mark.parametrize("policy", _KERNEL_POLICIES)
+    def test_single_segment(self, policy, monkeypatch):
+        segment = _kernel_space(build_segments("soplex", LLC_BYTES,
+                                               ACCESSES)[0])
+        upper = UpperLevels(TINY.hierarchy).run(segment.trace)
+        assert max(a.pc for a in upper.llc_stream) >= 2**63
+
+        def run():
+            return replay_segment(LLC_BYTES, WAYS,
+                                  policy_factory(policy)(NUM_SETS, WAYS), 64,
+                                  upper.llc_stream, segment.trace.pcs, 300)
+
+        kernel, reference = _on_both_legs(monkeypatch, run)
+        assert kernel.outcomes == reference.outcomes
+        assert kernel.stats == reference.stats
+        assert kernel.warm_stats == reference.warm_stats
+
+    @pytest.mark.parametrize("policy", _KERNEL_POLICIES)
+    def test_four_thread_mix(self, policy, monkeypatch):
+        hierarchy = TINY.multi_hierarchy
+        segments = tuple(
+            _kernel_space(build_segments(name, hierarchy.llc_bytes,
+                                         ACCESSES)[0])
+            for name in ("gamess", "soplex", "mcf", "lbm"))
+        runner = MultiProgrammedRunner(hierarchy)
+        mix = Mix("kernel-space", segments)
+        kernel, reference = _on_both_legs(
+            monkeypatch, lambda: runner.run_mix(mix, policy_factory(policy)))
+        assert kernel == reference

@@ -2,9 +2,11 @@
 
 import pytest
 
+from repro import obs
 from repro.policies import policy_factory
 from repro.sim.hierarchy import HierarchyConfig
 from repro.sim.multi import MultiProgrammedRunner, normalized_weighted_speedups
+from repro.sim.single import SingleThreadRunner
 from repro.traces.mixes import generate_mixes
 from repro.traces.workloads import all_segments
 
@@ -23,6 +25,15 @@ def mixes():
 @pytest.fixture(scope="module")
 def runner():
     return MultiProgrammedRunner(SMALL, warmup_fraction=0.25)
+
+
+@pytest.mark.parametrize("runner_cls",
+                         [SingleThreadRunner, MultiProgrammedRunner])
+@pytest.mark.parametrize("fraction", [1.0, 1.5, -0.5])
+def test_rejects_warmup_fraction_outside_unit_interval(runner_cls, fraction):
+    with pytest.raises(ValueError,
+                       match=r"warmup_fraction must be in \[0, 1\)"):
+        runner_cls(SMALL, warmup_fraction=fraction)
 
 
 class TestThreadData:
@@ -65,6 +76,21 @@ class TestRunMix:
     def test_mpppb_multiprogrammed_runs(self, runner, mixes):
         result = runner.run_mix(mixes[0], policy_factory("mpppb-mp"))
         assert result.weighted_speedup > 0
+
+    def test_interleave_span_on_every_call(self, runner, mixes):
+        """The merge has its own span, emitted whether or not the
+        threads were already prepared."""
+        obs.enable()
+        try:
+            with obs.capture() as ctx:
+                for _ in range(2):
+                    runner.run_mix(mixes[1], policy_factory("lru"))
+                paths = [r.path for r in ctx.collector.snapshot()]
+        finally:
+            obs.disable()
+        assert paths.count("interleave") == 2
+        assert paths.count("stage2") == 2
+        assert paths.count("stage1") == 8
 
 
 class TestNormalization:
