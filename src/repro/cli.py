@@ -747,21 +747,15 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
         description="Multiperspective Reuse Prediction reproduction CLI",
-        epilog="Execution knobs (results are bit-identical either way): "
+        epilog="Execution knob (results are bit-identical either way): "
                "REPRO_STAGE2_KERNEL=off replays Stage 2 on the reference "
-               "simulator instead of the columnar kernel, REPRO_GRAPH=off "
-               "disables the cost-aware experiment-graph scheduler (--graph "
-               "overrides it for one invocation).  Real traces: "
+               "simulator instead of the columnar kernel.  Real traces: "
                "--trace-file/--trace-format (or REPRO_TRACE_FILE, "
                "REPRO_TRACE_FORMAT, REPRO_TRACE_NAME, REPRO_TRACE_SKIP, "
                "REPRO_TRACE_ACCESSES, REPRO_TRACE_SEGMENTS, "
                "REPRO_TRACE_WEIGHTS, REPRO_TRACE_CHUNK) ingest a "
                "ChampSim-style binary, text, or CSV trace as a workload.",
     )
-    parser.add_argument(
-        "--graph", default=None, choices=["on", "off"],
-        help="cost-aware experiment-graph scheduler (default: on); "
-             "overrides REPRO_GRAPH for this invocation")
     sub = parser.add_subparsers(dest="command", required=True)
 
     compare = sub.add_parser("compare", help="compare policies on benchmarks")
@@ -819,8 +813,7 @@ def build_parser() -> argparse.ArgumentParser:
                       metavar="PATH")
     perf.add_argument("--check", action="store_true",
                       help="exit 1 if a perf gate fails (telemetry "
-                           "budgets, ingest throughput, graph and fleet "
-                           "overhead)")
+                           "budgets, ingest throughput, fleet overhead)")
     perf.add_argument("--tolerance", type=float, default=1.0,
                       help="multiplier loosening the --check timing budgets")
     _add_scale(perf)
@@ -910,8 +903,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     # Record the launching argv (for run manifests / `resume`) exactly
     # as the subcommand received it.
     args.argv = list(argv) if argv is not None else list(sys.argv[1:])
-    if getattr(args, "graph", None):
-        os.environ["REPRO_GRAPH"] = args.graph
     _ACTIVE_ENGINE = None
     try:
         return args.func(args)

@@ -37,7 +37,6 @@ from __future__ import annotations
 import dataclasses
 import json
 import sys
-import time
 from array import array
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Sequence, Tuple
@@ -291,23 +290,16 @@ def peek_kind(path) -> Optional[str]:
 class ArtifactStats:
     """Hit/miss counters per artifact kind, over one cache lifetime.
 
-    Also accumulates blob-read throughput samples (bytes and
-    microseconds spent in successful store reads) — the graph
-    scheduler's cost model learns the store's load speed from them.
+    ``shared_hits`` counts reads a TieredResultStore served from the
+    shared directory after a local miss; it feeds the run report's
+    ``store_shared_hits``.
     """
 
     trace_hits: int = 0
     trace_misses: int = 0
     stage1_hits: int = 0
     stage1_misses: int = 0
-    read_bytes: int = 0
-    read_us: int = 0
-    # Shared-tier reads (a TieredResultStore serving a local miss from
-    # the shared directory) are sampled separately: the cost model
-    # learns a distinct read throughput per tier.
     shared_hits: int = 0
-    shared_read_bytes: int = 0
-    shared_read_us: int = 0
 
     def counts(self) -> Dict[str, int]:
         return {
@@ -315,11 +307,7 @@ class ArtifactStats:
             "trace_misses": self.trace_misses,
             "stage1_hits": self.stage1_hits,
             "stage1_misses": self.stage1_misses,
-            "read_bytes": self.read_bytes,
-            "read_us": self.read_us,
             "shared_hits": self.shared_hits,
-            "shared_read_bytes": self.shared_read_bytes,
-            "shared_read_us": self.shared_read_us,
         }
 
 
@@ -330,39 +318,18 @@ class ArtifactCache:
     count as misses; after a miss the caller computes the artifact and
     stores it back, so the cache is self-healing and the simulation
     result never depends on whether a lookup succeeded.
-
-    ``deny_loads`` is the graph scheduler's plan hook: keys in the set
-    are treated as misses without touching the store, forcing the
-    planned recompute when loading was judged slower.  Denied or not,
-    results are bit-identical — only the source of the bytes changes.
     """
 
     def __init__(self, store: ResultStore) -> None:
         self.store = store
         self.stats = ArtifactStats()
-        self.deny_loads: frozenset = frozenset()
 
     def _read(self, key: str) -> Optional[bytes]:
-        """Plan-aware, throughput-timed store read.
-
-        With a tiered store, reads served by the shared tier are
-        sampled into the ``shared_*`` counters instead of the local
-        ones — per-tier throughput is what lets the graph planner
-        price a remote load honestly.
-        """
-        if key in self.deny_loads:
-            return None
-        start = time.perf_counter()
+        """Store read that counts hits the shared tier served."""
         blob = self.store.get_bytes(key)
-        if blob is not None:
-            elapsed_us = int((time.perf_counter() - start) * 1e6)
-            if getattr(self.store, "last_tier", "local") == "shared":
-                self.stats.shared_hits += 1
-                self.stats.shared_read_bytes += len(blob)
-                self.stats.shared_read_us += elapsed_us
-            else:
-                self.stats.read_bytes += len(blob)
-                self.stats.read_us += elapsed_us
+        if (blob is not None
+                and getattr(self.store, "last_tier", "local") == "shared"):
+            self.stats.shared_hits += 1
         return blob
 
     # -- traces -----------------------------------------------------------

@@ -2,7 +2,7 @@
 
 A backend owns a set of worker slots and moves *execution requests*
 (picklable dicts built by the runner: cell, key, artifact roots,
-attempt, telemetry flag, deny set) to wherever the work happens, then
+attempt, telemetry flag) to wherever the work happens, then
 streams completion :class:`Frame` records back.  The drive loop in
 :class:`~repro.exec.runner.ParallelRunner` is backend-agnostic: it
 keeps a sliding submission window, routes ``ok`` frames to settle,

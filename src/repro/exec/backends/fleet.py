@@ -262,13 +262,19 @@ class WorkerFleetBackend(ExecutionBackend):
         result after the task re-runs.  The kill's stream EOF surfaces
         as a ``None`` event whose task id is already cleared, so death
         is not double-reported.
+
+        A slot whose ``hello`` has not arrived is skipped: interpreter
+        start-up can outlast a short timeout, and silence only counts
+        from the ``hello`` on.  Before it, a dead worker still surfaces
+        as EOF and a hung one through the cell watchdog.
         """
         if self._hb_timeout is None:
             return []
         frames: List[Frame] = []
         now = time.monotonic()
         for worker in self._fleet:
-            if not worker.alive or worker.task_id is None:
+            if (not worker.alive or not worker.ready
+                    or worker.task_id is None):
                 continue
             silent = now - worker.last_seen
             if silent < self._hb_timeout:

@@ -45,17 +45,6 @@ def stable_hash(payload: Mapping) -> str:
     return hashlib.sha256(canonical_json(payload).encode("utf-8")).hexdigest()
 
 
-def wellknown_key(name: str) -> str:
-    """Key of a reserved singleton blob (not content-addressed).
-
-    A few store entries are named registers rather than cached results
-    — e.g. the graph scheduler's persisted cost model — and live at a
-    fixed, schema-stamped key so every run against the same cache
-    directory reads and refines the same blob.
-    """
-    return stable_hash({"schema": SCHEMA_VERSION, "wellknown": name})
-
-
 def task_seed(key: str) -> int:
     """Deterministic 32-bit seed derived from a cell's cache key.
 

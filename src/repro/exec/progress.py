@@ -71,17 +71,18 @@ class ExecReport:
     timeouts: int = 0
     requeued: int = 0
     pool_rebuilds: int = 0
-    # Graph-scheduler accounting (zero when REPRO_GRAPH=off or no
-    # artifact store): ``graph_nodes`` artifact nodes planned,
-    # ``graph_loads``/``graph_computes`` the forward pass's decisions
-    # over the needed set, ``graph_shared`` nodes referenced by more
-    # than one cell, ``graph_denied`` materialized blobs the plan
-    # recomputes instead of loading, and ``graph_prelude`` the
-    # materialize tasks run ahead of the cell wave.
+    # Batch-plan accounting (zero with no artifact store):
+    # ``graph_nodes`` distinct trace/Stage-1 inputs of the batch's
+    # misses, ``graph_loads``/``graph_computes`` those the store
+    # holds/lacks, ``graph_shared`` inputs used by more than one cell,
+    # and ``graph_prelude`` the materialize tasks run ahead of the
+    # cell wave.
     graph_nodes: int = 0
     graph_loads: int = 0
     graph_computes: int = 0
     graph_shared: int = 0
+    # Always 0: the plan never denies a load.  Kept because
+    # benchmarks/e2e/one_pass.py sums it into ``graph.denied``.
     graph_denied: int = 0
     graph_prelude: int = 0
     # Distributed-mesh accounting: which execution backend drove the
@@ -195,8 +196,6 @@ class ExecReport:
                 f"load={self.graph_loads} compute={self.graph_computes} "
                 f"shared={self.graph_shared}"
             )
-            if self.graph_denied:
-                line += f" denied={self.graph_denied}"
             if self.graph_prelude:
                 line += f" prelude={self.graph_prelude}"
         if (self.failed or self.retries or self.timeouts or self.requeued

@@ -104,7 +104,7 @@ from repro.exec.store import (
     make_store,
     resolve_shared,
 )
-from repro.graph import CostModel, graph_enabled, plan_cells
+from repro.graph import plan_cells
 from repro.policies import policy_factory
 from repro.search.evaluator import FeatureSetEvaluator
 from repro.sim.hierarchy import HierarchyConfig
@@ -396,11 +396,6 @@ def _suite_segments(suite: SuiteSpec,
     return segments
 
 
-# Stage-1 artifact scope lives in repro.exec.artifacts so the graph
-# planner hashes identical scopes without importing this module.
-_scope_payload = scope_payload
-
-
 def _runner_key(kind: str, hierarchy: HierarchyConfig,
                 timing: Optional[TimingConfig], prefetch: bool,
                 warmup_fraction: float, scope: Any,
@@ -422,7 +417,7 @@ def _stage1_store(artifacts: Optional[ArtifactCache], llc_bytes: int,
     if artifacts is None:
         return None
     return artifacts.stage1_store(
-        _scope_payload(llc_bytes, accesses, seed), hierarchy, prefetch,
+        scope_payload(llc_bytes, accesses, seed), hierarchy, prefetch,
         scope_overrides=scope_overrides,
     )
 
@@ -706,14 +701,12 @@ class SearchBatchCell:
 class MaterializeCell:
     """Prelude task: materialize shared trace/Stage-1 artifacts once.
 
-    The graph scheduler runs these *before* the cell wave so an
-    artifact node shared by K cells is computed exactly once and every
-    dependent cell loads it, instead of the first K workers racing to
-    recompute it.  Produces no cached result — its output is the
-    artifact-store side effect plus the measured (accesses, seconds)
-    compute samples the scheduler's cost model refines on.  Failures
-    are benign: the artifact cache self-heals, so dependent cells just
-    recompute what the prelude failed to materialize.
+    The runner runs these *before* the cell wave so an input shared by
+    K cells is computed exactly once and every dependent cell loads
+    it, instead of the first K workers racing to recompute it.
+    Produces no result — its output is the artifact-store side effect.
+    Failures are benign: the artifact cache self-heals, so dependent
+    cells just recompute what the prelude failed to materialize.
     """
 
     trace: TraceSpec
@@ -737,14 +730,8 @@ class MaterializeCell:
             "prefetch": self.prefetch,
         }
 
-    def run(self, artifacts: Optional[ArtifactCache] = None) -> Dict[str, Any]:
-        stats = artifacts.stats if artifacts is not None else None
-        misses_before = stats.trace_misses if stats is not None else 0
-        started = time.perf_counter()
+    def run(self, artifacts: Optional[ArtifactCache] = None) -> None:
         segments = _segments(self.trace, artifacts)
-        trace_seconds = time.perf_counter() - started
-        computed_trace = (stats is not None
-                          and stats.trace_misses > misses_before)
         overrides = (None if self.trace.ingest is None
                      else {self.trace.ingest.name: self.trace.stage1_scope()})
         runner = SingleThreadRunner(
@@ -755,20 +742,9 @@ class MaterializeCell:
                                        scope_overrides=overrides),
         )
         wanted = set(self.segment_names)
-        computed = runner.prime_segments(
-            [segment for segment in segments if segment.name in wanted])
-        return {
-            "trace": ([sum(len(s.trace.pcs) for s in segments),
-                       trace_seconds] if computed_trace else None),
-            "stage1": [[accesses, seconds]
-                       for _, accesses, seconds in computed],
-        }
-
-    def encode(self, result: Dict[str, Any]) -> Dict[str, Any]:
-        return result
-
-    def decode(self, payload: Dict[str, Any]) -> Dict[str, Any]:
-        return payload
+        for segment in segments:
+            if segment.name in wanted:
+                runner.upper_result(segment)
 
 
 Cell = Union[SingleCell, MixCell, SearchCell, SearchBatchCell,
@@ -780,7 +756,6 @@ def _execute_cell(cell: Cell, key: str,
                   attempt: int = 1,
                   in_worker: bool = False,
                   telemetry: bool = False,
-                  deny_loads: frozenset = frozenset(),
                   shared_root: Optional[str] = None
                   ) -> Tuple[Any, float, Dict[str, int],
                              Optional[Dict[str, Any]]]:
@@ -808,11 +783,6 @@ def _execute_cell(cell: Cell, key: str,
     if plan is not None:
         plan.fire(key, attempt, in_worker=in_worker)
     artifacts = _artifact_cache(artifact_root, shared_root)
-    if artifacts is not None:
-        # The graph plan's deny set rides along with every execution
-        # (serial and worker) and is re-set each time, so one shared
-        # per-process cache never leaks a previous batch's plan.
-        artifacts.deny_loads = deny_loads
     before = artifacts.stats.counts() if artifacts is not None else {}
     if telemetry:
         obs.enable()
@@ -957,12 +927,6 @@ class ParallelRunner:
             None if self.store is None or artifacts_off
             else str(self.store.root)
         )
-        # Graph-scheduler state for the batch currently driving:
-        # materialized keys the plan says to recompute rather than
-        # load, and the (cost model, store) pair to refine + persist
-        # once the batch's measured timings are in.
-        self._deny_loads: frozenset = frozenset()
-        self._cost_state: Optional[Tuple[CostModel, ResultStore]] = None
 
     @classmethod
     def from_options(cls, jobs: Optional[int] = None, cache_dir: str = "",
@@ -1248,7 +1212,6 @@ class ParallelRunner:
             "exec/graph-loads": report.graph_loads,
             "exec/graph-computes": report.graph_computes,
             "exec/graph-shared": report.graph_shared,
-            "exec/graph-denied": report.graph_denied,
             "exec/graph-prelude": report.graph_prelude,
             "exec/store-shared-hits": report.store_shared_hits,
             "exec/store-shared-fills": report.store_shared_fills,
@@ -1318,45 +1281,35 @@ class ParallelRunner:
             return None
         return self.last_events_path
 
-    # -- graph scheduling ----------------------------------------------------
+    # -- batch dedupe and prelude -------------------------------------------
 
     def _schedule(self, items: Sequence[Tuple[Cell, str]],
                   sink: List[Tuple[str, str, Optional[Dict[str, Any]]]],
                   artifact_counts: Dict[str, int],
                   stats: _DriveStats) -> Optional[Dict[str, int]]:
-        """Plan the artifact graph for this batch's misses.
+        """Dedupe this batch's shared inputs and materialize them first.
 
-        Lowers the miss cells into one deduplicated
-        :class:`~repro.graph.ExperimentGraph`, runs the cost-model
-        forward/backward passes, installs the deny-load set, and
-        materializes shared compute nodes through a prelude wave.
-        Returns planned-action counters for the report, or ``None``
-        when scheduling is off (``REPRO_GRAPH=off``), there is nothing
-        to plan, or no artifact store is attached.  Planning failures
-        degrade to the unplanned path — the scheduler decides where
-        bytes come from, never whether a run completes.
+        :func:`~repro.graph.plan_cells` counts the trace and Stage-1
+        inputs the miss cells share and picks the prelude (shared
+        inputs the store does not hold yet), which runs here as one
+        wave of :class:`MaterializeCell` tasks.  Returns the plan
+        counters for the report, or ``None`` when there is nothing to
+        plan or no artifact store is attached.  Planning failures
+        degrade to the unplanned path — the plan decides where bytes
+        come from, never whether a run completes.
         """
-        self._deny_loads = frozenset()
-        self._cost_state = None
-        if not items or self.artifact_root is None or not graph_enabled():
+        if not items or self.artifact_root is None:
             return None
         try:
-            pstore = make_store(self.artifact_root, self.shared_root)
-            model = CostModel.load(pstore)
-            plan = plan_cells(items, pstore, model)
+            plan = plan_cells(items, make_store(self.artifact_root,
+                                                self.shared_root))
         except Exception:
             return None
-        self._deny_loads = plan.deny
-        self._cost_state = (model, pstore)
-        counts = dict(plan.counts)
-        counts["denied"] = len(plan.deny)
-        counts["prelude"] = len(plan.prelude)
         if plan.prelude:
-            self._run_prelude(plan.prelude, model, sink, artifact_counts,
-                              stats)
-        return counts
+            self._run_prelude(plan.prelude, sink, artifact_counts, stats)
+        return dict(plan.counts, prelude=len(plan.prelude))
 
-    def _run_prelude(self, groups, model: CostModel,
+    def _run_prelude(self, groups,
                      sink: List[Tuple[str, str, Optional[Dict[str, Any]]]],
                      artifact_counts: Dict[str, int],
                      stats: _DriveStats) -> None:
@@ -1382,14 +1335,6 @@ class ParallelRunner:
             _merge_counts(artifact_counts, delta)
             if tele is not None:
                 sink.append((task.key, task.cell.label(), tele))
-            if isinstance(result, dict):
-                trace_sample = result.get("trace")
-                if trace_sample:
-                    model.observe_compute("trace", int(trace_sample[0]),
-                                          float(trace_sample[1]))
-                for accesses, secs in result.get("stage1", ()):
-                    model.observe_compute("stage1", int(accesses),
-                                          float(secs))
 
         def fail(task: _Task, failure: CellFailure) -> None:
             pass
@@ -1402,24 +1347,6 @@ class ParallelRunner:
         stats.timeouts += pstats.timeouts
         stats.requeued += pstats.requeued
         stats.rebuilds += pstats.rebuilds
-
-    def _finish_costs(self, artifact_counts: Dict[str, int]) -> None:
-        """Fold the batch's measured load throughput in and persist."""
-        state = self._cost_state
-        self._cost_state = None
-        self._deny_loads = frozenset()
-        if state is None:
-            return
-        model, pstore = state
-        read_bytes = artifact_counts.get("read_bytes", 0)
-        read_us = artifact_counts.get("read_us", 0)
-        if read_bytes and read_us:
-            model.observe_load(read_bytes, read_us / 1e6, tier="local")
-        shared_bytes = artifact_counts.get("shared_read_bytes", 0)
-        shared_us = artifact_counts.get("shared_read_us", 0)
-        if shared_bytes and shared_us:
-            model.observe_load(shared_bytes, shared_us / 1e6, tier="shared")
-        model.save(pstore)
 
     # -- shared fault-tolerant drive machinery ------------------------------
 
@@ -1491,7 +1418,6 @@ class ParallelRunner:
                        graph: Optional[Dict[str, int]] = None,
                        tier_before: Optional[Dict[str, int]] = None
                        ) -> ExecReport:
-        self._finish_costs(artifact_counts)
         graph = graph or {}
         # Shared-tier traffic: parent-side result lookups (store tier
         # counter deltas over this drive) plus worker-side artifact
@@ -1525,7 +1451,6 @@ class ParallelRunner:
             graph_loads=graph.get("loads", 0),
             graph_computes=graph.get("computes", 0),
             graph_shared=graph.get("shared", 0),
-            graph_denied=graph.get("denied", 0),
             graph_prelude=graph.get("prelude", 0),
             backend=self.backend_name,
             store_shared_hits=shared_hits,
@@ -1561,8 +1486,7 @@ class ParallelRunner:
             try:
                 result, seconds, delta, tele = _execute_cell(
                     task.cell, task.key, self.artifact_root, task.attempt,
-                    False, obs.enabled(), self._deny_loads,
-                    shared_root=self.shared_root)
+                    False, obs.enabled(), shared_root=self.shared_root)
             except KeyboardInterrupt:
                 queue.appendleft(task)
                 raise
@@ -1584,7 +1508,6 @@ class ParallelRunner:
             "shared_root": self.shared_root,
             "attempt": task.attempt,
             "telemetry": obs.enabled(),
-            "deny_loads": self._deny_loads,
         }
 
     def _drive_parallel(self, queue: Deque[_Task], settle, fail, split,
@@ -1599,8 +1522,9 @@ class ParallelRunner:
             return
         running: Dict[int, _Task] = {}
         next_id = 0
-        # Hedge-race state: completed-cell durations seed the straggler
-        # baseline; ``hedge_twin`` maps each racing copy to its partner
+        # Hedge-race state: completed-cell durations set the straggler
+        # baseline (no hedge launches before the first completion);
+        # ``hedge_twin`` maps each racing copy to its partner
         # (both directions) and ``hedge_copies`` marks which id is the
         # duplicate.  A cell with a live twin can never fail the run —
         # one copy's loss/error/timeout is absorbed while the other
@@ -1608,7 +1532,6 @@ class ParallelRunner:
         durations: List[float] = []
         hedge_twin: Dict[int, int] = {}
         hedge_copies: set = set()
-        hedge_seed: Any = _MISS  # lazily computed cold-start baseline
 
         def drop_twin_pairing(task_id: int) -> Optional[int]:
             """Dissolve ``task_id``'s race; returns its live twin, if any."""
@@ -1732,20 +1655,15 @@ class ParallelRunner:
                                 # capacity is a rebuild.
                                 need_rebuild = True
                                 bump_on_rebuild = False
-                        if (self.hedge is not None and not queue
-                                and running and len(running) < workers
+                        if (self.hedge is not None and durations
+                                and not queue and running
+                                and len(running) < workers
                                 and stats.abort is None
                                 and not need_rebuild):
-                            if hedge_seed is _MISS:
-                                hedge_seed = self._hedge_seed(
-                                    running.values())
-                            baseline = (statistics.median(durations)
-                                        if durations else hedge_seed)
-                            if baseline:
-                                next_id = self._launch_hedges(
-                                    backend, running, next_id,
-                                    baseline * self.hedge, workers,
-                                    hedge_twin, hedge_copies, stats)
+                            next_id = self._launch_hedges(
+                                backend, running, next_id,
+                                statistics.median(durations) * self.hedge,
+                                workers, hedge_twin, hedge_copies, stats)
                 if need_rebuild:
                     # Tear every worker down and requeue unfinished
                     # cells — everything already settled stays settled
@@ -1846,50 +1764,6 @@ class ParallelRunner:
                       f"{now - task.started:.2f}s", file=sys.stderr)
             next_id += 1
         return next_id
-
-    def _hedge_seed(self, tasks) -> Optional[float]:
-        """Cold-start hedge baseline from the §14 cost model.
-
-        With no completed cell yet, estimate a typical cell duration
-        as the modeled trace + stage-1 compute cost of the largest
-        in-flight cell, doubled for slack (modeled rates undershoot
-        wall time — they exclude stage-2 replay and artifact IO).
-        Returns ``None`` (no hedging until a real duration lands) when
-        no model or access counts are available.
-        """
-        try:
-            if self._cost_state is not None:
-                model = self._cost_state[0]
-            elif self.artifact_root is not None:
-                model = CostModel.load(
-                    make_store(self.artifact_root, self.shared_root))
-            else:
-                return None
-            estimates = [
-                model.compute_cost("trace", accesses)
-                + model.compute_cost("stage1", accesses)
-                for accesses in (self._cell_accesses(task.cell)
-                                 for task in tasks)
-                if accesses > 0]
-            if not estimates:
-                return None
-            return 2.0 * max(estimates)
-        except Exception:
-            return None
-
-    @staticmethod
-    def _cell_accesses(cell: Cell) -> int:
-        """Access count a cell replays (0 when the shape is unknown)."""
-        trace = getattr(cell, "trace", None)
-        if trace is not None:
-            return int(getattr(trace, "accesses", 0) or 0)
-        suite = getattr(cell, "suite", None)
-        if suite is not None:
-            accesses = int(getattr(suite, "accesses", 0) or 0)
-            names = (getattr(cell, "benchmarks", None)
-                     or getattr(suite, "names", None) or ())
-            return accesses * max(1, len(names))
-        return 0
 
     def _poll_interval(self) -> Optional[float]:
         """Wait quantum for the parallel loop; None = block until done."""

@@ -251,9 +251,9 @@ class ResultStore:
     def stat_bytes(self, key: str) -> Optional[int]:
         """Size of the binary blob for ``key`` without reading it.
 
-        The graph planner stats every candidate artifact this way —
-        materialization plus load-cost sizing at ``stat`` price, no
-        recency touch, no hit/miss accounting.
+        The batch planner (:mod:`repro.graph`) stats every candidate
+        artifact this way — presence at ``stat`` price, no recency
+        touch, no hit/miss accounting.
         """
         try:
             return self.stat_bytes_strict(key)
@@ -546,20 +546,12 @@ class TieredResultStore(ResultStore):
         if filled:
             self.tiers.shared_fills += 1
 
-    def stat_bytes_tier(self, key: str) -> Optional[tuple]:
-        """``(size, tier)`` for the blob, or ``None``; no counters."""
+    def stat_bytes(self, key: str) -> Optional[int]:
         size = super().stat_bytes(key)
         if size is not None:
-            return size, "local"
-        size = self._shared_call(
+            return size
+        return self._shared_call(
             key, lambda: self.shared.stat_bytes_strict(key))
-        if size is not None:
-            return size, "shared"
-        return None
-
-    def stat_bytes(self, key: str) -> Optional[int]:
-        stat = self.stat_bytes_tier(key)
-        return None if stat is None else stat[0]
 
     def tier_counts(self) -> Dict[str, int]:
         breaker = self.breaker

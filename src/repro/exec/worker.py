@@ -119,7 +119,6 @@ def execute_request(request: Dict[str, Any]) -> Any:
         request.get("attempt", 1),
         True,
         request.get("telemetry", False),
-        frozenset(request.get("deny_loads", ())),
         shared_root=request.get("shared_root"),
     )
 

@@ -1,40 +1,15 @@
-"""Cost-aware experiment-graph scheduler (`REPRO_GRAPH`).
+"""Batch dedupe and prelude for the experiment engine.
 
-Lowers a batch of cells into one deduplicated artifact DAG, annotates
-every node with measured load/compute costs, and picks the optimal
-reuse set with the SIGMOD-2020 linear forward/backward passes.  The
-:class:`~repro.exec.runner.ParallelRunner` executes the plan: shared
-Stage-1 nodes are materialized once and fanned to all dependent cells,
-and materialized blobs that are cheaper to recompute than to load are
-skipped.  Scheduling only changes where bytes come from — results are
-bit-identical with the scheduler on or off.
-
-``REPRO_GRAPH=off`` (or ``--graph off``) disables planning entirely;
-the artifact cache then behaves exactly as before this layer existed.
+:func:`plan_cells` dedupes the trace and Stage-1 inputs a batch of
+cells shares, counts what the store already holds, and picks the
+prelude: shared inputs not stored yet, which the
+:class:`~repro.exec.runner.ParallelRunner` materializes once before
+the cells that need them run.  Results are bit-identical with or
+without the prelude; it only changes where bytes come from.
 """
 
 from __future__ import annotations
 
-import os
-
-from repro.exec.store import DISABLED_SENTINELS
-from repro.graph.costs import COSTS_KEY, CostModel
-from repro.graph.model import ExperimentGraph, GraphNode
 from repro.graph.planner import GraphPlan, PreludeGroup, plan_cells
 
-__all__ = [
-    "COSTS_KEY",
-    "CostModel",
-    "ExperimentGraph",
-    "GraphNode",
-    "GraphPlan",
-    "PreludeGroup",
-    "graph_enabled",
-    "plan_cells",
-]
-
-
-def graph_enabled(env: str = "REPRO_GRAPH") -> bool:
-    """Resolve the scheduler knob; on by default."""
-    value = os.environ.get(env, "on").strip().lower()
-    return value not in DISABLED_SENTINELS + ("false", "no")
+__all__ = ["GraphPlan", "PreludeGroup", "plan_cells"]

@@ -7,7 +7,7 @@ policy compare against cold and warm artifact caches, producing the
 Report schema (``REPORT_SCHEMA``)::
 
     {
-      "schema": 9,                # REPORT_SCHEMA, not the cache schema
+      "schema": 10,               # REPORT_SCHEMA, not the cache schema
       "scale": "tiny",
       "benchmark": "soplex",      # hot-path micro-benchmark workload
       "accesses": 4000,
@@ -33,14 +33,6 @@ Report schema (``REPORT_SCHEMA``)::
         "cold_s": float,          # empty artifact cache, empty memos
         "warm_s": float,          # artifact cache from the cold run
         "speedup": float          # cold_s / warm_s
-      },
-      "graph": {                  # cost-aware experiment-graph scheduler
-        "benchmark": str, "policies": [...],
-        "cold_s": float,          # REPRO_GRAPH=off, empty cache
-        "warm_s": float,          # REPRO_GRAPH=off, artifact-warm
-        "graph_cold_s": float,    # scheduled: plan + prelude, cold
-        "graph_warm_s": float,    # scheduled against a warm cache
-        "warm_speedup": float     # warm_s / graph_warm_s
       },
       "ingest": {                 # streaming trace-decode throughput
         "records": int,           # fixture size, records per format
@@ -68,7 +60,7 @@ stable than means on shared CI runners.  :func:`check_report` gates the
 telemetry budgets (estimated instrumentation cost with telemetry off
 must stay under 2% of a Stage-2 replay; the recording path, which runs
 the instrumented kernel, under 15%), trace-ingest throughput, and the
-graph-scheduler and worker-fleet overheads.
+worker-fleet overhead.
 """
 
 from __future__ import annotations
@@ -86,7 +78,7 @@ from repro.sim.single import SingleThreadRunner
 from repro.traces.trace import Segment
 from repro.traces.workloads import build_segments
 
-REPORT_SCHEMA = 9
+REPORT_SCHEMA = 10
 # Instrumentation with telemetry disabled may cost at most this
 # fraction of a Stage-2 replay (the obs layer's headline promise).
 TELEMETRY_DISABLED_BUDGET = 0.02
@@ -95,14 +87,6 @@ TELEMETRY_DISABLED_BUDGET = 0.02
 # (``obs.inc_many``) and lock-free span append hold it near 7% on an
 # idle host; the budget leaves headroom for shared CI runners.
 TELEMETRY_ENABLED_BUDGET = 0.15
-# The graph-scheduled warm path must keep pace with the unplanned warm
-# path: planning (stat + cost passes) may add at most this factor plus
-# a fixed allowance.  The allowance covers the constant per-run cost —
-# cost-model load/save and plan construction — which does not scale
-# with the workload and would otherwise dominate a millisecond-scale
-# tiny-scale warm run; the factor bounds everything that does scale.
-GRAPH_MAX_SLOWDOWN = 1.05
-GRAPH_OVERHEAD_ALLOWANCE_S = 0.02
 # The worker-fleet backend may tax an artifact-warm compare by at most
 # this factor over the local pool, plus the measured transport startup
 # and a fixed allowance.  The allowance covers the per-run cost that
@@ -306,99 +290,18 @@ def bench_compare(scale: ReproScale, benchmarks: Sequence[str],
         return time.perf_counter() - started
 
     cold_s = warm_s = float("inf")
-    # Scheduler pinned off: this section isolates the artifact cache
-    # itself; the planned path has its own bench (:func:`bench_graph`).
-    with _env("REPRO_GRAPH", "off"):
-        for attempt in range(max(1, repeats)):
-            if attempt:
-                shutil.rmtree(cache_root, ignore_errors=True)
-                os.makedirs(cache_root, exist_ok=True)
-            cold_s = min(cold_s, timed_run())
-            warm_s = min(warm_s, timed_run())
+    for attempt in range(max(1, repeats)):
+        if attempt:
+            shutil.rmtree(cache_root, ignore_errors=True)
+            os.makedirs(cache_root, exist_ok=True)
+        cold_s = min(cold_s, timed_run())
+        warm_s = min(warm_s, timed_run())
     return {
         "benchmarks": list(benchmarks),
         "policies": list(policies),
         "cold_s": round(cold_s, 6),
         "warm_s": round(warm_s, 6),
         "speedup": round(cold_s / warm_s, 3) if warm_s > 0 else float("inf"),
-    }
-
-
-# -- experiment-graph scheduler (cold vs warm vs graph-scheduled) ----------
-
-
-def bench_graph(scale: ReproScale, cache_root: str,
-                policies: Sequence[str] = DEFAULT_POLICIES,
-                benchmark: str = "gamess",
-                repeats: int = 1) -> Dict[str, Any]:
-    """Time one shared-trace compare with and without the scheduler.
-
-    All ``policies`` replay the same benchmark, so the trace and every
-    Stage-1 artifact are shared by every cell — the shape the graph
-    scheduler exists for.  Four arms, all serial, all without a result
-    store (cells always compute):
-
-    * ``cold_s`` / ``warm_s`` — ``REPRO_GRAPH=off``; the unplanned
-      artifact-cache baseline from an empty and a populated cache.
-    * ``graph_cold_s`` / ``graph_warm_s`` — ``REPRO_GRAPH=on``; the
-      cold arm pays planning plus the prelude wave, the warm arm pays
-      planning on top of an all-loads plan.
-
-    :func:`check_report` holds ``graph_warm_s`` within
-    :data:`GRAPH_MAX_SLOWDOWN` of ``warm_s`` plus the fixed
-    :data:`GRAPH_OVERHEAD_ALLOWANCE_S` planning allowance: the
-    scheduler must not tax the already-cached path it cannot improve.
-    """
-    import shutil
-
-    from repro.exec import runner as exec_runner
-    from repro.exec.runner import ParallelRunner, SingleCell, TraceSpec
-
-    def build_cells():
-        return [
-            SingleCell(
-                trace=TraceSpec(benchmark, scale.hierarchy.llc_bytes,
-                                scale.segment_accesses),
-                policy=policy,
-                hierarchy=scale.hierarchy,
-                warmup_fraction=scale.warmup_fraction,
-            )
-            for policy in policies
-        ]
-
-    def timed_run() -> float:
-        exec_runner._SEGMENTS.clear()
-        exec_runner._RUNNERS.clear()
-        exec_runner._ARTIFACTS.clear()
-        engine = ParallelRunner(jobs=1, store=None, verbose=False)
-        engine.artifact_root = cache_root
-        started = time.perf_counter()
-        engine.run(build_cells(), label="perf-graph")
-        return time.perf_counter() - started
-
-    def reset_cache() -> None:
-        shutil.rmtree(cache_root, ignore_errors=True)
-        os.makedirs(cache_root, exist_ok=True)
-
-    cold_s = warm_s = graph_cold_s = graph_warm_s = float("inf")
-    for _ in range(max(1, repeats)):
-        with _env("REPRO_GRAPH", "off"):
-            reset_cache()
-            cold_s = min(cold_s, timed_run())
-            warm_s = min(warm_s, timed_run())
-        with _env("REPRO_GRAPH", "on"):
-            reset_cache()
-            graph_cold_s = min(graph_cold_s, timed_run())
-            graph_warm_s = min(graph_warm_s, timed_run())
-    return {
-        "benchmark": benchmark,
-        "policies": list(policies),
-        "cold_s": round(cold_s, 6),
-        "warm_s": round(warm_s, 6),
-        "graph_cold_s": round(graph_cold_s, 6),
-        "graph_warm_s": round(graph_warm_s, 6),
-        "warm_speedup": (round(warm_s / graph_warm_s, 3)
-                         if graph_warm_s > 0 else float("inf")),
     }
 
 
@@ -529,21 +432,18 @@ def bench_dist(scale: ReproScale, cache_root: str,
     fleet_startup_s = _best_of(repeats, startup)
 
     cells = len(build_cells())
-    # Scheduler pinned off for arm symmetry with :func:`bench_compare`;
-    # one untimed serial run materializes the artifact cache.
-    with _env("REPRO_GRAPH", "off"):
-        timed_run("local")  # artifact-cache warmup, untimed
-        local_s = min(timed_run("local") for _ in range(max(1, repeats)))
-        fleet_s = min(timed_run("fleet") for _ in range(max(1, repeats)))
-        # Liveness arm: the same fleet run with worker heartbeats on
-        # (DESIGN.md §16).  Recorded, never gated — the headline
-        # FLEET_MAX_SLOWDOWN promise covers the *default* path, where
-        # heartbeats are off and cost exactly nothing; this arm tracks
-        # what turning them on adds (a per-interval frame write plus a
-        # bounded parent poll quantum).
-        with _env("REPRO_HEARTBEAT", "0.5"):
-            fleet_hb_s = min(timed_run("fleet")
-                             for _ in range(max(1, repeats)))
+    timed_run("local")  # artifact-cache warmup, untimed
+    local_s = min(timed_run("local") for _ in range(max(1, repeats)))
+    fleet_s = min(timed_run("fleet") for _ in range(max(1, repeats)))
+    # Liveness arm: the same fleet run with worker heartbeats on
+    # (DESIGN.md §16).  Recorded, never gated — the headline
+    # FLEET_MAX_SLOWDOWN promise covers the *default* path, where
+    # heartbeats are off and cost exactly nothing; this arm tracks
+    # what turning them on adds (a per-interval frame write plus a
+    # bounded parent poll quantum).
+    with _env("REPRO_HEARTBEAT", "0.5"):
+        fleet_hb_s = min(timed_run("fleet")
+                         for _ in range(max(1, repeats)))
 
     dispatch = fleet_s - fleet_startup_s - local_s
     return {
@@ -587,15 +487,11 @@ def build_report(scale_name: str = "", benchmark: str = "soplex",
         with tempfile.TemporaryDirectory() as tmp:
             report["compare"] = bench_compare(scale, benchmarks, policies,
                                               tmp, repeats=repeats)
-            report["graph"] = bench_graph(scale, tmp, policies,
-                                          repeats=repeats)
             report["dist"] = bench_dist(scale, tmp, policies=policies,
                                         repeats=repeats)
     else:
         report["compare"] = bench_compare(scale, benchmarks, policies,
                                           cache_root, repeats=repeats)
-        report["graph"] = bench_graph(scale, cache_root, policies,
-                                      repeats=repeats)
         report["dist"] = bench_dist(scale, cache_root, policies=policies,
                                     repeats=repeats)
     return report
@@ -610,9 +506,6 @@ def check_report(report: Dict[str, Any],
       under :data:`TELEMETRY_ENABLED_BUDGET` overhead.
     * Every streaming trace reader must decode at least
       :data:`INGEST_MIN_RECORDS_PER_S` records per second.
-    * The graph-scheduled warm compare must stay within
-      :data:`GRAPH_MAX_SLOWDOWN` of the unplanned warm path plus the
-      fixed :data:`GRAPH_OVERHEAD_ALLOWANCE_S` planning allowance.
     * The worker-fleet backend must keep an artifact-warm compare
       within :data:`FLEET_MAX_SLOWDOWN` of the local pool, after the
       measured transport startup plus the fixed
@@ -648,18 +541,6 @@ def check_report(report: Dict[str, Any],
                     f"the {INGEST_MIN_RECORDS_PER_S:,.0f} floor "
                     f"(tolerance x{tolerance})"
                 )
-    graph = report.get("graph")
-    if graph is not None:
-        warm, graph_warm = graph["warm_s"], graph["graph_warm_s"]
-        budget = (warm * GRAPH_MAX_SLOWDOWN + GRAPH_OVERHEAD_ALLOWANCE_S)
-        if graph_warm > budget * tolerance:
-            failures.append(
-                f"graph: scheduled warm compare {graph_warm:.4f}s slower "
-                f"than unplanned warm {warm:.4f}s (allowed "
-                f"x{GRAPH_MAX_SLOWDOWN} + "
-                f"{GRAPH_OVERHEAD_ALLOWANCE_S * 1e3:.0f}ms fixed, "
-                f"tolerance x{tolerance})"
-            )
     dist = report.get("dist")
     if dist is not None:
         local_s, fleet_s = dist["local_s"], dist["fleet_s"]
@@ -711,17 +592,6 @@ def format_report(report: Dict[str, Any]) -> str:
         f"cold {cmp_['cold_s']:.3f}s  warm {cmp_['warm_s']:.3f}s  "
         f"({cmp_['speedup']:.2f}x with warm artifacts)"
     )
-    graph = report.get("graph")
-    if graph is not None:
-        lines.append(
-            f"  graph   {len(graph['policies'])} policies x "
-            f"{graph['benchmark']}: "
-            f"cold {graph['cold_s']:.3f}s/"
-            f"{graph['graph_cold_s']:.3f}s  "
-            f"warm {graph['warm_s']:.3f}s/"
-            f"{graph['graph_warm_s']:.3f}s  "
-            f"(unplanned/scheduled, warm x{graph['warm_speedup']:.2f})"
-        )
     dist = report.get("dist")
     if dist is not None:
         lines.append(

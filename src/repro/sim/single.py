@@ -14,7 +14,6 @@ relative to LRU and summarized by geometric mean.
 
 from __future__ import annotations
 
-import time
 from dataclasses import asdict, dataclass
 from typing import (
     Any,
@@ -313,37 +312,6 @@ class SingleThreadRunner:
                         store.save(segment, cached)
                 self._stage1_cache[segment.name] = cached
         return cached
-
-    def prime_segments(self, segments: Sequence[Segment]
-                       ) -> List[Tuple[str, int, float]]:
-        """Materialize Stage-1 results for ``segments`` ahead of replay.
-
-        The graph scheduler's prelude tasks call this so a node shared
-        by K cells is computed (and stored) exactly once before the
-        cell wave fans out.  Returns ``(name, accesses, seconds)`` for
-        each segment that was genuinely *computed* — store and memo
-        hits are skipped — which is the measured compute-cost sample
-        the scheduler's cost model refines on.  Same lookup order and
-        span as :meth:`upper_result`, so priming never changes results
-        or the emitted span set shape.
-        """
-        computed: List[Tuple[str, int, float]] = []
-        for segment in segments:
-            with obs.span("stage1"):
-                if segment.name in self._stage1_cache:
-                    continue
-                store = self.stage1_store
-                cached = store.load(segment) if store is not None else None
-                if cached is None:
-                    started = time.perf_counter()
-                    cached = self._upper.run(segment.trace)
-                    seconds = time.perf_counter() - started
-                    if store is not None:
-                        store.save(segment, cached)
-                    computed.append((segment.name, len(segment.trace.pcs),
-                                     seconds))
-                self._stage1_cache[segment.name] = cached
-        return computed
 
     # -- stages 2 + 3 ----------------------------------------------------
 

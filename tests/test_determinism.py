@@ -322,27 +322,24 @@ def _search_hash(batch_size=None):
 
 
 class TestGraphPins:
-    """The experiment-graph scheduler changes *when* artifacts load or
-    recompute — never what any cell computes — so the pins must hold
-    with the planner on and off, serial and parallel, cold and warm."""
+    """The batch plan's prelude changes *when* shared artifacts are
+    computed — never what any cell computes — so the pins must hold
+    serial and parallel, cold and warm."""
 
-    @pytest.mark.parametrize("graph", ["on", "off"])
     @pytest.mark.parametrize("jobs", [1, 2])
-    def test_pins_cold_and_warm(self, graph, jobs, tmp_path, monkeypatch):
+    def test_pins_cold_and_warm(self, jobs, tmp_path):
         from repro.exec import runner as exec_runner
 
-        monkeypatch.setenv("REPRO_GRAPH", graph)
         exec_runner._SEGMENTS.clear()
         exec_runner._RUNNERS.clear()
         exec_runner._ARTIFACTS.clear()
         store = ResultStore(tmp_path / "cache")
-        # Cold: the planner sees an empty store and schedules computes.
+        # Cold: the store is empty, shared inputs run in the prelude.
         _assert_pinned(ParallelRunner(jobs=jobs, store=store, verbose=False))
-        # Warm: materialized artifacts flip the plan toward loads.
+        # Warm: every result replays from the store.
         _assert_pinned(ParallelRunner(jobs=jobs, store=store, verbose=False))
 
-    def test_search_pin_with_graph(self, monkeypatch):
-        monkeypatch.setenv("REPRO_GRAPH", "on")
+    def test_search_pin_with_graph(self):
         assert _search_hash() == SEARCH_HASH
 
 

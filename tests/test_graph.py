@@ -1,36 +1,31 @@
-"""Cost-aware experiment-graph scheduler (repro.graph).
+"""Batch dedupe and prelude (repro.graph).
 
-Covers the three layers independently — the persistent cost model, the
-SIGMOD-2020 forward/backward passes on hand-built graphs, and the
-planner's lowering of real cells — plus the end-to-end execution
-contracts: shared Stage-1 nodes compute exactly once, deny-load plans
-recompute instead of reading the store, corrupt or truncated blobs
-degrade to misses, and results are bit-identical with the scheduler on
-or off (the full pinned-hash matrix lives in test_determinism.py).
+Covers the planner's lowering of real cells — consumer counts per
+trace and Stage-1 input, loads versus computes against the store, and
+the prelude it picks for single, mix and search cells — plus the
+end-to-end execution contracts: shared Stage-1 inputs compute exactly
+once, and corrupt or truncated blobs degrade to misses (the full
+pinned-hash matrix lives in test_determinism.py).
 """
+
+import dataclasses
 
 import pytest
 
 from repro.config import TINY
-from repro.exec import ParallelRunner, SingleCell, TraceSpec
-from repro.exec.artifacts import stage1_key, scope_payload, trace_key
+from repro.core.presets import table_1b_features
+from repro.exec import (
+    MixCell,
+    ParallelRunner,
+    SearchCell,
+    SingleCell,
+    SuiteSpec,
+    TraceSpec,
+)
+from repro.exec.artifacts import stage1_key, scope_payload
 from repro.exec.cachekey import stable_hash
 from repro.exec.store import ResultStore
-from repro.graph import (
-    COSTS_KEY,
-    CostModel,
-    ExperimentGraph,
-    GraphNode,
-    graph_enabled,
-    plan_cells,
-)
-from repro.graph.costs import (
-    COSTS_KIND,
-    DEFAULT_RATES,
-    DEFAULT_READ_BPS,
-    EWMA_ALPHA,
-    READ_OVERHEAD_S,
-)
+from repro.graph import plan_cells
 from repro.traces.workloads import segment_names
 
 ACCESSES = 2_000
@@ -57,146 +52,12 @@ def _cells(benchmark="gamess", policies=POLICIES):
     ]
 
 
+def _items(cells):
+    return [(cell, stable_hash(cell.key_payload())) for cell in cells]
+
+
 def _result_hash(cells, results):
     return stable_hash({"results": [r.to_dict() for r in results]})
-
-
-# -- cost model ------------------------------------------------------------
-
-
-class TestCostModel:
-    def test_default_costs(self):
-        model = CostModel()
-        assert model.compute_cost("trace", 1000) == pytest.approx(
-            DEFAULT_RATES["trace"] * 1000)
-        assert model.load_cost(10_000) == pytest.approx(
-            READ_OVERHEAD_S + 10_000 / DEFAULT_READ_BPS)
-        assert model.compute_cost("unknown-kind", 1000) == 0.0
-
-    def test_cold_model_prefers_loading_existing_blobs(self):
-        """Defaults must reproduce pre-scheduler behavior: load what
-        exists.  A typical Stage-1 blob loads far cheaper than the
-        default compute rate recreates it."""
-        model = CostModel()
-        blob_bytes = 50 * ACCESSES
-        assert model.load_cost(blob_bytes) < model.compute_cost(
-            "stage1", ACCESSES)
-
-    def test_observe_compute_ewma(self):
-        model = CostModel()
-        old = model.rates["stage1"]
-        model.observe_compute("stage1", 1000, 1.0)  # 1e-3 s/access
-        assert model.rates["stage1"] == pytest.approx(
-            (1 - EWMA_ALPHA) * old + EWMA_ALPHA * 1e-3)
-        assert model.samples == 1
-        # Degenerate samples are ignored.
-        model.observe_compute("stage1", 0, 1.0)
-        model.observe_compute("stage1", 1000, 0.0)
-        assert model.samples == 1
-
-    def test_observe_load_ewma(self):
-        model = CostModel()
-        model.observe_load(1_000_000, 0.01)  # 100 MB/s
-        assert model.read_bps == pytest.approx(
-            (1 - EWMA_ALPHA) * DEFAULT_READ_BPS + EWMA_ALPHA * 1e8)
-
-    def test_persistence_roundtrip(self, tmp_path):
-        store = ResultStore(tmp_path / "cache")
-        model = CostModel()
-        model.observe_compute("stage1", 1000, 2.5)
-        model.observe_load(500_000, 0.02)
-        model.save(store)
-        loaded = CostModel.load(store)
-        assert loaded.to_payload() == model.to_payload()
-
-    def test_corrupt_payload_degrades_to_defaults(self, tmp_path):
-        store = ResultStore(tmp_path / "cache")
-        store.put(COSTS_KEY, {"kind": COSTS_KIND, "result": "not-a-dict"})
-        model = CostModel.load(store)
-        assert model.to_payload() == CostModel().to_payload()
-        store.put(COSTS_KEY, {"kind": "something-else", "result": {}})
-        assert CostModel.load(store).samples == 0
-
-    def test_eviction_survival(self, tmp_path):
-        """Losing the blob to GC degrades to defaults, never crashes."""
-        store = ResultStore(tmp_path / "cache")
-        model = CostModel()
-        model.observe_compute("trace", 1000, 1.0)
-        model.save(store)
-        assert store.gc(max_entries=0) >= 1
-        loaded = CostModel.load(store)
-        assert loaded.to_payload() == CostModel().to_payload()
-        # And saving again after eviction works.
-        model.save(store)
-        assert CostModel.load(store).samples == model.samples
-
-
-# -- forward/backward passes on synthetic graphs ---------------------------
-
-
-def _chain(materialized_stage1=False, blob_bytes=0):
-    """trace -> stage1 -> cell, with optional materialized stage1."""
-    graph = ExperimentGraph()
-    graph.add(GraphNode(key="t", kind="trace", label="t", accesses=1000))
-    graph.add(GraphNode(key="s", kind="stage1", label="s", parents=("t",),
-                        accesses=1000, materialized=materialized_stage1,
-                        blob_bytes=blob_bytes))
-    graph.add(GraphNode(key="c", kind="cell", label="c", parents=("s",)))
-    return graph
-
-
-class TestReusePasses:
-    def test_parent_after_child_rejected(self):
-        graph = ExperimentGraph()
-        with pytest.raises(ValueError):
-            graph.add(GraphNode(key="s", kind="stage1", label="s",
-                                parents=("t",)))
-
-    def test_cheap_load_beats_recompute(self):
-        graph = _chain(materialized_stage1=True, blob_bytes=1000)
-        graph.plan(CostModel())
-        assert graph.nodes["s"].action == "load"
-        # The load cuts recomputation: the trace above it is pruned.
-        assert not graph.nodes["t"].needed
-        assert graph.counts() == {
-            "nodes": 2, "loads": 1, "computes": 0, "shared": 0, "pruned": 1,
-        }
-
-    def test_expensive_load_recomputes(self):
-        """A blob on pathologically slow storage is planned for
-        recompute, which keeps its parents needed."""
-        graph = _chain(materialized_stage1=True, blob_bytes=10**12)
-        graph.plan(CostModel(read_bps=1.0))
-        assert graph.nodes["s"].action == "compute"
-        assert graph.nodes["t"].needed
-        assert graph.counts()["computes"] == 2
-
-    def test_recreation_cost_includes_parents(self):
-        """Loading pays off as soon as it beats compute + upstream
-        recreation, even if it loses against the node's own compute."""
-        model = CostModel(rates={"trace": 1.0, "stage1": 1e-9},
-                          read_bps=DEFAULT_READ_BPS)
-        graph = _chain(materialized_stage1=True, blob_bytes=1000)
-        graph.plan(model)
-        # stage1's own compute (~1e-6 s) is cheaper than the load, but
-        # recreating it would also recreate the 1000 s trace.
-        assert graph.nodes["s"].load_cost > graph.nodes["s"].compute_cost
-        assert graph.nodes["s"].action == "load"
-
-    def test_loaded_parent_collapses_recreation(self):
-        graph = ExperimentGraph()
-        graph.add(GraphNode(key="t", kind="trace", label="t", accesses=1000,
-                            materialized=True, blob_bytes=100))
-        graph.add(GraphNode(key="s", kind="stage1", label="s", parents=("t",),
-                            accesses=1000, materialized=True,
-                            blob_bytes=10**10))
-        graph.add(GraphNode(key="c", kind="cell", label="c", parents=("s",)))
-        graph.plan(CostModel())
-        # The trace loads, so stage1's recreation chain is tiny and its
-        # huge blob loses to recompute; the loaded trace stays needed.
-        assert graph.nodes["t"].action == "load"
-        assert graph.nodes["s"].action == "compute"
-        assert graph.nodes["t"].needed
 
 
 # -- planner lowering ------------------------------------------------------
@@ -205,65 +66,90 @@ class TestReusePasses:
 class TestPlanner:
     def test_shared_nodes_deduplicated(self, tmp_path):
         store = ResultStore(tmp_path / "cache")
-        cells = _cells()
-        items = [(cell, stable_hash(cell.key_payload())) for cell in cells]
-        plan = plan_cells(items, store, CostModel())
+        plan = plan_cells(_items(_cells()), store)
         names = segment_names("gamess")
         # One trace + one stage1 node per segment, regardless of the
-        # number of policies sharing them.
+        # number of policies sharing them; every one has all of the
+        # policies as consumers.
         assert plan.counts["nodes"] == 1 + len(names)
         assert plan.counts["shared"] == 1 + len(names)
-        spec = cells[0].trace
-        tkey = trace_key(spec.payload())
-        assert plan.graph.nodes[tkey].consumers == len(POLICIES)
         # Cold store: everything computes, shared nodes join the prelude.
         assert plan.counts["computes"] == plan.counts["nodes"]
+        assert plan.counts["loads"] == 0
         assert len(plan.prelude) == 1
         assert plan.prelude[0].segments == tuple(sorted(names))
-        assert plan.deny == frozenset()
 
     def test_disjoint_benchmarks_not_shared(self, tmp_path):
         store = ResultStore(tmp_path / "cache")
         cells = _cells("gamess", ("lru",)) + _cells("soplex", ("lru",))
-        items = [(cell, stable_hash(cell.key_payload())) for cell in cells]
-        plan = plan_cells(items, store, CostModel())
+        plan = plan_cells(_items(cells), store)
         assert plan.counts["shared"] == 0
         assert plan.prelude == ()
 
     def test_materialized_blobs_load_with_default_costs(self, tmp_path):
+        """Inputs the store already holds count as loads and never
+        join the prelude, however many cells share them."""
         _clear_memos()  # the seed run must write to *this* store
         store = ResultStore(tmp_path / "cache")
         engine = ParallelRunner(jobs=1, store=store, verbose=False)
         engine.run(_cells(), label="seed")
-        cells = _cells(policies=("drrip",))
-        items = [(cell, stable_hash(cell.key_payload())) for cell in cells]
-        plan = plan_cells(items, store, CostModel())
-        assert plan.counts["loads"] > 0
+        plan = plan_cells(_items(_cells(policies=("drrip", "ship"))), store)
+        assert plan.counts["loads"] == plan.counts["nodes"] > 0
         assert plan.counts["computes"] == 0
-        assert plan.deny == frozenset()
+        assert plan.counts["shared"] == plan.counts["nodes"]
         assert plan.prelude == ()
 
-    def test_slow_store_denies_loads(self, tmp_path):
-        """A cost model that rates the store pathologically slow plans
-        recompute for materialized blobs — the deny set."""
-        _clear_memos()  # the seed run must write to *this* store
+    def test_mix_cells_share_the_trace_but_not_stage1(self, tmp_path):
+        """Two mixes drawing different segments of one benchmark need
+        the same trace and disjoint Stage-1 inputs: the prelude builds
+        the trace alone."""
         store = ResultStore(tmp_path / "cache")
-        engine = ParallelRunner(jobs=1, store=store, verbose=False)
-        engine.run(_cells(), label="seed")
-        cells = _cells(policies=("drrip",))
-        items = [(cell, stable_hash(cell.key_payload())) for cell in cells]
-        plan = plan_cells(items, store, CostModel(read_bps=1.0))
-        assert plan.counts["loads"] == 0
-        assert len(plan.deny) == plan.counts["computes"] > 0
+        suite = SuiteSpec(TINY.hierarchy.llc_bytes, ACCESSES)
+        names = segment_names("soplex")
+        assert len(names) >= 2
+        cells = [
+            MixCell(suite=suite, mix_name=f"mix-{name}",
+                    segment_names=(name,), policy="lru",
+                    hierarchy=TINY.multi_hierarchy,
+                    warmup_fraction=TINY.warmup_fraction)
+            for name in names[:2]
+        ]
+        plan = plan_cells(_items(cells), store)
+        assert plan.counts["nodes"] == 3  # one trace, two Stage-1 keys
+        assert plan.counts["shared"] == 1
+        [group] = plan.prelude
+        assert group.trace == suite.trace_spec("soplex")
+        assert group.segments == ()
+
+    def test_search_cells_share_every_input(self, tmp_path):
+        store = ResultStore(tmp_path / "cache")
+        suite = SuiteSpec(TINY.hierarchy.llc_bytes, ACCESSES,
+                          names=("gamess", "soplex"))
+        features = table_1b_features()
+        cells = [
+            SearchCell(suite=suite, features=features[:size],
+                       hierarchy=TINY.hierarchy,
+                       warmup_fraction=TINY.warmup_fraction)
+            for size in (len(features), len(features) - 1,
+                         len(features) - 2)
+        ]
+        plan = plan_cells(_items(cells), store)
+        benchmarks = ("gamess", "soplex")
+        nodes = sum(1 + len(segment_names(name)) for name in benchmarks)
+        assert plan.counts["nodes"] == plan.counts["shared"] == nodes
+        assert plan.counts["computes"] == nodes
+        # One prelude group per benchmark, holding all of its segments.
+        assert len(plan.prelude) == len(benchmarks)
+        assert {group.trace.benchmark: group.segments
+                for group in plan.prelude} == {
+            name: tuple(sorted(segment_names(name))) for name in benchmarks}
 
 
 # -- end-to-end execution contracts ----------------------------------------
 
 
 class TestGraphExecution:
-    def test_shared_stage1_computes_exactly_once(self, tmp_path,
-                                                 monkeypatch):
-        monkeypatch.setenv("REPRO_GRAPH", "on")
+    def test_shared_stage1_computes_exactly_once(self, tmp_path):
         _clear_memos()
         store = ResultStore(tmp_path / "cache")
         engine = ParallelRunner(jobs=2, store=store, verbose=False)
@@ -278,43 +164,8 @@ class TestGraphExecution:
         assert report.graph_shared == 1 + len(names)
         assert report.graph_prelude == 1
 
-    def test_graph_off_reports_no_plan(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("REPRO_GRAPH", "off")
-        _clear_memos()
-        store = ResultStore(tmp_path / "cache")
-        engine = ParallelRunner(jobs=1, store=store, verbose=False)
-        engine.run(_cells(), label="graph/off")
-        assert engine.last_report.graph_nodes == 0
-        assert engine.last_report.graph_prelude == 0
-
-    def test_deny_load_recomputes_identically(self, tmp_path, monkeypatch):
-        """With a persisted cost model that forbids loading, a warm
-        artifact cache is bypassed — and results do not change."""
-        monkeypatch.setenv("REPRO_GRAPH", "on")
-        _clear_memos()
-        store = ResultStore(tmp_path / "cache")
-        cells = _cells()
-        engine = ParallelRunner(jobs=1, store=store, verbose=False)
-        baseline = _result_hash(cells, engine.run(cells, label="seed"))
-
-        # Drop result blobs so cells re-execute, then (after — the model
-        # is itself a .json blob) persist a model that forbids loading.
-        for blob in list(store.root.glob("??/*.json")):
-            blob.unlink()
-        CostModel(read_bps=1e-9).save(store)
-        _clear_memos()
-        engine = ParallelRunner(jobs=1, store=store, verbose=False)
-        rerun = _result_hash(cells, engine.run(cells, label="deny"))
-        report = engine.last_report
-        assert rerun == baseline
-        assert report.graph_denied > 0
-        # Denied lookups are misses: the artifacts recompute.
-        assert report.stage1_misses > 0 or report.trace_misses > 0
-
     @pytest.mark.parametrize("damage", ["truncate", "corrupt"])
-    def test_damaged_stage1_blob_is_a_miss(self, damage, tmp_path,
-                                           monkeypatch):
-        monkeypatch.setenv("REPRO_GRAPH", "on")
+    def test_damaged_stage1_blob_is_a_miss(self, damage, tmp_path):
         _clear_memos()
         store = ResultStore(tmp_path / "cache")
         cells = _cells()
@@ -323,7 +174,6 @@ class TestGraphExecution:
 
         spec = cells[0].trace
         scope = scope_payload(spec.llc_bytes, spec.accesses, spec.seed)
-        import dataclasses
         hpayload = dataclasses.asdict(TINY.hierarchy)
         name = segment_names("gamess")[0]
         key = stage1_key(scope, name, hpayload, True)
@@ -344,30 +194,3 @@ class TestGraphExecution:
         assert engine.last_report.stage1_misses >= 1
         rebuilt = store.get_bytes(key)
         assert rebuilt is not None and rebuilt != blob[: len(blob) // 2]
-
-    def test_costs_persist_and_refine_across_runs(self, tmp_path,
-                                                  monkeypatch):
-        monkeypatch.setenv("REPRO_GRAPH", "on")
-        _clear_memos()
-        store = ResultStore(tmp_path / "cache")
-        engine = ParallelRunner(jobs=1, store=store, verbose=False)
-        engine.run(_cells(), label="learn")
-        model = CostModel.load(store)
-        # The prelude's measured compute samples reached the store.
-        assert model.samples > 0
-        assert model.to_payload() != CostModel().to_payload()
-
-
-class TestKnob:
-    @pytest.mark.parametrize("value,expected", [
-        ("on", True), ("", True), ("anything", True),
-        ("off", False), ("0", False), ("none", False),
-        ("false", False), ("no", False), ("OFF", False),
-    ])
-    def test_graph_enabled(self, value, expected, monkeypatch):
-        monkeypatch.setenv("REPRO_GRAPH", value)
-        assert graph_enabled() is expected
-
-    def test_default_is_on(self, monkeypatch):
-        monkeypatch.delenv("REPRO_GRAPH", raising=False)
-        assert graph_enabled() is True

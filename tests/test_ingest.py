@@ -285,18 +285,20 @@ class TestExecIntegration:
         assert "cannot open trace file" in failure.message
 
     def test_graph_planner_prices_ingested_cells(self, tmp_path):
-        from repro.graph.costs import CostModel
+        """The planner keys an ingested cell's inputs exactly as the
+        artifact cache does: by content digest."""
         from repro.exec.store import ResultStore
 
         cell = self._cell(tmp_path)
         store = ResultStore(tmp_path / "cache")
-        plan = plan_cells([(cell, stable_hash(cell.key_payload()))], store,
-                          CostModel())
-        kinds = {node.kind for node in plan.graph.nodes.values()}
-        assert kinds == {"trace", "stage1", "cell"}
+        items = [(cell, stable_hash(cell.key_payload()))]
+        nodes = 1 + len(cell.trace.segment_names())
+        assert plan_cells(items, store).counts == {
+            "nodes": nodes, "loads": 0, "computes": nodes, "shared": 0}
         tkey = trace_key(cell.trace.payload())
         skey = stage1_key(ingest_scope(cell.trace.ingest.payload()),
                           "real.s0", cell.key_payload()["hierarchy"],
                           cell.prefetch)
-        assert tkey in plan.graph.nodes
-        assert skey in plan.graph.nodes
+        store.put_bytes(tkey, b"trace")
+        store.put_bytes(skey, b"stage1")
+        assert plan_cells(items, store).counts["loads"] == 2
