@@ -323,21 +323,28 @@ def _search_hash(batch_size=None):
 
 class TestGraphPins:
     """The batch plan's prelude changes *when* shared artifacts are
-    computed — never what any cell computes — so the pins must hold
-    serial and parallel, cold and warm."""
+    computed, and a straggler hedge only *which copy* of a cell lands
+    first — never what any cell computes — so the pins must hold
+    serial and parallel, cold and warm, hedged or not.  Hedging runs
+    against a real store here: its baseline is the median of the
+    cells completed so far, whatever the store already holds."""
 
+    @pytest.mark.parametrize("hedge", ["on", "off"])
     @pytest.mark.parametrize("jobs", [1, 2])
-    def test_pins_cold_and_warm(self, jobs, tmp_path):
+    def test_pins_cold_and_warm(self, hedge, jobs, tmp_path):
         from repro.exec import runner as exec_runner
 
         exec_runner._SEGMENTS.clear()
         exec_runner._RUNNERS.clear()
         exec_runner._ARTIFACTS.clear()
         store = ResultStore(tmp_path / "cache")
+        multiple = 2.0 if hedge == "on" else None
         # Cold: the store is empty, shared inputs run in the prelude.
-        _assert_pinned(ParallelRunner(jobs=jobs, store=store, verbose=False))
+        _assert_pinned(ParallelRunner(jobs=jobs, store=store, verbose=False,
+                                      hedge=multiple))
         # Warm: every result replays from the store.
-        _assert_pinned(ParallelRunner(jobs=jobs, store=store, verbose=False))
+        _assert_pinned(ParallelRunner(jobs=jobs, store=store, verbose=False,
+                                      hedge=multiple))
 
     def test_search_pin_with_graph(self):
         assert _search_hash() == SEARCH_HASH
