@@ -116,7 +116,7 @@ def _resolve_trace(args: argparse.Namespace,
 
     Resolution happens once, here: the content digest is computed (or
     revalidated from its sidecar) before any cell is scheduled, so
-    workers — local, fleet, or ssh — receive a finished recipe and only
+    workers, local or on ssh hosts, receive a finished recipe and only
     ever re-open the file to decode it.
     """
     path = getattr(args, "trace_file", None) \
@@ -171,16 +171,10 @@ def _add_exec(parser: argparse.ArgumentParser) -> None:
                              "<cache>/runs/<run-id>.events.jsonl "
                              "(also: REPRO_TELEMETRY=1); inspect with "
                              "'repro.cli stats'")
-    parser.add_argument("--backend", default=None,
-                        choices=("local", "fleet", "ssh"),
-                        help="execution backend: in-process pool "
-                             "('local', default), long-lived worker "
-                             "subprocesses ('fleet'), or remote workers "
-                             "over ssh ('ssh'); default: $REPRO_BACKEND")
     parser.add_argument("--workers", default=None, metavar="SPEC",
-                        help="worker spec: a count for the fleet backend "
-                             "('4'), or 'host[:slots],...' for ssh "
-                             "(default: $REPRO_WORKERS or --jobs)")
+                        help="run workers on ssh hosts, 'host[:slots],...' "
+                             "(default: $REPRO_WORKERS; without it, --jobs "
+                             "local workers)")
     parser.add_argument("--shared-store", default=None, metavar="DIR",
                         help="shared read-through result-store tier "
                              "(default: $REPRO_SHARED_STORE; 'off' "
@@ -212,7 +206,6 @@ def _engine(args: argparse.Namespace) -> ParallelRunner:
         retries=getattr(args, "retries", None),
         cell_timeout=getattr(args, "cell_timeout", None),
         command=getattr(args, "argv", None),
-        backend=getattr(args, "backend", None),
         workers=getattr(args, "workers", None),
         shared_store=getattr(args, "shared_store", None) or "",
         hedge=getattr(args, "hedge", None),
@@ -655,13 +648,36 @@ def cmd_cache(args: argparse.Namespace) -> int:
     return 0
 
 
+def _drop_retired_flags(command: List[str]) -> List[str]:
+    """Drop the exec flags older runs recorded that the CLI has retired.
+
+    ``--backend X`` picked a transport, and a bare-integer
+    ``--workers N`` sized a local worker fleet; ``--jobs`` sizes the
+    local workers now.  Exec flags never entered the run id, so the
+    re-driven command still reopens the same manifest.
+    """
+    kept: List[str] = []
+    parts = list(command)
+    while parts:
+        part = parts.pop(0)
+        flag, eq, value = part.partition("=")
+        if flag in ("--backend", "--workers"):
+            if not eq and parts:
+                value = parts[0]
+            if flag == "--backend" or value.strip().isdigit():
+                if not eq and parts:
+                    parts.pop(0)
+                continue
+        kept.append(part)
+    return kept
+
+
 def _override_exec_args(command: List[str],
                         args: argparse.Namespace) -> List[str]:
     """Apply ``resume`` execution overrides to a recorded argv.
 
-    Any override given to ``resume`` (``--jobs`` / ``--backend`` /
-    ``--workers`` / ``--shared-store`` / ``--hedge``) replaces the
-    recorded flag,
+    Any override given to ``resume`` (``--jobs`` / ``--workers`` /
+    ``--shared-store`` / ``--hedge``) replaces the recorded flag,
     whether the original used the space or ``=`` form.  Flags not
     overridden pass through untouched.  Exec flags never enter the
     run id (see :data:`repro.exec.manifest.EXEC_FLAGS`), so the
@@ -670,8 +686,6 @@ def _override_exec_args(command: List[str],
     overrides = {}
     if args.jobs is not None:
         overrides["--jobs"] = str(args.jobs)
-    if args.backend is not None:
-        overrides["--backend"] = args.backend
     if args.workers is not None:
         overrides["--workers"] = args.workers
     if args.shared_store is not None:
@@ -736,7 +750,8 @@ def cmd_resume(args: argparse.Namespace) -> int:
               f"library, not the CLI; re-run it from its caller",
               file=sys.stderr)
         return 2
-    command = _override_exec_args(list(manifest.command), args)
+    command = _override_exec_args(_drop_retired_flags(manifest.command),
+                                  args)
     print(f"resuming {manifest.run_id[:12]} ({manifest.progress()}): "
           f"{' '.join(command)}")
     # Completed cells are store hits, so only unfinished cells recompute.
@@ -813,7 +828,7 @@ def build_parser() -> argparse.ArgumentParser:
                       metavar="PATH")
     perf.add_argument("--check", action="store_true",
                       help="exit 1 if a perf gate fails (telemetry "
-                           "budgets, ingest throughput, fleet overhead)")
+                           "budgets, ingest throughput)")
     perf.add_argument("--tolerance", type=float, default=1.0,
                       help="multiplier loosening the --check timing budgets")
     _add_scale(perf)
@@ -844,11 +859,8 @@ def build_parser() -> argparse.ArgumentParser:
                              "(default: $REPRO_CACHE_DIR or .repro-cache)")
     resume.add_argument("--jobs", type=int, default=None, metavar="N",
                         help="override the recorded --jobs for this resume")
-    resume.add_argument("--backend", default=None,
-                        choices=("local", "fleet", "ssh"),
-                        help="override the recorded execution backend")
     resume.add_argument("--workers", default=None, metavar="SPEC",
-                        help="override the recorded worker spec")
+                        help="override the recorded ssh worker spec")
     resume.add_argument("--shared-store", default=None, metavar="DIR",
                         help="override the recorded shared store tier")
     resume.add_argument("--hedge", type=float, default=None, metavar="MULT",

@@ -11,15 +11,11 @@ from repro.exec.cachekey import (
     task_seed,
 )
 from repro.exec.backends import (
-    BACKEND_NAMES,
     BackendUnavailable,
-    ExecutionBackend,
     Frame,
-    LocalPoolBackend,
     SSHBackend,
     WorkerFleetBackend,
     parse_worker_spec,
-    resolve_backend_name,
 )
 from repro.exec.faults import (
     CellExecutionError,
@@ -57,15 +53,11 @@ __all__ = [
     "canonical_json",
     "stable_hash",
     "task_seed",
-    "BACKEND_NAMES",
     "BackendUnavailable",
-    "ExecutionBackend",
     "Frame",
-    "LocalPoolBackend",
     "SSHBackend",
     "WorkerFleetBackend",
     "parse_worker_spec",
-    "resolve_backend_name",
     "CellExecutionError",
     "CellFailure",
     "ConfigError",

@@ -1,18 +1,11 @@
-"""Pluggable execution backends for the distributed experiment mesh.
+"""The worker transport the parallel drive loop speaks.
 
-Three transports behind one interface (see :mod:`.base`):
-
-* ``local`` — :class:`LocalPoolBackend`, today's process pool
-  (default, bit-identity reference);
-* ``fleet`` — :class:`WorkerFleetBackend`, N long-lived worker
-  subprocesses speaking the length-prefixed pickle framing protocol;
-* ``ssh`` — :class:`SSHBackend`, the same protocol tunneled over
-  ``ssh host python -m repro.exec.worker``.
-
-Selection: ``--backend`` / ``REPRO_BACKEND`` picks the transport;
-``--workers`` / ``REPRO_WORKERS`` sizes it (a slot count for fleet, a
-``host[:slots],...`` spec for ssh).  The local backend sizes from
-``--jobs`` as always.
+:class:`WorkerFleetBackend` is the only way a cell reaches a worker
+process.  By default its slots are local children forked from this
+process, sized by ``--jobs``.  A ``--workers host[:slots],...`` spec
+(or ``REPRO_WORKERS``) selects :class:`SSHBackend` instead: the same
+framing protocol tunneled over ``ssh host python -m
+repro.exec.worker``, sized by the summed per-host slots.
 """
 
 from __future__ import annotations
@@ -20,20 +13,17 @@ from __future__ import annotations
 import os
 from typing import Optional
 
-from repro.exec.backends.base import (
+from repro.exec.backends.fleet import (
     FRAME_ERROR,
     FRAME_LOST,
     FRAME_OK,
+    HEARTBEAT_LOST,
     BackendUnavailable,
-    ExecutionBackend,
     Frame,
-)
-from repro.exec.backends.fleet import (
     WorkerFleetBackend,
     knob_env,
     worker_command,
 )
-from repro.exec.backends.local import LocalPoolBackend
 from repro.exec.backends.ssh import (
     SSHBackend,
     parse_worker_spec,
@@ -41,84 +31,45 @@ from repro.exec.backends.ssh import (
 )
 from repro.exec.faults import ConfigError
 
-BACKEND_NAMES = ("local", "fleet", "ssh")
-
-
-def resolve_backend_name(backend: Optional[str] = None) -> str:
-    """Effective backend name: explicit arg > ``REPRO_BACKEND`` > local."""
-    name = (backend or os.environ.get("REPRO_BACKEND") or "local")
-    name = name.strip().lower()
-    if name not in BACKEND_NAMES:
-        raise ConfigError(
-            f"unknown execution backend {name!r} "
-            f"(expected one of {', '.join(BACKEND_NAMES)})")
-    return name
-
 
 def resolve_workers_spec(workers: Optional[str] = None) -> Optional[str]:
-    """Effective worker spec: explicit arg > ``REPRO_WORKERS`` > none."""
-    spec = workers if workers is not None else os.environ.get("REPRO_WORKERS")
-    if spec is None:
-        return None
-    spec = spec.strip()
-    return spec or None
+    """Effective ssh worker spec: explicit arg > ``REPRO_WORKERS`` > none.
 
-
-def resolve_slots(name: str, jobs: int,
-                  workers_spec: Optional[str]) -> int:
-    """Worker-slot count for a backend choice.
-
-    ``local`` sizes from ``jobs``.  ``fleet`` takes an integer worker
-    count (falling back to ``jobs``).  ``ssh`` requires a host spec and
-    sizes from the summed per-host slots.
+    A bare integer is refused rather than read as a host name: local
+    workers are sized by ``--jobs``.
     """
-    if name == "local":
-        return jobs
-    if name == "fleet":
-        if workers_spec is None:
-            return jobs
-        try:
-            slots = int(workers_spec)
-        except ValueError:
-            raise ConfigError(
-                f"--workers: fleet backend expects an integer worker "
-                f"count, got {workers_spec!r}") from None
-        if slots < 1:
-            raise ConfigError("--workers: worker count must be >= 1")
-        return slots
-    if workers_spec is None:
+    spec = workers if workers is not None else os.environ.get("REPRO_WORKERS")
+    spec = (spec or "").strip()
+    if not spec:
+        return None
+    if spec.isdigit():
         raise ConfigError(
-            "--workers host[:slots],... is required for the ssh backend")
-    return total_slots(workers_spec)
+            f"--workers takes ssh hosts as host[:slots],..., not a count "
+            f"({spec!r}); size local workers with --jobs")
+    return spec
 
 
-def create_backend(name: str, slots: int,
-                   workers_spec: Optional[str]) -> ExecutionBackend:
-    """Instantiate a started-but-not-running backend for ``slots``."""
-    if name == "local":
-        return LocalPoolBackend(slots)
-    if name == "fleet":
-        return WorkerFleetBackend([worker_command()] * slots)
-    return SSHBackend(parse_worker_spec(workers_spec or ""))
+def create_backend(slots: int,
+                   workers_spec: Optional[str]) -> WorkerFleetBackend:
+    """The transport for one drive: ssh slots for a spec, else local."""
+    if workers_spec is not None:
+        return SSHBackend(parse_worker_spec(workers_spec))
+    return WorkerFleetBackend(slots)
 
 
 __all__ = [
-    "BACKEND_NAMES",
     "BackendUnavailable",
     "ConfigError",
-    "ExecutionBackend",
     "FRAME_ERROR",
     "FRAME_LOST",
     "FRAME_OK",
     "Frame",
-    "LocalPoolBackend",
+    "HEARTBEAT_LOST",
     "SSHBackend",
     "WorkerFleetBackend",
     "create_backend",
     "knob_env",
     "parse_worker_spec",
-    "resolve_backend_name",
-    "resolve_slots",
     "resolve_workers_spec",
     "total_slots",
     "worker_command",

@@ -1,23 +1,55 @@
-"""``WorkerFleetBackend``: N long-lived worker subprocesses speaking
-the length-prefixed pickle framing protocol over stdin/stdout pipes.
+"""``WorkerFleetBackend``: the one transport that carries cells to worker
+processes, over the length-prefixed pickle framing protocol.
 
-This is the transport-agnostic core of the distributed mesh: the
-backend only needs an argv per slot that starts
-``python -m repro.exec.worker`` *somewhere* — a local subprocess here,
-an ``ssh host ...`` tunnel in :mod:`repro.exec.backends.ssh`.  One
-daemon reader thread per worker pumps inbound frames into a shared
-queue; the drive loop's ``poll`` drains it.  A worker whose stream
-ends (crash, kill, dropped connection, corrupt frame) surfaces as a
-``lost`` frame for whatever task it was running, and the runner's
-requeue + rebuild machinery — the same path that handles
-``BrokenProcessPool`` — guarantees the cell still runs exactly once
-per key.
+Every slot is a process running :func:`repro.exec.worker.serve` on a
+pair of pipes.  On Linux the local slots are children forked from this
+process: a fork starts in milliseconds with the simulation stack
+already imported, where an exec'd ``python -m repro.exec.worker`` pays
+about half a second of interpreter start and imports on every drive.
+Other slots are spawned from an argv: the ``ssh host ...`` tunnels of
+:mod:`repro.exec.backends.ssh`, and the local worker module on
+platforms where a fork without exec is not safe.  Everything above the
+spawn is shared.  One daemon reader thread per worker pumps inbound
+frames into a queue that the drive loop's ``poll`` drains.  A worker
+whose stream ends (crash, kill, dropped connection, corrupt frame)
+surfaces as a ``lost`` frame for whatever task it was running, and the
+runner's requeue + rebuild machinery guarantees the cell still runs
+exactly once per key.
 
-Environment/knob propagation: after the ``hello`` handshake each
-worker receives one ``config`` frame carrying a snapshot of the
-parent's ``REPRO_*`` environment, so fault-injection specs, kernel
-backends, scale knobs, and the shared-store tier behave identically on
-every host.
+The contract :class:`~repro.exec.runner.ParallelRunner` relies on:
+
+* ``submit`` either accepts the task or raises
+  :class:`BackendUnavailable` (no live idle slot, broken pipe); the
+  caller requeues and triggers a rebuild.
+* ``poll`` blocks up to ``timeout`` seconds (``None`` = until
+  something completes) and returns every frame that is ready.  A frame
+  is emitted at most once per submitted task id.
+* ``rebuild`` tears down every worker, returns the task ids that were
+  in flight, and restores full submission capacity.
+* ``discard`` forgets an in-flight task: a late completion for it
+  never surfaces as a frame.  ``kill=True`` (watchdog expiry) retires
+  the slot until the next rebuild; ``kill=False`` (the losing copy of
+  a hedge race) leaves the slot healthy, free again once the
+  duplicate work finishes.
+* ``close`` is idempotent, never raises, and reaps every worker.
+
+Fork rules, each one load-bearing:
+
+* A child keeps exactly two of the fleet's pipe ends, its own.  A
+  sibling holding another slot's request pipe keeps that slot from
+  seeing EOF, so an idle ``close`` would wait out ``_CLOSE_GRACE_S``
+  per slot; one holding its reply pipe hides that slot's death.
+* Every slot forks before any reader thread starts, and ``close``
+  joins the readers before a rebuild forks again: a fork beside live
+  threads can deadlock the child.
+* The child leaves through ``os._exit``, never back into the parent's
+  stack, with ``sys.stdout`` rebound to stderr: fd 1 is still the
+  parent's stdout.
+
+Knob propagation: after start each worker receives one ``config``
+frame carrying a snapshot of the parent's ``REPRO_*`` environment, so
+fault-injection specs, scale knobs and the shared-store tier behave
+identically on every host.
 """
 
 from __future__ import annotations
@@ -25,40 +57,73 @@ from __future__ import annotations
 import os
 import pickle
 import queue
+import signal
 import subprocess
 import sys
 import threading
 import time
+import traceback
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Any, Deque, Dict, List, Optional, Sequence
+from typing import (
+    Any,
+    BinaryIO,
+    Deque,
+    Dict,
+    List,
+    NoReturn,
+    Optional,
+    Sequence,
+    Union,
+)
 
 from repro.exec import health
-from repro.exec.backends.base import (
-    FRAME_ERROR,
-    FRAME_LOST,
-    FRAME_OK,
-    BackendUnavailable,
-    ExecutionBackend,
-    Frame,
-)
 from repro.exec.faults import RemoteCellError
 from repro.exec.protocol import FrameError, read_frame, write_frame
+
+#: Frame statuses the backend emits.
+FRAME_OK = "ok"
+FRAME_ERROR = "error"
+FRAME_LOST = "lost"
 
 #: How long ``close`` waits for a worker to exit after stdin EOF
 #: before escalating to terminate/kill.
 _CLOSE_GRACE_S = 2.0
 
-#: Lines of worker stderr retained per slot for failure diagnosis.
+#: Lines of worker stderr retained per spawned slot for failure
+#: diagnosis.  Forked slots write straight to the inherited stderr.
 _STDERR_TAIL_LINES = 20
 
 #: Marker embedded in heartbeat-timeout lost frames so the runner can
 #: count them separately from plain worker deaths.
 HEARTBEAT_LOST = "heartbeat-lost"
 
+#: Local slots fork from this process only where a fork without exec
+#: is safe; elsewhere they spawn the worker module.
+_FORK_LOCAL = sys.platform.startswith("linux")
+
+
+class BackendUnavailable(RuntimeError):
+    """The backend cannot accept or continue work until rebuilt."""
+
+
+@dataclass
+class Frame:
+    """One completion record streamed back from a worker.
+
+    ``payload`` depends on ``status``: the ``(result, seconds,
+    artifact-delta, telemetry)`` tuple for ``ok``, a
+    :class:`~repro.exec.faults.RemoteCellError` for ``error``, and a
+    human-readable reason string for ``lost``.
+    """
+
+    task_id: int
+    status: str
+    payload: Any = None
+
 
 def worker_command() -> List[str]:
-    """Argv that starts one local worker (monkeypatchable in tests)."""
+    """Argv that spawns one local worker where slots cannot fork."""
     return [sys.executable, "-m", "repro.exec.worker"]
 
 
@@ -68,11 +133,116 @@ def knob_env() -> Dict[str, str]:
             if name.startswith("REPRO_")}
 
 
+class _ForkedProcess:
+    """``Popen``-shaped handle on a forked worker child."""
+
+    stderr = None  # the child writes to the inherited stderr
+
+    def __init__(self, pid: int, stdin: BinaryIO, stdout: BinaryIO) -> None:
+        self.pid = pid
+        self.stdin = stdin
+        self.stdout = stdout
+        self.returncode: Optional[int] = None
+
+    def poll(self) -> Optional[int]:
+        if self.returncode is None:
+            try:
+                pid, status = os.waitpid(self.pid, os.WNOHANG)
+            except ChildProcessError:
+                pid, status = self.pid, 0  # reaped by someone else
+            if pid:
+                self.returncode = os.waitstatus_to_exitcode(status)
+        return self.returncode
+
+    def wait(self, timeout: Optional[float] = None) -> int:
+        deadline = None if timeout is None else time.monotonic() + timeout
+        delay = 0.0005
+        while self.poll() is None:
+            if deadline is not None and time.monotonic() >= deadline:
+                raise subprocess.TimeoutExpired(f"pid {self.pid}", timeout)
+            time.sleep(delay)
+            delay = min(delay * 2, 0.05)
+        return self.returncode
+
+    def _signal(self, signum: int) -> None:
+        # Never signal a reaped child: its pid may belong to another
+        # process by now.
+        if self.poll() is None:
+            os.kill(self.pid, signum)
+
+    def terminate(self) -> None:
+        self._signal(signal.SIGTERM)
+
+    def kill(self) -> None:
+        self._signal(signal.SIGKILL)
+
+
+def _serve_child(request_fd: int, reply_fd: int,
+                 fleet_fds: Sequence[int]) -> NoReturn:
+    """Body of a forked slot: keep its own pipe pair, serve, exit."""
+    code = 1
+    try:
+        # Imported here: ``python -m repro.exec.worker`` must find the
+        # module unimported when the package initialises.
+        from repro.exec.worker import worker_main
+
+        for fd in fleet_fds:
+            if fd not in (request_fd, reply_fd):
+                os.close(fd)
+        code = worker_main(os.fdopen(request_fd, "rb"),
+                           os.fdopen(reply_fd, "wb"))
+    except Exception:
+        traceback.print_exc()  # the parent sees this slot's loss
+    finally:
+        os._exit(code)
+
+
+def _fork_workers(count: int) -> List[_ForkedProcess]:
+    """Fork ``count`` children, each serving frames on its own pipes.
+
+    Every pipe exists before the first fork and the parent closes the
+    child-side ends only after the last one, so one rule covers every
+    child: it sees the whole fleet's ends and closes all but its own two.
+    """
+    pipes: List[tuple] = []  # (request r, request w, reply r, reply w)
+    pids: List[int] = []
+    # Buffered output would otherwise be flushed by parent and child.
+    for stream in (sys.stdout, sys.stderr):
+        try:
+            stream.flush()
+        except Exception:
+            pass
+    try:
+        for _ in range(count):
+            pipes.append(os.pipe() + os.pipe())
+        fleet_fds = [fd for ends in pipes for fd in ends]
+        for request_r, _, _, reply_w in pipes:
+            pid = os.fork()
+            if pid == 0:
+                _serve_child(request_r, reply_w, fleet_fds)
+            pids.append(pid)
+    except OSError as exc:
+        for pid in pids:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+        for ends in pipes:
+            for fd in ends:
+                os.close(fd)
+        raise BackendUnavailable(f"cannot fork local workers: {exc}")
+    procs = []
+    for pid, (request_r, request_w, reply_r, reply_w) in zip(pids, pipes):
+        os.close(request_r)
+        os.close(reply_w)
+        procs.append(_ForkedProcess(pid, os.fdopen(request_w, "wb"),
+                                    os.fdopen(reply_r, "rb")))
+    return procs
+
+
 @dataclass
 class _Worker:
-    """One slot: a subprocess plus its in-flight bookkeeping."""
+    """One slot: a worker process plus its in-flight bookkeeping."""
 
-    proc: subprocess.Popen
+    proc: Any  # subprocess.Popen or _ForkedProcess
     index: int
     task_id: Optional[int] = None
     alive: bool = True
@@ -86,18 +256,25 @@ class _Worker:
         repr=False)
 
 
-class WorkerFleetBackend(ExecutionBackend):
-    """Worker slots backed by long-lived framing-protocol subprocesses."""
+class WorkerFleetBackend:
+    """Worker slots speaking the framing protocol (see the module doc).
 
-    name = "fleet"
+    ``slots`` is a local slot count, or one argv per slot to spawn.
+    """
 
-    def __init__(self, commands: Sequence[Sequence[str]],
+    def __init__(self, slots: Union[int, Sequence[Sequence[str]]],
                  env: Optional[Dict[str, str]] = None) -> None:
-        if not commands:
+        if isinstance(slots, int):
+            # ``None``: fork every local slot from this process.
+            self._commands: Optional[List[List[str]]] = (
+                None if _FORK_LOCAL else [worker_command()] * slots)
+            self.workers = slots
+        else:
+            self._commands = [list(command) for command in slots]
+            self.workers = len(self._commands)
+        if self.workers < 1:
             raise BackendUnavailable("worker fleet needs at least one slot")
-        self._commands = [list(command) for command in commands]
         self._env = dict(env) if env is not None else knob_env()
-        self.workers = len(self._commands)
         self._fleet: List[_Worker] = []
         self._events: "queue.Queue[tuple]" = queue.Queue()
         self._discarded: set = set()
@@ -108,39 +285,48 @@ class WorkerFleetBackend(ExecutionBackend):
     def start(self) -> None:
         if self._fleet:
             return
-        for index, command in enumerate(self._commands):
-            worker = self._spawn(index, command)
-            if worker is None:
+        procs = (_fork_workers(self.workers) if self._commands is None
+                 else self._spawn_workers(self._commands))
+        # Reader threads start only once every slot exists.
+        now = time.monotonic()
+        self._fleet = [_Worker(proc=proc, index=index, last_seen=now)
+                       for index, proc in enumerate(procs)]
+        for worker in self._fleet:
+            worker.thread = threading.Thread(
+                target=self._pump, args=(worker,), daemon=True,
+                name=f"repro-fleet-{worker.index}")
+            worker.thread.start()
+            if worker.proc.stderr is not None:
+                worker.stderr_thread = threading.Thread(
+                    target=self._drain_stderr, args=(worker,), daemon=True,
+                    name=f"repro-fleet-{worker.index}-stderr")
+                worker.stderr_thread.start()
+        for worker in self._fleet:
+            try:
+                write_frame(worker.proc.stdin,
+                            {"op": "config", "env": self._env})
+            except Exception:
                 self.close()
+                raise BackendUnavailable(
+                    f"worker slot {worker.index} failed to start")
+
+    @staticmethod
+    def _spawn_workers(commands: Sequence[Sequence[str]]
+                       ) -> List[subprocess.Popen]:
+        procs: List[subprocess.Popen] = []
+        for index, command in enumerate(commands):
+            try:
+                procs.append(subprocess.Popen(
+                    list(command), stdin=subprocess.PIPE,
+                    stdout=subprocess.PIPE, stderr=subprocess.PIPE))
+            except OSError:
+                for proc in procs:
+                    proc.kill()
+                    proc.communicate()
                 raise BackendUnavailable(
                     f"worker slot {index} failed to start: "
                     f"{' '.join(command)}")
-            self._fleet.append(worker)
-
-    def _spawn(self, index: int, command: Sequence[str]
-               ) -> Optional[_Worker]:
-        try:
-            proc = subprocess.Popen(list(command), stdin=subprocess.PIPE,
-                                    stdout=subprocess.PIPE,
-                                    stderr=subprocess.PIPE)
-        except OSError:
-            return None
-        worker = _Worker(proc=proc, index=index)
-        worker.last_seen = time.monotonic()
-        worker.thread = threading.Thread(
-            target=self._pump, args=(worker,), daemon=True,
-            name=f"repro-fleet-{index}")
-        worker.thread.start()
-        worker.stderr_thread = threading.Thread(
-            target=self._drain_stderr, args=(worker,), daemon=True,
-            name=f"repro-fleet-{index}-stderr")
-        worker.stderr_thread.start()
-        try:
-            write_frame(proc.stdin, {"op": "config", "env": self._env})
-        except Exception:
-            self._shutdown_worker(worker)
-            return None
-        return worker
+        return procs
 
     def _pump(self, worker: _Worker) -> None:
         """Reader thread: inbound frames -> the shared event queue."""
@@ -170,8 +356,6 @@ class WorkerFleetBackend(ExecutionBackend):
         available after the process is gone, which is when they matter.
         """
         stream = worker.proc.stderr
-        if stream is None:
-            return
         try:
             for raw in iter(stream.readline, b""):
                 line = raw.decode("utf-8", errors="replace").rstrip("\n")
@@ -418,8 +602,7 @@ class WorkerFleetBackend(ExecutionBackend):
         graceful = worker.alive and worker.task_id is None
         worker.alive = False
         try:
-            if proc.stdin is not None:
-                proc.stdin.close()  # EOF => clean worker exit
+            proc.stdin.close()  # EOF => clean worker exit
         except Exception:
             pass
         if not graceful:
@@ -435,17 +618,17 @@ class WorkerFleetBackend(ExecutionBackend):
                 proc.wait(timeout=_CLOSE_GRACE_S)
             except Exception:
                 pass
-        try:
-            if proc.stdout is not None:
-                proc.stdout.close()
-        except Exception:
-            pass
-        if worker.stderr_thread is not None:
-            # Let the drain thread finish the pipe (it closes it on
-            # EOF); fall back to closing it ourselves if it is stuck.
-            worker.stderr_thread.join(timeout=_CLOSE_GRACE_S)
-        try:
-            if proc.stderr is not None:
-                proc.stderr.close()
-        except Exception:
-            pass
+        # The worker is gone, so its streams end: join their readers
+        # (a rebuild must not fork beside them), then close the pipes.
+        # A reader still blocked in a read holds its stream's lock, and
+        # closing that stream would hang; such a stream is left open.
+        for thread, stream in ((worker.thread, proc.stdout),
+                               (worker.stderr_thread, proc.stderr)):
+            if thread is not None:
+                thread.join(timeout=_CLOSE_GRACE_S)
+            if stream is None or (thread is not None and thread.is_alive()):
+                continue
+            try:
+                stream.close()
+            except Exception:
+                pass

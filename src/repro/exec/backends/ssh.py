@@ -4,7 +4,8 @@ Each slot is one ``ssh host python -m repro.exec.worker`` subprocess;
 stdin/stdout of the ssh client *are* the frame stream, so everything
 in :class:`~repro.exec.backends.fleet.WorkerFleetBackend` — pumps,
 worker-loss frames, config-frame knob propagation, rebuilds — works
-unchanged.  The only new machinery is the host spec:
+unchanged.  The only new machinery is the host spec, which on its own
+selects this backend over the local forked slots:
 
     --workers "hostA:4,hostB:2,hostC"
 
@@ -75,8 +76,6 @@ def total_slots(spec: str) -> int:
 
 class SSHBackend(WorkerFleetBackend):
     """Fleet slots launched on remote hosts through an ssh tunnel."""
-
-    name = "ssh"
 
     def __init__(self, hosts: Sequence[Tuple[str, int]],
                  env: Optional[Dict[str, str]] = None,

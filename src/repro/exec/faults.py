@@ -37,9 +37,9 @@ Kinds:
 
 * ``raise`` — raise :class:`InjectedFault` inside the cell body
   (exercises retry and failure collection);
-* ``crash`` — ``os._exit`` the worker process (exercises
-  ``BrokenProcessPool`` recovery; degrades to ``raise`` when executed
-  in-process so a serial run is not killed);
+* ``crash`` — ``os._exit`` the worker process (exercises worker-loss
+  recovery; degrades to ``raise`` when executed in-process so a serial
+  run is not killed);
 * ``hang`` — sleep ``seconds`` before running the cell (exercises the
   per-cell watchdog timeout);
 * ``corrupt`` — after the result is stored, overwrite the blob with a
@@ -122,13 +122,13 @@ class InjectedFault(RuntimeError):
 class RemoteCellError(RuntimeError):
     """A cell raised on the far side of a process/host boundary.
 
-    Fleet and SSH workers cannot ship exception *objects* back (the
-    type may not unpickle, and a hostile/corrupt stream must never
-    drive arbitrary unpickling on the parent), so they ship structured
-    fields instead.  This wrapper carries them; :func:`make_failure`
+    Workers cannot ship exception *objects* back (the type may not
+    unpickle, and a hostile/corrupt stream must never drive arbitrary
+    unpickling on the parent), so they ship structured fields
+    instead.  This wrapper carries them; :func:`make_failure`
     unwraps it so the recorded :class:`CellFailure` names the original
     remote exception type — a run's failure records read the same
-    whether the cell died in-process, in a pool worker, or on another
+    whether the cell died in-process, in a local worker, or on another
     host.
     """
 
@@ -182,9 +182,9 @@ def make_failure(label: str, key: str, exc: BaseException, kind: str,
     Exceptions re-raised from worker processes chain the remote
     traceback via ``__cause__``; ``format_exception`` renders the full
     chain, so the worker-side frames survive into the record.  A
-    :class:`RemoteCellError` from a fleet/SSH worker is unwrapped to
-    its carried remote type and traceback, so failure records are
-    backend-independent.
+    :class:`RemoteCellError` from a worker is unwrapped to its carried
+    remote type and traceback, so failure records name the original
+    exception.
     """
     if isinstance(exc, RemoteCellError):
         return CellFailure(label=label, key=key, kind=kind,

@@ -12,7 +12,7 @@ live here so every layer resolves them identically.
 Knobs (all off by default — a run that never opts in pays nothing):
 
 * ``REPRO_HEARTBEAT`` — heartbeat interval in seconds.  While a cell
-  runs, a fleet/ssh worker emits a ``heartbeat`` frame this often; the
+  runs, a worker emits a ``heartbeat`` frame this often; the
   parent declares a silent busy slot lost after the timeout below.
 * ``REPRO_HEARTBEAT_TIMEOUT`` — seconds of silence before a busy slot
   is declared lost (default ``HEARTBEAT_TIMEOUT_INTERVALS`` × the
@@ -27,8 +27,8 @@ Knobs (all off by default — a run that never opts in pays nothing):
   shared store tier is opened (skipped), and seconds before a
   half-open probe retries it.  ``REPRO_BREAKER=off`` disables the
   breaker entirely (every op hits the shared tier, failures and all).
-* ``REPRO_SSH_CONNECT_TIMEOUT`` — ssh ``ConnectTimeout`` for the ssh
-  backend, and the hello-handshake deadline its ``start()`` enforces.
+* ``REPRO_SSH_CONNECT_TIMEOUT`` — ssh ``ConnectTimeout`` for ssh
+  workers, and the hello-handshake deadline their ``start()`` enforces.
 * ``REPRO_MANIFEST_FSYNC`` — fsync the run manifest's ``.done`` log on
   every append (durability over speed; off by default).
 """

@@ -45,10 +45,9 @@ MANIFEST_SCHEMA = 1
 
 #: CLI flags that change *how* a run executes, never *what* it runs.
 #: They are stripped from the command before hashing the run id, so
-#: resuming with different execution settings (``resume --jobs 8
-#: --backend fleet``) reopens the same manifest and completion log.
-EXEC_FLAGS = ("--jobs", "--backend", "--workers", "--shared-store",
-              "--hedge")
+#: resuming with different execution settings (``resume --jobs 8``)
+#: reopens the same manifest and completion log.
+EXEC_FLAGS = ("--jobs", "--workers", "--shared-store", "--hedge")
 
 #: Statuses a ``.done`` log line may carry; anything else on a line is
 #: treated as corruption and skipped on replay.
@@ -82,7 +81,7 @@ class RunManifest:
     command: List[str]                  # CLI argv; [] for library runs
     cells: Dict[str, Dict[str, str]]    # key -> {"label", "kind"}
     statuses: Dict[str, str] = field(default_factory=dict)
-    # Execution settings of the most recent invocation (backend name,
+    # Execution settings of the most recent invocation (transport,
     # worker spec, job count) — informational, never part of the run
     # id, so a resume with different settings updates it in place.
     exec_info: Dict[str, str] = field(default_factory=dict)
@@ -116,8 +115,8 @@ class RunManifest:
         existing manifest for the same run id is reused, so resumed
         runs continue the original completion log.  Execution-only
         flags are stripped from the command before hashing, so a
-        resume with overridden ``--jobs``/``--backend``/``--workers``
-        reopens the same run; the manifest file is rewritten when the
+        resume with overridden ``--jobs``/``--workers`` reopens the
+        same run; the manifest file is rewritten when the
         recorded execution settings change (the ``.done`` log is
         untouched).
         """

@@ -63,8 +63,8 @@ class ExecReport:
     # ``failures`` the terminal per-cell failure records, ``retries``
     # the re-executions after in-cell errors/timeouts, ``timeouts``
     # the watchdog expirations, ``requeued`` the cells resubmitted
-    # after pool deaths or batch degradation, and ``pool_rebuilds``
-    # the worker pools rebuilt after a ``BrokenProcessPool``.
+    # after worker losses or batch degradation, and ``pool_rebuilds``
+    # the worker-slot rebuilds after a lost worker or a timeout.
     planned: int = 0
     failures: Tuple[CellFailure, ...] = ()
     retries: int = 0
@@ -85,11 +85,12 @@ class ExecReport:
     # benchmarks/e2e/one_pass.py sums it into ``graph.denied``.
     graph_denied: int = 0
     graph_prelude: int = 0
-    # Distributed-mesh accounting: which execution backend drove the
-    # batch, and shared-tier store traffic (read-through hits served
-    # by the shared directory — result lookups in the parent plus
-    # artifact reads inside workers — and write-backs pushed up to
-    # it).  Zero/"local" for plain single-host runs.
+    # Distributed-mesh accounting: which transport drove the batch
+    # ("local" forked workers or "ssh"), and shared-tier store traffic
+    # (read-through hits served by the shared directory — result
+    # lookups in the parent plus artifact reads inside workers — and
+    # write-backs pushed up to it).  Zero/"local" for plain
+    # single-host runs.
     backend: str = "local"
     store_shared_hits: int = 0
     store_shared_fills: int = 0

@@ -1,8 +1,9 @@
 """Length-prefixed pickle framing for the distributed execution mesh.
 
-Every transport the worker fleet speaks — pipes to local subprocesses,
-stdin/stdout tunneled over ``ssh`` — carries the same byte stream: a
-sequence of self-delimiting frames, each a small pickled message::
+Every transport the worker fleet speaks — pipes to forked local
+workers, stdin/stdout tunneled over ``ssh`` — carries the same byte
+stream: a sequence of self-delimiting frames, each a small pickled
+message::
 
     magic "RPF1" | uint32-LE payload length | pickle payload
 

@@ -20,11 +20,13 @@ reuse the in-process runners perform today.
 
 :class:`ParallelRunner` consults the on-disk
 :class:`~repro.exec.store.ResultStore` before computing, fans cache
-misses across a ``ProcessPoolExecutor`` when ``jobs > 1``, and falls
-back to in-process serial execution (bit-identical: same entry points,
-same deterministic seeding) when ``jobs == 1``.  ``REPRO_JOBS`` and
-``REPRO_CACHE_DIR`` configure the defaults; ``REPRO_JOBS=0`` means one
-worker per CPU and ``REPRO_CACHE_DIR=off`` disables the disk cache.
+misses across worker processes
+(:class:`~repro.exec.backends.WorkerFleetBackend`) when ``jobs > 1``,
+and falls back to in-process serial execution (bit-identical: same
+entry points, same deterministic seeding) when ``jobs == 1``.
+``REPRO_JOBS`` and ``REPRO_CACHE_DIR`` configure the defaults;
+``REPRO_JOBS=0`` means one worker per CPU and ``REPRO_CACHE_DIR=off``
+disables the disk cache.
 """
 
 from __future__ import annotations
@@ -70,14 +72,13 @@ from repro.exec.artifacts import ArtifactCache, ingest_scope, scope_payload
 from repro.exec.backends import (
     FRAME_LOST,
     FRAME_OK,
+    HEARTBEAT_LOST,
     BackendUnavailable,
-    ExecutionBackend,
+    WorkerFleetBackend,
     create_backend,
-    resolve_backend_name,
-    resolve_slots,
     resolve_workers_spec,
+    total_slots,
 )
-from repro.exec.backends.fleet import HEARTBEAT_LOST
 from repro.exec.health import resolve_hedge
 from repro.exec.faults import (
     CellExecutionError,
@@ -844,10 +845,10 @@ class ParallelRunner:
     Failure semantics (see DESIGN.md §11): a cell exception is
     captured into a :class:`~repro.exec.faults.CellFailure` instead of
     aborting the batch.  Each cell is retried up to ``retries`` times
-    with exponential backoff; a dead worker pool
-    (``BrokenProcessPool``) is rebuilt and only unfinished cells are
+    with exponential backoff; a worker lost under a cell (a ``lost``
+    frame) rebuilds the workers and only unfinished cells are
     requeued, degrading to in-process serial execution after
-    ``max_pool_rebuilds`` deaths; with ``cell_timeout`` a watchdog
+    ``max_pool_rebuilds`` rebuilds; with ``cell_timeout`` a watchdog
     abandons stragglers and records them as timeouts.  With
     ``on_error="collect"`` (default) the run completes and failed
     cells yield ``None`` results; with ``"raise"`` the first terminal
@@ -866,19 +867,19 @@ class ParallelRunner:
                  retries: Optional[int] = None,
                  cell_timeout: Optional[float] = None,
                  command: Optional[Sequence[str]] = None,
-                 backend: Optional[str] = None,
                  workers: Optional[str] = None,
                  shared_store: str = "",
                  hedge: Optional[float] = None) -> None:
         self.jobs = resolve_jobs(jobs)
-        # Execution backend: which transport runs cache misses.  Fleet
-        # and ssh backends size from --workers / REPRO_WORKERS; their
-        # slot count becomes the effective job count so the submission
-        # window and report utilization reflect real parallelism.
-        self.backend_name = resolve_backend_name(backend)
+        # Worker slots: forked local children sized by --jobs, unless
+        # a --workers / REPRO_WORKERS host spec puts them on ssh hosts;
+        # then the summed slots become the effective job count, so the
+        # submission window and report utilization reflect them.
         self.workers_spec = resolve_workers_spec(workers)
-        self.jobs = resolve_slots(self.backend_name, self.jobs,
-                                  self.workers_spec)
+        self.backend_name = "local"
+        if self.workers_spec is not None:
+            self.backend_name = "ssh"
+            self.jobs = total_slots(self.workers_spec)
         self.store: Optional[ResultStore] = (
             default_store() if store is _AUTO_STORE else store
         )
@@ -934,14 +935,12 @@ class ParallelRunner:
                      retries: Optional[int] = None,
                      cell_timeout: Optional[float] = None,
                      command: Optional[Sequence[str]] = None,
-                     backend: Optional[str] = None,
                      workers: Optional[str] = None,
                      shared_store: str = "",
                      hedge: Optional[float] = None) -> "ParallelRunner":
         """Build from CLI-style options (``--jobs`` / ``--cache-dir`` /
         ``--on-error`` / ``--retries`` / ``--cell-timeout`` /
-        ``--backend`` / ``--workers`` / ``--shared-store`` /
-        ``--hedge``).
+        ``--workers`` / ``--shared-store`` / ``--hedge``).
 
         An empty ``cache_dir`` defers to ``REPRO_CACHE_DIR``; the
         sentinel values ``off`` / ``none`` / ``0`` disable caching.
@@ -949,8 +948,8 @@ class ParallelRunner:
         return cls(jobs=jobs, store=resolve_store(cache_dir),
                    on_error=on_error, retries=retries,
                    cell_timeout=cell_timeout, command=command,
-                   backend=backend, workers=workers,
-                   shared_store=shared_store, hedge=hedge)
+                   workers=workers, shared_store=shared_store,
+                   hedge=hedge)
 
     def run(self, cells: Sequence[Cell], label: str = "") -> List[Any]:
         """Resolve every cell (cache or compute); results in cell order.
@@ -1496,9 +1495,6 @@ class ParallelRunner:
             else:
                 settle(task, result, seconds, delta, tele)
 
-    def _make_backend(self, workers: int) -> ExecutionBackend:
-        return create_backend(self.backend_name, workers, self.workers_spec)
-
     def _request(self, task: _Task) -> Dict[str, Any]:
         """Picklable execution request a backend ships to a worker."""
         return {
@@ -1512,7 +1508,7 @@ class ParallelRunner:
 
     def _drive_parallel(self, queue: Deque[_Task], settle, fail, split,
                         stats: _DriveStats, workers: int) -> None:
-        backend = self._make_backend(workers)
+        backend = create_backend(workers, self.workers_spec)
         try:
             backend.start()
         except BackendUnavailable as exc:
@@ -1611,8 +1607,7 @@ class ParallelRunner:
                                     # cell; absorb this copy's loss.
                                     continue
                                 # A worker died under this cell; bump
-                                # its attempt and requeue — exactly the
-                                # old BrokenProcessPool path.
+                                # its attempt and requeue.
                                 task.attempt += 1
                                 stats.requeued += 1
                                 queue.append(task)
@@ -1724,7 +1719,7 @@ class ParallelRunner:
             stats.abort = failure
         fail(task, failure)
 
-    def _launch_hedges(self, backend: ExecutionBackend,
+    def _launch_hedges(self, backend: WorkerFleetBackend,
                        running: Dict[int, _Task], next_id: int,
                        deadline: float, workers: int,
                        hedge_twin: Dict[int, int], hedge_copies: set,

@@ -1,27 +1,29 @@
-"""Long-lived cell-execution worker: ``python -m repro.exec.worker``.
+"""Long-lived cell-execution worker: one slot of a
+:class:`~repro.exec.backends.fleet.WorkerFleetBackend`.
 
-One worker serves one slot of a :class:`~repro.exec.backends.fleet.
-WorkerFleetBackend` (or its SSH variant).  It speaks the framing
-protocol from :mod:`repro.exec.protocol` over stdin/stdout:
+A local slot is a child forked from the parent that calls
+:func:`worker_main` on a pipe pair; an ssh slot (or a local one where
+forking is not safe) runs ``python -m repro.exec.worker`` and serves
+stdin/stdout.  Either way the worker speaks the framing protocol from
+:mod:`repro.exec.protocol`:
 
 * on startup it emits a ``hello`` frame (pid + protocol version);
 * ``config`` frames apply environment knobs (``REPRO_*``) before any
   cell runs — the only state propagation an SSH-tunneled worker gets;
 * ``run`` frames carry a task id plus a nested pickle of the execution
   request; the worker decodes it, runs the cell through exactly the
-  same :func:`~repro.exec.runner._execute_cell` entry point the local
-  pool uses (so results are bit-identical), and replies with a
+  same :func:`~repro.exec.runner._execute_cell` entry point a serial
+  run uses (so results are bit-identical), and replies with a
   ``result`` frame — or an ``error`` frame whose structured fields
   (exception type, message, remote traceback) the parent folds into a
   :class:`~repro.exec.faults.CellFailure`;
-* ``shutdown`` (or stdin EOF) ends the loop cleanly.
+* ``shutdown`` (or EOF on the request stream) ends the loop cleanly.
 
 Stray ``print`` calls inside simulation code must never corrupt the
-frame stream, so the worker claims the raw stdout buffer for frames
-and rebinds ``sys.stdout`` to stderr before importing anything
-heavyweight.  Per-process memoization (segments, runners, artifact
-caches) accumulates across the cells one worker executes — the same
-reuse a pool worker gets, now across a whole run instead of one drive.
+frame stream, so :func:`worker_main` rebinds ``sys.stdout`` to stderr
+before any cell runs.  Per-process memoization (segments, runners,
+artifact caches) accumulates across the cells one worker executes; a
+forked slot also starts with whatever the parent had memoized.
 """
 
 from __future__ import annotations
@@ -222,17 +224,24 @@ def serve(reader: BinaryIO, writer: BinaryIO) -> int:
             })
 
 
-def main() -> int:
-    writer = sys.stdout.buffer
-    # Frames own the real stdout; reroute prints (ours and any stray
-    # ones inside simulation code) to stderr.
+def worker_main(reader: BinaryIO, writer: BinaryIO) -> int:
+    """Serve as this process's whole job; returns its exit code.
+
+    Frames own ``writer``; prints (ours and any stray ones inside
+    simulation code) are rerouted to stderr, so they can reach neither
+    the frame stream nor, in a forked slot, the parent's stdout.
+    """
     sys.stdout = sys.stderr
     try:
-        return serve(sys.stdin.buffer, writer)
+        return serve(reader, writer)
     except BrokenPipeError:
         return 1
     except KeyboardInterrupt:
         return 130
+
+
+def main() -> int:
+    return worker_main(sys.stdin.buffer, sys.stdout.buffer)
 
 
 if __name__ == "__main__":

@@ -134,6 +134,16 @@ class TestFailureHandling:
         assert err.startswith("error: REPRO_JOBS")
         assert "Traceback" not in err
 
+    def test_integer_workers_is_a_clean_error(self, capsys):
+        # --workers names ssh hosts; a bare count would name a host "2".
+        code = main(["compare", "--benchmarks", "gamess", "--policies", "lru",
+                     "--scale", "tiny", "--cache-dir", "off",
+                     "--workers", "2"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: --workers")
+        assert err.count("\n") == 1
+
     def test_malformed_fault_spec_is_a_clean_error(self, monkeypatch, capsys):
         monkeypatch.setenv("REPRO_FAULT_INJECT", "raise:every=two")
         code = main(["compare", "--benchmarks", "gamess", "--policies", "lru",

@@ -14,6 +14,8 @@ in the commit message.  If you did not intend to change output, a
 failure here means a bug.
 """
 
+import shlex
+import sys
 import time
 
 import pytest
@@ -43,6 +45,12 @@ BASELINE_SINGLE_HASH = \
     "4e626f56ab48d50d11ccc47e3af038b295ab568b43ab2655c585800105f6c61a"
 BASELINE_MIX_HASH = \
     "4686c853d78f1453913b92cd84aa97442263e3c3c829fb960049a087d77d7561"
+
+#: A stand-in ssh client: drops the appended "host python -m ..."
+#: operands and runs the worker module locally.
+_FAKE_SSH_COMMAND = "{} -c {}".format(shlex.quote(sys.executable), shlex.quote(
+    "import sys, runpy; sys.argv = sys.argv[:1]; "
+    "runpy.run_module('repro.exec.worker', run_name='__main__')"))
 
 # The two Stage-2 legs: "off" replays on the LLCSimulator reference,
 # "numpy" on the columnar numpy kernel, the default path.
@@ -203,37 +211,41 @@ class TestFaultedPins:
 
 
 class TestFleetPins:
-    """The worker-fleet backend moves execution into long-lived framed
-    subprocesses — the transport must never touch results.  Pins must
-    reproduce local vs fleet, cold vs warm, and through injected
-    worker loss."""
+    """Parallel drives run cells in framed worker processes (forked
+    locally, or behind ssh) — the transport must never touch results.
+    Pins must reproduce serial vs parallel, cold vs warm, ssh slots,
+    and through injected worker loss."""
 
     def test_fleet_matches_local_pins(self):
-        engine = ParallelRunner(jobs=2, store=None, verbose=False,
-                                backend="fleet")
+        engine = ParallelRunner(jobs=2, store=None, verbose=False)
         _assert_pinned(engine)
-        assert engine.last_report.backend == "fleet"
+        assert engine.last_report.backend == "local"
 
     def test_fleet_cold_then_warm_store(self, tmp_path):
         store = ResultStore(tmp_path / "cache")
-        _assert_pinned(ParallelRunner(jobs=2, store=store, verbose=False,
-                                      backend="fleet"))
-        warm = ParallelRunner(jobs=2, store=store, verbose=False,
-                              backend="fleet")
+        _assert_pinned(ParallelRunner(jobs=2, store=store, verbose=False))
+        warm = ParallelRunner(jobs=2, store=store, verbose=False)
         _assert_pinned(warm)
         assert warm.last_report.hits == warm.last_report.cells
 
-    def test_single_worker_fleet_matches(self):
-        _assert_pinned(ParallelRunner(jobs=1, store=None, verbose=False,
-                                      backend="fleet", workers="2"))
+    def test_single_worker_fleet_matches(self, monkeypatch):
+        # A --workers host spec sizes the engine over --jobs: jobs=1
+        # still fans out, to the spec's two ssh slots.  The stand-in
+        # ssh client runs the worker module locally.
+        monkeypatch.setenv("REPRO_SSH_COMMAND", _FAKE_SSH_COMMAND)
+        engine = ParallelRunner(jobs=1, store=None, verbose=False,
+                                workers="node-a:2")
+        assert engine.jobs == 2
+        _assert_pinned(engine)
+        assert engine.last_report.backend == "ssh"
 
     def test_fleet_worker_loss_reproduces_pins(self, monkeypatch):
         monkeypatch.setenv("REPRO_FAULT_INJECT", "crash:every=3")
         monkeypatch.setenv("REPRO_RETRY_BACKOFF", "0")
         engine = ParallelRunner(jobs=2, store=None, verbose=False,
-                                backend="fleet", retries=1)
+                                retries=1)
         _assert_pinned(engine)
-        # The crash killed a live fleet worker mid-cell; the lost-frame
+        # The crash killed a live worker mid-cell; the lost-frame
         # requeue + rebuild machinery recovered it exactly once.
         assert engine.last_report.pool_rebuilds >= 1
         assert engine.last_report.requeued >= 1
@@ -250,7 +262,7 @@ class TestSharedTierPins:
         cells = _single_cells()
         shared = tmp_path / "shared"
         first = ParallelRunner(
-            jobs=2, verbose=False, backend="fleet",
+            jobs=2, verbose=False,
             store=TieredResultStore(tmp_path / "node-a", shared))
         results = first.run(cells, label="pin/single")
         assert stable_hash({"results": [r.to_dict() for r in results]}) \
@@ -259,7 +271,7 @@ class TestSharedTierPins:
 
         # A different node: fresh local tier, same shared directory.
         second = ParallelRunner(
-            jobs=2, verbose=False, backend="fleet",
+            jobs=2, verbose=False,
             store=TieredResultStore(tmp_path / "node-b", shared))
         results = second.run(cells, label="pin/single")
         assert stable_hash({"results": [r.to_dict() for r in results]}) \
@@ -363,8 +375,7 @@ class TestChaosPins:
         monkeypatch.setenv("REPRO_HEARTBEAT", "0.1")
         monkeypatch.setenv("REPRO_RETRY_BACKOFF", "0")
         monkeypatch.setenv("REPRO_FAULT_INJECT", "frame-drop:every=3")
-        engine = ParallelRunner(jobs=2, store=None, verbose=False,
-                                backend="fleet")
+        engine = ParallelRunner(jobs=2, store=None, verbose=False)
         _assert_pinned(engine)
         # every=3 selects at least one cell (the same selector the
         # crash:every=3 test relies on); its dropped frame was detected
@@ -381,8 +392,7 @@ class TestChaosPins:
             "REPRO_FAULT_INJECT",
             "frame-dup:every=3;frame-delay:every=4,seconds=0.3;"
             "frame-trunc:every=5")
-        engine = ParallelRunner(jobs=2, store=None, verbose=False,
-                                backend="fleet")
+        engine = ParallelRunner(jobs=2, store=None, verbose=False)
         _assert_pinned(engine)
         assert engine.last_report.failures == ()
 
@@ -400,7 +410,7 @@ class TestChaosPins:
             "REPRO_FAULT_INJECT",
             f"hb-loss:key={victim[:16]};hang:key={victim[:16]},seconds=600")
         engine = ParallelRunner(jobs=2, store=None, verbose=False,
-                                backend="fleet", cell_timeout=120)
+                                cell_timeout=120)
         started = time.monotonic()
         results = engine.run(cells, label="pin/single")
         wall = time.monotonic() - started
@@ -420,7 +430,7 @@ class TestChaosPins:
         monkeypatch.setenv("REPRO_FAULT_INJECT",
                            f"hang:key={victim[:16]},seconds=30")
         engine = ParallelRunner(jobs=2, store=None, verbose=False,
-                                backend="fleet", hedge=2.0)
+                                hedge=2.0)
         started = time.monotonic()
         results = engine.run(cells, label="pin/single")
         wall = time.monotonic() - started
@@ -441,8 +451,7 @@ class TestChaosPins:
         monkeypatch.setenv("REPRO_FAULT_INJECT", "shared-fail")
         faults.reset_injection_state()
         store = TieredResultStore(tmp_path / "node", tmp_path / "shared")
-        engine = ParallelRunner(jobs=2, store=store, verbose=False,
-                                backend="fleet")
+        engine = ParallelRunner(jobs=2, store=store, verbose=False)
         _assert_pinned(engine)
         report = engine.last_report
         assert report.store_breaker_open
@@ -450,8 +459,7 @@ class TestChaosPins:
         assert "breaker=open" in report.summary()
         assert report.failures == ()
         # The local tier alone serves a fully warm rerun.
-        warm = ParallelRunner(jobs=2, store=store, verbose=False,
-                              backend="fleet")
+        warm = ParallelRunner(jobs=2, store=store, verbose=False)
         _assert_pinned(warm)
         assert warm.last_report.hits == warm.last_report.cells
 
@@ -463,8 +471,7 @@ class TestChaosPins:
         monkeypatch.setenv("REPRO_HEARTBEAT", "0.1")
         monkeypatch.setenv("REPRO_RETRY_BACKOFF", "0")
         monkeypatch.setenv("REPRO_FAULT_INJECT", "frame-drop:every=6")
-        engine = ParallelRunner(jobs=2, store=None, verbose=False,
-                                backend="fleet")
+        engine = ParallelRunner(jobs=2, store=None, verbose=False)
         spec = SuiteSpec(TINY.hierarchy.llc_bytes, ACCESSES,
                          names=("gamess", "soplex"))
         evaluator = FeatureSetEvaluator.from_spec(

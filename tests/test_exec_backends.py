@@ -1,14 +1,15 @@
-"""Tests for the distributed execution mesh: framing protocol, worker
-serve loop, and the pluggable fleet/ssh/local backends.
+"""Tests for the worker transport: framing protocol, worker serve loop,
+and the fleet backend's forked local slots and spawned (ssh) slots.
 
-The live-subprocess tests spawn real ``python -m repro.exec.worker``
-processes and drive them through the exact frames the runner sends, so
-every failure mode the drive loop depends on — structured errors,
-worker loss, discard filtering, rebuilds — is exercised against the
-real transport, not a mock.
+The live-process tests fork or spawn real workers and drive them
+through the exact frames the runner sends, so every failure mode the
+drive loop depends on — structured errors, worker loss, discard
+filtering, rebuilds — is exercised against the real transport, not a
+mock.
 """
 
 import io
+import os
 import pickle
 import sys
 import time
@@ -16,22 +17,20 @@ import time
 import pytest
 
 from repro.config import TINY
-from repro.exec import SingleCell, TraceSpec, stable_hash
+from repro.exec import ParallelRunner, SingleCell, TraceSpec, stable_hash
 from repro.exec.backends import (
     FRAME_ERROR,
     FRAME_LOST,
     FRAME_OK,
     BackendUnavailable,
-    LocalPoolBackend,
     SSHBackend,
     WorkerFleetBackend,
     parse_worker_spec,
-    resolve_backend_name,
-    resolve_slots,
     resolve_workers_spec,
     total_slots,
     worker_command,
 )
+from repro.exec.backends.fleet import _CLOSE_GRACE_S, _ForkedProcess
 from repro.exec.faults import ConfigError, RemoteCellError, make_failure
 from repro.exec.protocol import (
     MAGIC,
@@ -234,8 +233,16 @@ def _poll_until(backend, deadline_s=120.0):
     raise AssertionError("no frame from backend before deadline")
 
 
+def _await_hellos(backend, deadline_s=30.0):
+    deadline = time.monotonic() + deadline_s
+    while not all(worker.ready for worker in backend._fleet):
+        assert time.monotonic() < deadline, "workers never said hello"
+        assert backend.poll(timeout=0.1) == []
+
+
 class TestWorkerFleetBackend:
-    """Live worker subprocesses over real pipes."""
+    """Live workers over real pipes: forked local slots, except where a
+    test names the spawned worker module (the ssh and non-Linux path)."""
 
     def test_executes_cell_and_matches_serial(self):
         cell = _cell()
@@ -255,7 +262,7 @@ class TestWorkerFleetBackend:
 
     def test_remote_exception_surfaces_original_type(self):
         backend = WorkerFleetBackend(
-            [worker_command()],
+            1,
             env={"REPRO_FAULT_INJECT": "raise:every=1,times=99",
                  "REPRO_RETRY_BACKOFF": "0"})
         backend.start()
@@ -275,7 +282,7 @@ class TestWorkerFleetBackend:
 
     def test_killed_worker_yields_lost_frame(self):
         backend = WorkerFleetBackend(
-            [worker_command()],
+            1,
             env={"REPRO_FAULT_INJECT": "hang:every=1,seconds=600,times=99"})
         backend.start()
         try:
@@ -290,7 +297,7 @@ class TestWorkerFleetBackend:
 
     def test_submit_beyond_capacity_is_unavailable(self):
         backend = WorkerFleetBackend(
-            [worker_command()],
+            1,
             env={"REPRO_FAULT_INJECT": "hang:every=1,seconds=600,times=99"})
         backend.start()
         try:
@@ -302,7 +309,7 @@ class TestWorkerFleetBackend:
 
     def test_discarded_task_never_surfaces(self):
         backend = WorkerFleetBackend(
-            [worker_command()],
+            1,
             env={"REPRO_FAULT_INJECT": "hang:every=1,seconds=600,times=99"})
         backend.start()
         try:
@@ -320,7 +327,7 @@ class TestWorkerFleetBackend:
 
     def test_rebuild_returns_dropped_ids_and_restores_capacity(self):
         backend = WorkerFleetBackend(
-            [worker_command()],
+            1,
             env={"REPRO_FAULT_INJECT": "hang:every=1,seconds=600,times=1"})
         backend.start()
         try:
@@ -338,7 +345,7 @@ class TestWorkerFleetBackend:
             backend.close()
 
     def test_close_is_idempotent(self):
-        backend = WorkerFleetBackend([worker_command()])
+        backend = WorkerFleetBackend(1)
         backend.start()
         backend.close()
         backend.close()
@@ -364,7 +371,7 @@ class TestWorkerHealth:
         monkeypatch.setenv(
             "REPRO_FAULT_INJECT",
             "hb-loss:every=1,times=99;hang:every=1,seconds=600,times=99")
-        backend = WorkerFleetBackend([worker_command()])
+        backend = WorkerFleetBackend(1)
         assert backend._hb_timeout == pytest.approx(0.5)
         backend.start()
         try:
@@ -389,7 +396,7 @@ class TestWorkerHealth:
         monkeypatch.setenv("REPRO_FAULT_INJECT",
                            "hang:every=1,seconds=2,times=99")
         cell = _cell()
-        backend = WorkerFleetBackend([worker_command()])
+        backend = WorkerFleetBackend(1)
         backend.start()
         try:
             backend.submit(5, _request(cell))
@@ -422,7 +429,7 @@ class TestWorkerHealth:
 
     def test_heartbeats_off_cost_nothing(self, monkeypatch):
         monkeypatch.delenv("REPRO_HEARTBEAT", raising=False)
-        backend = WorkerFleetBackend([worker_command()])
+        backend = WorkerFleetBackend(1)
         assert backend._hb_timeout is None
         assert backend._check_heartbeats() == []
 
@@ -432,7 +439,7 @@ class TestDiscardSemantics:
         # A hedge race's losing copy: the slot finishes its (now
         # unwanted) cell, the late frame is filtered, and the slot is
         # immediately reusable — no kill, no rebuild.
-        backend = WorkerFleetBackend([worker_command()])
+        backend = WorkerFleetBackend(1)
         backend.start()
         try:
             backend.submit(1, _request(_cell()))
@@ -457,7 +464,7 @@ class TestDiscardSemantics:
 
     def test_hard_discard_retires_slot_until_rebuild(self):
         backend = WorkerFleetBackend(
-            [worker_command()],
+            1,
             env={"REPRO_FAULT_INJECT": "hang:every=1,seconds=600,times=1"})
         backend.start()
         try:
@@ -482,7 +489,7 @@ class TestDiscardSemantics:
 
     def test_idle_worker_death_shrinks_capacity(self):
         backend = WorkerFleetBackend(
-            [worker_command()] * 2,
+            2,
             env={"REPRO_FAULT_INJECT": "hang:every=1,seconds=600,times=99"})
         backend.start()
         try:
@@ -545,16 +552,68 @@ class TestStderrTail:
 
 
 class TestLocalPoolBackend:
+    """The default local slot: a child forked from this process."""
+
     def test_executes_cell_and_matches_serial(self):
         cell = _cell()
-        backend = LocalPoolBackend(1)
+        backend = WorkerFleetBackend(1)
         backend.start()
         try:
+            [worker] = backend._fleet
+            assert isinstance(worker.proc, _ForkedProcess)
+            assert worker.proc.pid != os.getpid()
             backend.submit(1, _request(cell))
             [frame] = _poll_until(backend)
             assert frame.status == FRAME_OK
             result, _, _, _ = frame.payload
             assert result == _serial_result(cell)
+        finally:
+            backend.close()
+        assert worker.proc.returncode == 0  # reaped, clean exit on EOF
+
+
+class TestForkHygiene:
+    """Each forked child keeps only its own pipe pair.  A child holding
+    a sibling's ends would keep that sibling from seeing EOF on close
+    and hide the sibling's death from the parent."""
+
+    def test_idle_close_is_prompt(self):
+        backend = WorkerFleetBackend(2)
+        backend.start()
+        procs = [worker.proc for worker in backend._fleet]
+        try:
+            _await_hellos(backend)
+        finally:
+            started = time.monotonic()
+            backend.close()
+            elapsed = time.monotonic() - started
+        assert elapsed < _CLOSE_GRACE_S / 4
+        # Both children left on stdin EOF and were reaped by close().
+        assert [proc.returncode for proc in procs] == [0, 0]
+
+    def test_sigkill_of_one_busy_slot_loses_only_that_cell(self):
+        victim, survivor = _cell(), _cell("soplex")
+        victim_key = stable_hash(victim.key_payload())
+        backend = WorkerFleetBackend(
+            2, env={"REPRO_FAULT_INJECT":
+                    f"hang:key={victim_key[:16]},seconds=600,times=99"})
+        backend.start()
+        try:
+            backend.submit(1, _request(victim))
+            backend.submit(2, _request(survivor))
+            assert backend._fleet[0].task_id == 1
+            backend._fleet[0].proc.kill()
+            frames = {}
+            deadline = time.monotonic() + 30.0
+            while len(frames) < 2:
+                assert time.monotonic() < deadline, frames
+                for frame in backend.poll(timeout=0.5):
+                    frames[frame.task_id] = frame
+            assert frames[1].status == FRAME_LOST
+            assert "died mid-cell" in frames[1].payload
+            assert frames[2].status == FRAME_OK
+            result, _, _, _ = frames[2].payload
+            assert result == _serial_result(survivor)
         finally:
             backend.close()
 
@@ -575,37 +634,24 @@ class TestWorkerSpec:
 
 
 class TestBackendResolution:
-    def test_explicit_name_beats_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_BACKEND", "fleet")
-        assert resolve_backend_name("local") == "local"
-        assert resolve_backend_name() == "fleet"
-
-    def test_unknown_name_raises(self):
-        with pytest.raises(ConfigError):
-            resolve_backend_name("carrier-pigeon")
-
     def test_workers_spec_resolution(self, monkeypatch):
         monkeypatch.delenv("REPRO_WORKERS", raising=False)
         assert resolve_workers_spec(None) is None
-        monkeypatch.setenv("REPRO_WORKERS", "3")
-        assert resolve_workers_spec(None) == "3"
+        monkeypatch.setenv("REPRO_WORKERS", "hostB:3")
+        assert resolve_workers_spec(None) == "hostB:3"
         assert resolve_workers_spec("hostA:2") == "hostA:2"
+        # A bare count is refused, not read as a host named "3":
+        # --jobs sizes local workers.
+        monkeypatch.setenv("REPRO_WORKERS", "3")
+        with pytest.raises(ConfigError, match="--jobs"):
+            resolve_workers_spec(None)
 
-    def test_slot_sizing(self):
-        assert resolve_slots("local", 4, None) == 4
-        assert resolve_slots("fleet", 4, None) == 4
-        assert resolve_slots("fleet", 4, "2") == 2
-        assert resolve_slots("ssh", 4, "a:2,b") == 3
-
-    def test_fleet_slots_must_be_numeric_and_positive(self):
-        with pytest.raises(ConfigError):
-            resolve_slots("fleet", 4, "hostA:2")
-        with pytest.raises(ConfigError):
-            resolve_slots("fleet", 4, "0")
-
-    def test_ssh_requires_a_spec(self):
-        with pytest.raises(ConfigError):
-            resolve_slots("ssh", 4, None)
+    def test_slot_sizing(self, monkeypatch):
+        monkeypatch.delenv("REPRO_WORKERS", raising=False)
+        local = ParallelRunner(jobs=4, store=None)
+        assert (local.jobs, local.backend_name) == (4, "local")
+        remote = ParallelRunner(jobs=4, store=None, workers="a:2,b")
+        assert (remote.jobs, remote.backend_name) == (3, "ssh")
 
 
 #: A stand-in ssh client: ignores the appended "host python -m ..."

@@ -2,7 +2,7 @@
 
 Exercises the deterministic fault-injection harness
 (``REPRO_FAULT_INJECT``) end to end: per-cell failure isolation,
-bounded retries, worker-crash (``BrokenProcessPool``) recovery,
+bounded retries, worker-crash (lost worker) recovery,
 per-cell watchdog timeouts, batch degradation, and the
 "corruption is a cache miss" contract.  The load-bearing invariant in
 every recovery test: results after injected faults are identical to a
@@ -153,18 +153,14 @@ class TestCrashRecovery:
         warm = ParallelRunner(jobs=1, store=ResultStore(tmp_path / "cache"),
                               verbose=False)
         assert warm.run(cells) == clean_results
-        # Every cell that completed before/after the pool death is a
+        # Every cell that completed before/after the worker death is a
         # store hit now: a crash loses zero completed results.
         assert warm.last_report.hits == len(cells)
 
     def test_serial_crash_degrades_to_raise(self, monkeypatch, no_backoff,
                                             clean_results):
         monkeypatch.setenv("REPRO_FAULT_INJECT", "crash:every=1")
-        # Serial degradation is a local-pool path: pin the backend so a
-        # REPRO_BACKEND=fleet environment (CI dist-smoke) can't reroute
-        # the crash into a worker process.
-        engine = ParallelRunner(jobs=1, store=None, verbose=False, retries=1,
-                                backend="local")
+        engine = ParallelRunner(jobs=1, store=None, verbose=False, retries=1)
         assert engine.run(_cells()) == clean_results
         assert engine.last_report.retries == len(clean_results)
 
@@ -190,11 +186,8 @@ class TestWatchdogTimeout:
         victim = _keys(cells)[0][:16]
         monkeypatch.setenv("REPRO_FAULT_INJECT",
                            f"hang:key={victim},seconds=30,times=99")
-        # Pin the local pool: fleet worker loss requeues the innocent
-        # in-flight cell differently, and this test asserts the exact
-        # local watchdog bookkeeping.
         engine = ParallelRunner(jobs=2, store=None, verbose=False,
-                                cell_timeout=0.5, backend="local")
+                                cell_timeout=0.5)
         results = engine.run(cells)
         report = engine.last_report
         assert results[0] is None and results[1] is not None

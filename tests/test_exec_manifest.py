@@ -6,6 +6,8 @@ re-drives exactly the unfinished cells (the completed ones are store
 hits).
 """
 
+import json
+
 from repro.cli import main
 from repro.config import TINY
 from repro.exec import (
@@ -150,9 +152,9 @@ class TestExecFlagStripping:
     def test_strips_space_and_equals_forms(self):
         from repro.exec.manifest import strip_exec_flags
 
-        argv = ["compare", "--jobs", "4", "--backend=fleet",
-                "--workers", "2", "--shared-store=/mnt/s",
-                "--hedge", "2.0", "--scale", "tiny"]
+        argv = ["compare", "--jobs", "4", "--workers=node-a:2",
+                "--shared-store=/mnt/s", "--hedge", "2.0",
+                "--scale", "tiny"]
         assert strip_exec_flags(argv) == ["compare", "--scale", "tiny"]
 
     def test_run_id_ignores_exec_flags(self, tmp_path):
@@ -162,7 +164,7 @@ class TestExecFlagStripping:
         redone = RunManifest.create(
             tmp_path, label="t",
             command=["compare", "--scale", "tiny", "--jobs", "8",
-                     "--backend", "fleet", "--workers=4"],
+                     "--workers=node-a:4"],
             cells=CELLS)
         assert redone.run_id == base.run_id
 
@@ -190,11 +192,10 @@ class TestExecFlagStripping:
             for name in ("gamess", "soplex")
         ]
         engine = ParallelRunner(jobs=2, store=ResultStore(tmp_path),
-                                verbose=False, command=["compare", "-x"],
-                                backend="fleet")
+                                verbose=False, command=["compare", "-x"])
         engine.run(cells, label="t")
         manifest = engine.last_manifest
-        assert manifest.exec_info["backend"] == "fleet"
+        assert manifest.exec_info["backend"] == "local"
         assert manifest.exec_info["jobs"] == "2"
         assert RunManifest.load(tmp_path, manifest.run_id).exec_info \
             == manifest.exec_info
@@ -239,33 +240,64 @@ class TestCliResume:
         [manifest] = list_runs(cache)
         assert manifest.is_complete
 
-    def test_resume_honors_exec_overrides(self, tmp_path, monkeypatch,
-                                          capsys):
-        cache = str(tmp_path / "cache")
-        argv = ["compare", "--benchmarks", "gamess", "soplex",
-                "--policies", "lru", "--scale", "tiny",
-                "--cache-dir", cache, "--jobs", "1"]
+    def _fail_victim(self, argv, monkeypatch, capsys):
+        """Run ``argv`` with the victim cell failing; its manifest."""
         victim = self._victim_key()
         monkeypatch.setenv("REPRO_RETRY_BACKOFF", "0")
         monkeypatch.setenv("REPRO_FAULT_INJECT",
                            f"raise:key={victim[:16]},times=99")
         assert main(argv) == 1
         capsys.readouterr()
-        [manifest] = list_runs(cache)
-        run_id = manifest.run_id
-
         monkeypatch.delenv("REPRO_FAULT_INJECT")
+        [manifest] = list_runs(argv[argv.index("--cache-dir") + 1])
+        return manifest
+
+    def test_resume_honors_exec_overrides(self, tmp_path, monkeypatch,
+                                          capsys):
+        cache = str(tmp_path / "cache")
+        argv = ["compare", "--benchmarks", "gamess", "soplex",
+                "--policies", "lru", "--scale", "tiny",
+                "--cache-dir", cache, "--jobs", "1"]
+        run_id = self._fail_victim(argv, monkeypatch, capsys).run_id
+
         assert main(["resume", run_id[:12], "--cache-dir", cache,
-                     "--jobs", "2", "--backend", "fleet"]) == 0
+                     "--jobs", "2"]) == 0
         out = capsys.readouterr().out
-        assert "--backend fleet" in out  # overrides in the re-driven argv
+        assert "--jobs 2" in out  # overrides in the re-driven argv
+        assert "--jobs 1" not in out
         # Exec flags never enter the run id: the same manifest was
         # reopened, finished, and now records the overridden settings.
         [manifest] = list_runs(cache)
         assert manifest.run_id == run_id
         assert manifest.is_complete
-        assert manifest.exec_info["backend"] == "fleet"
         assert manifest.exec_info["jobs"] == "2"
+
+    def test_resume_drops_retired_backend_flags(self, tmp_path, monkeypatch,
+                                                capsys):
+        # A run recorded with the retired transport flags: --backend and
+        # a fleet's integer --workers.  Exec flags never entered the run
+        # id, so the recorded manifest is the one a --jobs 2 run opens;
+        # only its command line carries the old flags.
+        cache = str(tmp_path / "cache")
+        argv = ["compare", "--benchmarks", "gamess", "soplex",
+                "--policies", "lru", "--scale", "tiny",
+                "--cache-dir", cache, "--jobs", "2"]
+        manifest = self._fail_victim(argv, monkeypatch, capsys)
+        run_id = manifest.run_id
+        payload = json.loads(manifest.path.read_text(encoding="utf-8"))
+        payload["command"] = argv + ["--backend", "fleet", "--workers", "2"]
+        payload["exec"] = {"backend": "fleet", "jobs": "2", "workers": "2"}
+        manifest.path.write_text(json.dumps(payload), encoding="utf-8")
+
+        assert main(["resume", run_id[:12], "--cache-dir", cache]) == 0
+        out = capsys.readouterr().out
+        assert "--backend" not in out
+        assert "--workers" not in out
+        [manifest] = list_runs(cache)
+        assert manifest.run_id == run_id
+        assert manifest.is_complete
+        assert manifest.command == argv
+        assert manifest.exec_info == {"backend": "local", "jobs": "2"}
 
     def test_resume_lists_runs(self, tmp_path, capsys):
         cache = str(tmp_path / "cache")
