@@ -46,8 +46,6 @@ from repro.exec import (
     SingleCell,
     SuiteSpec,
     TraceSpec,
-    default_store,
-    resolve_jobs,
 )
 from repro.policies import make_policy, policy_factory, policy_names
 from repro.sim import (
@@ -99,8 +97,6 @@ __all__ = [
     "SingleCell",
     "SuiteSpec",
     "TraceSpec",
-    "default_store",
-    "resolve_jobs",
     "make_policy",
     "policy_factory",
     "policy_names",

@@ -14,7 +14,10 @@ variable) and print the same table layouts the bench harness uses.
 engine: ``--jobs N`` (or ``REPRO_JOBS``) fans independent experiment
 cells across worker processes, and ``--cache-dir`` (or
 ``REPRO_CACHE_DIR``; default ``.repro-cache``, ``off`` to disable)
-reuses results across invocations via the on-disk cache.
+reuses results across invocations via the on-disk cache.  :func:`main`
+resolves every flag and ``REPRO_*`` setting into one run config
+(:mod:`repro.config`) before dispatching, so a bad value is a one-line
+error before any work.
 
 Failure handling (DESIGN.md section 11): ``--retries`` re-runs failing
 cells, ``--cell-timeout`` bounds per-cell wall time, and ``--on-error``
@@ -27,31 +30,29 @@ re-drives the unfinished cells.
 from __future__ import annotations
 
 import argparse
-import os
 import sys
-from typing import List, Optional
+from typing import Any, Dict, List, Optional
 
 from repro import obs
 from repro import (
     TrainedMultiperspective,
     build_suite,
     generate_mixes,
-    get_scale,
     measure_roc,
     normalized_weighted_speedups,
     policy_names,
     single_thread_config,
 )
+from repro.config import SETTINGS, ConfigError, resolve_config
 from repro.exec import (
     CellExecutionError,
-    ConfigError,
     MixCell,
     ParallelRunner,
+    ResultStore,
     SingleCell,
     SuiteSpec,
     TraceSpec,
     list_runs,
-    resolve_store,
 )
 from repro.report import (
     mpki_table,
@@ -60,7 +61,6 @@ from repro.report import (
 )
 from repro.search.evaluator import FeatureSetEvaluator
 from repro.traces.ingest import (
-    DEFAULT_CHUNK,
     FORMATS,
     IngestSpec,
     parse_weights,
@@ -77,72 +77,46 @@ def _add_scale(parser: argparse.ArgumentParser) -> None:
 def _add_trace(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--trace-file", default=None, metavar="PATH",
                         help="ingest a real trace file as an extra workload "
-                             "(gzip transparent; default: $REPRO_TRACE_FILE)")
+                             "(gzip transparent)")
     parser.add_argument("--trace-format", default=None, choices=FORMATS,
-                        help="trace format (default: $REPRO_TRACE_FORMAT, "
-                             "else inferred from the file name)")
+                        help="trace format (default: inferred from the "
+                             "file name)")
     parser.add_argument("--trace-name", default=None, metavar="NAME",
                         help="workload name for the ingested trace "
-                             "(default: $REPRO_TRACE_NAME or the file stem)")
-    parser.add_argument("--trace-skip", type=int, default=None, metavar="N",
+                             "(default: the file stem)")
+    parser.add_argument("--trace-skip", type=int, default=0, metavar="N",
                         help="records to skip before the measured window "
-                             "(default: $REPRO_TRACE_SKIP or 0)")
+                             "(default: 0)")
     parser.add_argument("--trace-accesses", type=int, default=None,
                         metavar="N",
-                        help="records per segment window (default: "
-                             "$REPRO_TRACE_ACCESSES or the --scale budget)")
-    parser.add_argument("--trace-segments", type=int, default=None,
+                        help="records per segment window (default: the "
+                             "--scale budget)")
+    parser.add_argument("--trace-segments", type=int, default=1,
                         metavar="K",
                         help="consecutive SimPoint-style segment windows "
-                             "(default: $REPRO_TRACE_SEGMENTS or 1)")
+                             "(default: 1)")
     parser.add_argument("--trace-weights", default=None, metavar="W1,W2,...",
-                        help="per-segment weights (default: "
-                             "$REPRO_TRACE_WEIGHTS or equal)")
-
-
-def _int_env(name: str, default: int) -> int:
-    raw = os.environ.get(name, "")
-    if not raw:
-        return default
-    try:
-        return int(raw)
-    except ValueError:
-        raise ConfigError(f"{name} must be an integer, got {raw!r}") from None
+                        help="per-segment weights (default: equal)")
 
 
 def _resolve_trace(args: argparse.Namespace,
                    default_accesses: int) -> Optional[IngestSpec]:
-    """Merge --trace-* flags with REPRO_TRACE_* knobs into a spec.
+    """The --trace-* flags as an ingest spec (None without --trace-file).
 
     Resolution happens once, here: the content digest is computed (or
     revalidated from its sidecar) before any cell is scheduled, so
     workers, local or on ssh hosts, receive a finished recipe and only
     ever re-open the file to decode it.
     """
-    path = getattr(args, "trace_file", None) \
-        or os.environ.get("REPRO_TRACE_FILE", "")
-    if not path:
+    if not args.trace_file:
         return None
-    fmt = (getattr(args, "trace_format", None)
-           or os.environ.get("REPRO_TRACE_FORMAT", "") or None)
-    name = (getattr(args, "trace_name", None)
-            or os.environ.get("REPRO_TRACE_NAME", "") or None)
-    skip = getattr(args, "trace_skip", None)
-    if skip is None:
-        skip = _int_env("REPRO_TRACE_SKIP", 0)
-    accesses = getattr(args, "trace_accesses", None)
-    if accesses is None:
-        accesses = _int_env("REPRO_TRACE_ACCESSES", default_accesses)
-    segments = getattr(args, "trace_segments", None)
-    if segments is None:
-        segments = _int_env("REPRO_TRACE_SEGMENTS", 1)
-    weights_raw = (getattr(args, "trace_weights", None)
-                   or os.environ.get("REPRO_TRACE_WEIGHTS", ""))
-    weights = parse_weights(weights_raw) if weights_raw else ()
-    chunk = _int_env("REPRO_TRACE_CHUNK", DEFAULT_CHUNK)
+    accesses = args.trace_accesses
+    weights = parse_weights(args.trace_weights) if args.trace_weights else ()
     return resolve_ingest(
-        path, fmt=fmt, name=name, skip=skip, accesses=accesses,
-        segments=segments, weights=weights, chunk=chunk,
+        args.trace_file, fmt=args.trace_format, name=args.trace_name,
+        skip=args.trace_skip,
+        accesses=default_accesses if accesses is None else accesses,
+        segments=args.trace_segments, weights=weights,
         reserved=benchmark_names(),
     )
 
@@ -157,15 +131,14 @@ def _add_exec(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--on-error", default=None,
                         choices=("collect", "raise"),
                         help="on cell failure: finish with partial results "
-                             "('collect', default) or fail fast ('raise'); "
-                             "default: $REPRO_ON_ERROR")
+                             "('collect', default) or fail fast ('raise')")
     parser.add_argument("--retries", type=int, default=None, metavar="N",
                         help="re-run a failing cell up to N times "
-                             "(default: $REPRO_RETRIES or 0)")
+                             "(default: 0)")
     parser.add_argument("--cell-timeout", type=float, default=None,
                         metavar="SECONDS",
                         help="abandon cells running longer than this "
-                             "(default: $REPRO_CELL_TIMEOUT; off)")
+                             "(default: 0 = off)")
     parser.add_argument("--telemetry", action="store_true",
                         help="record spans and metrics to "
                              "<cache>/runs/<run-id>.events.jsonl "
@@ -182,8 +155,7 @@ def _add_exec(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--hedge", type=float, default=None, metavar="MULT",
                         help="duplicate cells running MULT times longer "
                              "than the observed median onto idle workers; "
-                             "first completion wins (default: $REPRO_HEDGE; "
-                             "off)")
+                             "first completion wins (default: 0 = off)")
 
 
 #: Engine backing the currently dispatched command, so the top-level
@@ -191,26 +163,32 @@ def _add_exec(parser: argparse.ArgumentParser) -> None:
 _ACTIVE_ENGINE: Optional[ParallelRunner] = None
 
 
+def _flags(args: argparse.Namespace) -> Dict[str, Any]:
+    """This command's run-config flags, by field; absent ones are None."""
+    flags = {setting.field: getattr(args, setting.field, None)
+             for setting in SETTINGS if setting.flag}
+    # --telemetry can only turn telemetry on; without it, the
+    # variable decides.
+    flags["telemetry"] = flags["telemetry"] or None
+    return flags
+
+
 def _engine(args: argparse.Namespace) -> ParallelRunner:
     global _ACTIVE_ENGINE
     # The telemetry switch is process-global; decide it both ways here
     # so back-to-back main() calls in one process never leak state.
-    if getattr(args, "telemetry", False) or obs.telemetry_default():
+    if args.config.telemetry:
         obs.enable()
     else:
         obs.disable()
-    _ACTIVE_ENGINE = ParallelRunner.from_options(
-        jobs=args.jobs,
-        cache_dir=args.cache_dir,
-        on_error=getattr(args, "on_error", None),
-        retries=getattr(args, "retries", None),
-        cell_timeout=getattr(args, "cell_timeout", None),
-        command=getattr(args, "argv", None),
-        workers=getattr(args, "workers", None),
-        shared_store=getattr(args, "shared_store", None) or "",
-        hedge=getattr(args, "hedge", None),
-    )
+    _ACTIVE_ENGINE = ParallelRunner(command=args.argv, **_flags(args))
     return _ACTIVE_ENGINE
+
+
+def _cache_store(args: argparse.Namespace) -> Optional[ResultStore]:
+    """The result cache ``--cache-dir`` / ``REPRO_CACHE_DIR`` names."""
+    cache_dir = args.config.cache_dir
+    return None if cache_dir is None else ResultStore(cache_dir)
 
 
 def _resume_hint(engine: Optional[ParallelRunner]) -> Optional[str]:
@@ -236,7 +214,7 @@ def _report_failures(engine: ParallelRunner) -> bool:
 
 
 def cmd_compare(args: argparse.Namespace) -> int:
-    scale = get_scale(args.scale)
+    scale = args.config.scale
     ingest = _resolve_trace(args, scale.segment_accesses)
     if args.benchmarks:
         names = list(args.benchmarks)
@@ -294,7 +272,7 @@ def cmd_roc(args: argparse.Namespace) -> int:
     from repro.traces.workloads import build_segments
     from repro.util.stats import auc
 
-    scale = get_scale(args.scale)
+    scale = args.config.scale
     hierarchy = scale.hierarchy
     num_sets = hierarchy.llc_bytes // (hierarchy.llc_ways * 64)
     ingest = _resolve_trace(args, scale.segment_accesses)
@@ -323,7 +301,7 @@ def cmd_roc(args: argparse.Namespace) -> int:
 def cmd_search(args: argparse.Namespace) -> int:
     from repro.search import hill_climb, random_search
 
-    scale = get_scale(args.scale)
+    scale = args.config.scale
     accesses = max(2_000, scale.segment_accesses // 4)
     ingest = _resolve_trace(args, accesses)
     spec = SuiteSpec(
@@ -350,7 +328,7 @@ def cmd_search(args: argparse.Namespace) -> int:
 
 
 def cmd_mix(args: argparse.Namespace) -> int:
-    scale = get_scale(args.scale)
+    scale = args.config.scale
     accesses = max(2_000, scale.segment_accesses // 3)
     ingest = _resolve_trace(args, accesses)
     suite_spec = SuiteSpec(scale.hierarchy.llc_bytes, accesses,
@@ -405,7 +383,7 @@ def cmd_perf(args: argparse.Namespace) -> int:
 
     policies = tuple(args.policies) if args.policies else DEFAULT_POLICIES
     report = build_report(
-        scale_name=args.scale,
+        scale_name=args.config.scale.name,
         benchmark=args.benchmark,
         benchmarks=tuple(args.compare_benchmarks),
         policies=policies,
@@ -459,7 +437,7 @@ def cmd_stats(args: argparse.Namespace) -> int:
     from repro.obs.metrics import Histogram
     from repro.report import format_table
 
-    store = resolve_store(args.cache_dir)
+    store = _cache_store(args)
     if store is None:
         print("error: stats needs the result cache "
               "(--cache-dir / REPRO_CACHE_DIR is disabled)", file=sys.stderr)
@@ -571,7 +549,7 @@ def cmd_cache(args: argparse.Namespace) -> int:
     from repro.obs.events import list_event_logs, read_events
     from repro.report import format_table
 
-    store = resolve_store(args.cache_dir)
+    store = _cache_store(args)
     if store is None:
         print("error: cache maintenance needs the result cache "
               "(--cache-dir / REPRO_CACHE_DIR is disabled)", file=sys.stderr)
@@ -712,7 +690,7 @@ def _override_exec_args(command: List[str],
 
 
 def cmd_resume(args: argparse.Namespace) -> int:
-    store = resolve_store(args.cache_dir)
+    store = _cache_store(args)
     if store is None:
         print("error: resume needs the result cache "
               "(--cache-dir / REPRO_CACHE_DIR is disabled)", file=sys.stderr)
@@ -765,11 +743,10 @@ def build_parser() -> argparse.ArgumentParser:
         epilog="Execution knob (results are bit-identical either way): "
                "REPRO_STAGE2_KERNEL=off replays Stage 2 on the reference "
                "simulator instead of the columnar kernel.  Real traces: "
-               "--trace-file/--trace-format (or REPRO_TRACE_FILE, "
-               "REPRO_TRACE_FORMAT, REPRO_TRACE_NAME, REPRO_TRACE_SKIP, "
-               "REPRO_TRACE_ACCESSES, REPRO_TRACE_SEGMENTS, "
-               "REPRO_TRACE_WEIGHTS, REPRO_TRACE_CHUNK) ingest a "
-               "ChampSim-style binary, text, or CSV trace as a workload.",
+               "--trace-file/--trace-format ingest a ChampSim-style "
+               "binary, text, or CSV trace as a workload.  A REPRO_* "
+               "variable the README's Configuration table does not list "
+               "is an error.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -917,6 +894,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     args.argv = list(argv) if argv is not None else list(sys.argv[1:])
     _ACTIVE_ENGINE = None
     try:
+        args.config = resolve_config(_flags(args))
         return args.func(args)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)

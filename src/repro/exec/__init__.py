@@ -4,6 +4,7 @@ See DESIGN.md section 8 ("Experiment execution engine") for the cache
 key schema and determinism guarantees.
 """
 
+from repro.config import DEFAULT_CACHE_DIR, ConfigError
 from repro.exec.cachekey import (
     SCHEMA_VERSION,
     canonical_json,
@@ -20,7 +21,6 @@ from repro.exec.backends import (
 from repro.exec.faults import (
     CellExecutionError,
     CellFailure,
-    ConfigError,
     RemoteCellError,
     parse_fault_spec,
 )
@@ -35,17 +35,12 @@ from repro.exec.runner import (
     SingleCell,
     SuiteSpec,
     TraceSpec,
-    default_store,
-    resolve_jobs,
-    resolve_store,
 )
 from repro.exec.store import (
-    DEFAULT_CACHE_DIR,
     CacheStats,
     ResultStore,
     TieredResultStore,
     make_store,
-    resolve_shared,
 )
 
 __all__ = [
@@ -75,13 +70,9 @@ __all__ = [
     "SingleCell",
     "SuiteSpec",
     "TraceSpec",
-    "default_store",
-    "resolve_jobs",
-    "resolve_store",
     "DEFAULT_CACHE_DIR",
     "CacheStats",
     "ResultStore",
     "TieredResultStore",
     "make_store",
-    "resolve_shared",
 ]

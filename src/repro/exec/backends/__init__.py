@@ -10,7 +10,6 @@ repro.exec.worker``, sized by the summed per-host slots.
 
 from __future__ import annotations
 
-import os
 from typing import Optional
 
 from repro.exec.backends.fleet import (
@@ -29,24 +28,6 @@ from repro.exec.backends.ssh import (
     parse_worker_spec,
     total_slots,
 )
-from repro.exec.faults import ConfigError
-
-
-def resolve_workers_spec(workers: Optional[str] = None) -> Optional[str]:
-    """Effective ssh worker spec: explicit arg > ``REPRO_WORKERS`` > none.
-
-    A bare integer is refused rather than read as a host name: local
-    workers are sized by ``--jobs``.
-    """
-    spec = workers if workers is not None else os.environ.get("REPRO_WORKERS")
-    spec = (spec or "").strip()
-    if not spec:
-        return None
-    if spec.isdigit():
-        raise ConfigError(
-            f"--workers takes ssh hosts as host[:slots],..., not a count "
-            f"({spec!r}); size local workers with --jobs")
-    return spec
 
 
 def create_backend(slots: int,
@@ -59,7 +40,6 @@ def create_backend(slots: int,
 
 __all__ = [
     "BackendUnavailable",
-    "ConfigError",
     "FRAME_ERROR",
     "FRAME_LOST",
     "FRAME_OK",
@@ -70,7 +50,6 @@ __all__ = [
     "create_backend",
     "knob_env",
     "parse_worker_spec",
-    "resolve_workers_spec",
     "total_slots",
     "worker_command",
 ]

@@ -46,10 +46,11 @@ Fork rules, each one load-bearing:
   stack, with ``sys.stdout`` rebound to stderr: fd 1 is still the
   parent's stdout.
 
-Knob propagation: after start each worker receives one ``config``
+Settings propagation: after start each worker receives one ``config``
 frame carrying a snapshot of the parent's ``REPRO_*`` environment, so
-fault-injection specs, scale knobs and the shared-store tier behave
-identically on every host.
+the settings workers read (:func:`repro.config.env_value`: fault
+injection, heartbeats, the Stage-2 kernel switch) match the parent's
+on every host.
 """
 
 from __future__ import annotations
@@ -77,7 +78,7 @@ from typing import (
     Union,
 )
 
-from repro.exec import health
+from repro import config
 from repro.exec.faults import RemoteCellError
 from repro.exec.protocol import FrameError, read_frame, write_frame
 
@@ -97,6 +98,10 @@ _STDERR_TAIL_LINES = 20
 #: Marker embedded in heartbeat-timeout lost frames so the runner can
 #: count them separately from plain worker deaths.
 HEARTBEAT_LOST = "heartbeat-lost"
+
+#: Heartbeat intervals a busy slot may stay silent before it is
+#: declared lost.
+HEARTBEAT_TIMEOUT_INTERVALS = 5
 
 #: Local slots fork from this process only where a fork without exec
 #: is safe; elsewhere they spawn the worker module.
@@ -278,7 +283,10 @@ class WorkerFleetBackend:
         self._fleet: List[_Worker] = []
         self._events: "queue.Queue[tuple]" = queue.Queue()
         self._discarded: set = set()
-        self._hb_timeout = health.heartbeat_timeout()
+        interval = config.env_value("heartbeat")
+        self._hb_timeout: Optional[float] = (
+            None if interval is None
+            else interval * HEARTBEAT_TIMEOUT_INTERVALS)
 
     # -- lifecycle ---------------------------------------------------------
 

@@ -9,7 +9,8 @@ selects this backend over the local forked slots:
 
     --workers "hostA:4,hostB:2,hostC"
 
-gives hostA four slots, hostB two, hostC one.  Knobs:
+gives hostA four slots, hostB two, hostC one.  Settings
+(:mod:`repro.config`):
 
 * ``REPRO_REMOTE_PYTHON`` — interpreter to run on the remote side
   (default ``python3``); the repo must be importable there (installed,
@@ -21,21 +22,18 @@ gives hostA four slots, hostB two, hostC one.  Knobs:
 * ``REPRO_SSH_CONNECT_TIMEOUT`` — seconds before an unreachable host
   fails (default 10): applied as ``-o ConnectTimeout=…`` on the
   default client command, and as the deadline for the worker ``hello``
-  handshake that ``start()`` now enforces, so a dead host is a clean
+  handshake that ``start()`` enforces, so a dead host is a clean
   ``BackendUnavailable`` at startup instead of a hang at first submit.
 """
 
 from __future__ import annotations
 
-import os
-import shlex
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.exec import health
+from repro import config
+from repro.config import ConfigError
 from repro.exec.backends.fleet import WorkerFleetBackend
-from repro.exec.faults import ConfigError
 
-DEFAULT_REMOTE_PYTHON = "python3"
 DEFAULT_SSH_COMMAND = ("ssh", "-o", "BatchMode=yes")
 
 #: Slack added to the connect timeout before the hello handshake is
@@ -44,8 +42,12 @@ DEFAULT_SSH_COMMAND = ("ssh", "-o", "BatchMode=yes")
 _READY_GRACE_S = 20.0
 
 
-def parse_worker_spec(spec: str) -> List[Tuple[str, int]]:
-    """Parse ``host[:slots],...`` into ``[(host, slots), ...]``."""
+def parse_worker_spec(spec: str,
+                      name: str = "--workers") -> List[Tuple[str, int]]:
+    """Parse ``host[:slots],...`` into ``[(host, slots), ...]``.
+
+    ``name`` is the setting the spec came from, for error messages.
+    """
     hosts: List[Tuple[str, int]] = []
     for part in spec.split(","):
         part = part.strip()
@@ -58,15 +60,15 @@ def parse_worker_spec(spec: str) -> List[Tuple[str, int]]:
             slots = int(slots_text)
         except ValueError:
             raise ConfigError(
-                f"--workers: bad slot count {slots_text!r} in {part!r} "
+                f"{name}: bad slot count {slots_text!r} in {part!r} "
                 f"(expected host or host:slots)") from None
         if not host or slots < 1:
             raise ConfigError(
-                f"--workers: bad worker spec {part!r} "
+                f"{name}: bad worker spec {part!r} "
                 f"(expected host or host:slots with slots >= 1)")
         hosts.append((host, slots))
     if not hosts:
-        raise ConfigError("--workers: empty worker spec")
+        raise ConfigError(f"{name}: empty worker spec")
     return hosts
 
 
@@ -81,14 +83,11 @@ class SSHBackend(WorkerFleetBackend):
                  env: Optional[Dict[str, str]] = None,
                  python: Optional[str] = None,
                  ssh_command: Optional[Sequence[str]] = None) -> None:
-        python = python or os.environ.get(
-            "REPRO_REMOTE_PYTHON") or DEFAULT_REMOTE_PYTHON
-        self._connect_timeout = health.ssh_connect_timeout()
+        python = python or config.env_value("remote_python")
+        self._connect_timeout = config.env_value("ssh_connect_timeout")
         if ssh_command is None:
-            override = os.environ.get("REPRO_SSH_COMMAND")
-            if override:
-                ssh_command = shlex.split(override)
-            else:
+            ssh_command = config.env_value("ssh_command")
+            if ssh_command is None:
                 ssh_command = list(DEFAULT_SSH_COMMAND)
                 if self._connect_timeout is not None:
                     ssh_command += [

@@ -88,6 +88,8 @@ import traceback
 from dataclasses import dataclass
 from typing import Any, Dict, Optional, Tuple
 
+from repro import config
+from repro.config import ConfigError
 from repro.exec.cachekey import task_seed
 
 #: Exit status used by injected worker crashes (arbitrary, nonzero).
@@ -104,15 +106,6 @@ FAULT_KINDS = ("raise", "crash", "hang", "corrupt",
 
 #: Kinds that mangle the worker→parent result frame.
 FRAME_KINDS = ("frame-drop", "frame-trunc", "frame-delay", "frame-dup")
-
-
-class ConfigError(ValueError):
-    """Invalid execution-layer configuration (flags or environment).
-
-    Subclasses :class:`ValueError` for backward compatibility; the CLI
-    catches it and prints a clean one-line error instead of a
-    traceback.
-    """
 
 
 class InjectedFault(RuntimeError):
@@ -339,11 +332,10 @@ class FaultPlan:
         return False
 
 
-_PLANS: Dict[str, FaultPlan] = {}
-
 #: shared-fail operations already charged, keyed by rule identity.
-#: Plans are cached per spec string, so rule identity is stable for
-#: the lifetime of a spec; tests switching specs get fresh budgets.
+#: Plans are cached per spec string (:func:`repro.config.env_value`),
+#: so rule identity is stable for the lifetime of a spec; tests
+#: switching specs get fresh budgets.
 _SHARED_FAIL_SPENT: Dict[int, int] = {}
 
 
@@ -367,17 +359,11 @@ def shared_tier_fault(key: str = "") -> None:
 def active_plan() -> Optional[FaultPlan]:
     """The plan described by ``REPRO_FAULT_INJECT``, or ``None``.
 
-    Parsed per call (workers may see a different environment than the
-    parent) with a cache keyed by the raw spec string.
+    Read per call (workers see the parent's settings only once its
+    snapshot is applied) with one environment lookup and a parse cached
+    by the raw spec string.
     """
-    spec = os.environ.get("REPRO_FAULT_INJECT", "")
-    if not spec.strip():
-        return None
-    plan = _PLANS.get(spec)
-    if plan is None:
-        plan = FaultPlan(parse_fault_spec(spec))
-        _PLANS[spec] = plan
-    return plan
+    return config.env_value("fault_inject")
 
 
 def corrupt_result_blob(store: Any, key: str, kind: str) -> None:

@@ -1,163 +1,24 @@
-"""Health knobs and degraded-mode machinery for the execution mesh.
+"""The shared-tier circuit breaker (DESIGN.md §16).
 
-This module centralizes the policy side of DESIGN.md §16 — the pieces
-that decide *when* the mesh should treat a component as unhealthy and
-what the degraded behavior is.  Mechanism lives with the component
+Mechanism for the mesh's degraded modes lives with each component
 (worker heartbeat thread in :mod:`repro.exec.worker`, per-slot
-liveness tracking in :mod:`repro.exec.backends.fleet`, shared-tier
-short-circuiting in :mod:`repro.exec.store`, duplicate submission in
-:mod:`repro.exec.runner`); the knobs and the breaker state machine
-live here so every layer resolves them identically.
-
-Knobs (all off by default — a run that never opts in pays nothing):
-
-* ``REPRO_HEARTBEAT`` — heartbeat interval in seconds.  While a cell
-  runs, a worker emits a ``heartbeat`` frame this often; the
-  parent declares a silent busy slot lost after the timeout below.
-* ``REPRO_HEARTBEAT_TIMEOUT`` — seconds of silence before a busy slot
-  is declared lost (default ``HEARTBEAT_TIMEOUT_INTERVALS`` × the
-  interval).
-* ``--hedge`` / ``REPRO_HEDGE`` — straggler hedge multiple: when a
-  running cell exceeds this multiple of the observed median cell
-  duration and an idle slot exists, a duplicate is launched and the
-  first completion wins (bit-identical by construction — both copies
-  share the cache key and therefore the deterministic seed).
-* ``REPRO_BREAKER_THRESHOLD`` / ``REPRO_BREAKER_COOLDOWN`` — the
-  shared-tier circuit breaker: consecutive IO failures before the
-  shared store tier is opened (skipped), and seconds before a
-  half-open probe retries it.  ``REPRO_BREAKER=off`` disables the
-  breaker entirely (every op hits the shared tier, failures and all).
-* ``REPRO_SSH_CONNECT_TIMEOUT`` — ssh ``ConnectTimeout`` for ssh
-  workers, and the hello-handshake deadline their ``start()`` enforces.
-* ``REPRO_MANIFEST_FSYNC`` — fsync the run manifest's ``.done`` log on
-  every append (durability over speed; off by default).
+liveness tracking in :mod:`repro.exec.backends.fleet`, duplicate
+submission in :mod:`repro.exec.runner`); their settings live in the
+run config (:mod:`repro.config`).  This module holds the breaker state
+machine :class:`~repro.exec.store.TieredResultStore` guards every
+shared-tier operation with.
 """
 
 from __future__ import annotations
 
-import os
 import time
-from typing import Callable, Optional
+from typing import Callable
 
-from repro.exec.faults import ConfigError
-
-#: ``REPRO_*`` values that disable an optional feature.
-_OFF = ("", "off", "none", "0")
-
-#: Default multiple of the heartbeat interval a busy slot may stay
-#: silent before it is declared lost.
-HEARTBEAT_TIMEOUT_INTERVALS = 5
-
-#: Default consecutive shared-tier IO failures before the breaker opens.
+#: Consecutive shared-tier IO failures before the breaker opens.
 BREAKER_THRESHOLD = 3
 
-#: Default seconds an open breaker waits before a half-open probe.
+#: Seconds an open breaker waits before a half-open probe.
 BREAKER_COOLDOWN_S = 5.0
-
-#: Default ssh ``ConnectTimeout`` (and hello-handshake deadline).
-SSH_CONNECT_TIMEOUT_S = 10.0
-
-
-def _positive_float(name: str, raw: str) -> float:
-    try:
-        value = float(raw)
-    except ValueError:
-        raise ConfigError(
-            f"{name} must be a number of seconds, got {raw!r}") from None
-    if value <= 0:
-        raise ConfigError(f"{name} must be > 0, got {raw!r}")
-    return value
-
-
-def heartbeat_interval() -> Optional[float]:
-    """Heartbeat interval seconds from ``REPRO_HEARTBEAT``; None = off."""
-    raw = (os.environ.get("REPRO_HEARTBEAT", "") or "").strip().lower()
-    if raw in _OFF:
-        return None
-    return _positive_float("REPRO_HEARTBEAT", raw)
-
-
-def heartbeat_timeout(interval: Optional[float] = None) -> Optional[float]:
-    """Silence budget for a busy slot; None when heartbeats are off.
-
-    Explicit ``REPRO_HEARTBEAT_TIMEOUT`` wins; otherwise several
-    intervals (:data:`HEARTBEAT_TIMEOUT_INTERVALS`).  A timeout without
-    an interval is meaningless (the parent would declare every busy
-    slot lost), so ``None`` interval always resolves to ``None``.
-    """
-    if interval is None:
-        interval = heartbeat_interval()
-    if interval is None:
-        return None
-    raw = (os.environ.get("REPRO_HEARTBEAT_TIMEOUT", "") or "").strip().lower()
-    if raw in _OFF:
-        return interval * HEARTBEAT_TIMEOUT_INTERVALS
-    return _positive_float("REPRO_HEARTBEAT_TIMEOUT", raw)
-
-
-def resolve_hedge(hedge: Optional[float] = None) -> Optional[float]:
-    """Hedge multiple from ``--hedge`` / ``REPRO_HEDGE``; None = off."""
-    if hedge is None:
-        raw = (os.environ.get("REPRO_HEDGE", "") or "").strip().lower()
-        if raw in _OFF:
-            return None
-        try:
-            hedge = float(raw)
-        except ValueError:
-            raise ConfigError(
-                f"REPRO_HEDGE must be a multiple >= 1, got {raw!r}") from None
-    if hedge <= 0:
-        return None
-    if hedge < 1.0:
-        raise ConfigError(
-            f"hedge multiple must be >= 1, got {hedge!r} "
-            f"(--hedge / REPRO_HEDGE)")
-    return hedge
-
-
-def breaker_threshold() -> Optional[int]:
-    """Consecutive failures before the shared tier opens; None = no breaker."""
-    if (os.environ.get("REPRO_BREAKER", "").strip().lower()
-            in ("off", "none", "0")):
-        return None
-    raw = (os.environ.get("REPRO_BREAKER_THRESHOLD", "") or "").strip()
-    if not raw:
-        return BREAKER_THRESHOLD
-    try:
-        value = int(raw)
-    except ValueError:
-        raise ConfigError(
-            f"REPRO_BREAKER_THRESHOLD must be an integer, got {raw!r}"
-        ) from None
-    if value < 1:
-        raise ConfigError(
-            f"REPRO_BREAKER_THRESHOLD must be >= 1, got {value}")
-    return value
-
-
-def breaker_cooldown() -> float:
-    """Seconds an open breaker waits before probing the shared tier."""
-    raw = (os.environ.get("REPRO_BREAKER_COOLDOWN", "") or "").strip()
-    if not raw:
-        return BREAKER_COOLDOWN_S
-    return _positive_float("REPRO_BREAKER_COOLDOWN", raw)
-
-
-def ssh_connect_timeout() -> Optional[float]:
-    """ssh ``ConnectTimeout`` seconds; None disables the fast-fail."""
-    raw = (os.environ.get("REPRO_SSH_CONNECT_TIMEOUT", "") or "")
-    raw = raw.strip().lower()
-    if raw in ("off", "none", "0"):
-        return None
-    if not raw:
-        return SSH_CONNECT_TIMEOUT_S
-    return _positive_float("REPRO_SSH_CONNECT_TIMEOUT", raw)
-
-
-def manifest_fsync() -> bool:
-    """Whether ``.done`` appends fsync (``REPRO_MANIFEST_FSYNC``)."""
-    return (os.environ.get("REPRO_MANIFEST_FSYNC", "").strip().lower()
-            in ("1", "true", "yes", "on"))
 
 
 # -- circuit breaker --------------------------------------------------------
@@ -231,10 +92,3 @@ class CircuitBreaker:
             return True
         return False
 
-
-def make_breaker() -> Optional[CircuitBreaker]:
-    """Breaker configured from the environment; None when disabled."""
-    threshold = breaker_threshold()
-    if threshold is None:
-        return None
-    return CircuitBreaker(threshold=threshold, cooldown=breaker_cooldown())

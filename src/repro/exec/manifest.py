@@ -35,7 +35,7 @@ from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.exec.cachekey import stable_hash
-from repro.exec.health import manifest_fsync
+from repro import config
 
 #: Subdirectory of the result-store root holding run manifests.
 MANIFEST_DIR = "runs"
@@ -164,7 +164,7 @@ class RunManifest:
     def _load_statuses(self) -> None:
         """Replay the ``.done`` log, tolerating a torn final write.
 
-        A crash (or power loss without :data:`REPRO_MANIFEST_FSYNC`)
+        A crash (or power loss without ``REPRO_MANIFEST_FSYNC``)
         can leave the log's last line truncated mid-record.  Such a
         tail must not wedge a resume: it is skipped — the cell it
         described simply counts as pending and re-executes — and the
@@ -204,7 +204,7 @@ class RunManifest:
         try:
             with open(self.done_path, "a", encoding="utf-8") as handle:
                 handle.write(f"{prefix}{status} {key}\n")
-                if manifest_fsync():
+                if config.env_value("manifest_fsync"):
                     handle.flush()
                     os.fsync(handle.fileno())
         except OSError:

@@ -23,16 +23,15 @@ reuse the in-process runners perform today.
 misses across worker processes
 (:class:`~repro.exec.backends.WorkerFleetBackend`) when ``jobs > 1``,
 and falls back to in-process serial execution (bit-identical: same
-entry points, same deterministic seeding) when ``jobs == 1``.
-``REPRO_JOBS`` and ``REPRO_CACHE_DIR`` configure the defaults;
-``REPRO_JOBS=0`` means one worker per CPU and ``REPRO_CACHE_DIR=off``
-disables the disk cache.
+entry points, same deterministic seeding) when ``jobs == 1``.  Its
+settings come from the run config (:mod:`repro.config`): ``REPRO_JOBS``
+and ``REPRO_CACHE_DIR`` configure the defaults; ``REPRO_JOBS=0`` means
+one worker per CPU and ``REPRO_CACHE_DIR=off`` disables the disk cache.
 """
 
 from __future__ import annotations
 
 import json
-import os
 import random
 import statistics
 import sys
@@ -56,6 +55,7 @@ from typing import (
 if TYPE_CHECKING:  # runtime import would cycle through repro.traces
     from repro.traces.ingest.spec import IngestSpec
 
+from repro.config import resolve_config
 from repro.core.features import Feature
 from repro.core.mpppb import MPPPBConfig
 from repro.cpu.timing import TimingConfig
@@ -76,14 +76,11 @@ from repro.exec.backends import (
     BackendUnavailable,
     WorkerFleetBackend,
     create_backend,
-    resolve_workers_spec,
     total_slots,
 )
-from repro.exec.health import resolve_hedge
 from repro.exec.faults import (
     CellExecutionError,
     CellFailure,
-    ConfigError,
     active_plan,
     corrupt_result_blob,
     make_failure,
@@ -98,13 +95,7 @@ from repro.obs.events import (
     span_event,
     write_events,
 )
-from repro.exec.store import (
-    DEFAULT_CACHE_DIR,
-    DISABLED_SENTINELS,
-    ResultStore,
-    make_store,
-    resolve_shared,
-)
+from repro.exec.store import ResultStore, make_store
 from repro.graph import plan_cells
 from repro.policies import policy_factory
 from repro.search.evaluator import FeatureSetEvaluator
@@ -116,104 +107,8 @@ from repro.traces.trace import Segment
 from repro.traces.workloads import benchmark_names, build_segments
 
 
-def resolve_jobs(jobs: Optional[int] = None) -> int:
-    """Resolve a worker count: explicit value, else ``REPRO_JOBS``, else 1.
-
-    ``0`` (or any negative value) means "one worker per CPU".
-    """
-    if jobs is None:
-        raw = os.environ.get("REPRO_JOBS", "1")
-        try:
-            jobs = int(raw)
-        except ValueError:
-            raise ConfigError(
-                f"REPRO_JOBS must be an integer, got {raw!r}") from None
-    if jobs <= 0:
-        jobs = os.cpu_count() or 1
-    return jobs
-
-
-def resolve_on_error(on_error: Optional[str] = None) -> str:
-    """Failure mode: explicit value, else ``REPRO_ON_ERROR``, else collect."""
-    value = (on_error if on_error is not None
-             else os.environ.get("REPRO_ON_ERROR", "")) or "collect"
-    value = value.lower()
-    if value not in ("collect", "raise"):
-        raise ConfigError(
-            f"on-error mode must be 'collect' or 'raise', got {value!r} "
-            f"(--on-error / REPRO_ON_ERROR)")
-    return value
-
-
-def resolve_retries(retries: Optional[int] = None) -> int:
-    """Per-cell retry budget: explicit, else ``REPRO_RETRIES``, else 0."""
-    if retries is None:
-        raw = os.environ.get("REPRO_RETRIES", "") or "0"
-        try:
-            retries = int(raw)
-        except ValueError:
-            raise ConfigError(
-                f"REPRO_RETRIES must be an integer, got {raw!r}") from None
-    if retries < 0:
-        raise ConfigError(f"retries must be >= 0, got {retries}")
-    return retries
-
-
-def resolve_cell_timeout(timeout: Optional[float] = None) -> Optional[float]:
-    """Watchdog seconds per cell: explicit, else ``REPRO_CELL_TIMEOUT``.
-
-    ``None``, empty, ``0``, or a disable sentinel means no timeout.
-    """
-    if timeout is None:
-        raw = (os.environ.get("REPRO_CELL_TIMEOUT", "") or "").strip().lower()
-        if not raw or raw in DISABLED_SENTINELS:
-            return None
-        try:
-            timeout = float(raw)
-        except ValueError:
-            raise ConfigError(
-                "REPRO_CELL_TIMEOUT must be a number of seconds, got "
-                f"{raw!r}") from None
-    return timeout if timeout > 0 else None
-
-
-def resolve_retry_backoff() -> float:
-    """Base delay for exponential retry backoff (``REPRO_RETRY_BACKOFF``)."""
-    raw = os.environ.get("REPRO_RETRY_BACKOFF", "")
-    if not raw:
-        return 0.05
-    try:
-        value = float(raw)
-    except ValueError:
-        raise ConfigError(
-            "REPRO_RETRY_BACKOFF must be a number of seconds, got "
-            f"{raw!r}") from None
-    return max(0.0, value)
-
-
-def default_store() -> Optional[ResultStore]:
-    """Store configured by ``REPRO_CACHE_DIR`` (default ``.repro-cache``)."""
-    raw = os.environ.get("REPRO_CACHE_DIR", "")
-    if raw.lower() in DISABLED_SENTINELS:
-        return None
-    return ResultStore(raw or DEFAULT_CACHE_DIR)
-
-
-def resolve_store(cache_dir: str = "") -> Optional[ResultStore]:
-    """Store from a CLI-style ``--cache-dir`` value.
-
-    Empty defers to ``REPRO_CACHE_DIR``; the sentinel values ``off`` /
-    ``none`` / ``0`` disable caching.
-    """
-    if cache_dir and cache_dir.lower() in DISABLED_SENTINELS:
-        return None
-    if cache_dir:
-        return ResultStore(cache_dir)
-    return default_store()
-
-
-def _verbose_default() -> bool:
-    return os.environ.get("REPRO_EXEC_VERBOSE", "").lower() in ("1", "true", "yes")
+#: Base delay of the exponential backoff between a cell's retries.
+RETRY_BACKOFF_S = 0.05
 
 
 # -- trace recipes ---------------------------------------------------------
@@ -862,54 +757,63 @@ class ParallelRunner:
     max_pool_rebuilds = 3
 
     def __init__(self, jobs: Optional[int] = None, store: Any = _AUTO_STORE,
-                 verbose: Optional[bool] = None,
-                 on_error: Optional[str] = None,
-                 retries: Optional[int] = None,
-                 cell_timeout: Optional[float] = None,
+                 verbose: bool = False,
                  command: Optional[Sequence[str]] = None,
-                 workers: Optional[str] = None,
-                 shared_store: str = "",
-                 hedge: Optional[float] = None) -> None:
-        self.jobs = resolve_jobs(jobs)
+                 **flags: Any) -> None:
+        """Resolve the run config and set up the engine.
+
+        ``jobs`` and ``flags`` are run-config flags, named by their
+        :data:`repro.config.SETTINGS` field (``cache_dir``,
+        ``shared_store``, ``workers``, ``on_error``, ``retries``,
+        ``cell_timeout``, ``hedge``, ...); an unset one falls back to
+        its ``REPRO_*`` variable, then its default.  A bad value or an
+        undeclared ``REPRO_*`` name raises
+        :class:`~repro.config.ConfigError` here, before any work.
+        ``store`` replaces the ``cache_dir`` store with a ready one
+        (``None`` disables caching).
+        """
+        self.config = config = resolve_config(dict(flags, jobs=jobs))
+        if config.telemetry:
+            obs.enable()
         # Worker slots: forked local children sized by --jobs, unless
         # a --workers / REPRO_WORKERS host spec puts them on ssh hosts;
         # then the summed slots become the effective job count, so the
         # submission window and report utilization reflect them.
-        self.workers_spec = resolve_workers_spec(workers)
+        self.jobs = config.jobs
+        self.workers_spec = config.workers
         self.backend_name = "local"
         if self.workers_spec is not None:
             self.backend_name = "ssh"
             self.jobs = total_slots(self.workers_spec)
-        self.store: Optional[ResultStore] = (
-            default_store() if store is _AUTO_STORE else store
-        )
+        if store is _AUTO_STORE:
+            store = (None if config.cache_dir is None
+                     else ResultStore(config.cache_dir))
         # Shared store tier (--shared-store / REPRO_SHARED_STORE):
         # results and artifacts read through local disk into a shared
         # directory every worker/host can reach, and write back to
         # both.  Off by default; never wraps a caller-supplied custom
         # store object that lacks a filesystem root.
-        shared_root = resolve_shared(shared_store)
-        if (shared_root is not None and self.store is not None
-                and getattr(self.store, "root", None) is not None
-                and getattr(self.store, "shared", None) is None):
-            self.store = make_store(str(self.store.root), shared_root)
+        if (config.shared_store is not None and store is not None
+                and getattr(store, "root", None) is not None
+                and getattr(store, "shared", None) is None):
+            store = make_store(str(store.root), config.shared_store)
+        self.store: Optional[ResultStore] = store
         # Derive the shared root from the store itself, so a caller
         # passing an already-tiered store gets workers that read
         # through the same shared tier.
         shared_tier = getattr(self.store, "shared", None)
         self.shared_root: Optional[str] = (
             str(shared_tier.root) if shared_tier is not None else None)
-        self.verbose = _verbose_default() if verbose is None else verbose
-        self.on_error = resolve_on_error(on_error)
-        self.retries = resolve_retries(retries)
-        self.cell_timeout = resolve_cell_timeout(cell_timeout)
-        self.retry_backoff = resolve_retry_backoff()
-        # Straggler hedging (--hedge / REPRO_HEDGE, off by default):
-        # when a running cell exceeds this multiple of the observed
-        # median cell duration and an idle slot exists, launch a
-        # duplicate — first completion wins, bit-identical either way
-        # (both copies share the cache key and its deterministic seed).
-        self.hedge = resolve_hedge(hedge)
+        self.verbose = verbose
+        self.on_error = config.on_error
+        self.retries = config.retries
+        self.cell_timeout = config.cell_timeout
+        # Straggler hedging (--hedge, off by default): when a running
+        # cell exceeds this multiple of the observed median cell
+        # duration and an idle slot exists, launch a duplicate — first
+        # completion wins, bit-identical either way (both copies share
+        # the cache key and its deterministic seed).
+        self.hedge = config.hedge
         # CLI argv that launched this engine; recorded in run manifests
         # so `repro.cli resume` can re-drive an interrupted run.
         self.command: List[str] = list(command) if command else []
@@ -920,36 +824,9 @@ class ParallelRunner:
         # only writes the spans recorded since the previous one.
         self.last_events_path = None
         # Trace/Stage-1 artifacts live in the same store as results and
-        # ride its enable/disable switch; REPRO_ARTIFACT_CACHE=off opts
-        # out of just the artifact layer (results stay cached).
-        artifacts_off = (os.environ.get("REPRO_ARTIFACT_CACHE", "").lower()
-                         in DISABLED_SENTINELS)
+        # ride its enable/disable switch.
         self.artifact_root: Optional[str] = (
-            None if self.store is None or artifacts_off
-            else str(self.store.root)
-        )
-
-    @classmethod
-    def from_options(cls, jobs: Optional[int] = None, cache_dir: str = "",
-                     on_error: Optional[str] = None,
-                     retries: Optional[int] = None,
-                     cell_timeout: Optional[float] = None,
-                     command: Optional[Sequence[str]] = None,
-                     workers: Optional[str] = None,
-                     shared_store: str = "",
-                     hedge: Optional[float] = None) -> "ParallelRunner":
-        """Build from CLI-style options (``--jobs`` / ``--cache-dir`` /
-        ``--on-error`` / ``--retries`` / ``--cell-timeout`` /
-        ``--workers`` / ``--shared-store`` / ``--hedge``).
-
-        An empty ``cache_dir`` defers to ``REPRO_CACHE_DIR``; the
-        sentinel values ``off`` / ``none`` / ``0`` disable caching.
-        """
-        return cls(jobs=jobs, store=resolve_store(cache_dir),
-                   on_error=on_error, retries=retries,
-                   cell_timeout=cell_timeout, command=command,
-                   workers=workers, shared_store=shared_store,
-                   hedge=hedge)
+            None if self.store is None else str(self.store.root))
 
     def run(self, cells: Sequence[Cell], label: str = "") -> List[Any]:
         """Resolve every cell (cache or compute); results in cell order.
@@ -1384,14 +1261,10 @@ class ParallelRunner:
         Needs an attached store (the manifest lives beside it) and
         more than one cell — single-cell runs resume trivially through
         the result cache and would drown ``runs/`` in tiny files
-        during hill-climb searches.  ``REPRO_RUN_MANIFEST=off``
-        disables manifests entirely.
+        during hill-climb searches.
         """
         self.last_manifest = None
         if self.store is None or len(records) < 2:
-            return None
-        if (os.environ.get("REPRO_RUN_MANIFEST", "").lower()
-                in DISABLED_SENTINELS):
             return None
         exec_info = {"backend": self.backend_name, "jobs": str(self.jobs)}
         if self.workers_spec is not None:
@@ -1771,7 +1644,7 @@ class ParallelRunner:
         return None
 
     def _backoff(self, attempt: int) -> None:
-        delay = min(self.retry_backoff * (2 ** (attempt - 1)), 2.0)
+        delay = min(RETRY_BACKOFF_S * (2 ** (attempt - 1)), 2.0)
         if delay > 0:
             time.sleep(delay)
 

@@ -39,12 +39,6 @@ except ImportError:  # pragma: no cover - non-POSIX platform
 from repro.exec import faults, health
 from repro.exec.cachekey import SCHEMA_VERSION
 
-#: Default cache location, relative to the working directory.
-DEFAULT_CACHE_DIR = ".repro-cache"
-
-#: ``REPRO_CACHE_DIR`` values that disable on-disk caching entirely.
-DISABLED_SENTINELS = ("off", "none", "0")
-
 #: Name of the append-only recency log kept at the store root.
 INDEX_NAME = "index.log"
 
@@ -450,10 +444,11 @@ class TieredResultStore(ResultStore):
     (the artifact layer uses it for per-tier throughput accounting).
 
     Every shared-tier operation runs through a circuit breaker
-    (DESIGN.md §16): after ``REPRO_BREAKER_THRESHOLD`` consecutive IO
-    *failures* (not misses — absence is a normal cache state) the
-    shared tier is skipped wholesale, with one stderr notice, until a
-    half-open probe after ``REPRO_BREAKER_COOLDOWN`` seconds finds it
+    (DESIGN.md §16): after :data:`~repro.exec.health.BREAKER_THRESHOLD`
+    consecutive IO *failures* (not misses — absence is a normal cache
+    state) the shared tier is skipped wholesale, with one stderr notice,
+    until a half-open probe after
+    :data:`~repro.exec.health.BREAKER_COOLDOWN_S` seconds finds it
     healthy again.  A dead NFS mount therefore costs a handful of
     failed calls, not one stall per lookup for the rest of the run.
     """
@@ -463,7 +458,7 @@ class TieredResultStore(ResultStore):
         self.shared = ResultStore(shared, max_entries=max_entries)
         self.tiers = TierStats()
         self.last_tier = "local"
-        self.breaker = health.make_breaker()
+        self.breaker = health.CircuitBreaker()
 
     def _shared_call(self, key: str, op: Callable[[], Any]) -> Any:
         """One shared-tier operation: breaker gate, chaos hook, verdict.
@@ -474,13 +469,13 @@ class TieredResultStore(ResultStore):
         successes — the tier answered.
         """
         breaker = self.breaker
-        if breaker is not None and not breaker.allow():
+        if not breaker.allow():
             return None
         try:
             faults.shared_tier_fault(key)
             value = op()
         except OSError as exc:
-            if breaker is not None and breaker.record_failure():
+            if breaker.record_failure():
                 print(
                     f"repro: shared store tier degraded to local-only: "
                     f"circuit breaker open after {breaker.threshold} "
@@ -488,8 +483,7 @@ class TieredResultStore(ResultStore):
                     f"(cooldown {breaker.cooldown:g}s; last: {exc})",
                     file=sys.stderr)
             return None
-        if breaker is not None:
-            breaker.record_success()
+        breaker.record_success()
         return value
 
     def get(self, key: str) -> Optional[Dict[str, Any]]:
@@ -559,23 +553,10 @@ class TieredResultStore(ResultStore):
             "local_hits": self.tiers.local_hits,
             "shared_hits": self.tiers.shared_hits,
             "shared_fills": self.tiers.shared_fills,
-            "breaker_trips": 0 if breaker is None else breaker.trips,
-            "breaker_skips": 0 if breaker is None else breaker.skips,
-            "breaker_open": int(breaker is not None
-                                and breaker.state != health.CLOSED),
+            "breaker_trips": breaker.trips,
+            "breaker_skips": breaker.skips,
+            "breaker_open": int(breaker.state != health.CLOSED),
         }
-
-
-def resolve_shared(shared: str = "") -> Optional[str]:
-    """Shared-tier root from ``--shared-store`` / ``REPRO_SHARED_STORE``.
-
-    Empty defers to the environment; the usual disable sentinels
-    (``off`` / ``none`` / ``0``) turn the shared tier off.
-    """
-    value = shared or os.environ.get("REPRO_SHARED_STORE", "")
-    if not value or value.lower() in DISABLED_SENTINELS:
-        return None
-    return value
 
 
 def make_store(root, shared: Optional[str] = None) -> ResultStore:

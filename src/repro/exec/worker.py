@@ -36,7 +36,8 @@ import time
 import traceback
 from typing import Any, BinaryIO, Dict
 
-from repro.exec import faults, health
+from repro import config
+from repro.exec import faults
 from repro.exec.protocol import (
     MAGIC,
     PROTOCOL_VERSION,
@@ -159,7 +160,7 @@ def _handle_run(message: Dict[str, Any], writer: BinaryIO) -> None:
     key = str(request.get("key", ""))
     attempt = int(request.get("attempt", 1))
     plan = faults.active_plan()
-    interval = health.heartbeat_interval()
+    interval = config.env_value("heartbeat")
     beat = None
     if interval is not None and not (
             plan is not None and plan.suppresses_heartbeat(key, attempt)):

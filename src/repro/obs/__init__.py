@@ -45,7 +45,6 @@ __all__ = [
     "inc",
     "inc_many",
     "span",
-    "telemetry_default",
 ]
 
 
@@ -152,11 +151,3 @@ def capture() -> Iterator[Optional[TelemetryContext]]:
     finally:
         _CONTEXT = outer
 
-
-def telemetry_default() -> bool:
-    """Whether ``REPRO_TELEMETRY`` asks for telemetry by default."""
-    import os
-
-    return os.environ.get("REPRO_TELEMETRY", "").lower() in (
-        "1", "on", "true", "yes",
-    )

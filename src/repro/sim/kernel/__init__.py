@@ -18,12 +18,9 @@ switch never appears in cache keys.
 
 from __future__ import annotations
 
-import os
-
-_DISABLED = ("off", "0", "false", "no", "none")
+from repro import config
 
 
 def stage2_kernel_enabled() -> bool:
     """True unless ``REPRO_STAGE2_KERNEL`` selects the reference replay."""
-    value = os.environ.get("REPRO_STAGE2_KERNEL", "")
-    return value.strip().lower() not in _DISABLED
+    return config.env_value("stage2_kernel")

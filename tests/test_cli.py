@@ -125,6 +125,38 @@ class TestStats:
 
 
 class TestFailureHandling:
+    @pytest.mark.parametrize("setting,env,flags", [
+        pytest.param(setting, env, flags, id=setting)
+        for setting, env, flags in [
+            ("--scale", {}, ["--scale", "bogus"]),
+            ("REPRO_SCALE", {"REPRO_SCALE": "bogus"}, []),
+            ("REPRO_TELEMETRY", {"REPRO_TELEMETRY": "bogus"}, []),
+            ("REPRO_HEARTBEAT", {"REPRO_HEARTBEAT": "abc"}, ["--jobs", "1"]),
+            ("REPRO_RETRIES", {"REPRO_RETRIES": "2"}, []),
+            ("REPRO_ARTIFACT_CACHE", {"REPRO_ARTIFACT_CACHE": "off"}, []),
+            ("--cell-timeout", {}, ["--cell-timeout", "-5"]),
+            ("--hedge", {}, ["--hedge", "-1"]),
+        ]
+    ])
+    def test_bad_setting_is_a_clean_error(self, setting, env, flags,
+                                          monkeypatch, capsys):
+        # Each must fail at entry, before any work or output.
+        monkeypatch.delenv("REPRO_SCALE", raising=False)
+        for name, value in env.items():
+            monkeypatch.setenv(name, value)
+        argv = ["compare", "--benchmarks", "gamess", "--policies", "lru",
+                "--cache-dir", "off"]
+        if "--scale" not in flags and "REPRO_SCALE" not in env:
+            argv += ["--scale", "tiny"]
+        code = main(argv + flags)
+        out, err = capsys.readouterr()
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ")
+        assert err.count("\n") == 1
+        assert setting in err
+        assert "Traceback" not in err
+
     def test_malformed_jobs_env_is_a_clean_error(self, monkeypatch, capsys):
         monkeypatch.setenv("REPRO_JOBS", "many")
         code = main(["compare", "--benchmarks", "gamess", "--policies", "lru",
@@ -169,7 +201,6 @@ class TestFailureHandling:
 
     def test_failed_cells_exit_nonzero_with_table(self, monkeypatch, capsys):
         monkeypatch.setenv("REPRO_FAULT_INJECT", "raise:every=1,times=99")
-        monkeypatch.setenv("REPRO_RETRY_BACKOFF", "0")
         code = main(["compare", "--benchmarks", "gamess", "--policies", "lru",
                      "--scale", "tiny", "--cache-dir", "off"])
         assert code == 1

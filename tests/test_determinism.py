@@ -22,6 +22,7 @@ import pytest
 
 from repro.config import TINY
 from repro.exec import MixCell, ParallelRunner, SingleCell, SuiteSpec, TraceSpec
+from repro.exec import runner as exec_runner
 from repro.exec.cachekey import stable_hash
 from repro.exec.store import ResultStore
 from repro.traces.mixes import generate_mixes
@@ -129,8 +130,6 @@ class TestPinnedHashes:
 
     def test_warm_artifacts_cold_results(self, tmp_path):
         """Results recompute from cached trace/Stage-1 artifacts."""
-        from repro.exec import runner as exec_runner
-
         store = ResultStore(tmp_path / "cache")
         _assert_pinned(ParallelRunner(jobs=1, store=store, verbose=False))
         # Drop the result blobs but keep artifacts; clear in-process
@@ -145,9 +144,9 @@ class TestPinnedHashes:
         assert engine.last_report.hits == 0
 
     def test_artifacts_disabled(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("REPRO_ARTIFACT_CACHE", "off")
         store = ResultStore(tmp_path / "cache")
         engine = ParallelRunner(jobs=1, store=store, verbose=False)
+        engine.artifact_root = None  # results cached, artifacts not
         assert engine.artifact_root is None
         _assert_pinned(engine)
 
@@ -192,7 +191,7 @@ class TestFaultedPins:
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_retried_raises_reproduce_pins(self, jobs, monkeypatch):
         monkeypatch.setenv("REPRO_FAULT_INJECT", "raise:every=2")
-        monkeypatch.setenv("REPRO_RETRY_BACKOFF", "0")
+        monkeypatch.setattr(exec_runner, "RETRY_BACKOFF_S", 0)
         engine = ParallelRunner(jobs=jobs, store=None, verbose=False,
                                 retries=2)
         _assert_pinned(engine)
@@ -201,7 +200,7 @@ class TestFaultedPins:
 
     def test_worker_crashes_reproduce_pins(self, monkeypatch):
         monkeypatch.setenv("REPRO_FAULT_INJECT", "crash:every=3")
-        monkeypatch.setenv("REPRO_RETRY_BACKOFF", "0")
+        monkeypatch.setattr(exec_runner, "RETRY_BACKOFF_S", 0)
         engine = ParallelRunner(jobs=2, store=None, verbose=False, retries=1)
         _assert_pinned(engine)
         # every=3 selects one mix cell, so the (last) mix run really
@@ -241,7 +240,7 @@ class TestFleetPins:
 
     def test_fleet_worker_loss_reproduces_pins(self, monkeypatch):
         monkeypatch.setenv("REPRO_FAULT_INJECT", "crash:every=3")
-        monkeypatch.setenv("REPRO_RETRY_BACKOFF", "0")
+        monkeypatch.setattr(exec_runner, "RETRY_BACKOFF_S", 0)
         engine = ParallelRunner(jobs=2, store=None, verbose=False,
                                 retries=1)
         _assert_pinned(engine)
@@ -344,8 +343,6 @@ class TestGraphPins:
     @pytest.mark.parametrize("hedge", ["on", "off"])
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_pins_cold_and_warm(self, hedge, jobs, tmp_path):
-        from repro.exec import runner as exec_runner
-
         exec_runner._SEGMENTS.clear()
         exec_runner._RUNNERS.clear()
         exec_runner._ARTIFACTS.clear()
@@ -373,7 +370,7 @@ class TestChaosPins:
         # forever: only the heartbeat timeout can notice (the worker
         # finished, so it is not even hung).
         monkeypatch.setenv("REPRO_HEARTBEAT", "0.1")
-        monkeypatch.setenv("REPRO_RETRY_BACKOFF", "0")
+        monkeypatch.setattr(exec_runner, "RETRY_BACKOFF_S", 0)
         monkeypatch.setenv("REPRO_FAULT_INJECT", "frame-drop:every=3")
         engine = ParallelRunner(jobs=2, store=None, verbose=False)
         _assert_pinned(engine)
@@ -387,7 +384,7 @@ class TestChaosPins:
 
     def test_torn_dup_and_delayed_frames_reproduce_pins(self, monkeypatch):
         monkeypatch.setenv("REPRO_HEARTBEAT", "0.2")
-        monkeypatch.setenv("REPRO_RETRY_BACKOFF", "0")
+        monkeypatch.setattr(exec_runner, "RETRY_BACKOFF_S", 0)
         monkeypatch.setenv(
             "REPRO_FAULT_INJECT",
             "frame-dup:every=3;frame-delay:every=4,seconds=0.3;"
@@ -403,9 +400,9 @@ class TestChaosPins:
         # (the only line of defense before §16) never has to fire.
         cells = _single_cells()
         victim = stable_hash(cells[0].key_payload())
-        monkeypatch.setenv("REPRO_HEARTBEAT", "0.1")
-        monkeypatch.setenv("REPRO_HEARTBEAT_TIMEOUT", "2")
-        monkeypatch.setenv("REPRO_RETRY_BACKOFF", "0")
+        # A 0.4 s interval gives the 2 s timeout (5 silent intervals).
+        monkeypatch.setenv("REPRO_HEARTBEAT", "0.4")
+        monkeypatch.setattr(exec_runner, "RETRY_BACKOFF_S", 0)
         monkeypatch.setenv(
             "REPRO_FAULT_INJECT",
             f"hb-loss:key={victim[:16]};hang:key={victim[:16]},seconds=600")
@@ -426,7 +423,7 @@ class TestChaosPins:
     def test_hedged_straggler_race_reproduces_pins(self, monkeypatch):
         cells = _single_cells()
         victim = stable_hash(cells[0].key_payload())
-        monkeypatch.setenv("REPRO_RETRY_BACKOFF", "0")
+        monkeypatch.setattr(exec_runner, "RETRY_BACKOFF_S", 0)
         monkeypatch.setenv("REPRO_FAULT_INJECT",
                            f"hang:key={victim[:16]},seconds=30")
         engine = ParallelRunner(jobs=2, store=None, verbose=False,
@@ -469,7 +466,7 @@ class TestChaosPins:
         from repro.search.random_search import random_search
 
         monkeypatch.setenv("REPRO_HEARTBEAT", "0.1")
-        monkeypatch.setenv("REPRO_RETRY_BACKOFF", "0")
+        monkeypatch.setattr(exec_runner, "RETRY_BACKOFF_S", 0)
         monkeypatch.setenv("REPRO_FAULT_INJECT", "frame-drop:every=6")
         engine = ParallelRunner(jobs=2, store=None, verbose=False)
         spec = SuiteSpec(TINY.hierarchy.llc_bytes, ACCESSES,
@@ -527,8 +524,6 @@ class TestIngestPins:
 
     @staticmethod
     def _clear_memos():
-        from repro.exec import runner as exec_runner
-
         exec_runner._SEGMENTS.clear()
         exec_runner._RUNNERS.clear()
         exec_runner._ARTIFACTS.clear()

@@ -26,12 +26,12 @@ from repro.exec.backends import (
     SSHBackend,
     WorkerFleetBackend,
     parse_worker_spec,
-    resolve_workers_spec,
     total_slots,
     worker_command,
 )
 from repro.exec.backends.fleet import _CLOSE_GRACE_S, _ForkedProcess
-from repro.exec.faults import ConfigError, RemoteCellError, make_failure
+from repro.config import ConfigError, resolve_config
+from repro.exec.faults import RemoteCellError, make_failure
 from repro.exec.protocol import (
     MAGIC,
     PROTOCOL_VERSION,
@@ -263,8 +263,7 @@ class TestWorkerFleetBackend:
     def test_remote_exception_surfaces_original_type(self):
         backend = WorkerFleetBackend(
             1,
-            env={"REPRO_FAULT_INJECT": "raise:every=1,times=99",
-                 "REPRO_RETRY_BACKOFF": "0"})
+            env={"REPRO_FAULT_INJECT": "raise:every=1,times=99"})
         backend.start()
         try:
             backend.submit(1, _request(_cell()))
@@ -363,7 +362,7 @@ _SLOW_START_WORKER = [
 
 class TestWorkerHealth:
     """Heartbeat liveness: hung or partitioned workers are declared
-    lost after ``REPRO_HEARTBEAT_TIMEOUT`` instead of waiting for the
+    lost after the heartbeat timeout instead of waiting for the
     cell watchdog; healthy-but-slow cells stay alive."""
 
     def test_silent_busy_worker_declared_lost(self, monkeypatch):
@@ -635,16 +634,19 @@ class TestWorkerSpec:
 
 class TestBackendResolution:
     def test_workers_spec_resolution(self, monkeypatch):
+        def spec(flag=None):
+            return resolve_config({"workers": flag}).workers
+
         monkeypatch.delenv("REPRO_WORKERS", raising=False)
-        assert resolve_workers_spec(None) is None
+        assert spec() is None
         monkeypatch.setenv("REPRO_WORKERS", "hostB:3")
-        assert resolve_workers_spec(None) == "hostB:3"
-        assert resolve_workers_spec("hostA:2") == "hostA:2"
+        assert spec() == "hostB:3"
+        assert spec("hostA:2") == "hostA:2"
         # A bare count is refused, not read as a host named "3":
         # --jobs sizes local workers.
         monkeypatch.setenv("REPRO_WORKERS", "3")
         with pytest.raises(ConfigError, match="--jobs"):
-            resolve_workers_spec(None)
+            spec()
 
     def test_slot_sizing(self, monkeypatch):
         monkeypatch.delenv("REPRO_WORKERS", raising=False)

@@ -28,6 +28,7 @@ from repro.exec.faults import (
     corrupt_result_blob,
     parse_fault_spec,
 )
+from repro.exec import runner as exec_runner
 from repro.exec.runner import SearchBatchCell
 
 ACCESSES = 2_000
@@ -54,7 +55,7 @@ def _keys(cells):
 
 @pytest.fixture()
 def no_backoff(monkeypatch):
-    monkeypatch.setenv("REPRO_RETRY_BACKOFF", "0")
+    monkeypatch.setattr(exec_runner, "RETRY_BACKOFF_S", 0)
 
 
 @pytest.fixture(scope="module")

@@ -1,108 +1,77 @@
 """Unit tests for the mesh health layer (DESIGN.md §16).
 
-Covers the knob resolvers in :mod:`repro.exec.health`, the circuit
+Covers the health settings as their consumers see them, the circuit
 breaker state machine, the network-chaos clauses of
 ``REPRO_FAULT_INJECT``, and the tiered store's degraded shared-tier
-mode.  Integration with live workers lives in
+mode.  Parsing of every setting is pinned in ``test_config.py``.  Integration with live workers lives in
 ``test_exec_backends.py``; end-to-end determinism under chaos in
 ``test_determinism.py``.
 """
 
-import time
-
 import pytest
 
-from repro.exec import faults, health
-from repro.exec.faults import ConfigError, FaultPlan, parse_fault_spec
+from repro.config import ConfigError, env_value, resolve_config
+from repro.exec import ParallelRunner, faults, health
+from repro.exec.backends import WorkerFleetBackend
+from repro.exec.backends.fleet import HEARTBEAT_TIMEOUT_INTERVALS
+from repro.exec.faults import FaultPlan, parse_fault_spec
 from repro.exec.store import TieredResultStore
 
 
 @pytest.fixture(autouse=True)
 def _clean_env(monkeypatch):
-    for name in ("REPRO_HEARTBEAT", "REPRO_HEARTBEAT_TIMEOUT",
-                 "REPRO_HEDGE", "REPRO_BREAKER",
-                 "REPRO_BREAKER_THRESHOLD", "REPRO_BREAKER_COOLDOWN",
-                 "REPRO_SSH_CONNECT_TIMEOUT", "REPRO_MANIFEST_FSYNC",
-                 "REPRO_FAULT_INJECT"):
+    for name in ("REPRO_HEARTBEAT", "REPRO_SSH_CONNECT_TIMEOUT",
+                 "REPRO_MANIFEST_FSYNC", "REPRO_FAULT_INJECT"):
         monkeypatch.delenv(name, raising=False)
     faults.reset_injection_state()
 
 
 class TestKnobs:
     def test_heartbeat_off_by_default(self):
-        assert health.heartbeat_interval() is None
-        assert health.heartbeat_timeout() is None
+        assert env_value("heartbeat") is None
+        assert WorkerFleetBackend(1)._hb_timeout is None
 
     def test_heartbeat_timeout_defaults_to_intervals(self, monkeypatch):
         monkeypatch.setenv("REPRO_HEARTBEAT", "0.2")
-        assert health.heartbeat_interval() == 0.2
-        assert health.heartbeat_timeout() == pytest.approx(
-            0.2 * health.HEARTBEAT_TIMEOUT_INTERVALS)
-
-    def test_explicit_heartbeat_timeout_wins(self, monkeypatch):
-        monkeypatch.setenv("REPRO_HEARTBEAT", "0.2")
-        monkeypatch.setenv("REPRO_HEARTBEAT_TIMEOUT", "3")
-        assert health.heartbeat_timeout() == 3.0
+        assert env_value("heartbeat") == 0.2
+        assert WorkerFleetBackend(1)._hb_timeout == pytest.approx(
+            0.2 * HEARTBEAT_TIMEOUT_INTERVALS)
 
     @pytest.mark.parametrize("value", ["abc", "-1", "0.0"])
     def test_bad_heartbeat_raises(self, value, monkeypatch):
         monkeypatch.setenv("REPRO_HEARTBEAT", value)
-        if value == "0.0":
-            # "0" is the off sentinel, but "0.0" is a bad duration.
-            with pytest.raises(ConfigError):
-                health.heartbeat_interval()
-        else:
-            with pytest.raises(ConfigError):
-                health.heartbeat_interval()
+        # "0" is the off word, but "0.0" is a bad duration.  The engine
+        # rejects it at construction, before any drive starts.
+        with pytest.raises(ConfigError, match="REPRO_HEARTBEAT"):
+            ParallelRunner(jobs=1, store=None)
 
     def test_hedge_off_by_default(self):
-        assert health.resolve_hedge() is None
-        assert health.resolve_hedge(0) is None  # explicit off
+        assert ParallelRunner(jobs=1, store=None).hedge is None
+        assert ParallelRunner(jobs=1, store=None,
+                              hedge=0).hedge is None  # explicit off
 
-    def test_hedge_explicit_beats_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_HEDGE", "3")
-        assert health.resolve_hedge(2.0) == 2.0
-        assert health.resolve_hedge() == 3.0
+    def test_hedge_below_one_rejected(self):
+        with pytest.raises(ConfigError, match="--hedge"):
+            ParallelRunner(jobs=1, store=None, hedge=0.5)
+        with pytest.raises(ConfigError, match="--hedge"):
+            ParallelRunner(jobs=1, store=None, hedge=-1)
 
-    def test_hedge_below_one_rejected(self, monkeypatch):
-        with pytest.raises(ConfigError):
-            health.resolve_hedge(0.5)
-        monkeypatch.setenv("REPRO_HEDGE", "0.5")
-        with pytest.raises(ConfigError):
-            health.resolve_hedge()
-
-    def test_breaker_defaults_and_disable(self, monkeypatch):
-        assert health.breaker_threshold() == health.BREAKER_THRESHOLD
-        assert health.breaker_cooldown() == health.BREAKER_COOLDOWN_S
-        monkeypatch.setenv("REPRO_BREAKER", "off")
-        assert health.breaker_threshold() is None
-        assert health.make_breaker() is None
-
-    def test_breaker_env_overrides(self, monkeypatch):
-        monkeypatch.setenv("REPRO_BREAKER_THRESHOLD", "5")
-        monkeypatch.setenv("REPRO_BREAKER_COOLDOWN", "0.25")
-        breaker = health.make_breaker()
-        assert breaker is not None
-        assert breaker.threshold == 5
-        assert breaker.cooldown == 0.25
-
-    @pytest.mark.parametrize("value", ["zero", "0", "-2"])
-    def test_bad_breaker_threshold_raises(self, value, monkeypatch):
-        monkeypatch.setenv("REPRO_BREAKER_THRESHOLD", value)
-        with pytest.raises(ConfigError):
-            health.breaker_threshold()
+    def test_breaker_defaults_and_disable(self, tmp_path):
+        store = TieredResultStore(tmp_path / "local", tmp_path / "shared")
+        assert store.breaker.threshold == health.BREAKER_THRESHOLD
+        assert store.breaker.cooldown == health.BREAKER_COOLDOWN_S
 
     def test_ssh_connect_timeout(self, monkeypatch):
-        assert health.ssh_connect_timeout() == health.SSH_CONNECT_TIMEOUT_S
+        assert env_value("ssh_connect_timeout") == 10.0
         monkeypatch.setenv("REPRO_SSH_CONNECT_TIMEOUT", "3")
-        assert health.ssh_connect_timeout() == 3.0
+        assert env_value("ssh_connect_timeout") == 3.0
         monkeypatch.setenv("REPRO_SSH_CONNECT_TIMEOUT", "off")
-        assert health.ssh_connect_timeout() is None
+        assert env_value("ssh_connect_timeout") is None
 
     def test_manifest_fsync(self, monkeypatch):
-        assert health.manifest_fsync() is False
+        assert resolve_config().manifest_fsync is False
         monkeypatch.setenv("REPRO_MANIFEST_FSYNC", "1")
-        assert health.manifest_fsync() is True
+        assert resolve_config().manifest_fsync is True
 
 
 class TestCircuitBreaker:
@@ -233,16 +202,17 @@ class TestSharedTierBreaker:
 
     def test_halfopen_probe_recovers_healthy_tier(self, tmp_path,
                                                   monkeypatch):
-        monkeypatch.setenv("REPRO_BREAKER_COOLDOWN", "0.05")
         monkeypatch.setenv("REPRO_FAULT_INJECT", "shared-fail")
         store = TieredResultStore(tmp_path / "local", tmp_path / "shared")
+        now = [0.0]
+        store.breaker = health.CircuitBreaker(clock=lambda: now[0])
         for index in range(health.BREAKER_THRESHOLD):
             store.put(f"{index:02d}" + "0" * 62, {"kind": "t", "result": 1})
         assert store.breaker.state == health.OPEN
         # The mount comes back; the next op after the cooldown is the
         # half-open probe, succeeds, and closes the breaker.
         monkeypatch.delenv("REPRO_FAULT_INJECT")
-        time.sleep(0.06)
+        now[0] += health.BREAKER_COOLDOWN_S
         store.put("ff" + "0" * 62, {"kind": "t", "result": 2})
         assert store.breaker.state == health.CLOSED
         assert store.tier_counts()["shared_fills"] == 1
@@ -253,14 +223,3 @@ class TestSharedTierBreaker:
         assert store.get("aa" + "0" * 62) is None
         assert store.breaker.state == health.CLOSED
         assert store.breaker.failures == 0
-
-    def test_breaker_disabled_keeps_trying(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("REPRO_BREAKER", "off")
-        monkeypatch.setenv("REPRO_FAULT_INJECT", "shared-fail")
-        store = TieredResultStore(tmp_path / "local", tmp_path / "shared")
-        assert store.breaker is None
-        for index in range(10):
-            store.put(f"{index:02d}" + "0" * 62, {"kind": "t", "result": 1})
-        counts = store.tier_counts()
-        assert counts["breaker_open"] == 0
-        assert counts["shared_fills"] == 0  # every op failed, none skipped

@@ -10,6 +10,7 @@ import json
 
 from repro.cli import main
 from repro.config import TINY
+from repro.exec import runner as exec_runner
 from repro.exec import (
     ParallelRunner,
     ResultStore,
@@ -219,7 +220,7 @@ class TestCliResume:
         argv = ["compare", "--benchmarks", "gamess", "soplex",
                 "--policies", "lru", "--scale", "tiny", "--cache-dir", cache]
         victim = self._victim_key()
-        monkeypatch.setenv("REPRO_RETRY_BACKOFF", "0")
+        monkeypatch.setattr(exec_runner, "RETRY_BACKOFF_S", 0)
         monkeypatch.setenv("REPRO_FAULT_INJECT",
                            f"raise:key={victim[:16]},times=99")
         assert main(argv) == 1
@@ -243,7 +244,7 @@ class TestCliResume:
     def _fail_victim(self, argv, monkeypatch, capsys):
         """Run ``argv`` with the victim cell failing; its manifest."""
         victim = self._victim_key()
-        monkeypatch.setenv("REPRO_RETRY_BACKOFF", "0")
+        monkeypatch.setattr(exec_runner, "RETRY_BACKOFF_S", 0)
         monkeypatch.setenv("REPRO_FAULT_INJECT",
                            f"raise:key={victim[:16]},times=99")
         assert main(argv) == 1

@@ -17,7 +17,6 @@ from repro.exec import (
     SingleCell,
     SuiteSpec,
     TraceSpec,
-    resolve_jobs,
 )
 from repro.policies import policy_factory
 from repro.search.evaluator import FeatureSetEvaluator
@@ -63,20 +62,21 @@ def _mix_cells():
 
 
 class TestJobsResolution:
-    def test_explicit_wins(self):
-        assert resolve_jobs(3) == 3
+    def test_explicit_wins(self, monkeypatch):
+        monkeypatch.setenv("REPRO_JOBS", "5")
+        assert ParallelRunner(3, store=None).jobs == 3
 
     def test_env_default(self, monkeypatch):
         monkeypatch.setenv("REPRO_JOBS", "5")
-        assert resolve_jobs() == 5
+        assert ParallelRunner(store=None).jobs == 5
 
     def test_zero_means_cpu_count(self):
-        assert resolve_jobs(0) >= 1
+        assert ParallelRunner(0, store=None).jobs >= 1
 
     def test_rejects_garbage_env(self, monkeypatch):
         monkeypatch.setenv("REPRO_JOBS", "many")
         with pytest.raises(ValueError):
-            resolve_jobs()
+            ParallelRunner(store=None)
 
 
 class TestSingleCells:

@@ -250,16 +250,19 @@ class TestTieredStore:
         assert store.stat_bytes("89" * 32) is None
 
     def test_resolve_shared_honors_env_and_sentinels(self, monkeypatch):
-        from repro.exec.store import resolve_shared
+        from repro.config import resolve_config
+
+        def shared(flag=None):
+            return resolve_config({"shared_store": flag}).shared_store
 
         monkeypatch.delenv("REPRO_SHARED_STORE", raising=False)
-        assert resolve_shared() is None
-        assert resolve_shared("/mnt/shared") == "/mnt/shared"
-        assert resolve_shared("off") is None
+        assert shared() is None
+        assert shared("/mnt/shared") == "/mnt/shared"
+        assert shared("off") is None
         monkeypatch.setenv("REPRO_SHARED_STORE", "/mnt/env")
-        assert resolve_shared() == "/mnt/env"
+        assert shared() == "/mnt/env"
         monkeypatch.setenv("REPRO_SHARED_STORE", "none")
-        assert resolve_shared() is None
+        assert shared() is None
 
     def test_make_store_picks_the_tiering(self, tmp_path):
         from repro.exec.store import TieredResultStore, make_store

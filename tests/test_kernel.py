@@ -15,8 +15,8 @@ Each contract is pinned independently:
   hypothesis lockstep drive over adversarial random streams backs the
   fixed workloads.  Its instrumented variant differs from the plain
   source only by the confidence recording.
-* **Switch** — ``REPRO_STAGE2_KERNEL=off`` selects the reference
-  replay; anything else (including unset) the kernel.
+* **Switch** — ``REPRO_STAGE2_KERNEL=off`` (any off word) selects the
+  reference replay; unset or an on word, the kernel.
 * **Baselines** — the Perceptron and Hawkeye columns equal the
   predictors' own index functions access by access; their replays
   match ``LLCSimulator`` down to every piece of policy state on

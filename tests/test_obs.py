@@ -235,8 +235,10 @@ class TestSwitchboard:
         ("", False), ("0", False), ("off", False),
     ])
     def test_telemetry_default_env(self, value, expected, monkeypatch):
+        from repro.config import resolve_config
+
         monkeypatch.setenv("REPRO_TELEMETRY", value)
-        assert obs.telemetry_default() is expected
+        assert resolve_config().telemetry is expected
 
 
 class TestEventSink:
