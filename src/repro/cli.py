@@ -152,10 +152,6 @@ def _add_exec(parser: argparse.ArgumentParser) -> None:
                         help="shared read-through result-store tier "
                              "(default: $REPRO_SHARED_STORE; 'off' "
                              "disables)")
-    parser.add_argument("--hedge", type=float, default=None, metavar="MULT",
-                        help="duplicate cells running MULT times longer "
-                             "than the observed median onto idle workers; "
-                             "first completion wins (default: 0 = off)")
 
 
 #: Engine backing the currently dispatched command, so the top-level
@@ -629,20 +625,21 @@ def cmd_cache(args: argparse.Namespace) -> int:
 def _drop_retired_flags(command: List[str]) -> List[str]:
     """Drop the exec flags older runs recorded that the CLI has retired.
 
-    ``--backend X`` picked a transport, and a bare-integer
-    ``--workers N`` sized a local worker fleet; ``--jobs`` sizes the
-    local workers now.  Exec flags never entered the run id, so the
-    re-driven command still reopens the same manifest.
+    ``--backend X`` picked a transport, a bare-integer ``--workers N``
+    sized a local worker fleet (``--jobs`` sizes the local workers
+    now), and ``--hedge M`` duplicated straggling cells.  Exec flags
+    never entered the run id, so the re-driven command still reopens
+    the same manifest.
     """
     kept: List[str] = []
     parts = list(command)
     while parts:
         part = parts.pop(0)
         flag, eq, value = part.partition("=")
-        if flag in ("--backend", "--workers"):
+        if flag in ("--backend", "--hedge", "--workers"):
             if not eq and parts:
                 value = parts[0]
-            if flag == "--backend" or value.strip().isdigit():
+            if flag != "--workers" or value.strip().isdigit():
                 if not eq and parts:
                     parts.pop(0)
                 continue
@@ -655,7 +652,7 @@ def _override_exec_args(command: List[str],
     """Apply ``resume`` execution overrides to a recorded argv.
 
     Any override given to ``resume`` (``--jobs`` / ``--workers`` /
-    ``--shared-store`` / ``--hedge``) replaces the recorded flag,
+    ``--shared-store``) replaces the recorded flag,
     whether the original used the space or ``=`` form.  Flags not
     overridden pass through untouched.  Exec flags never enter the
     run id (see :data:`repro.exec.manifest.EXEC_FLAGS`), so the
@@ -668,8 +665,6 @@ def _override_exec_args(command: List[str],
         overrides["--workers"] = args.workers
     if args.shared_store is not None:
         overrides["--shared-store"] = args.shared_store
-    if getattr(args, "hedge", None) is not None:
-        overrides["--hedge"] = str(args.hedge)
     if not overrides:
         return list(command)
     rebuilt: List[str] = []
@@ -840,8 +835,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="override the recorded ssh worker spec")
     resume.add_argument("--shared-store", default=None, metavar="DIR",
                         help="override the recorded shared store tier")
-    resume.add_argument("--hedge", type=float, default=None, metavar="MULT",
-                        help="override the recorded straggler-hedge multiple")
     resume.set_defaults(func=cmd_resume)
 
     stats = sub.add_parser(

@@ -183,27 +183,16 @@ def _path(name: str, raw: Any) -> Optional[str]:
     return os.fspath(raw)
 
 
-def _off_or_number(name: str, raw: Any, what: str,
-                   valid: Callable[[float], bool]) -> Optional[float]:
+def _seconds(name: str, raw: Any) -> Optional[float]:
     if _is_off(raw):
         return None
+    what = f"a positive number of seconds or {_OFF}"
     value = _number(name, raw, float, what)
     if value == 0 and not isinstance(raw, str):
         return None
-    if not valid(value):
+    if value <= 0:
         raise ConfigError(f"{name} must be {what}, got {raw!r}")
     return value
-
-
-def _seconds(name: str, raw: Any) -> Optional[float]:
-    return _off_or_number(name, raw,
-                          f"a positive number of seconds or {_OFF}",
-                          lambda value: value > 0)
-
-
-def _hedge(name: str, raw: Any) -> Optional[float]:
-    return _off_or_number(name, raw, f"a multiple >= 1 or {_OFF}",
-                          lambda value: value >= 1)
 
 
 def _jobs(name: str, raw: Any) -> int:
@@ -298,7 +287,6 @@ SETTINGS: Tuple[Setting, ...] = (
     Setting("on_error", None, "--on-error", _on_error, "collect"),
     Setting("retries", None, "--retries", _count, 0),
     Setting("cell_timeout", None, "--cell-timeout", _seconds, None),
-    Setting("hedge", None, "--hedge", _hedge, None),
     # Deployment: worker liveness, ssh transport, manifest durability.
     Setting("heartbeat", "REPRO_HEARTBEAT", None, _seconds, None),
     Setting("ssh_command", "REPRO_SSH_COMMAND", None, _argv, None),
@@ -331,7 +319,6 @@ class RunConfig:
     on_error: str
     retries: int
     cell_timeout: Optional[float]
-    hedge: Optional[float]
     heartbeat: Optional[float]
     ssh_command: Optional[Tuple[str, ...]]
     remote_python: str

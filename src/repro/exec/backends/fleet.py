@@ -26,11 +26,9 @@ The contract :class:`~repro.exec.runner.ParallelRunner` relies on:
   is emitted at most once per submitted task id.
 * ``rebuild`` tears down every worker, returns the task ids that were
   in flight, and restores full submission capacity.
-* ``discard`` forgets an in-flight task: a late completion for it
-  never surfaces as a frame.  ``kill=True`` (watchdog expiry) retires
-  the slot until the next rebuild; ``kill=False`` (the losing copy of
-  a hedge race) leaves the slot healthy, free again once the
-  duplicate work finishes.
+* ``discard`` forgets an in-flight task (watchdog expiry) and retires
+  its slot until the next rebuild: a late completion for it never
+  surfaces as a frame.
 * ``close`` is idempotent, never raises, and reaps every worker.
 
 Fork rules, each one load-bearing:
@@ -477,9 +475,6 @@ class WorkerFleetBackend:
                 worker.proc.kill()
             except Exception:
                 pass
-            if task_id in self._discarded:
-                self._discarded.discard(task_id)
-                continue
             reason = (f"worker slot {worker.index} {HEARTBEAT_LOST}: "
                       f"silent for {silent:.1f}s "
                       f"(timeout {self._hb_timeout:.1f}s)")
@@ -529,20 +524,13 @@ class WorkerFleetBackend:
 
     def in_flight(self) -> List[int]:
         return [worker.task_id for worker in self._fleet
-                if worker.task_id is not None
-                and worker.task_id not in self._discarded]
+                if worker.task_id is not None]
 
-    def discard(self, task_id: int, kill: bool = True) -> None:
+    def discard(self, task_id: int) -> None:
         # The worker under a discarded (timed-out) task keeps crunching
         # until the next rebuild reclaims the slot; until then any late
-        # completion for the task is filtered out here.  With
-        # ``kill=False`` (a hedge race's losing copy) the slot stays
-        # healthy: its eventual result frame is filtered by the
-        # ``_discarded`` set and clears ``task_id``, freeing the slot
-        # with no rebuild at all.
+        # completion for the task is filtered out here.
         self._discarded.add(task_id)
-        if not kill:
-            return
         for worker in self._fleet:
             if worker.task_id == task_id:
                 worker.task_id = None

@@ -2,11 +2,10 @@
 
 Mechanism for the mesh's degraded modes lives with each component
 (worker heartbeat thread in :mod:`repro.exec.worker`, per-slot
-liveness tracking in :mod:`repro.exec.backends.fleet`, duplicate
-submission in :mod:`repro.exec.runner`); their settings live in the
-run config (:mod:`repro.config`).  This module holds the breaker state
-machine :class:`~repro.exec.store.TieredResultStore` guards every
-shared-tier operation with.
+liveness tracking in :mod:`repro.exec.backends.fleet`); their settings
+live in the run config (:mod:`repro.config`).  This module holds the
+breaker state machine :class:`~repro.exec.store.TieredResultStore`
+guards every shared-tier operation with.
 """
 
 from __future__ import annotations

@@ -47,7 +47,7 @@ MANIFEST_SCHEMA = 1
 #: They are stripped from the command before hashing the run id, so
 #: resuming with different execution settings (``resume --jobs 8``)
 #: reopens the same manifest and completion log.
-EXEC_FLAGS = ("--jobs", "--workers", "--shared-store", "--hedge")
+EXEC_FLAGS = ("--jobs", "--workers", "--shared-store")
 
 #: Statuses a ``.done`` log line may carry; anything else on a line is
 #: treated as corruption and skipped on replay.

@@ -94,15 +94,12 @@ class ExecReport:
     backend: str = "local"
     store_shared_hits: int = 0
     store_shared_fills: int = 0
-    # Health-layer accounting (DESIGN.md §16): ``hedges`` duplicate
-    # submissions launched against stragglers and ``hedge_wins`` the
-    # races the duplicate won; ``hb_lost`` workers declared lost by
-    # the heartbeat timeout (a subset of the requeue/rebuild traffic
-    # above); ``store_breaker_trips`` shared-tier circuit-breaker
-    # openings during this batch and ``store_breaker_open`` whether
-    # the run *ended* with the shared tier degraded to local-only.
-    hedges: int = 0
-    hedge_wins: int = 0
+    # Health-layer accounting (DESIGN.md §16): ``hb_lost`` workers
+    # declared lost by the heartbeat timeout (a subset of the
+    # requeue/rebuild traffic above); ``store_breaker_trips``
+    # shared-tier circuit-breaker openings during this batch and
+    # ``store_breaker_open`` whether the run *ended* with the shared
+    # tier degraded to local-only.
     hb_lost: int = 0
     store_breaker_trips: int = 0
     store_breaker_open: bool = False
@@ -206,9 +203,8 @@ class ExecReport:
                 f"timeouts={self.timeouts} requeued={self.requeued} "
                 f"rebuilds={self.pool_rebuilds}"
             )
-        if self.hedges or self.hb_lost:
-            line += (f"  health: hedged={self.hedges} "
-                     f"wins={self.hedge_wins} hb-lost={self.hb_lost}")
+        if self.hb_lost:
+            line += f"  health: hb-lost={self.hb_lost}"
         if self.pending:
             line += f"  pending={self.pending}"
         return line

@@ -23,17 +23,17 @@ reuse the in-process runners perform today.
 misses across worker processes
 (:class:`~repro.exec.backends.WorkerFleetBackend`) when ``jobs > 1``,
 and falls back to in-process serial execution (bit-identical: same
-entry points, same deterministic seeding) when ``jobs == 1``.  Its
-settings come from the run config (:mod:`repro.config`): ``REPRO_JOBS``
-and ``REPRO_CACHE_DIR`` configure the defaults; ``REPRO_JOBS=0`` means
-one worker per CPU and ``REPRO_CACHE_DIR=off`` disables the disk cache.
+entry points, same deterministic seeding) when ``jobs == 1`` and no
+cell watchdog is armed.  Its settings come from the run config
+(:mod:`repro.config`): ``REPRO_JOBS`` and ``REPRO_CACHE_DIR``
+configure the defaults; ``REPRO_JOBS=0`` means one worker per CPU and
+``REPRO_CACHE_DIR=off`` disables the disk cache.
 """
 
 from __future__ import annotations
 
 import json
 import random
-import statistics
 import sys
 import time
 from collections import deque
@@ -74,7 +74,6 @@ from repro.exec.backends import (
     FRAME_OK,
     HEARTBEAT_LOST,
     BackendUnavailable,
-    WorkerFleetBackend,
     create_backend,
     total_slots,
 )
@@ -724,8 +723,6 @@ class _DriveStats:
     timeouts: int = 0
     requeued: int = 0
     rebuilds: int = 0
-    hedges: int = 0      # duplicate submissions launched for stragglers
-    hedge_wins: int = 0  # races where the duplicate finished first
     hb_lost: int = 0     # workers declared lost by the heartbeat timeout
     abort: Optional[CellFailure] = None  # set in on_error="raise" mode
 
@@ -744,7 +741,8 @@ class ParallelRunner:
     frame) rebuilds the workers and only unfinished cells are
     requeued, degrading to in-process serial execution after
     ``max_pool_rebuilds`` rebuilds; with ``cell_timeout`` a watchdog
-    abandons stragglers and records them as timeouts.  With
+    abandons stragglers and records them as timeouts (at ``jobs == 1``
+    too: an armed watchdog runs the drive on one forked slot).  With
     ``on_error="collect"`` (default) the run completes and failed
     cells yield ``None`` results; with ``"raise"`` the first terminal
     failure raises :class:`~repro.exec.faults.CellExecutionError`
@@ -765,7 +763,7 @@ class ParallelRunner:
         ``jobs`` and ``flags`` are run-config flags, named by their
         :data:`repro.config.SETTINGS` field (``cache_dir``,
         ``shared_store``, ``workers``, ``on_error``, ``retries``,
-        ``cell_timeout``, ``hedge``, ...); an unset one falls back to
+        ``cell_timeout``, ...); an unset one falls back to
         its ``REPRO_*`` variable, then its default.  A bad value or an
         undeclared ``REPRO_*`` name raises
         :class:`~repro.config.ConfigError` here, before any work.
@@ -808,12 +806,6 @@ class ParallelRunner:
         self.on_error = config.on_error
         self.retries = config.retries
         self.cell_timeout = config.cell_timeout
-        # Straggler hedging (--hedge, off by default): when a running
-        # cell exceeds this multiple of the observed median cell
-        # duration and an idle slot exists, launch a duplicate — first
-        # completion wins, bit-identical either way (both copies share
-        # the cache key and its deterministic seed).
-        self.hedge = config.hedge
         # CLI argv that launched this engine; recorded in run manifests
         # so `repro.cli resume` can re-drive an interrupted run.
         self.command: List[str] = list(command) if command else []
@@ -1091,8 +1083,6 @@ class ParallelRunner:
             "exec/graph-prelude": report.graph_prelude,
             "exec/store-shared-hits": report.store_shared_hits,
             "exec/store-shared-fills": report.store_shared_fills,
-            "exec/hedges": report.hedges,
-            "exec/hedge-wins": report.hedge_wins,
             "exec/heartbeat-lost": report.hb_lost,
             "exec/store-breaker-trips": report.store_breaker_trips,
             "exec/store-breaker-open": int(report.store_breaker_open),
@@ -1223,6 +1213,7 @@ class ParallelRunner:
         stats.timeouts += pstats.timeouts
         stats.requeued += pstats.requeued
         stats.rebuilds += pstats.rebuilds
+        stats.hb_lost += pstats.hb_lost
 
     # -- shared fault-tolerant drive machinery ------------------------------
 
@@ -1327,8 +1318,6 @@ class ParallelRunner:
             backend=self.backend_name,
             store_shared_hits=shared_hits,
             store_shared_fills=shared_fills,
-            hedges=stats.hedges,
-            hedge_wins=stats.hedge_wins,
             hb_lost=stats.hb_lost,
             store_breaker_trips=(tier_now.get("breaker_trips", 0)
                                  - tier_before.get("breaker_trips", 0)),
@@ -1344,7 +1333,9 @@ class ParallelRunner:
         """Execute ``tasks`` with isolation, retries, and recovery."""
         queue: Deque[_Task] = deque(tasks)
         workers = min(self.jobs, len(queue))
-        if workers > 1:
+        # Only a worker slot can be abandoned mid-cell, so an armed
+        # watchdog sends even a one-task or --jobs 1 drive to the fleet.
+        if workers > 1 or (workers and self.cell_timeout is not None):
             self._drive_parallel(queue, settle, fail, split, stats, workers)
         else:
             self._drive_serial(queue, settle, fail, split, stats)
@@ -1391,25 +1382,6 @@ class ParallelRunner:
             return
         running: Dict[int, _Task] = {}
         next_id = 0
-        # Hedge-race state: completed-cell durations set the straggler
-        # baseline (no hedge launches before the first completion);
-        # ``hedge_twin`` maps each racing copy to its partner
-        # (both directions) and ``hedge_copies`` marks which id is the
-        # duplicate.  A cell with a live twin can never fail the run —
-        # one copy's loss/error/timeout is absorbed while the other
-        # carries the cell.
-        durations: List[float] = []
-        hedge_twin: Dict[int, int] = {}
-        hedge_copies: set = set()
-
-        def drop_twin_pairing(task_id: int) -> Optional[int]:
-            """Dissolve ``task_id``'s race; returns its live twin, if any."""
-            twin = hedge_twin.pop(task_id, None)
-            if twin is not None:
-                hedge_twin.pop(twin, None)
-            hedge_copies.discard(task_id)
-            return twin if twin in running else None
-
         try:
             while True:
                 need_rebuild = False
@@ -1453,18 +1425,7 @@ class ParallelRunner:
                             if task is None:
                                 continue
                             if frame.status == FRAME_OK:
-                                won_race = frame.task_id in hedge_copies
-                                twin = drop_twin_pairing(frame.task_id)
-                                if twin is not None:
-                                    # First completion wins; the losing
-                                    # copy is forgotten softly — its
-                                    # slot frees when it finishes.
-                                    running.pop(twin, None)
-                                    backend.discard(twin, kill=False)
-                                    if won_race:
-                                        stats.hedge_wins += 1
                                 result, seconds, delta, tele = frame.payload
-                                durations.append(seconds)
                                 settle(task, result, seconds, delta, tele)
                             elif frame.status == FRAME_LOST:
                                 reason = frame.payload
@@ -1474,11 +1435,6 @@ class ParallelRunner:
                                 if self.verbose:
                                     print(f"repro.exec: {reason}",
                                           file=sys.stderr)
-                                if drop_twin_pairing(frame.task_id) \
-                                        is not None:
-                                    # The surviving twin carries the
-                                    # cell; absorb this copy's loss.
-                                    continue
                                 # A worker died under this cell; bump
                                 # its attempt and requeue.
                                 task.attempt += 1
@@ -1486,15 +1442,6 @@ class ParallelRunner:
                                 queue.append(task)
                                 need_rebuild = True
                             else:
-                                if drop_twin_pairing(frame.task_id) \
-                                        is not None:
-                                    # Twin still racing: swallow this
-                                    # copy's error.  Deterministic cells
-                                    # fail identically, so a real cell
-                                    # bug still surfaces through the
-                                    # twin; what this absorbs is
-                                    # attempt-scoped transients.
-                                    continue
                                 self._after_failure(task, frame.payload,
                                                     "error", queue, stats,
                                                     fail, split)
@@ -1507,10 +1454,6 @@ class ParallelRunner:
                             for task_id in expired:
                                 task = running.pop(task_id)
                                 backend.discard(task_id)
-                                if drop_twin_pairing(task_id) is not None:
-                                    # Not a run-level timeout: the twin
-                                    # is still inside its own deadline.
-                                    continue
                                 stats.timeouts += 1
                                 timeout_exc = TimeoutError(
                                     f"cell exceeded cell-timeout of "
@@ -1523,33 +1466,17 @@ class ParallelRunner:
                                 # capacity is a rebuild.
                                 need_rebuild = True
                                 bump_on_rebuild = False
-                        if (self.hedge is not None and durations
-                                and not queue and running
-                                and len(running) < workers
-                                and stats.abort is None
-                                and not need_rebuild):
-                            next_id = self._launch_hedges(
-                                backend, running, next_id,
-                                statistics.median(durations) * self.hedge,
-                                workers, hedge_twin, hedge_copies, stats)
                 if need_rebuild:
                     # Tear every worker down and requeue unfinished
                     # cells — everything already settled stays settled
                     # (and stored), so a rebuild loses zero completed
-                    # results.  Of a hedge race caught mid-flight only
-                    # the original is requeued; the duplicate existed
-                    # purely to race it.
-                    for task_id, task in running.items():
-                        if (task_id in hedge_copies
-                                and hedge_twin.get(task_id) in running):
-                            continue
+                    # results.
+                    for task in running.values():
                         if bump_on_rebuild:
                             task.attempt += 1
                         stats.requeued += 1
                         queue.append(task)
                     running.clear()
-                    hedge_twin.clear()
-                    hedge_copies.clear()
                     stats.rebuilds += 1
                     recovered = False
                     if stats.rebuilds <= self.max_pool_rebuilds:
@@ -1592,55 +1519,10 @@ class ParallelRunner:
             stats.abort = failure
         fail(task, failure)
 
-    def _launch_hedges(self, backend: WorkerFleetBackend,
-                       running: Dict[int, _Task], next_id: int,
-                       deadline: float, workers: int,
-                       hedge_twin: Dict[int, int], hedge_copies: set,
-                       stats: _DriveStats) -> int:
-        """Duplicate stragglers onto idle slots; returns the next id.
-
-        A duplicate carries ``attempt + 1`` so attempt-scoped injected
-        faults (``times=1`` rules) do not refire on it — which is also
-        why a hedge can rescue a cell pinned under an injected hang.
-        Results cannot differ: cell seeding depends only on the cache
-        key, so the race is bit-identical by construction and first
-        completion wins.
-        """
-        now = time.monotonic()
-        for task_id, task in list(running.items()):
-            if len(running) >= workers:
-                break
-            if task_id in hedge_twin:
-                continue
-            if now - task.started < deadline:
-                continue
-            clone = _Task(task.cell, task.key, task.context,
-                          attempt=task.attempt + 1)
-            try:
-                backend.submit(next_id, self._request(clone))
-            except Exception:
-                break  # no healthy idle slot after all; try next poll
-            clone.started = time.monotonic()
-            running[next_id] = clone
-            hedge_twin[task_id] = next_id
-            hedge_twin[next_id] = task_id
-            hedge_copies.add(next_id)
-            stats.hedges += 1
-            if self.verbose:
-                print(f"repro.exec: hedging straggler "
-                      f"{task.cell.label()} after "
-                      f"{now - task.started:.2f}s", file=sys.stderr)
-            next_id += 1
-        return next_id
-
     def _poll_interval(self) -> Optional[float]:
         """Wait quantum for the parallel loop; None = block until done."""
         if self.cell_timeout is not None:
             return max(0.02, min(0.1, self.cell_timeout / 5.0))
-        if self.hedge is not None:
-            # Hedge triggers fire on wall time, not on frames — the
-            # loop must wake even when nothing completes.
-            return 0.05
         return None
 
     def _backoff(self, attempt: int) -> None:

@@ -135,7 +135,6 @@ class TestFailureHandling:
             ("REPRO_RETRIES", {"REPRO_RETRIES": "2"}, []),
             ("REPRO_ARTIFACT_CACHE", {"REPRO_ARTIFACT_CACHE": "off"}, []),
             ("--cell-timeout", {}, ["--cell-timeout", "-5"]),
-            ("--hedge", {}, ["--hedge", "-1"]),
         ]
     ])
     def test_bad_setting_is_a_clean_error(self, setting, env, flags,

@@ -58,7 +58,6 @@ FLAG_CASES = {
     "--on-error": ("on_error", "collect", "raise", "raise", "ignore"),
     "--retries": ("retries", 0, 2, 2, -1),
     "--cell-timeout": ("cell_timeout", None, 30.0, 30.0, -5.0),
-    "--hedge": ("hedge", None, 2.0, 2.0, 0.5),
 }
 
 
@@ -143,8 +142,7 @@ class TestFlags:
             resolve_config({"jobs": "many"})
 
     def test_typed_zero_is_off(self):
-        config = resolve_config({"cell_timeout": 0.0, "hedge": 0})
-        assert (config.cell_timeout, config.hedge) == (None, None)
+        assert resolve_config({"cell_timeout": 0.0}).cell_timeout is None
 
     def test_jobs_zero_means_one_per_cpu(self):
         assert resolve_config({"jobs": 0}).jobs >= 1
@@ -178,7 +176,7 @@ class TestWords:
 
     @pytest.mark.parametrize("flag,field", [
         ("--cache-dir", "cache_dir"), ("--shared-store", "shared_store"),
-        ("--cell-timeout", "cell_timeout"), ("--hedge", "hedge"),
+        ("--cell-timeout", "cell_timeout"),
     ])
     def test_flags_take_the_same_off_words(self, flag, field):
         for word in OFF_WORDS:

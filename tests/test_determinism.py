@@ -334,26 +334,19 @@ def _search_hash(batch_size=None):
 
 class TestGraphPins:
     """The batch plan's prelude changes *when* shared artifacts are
-    computed, and a straggler hedge only *which copy* of a cell lands
-    first — never what any cell computes — so the pins must hold
-    serial and parallel, cold and warm, hedged or not.  Hedging runs
-    against a real store here: its baseline is the median of the
-    cells completed so far, whatever the store already holds."""
+    computed — never what any cell computes — so the pins must hold
+    serial and parallel, cold and warm."""
 
-    @pytest.mark.parametrize("hedge", ["on", "off"])
     @pytest.mark.parametrize("jobs", [1, 2])
-    def test_pins_cold_and_warm(self, hedge, jobs, tmp_path):
+    def test_pins_cold_and_warm(self, jobs, tmp_path):
         exec_runner._SEGMENTS.clear()
         exec_runner._RUNNERS.clear()
         exec_runner._ARTIFACTS.clear()
         store = ResultStore(tmp_path / "cache")
-        multiple = 2.0 if hedge == "on" else None
         # Cold: the store is empty, shared inputs run in the prelude.
-        _assert_pinned(ParallelRunner(jobs=jobs, store=store, verbose=False,
-                                      hedge=multiple))
+        _assert_pinned(ParallelRunner(jobs=jobs, store=store, verbose=False))
         # Warm: every result replays from the store.
-        _assert_pinned(ParallelRunner(jobs=jobs, store=store, verbose=False,
-                                      hedge=multiple))
+        _assert_pinned(ParallelRunner(jobs=jobs, store=store, verbose=False))
 
     def test_search_pin_with_graph(self):
         assert _search_hash() == SEARCH_HASH
@@ -361,7 +354,7 @@ class TestGraphPins:
 
 class TestChaosPins:
     """Network chaos (DESIGN.md §16) — dropped/duplicated/delayed/torn
-    frames, one-way partitions, straggler hedging, and a dead shared
+    frames, one-way partitions, hung stragglers, and a dead shared
     tier — must reproduce the clean pins bit-for-bit, and the health
     layer must recover faster than the blunt instruments it augments."""
 
@@ -420,26 +413,59 @@ class TestChaosPins:
         assert report.failures == ()
         assert wall < 60.0            # well under the 120s watchdog
 
-    def test_hedged_straggler_race_reproduces_pins(self, monkeypatch):
+    def test_timed_out_straggler_reproduces_pins(self, monkeypatch):
         cells = _single_cells()
         victim = stable_hash(cells[0].key_payload())
         monkeypatch.setattr(exec_runner, "RETRY_BACKOFF_S", 0)
         monkeypatch.setenv("REPRO_FAULT_INJECT",
                            f"hang:key={victim[:16]},seconds=30")
         engine = ParallelRunner(jobs=2, store=None, verbose=False,
-                                hedge=2.0)
+                                cell_timeout=1.0, retries=1)
         started = time.monotonic()
         results = engine.run(cells, label="pin/single")
         wall = time.monotonic() - started
         assert stable_hash({"results": [r.to_dict() for r in results]}) \
             == SINGLE_HASH
         report = engine.last_report
-        # The duplicate (attempt 2, which the times=1 hang rule skips)
-        # won the race; the hung original was discarded, softly.
-        assert report.hedges >= 1
-        assert report.hedge_wins >= 1
+        # The watchdog abandoned the hung first attempt; the retry
+        # (attempt 2, which the times=1 hang rule skips) ran clean.
+        assert report.timeouts >= 1
+        assert report.retries >= 1
         assert report.failures == ()
-        assert wall < 20.0            # the clone rescued a 30s straggler
+        assert wall < 20.0            # the watchdog cut a 30s straggler
+
+    def test_prelude_heartbeat_loss_is_counted(self, tmp_path,
+                                               monkeypatch):
+        from repro.exec.runner import MaterializeCell
+        from repro.graph import plan_cells
+
+        exec_runner._SEGMENTS.clear()
+        exec_runner._RUNNERS.clear()
+        exec_runner._ARTIFACTS.clear()
+        cells = _single_cells()
+        store = ResultStore(tmp_path / "cache")
+        plan = plan_cells([(cell, stable_hash(cell.key_payload()))
+                           for cell in cells], store)
+        group = plan.prelude[0]
+        victim = stable_hash(MaterializeCell(
+            trace=group.trace, segment_names=group.segments,
+            hierarchy=group.hierarchy,
+            prefetch=group.prefetch).key_payload())
+        # The slot materializing the first shared input goes silent
+        # and hangs: only the heartbeat timeout can recover it.
+        monkeypatch.setenv("REPRO_HEARTBEAT", "0.1")
+        monkeypatch.setattr(exec_runner, "RETRY_BACKOFF_S", 0)
+        monkeypatch.setenv(
+            "REPRO_FAULT_INJECT",
+            f"hb-loss:key={victim[:16]};hang:key={victim[:16]},seconds=600")
+        engine = ParallelRunner(jobs=2, store=store, verbose=False)
+        results = engine.run(cells, label="pin/single")
+        assert stable_hash({"results": [r.to_dict() for r in results]}) \
+            == SINGLE_HASH
+        report = engine.last_report
+        assert report.hb_lost == 1
+        assert report.requeued >= 1
+        assert "hb-lost=1" in report.summary()
 
     def test_open_breaker_preserves_pins(self, tmp_path, monkeypatch):
         from repro.exec import faults

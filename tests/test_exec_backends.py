@@ -434,33 +434,6 @@ class TestWorkerHealth:
 
 
 class TestDiscardSemantics:
-    def test_soft_discard_frees_slot_without_rebuild(self):
-        # A hedge race's losing copy: the slot finishes its (now
-        # unwanted) cell, the late frame is filtered, and the slot is
-        # immediately reusable — no kill, no rebuild.
-        backend = WorkerFleetBackend(1)
-        backend.start()
-        try:
-            backend.submit(1, _request(_cell()))
-            backend.discard(1, kill=False)
-            assert backend.in_flight() == []
-            worker = backend._fleet[0]
-            assert worker.alive
-            deadline = time.monotonic() + 60.0
-            while worker.task_id is not None:
-                assert time.monotonic() < deadline
-                assert backend.poll(timeout=0.2) == []
-            assert worker.alive  # the slot survived its loss
-            cell = _cell("soplex")
-            backend.submit(2, _request(cell))
-            [frame] = _poll_until(backend)
-            assert frame.task_id == 2
-            assert frame.status == FRAME_OK
-            result, _, _, _ = frame.payload
-            assert result == _serial_result(cell)
-        finally:
-            backend.close()
-
     def test_hard_discard_retires_slot_until_rebuild(self):
         backend = WorkerFleetBackend(
             1,
@@ -468,7 +441,7 @@ class TestDiscardSemantics:
         backend.start()
         try:
             backend.submit(7, _request(_cell()))
-            backend.discard(7)  # kill=True: watchdog-style abandonment
+            backend.discard(7)  # watchdog-style abandonment
             assert backend.in_flight() == []
             with pytest.raises(BackendUnavailable):
                 backend.submit(8, _request(_cell("soplex")))

@@ -45,17 +45,6 @@ class TestKnobs:
         with pytest.raises(ConfigError, match="REPRO_HEARTBEAT"):
             ParallelRunner(jobs=1, store=None)
 
-    def test_hedge_off_by_default(self):
-        assert ParallelRunner(jobs=1, store=None).hedge is None
-        assert ParallelRunner(jobs=1, store=None,
-                              hedge=0).hedge is None  # explicit off
-
-    def test_hedge_below_one_rejected(self):
-        with pytest.raises(ConfigError, match="--hedge"):
-            ParallelRunner(jobs=1, store=None, hedge=0.5)
-        with pytest.raises(ConfigError, match="--hedge"):
-            ParallelRunner(jobs=1, store=None, hedge=-1)
-
     def test_breaker_defaults_and_disable(self, tmp_path):
         store = TieredResultStore(tmp_path / "local", tmp_path / "shared")
         assert store.breaker.threshold == health.BREAKER_THRESHOLD
@@ -145,8 +134,8 @@ class TestChaosSpecs:
         plan = FaultPlan(parse_fault_spec("frame-drop:every=1"))
         rule = plan.frame_action("f" * 64, 1)
         assert rule is not None and rule.kind == "frame-drop"
-        # The hedge clone (and any requeue) carries attempt+1, so a
-        # times=1 chaos rule never re-fires on it.
+        # A retry or requeue carries attempt+1, so a times=1 chaos
+        # rule never re-fires on it.
         assert plan.frame_action("f" * 64, 2) is None
 
     def test_heartbeat_suppression(self):

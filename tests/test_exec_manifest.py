@@ -154,8 +154,7 @@ class TestExecFlagStripping:
         from repro.exec.manifest import strip_exec_flags
 
         argv = ["compare", "--jobs", "4", "--workers=node-a:2",
-                "--shared-store=/mnt/s", "--hedge", "2.0",
-                "--scale", "tiny"]
+                "--shared-store=/mnt/s", "--scale", "tiny"]
         assert strip_exec_flags(argv) == ["compare", "--scale", "tiny"]
 
     def test_run_id_ignores_exec_flags(self, tmp_path):
@@ -275,10 +274,11 @@ class TestCliResume:
 
     def test_resume_drops_retired_backend_flags(self, tmp_path, monkeypatch,
                                                 capsys):
-        # A run recorded with the retired transport flags: --backend and
-        # a fleet's integer --workers.  Exec flags never entered the run
-        # id, so the recorded manifest is the one a --jobs 2 run opens;
-        # only its command line carries the old flags.
+        # A run recorded with the retired exec flags: --backend, a
+        # fleet's integer --workers and --hedge.  Exec flags never
+        # entered the run id, so the recorded manifest is the one a
+        # --jobs 2 run opens; only its command line carries the old
+        # flags.
         cache = str(tmp_path / "cache")
         argv = ["compare", "--benchmarks", "gamess", "soplex",
                 "--policies", "lru", "--scale", "tiny",
@@ -286,7 +286,8 @@ class TestCliResume:
         manifest = self._fail_victim(argv, monkeypatch, capsys)
         run_id = manifest.run_id
         payload = json.loads(manifest.path.read_text(encoding="utf-8"))
-        payload["command"] = argv + ["--backend", "fleet", "--workers", "2"]
+        payload["command"] = argv + ["--backend", "fleet", "--workers", "2",
+                                     "--hedge", "2.0", "--hedge=3"]
         payload["exec"] = {"backend": "fleet", "jobs": "2", "workers": "2"}
         manifest.path.write_text(json.dumps(payload), encoding="utf-8")
 
@@ -294,6 +295,7 @@ class TestCliResume:
         out = capsys.readouterr().out
         assert "--backend" not in out
         assert "--workers" not in out
+        assert "--hedge" not in out
         [manifest] = list_runs(cache)
         assert manifest.run_id == run_id
         assert manifest.is_complete
