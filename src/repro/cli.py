@@ -1,14 +1,20 @@
 """Command-line interface.
 
-Four subcommands cover the library's main entry points::
+Eight subcommands cover the library's main entry points::
 
     python -m repro.cli compare  --benchmarks soplex mcf --policies lru mpppb-1a
     python -m repro.cli roc      --benchmark sphinx3
     python -m repro.cli search   --candidates 20 --steps 10
     python -m repro.cli mix      --mixes 4 --policies lru mpppb-mp
+    python -m repro.cli perf     --scale tiny
+    python -m repro.cli cache    stats
+    python -m repro.cli resume   [RUN_ID]
+    python -m repro.cli stats    [RUN_ID]
 
-All commands honor ``--scale`` (or the ``REPRO_SCALE`` environment
-variable) and print the same table layouts the bench harness uses.
+The first five honor ``--scale`` (or the ``REPRO_SCALE`` environment
+variable), and the first four print the same table layouts the bench
+harness uses.  ``perf`` exits 1 when a telemetry or trace-ingest
+budget (:mod:`repro.perf`) fails.
 
 ``compare``, ``search``, and ``mix`` run through the ``repro.exec``
 engine: ``--jobs N`` (or ``REPRO_JOBS``) fans independent experiment
@@ -294,9 +300,24 @@ def cmd_roc(args: argparse.Namespace) -> int:
     return 0
 
 
+def _check_counts(args: argparse.Namespace, **floors: int) -> None:
+    """Fail a count flag under its floor as one line, before any work.
+
+    ``floors`` maps argparse destinations to the least value each
+    accepts; an unset (``None``) flag passes.
+    """
+    for dest, floor in floors.items():
+        value = getattr(args, dest)
+        if value is not None and value < floor:
+            flag = "--" + dest.replace("_", "-")
+            raise ConfigError(
+                f"{flag} must be an integer >= {floor}, got {value}")
+
+
 def cmd_search(args: argparse.Namespace) -> int:
     from repro.search import hill_climb, random_search
 
+    _check_counts(args, candidates=1, steps=0, batch_size=1)
     scale = args.config.scale
     accesses = max(2_000, scale.segment_accesses // 4)
     ingest = _resolve_trace(args, accesses)
@@ -324,6 +345,7 @@ def cmd_search(args: argparse.Namespace) -> int:
 
 
 def cmd_mix(args: argparse.Namespace) -> int:
+    _check_counts(args, mixes=1)
     scale = args.config.scale
     accesses = max(2_000, scale.segment_accesses // 3)
     ingest = _resolve_trace(args, accesses)
@@ -370,31 +392,19 @@ def cmd_mix(args: argparse.Namespace) -> int:
 
 def cmd_perf(args: argparse.Namespace) -> int:
     from repro.perf import (
-        DEFAULT_POLICIES,
-        build_report,
+        bench_ingest,
+        bench_telemetry,
         check_report,
         format_report,
-        write_report,
     )
 
-    policies = tuple(args.policies) if args.policies else DEFAULT_POLICIES
-    report = build_report(
-        scale_name=args.config.scale.name,
-        benchmark=args.benchmark,
-        benchmarks=tuple(args.compare_benchmarks),
-        policies=policies,
-        repeats=args.repeats,
-    )
-    path = write_report(report, args.output)
+    report = {"telemetry": bench_telemetry(args.config.scale),
+              "ingest": bench_ingest()}
     print(format_report(report))
-    print(f"wrote {path}")
-    if args.check:
-        failures = check_report(report, tolerance=args.tolerance)
-        for failure in failures:
-            print(f"PERF REGRESSION: {failure}", file=sys.stderr)
-        if failures:
-            return 1
-    return 0
+    failures = check_report(report)
+    for failure in failures:
+        print(f"PERF REGRESSION: {failure}", file=sys.stderr)
+    return 1 if failures else 0
 
 
 def _span_rows(events, wall_s: float, top: int):
@@ -523,12 +533,20 @@ def cmd_stats(args: argparse.Namespace) -> int:
 
 
 def _parse_size(text: str) -> int:
-    """``500M``/``2G``-style sizes to bytes (plain ints pass through)."""
+    """``500M``/``2G``-style sizes to bytes (plain ints pass through).
+
+    Malformed or negative sizes raise :class:`ValueError` (an infinite
+    one, :class:`OverflowError`).
+    """
     units = {"k": 1024, "m": 1024 ** 2, "g": 1024 ** 3}
     text = text.strip().lower().rstrip("b")
     if text and text[-1] in units:
-        return int(float(text[:-1]) * units[text[-1]])
-    return int(text)
+        size = int(float(text[:-1]) * units[text[-1]])
+    else:
+        size = int(text)
+    if size < 0:
+        raise ValueError(f"negative size: {text!r}")
+    return size
 
 
 def _format_bytes(count: int) -> str:
@@ -561,7 +579,14 @@ def cmd_cache(args: argparse.Namespace) -> int:
             print("error: cache gc needs --max-entries and/or --max-bytes",
                   file=sys.stderr)
             return 2
-        max_bytes = _parse_size(args.max_bytes) if args.max_bytes else None
+        _check_counts(args, max_entries=0)
+        try:
+            max_bytes = (None if args.max_bytes is None
+                         else _parse_size(args.max_bytes))
+        except (ValueError, OverflowError):
+            raise ConfigError(
+                f"--max-bytes must be a size >= 0 such as 512, 2K, 500M "
+                f"or 1G, got {args.max_bytes!r}") from None
         before = store.usage()
         removed = store.gc(max_entries=args.max_entries, max_bytes=max_bytes)
         after = store.usage()
@@ -785,24 +810,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_exec(mix)
     mix.set_defaults(func=cmd_mix)
 
-    perf = sub.add_parser("perf", help="hot-path timings (BENCH_hotpath.json)")
-    perf.add_argument("--benchmark", default="soplex",
-                      choices=benchmark_names(),
-                      help="workload for the per-stage micro-benchmarks")
-    perf.add_argument("--compare-benchmarks", nargs="*",
-                      default=["gamess", "hmmer", "povray"], metavar="NAME",
-                      help="workloads for the cold/warm compare")
-    perf.add_argument("--policies", nargs="*", default=None,
-                      choices=policy_names(), metavar="POLICY")
-    perf.add_argument("--repeats", type=int, default=3,
-                      help="best-of-N repetitions per timing")
-    perf.add_argument("--output", default="BENCH_hotpath.json",
-                      metavar="PATH")
-    perf.add_argument("--check", action="store_true",
-                      help="exit 1 if a perf gate fails (telemetry "
-                           "budgets, ingest throughput)")
-    perf.add_argument("--tolerance", type=float, default=1.0,
-                      help="multiplier loosening the --check timing budgets")
+    perf = sub.add_parser(
+        "perf", help="telemetry and ingest budgets (exit 1 on a failure)")
     _add_scale(perf)
     perf.set_defaults(func=cmd_perf)
 

@@ -378,6 +378,9 @@ class ResultStore:
         """LRU-evict down to the given targets; returns blobs removed."""
         if max_entries is None and max_bytes is None:
             return 0
+        if min(max_entries or 0, max_bytes or 0) < 0:
+            raise ValueError(f"gc targets must be >= 0, got max_entries="
+                             f"{max_entries}, max_bytes={max_bytes}")
         with self._exclusive():
             blobs = self._ranked_blobs()
             sizes = []
@@ -388,7 +391,7 @@ class ResultStore:
                     sizes.append(0)
             cut = 0
             if max_entries is not None:
-                cut = max(cut, len(blobs) - max(0, max_entries))
+                cut = max(cut, len(blobs) - max_entries)
             if max_bytes is not None:
                 remaining = sum(sizes[cut:])
                 while cut < len(blobs) and remaining > max_bytes:

@@ -111,7 +111,7 @@ def inc_many(items: Sequence) -> None:
     Flush sites that report many counters at once should prefer this
     over per-name :func:`inc`: the whole batch costs one lock
     acquisition (see ``MetricsRegistry.inc_many``), keeping the
-    enabled-path overhead inside the perf harness's budget.
+    enabled-path overhead inside ``repro.perf``'s 15% budget.
     """
     ctx = _CONTEXT
     if ctx is not None:

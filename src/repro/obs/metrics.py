@@ -146,8 +146,9 @@ class MetricsRegistry:
 
         Flush sites that report a dozen aggregate counters per replay
         (``flush_llc_metrics``) pay one acquisition per *flush* instead
-        of one per counter — the bulk of the enabled-path overhead the
-        perf harness's ``telemetry_enabled_overhead`` gate watches.
+        of one per counter — the bulk of the enabled-path overhead that
+        :func:`repro.perf.check_report` gates as
+        ``telemetry.enabled_overhead``.
         """
         counters = self.counters
         with self._lock:

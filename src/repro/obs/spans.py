@@ -16,8 +16,8 @@ The disabled fast path matters more than the enabled one: every
 instrumentation site calls :func:`repro.obs.span`, which returns the
 shared :data:`NULL_SPAN` singleton when no collector is installed —
 one global load, one ``is None`` test, and a no-op context manager.
-The perf harness (``repro.perf.bench_telemetry``) measures that cost
-and gates it below 2% of a Stage-2 replay.
+``repro.perf.bench_telemetry`` estimates that cost, and
+``repro.cli perf`` fails when it exceeds 2% of a Stage-2 replay.
 """
 
 from __future__ import annotations

@@ -95,6 +95,23 @@ class TestCacheCli:
         assert code == 0
         assert store.usage()["bytes"] <= 1024
 
+    @pytest.mark.parametrize("flag,value", [
+        ("--max-entries", "-1"),
+        ("--max-bytes", "-5"),
+        ("--max-bytes", "12X"),
+    ])
+    def test_gc_bad_target_is_a_clean_error(self, flag, value, tmp_path,
+                                            capsys):
+        store = _seed(tmp_path)
+        code = main(["cache", "gc", "--cache-dir", str(tmp_path),
+                     flag, value])
+        out, err = capsys.readouterr()
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"error: {flag} ")
+        assert err.count("\n") == 1
+        assert store.usage()["entries"] == 5
+
     def test_clear_removes_everything(self, tmp_path, capsys):
         store = _seed(tmp_path)
         code = main(["cache", "clear", "--cache-dir", str(tmp_path)])

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro import cli
 from repro.cli import build_parser, main
 
 
@@ -154,6 +155,27 @@ class TestFailureHandling:
         assert err.startswith("error: ")
         assert err.count("\n") == 1
         assert setting in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("argv", [
+        pytest.param(["search", "--candidates", "0"], id="search--candidates"),
+        pytest.param(["search", "--batch-size", "0"], id="search--batch-size"),
+        pytest.param(["search", "--steps", "-1"], id="search--steps"),
+        pytest.param(["mix", "--mixes", "0"], id="mix--mixes"),
+    ])
+    def test_bad_count_is_a_clean_error(self, argv, monkeypatch, capsys):
+        # Each must fail at entry: resolving the workload is the first
+        # work either command does.
+        def no_work(*args, **kwargs):
+            raise AssertionError("work started before validation")
+
+        monkeypatch.setattr(cli, "_resolve_trace", no_work)
+        code = main(argv + ["--scale", "tiny", "--cache-dir", "off"])
+        out, err = capsys.readouterr()
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"error: {argv[1]} ")
+        assert err.count("\n") == 1
         assert "Traceback" not in err
 
     def test_malformed_jobs_env_is_a_clean_error(self, monkeypatch, capsys):

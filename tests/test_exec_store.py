@@ -167,6 +167,18 @@ class TestResultStore:
         with pytest.raises(ValueError):
             ResultStore(tmp_path, max_entries=0)
 
+    @pytest.mark.parametrize("targets", [
+        pytest.param({"max_entries": -1}, id="max_entries"),
+        pytest.param({"max_bytes": -5}, id="max_bytes"),
+    ])
+    def test_gc_rejects_negative_targets(self, tmp_path, targets):
+        store = ResultStore(tmp_path)
+        for i in range(3):
+            store.put(f"{i:02d}" + "a" * 62, {"kind": "single", "result": i})
+        with pytest.raises(ValueError):
+            store.gc(**targets)
+        assert len(store) == 3
+
 
 def _hammer(root: str, worker: int, count: int, max_entries: int) -> list:
     """Write ``count`` blobs into a shared store; returns the keys used.
