@@ -207,8 +207,10 @@ def _report_failures(engine: ParallelRunner) -> bool:
     if report is None or not report.failures:
         return False
     print(report.failures_table(), file=sys.stderr)
-    print(f"error: {len(report.failures)} cell(s) failed; "
-          f"partial results were cached", file=sys.stderr)
+    cached = ("; partial results were cached"
+              if engine.store is not None else "")
+    print(f"error: {len(report.failures)} cell(s) failed{cached}",
+          file=sys.stderr)
     hint = _resume_hint(engine)
     if hint:
         print(hint, file=sys.stderr)
@@ -216,6 +218,7 @@ def _report_failures(engine: ParallelRunner) -> bool:
 
 
 def cmd_compare(args: argparse.Namespace) -> int:
+    _check_names(args, "benchmarks", "policies")
     scale = args.config.scale
     ingest = _resolve_trace(args, scale.segment_accesses)
     if args.benchmarks:
@@ -314,6 +317,24 @@ def _check_counts(args: argparse.Namespace, **floors: int) -> None:
                 f"{flag} must be an integer >= {floor}, got {value}")
 
 
+def _check_names(args: argparse.Namespace, *dests: str) -> None:
+    """Fail an empty name list, or the bare ``mpppb`` policy, as one
+    line, before any work.
+
+    An unset (``None``) list passes: the command's default applies.
+    ``mpppb`` is a registry name for an explicit feature config, which
+    no command-line flag supplies.
+    """
+    for dest in dests:
+        names = getattr(args, dest)
+        if names is not None and not names:
+            raise ConfigError(f"--{dest} needs at least one name")
+    if "mpppb" in (getattr(args, "policies", None) or ()):
+        raise ConfigError(
+            "--policies: 'mpppb' needs an explicit feature config; use "
+            "mpppb-1a, mpppb-1b or mpppb-mp")
+
+
 def cmd_search(args: argparse.Namespace) -> int:
     from repro.search import hill_climb, random_search
 
@@ -346,6 +367,7 @@ def cmd_search(args: argparse.Namespace) -> int:
 
 def cmd_mix(args: argparse.Namespace) -> int:
     _check_counts(args, mixes=1)
+    _check_names(args, "policies")
     scale = args.config.scale
     accesses = max(2_000, scale.segment_accesses // 3)
     ingest = _resolve_trace(args, accesses)

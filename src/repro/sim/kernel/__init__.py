@@ -6,8 +6,11 @@ stream into numpy columns once (:mod:`~repro.sim.kernel.columns`) and
 replays every MPPPB candidate through a per-candidate ``exec``-
 specialized loop with the sampler, perceptron sum, and replacement-
 policy walks inlined (:mod:`~repro.sim.kernel.numpy_backend`).  The
-Perceptron and Hawkeye baselines have one fixed-shape columnar replay
-each (:mod:`~repro.sim.kernel.baselines`).
+LRU, Perceptron and Hawkeye baselines have one fixed-shape columnar
+replay each (:mod:`~repro.sim.kernel.baselines`), which
+:func:`repro.sim.single.replay_segment` picks by the policy's exact
+type for single cells, mix cells and each mix thread's standalone-LRU
+baseline.
 
 ``REPRO_STAGE2_KERNEL=off`` runs the reference instead, end to end and
 inside worker processes (the environment is the one channel they

@@ -1,10 +1,12 @@
-"""Columnar replays of the paper's two baselines: Perceptron and Hawkeye.
+"""Columnar replays of the paper's three baselines: LRU, Perceptron
+and Hawkeye.
 
 :class:`~repro.sim.llc.LLCSimulator` drives these policies through
-six method calls per access, and each call walks predictor and sampler
-objects.  Their predictor inputs, though, depend only on the stream,
-so :mod:`~repro.sim.kernel.columns` lowers them once per replay:
-six perceptron table indices, or the Hawkeye counter index.
+six method calls per access, and each call walks policy, predictor
+and sampler objects.  Their inputs, though, depend only on the
+stream, so :mod:`~repro.sim.kernel.columns` reads them once per
+replay: the block and prefetch columns for LRU, plus six perceptron
+table indices or the Hawkeye counter index.
 
 What remains is serially dependent state, replayed here by one plain
 function per policy with everything inlined as local-variable
@@ -12,6 +14,10 @@ bytecode, the same discipline as the MPPPB loop in
 :mod:`~repro.sim.kernel.numpy_backend`.  The shapes are fixed, so no
 code is generated; hyperparameters are read from the policy object:
 
+* LRU: each set's block -> way dict doubles as its recency order, LRU
+  first: a hit re-inserts its block, a miss in a full set evicts the
+  first one.  The policy's recency stacks are rebuilt from those dicts
+  once, at the end.
 * Perceptron: the true-LRU sampler on parallel tag / index-tuple /
   confidence lists, saturating weight updates applied in place to the
   live ``PerceptronPredictor.tables``, the reuse-bit victim scan, and
@@ -20,23 +26,25 @@ code is generated; hyperparameters are read from the policy object:
   dict (including the prune), saturating updates to the live
   ``HawkeyePredictor.counters``, RRPV aging, the first-max victim, and
   detraining.
-* Both: a per-set fill cursor over the cache's invalid-way prefix
-  (a fresh cache fills its lowest invalid way first), and scalar
-  counters from which ``LLCStats`` is derived afterwards.
+* All three: a per-set fill cursor over the cache's invalid-way
+  prefix (a fresh cache fills its lowest invalid way first, so the
+  n-th fill of a set goes to way n), and scalar counters from which
+  ``LLCStats`` is derived afterwards.
 
 Each function runs twice, over the warm range and then the measured
 range, reproducing ``LLCSimulator.run``'s warm/measured split.
 Policy state lives in the policy's own lists and dicts, updated in
 place, except for what the reference keeps on objects (perceptron
-sampler entries, OptGen clocks), which is written back; after a
-replay the policy is in exactly the state ``LLCSimulator`` would
-leave it in.
+sampler entries, OptGen clocks) or derives per access (LRU stacks),
+which is written back; after a replay the policy is in exactly the
+state ``LLCSimulator`` would leave it in.
 """
 
 from __future__ import annotations
 
 from typing import Sequence, Tuple
 
+from repro.cache.replacement.lru import LRUPolicy
 from repro.predictors.hawkeye import HawkeyePolicy
 from repro.predictors.perceptron import (
     WEIGHT_MAX,
@@ -65,17 +73,15 @@ def replay_baseline(
     warmup: int,
 ) -> LLCResult:
     """Equivalent of ``LLCSimulator(llc_bytes, ways, policy,
-    block_bytes).run(stream, pc_trace, warmup)`` for an exact
-    :class:`PerceptronPolicy` or :class:`HawkeyePolicy`."""
+    block_bytes).run(stream, pc_trace, warmup)`` for a policy whose
+    exact type is in :data:`REPLAYS`."""
     cache = policy_cache(llc_bytes, ways, policy, block_bytes)
-    replay = (_replay_perceptron if type(policy) is PerceptronPolicy
-              else _replay_hawkeye)
     wb = min(max(warmup, 0), len(stream))
-    prefetch, outcomes, warm_counts, counts = replay(policy, cache, stream,
-                                                     pc_trace, wb)
-    warm_prefetches = int(prefetch[:wb].sum())
+    prefetch, outcomes, warm_counts, counts = REPLAYS[type(policy)](
+        policy, cache, stream, pc_trace, wb)
+    warm_prefetches = sum(prefetch[:wb])
     stats = _segment_stats(len(stream) - wb,
-                           int(prefetch.sum()) - warm_prefetches, counts)
+                           sum(prefetch) - warm_prefetches, counts)
     flush_llc_metrics(stats, policy)
     return LLCResult(
         outcomes=outcomes,
@@ -91,6 +97,54 @@ def _split(kernel, n: int, wb: int, *args) -> Tuple:
     warm = kernel(0, wb, outcomes, *args)
     measured = kernel(wb, n, outcomes, *args)
     return outcomes, warm, measured
+
+
+# -- LRU --------------------------------------------------------------------
+
+
+def _replay_lru(policy: LRUPolicy, cache, stream, pc_trace, wb: int):
+    blocks, prefetch = _columns.block_prefetch_lists(stream)
+    counts = _split(_lru_kernel, len(blocks), wb, blocks, prefetch,
+                    cache._where, cache.num_sets - 1, cache.ways)
+    # LRU never bypasses, so every way this replay filled is still
+    # valid: the touched ways, MRU first, are each set's dict reversed.
+    # A set never filled completely keeps the ways it did not touch
+    # from an earlier replay, in their old order, as on_fill leaves it.
+    for stack, ws in zip(policy._stacks, cache._where):
+        if ws:
+            touched = list(reversed(ws.values()))
+            if len(touched) < cache.ways:
+                touched += [way for way in stack if way not in touched]
+            stack[:] = touched
+    return (prefetch, *counts)
+
+
+def _lru_kernel(lo, hi, outcomes, blocks, prefetch, WHERE, set_mask, ways):
+    """Replay accesses ``[lo, hi)``; returns (hits, dhits, 0, evc).
+
+    Each set's ``WHERE`` dict maps block -> way in recency order, LRU
+    first.  LRU never bypasses, so a set holds as many blocks as it
+    has had fills until it is full: its size is the fill cursor.
+    """
+    hits = 0
+    dhits = 0
+    evc = 0
+    for i in range(lo, hi):
+        block = blocks[i]
+        ws = WHERE[block & set_mask]
+        way = ws.pop(block, -1)
+        if way >= 0:
+            hits += 1
+            if not prefetch[i]:
+                dhits += 1
+            outcomes[i] = True
+        else:
+            way = len(ws)
+            if way == ways:
+                way = ws.pop(next(iter(ws)))
+                evc += 1
+        ws[block] = way
+    return hits, dhits, 0, evc
 
 
 # -- Perceptron -------------------------------------------------------------
@@ -123,7 +177,7 @@ def _replay_perceptron(policy: PerceptronPolicy, cache, stream, pc_trace,
         for tag_row, ind_row, conf_row in zip(s_tags, s_ind, s_conf)
     ]
     policy._last_confidence = float(last[0])
-    return (cols.prefetch, *counts)
+    return (prefetch, *counts)
 
 
 def _perceptron_kernel(lo, hi, outcomes, blocks, set_idxs, tags, samp_idxs,
@@ -298,7 +352,7 @@ def _replay_hawkeye(policy: HawkeyePolicy, cache, stream, pc_trace,
     for optgen, clock in zip(optgens, clocks):
         optgen.time = clock
     policy._last_friendly = last[0]
-    return (cols.prefetch, *counts)
+    return (prefetch, *counts)
 
 
 def _hawkeye_kernel(lo, hi, outcomes, blocks, set_idxs, samp_idxs, prefetch,
@@ -403,3 +457,12 @@ def _hawkeye_kernel(lo, hi, outcomes, blocks, set_idxs, samp_idxs, prefetch,
         LOAD_PC[s][fw] = pc
     last[0] = friendly
     return hits, dhits, 0, evc
+
+
+#: The columnar replay of each baseline policy, by exact type: a
+#: subclass may override any hook, so it stays on ``LLCSimulator``.
+REPLAYS = {
+    LRUPolicy: _replay_lru,
+    PerceptronPolicy: _replay_perceptron,
+    HawkeyePolicy: _replay_hawkeye,
+}

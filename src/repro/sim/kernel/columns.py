@@ -23,9 +23,11 @@ All intermediate arithmetic runs in ``uint64`` (64-bit address/PC
 slices and the hash multiplies overflow ``int64``; PCs, including
 kernel-space ones >= 2**63, enter as ``uint64``) and results are
 narrowed to ``int64`` at the end, whose ``.tolist()`` yields the plain
-Python ints the replay loops index with.  :func:`_decode` is the one
-reader of a stream; an :class:`~repro.sim.llc.LLCColumns` stream (a
-mix's merged stream) is read as the arrays it already is.
+Python ints the replay loops index with.  This module is the one
+reader of a stream: :func:`_decode` for the lowerings, and
+:func:`block_prefetch_lists` for the LRU replay, which needs two
+columns only.  An :class:`~repro.sim.llc.LLCColumns` stream (a mix's
+merged stream) is read as the arrays it already is.
 """
 
 from __future__ import annotations
@@ -134,6 +136,19 @@ def _decode(stream: Sequence[LLCAccess]) -> Tuple:
     prefetch = np.fromiter((a.is_prefetch for a in stream), dtype=np.uint8,
                            count=n)
     return pcs, blocks, offsets, mems, prefetch
+
+
+def block_prefetch_lists(stream: Sequence[LLCAccess]) -> Tuple[List, List]:
+    """``(blocks, prefetch)`` of ``stream`` as Python lists.
+
+    The LRU replay reads nothing else, so this skips :func:`_decode`'s
+    five array passes: two ``.tolist()`` calls on an
+    :class:`~repro.sim.llc.LLCColumns`, two comprehensions over a list
+    of :class:`LLCAccess`.
+    """
+    if isinstance(stream, LLCColumns):
+        return stream.block.tolist(), stream.is_prefetch.tolist()
+    return ([a.block for a in stream], [a.is_prefetch for a in stream])
 
 
 def _placement(blocks: "np.ndarray", num_sets: int, stride: int,

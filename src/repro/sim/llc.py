@@ -65,8 +65,7 @@ class LLCColumns(collections.abc.Sequence[LLCAccess]):
     ``bool`` and :class:`LLCSimulator` replays it unchanged.  Built
     objects are not cached: a stream is replayed once, and keeping them
     would hold the whole stream as objects again.  The columnar Stage-2
-    kernel reads the arrays directly
-    (:func:`repro.sim.kernel.columns._decode`).
+    kernel reads the arrays directly (:mod:`repro.sim.kernel.columns`).
     """
 
     __slots__ = tuple(name for name, _ in _COLUMN_DTYPES)

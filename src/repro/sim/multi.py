@@ -32,7 +32,7 @@ from repro.cache.replacement.base import ReplacementPolicy
 from repro.cache.replacement.lru import LRUPolicy
 from repro.cpu.timing import TimingConfig, TimingModel
 from repro.sim.hierarchy import HierarchyConfig, UpperLevelResult, UpperLevels
-from repro.sim.llc import LLCColumns, LLCSimulator
+from repro.sim.llc import LLCColumns
 from repro.sim.single import (
     Stage3Events,
     build_stage3_events,
@@ -161,10 +161,13 @@ class MultiProgrammedRunner:
         warm_mem = int(len(segment.trace.pcs) * self.warmup_fraction)
         warm_llc = upper.llc_warmup_boundary(warm_mem)
 
-        sim = LLCSimulator(llc_bytes, ways, LRUPolicy(num_sets, ways),
-                           self.hierarchy.block_bytes)
-        standalone = sim.run(upper.llc_stream, pc_trace=segment.trace.pcs,
-                             warmup=warm_llc)
+        # The standalone-LRU baseline takes the same Stage-2 route as a
+        # single cell, reading the columns every mix's merge reads.
+        llc_columns = LLCColumns.from_accesses(upper.llc_stream)
+        standalone = replay_segment(
+            llc_bytes, ways, LRUPolicy(num_sets, ways),
+            self.hierarchy.block_bytes, llc_columns, segment.trace.pcs,
+            warm_llc)
         model = TimingModel(self.timing)
         trace = segment.trace
         full_timing = model.simulate_packed(
@@ -181,7 +184,6 @@ class MultiProgrammedRunner:
             *demand_load_arrays(stage3, standalone.outcomes, self.timing),
             measured_instr).ipc
         cpi = full_timing.cycles / max(1, upper.num_instructions)
-        llc_columns = LLCColumns.from_accesses(upper.llc_stream)
         data = ThreadData(
             segment=segment,
             upper=upper,
@@ -207,10 +209,11 @@ class MultiProgrammedRunner:
         llc_bytes, ways, num_sets = self._geometry
         policy = policy_factory(num_sets, ways)
         with obs.span("stage2"):
-            # Same routing as single-core: MPPPB, Perceptron and Hawkeye
-            # mixes ride the columnar Stage-2 kernel, which reads the
-            # merged columns directly; other policies (and every policy
-            # under REPRO_STAGE2_KERNEL=off) replay on LLCSimulator.
+            # Same routing as single-core: MPPPB, LRU, Perceptron and
+            # Hawkeye mixes ride the columnar Stage-2 kernel, which reads
+            # the merged columns directly; other policies (and every
+            # policy under REPRO_STAGE2_KERNEL=off) replay on
+            # LLCSimulator.
             result = replay_segment(llc_bytes, ways, policy,
                                     self.hierarchy.block_bytes, merged,
                                     merged_pcs, 0)

@@ -32,8 +32,6 @@ from repro import obs
 from repro.cache.replacement.base import ReplacementPolicy
 from repro.core.mpppb import MPPPBConfig, MPPPBPolicy
 from repro.cpu.timing import TimingConfig, TimingModel
-from repro.predictors.hawkeye import HawkeyePolicy
-from repro.predictors.perceptron import PerceptronPolicy
 from repro.sim.batch import BatchLLCSimulator
 from repro.sim.hierarchy import (
     SERVICE_L1,
@@ -43,7 +41,7 @@ from repro.sim.hierarchy import (
     UpperLevels,
 )
 from repro.sim.kernel import stage2_kernel_enabled
-from repro.sim.kernel.baselines import replay_baseline
+from repro.sim.kernel.baselines import REPLAYS, replay_baseline
 from repro.sim.llc import LLCResult, LLCSimulator
 from repro.traces.trace import Segment, Trace
 from repro.util.stats import mpki as mpki_of
@@ -235,13 +233,19 @@ def replay_segment(
 ) -> LLCResult:
     """Stage-2 replay of one stream against one policy.
 
-    With the columnar kernel on (the default; ``REPRO_STAGE2_KERNEL=off``
-    turns it off), two routes leave the sequential simulator:
+    ``llc_stream`` is a list of :class:`~repro.sim.llc.LLCAccess` (a
+    segment's Stage-1 stream) or an :class:`~repro.sim.llc.LLCColumns`
+    (a mix's merged stream, or a thread's standalone-LRU baseline).
+    With the columnar kernel on (the default;
+    ``REPRO_STAGE2_KERNEL=off`` turns it off), two routes leave the
+    sequential simulator:
 
     * Policies whose exact type is
+      :class:`~repro.cache.replacement.lru.LRUPolicy`,
       :class:`~repro.predictors.perceptron.PerceptronPolicy` or
       :class:`~repro.predictors.hawkeye.HawkeyePolicy` replay through
-      :func:`repro.sim.kernel.baselines.replay_baseline`.
+      :func:`repro.sim.kernel.baselines.replay_baseline`.  Subclasses
+      may override any hook, so they stay on the sequential simulator.
     * MPPPB policies route through a single-candidate
       :class:`~repro.sim.batch.BatchLLCSimulator`, so compare and mix
       runs ride the kernel exactly like the batched search path.
@@ -252,7 +256,7 @@ def replay_segment(
     simulator.
     """
     if stage2_kernel_enabled():
-        if type(policy) in (PerceptronPolicy, HawkeyePolicy):
+        if type(policy) in REPLAYS:
             return replay_baseline(llc_bytes, ways, policy, block_bytes,
                                    llc_stream, pcs, warmup)
         if isinstance(policy, MPPPBPolicy):

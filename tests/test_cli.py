@@ -178,6 +178,37 @@ class TestFailureHandling:
         assert err.count("\n") == 1
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("argv,flag", [
+        pytest.param(["compare", "--policies"], "--policies",
+                     id="compare--policies"),
+        pytest.param(["compare", "--benchmarks"], "--benchmarks",
+                     id="compare--benchmarks"),
+        pytest.param(["mix", "--policies"], "--policies",
+                     id="mix--policies"),
+        pytest.param(["compare", "--policies", "lru", "mpppb"], "--policies",
+                     id="compare-bare-mpppb"),
+        pytest.param(["mix", "--policies", "mpppb"], "--policies",
+                     id="mix-bare-mpppb"),
+    ])
+    def test_bad_names_are_a_clean_error(self, argv, flag, monkeypatch,
+                                         capsys):
+        # Each must fail at entry: resolving the workload is the first
+        # work either command does.
+        def no_work(*args, **kwargs):
+            raise AssertionError("work started before validation")
+
+        monkeypatch.setattr(cli, "_resolve_trace", no_work)
+        code = main(argv + ["--scale", "tiny", "--cache-dir", "off"])
+        out, err = capsys.readouterr()
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"error: {flag}")
+        assert err.count("\n") == 1
+        assert "Traceback" not in err
+        if "mpppb" in argv:
+            assert all(name in err
+                       for name in ("mpppb-1a", "mpppb-1b", "mpppb-mp"))
+
     def test_malformed_jobs_env_is_a_clean_error(self, monkeypatch, capsys):
         monkeypatch.setenv("REPRO_JOBS", "many")
         code = main(["compare", "--benchmarks", "gamess", "--policies", "lru",
@@ -228,3 +259,15 @@ class TestFailureHandling:
         err = capsys.readouterr().err
         assert "failed cell" in err
         assert "InjectedFault" in err
+        # Nothing was cached: --cache-dir off attaches no store.
+        assert "1 cell(s) failed\n" in err
+        assert "partial results" not in err
+
+    def test_failed_cells_with_a_store_say_results_were_cached(
+            self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setenv("REPRO_FAULT_INJECT", "raise:every=1,times=99")
+        code = main(["compare", "--benchmarks", "gamess", "--policies", "lru",
+                     "--scale", "tiny", "--cache-dir", str(tmp_path)])
+        assert code == 1
+        assert ("1 cell(s) failed; partial results were cached"
+                in capsys.readouterr().err)

@@ -18,11 +18,16 @@ Each contract is pinned independently:
 * **Switch** — ``REPRO_STAGE2_KERNEL=off`` (any off word) selects the
   reference replay; unset or an on word, the kernel.
 * **Baselines** — the Perceptron and Hawkeye columns equal the
-  predictors' own index functions access by access; their replays
-  match ``LLCSimulator`` down to every piece of policy state on
-  random streams, a geometry that reaches every replacement and
-  training path, and a merged 4-thread mix; and their output
-  satisfies the accounting identities with no reference involved.
+  predictors' own index functions access by access; their replays,
+  and LRU's, match ``LLCSimulator`` down to every piece of policy
+  state on random streams (lists and ``LLCColumns``), a geometry that
+  reaches every replacement and training path, policies reused on
+  fresh caches, and a merged 4-thread mix; and their output satisfies
+  the accounting identities with no reference involved.
+* **Routing** — with the kernel on, an exact ``LRUPolicy`` never
+  reaches ``LLCSimulator.run``, neither as a cell nor as a mix
+  thread's standalone baseline; with it off, every LRU replay does,
+  and an ``LRUPolicy`` subclass always does.
 * **Columnar streams** — an :class:`~repro.sim.llc.LLCColumns` stream
   behaves as its materialized list and lowers to the same columns, and
   kernel-space PCs (>= 2**63) replay on the kernel exactly as on the
@@ -38,6 +43,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.cache.access import AccessContext
+from repro.cache.replacement.lru import LRUPolicy
 from repro.config import TINY
 from repro.core.features import (
     compile_fused,
@@ -414,8 +420,14 @@ def _small_hawkeye():
     return HawkeyePolicy(SMALL_SETS, SMALL_WAYS, predictor=predictor)
 
 
+def _small_lru():
+    return LRUPolicy(SMALL_SETS, SMALL_WAYS)
+
+
 def _policy_state(policy):
     """Every piece of mutable policy state the replay touches, by name."""
+    if type(policy) is LRUPolicy:
+        return {"lru stacks": policy._stacks}
     predictor = policy.predictor
     if isinstance(policy, PerceptronPolicy):
         return {
@@ -510,6 +522,17 @@ class TestBaselineLockstep:
         _assert_baseline_lockstep(_small_hawkeye, SMALL_BYTES, SMALL_WAYS,
                                   stream, pcs, warmup)
 
+    @settings(max_examples=60, deadline=None)
+    @given(picks=st.lists(_baseline_access_st, min_size=1, max_size=300),
+           warmup=st.integers(min_value=-5, max_value=320),
+           columns=st.booleans())
+    def test_lru_lockstep(self, picks, warmup, columns):
+        stream, pcs = _synthetic_stream(picks)
+        if columns:
+            stream = LLCColumns.from_accesses(stream)
+        _assert_baseline_lockstep(_small_lru, SMALL_BYTES, SMALL_WAYS,
+                                  stream, pcs, warmup)
+
     def test_small_geometry_reaches_every_path(self):
         """The lockstep geometry really exercises full sets, sampler
         evictions, reuse-bit victims, detraining, OptGen window wrap and
@@ -580,7 +603,8 @@ class TestBaselineLockstep:
         _assert_baseline_lockstep(_small_hawkeye, SMALL_BYTES, SMALL_WAYS,
                                   stream, pcs, 500)
 
-    @pytest.mark.parametrize("make", [_small_perceptron, _small_hawkeye])
+    @pytest.mark.parametrize("make", [_small_lru, _small_perceptron,
+                                      _small_hawkeye])
     def test_policy_reused_across_replays(self, make):
         """A policy replayed again on a fresh cache starts from the state
         the first replay left: both paths must read it back the same."""
@@ -603,7 +627,47 @@ class TestBaselineLockstep:
             assert result.stats == reference.stats
             _assert_same_state(kernel_policy, reference_policy)
 
-    @pytest.mark.parametrize("policy_cls", [PerceptronPolicy, HawkeyePolicy])
+    @settings(max_examples=40, deadline=None)
+    @given(replays=st.lists(
+        st.tuples(st.lists(_baseline_access_st, max_size=40),
+                  st.integers(min_value=-5, max_value=45), st.booleans()),
+        min_size=2, max_size=3))
+    def test_lru_stale_stack_tails(self, replays):
+        """Short replays of one LRU policy leave sets partly filled, so
+        each fresh cache keeps some of the previous replay's ways at
+        the tail of the recency stacks."""
+        kernel_policy, reference_policy = _small_lru(), _small_lru()
+        for picks, warmup, columns in replays:
+            stream, pcs = _synthetic_stream(picks)
+            kernel_stream = (LLCColumns.from_accesses(stream) if columns
+                             else stream)
+            result, _ = _kernel_replay(kernel_policy, SMALL_BYTES,
+                                       SMALL_WAYS, kernel_stream, pcs,
+                                       warmup)
+            reference = LLCSimulator(SMALL_BYTES, SMALL_WAYS,
+                                     reference_policy).run(
+                stream, pc_trace=pcs, warmup=warmup)
+            assert result.outcomes == reference.outcomes
+            assert result.stats == reference.stats
+            assert result.warm_stats == reference.warm_stats
+            _assert_same_state(kernel_policy, reference_policy)
+
+    def test_lru_stale_tail_keeps_its_order(self):
+        """Touched ways come first, MRU first; the ways the second
+        replay did not touch follow in their old order."""
+        policy = _small_lru()
+        first, pcs = _synthetic_stream([(0x400, SMALL_SETS * k, 0, False)
+                                        for k in range(SMALL_WAYS)])
+        _kernel_replay(policy, SMALL_BYTES, SMALL_WAYS, first, pcs, 0)
+        assert policy.stack(0) == (3, 2, 1, 0)
+        second, pcs = _synthetic_stream([(0x400, SMALL_SETS * 9, 0, False),
+                                         (0x400, SMALL_SETS * 10, 0, False),
+                                         (0x400, SMALL_SETS * 9, 0, False)])
+        _kernel_replay(policy, SMALL_BYTES, SMALL_WAYS, second, pcs, 0)
+        assert policy.stack(0) == (0, 1, 3, 2)
+
+    @pytest.mark.parametrize("policy_cls",
+                             [LRUPolicy, PerceptronPolicy, HawkeyePolicy])
     def test_merged_four_thread_mix(self, mix_stream, policy_cls):
         """A timestamp-merged 4-core stream on the shared LLC, with its
         rebased PC histories and region laps."""
@@ -662,25 +726,40 @@ def _assert_accounting(result, cache, stream, never_bypasses):
             assert not hit
 
 
+# Baselines whose replays never bypass a fill.
+_NEVER_BYPASS = (LRUPolicy, HawkeyePolicy)
+
+
 class TestBaselineAccounting:
     @settings(max_examples=40, deadline=None)
     @given(picks=st.lists(_baseline_access_st, min_size=1, max_size=300),
            warmup=st.integers(min_value=0, max_value=320),
-           hawkeye=st.booleans())
-    def test_random_streams(self, picks, warmup, hawkeye):
+           make=st.sampled_from([_small_lru, _small_perceptron,
+                                 _small_hawkeye]))
+    def test_random_streams(self, picks, warmup, make):
         stream, pcs = _synthetic_stream(picks)
-        policy = _small_hawkeye() if hawkeye else _small_perceptron()
+        policy = make()
         result, cache = _kernel_replay(policy, SMALL_BYTES, SMALL_WAYS,
                                        stream, pcs, warmup)
-        _assert_accounting(result, cache, stream, never_bypasses=hawkeye)
+        _assert_accounting(result, cache, stream,
+                           never_bypasses=type(policy) in _NEVER_BYPASS)
 
-    @pytest.mark.parametrize("policy_cls", [PerceptronPolicy, HawkeyePolicy])
+    @pytest.mark.parametrize("policy_cls",
+                             [LRUPolicy, PerceptronPolicy, HawkeyePolicy])
     def test_workload_stream(self, stage1, policy_cls):
         stream, pcs = stage1
         result, cache = _kernel_replay(policy_cls(NUM_SETS, WAYS), LLC_BYTES,
                                        WAYS, stream, pcs, 300)
         _assert_accounting(result, cache, stream,
-                           never_bypasses=policy_cls is HawkeyePolicy)
+                           never_bypasses=policy_cls in _NEVER_BYPASS)
+        assert result.stats.evictions > 0
+
+    def test_lru_mix_stream(self, mix_stream):
+        stream, pcs, llc_bytes, ways = mix_stream
+        policy = LRUPolicy(llc_bytes // (ways * 64), ways)
+        result, cache = _kernel_replay(policy, llc_bytes, ways, stream, pcs,
+                                       len(stream) // 4)
+        _assert_accounting(result, cache, stream, never_bypasses=True)
         assert result.stats.evictions > 0
 
 
@@ -765,7 +844,7 @@ class TestLLCColumns:
 
 # -- kernel-space PCs (>= 2**63) end to end ------------------------------------
 
-_KERNEL_POLICIES = ["mpppb-1a", "perceptron", "hawkeye"]
+_KERNEL_POLICIES = ["mpppb-1a", "lru", "perceptron", "hawkeye"]
 
 
 def _kernel_space(segment):
@@ -814,3 +893,53 @@ class TestKernelSpacePcs:
         kernel, reference = _on_both_legs(
             monkeypatch, lambda: runner.run_mix(mix, policy_factory(policy)))
         assert kernel == reference
+
+
+# -- LRU routing ---------------------------------------------------------------
+
+
+class _LRUSubclass(LRUPolicy):
+    """Overrides nothing: only the exact type rides the kernel."""
+
+
+def _reference_policies(monkeypatch, run):
+    """Types of the policies ``run()`` replays on ``LLCSimulator.run``."""
+    seen = []
+    real = LLCSimulator.run
+
+    def spy(sim, *args, **kwargs):
+        seen.append(type(sim.policy))
+        return real(sim, *args, **kwargs)
+
+    monkeypatch.setattr(LLCSimulator, "run", spy)
+    run()
+    monkeypatch.setattr(LLCSimulator, "run", real)
+    return seen
+
+
+class TestLRURouting:
+    @pytest.mark.parametrize("policy_cls,kernel,reaches", [
+        (LRUPolicy, "on", []),
+        (LRUPolicy, "off", [LRUPolicy]),
+        (_LRUSubclass, "on", [_LRUSubclass]),
+    ])
+    def test_cell(self, stage1, policy_cls, kernel, reaches, monkeypatch):
+        monkeypatch.setenv("REPRO_STAGE2_KERNEL", kernel)
+        stream, pcs = stage1
+        assert _reference_policies(monkeypatch, lambda: replay_segment(
+            LLC_BYTES, WAYS, policy_cls(NUM_SETS, WAYS), 64, stream, pcs,
+            300)) == reaches
+
+    @pytest.mark.parametrize("kernel,reaches", [
+        ("on", []), ("off", [LRUPolicy, LRUPolicy])])
+    def test_thread_baseline(self, kernel, reaches, monkeypatch):
+        """A mix thread's standalone-LRU baseline takes a cell's route."""
+        monkeypatch.setenv("REPRO_STAGE2_KERNEL", kernel)
+        hierarchy = TINY.multi_hierarchy
+        segments = [build_segments(name, hierarchy.llc_bytes, ACCESSES)[0]
+                    for name in ("soplex", "mcf")]
+        runner = MultiProgrammedRunner(hierarchy)
+        assert _reference_policies(
+            monkeypatch,
+            lambda: [runner.thread_data(segment) for segment in segments]) \
+            == reaches

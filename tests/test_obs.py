@@ -318,11 +318,12 @@ class TestEngineTelemetry:
     def test_baselines_stay_on_the_kernel_with_telemetry(self, tmp_path,
                                                           monkeypatch):
         """Telemetry does not fork the Stage-2 code path: with the
-        kernel on, no MPPPB, Perceptron or Hawkeye replay — single
-        cells, a shared-LLC mix, or a search batch — reaches
-        LLCSimulator.run, and each still records the same llc/*,
-        sampler/* and mpppb/* counters and the same mpppb/confidence
-        histogram as the reference replay."""
+        kernel on, no MPPPB, LRU, Perceptron or Hawkeye replay — single
+        cells, shared-LLC mixes and their threads' standalone-LRU
+        baselines, or a search batch — reaches LLCSimulator.run, and
+        each still records the same llc/*, sampler/* and mpppb/*
+        counters and the same mpppb/confidence histogram as the
+        reference replay."""
         import random
 
         from repro.core.features import random_feature_set
@@ -339,7 +340,7 @@ class TestEngineTelemetry:
                 hierarchy=TINY.hierarchy,
                 warmup_fraction=TINY.warmup_fraction,
             )
-            for policy in ("perceptron", "hawkeye", "mpppb-1a")
+            for policy in ("lru", "perceptron", "hawkeye", "mpppb-1a")
         ]
         suite = SuiteSpec(TINY.hierarchy.llc_bytes, ACCESSES,
                           names=("gamess", "soplex", "mcf", "lbm"))
@@ -349,8 +350,9 @@ class TestEngineTelemetry:
                               for s in built[name]], 1)[0]
         mixes = [MixCell(suite=suite, mix_name=mix.name,
                          segment_names=tuple(s.name for s in mix.segments),
-                         policy="mpppb-mp", hierarchy=TINY.multi_hierarchy,
-                         warmup_fraction=TINY.warmup_fraction)]
+                         policy=policy, hierarchy=TINY.multi_hierarchy,
+                         warmup_fraction=TINY.warmup_fraction)
+                 for policy in ("lru", "mpppb-mp")]
         rng = random.Random(13)
         searches = [
             SearchCell(suite=suite, features=random_feature_set(rng),
@@ -393,9 +395,14 @@ class TestEngineTelemetry:
             "mpppb/promotions-suppressed"}
         # One confidence histogram per MPPPB single, mix and search cell.
         assert len(hists) == 3 and all(h[2] > 0 for h in hists)
+        # Every single and mix cell flushed its own llc/* counters.
+        replayed = {cell for cell, name, _ in counters
+                    if name == "llc/replays"}
+        assert len(replayed) >= len(singles) + len(mixes)
 
         real_run = LLCSimulator.run
-        refused = {"MPPPBPolicy", "PerceptronPolicy", "HawkeyePolicy"}
+        refused = {"MPPPBPolicy", "LRUPolicy", "PerceptronPolicy",
+                   "HawkeyePolicy"}
 
         def guarded(sim, *args, **kwargs):
             kind = type(sim.policy).__name__
