@@ -1,71 +1,15 @@
-"""Set-associative cache structures.
+"""Set-associative cache structure for the last-level cache.
 
-Two containers serve different layers of the hierarchy:
-
-* :class:`FastLRUCache` — a minimal, dictionary-based LRU cache used for
-  the L1 and L2 levels in the hot upper-level simulation loop.  Python
-  dictionaries preserve insertion order, so delete-and-reinsert gives
-  O(1) LRU promotion and ``next(iter(...))`` O(1) victim selection.
-* :class:`SetAssociativeCache` — an explicit way-array structure for the
-  last-level cache, where replacement policies need per-way metadata,
-  victim callbacks, and recency introspection.
+:class:`SetAssociativeCache` is an explicit way-array structure, because
+LLC replacement policies need per-way metadata, victim callbacks, and
+recency introspection.  The private L1 and L2 caches need none of
+that: :meth:`repro.sim.hierarchy.UpperLevels.run` keeps them as
+per-set dicts inside its loop.
 """
 
 from __future__ import annotations
 
 from typing import Dict, List, Optional, Tuple
-
-
-class FastLRUCache:
-    """LRU cache over block addresses; optimized for the inner loop.
-
-    Addresses must already be block-aligned indices (byte address
-    shifted right by the block-offset width).  The cache stores block
-    numbers only — contents are irrelevant to a reuse-prediction study.
-    """
-
-    __slots__ = ("num_sets", "ways", "_sets", "hits", "misses")
-
-    def __init__(self, capacity_bytes: int, ways: int, block_bytes: int = 64) -> None:
-        if capacity_bytes % (ways * block_bytes) != 0:
-            raise ValueError("capacity must be a whole number of sets")
-        self.num_sets = capacity_bytes // (ways * block_bytes)
-        if self.num_sets & (self.num_sets - 1):
-            raise ValueError("set count must be a power of two")
-        self.ways = ways
-        self._sets: List[Dict[int, None]] = [dict() for _ in range(self.num_sets)]
-        self.hits = 0
-        self.misses = 0
-
-    def access(self, block: int) -> bool:
-        """Touch ``block``; return True on hit.  Misses allocate."""
-        cache_set = self._sets[block & (self.num_sets - 1)]
-        if block in cache_set:
-            del cache_set[block]
-            cache_set[block] = None
-            self.hits += 1
-            return True
-        self.misses += 1
-        if len(cache_set) >= self.ways:
-            del cache_set[next(iter(cache_set))]
-        cache_set[block] = None
-        return False
-
-    def probe(self, block: int) -> bool:
-        """Check residency without updating recency or statistics."""
-        return block in self._sets[block & (self.num_sets - 1)]
-
-    def fill(self, block: int) -> None:
-        """Install ``block`` (as MRU) without counting a demand access.
-
-        Used for prefetch fills, which must not perturb hit statistics.
-        """
-        cache_set = self._sets[block & (self.num_sets - 1)]
-        if block in cache_set:
-            return
-        if len(cache_set) >= self.ways:
-            del cache_set[next(iter(cache_set))]
-        cache_set[block] = None
 
 
 class SetAssociativeCache:

@@ -1,6 +1,5 @@
-"""Core-side models: stream prefetcher and out-of-order timing."""
+"""Core-side model: out-of-order timing."""
 
-from repro.cpu.prefetcher import StreamPrefetcher
 from repro.cpu.timing import TimingConfig, TimingModel, TimingResult
 
-__all__ = ["StreamPrefetcher", "TimingConfig", "TimingModel", "TimingResult"]
+__all__ = ["TimingConfig", "TimingModel", "TimingResult"]

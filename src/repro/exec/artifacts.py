@@ -25,11 +25,15 @@ frame::
 
 where the meta records the cache-key ``SCHEMA_VERSION``, the artifact
 kind, the producer's byte order, scalar fields, and a manifest of
-``array``-module segments (name, typecode, element count) that the
-payload concatenates in order.  Loading validates all of it; any
-mismatch (schema bump, truncation, foreign endianness that fails to
-byteswap, corruption) degrades to a miss and the artifact is rebuilt —
-the cold path is always available and bit-identical.
+integer arrays (name, ``array``-module typecode ``q``/``Q``/``B``,
+element count) that the payload concatenates in order.  Arrays load as
+numpy views of the blob (``np.frombuffer``), so a Stage-1 result
+decodes into :class:`~repro.sim.llc.LLCColumns` without building one
+object per access.  Loading validates all of it; any mismatch (schema
+bump, truncation, a negative count or unknown typecode, Stage-1
+columns of unequal length, foreign endianness that fails to byteswap,
+corruption) degrades to a miss and the artifact is rebuilt — the cold
+path is always available and bit-identical.
 """
 
 from __future__ import annotations
@@ -37,14 +41,15 @@ from __future__ import annotations
 import dataclasses
 import json
 import sys
-from array import array
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Sequence, Tuple
+
+import numpy as np
 
 from repro.exec.cachekey import SCHEMA_VERSION, canonical_json, stable_hash
 from repro.exec.store import ResultStore
 from repro.sim.hierarchy import HierarchyConfig, UpperLevelResult
-from repro.sim.llc import LLCAccess
+from repro.sim.llc import LLCColumns
 from repro.traces.trace import Segment, Trace
 
 MAGIC = b"RPA1"
@@ -54,17 +59,29 @@ _F_WRITE = 1
 _F_DEP = 2       # trace: address-dependent load (pointer chase)
 _F_PREFETCH = 2  # stage1 stream: prefetch fill
 
+#: the manifest's ``array``-module typecodes and their native dtypes
+_DTYPES = {"q": np.dtype(np.int64), "Q": np.dtype(np.uint64),
+           "B": np.dtype(np.uint8)}
+
 
 # -- framing ---------------------------------------------------------------
 
 
 def pack_artifact(kind: str, scalars: Dict[str, Any],
                   arrays: Sequence[Tuple[str, str, Sequence[int]]]) -> bytes:
-    """Frame scalars plus named integer arrays into one binary blob."""
+    """Frame scalars plus named integer arrays into one binary blob.
+
+    Each array is a sequence of ints or a numpy array, stored as the
+    native bytes of its typecode's dtype (``_DTYPES``).  A value that
+    does not fit that dtype raises ``OverflowError``.
+    """
     manifest: List[List[Any]] = []
     payload: List[bytes] = []
     for name, typecode, values in arrays:
-        packed = array(typecode, values)
+        packed = np.asarray(values, dtype=_DTYPES[typecode])
+        # numpy casts arrays with wraparound; lists raise by themselves.
+        if isinstance(values, np.ndarray) and not np.array_equal(packed, values):
+            raise OverflowError(f"{name}: values out of range for {typecode!r}")
         manifest.append([name, typecode, len(packed)])
         payload.append(packed.tobytes())
     meta = canonical_json({
@@ -80,8 +97,12 @@ def pack_artifact(kind: str, scalars: Dict[str, Any],
 
 def unpack_artifact(
     blob: bytes, kind: str
-) -> Optional[Tuple[Dict[str, Any], Dict[str, array]]]:
-    """Parse a blob back into (scalars, name -> array); None if invalid."""
+) -> Optional[Tuple[Dict[str, Any], Dict[str, np.ndarray]]]:
+    """Parse a blob back into (scalars, name -> array); None if invalid.
+
+    Arrays are read-only views of ``blob`` unless the producer's byte
+    order differs, when they are byteswapped copies.
+    """
     try:
         if blob[:4] != MAGIC:
             return None
@@ -89,17 +110,19 @@ def unpack_artifact(
         meta = json.loads(blob[8:8 + meta_len].decode("utf-8"))
         if meta.get("schema") != SCHEMA_VERSION or meta.get("artifact") != kind:
             return None
-        arrays: Dict[str, array] = {}
+        swap = meta.get("endian") != sys.byteorder
+        arrays: Dict[str, np.ndarray] = {}
         cursor = 8 + meta_len
         for name, typecode, count in meta["arrays"]:
-            packed = array(typecode)
-            size = count * packed.itemsize
+            dtype = _DTYPES.get(typecode)
+            if dtype is None or not isinstance(count, int) or count < 0:
+                return None
+            size = count * dtype.itemsize
             if cursor + size > len(blob):
                 return None
-            packed.frombytes(blob[cursor:cursor + size])
-            if meta.get("endian") != sys.byteorder:
-                packed.byteswap()
-            arrays[name] = packed
+            packed = np.frombuffer(blob, dtype=dtype, count=count,
+                                   offset=cursor)
+            arrays[name] = packed.byteswap() if swap else packed
             cursor += size
         if cursor != len(blob):
             return None
@@ -185,9 +208,9 @@ def unpack_segments(blob: bytes) -> Optional[List[Segment]]:
                 name,
                 arrays[f"{i}:pcs"].tolist(),
                 arrays[f"{i}:addresses"].tolist(),
-                [bool(f & _F_WRITE) for f in flags],
+                ((flags & _F_WRITE) != 0).tolist(),
                 arrays[f"{i}:gaps"].tolist(),
-                [bool(f & _F_DEP) for f in flags],
+                ((flags & _F_DEP) != 0).tolist(),
             )
             segments.append(Segment(name, trace, weight))
         return segments
@@ -198,22 +221,23 @@ def unpack_segments(blob: bytes) -> Optional[List[Segment]]:
 # -- UpperLevelResult <-> blob ---------------------------------------------
 
 
+_STREAM_COLUMNS = ("s_pc", "s_block", "s_offset", "s_flags", "s_mem",
+                   "s_instr")
+
+
 def pack_upper(upper: UpperLevelResult) -> bytes:
     stream = upper.llc_stream
-    flags = [
-        (_F_WRITE if access.is_write else 0)
-        | (_F_PREFETCH if access.is_prefetch else 0)
-        for access in stream
-    ]
+    flags = (stream.is_write.astype(np.uint8) * _F_WRITE
+             | stream.is_prefetch.astype(np.uint8) * _F_PREFETCH)
     arrays: List[Tuple[str, str, Sequence[int]]] = [
         ("service", "q", upper.service),
         ("instr_indices", "q", upper.instr_indices),
-        ("s_pc", "Q", [access.pc for access in stream]),
-        ("s_block", "Q", [access.block for access in stream]),
-        ("s_offset", "B", [access.offset for access in stream]),
+        ("s_pc", "Q", stream.pc),
+        ("s_block", "Q", stream.block),
+        ("s_offset", "B", stream.offset),
         ("s_flags", "B", flags),
-        ("s_mem", "q", [access.mem_index for access in stream]),
-        ("s_instr", "q", [access.instr_index for access in stream]),
+        ("s_mem", "q", stream.mem_index),
+        ("s_instr", "q", stream.instr_index),
     ]
     scalars = {
         "num_instructions": upper.num_instructions,
@@ -227,29 +251,30 @@ def pack_upper(upper: UpperLevelResult) -> bytes:
 
 
 def unpack_upper(blob: bytes) -> Optional[UpperLevelResult]:
+    """Decode a Stage-1 blob into columns; no per-access objects."""
     parsed = unpack_artifact(blob, "stage1")
     if parsed is None:
         return None
     scalars, arrays = parsed
     try:
-        stream = [
-            LLCAccess(
-                pc=pc,
-                block=block,
-                offset=offset,
-                is_write=bool(flag & _F_WRITE),
-                is_prefetch=bool(flag & _F_PREFETCH),
-                mem_index=mem,
-                instr_index=instr,
-            )
-            for pc, block, offset, flag, mem, instr in zip(
-                arrays["s_pc"], arrays["s_block"], arrays["s_offset"],
-                arrays["s_flags"], arrays["s_mem"], arrays["s_instr"],
-            )
-        ]
+        service = arrays["service"]
+        if len(arrays["instr_indices"]) != len(service):
+            return None
+        if len({len(arrays[name]) for name in _STREAM_COLUMNS}) != 1:
+            return None
+        flags = arrays["s_flags"]
+        stream = LLCColumns(
+            pc=arrays["s_pc"],
+            block=arrays["s_block"].view(np.int64),
+            offset=arrays["s_offset"].astype(np.int64),
+            is_write=(flags & _F_WRITE) != 0,
+            is_prefetch=(flags & _F_PREFETCH) != 0,
+            mem_index=arrays["s_mem"],
+            instr_index=arrays["s_instr"],
+        )
         return UpperLevelResult(
-            service=arrays["service"].tolist(),
-            instr_indices=arrays["instr_indices"].tolist(),
+            service=service,
+            instr_indices=arrays["instr_indices"],
             llc_stream=stream,
             num_instructions=scalars["num_instructions"],
             l1_hits=scalars["l1_hits"],

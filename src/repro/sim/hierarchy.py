@@ -12,18 +12,31 @@ Runs a workload trace through the private L1 data cache and unified L2
 Because L1/L2 behavior cannot depend on the LLC's replacement policy
 (non-inclusive hierarchy, no back-invalidation), this stage runs once
 per workload and its output is reused for every policy.
+
+The stream prefetcher (Section 4.1) starts a stream on an L1 miss,
+waits for at most two misses to decide the stream direction, then
+issues ``PREFETCH_DEGREE`` blocks ahead of the new head; it tracks
+``PREFETCH_STREAMS`` streams replaced by LRU.  A trained stream
+matches misses up to ``PREFETCH_WINDOW`` blocks ahead of its head in
+its direction, an untrained one within the window on either side.
+
+:meth:`UpperLevels.run` is one flat loop over the trace: L1 and L2 are
+per-set dicts (insertion order is recency order), the prefetcher's
+stream table is three parallel lists, and the LLC stream is appended
+straight into columns.  ``tests/stage1_oracle.py`` keeps the
+object-per-structure loop it replaced as the reference, and the tests
+hold the two equal on every field.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
-from dataclasses import dataclass, field
-from typing import List, Optional
+from dataclasses import dataclass
+from typing import List
+
+import numpy as np
 
 from repro.cache.access import PREFETCH_PC
-from repro.cache.cache import FastLRUCache
-from repro.cpu.prefetcher import StreamPrefetcher
-from repro.sim.llc import LLCAccess
+from repro.sim.llc import LLCColumns
 from repro.traces.trace import Trace
 
 SERVICE_L1 = -1
@@ -53,11 +66,16 @@ class HierarchyConfig:
 
 @dataclass
 class UpperLevelResult:
-    """Stage-1 output for one workload segment."""
+    """Stage-1 output for one workload segment.
 
-    service: List[int]
-    instr_indices: List[int]
-    llc_stream: List[LLCAccess]
+    ``service`` and ``instr_indices`` are ``int64`` arrays with one
+    entry per memory access; ``llc_stream`` holds the LLC accesses as
+    columns.
+    """
+
+    service: np.ndarray
+    instr_indices: np.ndarray
+    llc_stream: LLCColumns
     num_instructions: int
     l1_hits: int
     l1_misses: int
@@ -65,29 +83,32 @@ class UpperLevelResult:
     l2_misses: int
     prefetches_issued: int
 
-    # Lazily built sorted view of llc_stream's mem_index column, for
-    # the warmup-boundary binary search.  Excluded from init/compare:
-    # it is derived state, and the artifact (de)serializers construct
-    # results field-by-field (repro.exec.artifacts), never via asdict.
-    _mem_indices: Optional[List[int]] = field(
-        default=None, init=False, repr=False, compare=False
-    )
-
     def llc_warmup_boundary(self, warm_mem_index: int) -> int:
         """First LLC stream index at or after memory access ``warm_mem_index``.
 
         ``mem_index`` is non-decreasing along the stream (the hierarchy
         driver appends in trace order, prefetches carrying the index of
-        their trigger), so the boundary is a binary search over a
-        per-result memoized index list — this runs once per policy per
-        segment and used to linearly rescan the whole stream each time.
+        their trigger), so the boundary is a binary search.
         """
-        indices = self._mem_indices
-        if indices is None:
-            self._mem_indices = indices = [
-                access.mem_index for access in self.llc_stream
-            ]
-        return bisect_left(indices, warm_mem_index)
+        return int(np.searchsorted(self.llc_stream.mem_index,
+                                   warm_mem_index, side="left"))
+
+
+PREFETCH_STREAMS = 16
+PREFETCH_DEGREE = 2
+PREFETCH_WINDOW = 4
+
+
+def _set_count(kib: int, ways: int, block_bytes: int) -> int:
+    """Sets of a ``kib`` KiB, ``ways``-way cache; raises on a geometry
+    the set-index mask cannot address."""
+    capacity = kib * 1024
+    if capacity % (ways * block_bytes) != 0:
+        raise ValueError("capacity must be a whole number of sets")
+    num_sets = capacity // (ways * block_bytes)
+    if num_sets & (num_sets - 1):
+        raise ValueError("set count must be a power of two")
+    return num_sets
 
 
 class UpperLevels:
@@ -99,73 +120,141 @@ class UpperLevels:
 
     def run(self, trace: Trace) -> UpperLevelResult:
         config = self.config
-        l1 = FastLRUCache(config.l1_kib * 1024, config.l1_ways, config.block_bytes)
-        l2 = FastLRUCache(config.l2_kib * 1024, config.l2_ways, config.block_bytes)
-        prefetcher = StreamPrefetcher() if self.prefetch else None
+        l1_mask = _set_count(config.l1_kib, config.l1_ways,
+                             config.block_bytes) - 1
+        l2_mask = _set_count(config.l2_kib, config.l2_ways,
+                             config.block_bytes) - 1
+        l1_ways = config.l1_ways
+        l2_ways = config.l2_ways
+        l1 = [{} for _ in range(l1_mask + 1)]
+        l2 = [{} for _ in range(l2_mask + 1)]
         shift = config.block_shift
         offset_mask = config.block_bytes - 1
-
-        service: List[int] = []
-        instr_indices: List[int] = []
-        llc_stream: List[LLCAccess] = []
-        instr = -1
+        prefetch = self.prefetch
         pcs = trace.pcs
-        addresses = trace.addresses
         writes = trace.writes
-        gaps = trace.gaps
-        l1_access = l1.access
-        l2_access = l2.access
-        l2_probe = l2.probe
-        l2_fill = l2.fill
-        for mem_index in range(len(pcs)):
-            instr += gaps[mem_index] + 1
-            address = addresses[mem_index]
+
+        # Every access an L1 hit until the loop says otherwise.
+        service = [SERVICE_L1] * len(pcs)
+        # LLC stream columns, in LLCAccess field order; instr_index is
+        # gathered from instr_indices by mem_index afterwards.
+        s_pc: List[int] = []
+        s_block: List[int] = []
+        s_offset: List[int] = []
+        s_write: List[bool] = []
+        s_prefetch: List[bool] = []
+        s_mem: List[int] = []
+        # Stream table: head block, direction (0 while untrained) and
+        # LRU tick of each stream, in allocation-slot order.
+        heads: List[int] = []
+        directions: List[int] = []
+        ticks: List[int] = []
+        tick = 0
+        issued = 0
+        for mem_index, address in enumerate(trace.addresses):
             block = address >> shift
-            instr_indices.append(instr)
-            if l1_access(block):
-                service.append(SERVICE_L1)
+            cache_set = l1[block & l1_mask]
+            if block in cache_set:
+                del cache_set[block]
+                cache_set[block] = None
                 continue
-            prefetch_blocks = (
-                prefetcher.on_l1_miss(block) if prefetcher is not None else ()
-            )
-            if l2_access(block):
-                service.append(SERVICE_L2)
+            if len(cache_set) >= l1_ways:
+                del cache_set[next(iter(cache_set))]
+            cache_set[block] = None
+
+            cache_set = l2[block & l2_mask]
+            if block in cache_set:
+                del cache_set[block]
+                cache_set[block] = None
+                service[mem_index] = SERVICE_L2
             else:
-                service.append(len(llc_stream))
-                llc_stream.append(
-                    LLCAccess(
-                        pc=pcs[mem_index],
-                        block=block,
-                        offset=address & offset_mask,
-                        is_write=writes[mem_index],
-                        is_prefetch=False,
-                        mem_index=mem_index,
-                        instr_index=instr,
-                    )
-                )
-            for pf_block in prefetch_blocks:
-                if pf_block == block or l2_probe(pf_block):
+                if len(cache_set) >= l2_ways:
+                    del cache_set[next(iter(cache_set))]
+                cache_set[block] = None
+                service[mem_index] = len(s_block)
+                s_pc.append(pcs[mem_index])
+                s_block.append(block)
+                s_offset.append(address & offset_mask)
+                s_write.append(writes[mem_index])
+                s_prefetch.append(False)
+                s_mem.append(mem_index)
+            if not prefetch:
+                continue
+
+            # The L1 miss continues the stream at the smallest distance
+            # along its direction, the first such stream on a tie.
+            tick += 1
+            best = -1
+            best_distance = PREFETCH_WINDOW + 1
+            for stream, head in enumerate(heads):
+                distance = block - head
+                if -best_distance < distance < best_distance:
+                    direction = directions[stream]
+                    if direction:
+                        distance *= direction
+                    elif distance < 0:
+                        distance = -distance
+                    if 0 < distance < best_distance:
+                        best = stream
+                        best_distance = distance
+            if best < 0:
+                if len(heads) < PREFETCH_STREAMS:
+                    heads.append(block)
+                    directions.append(0)
+                    ticks.append(tick)
+                else:
+                    victim = ticks.index(min(ticks))
+                    heads[victim] = block
+                    directions[victim] = 0
+                    ticks[victim] = tick
+                continue
+            ticks[best] = tick
+            direction = directions[best]
+            if not direction:  # the second miss picks the direction
+                direction = 1 if block > heads[best] else -1
+                directions[best] = direction
+            heads[best] = block
+            for step in range(1, PREFETCH_DEGREE + 1):
+                pf_block = block + direction * step
+                if pf_block < 0:
                     continue
-                l2_fill(pf_block)
-                llc_stream.append(
-                    LLCAccess(
-                        pc=PREFETCH_PC,
-                        block=pf_block,
-                        offset=0,
-                        is_write=False,
-                        is_prefetch=True,
-                        mem_index=mem_index,
-                        instr_index=instr,
-                    )
-                )
+                issued += 1
+                cache_set = l2[pf_block & l2_mask]
+                if pf_block in cache_set:
+                    continue
+                if len(cache_set) >= l2_ways:
+                    del cache_set[next(iter(cache_set))]
+                cache_set[pf_block] = None
+                s_pc.append(PREFETCH_PC)
+                s_block.append(pf_block)
+                s_offset.append(0)
+                s_write.append(False)
+                s_prefetch.append(True)
+                s_mem.append(mem_index)
+
+        service_col = np.array(service, dtype=np.int64)
+        instr_indices = np.cumsum(
+            np.asarray(trace.gaps, dtype=np.int64) + 1) - 1
+        mem = np.array(s_mem, dtype=np.int64)
+        llc_stream = LLCColumns(
+            np.array(s_pc, dtype=np.uint64),
+            np.array(s_block, dtype=np.int64),
+            np.array(s_offset, dtype=np.int64),
+            np.array(s_write, dtype=np.bool_),
+            np.array(s_prefetch, dtype=np.bool_),
+            mem,
+            instr_indices[mem],
+        )
+        l1_misses = int(np.count_nonzero(service_col != SERVICE_L1))
+        l2_hits = int(np.count_nonzero(service_col == SERVICE_L2))
         return UpperLevelResult(
-            service=service,
+            service=service_col,
             instr_indices=instr_indices,
             llc_stream=llc_stream,
             num_instructions=trace.num_instructions,
-            l1_hits=l1.hits,
-            l1_misses=l1.misses,
-            l2_hits=l2.hits,
-            l2_misses=l2.misses,
-            prefetches_issued=prefetcher.issued if prefetcher is not None else 0,
+            l1_hits=len(pcs) - l1_misses,
+            l1_misses=l1_misses,
+            l2_hits=l2_hits,
+            l2_misses=l1_misses - l2_hits,
+            prefetches_issued=issued,
         )

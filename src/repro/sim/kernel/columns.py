@@ -26,8 +26,9 @@ narrowed to ``int64`` at the end, whose ``.tolist()`` yields the plain
 Python ints the replay loops index with.  This module is the one
 reader of a stream: :func:`_decode` for the lowerings, and
 :func:`block_prefetch_lists` for the LRU replay, which needs two
-columns only.  An :class:`~repro.sim.llc.LLCColumns` stream (a mix's
-merged stream) is read as the arrays it already is.
+columns only.  Stage-1 and merged mix streams are
+:class:`~repro.sim.llc.LLCColumns`, read as the arrays they already
+are.
 """
 
 from __future__ import annotations
@@ -120,22 +121,14 @@ def _decode(stream: Sequence[LLCAccess]) -> Tuple:
     """``(pcs, blocks, offsets, mems, prefetch)`` arrays of ``stream``.
 
     PCs are ``uint64`` and ``prefetch`` is ``uint8``; the rest are
-    ``int64``.  An :class:`~repro.sim.llc.LLCColumns` stream hands over
-    its own arrays without building any :class:`LLCAccess`.
+    ``int64``.  An :class:`~repro.sim.llc.LLCColumns` stream (every
+    Stage-1 and merged mix stream) hands over its own arrays; a list of
+    :class:`LLCAccess` is converted first.
     """
-    if isinstance(stream, LLCColumns):
-        return (stream.pc, stream.block, stream.offset, stream.mem_index,
-                stream.is_prefetch.view(np.uint8))
-    n = len(stream)
-    pcs = np.fromiter((a.pc for a in stream), dtype=np.uint64, count=n)
-    blocks = np.fromiter((a.block for a in stream), dtype=np.int64, count=n)
-    offsets = np.fromiter((a.offset for a in stream), dtype=np.int64,
-                          count=n)
-    mems = np.fromiter((a.mem_index for a in stream), dtype=np.int64,
-                       count=n)
-    prefetch = np.fromiter((a.is_prefetch for a in stream), dtype=np.uint8,
-                           count=n)
-    return pcs, blocks, offsets, mems, prefetch
+    if not isinstance(stream, LLCColumns):
+        stream = LLCColumns.from_accesses(stream)
+    return (stream.pc, stream.block, stream.offset, stream.mem_index,
+            stream.is_prefetch.view(np.uint8))
 
 
 def block_prefetch_lists(stream: Sequence[LLCAccess]) -> Tuple[List, List]:

@@ -191,7 +191,10 @@ class LLCSimulator:
         excluded from the measured statistics.
         """
         if self.policy.needs_future:
-            self.policy.prepare(compute_next_uses([a.block for a in stream]))
+            # Read columns directly: iterating them builds every access.
+            blocks = (stream.block.tolist() if isinstance(stream, LLCColumns)
+                      else [a.block for a in stream])
+            self.policy.prepare(compute_next_uses(blocks))
         cache = self.cache
         policy = self.policy
         last_was_miss = self._last_was_miss

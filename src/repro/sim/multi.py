@@ -57,7 +57,7 @@ class ThreadData:
     # Standalone cycle of each LLC access: ``instr_index * cpi`` as a
     # float64 array, nondecreasing along the stream.
     timestamps: np.ndarray
-    # ``upper.llc_stream`` as columns, the input of every mix's merge.
+    # ``upper.llc_stream``, the input of every mix's merge.
     llc_columns: LLCColumns
     warm_mem: int
     warm_llc: int
@@ -163,7 +163,7 @@ class MultiProgrammedRunner:
 
         # The standalone-LRU baseline takes the same Stage-2 route as a
         # single cell, reading the columns every mix's merge reads.
-        llc_columns = LLCColumns.from_accesses(upper.llc_stream)
+        llc_columns = upper.llc_stream
         standalone = replay_segment(
             llc_bytes, ways, LRUPolicy(num_sets, ways),
             self.hierarchy.block_bytes, llc_columns, segment.trace.pcs,
@@ -178,7 +178,8 @@ class MultiProgrammedRunner:
         stage3 = build_stage3_events(trace, upper, self.timing,
                                      start_mem=warm_mem)
         measured_instr = upper.num_instructions - (
-            upper.instr_indices[warm_mem] if warm_mem < len(trace.pcs) else 0
+            int(upper.instr_indices[warm_mem])
+            if warm_mem < len(trace.pcs) else 0
         )
         single_ipc = model.simulate_packed(
             *demand_load_arrays(stage3, standalone.outcomes, self.timing),

@@ -139,11 +139,11 @@ def demand_load_events(
     """
     l1, l2 = timing.l1_latency, timing.l2_latency
     llc_hit, llc_miss = timing.llc_latency, timing.llc_miss_latency
-    base_instr = upper.instr_indices[start_mem] if start_mem < len(trace.pcs) else 0
     writes = trace.writes
     deps = trace.deps
-    service = upper.service
-    instr_indices = upper.instr_indices
+    service = upper.service.tolist()
+    instr_indices = upper.instr_indices.tolist()
+    base_instr = instr_indices[start_mem] if start_mem < len(trace.pcs) else 0
     for mem_index in range(start_mem, len(trace.pcs)):
         if writes[mem_index]:
             continue
@@ -184,13 +184,11 @@ def build_stage3_events(
     start_mem: int = 0,
 ) -> Stage3Events:
     """Vectorized equivalent of :func:`demand_load_events`' static part."""
-    service = np.asarray(upper.service[start_mem:], dtype=np.int64)
     loads = ~np.asarray(trace.writes[start_mem:], dtype=bool)
-    service = service[loads]
+    service = upper.service[start_mem:][loads]
     base_instr = (upper.instr_indices[start_mem]
                   if start_mem < len(trace.pcs) else 0)
-    instr = np.asarray(upper.instr_indices[start_mem:],
-                       dtype=np.int64)[loads] - base_instr
+    instr = upper.instr_indices[start_mem:][loads] - base_instr
     depends = np.asarray(trace.deps[start_mem:], dtype=bool)[loads]
     latencies = np.full(len(service), timing.l1_latency, dtype=np.int64)
     latencies[service == SERVICE_L2] = timing.l2_latency
@@ -233,9 +231,9 @@ def replay_segment(
 ) -> LLCResult:
     """Stage-2 replay of one stream against one policy.
 
-    ``llc_stream`` is a list of :class:`~repro.sim.llc.LLCAccess` (a
-    segment's Stage-1 stream) or an :class:`~repro.sim.llc.LLCColumns`
-    (a mix's merged stream, or a thread's standalone-LRU baseline).
+    ``llc_stream`` is an :class:`~repro.sim.llc.LLCColumns` (a
+    segment's Stage-1 stream or a mix's merged stream) or a list of
+    :class:`~repro.sim.llc.LLCAccess`.
     With the columnar kernel on (the default;
     ``REPRO_STAGE2_KERNEL=off`` turns it off), two routes leave the
     sequential simulator:
@@ -380,7 +378,8 @@ class SingleThreadRunner:
         """Stage 3 + metric assembly shared by both Stage-2 paths."""
         trace = segment.trace
         measured_instr = upper.num_instructions - (
-            upper.instr_indices[warm_mem] if warm_mem < len(trace.pcs) else 0
+            int(upper.instr_indices[warm_mem])
+            if warm_mem < len(trace.pcs) else 0
         )
         with obs.span("stage3-timing"):
             instr, latencies, depends = demand_load_arrays(

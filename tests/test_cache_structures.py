@@ -1,10 +1,16 @@
-"""Tests for FastLRUCache and SetAssociativeCache."""
+"""Tests for FastLRUCache and SetAssociativeCache.
+
+:class:`FastLRUCache` is the reference L1/L2 cache in
+``tests/stage1_oracle.py``, which ``tests/test_hierarchy.py`` holds
+equal to the per-set dicts inlined in ``UpperLevels.run``.
+"""
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.cache.cache import FastLRUCache, SetAssociativeCache
+from repro.cache.cache import SetAssociativeCache
+from tests.stage1_oracle import FastLRUCache
 
 
 class TestFastLRUCache:

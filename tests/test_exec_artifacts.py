@@ -1,12 +1,18 @@
 """Tests for the binary trace/Stage-1 artifact cache.
 
-Covers the framing format (round trips, corruption tolerance, endian
-field), the :class:`ResultStore` raw-bytes interface, the artifact
+Covers the framing format (round trips, corruption tolerance, crafted
+manifests, a byteswapped payload under a foreign ``endian`` field),
+the :class:`ResultStore` raw-bytes interface, the artifact
 hit counters surfaced in :class:`ExecReport`, and the monotonic
 eviction order of the store's LRU log.
 """
 
+import json
 import os
+import sys
+
+import numpy as np
+import pytest
 
 from repro.config import TINY
 from repro.exec import ParallelRunner, SingleCell, TraceSpec
@@ -23,6 +29,7 @@ from repro.exec.artifacts import (
     unpack_segments,
     unpack_upper,
 )
+from repro.exec.cachekey import SCHEMA_VERSION, canonical_json
 from repro.exec.store import ResultStore
 from repro.sim.hierarchy import UpperLevels
 from repro.traces.workloads import build_segments
@@ -36,6 +43,35 @@ def _segments(benchmark="gamess"):
 
 def _upper(segment):
     return UpperLevels(TINY.hierarchy).run(segment.trace)
+
+
+def _frame(meta, payload):
+    """A blob with ``meta`` (schema/kind/endian filled in) over ``payload``."""
+    meta = canonical_json({"schema": SCHEMA_VERSION, "endian": sys.byteorder,
+                           "scalars": {}, **meta}).encode("utf-8")
+    return MAGIC + len(meta).to_bytes(4, "little") + meta + payload
+
+
+def _split(blob):
+    """(meta, payload) of a framed blob."""
+    meta_len = int.from_bytes(blob[4:8], "little")
+    return json.loads(blob[8:8 + meta_len]), blob[8 + meta_len:]
+
+
+def _assert_same_upper(got, want):
+    assert got is not None
+    for field in ("service", "instr_indices"):
+        assert getattr(got, field).dtype == np.int64
+        assert getattr(got, field).tolist() == getattr(want, field).tolist()
+    for name, got_col, want_col in zip(
+            ("pc", "block", "offset", "is_write", "is_prefetch", "mem_index",
+             "instr_index"),
+            got.llc_stream.arrays(), want.llc_stream.arrays()):
+        assert got_col.dtype == want_col.dtype, name
+        assert got_col.tolist() == want_col.tolist(), name
+    for field in ("num_instructions", "l1_hits", "l1_misses", "l2_hits",
+                  "l2_misses", "prefetches_issued"):
+        assert getattr(got, field) == getattr(want, field)
 
 
 class TestFraming:
@@ -62,6 +98,51 @@ class TestFraming:
         assert unpack_artifact(blob[:-1], "demo") is None
         assert unpack_artifact(blob + b"\x00", "demo") is None
 
+    def test_negative_count_is_a_miss(self):
+        # A -1 count would walk the cursor back into the meta and read
+        # its bytes as the next array.
+        manifest = [["a", "Q", -1], ["b", "Q", 4]]
+        blob = _frame({"artifact": "demo", "arrays": manifest},
+                      np.arange(3, dtype=np.uint64).tobytes())
+        assert unpack_artifact(blob, "demo") is None
+
+    @pytest.mark.parametrize("entry", [["a", "d", 2], ["a", "i", 4],
+                                       ["a", "Q", "2"], ["a", "Q", 2.0]])
+    def test_bad_manifest_entry_is_a_miss(self, entry):
+        blob = _frame({"artifact": "demo", "arrays": [entry]}, bytes(16))
+        assert unpack_artifact(blob, "demo") is None
+
+    def test_out_of_range_column_refuses_to_pack(self):
+        with pytest.raises(OverflowError):
+            pack_artifact("demo", {}, [("a", "B", np.array([1, 300]))])
+
+    @pytest.mark.parametrize("short", ["instr_indices", "s_block", "s_flags"])
+    def test_unequal_stage1_columns_are_a_miss(self, short):
+        blob = pack_upper(_upper(_segments("soplex")[0]))
+        meta, _ = _split(blob)
+        arrays = unpack_artifact(blob, "stage1")[1]
+        columns = [(name, typecode, arrays[name][:-1] if name == short
+                    else arrays[name])
+                   for name, typecode, _ in meta["arrays"]]
+        blob = pack_artifact("stage1", meta["scalars"], columns)
+        assert unpack_artifact(blob, "stage1") is not None
+        assert unpack_upper(blob) is None
+
+    def test_foreign_byte_order_is_swapped(self):
+        upper = _upper(_segments("soplex")[0])
+        meta, payload = _split(pack_upper(upper))
+        swapped, cursor = [], 0
+        for _, typecode, count in meta["arrays"]:
+            dtype = {"q": np.int64, "Q": np.uint64, "B": np.uint8}[typecode]
+            column = np.frombuffer(payload, dtype=dtype, count=count,
+                                   offset=cursor)
+            swapped.append(column.byteswap().tobytes())
+            cursor += column.nbytes
+        meta["endian"] = "big" if sys.byteorder == "little" else "little"
+        blob = _frame(meta, b"".join(swapped))
+        assert blob != pack_upper(upper)
+        _assert_same_upper(unpack_upper(blob), upper)
+
     def test_segments_round_trip(self):
         segments = _segments("soplex")
         restored = unpack_segments(pack_segments(segments))
@@ -85,8 +166,8 @@ class TestFraming:
         assert restored.l1_hits == upper.l1_hits
         assert restored.l2_misses == upper.l2_misses
         assert restored.prefetches_issued == upper.prefetches_issued
-        assert restored.service == upper.service
-        assert restored.instr_indices == upper.instr_indices
+        assert restored.service.tolist() == upper.service.tolist()
+        assert restored.instr_indices.tolist() == upper.instr_indices.tolist()
         assert len(restored.llc_stream) == len(upper.llc_stream)
         for got, want in zip(restored.llc_stream, upper.llc_stream):
             assert got == want
@@ -172,7 +253,7 @@ class TestArtifactCache:
         store.save(segment, upper)
         loaded = store.load(segment)
         assert loaded is not None
-        assert loaded.llc_stream == upper.llc_stream
+        assert list(loaded.llc_stream) == list(upper.llc_stream)
         assert cache.stats.stage1_hits == 1
         assert cache.stats.stage1_misses == 1
 

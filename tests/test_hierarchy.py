@@ -1,12 +1,27 @@
-"""Tests for the upper-level hierarchy driver and the LLC simulator."""
+"""Tests for the upper-level hierarchy driver and the LLC simulator.
 
+``TestOracleLockstep`` holds the flat Stage-1 loop equal, field for
+field, to the object-per-structure reference in
+``tests/stage1_oracle.py``: on random traces built to reach the
+prefetcher's corners, and on every tiny segment, where the Stage-1
+artifact blob must also equal the reference's byte for byte.
+"""
+
+from bisect import bisect_left
+
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.cache.access import PREFETCH_PC
 from repro.cache.replacement.lru import LRUPolicy
+from repro.config import TINY
+from repro.exec.artifacts import pack_upper
 from repro.sim.hierarchy import SERVICE_L1, SERVICE_L2, HierarchyConfig, UpperLevels
 from repro.sim.llc import LLCAccess, LLCSimulator
 from repro.traces.trace import Trace
+from repro.traces.workloads import benchmark_names, build_segments
+from tests.stage1_oracle import pack_upper_reference, run_upper_levels
 
 SMALL = HierarchyConfig(l1_kib=4, l1_ways=4, l2_kib=16, l2_ways=8,
                         llc_kib=64, llc_ways=16)
@@ -31,7 +46,7 @@ class TestUpperLevels:
         trace = make_trace([0x1000] * 10)
         result = UpperLevels(SMALL, prefetch=False).run(trace)
         assert result.service[0] >= 0          # first access reaches LLC
-        assert result.service[1:] == [SERVICE_L1] * 9
+        assert result.service[1:].tolist() == [SERVICE_L1] * 9
 
     def test_l2_serves_l1_evictions(self):
         # Working set bigger than L1 (4 KB) but within L2 (16 KB).
@@ -51,7 +66,7 @@ class TestUpperLevels:
     def test_instruction_indices_monotone(self):
         addresses = [0x1000 + 64 * i for i in range(20)]
         result = UpperLevels(SMALL, prefetch=False).run(make_trace(addresses, gap=3))
-        assert result.instr_indices == [3 + 4 * i for i in range(20)]
+        assert result.instr_indices.tolist() == [3 + 4 * i for i in range(20)]
         assert result.num_instructions == 20 * 4
 
     def test_prefetches_carry_fake_pc(self):
@@ -94,6 +109,94 @@ class TestUpperLevels:
         result = UpperLevels(SMALL, prefetch=False).run(trace)
         assert result.l1_hits == 9
         assert result.l1_misses == 1
+
+    @pytest.mark.parametrize("geometry", [
+        {"l1_kib": 1, "l1_ways": 3},   # 1 KiB is not a whole number of sets
+        {"l2_kib": 3, "l2_ways": 4},   # 12 sets: not a power of two
+    ])
+    def test_rejects_bad_geometry(self, geometry):
+        config = HierarchyConfig(**{**SMALL.__dict__, **geometry})
+        with pytest.raises(ValueError):
+            UpperLevels(config).run(make_trace([0x1000]))
+
+
+# Small enough that random traces evict from both levels.
+TINY_LEVELS = HierarchyConfig(l1_kib=1, l1_ways=2, l2_kib=2, l2_ways=4,
+                              llc_kib=64, llc_ways=16)
+
+
+@st.composite
+def _stream_traces(draw):
+    """A trace interleaving up to 24 block streams (more than the
+    prefetcher's 16), some starting near block 0; each step moves one
+    stream by -5..5 blocks (0 repeats a block), clamped at block 0.
+    Every third stream has a kernel-space PC (>= 2**63)."""
+    count = draw(st.integers(min_value=1, max_value=24))
+    heads = draw(st.lists(
+        st.one_of(st.integers(min_value=0, max_value=8),
+                  st.integers(min_value=0, max_value=64),
+                  st.integers(min_value=0, max_value=1 << 20)),
+        min_size=count, max_size=count))
+    steps = draw(st.lists(
+        st.tuples(st.integers(min_value=0, max_value=count - 1),
+                  st.integers(min_value=-5, max_value=5),
+                  st.integers(min_value=0, max_value=63),
+                  st.booleans(),
+                  st.integers(min_value=0, max_value=3)),
+        min_size=1, max_size=400))
+    accesses = []
+    for stream, step, offset, write, gap in steps:
+        heads[stream] = max(0, heads[stream] + step)
+        pc = (1 << 63 if stream % 3 == 0 else 0) + 0x400 + 4 * stream
+        accesses.append((pc, heads[stream] * 64 + offset, write, gap))
+    return Trace.from_accesses("streams", accesses)
+
+
+def _assert_matches_oracle(result, oracle):
+    assert result.service.dtype == np.int64
+    assert result.instr_indices.dtype == np.int64
+    assert result.service.tolist() == oracle.service
+    assert result.instr_indices.tolist() == oracle.instr_indices
+    assert list(result.llc_stream) == oracle.llc_stream
+    for field in ("num_instructions", "l1_hits", "l1_misses", "l2_hits",
+                  "l2_misses", "prefetches_issued"):
+        value = getattr(result, field)
+        assert type(value) is int, field  # JSON-safe, as the blob needs
+        assert value == getattr(oracle, field), field
+
+
+class TestOracleLockstep:
+    @settings(max_examples=80, deadline=None)
+    @given(trace=_stream_traces(), prefetch=st.booleans())
+    def test_random_streams(self, trace, prefetch):
+        result = UpperLevels(TINY_LEVELS, prefetch=prefetch).run(trace)
+        oracle = run_upper_levels(TINY_LEVELS, trace, prefetch)
+        _assert_matches_oracle(result, oracle)
+        mems = [access.mem_index for access in oracle.llc_stream]
+        for warm in (0, len(trace) // 4, len(trace) // 2, len(trace)):
+            assert result.llc_warmup_boundary(warm) == bisect_left(mems, warm)
+
+    def test_tied_streams_first_slot_wins(self):
+        # Untrained streams at blocks 100 and 106 are both 3 blocks from
+        # a miss at 103; the first-allocated one trains upward.
+        trace = make_trace([block * 64 for block in (100, 106, 103)])
+        result = UpperLevels(SMALL, prefetch=True).run(trace)
+        oracle = run_upper_levels(SMALL, trace, True)
+        _assert_matches_oracle(result, oracle)
+        prefetched = result.llc_stream.block[result.llc_stream.is_prefetch]
+        assert prefetched.tolist() == [104, 105]
+
+    @pytest.mark.parametrize("name", benchmark_names())
+    def test_tiny_segments(self, name):
+        segments = build_segments(name, TINY.hierarchy.llc_bytes,
+                                  TINY.segment_accesses)
+        for segment in segments:
+            for prefetch in (True, False):
+                result = UpperLevels(TINY.hierarchy, prefetch).run(segment.trace)
+                oracle = run_upper_levels(TINY.hierarchy, segment.trace,
+                                          prefetch)
+                _assert_matches_oracle(result, oracle)
+                assert pack_upper(result) == pack_upper_reference(oracle)
 
 
 class TestLLCSimulator:

@@ -1,8 +1,13 @@
-"""Tests for the stream prefetcher (Section 4.1 parameters)."""
+"""Tests for the stream prefetcher (Section 4.1 parameters).
+
+They run against the reference :class:`StreamPrefetcher` in
+``tests/stage1_oracle.py``, which ``tests/test_hierarchy.py`` holds
+equal to the prefetcher inlined in ``UpperLevels.run``.
+"""
 
 import pytest
 
-from repro.cpu.prefetcher import StreamPrefetcher
+from tests.stage1_oracle import StreamPrefetcher
 
 
 class TestStreamPrefetcher:
