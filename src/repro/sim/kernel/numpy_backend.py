@@ -22,7 +22,8 @@ instrumentation) with everything inlined as local-variable bytecode:
 * saturating weight updates applied directly to the live
   ``WeightTable`` lists, so no write-back pass is needed for weights;
 * the PLRU position/place walks unrolled to straight-line code (or
-  the SRRIP scan/age loop), operating on the policy's own
+  the SRRIP victim search as a ``list.index``, after one aging step
+  when no way is at ``rrpv_max``), operating on the policy's own
   ``tree.bits`` / ``rrpvs`` lists in place;
 * fill tracking via a per-set fill cursor instead of a per-way
   invalid scan (a :class:`SetAssociativeCache` that has only ever
@@ -301,16 +302,16 @@ def _build_source(key: Tuple) -> str:
     if kind == _KIND_MDPP:
         e(5, _plru_victim(levels, ways, "tb"))
     else:
-        e(5, "while True:")
-        e(6, "fw = -1")
-        e(6, f"for w in range({ways}):")
-        e(7, f"if tb[w] >= {rrpv_max}:")
-        e(8, "fw = w")
-        e(8, "break")
-        e(6, "if fw >= 0:")
-        e(7, "break")
-        e(6, f"for w in range({ways}):")
-        e(7, "tb[w] = tb[w] + 1")
+        # SRRIPPolicy.choose_victim ages the set one step at a time
+        # until some way reaches rrpv_max.  Every RRPV stays in
+        # 0..rrpv_max (hits write 0, placements are validated against
+        # rrpv_max by MPPPBPolicy and SRRIPPolicy.place), so that is the
+        # first way at rrpv_max, after one aging by rrpv_max - max(tb)
+        # when no way is there yet.
+        e(5, f"if {rrpv_max} not in tb:")
+        e(6, "m = max(tb)")
+        e(6, f"tb[:] = [v + {rrpv_max} - m for v in tb]")
+        e(5, f"fw = tb.index({rrpv_max})")
     e(5, "evc += 1")
     e(5, "ev = ts[fw]")
     e(5, "if ws.get(ev) == fw:")

@@ -62,10 +62,11 @@ class LLCColumns(collections.abc.Sequence[LLCAccess]):
     A read-only ``Sequence[LLCAccess]``: indexing, slicing and
     iteration build :class:`LLCAccess` objects on demand from
     ``.tolist()`` values, so every field is a plain Python ``int`` or
-    ``bool`` and :class:`LLCSimulator` replays it unchanged.  Built
-    objects are not cached: a stream is replayed once, and keeping them
-    would hold the whole stream as objects again.  The columnar Stage-2
-    kernel reads the arrays directly (:mod:`repro.sim.kernel.columns`).
+    ``bool``.  Built objects are not cached: keeping them would hold
+    the whole stream as objects again.  Neither replay builds them:
+    :meth:`LLCSimulator.run` zips the columns' ``.tolist()`` lists and
+    the columnar Stage-2 kernel reads the arrays
+    (:mod:`repro.sim.kernel.columns`).
     """
 
     __slots__ = tuple(name for name, _ in _COLUMN_DTYPES)
@@ -178,11 +179,14 @@ class LLCSimulator:
 
     def run(
         self,
-        stream: Sequence[LLCAccess],
+        stream: Union[LLCColumns, Sequence[LLCAccess]],
         pc_trace: Sequence[int] = (),
         warmup: int = 0,
     ) -> LLCResult:
         """Replay ``stream``; outcomes[i] is True when access i hit.
+
+        The loop reads columns; a list of :class:`LLCAccess` is turned
+        into :class:`LLCColumns` first.
 
         ``pc_trace`` is the full per-memory-instruction PC sequence of
         the workload; predictor features index it through each access's
@@ -190,10 +194,11 @@ class LLCSimulator:
         feature).  Accesses before ``warmup`` update all state but are
         excluded from the measured statistics.
         """
+        if not isinstance(stream, LLCColumns):
+            stream = LLCColumns.from_accesses(stream)
+        # Read the columns as plain lists: no object per access.
+        blocks = stream.block.tolist()
         if self.policy.needs_future:
-            # Read columns directly: iterating them builds every access.
-            blocks = (stream.block.tolist() if isinstance(stream, LLCColumns)
-                      else [a.block for a in stream])
             self.policy.prepare(compute_next_uses(blocks))
         cache = self.cache
         policy = self.policy
@@ -219,35 +224,39 @@ class LLCSimulator:
         # and predictors read it synchronously and never retain it.
         ctx = AccessContext(pc=0, address=0, block=0, offset=0,
                             pc_history=pc_trace)
-        for index, access in enumerate(stream):
+        for index, (pc, block, offset, is_write, is_prefetch,
+                    mem_index) in enumerate(zip(
+                        stream.pc.tolist(), blocks, stream.offset.tolist(),
+                        stream.is_write.tolist(),
+                        stream.is_prefetch.tolist(),
+                        stream.mem_index.tolist())):
             stats = measured if index >= warmup else warm
-            block = access.block
             set_idx = block & set_mask
             way = where[set_idx].get(block, -1)
             hit = way >= 0
-            ctx.pc = access.pc
-            ctx.address = (block << 6) | access.offset
+            ctx.pc = pc
+            ctx.address = (block << 6) | offset
             ctx.block = block
-            ctx.offset = access.offset
-            ctx.is_write = access.is_write
-            ctx.is_prefetch = access.is_prefetch
+            ctx.offset = offset
+            ctx.is_write = is_write
+            ctx.is_prefetch = is_prefetch
             ctx.stream_index = index
-            ctx.history_index = access.mem_index
+            ctx.history_index = mem_index
             ctx.is_insert = not hit
             ctx.last_was_miss = last_was_miss[set_idx]
             ctx.is_mru_hit = hit and is_mru(set_idx, way)
             on_access(set_idx, ctx, hit, way)
             stats.accesses += 1
-            if not access.is_prefetch:
+            if not is_prefetch:
                 stats.demand_accesses += 1
             if hit:
                 stats.hits += 1
-                if not access.is_prefetch:
+                if not is_prefetch:
                     stats.demand_hits += 1
                 on_hit(set_idx, way, ctx)
             else:
                 stats.misses += 1
-                if not access.is_prefetch:
+                if not is_prefetch:
                     stats.demand_misses += 1
                 if should_bypass(set_idx, ctx):
                     stats.bypasses += 1

@@ -130,8 +130,8 @@ def build_holdout_segments(
     base = _HOLDOUT_BASE + (index << 36)
     pc_base = _HOLDOUT_PC + index * 0x40000
     phase = builder(base, pc_base, llc_bytes)
-    tuples = compose(phase, accesses, seed ^ (index * 977))
-    trace = Trace.from_accesses(f"{name}.p0", tuples)
+    columns = compose(phase, accesses, seed ^ (index * 977))
+    trace = Trace(f"{name}.p0", *columns)
     return [Segment(f"{name}.p0", trace, 1.0)]
 
 

@@ -20,20 +20,54 @@ locality behaviors the paper's seven feature families key on
 * ``StackChurn`` — LIFO push/pop reuse with writes (insert feature:
   newly inserted blocks behave differently from re-referenced ones).
 
-Every kernel is a factory of generators yielding
-``(pc, address, is_write, gap)`` tuples; composition and determinism
-are handled by :func:`compose` and :class:`PhaseSpec`.
+**Column writers.**  A kernel is a frozen dataclass — the suite's
+recipe — whose :meth:`writer` is a generator that appends accesses
+straight into five column lists ``(pcs, addresses, writes, gaps,
+deps)`` and suspends only when its run budget is spent::
+
+    writer = kernel.writer(rng, columns)
+    next(writer)          # start it; nothing is drawn yet
+    writer.send(take)     # append exactly ``take`` accesses, suspend
+
+A run can end anywhere: inside an object's field walk, a burst, a hot
+block's touches, a shuffled block's touches or a pointer chase's
+payload.  The generator frame keeps that state, so the next ``send``
+resumes mid-loop.  :func:`compose` resumes the chosen kernel once per
+run of a :class:`PhaseSpec` and returns the columns, which
+:class:`~repro.traces.trace.Trace` adopts without a copy.
+
+**Inlined draws.**  Every bounded integer draw is written out as::
+
+    r = getrandbits(k)          # k = n.bit_length()
+    while r >= n:
+        r = getrandbits(k)
+
+with ``k`` hoisted wherever ``n`` is constant (every gap draw).  This
+is CPython's ``Random._randbelow_with_getrandbits`` on Python
+3.10–3.12, which ``randrange(n)`` calls, and ``randrange(lo, hi)`` is
+``lo + _randbelow(hi - lo)``.  So each kernel consumes the same random
+bits in the same order as one calling ``randrange`` and writes the
+same trace.  ``random()``, ``choices`` and ``shuffle`` stay calls.
+
+**Reference.**  ``tests/synth_oracle.py`` keeps the readable form of
+every kernel: a generator yielding one ``(pc, address, is_write, gap)``
+tuple per access through ``rng.randrange``, composed one tuple at a
+time and turned into traces by :meth:`Trace.from_accesses`.  The tests
+hold this module equal to it column by column, and pin a hash of the
+whole suite's traces.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Callable, Iterator, List, Sequence, Tuple
+from typing import Callable, Generator, List, Sequence, Tuple, Union
 
-AccessTuple = Tuple[int, int, bool, int]
-KernelStream = Iterator[AccessTuple]
-KernelFactory = Callable[[random.Random], KernelStream]
+#: The five trace columns a writer appends to, in
+#: :class:`~repro.traces.trace.Trace` argument order.
+Columns = Tuple[List[int], List[int], List[bool], List[int], List[bool]]
+#: A suspended column writer: ``send(take)`` appends ``take`` accesses.
+Writer = Generator[None, int, None]
 
 BLOCK = 64
 
@@ -41,6 +75,27 @@ BLOCK = 64
 def _pcs(base: int, count: int) -> List[int]:
     """A bank of distinct, 4-byte-aligned instruction addresses."""
     return [base + 4 * i for i in range(count)]
+
+
+def _randbelow(getrandbits: Callable[[int], int], n: int) -> int:
+    """``rng.randrange(n)`` for a one-off draw (same bits, same value)."""
+    k = n.bit_length()
+    r = getrandbits(k)
+    while r >= n:
+        r = getrandbits(k)
+    return r
+
+
+def _require(kernel: object, ok: bool, rule: str) -> None:
+    if not ok:
+        raise ValueError(f"{type(kernel).__name__}: {rule}")
+
+
+def _check_gaps(kernel) -> None:
+    """Gaps are drawn from ``gap_lo..gap_hi``: non-empty, never negative."""
+    _require(kernel, 0 <= kernel.gap_lo <= kernel.gap_hi,
+             f"need 0 <= gap_lo <= gap_hi, got gap_lo={kernel.gap_lo} "
+             f"gap_hi={kernel.gap_hi}")
 
 
 @dataclass(frozen=True)
@@ -60,22 +115,37 @@ class RegionScan:
     gap_lo: int = 2
     gap_hi: int = 8
 
-    def __call__(self, rng: random.Random) -> KernelStream:
-        pcs = _pcs(self.pc_base, self.pc_count)
-        offset = rng.randrange(0, max(1, self.size // self.stride)) * self.stride
-        randrange = rng.randrange
+    def __post_init__(self) -> None:
+        _check_gaps(self)
+
+    def writer(self, rng: random.Random, out: Columns) -> Writer:
+        take = yield
+        pc_out, addr_out, write_out, gap_out, dep_out = [c.append for c in out]
+        getrandbits = rng.getrandbits
         random01 = rng.random
-        size, stride, base = self.size, self.stride, self.base
-        gap_lo, gap_hi = self.gap_lo, self.gap_hi + 1
-        write_ratio = self.write_ratio
+        pcs = _pcs(self.pc_base, self.pc_count)
         pc_count = len(pcs)
+        size, stride, base = self.size, self.stride, self.base
+        write_ratio = self.write_ratio
+        gap_lo = self.gap_lo
+        gap_n = self.gap_hi + 1 - gap_lo
+        gap_k = gap_n.bit_length()
+        offset = _randbelow(getrandbits, max(1, size // stride)) * stride
         i = 0
         while True:
-            addr = base + (offset % size)
-            pc = pcs[i % pc_count]
-            yield pc, addr, random01() < write_ratio, randrange(gap_lo, gap_hi)
+            pc_out(pcs[i % pc_count])
+            addr_out(base + offset % size)
+            write_out(random01() < write_ratio)
+            gap = getrandbits(gap_k)
+            while gap >= gap_n:
+                gap = getrandbits(gap_k)
+            gap_out(gap_lo + gap)
+            dep_out(False)
             offset += stride
             i += 1
+            take -= 1
+            if not take:
+                take = yield
 
 
 @dataclass(frozen=True)
@@ -90,29 +160,54 @@ class PointerChase:
     gap_lo: int = 4
     gap_hi: int = 12
 
-    def __call__(self, rng: random.Random) -> KernelStream:
+    def __post_init__(self) -> None:
+        _require(self, self.nodes >= 1, f"need nodes >= 1, got {self.nodes}")
+        _check_gaps(self)
+
+    def writer(self, rng: random.Random, out: Columns) -> Writer:
+        take = yield
+        pc_out, addr_out, write_out, gap_out, dep_out = [c.append for c in out]
+        getrandbits = rng.getrandbits
         order = list(range(self.nodes))
-        perm_rng = random.Random(0xC0FFEE ^ self.base)
-        perm_rng.shuffle(order)
-        next_node = {order[i]: order[(i + 1) % self.nodes] for i in range(self.nodes)}
-        pcs = _pcs(self.pc_base, 1 + self.payload_fields)
-        randrange = rng.randrange
+        random.Random(0xC0FFEE ^ self.base).shuffle(order)
+        next_node = {order[i]: order[(i + 1) % self.nodes]
+                     for i in range(self.nodes)}
+        header_pc, *payload_pcs = _pcs(self.pc_base, 1 + self.payload_fields)
+        # (pc, byte offset in the node) of each payload field.
+        payload = [(pc, 8 * (f + 1)) for f, pc in enumerate(payload_pcs)]
         base, node_size = self.base, self.node_size
-        gap_lo, gap_hi = self.gap_lo, self.gap_hi + 1
+        gap_lo = self.gap_lo
+        gap_n = self.gap_hi + 1 - gap_lo
+        gap_k = gap_n.bit_length()
         node = order[0]
         while True:
+            node_base = base + node * node_size
             # The header load is address-dependent on the previous
             # header load — the defining serialization of pointer
             # chasing, which caps its memory-level parallelism at 1.
-            yield (pcs[0], base + node * node_size, False,
-                   randrange(gap_lo, gap_hi), True)
-            for f in range(self.payload_fields):
-                yield (
-                    pcs[1 + f],
-                    base + node * node_size + 8 * (f + 1),
-                    False,
-                    randrange(gap_lo, gap_hi),
-                )
+            pc_out(header_pc)
+            addr_out(node_base)
+            write_out(False)
+            gap = getrandbits(gap_k)
+            while gap >= gap_n:
+                gap = getrandbits(gap_k)
+            gap_out(gap_lo + gap)
+            dep_out(True)
+            take -= 1
+            if not take:
+                take = yield
+            for pc, offset in payload:
+                pc_out(pc)
+                addr_out(node_base + offset)
+                write_out(False)
+                gap = getrandbits(gap_k)
+                while gap >= gap_n:
+                    gap = getrandbits(gap_k)
+                gap_out(gap_lo + gap)
+                dep_out(False)
+                take -= 1
+                if not take:
+                    take = yield
             node = next_node[node]
 
 
@@ -138,25 +233,49 @@ class ShuffledLoop:
     gap_lo: int = 2
     gap_hi: int = 8
 
-    def __call__(self, rng: random.Random) -> KernelStream:
+    def __post_init__(self) -> None:
+        _require(self, self.touches_per_block >= 1,
+                 f"need touches_per_block >= 1, got {self.touches_per_block}")
+        _check_gaps(self)
+
+    def writer(self, rng: random.Random, out: Columns) -> Writer:
+        take = yield
+        pc_out, addr_out, write_out, gap_out, dep_out = [c.append for c in out]
+        getrandbits = rng.getrandbits
+        random01 = rng.random
         blocks = max(2, self.size // BLOCK)
         order = list(range(blocks))
         random.Random(0x5EED ^ self.base).shuffle(order)
         pcs = _pcs(self.pc_base, self.pc_count)
-        randrange = rng.randrange
-        random01 = rng.random
-        gap_lo, gap_hi = self.gap_lo, self.gap_hi + 1
-        cursor = rng.randrange(blocks)
+        pc_count, base = self.pc_count, self.base
+        write_ratio = self.write_ratio
+        touch_n = self.touches_per_block
+        touch_k = touch_n.bit_length()
+        gap_lo = self.gap_lo
+        gap_n = self.gap_hi + 1 - gap_lo
+        gap_k = gap_n.bit_length()
+        cursor = _randbelow(getrandbits, blocks)
         while True:
-            block_base = self.base + order[cursor % blocks] * BLOCK
+            block_base = base + order[cursor % blocks] * BLOCK
             cursor += 1
-            for t in range(1 + randrange(self.touches_per_block)):
-                yield (
-                    pcs[(cursor + t) % self.pc_count],
-                    block_base + randrange(8) * 8,
-                    random01() < self.write_ratio,
-                    randrange(gap_lo, gap_hi),
-                )
+            touches = getrandbits(touch_k)
+            while touches >= touch_n:
+                touches = getrandbits(touch_k)
+            for t in range(1 + touches):
+                pc_out(pcs[(cursor + t) % pc_count])
+                word = getrandbits(4)
+                while word >= 8:
+                    word = getrandbits(4)
+                addr_out(block_base + word * 8)
+                write_out(random01() < write_ratio)
+                gap = getrandbits(gap_k)
+                while gap >= gap_n:
+                    gap = getrandbits(gap_k)
+                gap_out(gap_lo + gap)
+                dep_out(False)
+                take -= 1
+                if not take:
+                    take = yield
 
 
 @dataclass(frozen=True)
@@ -173,32 +292,64 @@ class HotCold:
     gap_lo: int = 2
     gap_hi: int = 10
 
-    def __call__(self, rng: random.Random) -> KernelStream:
-        hot_blocks = max(1, self.hot_size // BLOCK)
-        cold_blocks = max(1, self.cold_size // BLOCK)
-        pcs = _pcs(self.pc_base, 2)
-        randrange = rng.randrange
+    def __post_init__(self) -> None:
+        _check_gaps(self)
+
+    def writer(self, rng: random.Random, out: Columns) -> Writer:
+        take = yield
+        pc_out, addr_out, write_out, gap_out, dep_out = [c.append for c in out]
+        getrandbits = rng.getrandbits
         random01 = rng.random
-        gap_lo, gap_hi = self.gap_lo, self.gap_hi + 1
+        hot_blocks = max(1, self.hot_size // BLOCK)
+        hot_k = hot_blocks.bit_length()
+        cold_blocks = max(1, self.cold_size // BLOCK)
+        hot_pc, cold_pc = _pcs(self.pc_base, 2)
+        hot_base, cold_base = self.hot_base, self.cold_base
+        hot_prob, write_ratio = self.hot_prob, self.write_ratio
+        gap_lo = self.gap_lo
+        gap_n = self.gap_hi + 1 - gap_lo
+        gap_k = gap_n.bit_length()
         cold_cursor = 0
         while True:
-            if random01() < self.hot_prob:
-                block_base = self.hot_base + randrange(hot_blocks) * BLOCK
+            if random01() < hot_prob:
+                blk = getrandbits(hot_k)
+                while blk >= hot_blocks:
+                    blk = getrandbits(hot_k)
+                block_base = hot_base + blk * BLOCK
                 # Hot data is used, not just touched: a few word reads.
-                for _ in range(1 + randrange(2)):
-                    yield (
-                        pcs[0],
-                        block_base + randrange(8) * 8,
-                        random01() < self.write_ratio,
-                        randrange(gap_lo, gap_hi),
-                    )
+                touches = getrandbits(2)
+                while touches >= 2:
+                    touches = getrandbits(2)
+                for _ in range(1 + touches):
+                    pc_out(hot_pc)
+                    word = getrandbits(4)
+                    while word >= 8:
+                        word = getrandbits(4)
+                    addr_out(block_base + word * 8)
+                    write_out(random01() < write_ratio)
+                    gap = getrandbits(gap_k)
+                    while gap >= gap_n:
+                        gap = getrandbits(gap_k)
+                    gap_out(gap_lo + gap)
+                    dep_out(False)
+                    take -= 1
+                    if not take:
+                        take = yield
             else:
                 # The cold region is scanned, not random: cold blocks are
                 # touched once and never again, a canonical dead pattern.
-                addr = self.cold_base + (cold_cursor % cold_blocks) * BLOCK
+                pc_out(cold_pc)
+                addr_out(cold_base + (cold_cursor % cold_blocks) * BLOCK)
                 cold_cursor += 1
-                yield (pcs[1], addr, random01() < self.write_ratio,
-                       randrange(gap_lo, gap_hi))
+                write_out(random01() < write_ratio)
+                gap = getrandbits(gap_k)
+                while gap >= gap_n:
+                    gap = getrandbits(gap_k)
+                gap_out(gap_lo + gap)
+                dep_out(False)
+                take -= 1
+                if not take:
+                    take = yield
 
 
 @dataclass(frozen=True)
@@ -221,26 +372,55 @@ class ObjectWalk:
     gap_lo: int = 1
     gap_hi: int = 6
 
-    def __call__(self, rng: random.Random) -> KernelStream:
-        pcs = _pcs(self.pc_base, len(self.fields))
-        hot_objects = max(1, int(self.objects * self.hot_fraction))
-        randrange = rng.randrange
+    def __post_init__(self) -> None:
+        _require(self, self.objects >= 1,
+                 f"need objects >= 1, got {self.objects}")
+        _require(self, len(self.fields) >= 1, "need at least one field")
+        _check_gaps(self)
+
+    def writer(self, rng: random.Random, out: Columns) -> Writer:
+        take = yield
+        pc_out, addr_out, write_out, gap_out, dep_out = [c.append for c in out]
+        getrandbits = rng.getrandbits
         random01 = rng.random
-        gap_lo, gap_hi = self.gap_lo, self.gap_hi + 1
+        # (pc, byte offset in the object) of each field, in walk order.
+        fields = tuple(zip(_pcs(self.pc_base, len(self.fields)),
+                           self.fields))
+        field_n = len(fields)
+        field_k = field_n.bit_length()
+        objects = self.objects
+        objects_k = objects.bit_length()
+        hot_objects = max(1, int(objects * self.hot_fraction))
+        hot_k = hot_objects.bit_length()
+        base, object_size = self.base, self.object_size
+        hot_prob, write_ratio = self.hot_prob, self.write_ratio
+        gap_lo = self.gap_lo
+        gap_n = self.gap_hi + 1 - gap_lo
+        gap_k = gap_n.bit_length()
         while True:
-            if random01() < self.hot_prob:
-                obj = randrange(hot_objects)
+            if random01() < hot_prob:
+                n, k = hot_objects, hot_k
             else:
-                obj = randrange(self.objects)
-            obj_base = self.base + obj * self.object_size
-            nfields = 1 + randrange(len(self.fields))
-            for f in range(nfields):
-                yield (
-                    pcs[f],
-                    obj_base + self.fields[f],
-                    random01() < self.write_ratio,
-                    randrange(gap_lo, gap_hi),
-                )
+                n, k = objects, objects_k
+            obj = getrandbits(k)
+            while obj >= n:
+                obj = getrandbits(k)
+            obj_base = base + obj * object_size
+            walked = getrandbits(field_k)
+            while walked >= field_n:
+                walked = getrandbits(field_k)
+            for pc, offset in fields[:1 + walked]:
+                pc_out(pc)
+                addr_out(obj_base + offset)
+                write_out(random01() < write_ratio)
+                gap = getrandbits(gap_k)
+                while gap >= gap_n:
+                    gap = getrandbits(gap_k)
+                gap_out(gap_lo + gap)
+                dep_out(False)
+                take -= 1
+                if not take:
+                    take = yield
 
 
 @dataclass(frozen=True)
@@ -260,28 +440,62 @@ class BurstyAccess:
     gap_lo: int = 1
     gap_hi: int = 4
 
-    def __call__(self, rng: random.Random) -> KernelStream:
-        pcs = _pcs(self.pc_base, 3)
-        recent: List[int] = []
-        randrange = rng.randrange
+    def __post_init__(self) -> None:
+        _require(self, self.blocks >= 1, f"need blocks >= 1, got {self.blocks}")
+        _require(self, 1 <= self.burst_lo <= self.burst_hi,
+                 f"need 1 <= burst_lo <= burst_hi, got burst_lo="
+                 f"{self.burst_lo} burst_hi={self.burst_hi}")
+        _check_gaps(self)
+
+    def writer(self, rng: random.Random, out: Columns) -> Writer:
+        take = yield
+        pc_out, addr_out, write_out, gap_out, dep_out = [c.append for c in out]
+        getrandbits = rng.getrandbits
         random01 = rng.random
-        gap_lo, gap_hi = self.gap_lo, self.gap_hi + 1
+        pcs = _pcs(self.pc_base, 3)
+        # (pc, byte offset) of a burst's i-th touch.
+        touches = [(pcs[min(i, 2)], 8 * i) for i in range(self.burst_hi)]
+        recent: List[int] = []
+        blocks = self.blocks
+        blocks_k = blocks.bit_length()
+        burst_lo = self.burst_lo
+        burst_n = self.burst_hi + 1 - burst_lo
+        burst_k = burst_n.bit_length()
+        base, revisit_prob = self.base, self.revisit_prob
+        gap_lo = self.gap_lo
+        gap_n = self.gap_hi + 1 - gap_lo
+        gap_k = gap_n.bit_length()
         while True:
-            if recent and random01() < self.revisit_prob:
-                blk = recent[randrange(len(recent))]
+            if recent and random01() < revisit_prob:
+                n = len(recent)
+                k = n.bit_length()
+                r = getrandbits(k)
+                while r >= n:
+                    r = getrandbits(k)
+                blk = recent[r]
             else:
-                blk = randrange(self.blocks)
+                blk = getrandbits(blocks_k)
+                while blk >= blocks:
+                    blk = getrandbits(blocks_k)
             recent.append(blk)
             if len(recent) > 16:
                 recent.pop(0)
-            addr = self.base + blk * BLOCK
-            for i in range(randrange(self.burst_lo, self.burst_hi + 1)):
-                yield (
-                    pcs[min(i, 2)],
-                    addr + 8 * i,
-                    False,
-                    randrange(gap_lo, gap_hi),
-                )
+            addr = base + blk * BLOCK
+            burst = getrandbits(burst_k)
+            while burst >= burst_n:
+                burst = getrandbits(burst_k)
+            for pc, offset in touches[:burst_lo + burst]:
+                pc_out(pc)
+                addr_out(addr + offset)
+                write_out(False)
+                gap = getrandbits(gap_k)
+                while gap >= gap_n:
+                    gap = getrandbits(gap_k)
+                gap_out(gap_lo + gap)
+                dep_out(False)
+                take -= 1
+                if not take:
+                    take = yield
 
 
 @dataclass(frozen=True)
@@ -295,19 +509,46 @@ class GatherScatter:
     gap_lo: int = 3
     gap_hi: int = 9
 
-    def __call__(self, rng: random.Random) -> KernelStream:
-        blocks = max(1, self.size // BLOCK)
-        pcs = _pcs(self.pc_base, 2)
-        randrange = rng.randrange
+    def __post_init__(self) -> None:
+        _check_gaps(self)
+
+    def writer(self, rng: random.Random, out: Columns) -> Writer:
+        take = yield
+        pc_out, addr_out, write_out, gap_out, dep_out = [c.append for c in out]
+        getrandbits = rng.getrandbits
         random01 = rng.random
-        gap_lo, gap_hi = self.gap_lo, self.gap_hi + 1
+        blocks = max(1, self.size // BLOCK)
+        blocks_k = blocks.bit_length()
+        read_pc, write_pc = _pcs(self.pc_base, 2)
+        base, write_ratio = self.base, self.write_ratio
+        gap_lo = self.gap_lo
+        gap_n = self.gap_hi + 1 - gap_lo
+        gap_k = gap_n.bit_length()
         while True:
-            block_base = self.base + randrange(blocks) * BLOCK
+            blk = getrandbits(blocks_k)
+            while blk >= blocks:
+                blk = getrandbits(blocks_k)
+            block_base = base + blk * BLOCK
             # Real gathers touch a couple of words of the fetched block.
-            for _ in range(1 + randrange(3)):
-                addr = block_base + randrange(8) * 8
-                write = random01() < self.write_ratio
-                yield pcs[int(write)], addr, write, randrange(gap_lo, gap_hi)
+            touches = getrandbits(2)
+            while touches >= 3:
+                touches = getrandbits(2)
+            for _ in range(1 + touches):
+                word = getrandbits(4)
+                while word >= 8:
+                    word = getrandbits(4)
+                write = random01() < write_ratio
+                pc_out(write_pc if write else read_pc)
+                addr_out(block_base + word * 8)
+                write_out(write)
+                gap = getrandbits(gap_k)
+                while gap >= gap_n:
+                    gap = getrandbits(gap_k)
+                gap_out(gap_lo + gap)
+                dep_out(False)
+                take -= 1
+                if not take:
+                    take = yield
 
 
 @dataclass(frozen=True)
@@ -325,22 +566,45 @@ class StackChurn:
     gap_lo: int = 1
     gap_hi: int = 5
 
-    def __call__(self, rng: random.Random) -> KernelStream:
-        pcs = _pcs(self.pc_base, 2)
-        max_frames = max(2, self.max_depth_bytes // self.frame_bytes)
-        randrange = rng.randrange
+    def __post_init__(self) -> None:
+        _check_gaps(self)
+
+    def writer(self, rng: random.Random, out: Columns) -> Writer:
+        take = yield
+        pc_out, addr_out, write_out, gap_out, dep_out = [c.append for c in out]
+        getrandbits = rng.getrandbits
         random01 = rng.random
-        gap_lo, gap_hi = self.gap_lo, self.gap_hi + 1
+        push_pc, pop_pc = _pcs(self.pc_base, 2)
+        max_frames = max(2, self.max_depth_bytes // self.frame_bytes)
+        base, frame_bytes = self.base, self.frame_bytes
+        gap_lo = self.gap_lo
+        gap_n = self.gap_hi + 1 - gap_lo
+        gap_k = gap_n.bit_length()
         depth = 1
         while True:
             if depth <= 1 or (depth < max_frames and random01() < 0.55):
-                addr = self.base + depth * self.frame_bytes
-                yield pcs[0], addr, True, randrange(gap_lo, gap_hi)
+                pc_out(push_pc)
+                addr_out(base + depth * frame_bytes)
+                write_out(True)
                 depth += 1
             else:
                 depth -= 1
-                addr = self.base + depth * self.frame_bytes
-                yield pcs[1], addr, False, randrange(gap_lo, gap_hi)
+                pc_out(pop_pc)
+                addr_out(base + depth * frame_bytes)
+                write_out(False)
+            gap = getrandbits(gap_k)
+            while gap >= gap_n:
+                gap = getrandbits(gap_k)
+            gap_out(gap_lo + gap)
+            dep_out(False)
+            take -= 1
+            if not take:
+                take = yield
+
+
+KERNEL_TYPES = (RegionScan, PointerChase, ShuffledLoop, HotCold, ObjectWalk,
+                BurstyAccess, GatherScatter, StackChurn)
+Kernel = Union[KERNEL_TYPES]
 
 
 @dataclass(frozen=True)
@@ -352,36 +616,46 @@ class PhaseSpec:
     rather than a per-access shuffle.
     """
 
-    kernels: Sequence[Tuple[KernelFactory, float]]
+    kernels: Sequence[Tuple[Kernel, float]]
     run_length: int = 48
 
     def __post_init__(self) -> None:
         if not self.kernels:
             raise ValueError("PhaseSpec needs at least one kernel")
+        for kernel, _ in self.kernels:
+            if not isinstance(kernel, KERNEL_TYPES):
+                raise TypeError(
+                    f"PhaseSpec kernel {kernel!r} is not a synth kernel "
+                    f"({', '.join(t.__name__ for t in KERNEL_TYPES)})")
         if any(w <= 0 for _, w in self.kernels):
             raise ValueError("kernel weights must be positive")
+        if self.run_length < 1:
+            raise ValueError(f"run_length must be >= 1, got {self.run_length}")
 
 
-def compose(spec: PhaseSpec, count: int, seed: int) -> List[AccessTuple]:
-    """Materialize ``count`` accesses from a phase specification."""
-    rng = random.Random(seed)
-    streams = [factory(random.Random(seed ^ (0x9E37 + 31 * i))) for i, (factory, _) in enumerate(spec.kernels)]
-    weights = [w for _, w in spec.kernels]
-    out: List[AccessTuple] = []
-    append = out.append
-    run_length = spec.run_length
-    if len(streams) == 1:
-        stream = streams[0]
-        for _ in range(count):
-            append(next(stream))
+def compose(spec: PhaseSpec, count: int, seed: int) -> Columns:
+    """``count`` accesses of a phase specification, as five columns.
+
+    Returns fresh ``(pcs, addresses, writes, gaps, deps)`` lists, ready
+    to hand to :class:`~repro.traces.trace.Trace`.
+    """
+    out: Columns = ([], [], [], [], [])
+    writers = [kernel.writer(random.Random(seed ^ (0x9E37 + 31 * i)), out)
+               for i, (kernel, _) in enumerate(spec.kernels)]
+    for writer in writers:
+        next(writer)
+    if count <= 0:
         return out
-    choices = rng.choices
-    indices = list(range(len(streams)))
+    if len(writers) == 1:
+        writers[0].send(count)
+        return out
+    choices = random.Random(seed).choices
+    indices = list(range(len(writers)))
+    weights = [w for _, w in spec.kernels]
+    run_length = spec.run_length
     produced = 0
     while produced < count:
-        stream = streams[choices(indices, weights)[0]]
         take = min(run_length, count - produced)
-        for _ in range(take):
-            append(next(stream))
+        writers[choices(indices, weights)[0]].send(take)
         produced += take
     return out

@@ -37,12 +37,22 @@ class MemoryAccess:
     depends: bool = False
 
 
+def _adopt(column: Sequence) -> List:
+    return column if type(column) is list else list(column)
+
+
 class Trace:
     """An immutable sequence of memory accesses with instruction gaps.
 
     ``gaps[i]`` is the number of non-memory instructions retired between
     memory instruction ``i-1`` and memory instruction ``i`` (for i == 0,
     before the first memory instruction).
+
+    A ``list`` argument is adopted, not copied: the trace takes it over
+    and the caller must not change it afterwards.  Every producer
+    (:func:`~repro.traces.synth.compose`, the artifact decoder,
+    :meth:`slice`, :meth:`from_accesses`) hands over fresh lists.  Any
+    other sequence is copied into a list.
     """
 
     __slots__ = ("name", "pcs", "addresses", "writes", "gaps", "deps",
@@ -57,21 +67,20 @@ class Trace:
         gaps: Sequence[int],
         deps: Sequence[bool] = (),
     ) -> None:
-        if not (len(pcs) == len(addresses) == len(writes) == len(gaps)):
+        n = len(pcs)
+        if not (len(addresses) == len(writes) == len(gaps) == n):
             raise ValueError("trace field lengths differ")
-        if len(deps) != 0 and len(deps) != len(pcs):
+        if len(deps) != 0 and len(deps) != n:
             raise ValueError("trace field lengths differ")
         self.name = name
-        self.pcs: List[int] = list(pcs)
-        self.addresses: List[int] = list(addresses)
-        self.writes: List[bool] = list(writes)
-        self.gaps: List[int] = list(gaps)
-        if any(gap < 0 for gap in self.gaps):
+        self.pcs: List[int] = _adopt(pcs)
+        self.addresses: List[int] = _adopt(addresses)
+        self.writes: List[bool] = _adopt(writes)
+        self.gaps: List[int] = _adopt(gaps)
+        if n and min(self.gaps) < 0:
             raise ValueError("instruction gap must be non-negative")
-        self.deps: List[bool] = (
-            list(deps) if len(deps) else [False] * len(pcs)
-        )
-        self._instr_total = sum(self.gaps) + len(self.pcs)
+        self.deps: List[bool] = _adopt(deps) if len(deps) else [False] * n
+        self._instr_total = sum(self.gaps) + n
 
     def __len__(self) -> int:
         return len(self.pcs)

@@ -454,8 +454,8 @@ def build_segments(
     segments: List[Segment] = []
     for si, seg_spec in enumerate(spec.segments):
         phase = seg_spec.builder(base, pc_base, llc_bytes)
-        tuples = compose(phase, accesses, seed ^ (index * 131 + si * 17))
-        trace = Trace.from_accesses(f"{name}.{seg_spec.name}", tuples)
+        columns = compose(phase, accesses, seed ^ (index * 131 + si * 17))
+        trace = Trace(f"{name}.{seg_spec.name}", *columns)
         segments.append(Segment(f"{name}.{seg_spec.name}", trace, seg_spec.weight))
     return segments
 

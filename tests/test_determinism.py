@@ -14,9 +14,11 @@ in the commit message.  If you did not intend to change output, a
 failure here means a bug.
 """
 
+import hashlib
 import shlex
 import sys
 import time
+from array import array
 
 import pytest
 
@@ -25,6 +27,7 @@ from repro.exec import MixCell, ParallelRunner, SingleCell, SuiteSpec, TraceSpec
 from repro.exec import runner as exec_runner
 from repro.exec.cachekey import stable_hash
 from repro.exec.store import ResultStore
+from repro.traces.holdout import build_holdout_suite
 from repro.traces.mixes import generate_mixes
 from repro.traces.workloads import build_suite
 
@@ -46,6 +49,12 @@ BASELINE_SINGLE_HASH = \
     "4e626f56ab48d50d11ccc47e3af038b295ab568b43ab2655c585800105f6c61a"
 BASELINE_MIX_HASH = \
     "4686c853d78f1453913b92cd84aa97442263e3c3c829fb960049a087d77d7561"
+
+# The synthesized traces themselves: sha256 over the five columns of
+# every segment of the 33-benchmark suite and the holdout suite, tiny
+# scale, seed 2017.  Pinned on the tuple-at-a-time synthesizer
+# (tests/synth_oracle.py) before the column writers replaced it.
+TRACE_HASH = "ec34e7d83ddf3e47fd485c14b54a733fc2424a29a9a4d1c88bb7601e9e2f16d9"
 
 #: A stand-in ssh client: drops the appended "host python -m ..."
 #: operands and runs the worker module locally.
@@ -606,3 +615,24 @@ class TestSearchPinned:
         """The batched search replay pins identically on both legs."""
         _select_stage2(monkeypatch, backend)
         assert _search_hash() == SEARCH_HASH
+
+
+def _trace_hash():
+    digest = hashlib.sha256()
+    llc, accesses = TINY.hierarchy.llc_bytes, TINY.segment_accesses
+    for suite in (build_suite(llc, accesses, 2017),
+                  build_holdout_suite(llc, accesses, 2017)):
+        for name in suite:
+            for segment in suite[name]:
+                trace = segment.trace
+                digest.update(segment.name.encode() + b"\0")
+                for column in (trace.pcs, trace.addresses, trace.gaps):
+                    digest.update(array("Q", column).tobytes())
+                for column in (trace.writes, trace.deps):
+                    digest.update(bytes(column))
+    return digest.hexdigest()
+
+
+class TestTracePinned:
+    def test_suite_traces(self):
+        assert _trace_hash() == TRACE_HASH

@@ -128,6 +128,19 @@ class TestFraming:
         assert unpack_artifact(blob, "stage1") is not None
         assert unpack_upper(blob) is None
 
+    @pytest.mark.parametrize("short", ["0:pcs", "0:gaps", "0:flags",
+                                       "1:addresses"])
+    def test_unequal_trace_columns_are_a_miss(self, short):
+        blob = pack_segments(_segments("soplex"))
+        meta, _ = _split(blob)
+        arrays = unpack_artifact(blob, "trace")[1]
+        columns = [(name, typecode, arrays[name][:-1] if name == short
+                    else arrays[name])
+                   for name, typecode, _ in meta["arrays"]]
+        blob = pack_artifact("trace", meta["scalars"], columns)
+        assert unpack_artifact(blob, "trace") is not None
+        assert unpack_segments(blob) is None
+
     def test_foreign_byte_order_is_swapped(self):
         upper = _upper(_segments("soplex")[0])
         meta, payload = _split(pack_upper(upper))

@@ -17,8 +17,11 @@ LLC = 512 * 1024
 
 class TestShuffledLoop:
     def _take(self, kernel, n, seed=1):
-        stream = kernel(random.Random(seed))
-        return [next(stream) for _ in range(n)]
+        columns = ([], [], [], [], [])
+        writer = kernel.writer(random.Random(seed), columns)
+        next(writer)
+        writer.send(n)
+        return list(zip(*columns[:4]))
 
     def test_covers_whole_loop(self):
         kernel = ShuffledLoop(base=0, size=64 * 64, touches_per_block=1)

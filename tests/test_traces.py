@@ -3,9 +3,11 @@
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from repro.config import TINY
+from repro.traces.holdout import build_holdout_segments, holdout_names
 from repro.traces.mixes import generate_mixes, split_train_test
 from repro.traces.synth import (
     BurstyAccess,
@@ -15,6 +17,7 @@ from repro.traces.synth import (
     PhaseSpec,
     PointerChase,
     RegionScan,
+    ShuffledLoop,
     StackChurn,
     compose,
 )
@@ -26,8 +29,32 @@ from repro.traces.workloads import (
     build_suite,
     get_benchmark,
 )
+from tests import synth_oracle
 
 LLC = 512 * 1024
+
+
+def _write(kernel, takes, seed=1):
+    """One kernel's accesses as five columns, written in runs of ``takes``."""
+    columns = ([], [], [], [], [])
+    writer = kernel.writer(random.Random(seed), columns)
+    next(writer)
+    for take in takes:
+        writer.send(take)
+    return columns
+
+
+def _records(columns):
+    """Columns as the reference's tuples: a dependent load carries a
+    fifth ``True``."""
+    return [record[:4] + (True,) if record[4] else record[:4]
+            for record in zip(*columns)]
+
+
+def _oracle_columns(records):
+    """The reference's tuples as five columns."""
+    trace = Trace.from_accesses("oracle", records)
+    return (trace.pcs, trace.addresses, trace.writes, trace.gaps, trace.deps)
 
 
 class TestTrace:
@@ -51,6 +78,8 @@ class TestTrace:
     def test_rejects_mismatched_lengths(self):
         with pytest.raises(ValueError):
             Trace("t", [1], [2, 3], [False], [0])
+        with pytest.raises(ValueError):
+            Trace("t", [1, 2], [2, 3], [False, False], [0, 0], [True])
 
     def test_slice(self):
         trace = Trace.from_accesses(
@@ -65,11 +94,31 @@ class TestTrace:
         with pytest.raises(ValueError):
             Segment("s", trace, 0.0)
 
+    def test_adopts_list_columns(self):
+        columns = ([1, 2], [64, 128], [False, True], [0, 3], [True, False])
+        trace = Trace("t", *columns)
+        assert trace.pcs is columns[0]
+        assert trace.addresses is columns[1]
+        assert trace.writes is columns[2]
+        assert trace.gaps is columns[3]
+        assert trace.deps is columns[4]
+        assert trace.num_instructions == 5
+
+    def test_copies_other_sequences(self):
+        trace = Trace("t", (1, 2), range(2), (False, False), (0, 1))
+        assert trace.pcs == [1, 2] and type(trace.pcs) is list
+        assert trace.addresses == [0, 1] and type(trace.addresses) is list
+        assert trace.deps == [False, False]
+
+    def test_empty_trace(self):
+        trace = Trace("t", [], [], [], [])
+        assert len(trace) == 0
+        assert trace.num_instructions == 0
+
 
 class TestKernels:
     def _take(self, kernel, n=200, seed=1):
-        stream = kernel(random.Random(seed))
-        return [next(stream) for _ in range(n)]
+        return _records(_write(kernel, [n], seed))
 
     def test_region_scan_stays_in_region(self):
         kernel = RegionScan(base=0x10000, size=4096)
@@ -154,15 +203,14 @@ class TestKernels:
 class TestCompose:
     def test_produces_exact_count(self):
         spec = PhaseSpec([(RegionScan(base=0, size=4096), 1.0)])
-        assert len(compose(spec, 123, seed=5)) == 123
+        assert all(len(column) == 123 for column in compose(spec, 123, seed=5))
 
     def test_mixture_uses_all_kernels(self):
         spec = PhaseSpec([
             (RegionScan(base=0, size=4096, pc_base=0x1000), 1.0),
             (GatherScatter(base=1 << 20, size=4096, pc_base=0x2000), 1.0),
         ], run_length=16)
-        accesses = compose(spec, 2000, seed=9)
-        pcs = {pc for pc, _, _, _ in accesses}
+        pcs = set(compose(spec, 2000, seed=9)[0])
         assert any(pc < 0x2000 for pc in pcs)
         assert any(pc >= 0x2000 for pc in pcs)
 
@@ -184,6 +232,169 @@ class TestCompose:
     def test_rejects_nonpositive_weight(self):
         with pytest.raises(ValueError):
             PhaseSpec([(RegionScan(base=0, size=64), 0.0)])
+
+
+# Each kernel with one empty range, a burst of no touches, or a gap
+# range reaching below 0.
+_BAD_KERNELS = {
+    "scan-gap-empty": lambda: RegionScan(base=0, size=4096, gap_lo=5, gap_hi=4),
+    "scan-gap-negative": lambda: RegionScan(base=0, size=4096, gap_lo=-1),
+    "chase-no-nodes": lambda: PointerChase(base=0, nodes=0),
+    "chase-gap-empty": lambda: PointerChase(base=0, nodes=8, gap_lo=3, gap_hi=2),
+    "loop-no-touches": lambda: ShuffledLoop(base=0, size=4096,
+                                            touches_per_block=0),
+    "loop-gap-negative": lambda: ShuffledLoop(base=0, size=4096, gap_lo=-2,
+                                              gap_hi=-1),
+    "hotcold-gap-empty": lambda: HotCold(hot_base=0, hot_size=64, cold_base=0,
+                                         cold_size=64, gap_lo=1, gap_hi=0),
+    "objects-none": lambda: ObjectWalk(base=0, objects=0),
+    "objects-no-fields": lambda: ObjectWalk(base=0, objects=8, fields=()),
+    "objects-gap-empty": lambda: ObjectWalk(base=0, objects=8, gap_lo=7,
+                                            gap_hi=6),
+    "bursty-no-blocks": lambda: BurstyAccess(base=0, blocks=0),
+    "bursty-burst-empty": lambda: BurstyAccess(base=0, blocks=8, burst_lo=4,
+                                               burst_hi=3),
+    "bursty-no-touches": lambda: BurstyAccess(base=0, blocks=8, burst_lo=0,
+                                              burst_hi=0),
+    "bursty-gap-negative": lambda: BurstyAccess(base=0, blocks=8, gap_lo=-1),
+    "gather-gap-empty": lambda: GatherScatter(base=0, size=4096, gap_lo=9,
+                                              gap_hi=3),
+    "stack-gap-negative": lambda: StackChurn(base=0, gap_lo=-3, gap_hi=2),
+}
+
+
+class TestKernelRanges:
+    @pytest.mark.parametrize("case", sorted(_BAD_KERNELS))
+    def test_empty_range_fails_at_construction(self, case):
+        with pytest.raises(ValueError):
+            _BAD_KERNELS[case]()
+
+    def test_single_value_ranges_are_accepted(self):
+        kernel = BurstyAccess(base=0, blocks=1, burst_lo=1, burst_hi=1,
+                              gap_lo=0, gap_hi=0)
+        _, addresses, _, gaps, _ = _write(kernel, [5])
+        assert addresses == [0] * 5 and gaps == [0] * 5
+
+    def test_phase_spec_rejects_non_kernels(self):
+        with pytest.raises(TypeError):
+            PhaseSpec([(lambda rng: iter(()), 1.0)])
+
+    def test_phase_spec_rejects_empty_runs(self):
+        with pytest.raises(ValueError):
+            PhaseSpec([(RegionScan(base=0, size=64), 1.0)], run_length=0)
+
+
+# -- the fast path against tests/synth_oracle.py ------------------------------
+
+_TINY_LLC = TINY.hierarchy.llc_bytes
+_TINY_ACCESSES = TINY.segment_accesses
+
+
+def _assert_same_traces(got, want):
+    assert [s.name for s in got] == [s.name for s in want]
+    for g, w in zip(got, want):
+        assert g.weight == w.weight
+        for field in ("pcs", "addresses", "writes", "gaps", "deps"):
+            assert getattr(g.trace, field) == getattr(w.trace, field), \
+                (g.name, field)
+        assert g.trace.num_instructions == w.trace.num_instructions
+
+
+_base = st.integers(0, 1 << 44)
+_prob = st.floats(0.0, 1.0)
+
+
+@st.composite
+def _gaps(draw):
+    gap_lo = draw(st.integers(0, 20))
+    return {"gap_lo": gap_lo, "gap_hi": gap_lo + draw(st.integers(0, 40))}
+
+
+def _kernel_of(cls, **fields):
+    """``cls`` built from drawn ``fields`` and a drawn gap range."""
+    return st.builds(lambda gaps, **kw: cls(**kw, **gaps), _gaps(), **fields)
+
+
+# Wide draw ranges (up to 2**40 objects or blocks) reach getrandbits
+# widths past one 32-bit word; run-ending structure (payloads, bursts,
+# field walks, block touches) is drawn up to several accesses long.
+_KERNEL_STRATEGIES = [
+    _kernel_of(RegionScan, base=_base, size=st.integers(1, 1 << 40),
+               stride=st.integers(1, 256), pc_count=st.integers(1, 8),
+               write_ratio=_prob),
+    _kernel_of(PointerChase, base=_base, nodes=st.integers(1, 300),
+               node_size=st.integers(1, 256),
+               payload_fields=st.integers(0, 5)),
+    _kernel_of(ShuffledLoop, base=_base, size=st.integers(1, 1 << 16),
+               pc_count=st.integers(1, 8), write_ratio=_prob,
+               touches_per_block=st.integers(1, 9)),
+    _kernel_of(HotCold, hot_base=_base, hot_size=st.integers(1, 1 << 40),
+               cold_base=_base, cold_size=st.integers(1, 1 << 40),
+               hot_prob=_prob, write_ratio=_prob),
+    _kernel_of(ObjectWalk, base=_base, objects=st.integers(1, 1 << 40),
+               object_size=st.integers(1, 512),
+               fields=st.lists(st.integers(0, 511), min_size=1,
+                               max_size=8).map(tuple),
+               hot_fraction=_prob, hot_prob=_prob, write_ratio=_prob),
+    _kernel_of(BurstyAccess, base=_base, blocks=st.integers(1, 1 << 40),
+               burst_lo=st.integers(1, 6), burst_hi=st.integers(6, 12),
+               revisit_prob=_prob),
+    _kernel_of(GatherScatter, base=_base, size=st.integers(1, 1 << 40),
+               write_ratio=_prob),
+    _kernel_of(StackChurn, base=_base, max_depth_bytes=st.integers(1, 1 << 16),
+               frame_bytes=st.integers(1, 512)),
+]
+_kernel = st.one_of(*_KERNEL_STRATEGIES)
+_seed = st.integers(0, 2**32 - 1)
+
+
+class TestOracleLockstep:
+    @pytest.mark.parametrize("name", benchmark_names())
+    def test_tiny_suite_segments(self, name):
+        _assert_same_traces(
+            build_segments(name, _TINY_LLC, _TINY_ACCESSES),
+            synth_oracle.build_segments(name, _TINY_LLC, _TINY_ACCESSES))
+
+    @pytest.mark.parametrize("name", holdout_names())
+    def test_tiny_holdout_segments(self, name):
+        _assert_same_traces(
+            build_holdout_segments(name, _TINY_LLC, _TINY_ACCESSES),
+            synth_oracle.build_holdout_segments(name, _TINY_LLC,
+                                                _TINY_ACCESSES))
+
+    @settings(max_examples=150, deadline=None)
+    @given(kernel=_kernel, seed=_seed,
+           takes=st.lists(st.integers(1, 40), min_size=1, max_size=12))
+    # A run of one access, and runs that end inside a field walk, a
+    # burst and a chase's payload.
+    @example(kernel=RegionScan(base=0, size=4096), seed=3, takes=[1] * 9)
+    @example(kernel=ObjectWalk(base=0, objects=64), seed=5,
+             takes=[2, 1, 3, 1, 2, 7])
+    @example(kernel=BurstyAccess(base=0, blocks=64, burst_lo=5, burst_hi=5),
+             seed=7, takes=[3, 3, 1, 6])
+    @example(kernel=PointerChase(base=0, nodes=16, payload_fields=3), seed=9,
+             takes=[2, 1, 5, 3])
+    def test_writer_resumes_mid_structure(self, kernel, seed, takes):
+        stream = synth_oracle.stream(kernel, random.Random(seed))
+        want = [next(stream) for _ in range(sum(takes))]
+        got = _write(kernel, takes, seed)
+        assert got == _oracle_columns(want)
+        assert _records(got) == want
+
+    @settings(max_examples=100, deadline=None)
+    @given(kernels=st.lists(st.tuples(_kernel, st.floats(0.1, 4.0)),
+                            min_size=1, max_size=3),
+           run_length=st.integers(1, 60), count=st.integers(0, 600),
+           seed=_seed)
+    @example(kernels=[(ObjectWalk(base=0, objects=64), 1.0),
+                      (PointerChase(base=1 << 30, nodes=32,
+                                    payload_fields=2), 1.0),
+                      (BurstyAccess(base=1 << 31, blocks=64), 1.0)],
+             run_length=1, count=300, seed=2017)
+    def test_compose_matches_oracle(self, kernels, run_length, count, seed):
+        spec = PhaseSpec(kernels, run_length=run_length)
+        assert compose(spec, count, seed) == _oracle_columns(
+            synth_oracle.compose(spec, count, seed))
 
 
 class TestWorkloadSuite:
