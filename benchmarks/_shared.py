@@ -19,11 +19,9 @@ import functools
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro import (
-    MultiProgrammedRunner,
     SingleThreadRunner,
     build_suite,
     cross_validated_configs,
-    generate_mixes,
     get_scale,
     split_train_test,
 )
@@ -31,11 +29,14 @@ from repro.core.mpppb import MPPPBConfig, MPPPBPolicy
 from repro.exec import MixCell, ParallelRunner, SingleCell, SuiteSpec, TraceSpec
 from repro.sim.multi import MixResult
 from repro.sim.single import BenchmarkResult
-from repro.traces.mixes import Mix
+from repro.traces.mixes import draw_mixes
 from repro.traces.trace import Segment
 from repro.traces.workloads import benchmark_names
 
 SCALE = get_scale()
+
+#: A mix as the harness names it: (mix name, segment names).
+NamedMix = Tuple[str, Tuple[str, ...]]
 
 # Bench-level reductions on top of the scale (documented in output).
 MULTI_SEGMENT_ACCESSES = max(4_000, SCALE.segment_accesses // 3)
@@ -105,18 +106,10 @@ def single_thread_results(policy: str) -> Dict[str, BenchmarkResult]:
 
 
 @functools.lru_cache(maxsize=None)
-def multi_runner() -> MultiProgrammedRunner:
-    return MultiProgrammedRunner(
-        SCALE.multi_hierarchy, warmup_fraction=SCALE.warmup_fraction
-    )
-
-
-@functools.lru_cache(maxsize=None)
-def multi_mixes() -> Tuple[List[Mix], List[Mix]]:
-    """(train, test) mixes following the paper's leading-split rule."""
-    suite = build_suite(SCALE.hierarchy.llc_bytes, MULTI_SEGMENT_ACCESSES)
-    segments = [s for name in sorted(suite) for s in suite[name]]
-    mixes = generate_mixes(segments, SCALE.mix_count)
+def multi_mixes() -> Tuple[List[NamedMix], List[NamedMix]]:
+    """(train, test) ``(mix name, segment names)`` pairs following the
+    paper's leading-split rule; naming them builds no trace."""
+    mixes = draw_mixes(_mix_suite_spec().segment_names(), SCALE.mix_count)
     return split_train_test(mixes, SCALE.train_mix_count)
 
 
@@ -124,21 +117,21 @@ def _mix_suite_spec() -> SuiteSpec:
     return SuiteSpec(SCALE.hierarchy.llc_bytes, MULTI_SEGMENT_ACCESSES)
 
 
-def run_mixes(mixes: Sequence[Mix], policy: str,
+def run_mixes(mixes: Sequence[NamedMix], policy: str,
               config: Optional[MPPPBConfig] = None) -> List[MixResult]:
     """Replay mixes under one policy through the experiment engine."""
     suite_spec = _mix_suite_spec()
     cells = [
         MixCell(
             suite=suite_spec,
-            mix_name=mix.name,
-            segment_names=tuple(s.name for s in mix.segments),
+            mix_name=mix_name,
+            segment_names=members,
             policy=policy,
             hierarchy=SCALE.multi_hierarchy,
             mpppb_config=config,
             warmup_fraction=SCALE.warmup_fraction,
         )
-        for mix in mixes
+        for mix_name, members in mixes
     ]
     results = ENGINE.run(cells, label=f"mix/{policy}")
     print(ENGINE.last_report.summary())
@@ -152,7 +145,8 @@ def multi_results(policy: str) -> List[MixResult]:
     return run_mixes(test[:MULTI_TEST_MIXES], policy)
 
 
-def run_mixes_with_config(config: MPPPBConfig, mixes: Sequence[Mix]) -> List[MixResult]:
+def run_mixes_with_config(config: MPPPBConfig,
+                          mixes: Sequence[NamedMix]) -> List[MixResult]:
     return run_mixes(mixes, "mpppb", config)
 
 

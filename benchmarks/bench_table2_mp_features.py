@@ -9,8 +9,8 @@ speedup generalizes (no train-only artifact).
 
 from __future__ import annotations
 
-from _shared import SWEEP_MIXES, header, multi_mixes, multi_runner, run_mixes_with_config
-from repro import geometric_mean, multi_programmed_config, policy_factory
+from _shared import SWEEP_MIXES, header, multi_mixes, run_mixes, run_mixes_with_config
+from repro import geometric_mean, multi_programmed_config
 from repro.core.presets import TABLE_2_SPECS
 
 
@@ -18,11 +18,10 @@ def run_experiment():
     train, test = multi_mixes()
     train = train[:SWEEP_MIXES]
     test = test[:SWEEP_MIXES]
-    runner = multi_runner()
     config = multi_programmed_config()
 
     def geomean_ws(mixes):
-        lru = [runner.run_mix(m, policy_factory("lru")) for m in mixes]
+        lru = run_mixes(mixes, "lru")
         mp = run_mixes_with_config(config, mixes)
         return geometric_mean([
             r.weighted_speedup / b.weighted_speedup for r, b in zip(mp, lru)

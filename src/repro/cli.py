@@ -42,8 +42,6 @@ from typing import Any, Dict, List, Optional
 from repro import obs
 from repro import (
     TrainedMultiperspective,
-    build_suite,
-    generate_mixes,
     measure_roc,
     normalized_weighted_speedups,
     policy_names,
@@ -72,6 +70,7 @@ from repro.traces.ingest import (
     parse_weights,
     resolve_ingest,
 )
+from repro.traces.mixes import draw_mixes
 from repro.traces.workloads import benchmark_names
 
 
@@ -338,7 +337,7 @@ def _check_names(args: argparse.Namespace, *dests: str) -> None:
 def cmd_search(args: argparse.Namespace) -> int:
     from repro.search import hill_climb, random_search
 
-    _check_counts(args, candidates=1, steps=0, batch_size=1)
+    _check_counts(args, candidates=1, steps=0)
     scale = args.config.scale
     accesses = max(2_000, scale.segment_accesses // 4)
     ingest = _resolve_trace(args, accesses)
@@ -350,7 +349,7 @@ def cmd_search(args: argparse.Namespace) -> int:
     engine = _engine(args)
     evaluator = FeatureSetEvaluator.from_spec(
         spec, scale.hierarchy, warmup_fraction=scale.warmup_fraction,
-        executor=engine, batch_size=args.batch_size,
+        executor=engine,
     )
     candidates = random_search(evaluator, args.candidates, seed=args.seed)
     if engine.last_report is not None:
@@ -373,12 +372,7 @@ def cmd_mix(args: argparse.Namespace) -> int:
     ingest = _resolve_trace(args, accesses)
     suite_spec = SuiteSpec(scale.hierarchy.llc_bytes, accesses,
                            ingest=() if ingest is None else (ingest,))
-    if ingest is None:
-        suite = build_suite(scale.hierarchy.llc_bytes, accesses)
-        segments = [s for name in sorted(suite) for s in suite[name]]
-    else:
-        segments = suite_spec.build()
-    mixes = generate_mixes(segments, args.mixes)
+    mixes = draw_mixes(suite_spec.segment_names(), args.mixes)
     engine = _engine(args)
     results = {}
     failed = False
@@ -386,13 +380,13 @@ def cmd_mix(args: argparse.Namespace) -> int:
         cells = [
             MixCell(
                 suite=suite_spec,
-                mix_name=mix.name,
-                segment_names=tuple(s.name for s in mix.segments),
+                mix_name=mix_name,
+                segment_names=members,
                 policy=policy,
                 hierarchy=scale.multi_hierarchy,
                 warmup_fraction=scale.warmup_fraction,
             )
-            for mix in mixes
+            for mix_name, members in mixes
         ]
         results[policy] = engine.run(cells, label=f"mix/{policy}")
         print(engine.last_report.summary())
@@ -670,20 +664,24 @@ def cmd_cache(args: argparse.Namespace) -> int:
 
 
 def _drop_retired_flags(command: List[str]) -> List[str]:
-    """Drop the exec flags older runs recorded that the CLI has retired.
+    """Drop the flags older runs recorded that the CLI has retired.
 
     ``--backend X`` picked a transport, a bare-integer ``--workers N``
     sized a local worker fleet (``--jobs`` sizes the local workers
     now), and ``--hedge M`` duplicated straggling cells.  Exec flags
     never entered the run id, so the re-driven command still reopens
-    the same manifest.
+    the same manifest.  ``search --batch-size K`` capped the
+    candidates per batch replay (:data:`~repro.search.evaluator.
+    SEARCH_BATCH` does now); it did enter the run id, so the re-driven
+    search opens a new manifest, and the candidates the old run
+    finished are still store hits.
     """
     kept: List[str] = []
     parts = list(command)
     while parts:
         part = parts.pop(0)
         flag, eq, value = part.partition("=")
-        if flag in ("--backend", "--hedge", "--workers"):
+        if flag in ("--backend", "--hedge", "--workers", "--batch-size"):
             if not eq and parts:
                 value = parts[0]
             if flag != "--workers" or value.strip().isdigit():
@@ -814,9 +812,6 @@ def build_parser() -> argparse.ArgumentParser:
     search.add_argument("--candidates", type=int, default=10)
     search.add_argument("--steps", type=int, default=10)
     search.add_argument("--seed", type=int, default=2017)
-    search.add_argument("--batch-size", type=int, default=None, metavar="K",
-                        help="candidates per shared-context Stage-2 replay "
-                             "(default: whole generation)")
     _add_scale(search)
     _add_trace(search)
     _add_exec(search)

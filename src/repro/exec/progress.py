@@ -55,7 +55,7 @@ class ExecReport:
     stage1_misses: int = 0
     # Shared-context Stage-2 replays (repro.sim.batch): ``batches``
     # counts batch cells executed, ``batched`` the candidates they
-    # covered.  Zero for per-candidate runs.
+    # covered.  Zero when every chunk is a single candidate.
     batches: int = 0
     batched: int = 0
     # Fault-tolerance accounting: ``planned`` is the batch size the

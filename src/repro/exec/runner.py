@@ -97,6 +97,7 @@ from repro.obs.events import (
 from repro.exec.store import ResultStore, make_store
 from repro.graph import plan_cells
 from repro.policies import policy_factory
+from repro.search import evaluator as _evaluator
 from repro.search.evaluator import FeatureSetEvaluator
 from repro.sim.hierarchy import HierarchyConfig
 from repro.sim.multi import MixResult, MultiProgrammedRunner
@@ -161,7 +162,7 @@ class TraceSpec:
         return scope_payload(self.llc_bytes, self.accesses, self.seed)
 
     def segment_names(self) -> List[str]:
-        """Static segment names (no trace build) for the graph planner."""
+        """Static segment names (no trace build), in :meth:`build` order."""
         if self.ingest is not None:
             return self.ingest.segment_names()
         from repro.traces.workloads import segment_names
@@ -226,6 +227,12 @@ class SuiteSpec:
             return None
         return {spec.name: ingest_scope(spec.payload())
                 for spec in self.ingest}
+
+    def segment_names(self) -> List[str]:
+        """The names :meth:`build` gives its segments, in its order,
+        without building a trace."""
+        return [segment for name in self.workloads()
+                for segment in self.trace_spec(name).segment_names()]
 
     def build(self) -> List[Segment]:
         """All segments, in sorted-workload (suite) order."""
@@ -359,24 +366,22 @@ def _multi_runner(hierarchy: HierarchyConfig, timing: Optional[TimingConfig],
     return runner
 
 
-def _search_evaluator(suite: SuiteSpec, hierarchy: HierarchyConfig,
-                      base_config: Optional[MPPPBConfig], prefetch: bool,
-                      warmup_fraction: float,
+def _search_evaluator(cell: Union[SearchCell, SearchBatchCell],
                       artifacts: Optional[ArtifactCache]) -> FeatureSetEvaluator:
+    """The per-process evaluator for a search cell's evaluation scope."""
+    suite = cell.suite
     root = str(artifacts.store.root) if artifacts is not None else None
-    scope = dict(suite.payload(),
-                 base=None if base_config is None else mpppb_payload(base_config))
-    key = _runner_key("evaluator", hierarchy, None, prefetch, warmup_fraction,
-                      scope, root)
+    key = stable_hash({"kind": "evaluator", "scope": cell.scope(),
+                       "artifacts": root})
     evaluator = _RUNNERS.get(key)
     if evaluator is None:
         evaluator = FeatureSetEvaluator(
-            _suite_segments(suite, artifacts), hierarchy,
-            base_config=base_config, warmup_fraction=warmup_fraction,
-            prefetch=prefetch,
+            _suite_segments(suite, artifacts), cell.hierarchy,
+            base_config=cell.base_config,
+            warmup_fraction=cell.warmup_fraction, prefetch=cell.prefetch,
             stage1_store=_stage1_store(artifacts, suite.llc_bytes,
                                        suite.accesses, suite.seed,
-                                       hierarchy, prefetch,
+                                       cell.hierarchy, cell.prefetch,
                                        scope_overrides=suite.scope_overrides()),
         )
         _RUNNERS[key] = evaluator
@@ -510,12 +515,12 @@ class SearchCell:
         digest = stable_hash({"f": [f.spec() for f in self.features]})
         return f"search/{len(self.features)}f/{digest[:8]}"
 
-    def key_payload(self) -> Dict[str, Any]:
+    def scope(self) -> Dict[str, Any]:
+        """The evaluation scope: what a candidate's MPKI depends on
+        besides its features.  Candidates of one scope can share a
+        batch replay."""
         return {
-            "schema": SCHEMA_VERSION,
-            "kind": self.kind,
             "suite": self.suite.payload(),
-            "features": [feature.spec() for feature in self.features],
             "base": (None if self.base_config is None
                      else mpppb_payload(self.base_config)),
             "hierarchy": hierarchy_payload(self.hierarchy),
@@ -523,11 +528,14 @@ class SearchCell:
             "warmup_fraction": self.warmup_fraction,
         }
 
+    def key_payload(self) -> Dict[str, Any]:
+        return dict(self.scope(), schema=SCHEMA_VERSION, kind=self.kind,
+                    features=[feature.spec() for feature in self.features])
+
     def run(self, artifacts: Optional[ArtifactCache] = None) -> float:
-        evaluator = _search_evaluator(self.suite, self.hierarchy,
-                                      self.base_config, self.prefetch,
-                                      self.warmup_fraction, artifacts)
-        return evaluator.evaluate(self.features)
+        """A batch of one."""
+        return _search_evaluator(self, artifacts).evaluate_batch(
+            [self.features])[0]
 
     def encode(self, result: float) -> float:
         return result
@@ -538,16 +546,17 @@ class SearchCell:
 
 @dataclass(frozen=True)
 class SearchBatchCell:
-    """K feature-search candidates resolved by one shared-context replay.
+    """Up to :data:`~repro.search.evaluator.SEARCH_BATCH` candidates of
+    one evaluation scope, resolved by one shared-context replay.
 
     An execution grouping, not a cache unit: results are stored and
     looked up per candidate under the corresponding
     :class:`SearchCell` keys (see
-    :meth:`ParallelRunner.run_search_batches`), so batched and
-    per-candidate runs share the on-disk cache freely.  Evaluation
-    itself goes through
+    :meth:`ParallelRunner.run_search_batches`), so a candidate's result
+    serves later drives whatever chunk it ran in.  Its own key only
+    seeds the task.  Evaluation goes through
     :meth:`~repro.search.evaluator.FeatureSetEvaluator.evaluate_batch`,
-    i.e. the :class:`~repro.sim.batch.BatchLLCSimulator` engine.
+    the same path a lone :class:`SearchCell` takes.
     """
 
     suite: SuiteSpec
@@ -559,6 +568,8 @@ class SearchBatchCell:
 
     kind: ClassVar[str] = "search-batch"
 
+    scope = SearchCell.scope
+
     def label(self) -> str:
         digest = stable_hash(
             {"f": [[f.spec() for f in fs] for fs in self.feature_sets]})
@@ -566,24 +577,13 @@ class SearchBatchCell:
 
     def key_payload(self) -> Dict[str, Any]:
         """Identity payload (task seeding); never used as a store key."""
-        return {
-            "schema": SCHEMA_VERSION,
-            "kind": self.kind,
-            "suite": self.suite.payload(),
-            "feature_sets": [[feature.spec() for feature in features]
-                             for features in self.feature_sets],
-            "base": (None if self.base_config is None
-                     else mpppb_payload(self.base_config)),
-            "hierarchy": hierarchy_payload(self.hierarchy),
-            "prefetch": self.prefetch,
-            "warmup_fraction": self.warmup_fraction,
-        }
+        return dict(self.scope(), schema=SCHEMA_VERSION, kind=self.kind,
+                    feature_sets=[[feature.spec() for feature in features]
+                                  for features in self.feature_sets])
 
     def run(self, artifacts: Optional[ArtifactCache] = None) -> List[float]:
-        evaluator = _search_evaluator(self.suite, self.hierarchy,
-                                      self.base_config, self.prefetch,
-                                      self.warmup_fraction, artifacts)
-        return evaluator.evaluate_batch(self.feature_sets)
+        return _search_evaluator(self, artifacts).evaluate_batch(
+            self.feature_sets)
 
     def encode(self, result: List[float]) -> List[float]:
         return list(result)
@@ -727,6 +727,41 @@ class _DriveStats:
     abort: Optional[CellFailure] = None  # set in on_error="raise" mode
 
 
+#: A store miss: (position in the drive's cell list, store key, cell).
+_Miss = Tuple[int, str, Cell]
+
+
+def _one_task_per_miss(misses: Sequence[_Miss]) -> List[_Task]:
+    return [_Task(cell, key, [(index, key, cell)])
+            for index, key, cell in misses]
+
+
+def _search_tasks(misses: Sequence[_Miss], width: int) -> List[_Task]:
+    """Search misses grouped by evaluation scope, in chunks of at most
+    ``width``; a chunk of one runs as its own :class:`SearchCell`."""
+    groups: Dict[str, List[_Miss]] = {}
+    for miss in misses:
+        groups.setdefault(stable_hash(miss[2].scope()), []).append(miss)
+    tasks: List[_Task] = []
+    for members in groups.values():
+        for start in range(0, len(members), width):
+            chunk = members[start:start + width]
+            _, key, cell = chunk[0]
+            if len(chunk) > 1:
+                cell = SearchBatchCell(
+                    suite=cell.suite,
+                    feature_sets=tuple(member.features
+                                       for _, _, member in chunk),
+                    hierarchy=cell.hierarchy,
+                    base_config=cell.base_config,
+                    prefetch=cell.prefetch,
+                    warmup_fraction=cell.warmup_fraction,
+                )
+                key = stable_hash(cell.key_payload())
+            tasks.append(_Task(cell, key, chunk))
+    return tasks
+
+
 class ParallelRunner:
     """Cache-aware, fault-tolerant fan-out executor for experiment cells.
 
@@ -823,114 +858,63 @@ class ParallelRunner:
     def run(self, cells: Sequence[Cell], label: str = "") -> List[Any]:
         """Resolve every cell (cache or compute); results in cell order.
 
-        Failed cells (retries exhausted, ``on_error="collect"``) leave
-        ``None`` in their result slot; ``last_report.failures`` holds
-        the structured records.
+        Each store miss runs as its own task.  Failed cells (retries
+        exhausted, ``on_error="collect"``) leave ``None`` in their
+        result slot; ``last_report.failures`` holds the structured
+        records.
         """
-        sink: List[Tuple[str, str, Optional[Dict[str, Any]]]] = []
-        try:
-            with obs.span("drive"):
-                return self._run_cells(cells, label, sink)
-        finally:
-            self._write_events(sink)
-
-    def _run_cells(self, cells: Sequence[Cell], label: str,
-                   sink: List[Tuple[str, str, Optional[Dict[str, Any]]]]
-                   ) -> List[Any]:
-        started = time.perf_counter()
-        tier_before = self._tier_counts()
-        results: List[Any] = [None] * len(cells)
-        outcomes: List[Optional[CellOutcome]] = [None] * len(cells)
-        records: List[Tuple[str, str, str]] = []
-        tasks: List[_Task] = []
-
-        for index, cell in enumerate(cells):
-            key = stable_hash(cell.key_payload())
-            records.append((key, cell.label(), cell.kind))
-            value = self._cached_result(cell, key)
-            if value is not _MISS:
-                results[index] = value
-                outcomes[index] = CellOutcome(cell.label(), key, True, 0.0)
-            else:
-                tasks.append(_Task(cell, key, index))
-
-        manifest = self._open_manifest(label, records)
-        if manifest is not None:
-            for outcome in outcomes:
-                if outcome is not None:
-                    manifest.mark(outcome.key, "done")
-
-        artifact_counts: Dict[str, int] = {}
-        stats = _DriveStats()
-        plan = active_plan()
-        graph = self._schedule([(task.cell, task.key) for task in tasks],
-                               sink, artifact_counts, stats)
-
-        def settle(task: _Task, result: Any, seconds: float,
-                   delta: Dict[str, int],
-                   tele: Optional[Dict[str, Any]]) -> None:
-            index = task.context
-            results[index] = result
-            outcomes[index] = CellOutcome(task.cell.label(), task.key, False,
-                                          seconds, attempts=task.attempt)
-            _merge_counts(artifact_counts, delta)
-            if tele is not None:
-                sink.append((task.key, task.cell.label(), tele))
-            self._store_result(task.cell, task.key, result, plan,
-                               task.attempt)
-            if manifest is not None:
-                manifest.mark(task.key, "done")
-
-        def fail(task: _Task, failure: CellFailure) -> None:
-            index = task.context
-            outcomes[index] = CellOutcome(task.cell.label(), task.key, False,
-                                          failure.seconds, failed=True,
-                                          attempts=failure.attempts)
-            if manifest is not None:
-                manifest.mark(task.key, "failed")
-
-        try:
-            self._drive(tasks, stats, settle, fail)
-        finally:
-            self._finish_report(outcomes, started, label, artifact_counts,
-                                stats, planned=len(cells), graph=graph,
-                                tier_before=tier_before)
-        if self.verbose:
-            print(self.last_report.table())
-        return results
+        return self._resolve(cells, label, _one_task_per_miss)
 
     def run_search_batches(self, cells: Sequence[SearchCell],
                            batch_size: Optional[int] = None,
                            label: str = "") -> List[float]:
-        """Resolve search cells via shared-context batch replays.
+        """Resolve search cells through shared-context batch replays.
 
         Cache lookups and writes stay *per candidate*, under each
         cell's own ``search`` key, so results computed here serve later
-        :meth:`run` calls and vice versa — the batch grouping is purely
-        an execution strategy.  Misses are grouped by evaluation scope
-        (suite, hierarchy, base config, prefetch, warmup), chunked into
-        :class:`SearchBatchCell` tasks of at most ``batch_size``
-        candidates (``None`` = one batch per scope), and fanned out
-        like any other cells; singleton chunks run as plain cells.
+        :meth:`run` calls and vice versa.  Misses are grouped by
+        evaluation scope (:meth:`SearchCell.scope`) and cut into chunks
+        of at most ``batch_size`` candidates (``None`` means
+        :data:`~repro.search.evaluator.SEARCH_BATCH`, the only width
+        the library itself asks for).  A chunk runs as one
+        :class:`SearchBatchCell` task, a chunk of one as its own
+        :class:`SearchCell`; a failed batch splits into single
+        candidates.
         """
+        width = batch_size or _evaluator.SEARCH_BATCH
+        return self._resolve(cells, label,
+                             lambda misses: _search_tasks(misses, width))
+
+    def _resolve(self, cells: Sequence[Cell], label: str,
+                 tasks_for: Callable[[List[_Miss]], List[_Task]]
+                 ) -> List[Any]:
+        """The one resolve loop behind :meth:`run` and
+        :meth:`run_search_batches`, inside a ``drive`` span."""
         sink: List[Tuple[str, str, Optional[Dict[str, Any]]]] = []
         try:
             with obs.span("drive"):
-                return self._run_search_cells(cells, batch_size, label, sink)
+                return self._resolve_cells(cells, label, tasks_for, sink)
         finally:
             self._write_events(sink)
 
-    def _run_search_cells(
-            self, cells: Sequence[SearchCell], batch_size: Optional[int],
-            label: str,
+    def _resolve_cells(
+            self, cells: Sequence[Cell], label: str,
+            tasks_for: Callable[[List[_Miss]], List[_Task]],
             sink: List[Tuple[str, str, Optional[Dict[str, Any]]]]
-    ) -> List[float]:
+    ) -> List[Any]:
+        """Serve hits from the store and drive the misses.
+
+        ``tasks_for`` turns the misses into tasks, each carrying a
+        chunk of ``(index, key, cell)`` misses as its context.  A task
+        whose chunk holds several cells is a batch: its result is one
+        value per chunk member, each stored under the member's own key.
+        """
         started = time.perf_counter()
         tier_before = self._tier_counts()
         results: List[Any] = [None] * len(cells)
         outcomes: List[Optional[CellOutcome]] = [None] * len(cells)
         records: List[Tuple[str, str, str]] = []
-        pending: List[Tuple[int, str, SearchCell]] = []
+        misses: List[_Miss] = []
 
         for index, cell in enumerate(cells):
             key = stable_hash(cell.key_payload())
@@ -940,7 +924,7 @@ class ParallelRunner:
                 results[index] = value
                 outcomes[index] = CellOutcome(cell.label(), key, True, 0.0)
             else:
-                pending.append((index, key, cell))
+                misses.append((index, key, cell))
 
         manifest = self._open_manifest(label, records)
         if manifest is not None:
@@ -948,46 +932,10 @@ class ParallelRunner:
                 if outcome is not None:
                     manifest.mark(outcome.key, "done")
 
-        groups: Dict[str, List[Tuple[int, str, SearchCell]]] = {}
-        for item in pending:
-            cell = item[2]
-            scope = stable_hash({
-                "suite": cell.suite.payload(),
-                "hierarchy": hierarchy_payload(cell.hierarchy),
-                "base": (None if cell.base_config is None
-                         else mpppb_payload(cell.base_config)),
-                "prefetch": cell.prefetch,
-                "warmup_fraction": cell.warmup_fraction,
-            })
-            groups.setdefault(scope, []).append(item)
-
-        Chunk = List[Tuple[int, str, SearchCell]]
-        tasks: List[Tuple[Cell, str, Chunk]] = []
-        for members in groups.values():
-            size = batch_size or len(members)
-            for start in range(0, len(members), size):
-                chunk = members[start:start + size]
-                if len(chunk) == 1:
-                    _, key, cell = chunk[0]
-                    tasks.append((cell, key, chunk))
-                    continue
-                first = chunk[0][2]
-                batch_cell = SearchBatchCell(
-                    suite=first.suite,
-                    feature_sets=tuple(cell.features
-                                       for _, _, cell in chunk),
-                    hierarchy=first.hierarchy,
-                    base_config=first.base_config,
-                    prefetch=first.prefetch,
-                    warmup_fraction=first.warmup_fraction,
-                )
-                tasks.append((batch_cell,
-                              stable_hash(batch_cell.key_payload()), chunk))
-
         artifact_counts: Dict[str, int] = {}
         stats = _DriveStats()
         plan = active_plan()
-        graph = self._schedule([(cell, key) for _, key, cell in pending],
+        graph = self._schedule([(cell, key) for _, key, cell in misses],
                                sink, artifact_counts, stats)
         batches = 0
         batched = 0
@@ -996,19 +944,17 @@ class ParallelRunner:
                    delta: Dict[str, int],
                    tele: Optional[Dict[str, Any]]) -> None:
             nonlocal batches, batched
-            chunk: Chunk = task.context
+            chunk: List[_Miss] = task.context
             _merge_counts(artifact_counts, delta)
             if tele is not None:
                 sink.append((task.key, task.cell.label(), tele))
-            if isinstance(task.cell, SearchBatchCell):
+            values = [result]
+            if len(chunk) > 1:
                 batches += 1
                 batched += len(chunk)
-                share = seconds / len(chunk)
-                per_candidate = zip(chunk, result)
-            else:
-                share = seconds
-                per_candidate = zip(chunk, [result])
-            for (index, key, cell), value in per_candidate:
+                values = result
+            share = seconds / len(chunk)
+            for (index, key, cell), value in zip(chunk, values):
                 results[index] = value
                 outcomes[index] = CellOutcome(cell.label(), key, False,
                                               share, attempts=task.attempt)
@@ -1025,19 +971,16 @@ class ParallelRunner:
                     manifest.mark(key, "failed")
 
         def split(task: _Task) -> Optional[List[_Task]]:
-            # A failed batch degrades to per-candidate cells (fresh
+            # A failed batch degrades to single-candidate tasks (fresh
             # retry budget): one bad candidate must not take the whole
             # chunk down with it.
-            chunk: Chunk = task.context
-            if not isinstance(task.cell, SearchBatchCell) or len(chunk) <= 1:
+            chunk: List[_Miss] = task.context
+            if len(chunk) <= 1:
                 return None
-            return [_Task(cell, key, [(index, key, cell)])
-                    for index, key, cell in chunk]
+            return _one_task_per_miss(chunk)
 
-        drive_tasks = [_Task(exec_cell, exec_key, chunk)
-                       for exec_cell, exec_key, chunk in tasks]
         try:
-            self._drive(drive_tasks, stats, settle, fail, split=split)
+            self._drive(tasks_for(misses), stats, settle, fail, split=split)
         finally:
             self._finish_report(outcomes, started, label, artifact_counts,
                                 stats, planned=len(cells),

@@ -6,14 +6,18 @@ Our equivalent replays the cached, policy-invariant LLC streams of a
 workload list under an MPPPB instance built from the candidate
 features and averages the resulting MPKI.
 
-Candidate evaluations are independent of each other, which makes them
-ideal fan-out targets for the ``repro.exec`` engine: attach a
-:class:`~repro.exec.ParallelRunner` (``executor``) plus the
-:class:`~repro.exec.SuiteSpec` the segments were built from (``spec``,
-or use :meth:`FeatureSetEvaluator.from_spec`) and batched calls through
-:meth:`FeatureSetEvaluator.evaluate_many` run in worker processes and
+Every evaluation goes through one path: :meth:`FeatureSetEvaluator.
+evaluate_batch` replays candidates in chunks of :data:`SEARCH_BATCH`
+through :meth:`~repro.sim.single.SingleThreadRunner.run_segment_batch`
+(the shared-context :class:`~repro.sim.batch.BatchLLCSimulator`), a
+lone candidate being a chunk of one.  Candidate evaluations are
+independent of each other, which makes them ideal fan-out targets for
+the ``repro.exec`` engine: an evaluator built by
+:meth:`FeatureSetEvaluator.from_spec` with an ``executor`` sends each
+generation through :meth:`~repro.exec.ParallelRunner.
+run_search_batches`, whose workers run the same path and whose results
 land in the on-disk result cache.  Without an executor the evaluator
-behaves exactly as before: serial, in-process, memoized in memory.
+runs in process, memoized in memory.
 """
 
 from __future__ import annotations
@@ -22,13 +26,22 @@ from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 from repro import obs
 from repro.core.features import Feature
-from repro.core.mpppb import MPPPBConfig, MPPPBPolicy
+from repro.core.mpppb import MPPPBConfig
 from repro.sim.hierarchy import HierarchyConfig
 from repro.sim.single import SingleThreadRunner
 from repro.traces.trace import Segment
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.exec.runner import ParallelRunner, SuiteSpec
+
+#: Most candidates one shared-context Stage-2 replay carries.  Batching
+#: pays the stream lowering once per chunk: on a small-scale soplex
+#: segment it is 13% of a one-candidate replay, 5.6% per candidate at
+#: 8 and 3.9% at 32, and wider chunks buy almost nothing more.  Every
+#: candidate's cache, sampler and tables stay resident until its chunk
+#: ends (about 4 MiB per candidate at small, 9 MiB at the paper's 2 MB
+#: LLC), so the width also bounds a generation's memory.
+SEARCH_BATCH = 32
 
 
 class FeatureSetEvaluator:
@@ -41,15 +54,10 @@ class FeatureSetEvaluator:
         base_config: Optional[MPPPBConfig] = None,
         warmup_fraction: float = 0.25,
         prefetch: bool = True,
-        executor: Optional["ParallelRunner"] = None,
-        spec: Optional["SuiteSpec"] = None,
         stage1_store=None,
-        batch_size: Optional[int] = None,
     ) -> None:
         if not segments:
             raise ValueError("evaluator needs at least one segment")
-        if batch_size is not None and batch_size < 1:
-            raise ValueError("batch_size must be positive")
         self.segments = list(segments)
         self.hierarchy = hierarchy
         self.base_config = base_config
@@ -59,11 +67,10 @@ class FeatureSetEvaluator:
             hierarchy, prefetch=prefetch, warmup_fraction=warmup_fraction,
             stage1_store=stage1_store,
         )
-        self.executor = executor
-        self.spec = spec
-        # Candidates per shared-context replay; None = whole generation
-        # in one batch.
-        self.batch_size = batch_size
+        # Set by from_spec: the engine generations fan out over and the
+        # recipe its workers rebuild the segments from.
+        self.executor: Optional["ParallelRunner"] = None
+        self.spec: Optional["SuiteSpec"] = None
         self.evaluations = 0
         self._cache: Dict[tuple, float] = {}
         # Telemetry: evaluate_many calls are the search's generations
@@ -79,56 +86,46 @@ class FeatureSetEvaluator:
         warmup_fraction: float = 0.25,
         prefetch: bool = True,
         executor: Optional["ParallelRunner"] = None,
-        batch_size: Optional[int] = None,
     ) -> "FeatureSetEvaluator":
         """Build from a deterministic segment recipe so evaluations can
         be fanned out to worker processes (which rebuild identical
         segments from the spec) and cached on disk."""
-        return cls(
+        evaluator = cls(
             spec.build(),
             hierarchy,
             base_config=base_config,
             warmup_fraction=warmup_fraction,
             prefetch=prefetch,
-            executor=executor,
-            spec=spec,
-            batch_size=batch_size,
         )
+        evaluator.spec = spec
+        evaluator.executor = executor
+        return evaluator
 
     def _config(self, features: Sequence[Feature]) -> MPPPBConfig:
         if self.base_config is not None:
             return self.base_config.with_features(features)
         return MPPPBConfig(features=tuple(features))
 
-    def _evaluate_local(self, features: Tuple[Feature, ...]) -> float:
-        """Serial in-process evaluation (the pre-engine code path)."""
-        config = self._config(features)
+    def _pending(self, keys: Sequence[Tuple[Feature, ...]]
+                 ) -> List[Tuple[Feature, ...]]:
+        """Unique uncached candidates of ``keys``, in first-seen order."""
+        return list(dict.fromkeys(key for key in keys
+                                  if key not in self._cache))
 
-        def factory(num_sets: int, ways: int) -> MPPPBPolicy:
-            return MPPPBPolicy(num_sets, ways, config)
+    def evaluate_batch(
+        self, feature_sets: Sequence[Sequence[Feature]]
+    ) -> List[float]:
+        """In-process evaluation of candidates; MPKI in input order.
 
-        total = 0.0
-        for segment in self.segments:
-            total += self.runner.run_segment(segment, factory).mpki
-        return total / len(self.segments)
-
-    def _evaluate_batch_local(
-        self, pending: List[Tuple[Feature, ...]]
-    ) -> None:
-        """Fill the memo for ``pending`` via shared-context replays.
-
-        Chunks of ``batch_size`` candidates (the whole list when None)
-        share one Stage-2 stream decode per segment; per-candidate MPKI
-        accumulates in the same segment order as
-        :meth:`_evaluate_local`, so values are bit-identical.
+        Unique uncached candidates replay in chunks of at most
+        :data:`SEARCH_BATCH`, each chunk sharing one Stage-2 stream
+        lowering per segment.  Per-candidate MPKI sums in segment
+        order, so a candidate's value does not depend on its chunk.
         """
-        size = self.batch_size or len(pending)
-        for start in range(0, len(pending), size):
-            chunk = pending[start:start + size]
-            if len(chunk) == 1:
-                self._cache[chunk[0]] = self._evaluate_local(chunk[0])
-                self.evaluations += 1
-                continue
+        keys = [tuple(features) for features in feature_sets]
+        pending = self._pending(keys)
+        for start in range(0, len(pending), SEARCH_BATCH):
+            chunk = pending[start:start + SEARCH_BATCH]
             configs = [self._config(features) for features in chunk]
             totals = [0.0] * len(chunk)
             for segment in self.segments:
@@ -137,68 +134,38 @@ class FeatureSetEvaluator:
                     totals[k] += result.mpki
             for key, total in zip(chunk, totals):
                 self._cache[key] = total / len(self.segments)
-                self.evaluations += 1
-
-    def evaluate_batch(
-        self, feature_sets: Sequence[Sequence[Feature]]
-    ) -> List[float]:
-        """In-process evaluation of a candidate batch; input order.
-
-        Unique uncached candidates replay through the shared-context
-        engine; results land in the in-memory memo exactly like
-        :meth:`evaluate`'s.
-        """
-        keys = [tuple(features) for features in feature_sets]
-        pending: List[Tuple[Feature, ...]] = []
-        seen = set()
-        for key in keys:
-            if key not in self._cache and key not in seen:
-                seen.add(key)
-                pending.append(key)
-        if pending:
-            self._evaluate_batch_local(pending)
+            self.evaluations += len(chunk)
         return [self._cache[key] for key in keys]
 
     def evaluate(self, features: Sequence[Feature]) -> float:
         """Average demand MPKI of MPPPB built on ``features``."""
         key = tuple(features)
-        cached = self._cache.get(key)
-        if cached is not None:
-            return cached
-        if self.executor is not None and self.spec is not None:
+        if key not in self._cache and self.executor is not None:
             return self.evaluate_many([key])[0]
-        self._cache[key] = mean = self._evaluate_local(key)
-        self.evaluations += 1
-        return mean
+        return self.evaluate_batch([key])[0]
 
     def evaluate_many(
         self, feature_sets: Sequence[Sequence[Feature]]
     ) -> List[float]:
-        """Evaluate a batch of candidate sets; results in input order.
+        """Evaluate one generation of candidate sets; input order.
 
-        With an attached executor (and a spec describing the segments),
-        uncached candidates are fanned across worker processes and the
-        on-disk result cache; otherwise they evaluate in process.
-        Either way, candidates that share a generation are grouped into
-        shared-context Stage-2 replays (:mod:`repro.sim.batch`) of at
-        most ``batch_size`` candidates.
+        With an executor, uncached candidates fan out across worker
+        processes and the on-disk result cache; otherwise they
+        evaluate in process.  Either way they replay through
+        :meth:`evaluate_batch`.
         """
         self._generation += 1
         with obs.span(f"search-gen-{self._generation}"):
-            return self._evaluate_many(feature_sets)
+            if self.executor is None:
+                return self.evaluate_batch(feature_sets)
+            return self._evaluate_remote(feature_sets)
 
-    def _evaluate_many(
+    def _evaluate_remote(
         self, feature_sets: Sequence[Sequence[Feature]]
     ) -> List[float]:
         keys = [tuple(features) for features in feature_sets]
-        unique_pending: List[Tuple[Feature, ...]] = []
-        seen = set()
-        for key in keys:
-            if key not in self._cache and key not in seen:
-                seen.add(key)
-                unique_pending.append(key)
-
-        if unique_pending and self.executor is not None and self.spec is not None:
+        pending = self._pending(keys)
+        if pending:
             from repro.exec.runner import SearchCell
 
             cells = [
@@ -210,12 +177,11 @@ class FeatureSetEvaluator:
                     prefetch=self.prefetch,
                     warmup_fraction=self.warmup_fraction,
                 )
-                for features in unique_pending
+                for features in pending
             ]
-            values = self.executor.run_search_batches(
-                cells, batch_size=self.batch_size, label="search")
+            values = self.executor.run_search_batches(cells, label="search")
             unresolved = 0
-            for features, value in zip(unique_pending, values):
+            for features, value in zip(pending, values):
                 if value is None:
                     # Failed cell under on_error="collect"; leave it
                     # uncached so a later call may retry it.
@@ -233,14 +199,11 @@ class FeatureSetEvaluator:
                 failures = report.failures if report is not None else ()
                 raise CellExecutionError(
                     failures[0] if failures else None,
-                    message=(f"{unresolved} of {len(unique_pending)} "
+                    message=(f"{unresolved} of {len(pending)} "
                              f"candidate evaluations failed"
                              + (f": {failures[0].summary()}"
                                 if failures else "")),
                 )
-        elif unique_pending:
-            self.evaluate_batch(unique_pending)
-
         return [self._cache[key] for key in keys]
 
     def baseline_mpki(self, policy_factory) -> float:

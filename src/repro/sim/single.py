@@ -317,22 +317,29 @@ class SingleThreadRunner:
 
     # -- stages 2 + 3 ----------------------------------------------------
 
+    def _prepare(self, segment: Segment
+                 ) -> Tuple[UpperLevelResult, int, int, int]:
+        """The preamble both Stage-2 paths share: the Stage-1 result,
+        the warmup boundary in memory and in LLC accesses, and the LLC
+        set count."""
+        upper = self.upper_result(segment)
+        warm_mem = int(len(segment.trace.pcs) * self.warmup_fraction)
+        hierarchy = self.hierarchy
+        num_sets = hierarchy.llc_bytes // (hierarchy.llc_ways
+                                           * hierarchy.block_bytes)
+        return upper, warm_mem, upper.llc_warmup_boundary(warm_mem), num_sets
+
     def run_segment(
         self, segment: Segment, policy_factory: PolicyFactory
     ) -> SegmentResult:
-        upper = self.upper_result(segment)
-        trace = segment.trace
-        warm_mem = int(len(trace.pcs) * self.warmup_fraction)
-        warm_llc = upper.llc_warmup_boundary(warm_mem)
-
-        llc_bytes = self.hierarchy.llc_bytes
-        ways = self.hierarchy.llc_ways
-        num_sets = llc_bytes // (ways * self.hierarchy.block_bytes)
-        policy = policy_factory(num_sets, ways)
+        upper, warm_mem, warm_llc, num_sets = self._prepare(segment)
+        hierarchy = self.hierarchy
+        policy = policy_factory(num_sets, hierarchy.llc_ways)
         with obs.span("stage2"):
-            llc = replay_segment(llc_bytes, ways, policy,
-                                 self.hierarchy.block_bytes,
-                                 upper.llc_stream, trace.pcs, warm_llc)
+            llc = replay_segment(hierarchy.llc_bytes, hierarchy.llc_ways,
+                                 policy, hierarchy.block_bytes,
+                                 upper.llc_stream, segment.trace.pcs,
+                                 warm_llc)
         return self._finish_segment(segment, upper, llc, warm_mem)
 
     def run_segment_batch(
@@ -345,19 +352,14 @@ class SingleThreadRunner:
         candidate-invariant per-access context are paid once; see
         :class:`repro.sim.batch.BatchLLCSimulator`.
         """
-        upper = self.upper_result(segment)
-        trace = segment.trace
-        warm_mem = int(len(trace.pcs) * self.warmup_fraction)
-        warm_llc = upper.llc_warmup_boundary(warm_mem)
-
-        llc_bytes = self.hierarchy.llc_bytes
-        ways = self.hierarchy.llc_ways
-        num_sets = llc_bytes // (ways * self.hierarchy.block_bytes)
-        policies = [MPPPBPolicy(num_sets, ways, config) for config in configs]
-        sim = BatchLLCSimulator(llc_bytes, ways, policies,
-                                self.hierarchy.block_bytes)
+        upper, warm_mem, warm_llc, num_sets = self._prepare(segment)
+        hierarchy = self.hierarchy
+        policies = [MPPPBPolicy(num_sets, hierarchy.llc_ways, config)
+                    for config in configs]
+        sim = BatchLLCSimulator(hierarchy.llc_bytes, hierarchy.llc_ways,
+                                policies, hierarchy.block_bytes)
         with obs.span("stage2"):
-            replays = sim.run(upper.llc_stream, pc_trace=trace.pcs,
+            replays = sim.run(upper.llc_stream, pc_trace=segment.trace.pcs,
                               warmup=warm_llc)
         return [
             self._finish_segment(segment, upper, llc, warm_mem)

@@ -17,9 +17,11 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import List, Sequence, Tuple
+from typing import List, Sequence, Tuple, TypeVar
 
 from repro.traces.trace import Segment
+
+T = TypeVar("T")
 
 
 @dataclass(frozen=True)
@@ -34,6 +36,37 @@ class Mix:
             raise ValueError("mix segments must be distinct")
 
 
+def draw_mixes(
+    names: Sequence[str],
+    count: int,
+    cores: int = 4,
+    seed: int = 0xF1E57A,
+) -> List[Tuple[str, Tuple[str, ...]]]:
+    """Draw ``count`` distinct mixes of ``cores`` segment names each.
+
+    Returns ``(mix name, member names)`` pairs.  The draw reads only the
+    names and their order, so a caller can name every mix without
+    building a trace.
+    """
+    if len(names) < cores:
+        raise ValueError(f"need at least {cores} segments, got {len(names)}")
+    rng = random.Random(seed)
+    mixes: List[Tuple[str, Tuple[str, ...]]] = []
+    seen = set()
+    attempts = 0
+    while len(mixes) < count:
+        attempts += 1
+        if attempts > 100 * count + 1000:
+            raise RuntimeError("unable to generate enough distinct mixes")
+        chosen = tuple(rng.sample(range(len(names)), cores))
+        if chosen in seen:
+            continue
+        seen.add(chosen)
+        mixes.append((f"mix{len(mixes):04d}",
+                      tuple(names[i] for i in chosen)))
+    return mixes
+
+
 def generate_mixes(
     segments: Sequence[Segment],
     count: int,
@@ -41,28 +74,17 @@ def generate_mixes(
     seed: int = 0xF1E57A,
 ) -> List[Mix]:
     """Draw ``count`` distinct mixes of ``cores`` segments each."""
-    if len(segments) < cores:
-        raise ValueError(f"need at least {cores} segments, got {len(segments)}")
-    rng = random.Random(seed)
-    mixes: List[Mix] = []
-    seen = set()
-    attempts = 0
-    while len(mixes) < count:
-        attempts += 1
-        if attempts > 100 * count + 1000:
-            raise RuntimeError("unable to generate enough distinct mixes")
-        chosen = tuple(rng.sample(range(len(segments)), cores))
-        if chosen in seen:
-            continue
-        seen.add(chosen)
-        mix_segments = tuple(segments[i] for i in chosen)
-        mixes.append(Mix(f"mix{len(mixes):04d}", mix_segments))
-    return mixes
+    by_name = {segment.name: segment for segment in segments}
+    return [
+        Mix(name, tuple(by_name[member] for member in members))
+        for name, members in draw_mixes(
+            [segment.name for segment in segments], count, cores, seed)
+    ]
 
 
 def split_train_test(
-    mixes: Sequence[Mix], train_count: int
-) -> Tuple[List[Mix], List[Mix]]:
+    mixes: Sequence[T], train_count: int
+) -> Tuple[List[T], List[T]]:
     """Leading ``train_count`` mixes train parameters; the rest report.
 
     Mirrors the paper's 100-train / 900-test split so reported numbers

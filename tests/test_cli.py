@@ -68,6 +68,32 @@ class TestExecution:
         assert code == 0
         assert "raw weighted speedups" in capsys.readouterr().out
 
+    def test_mix_with_trace_file(self, tmp_path, monkeypatch, capsys):
+        """An ingested trace joins the pool the mixes are drawn from,
+        and a mix over one of its segments runs."""
+        path = tmp_path / "fixture.trace"
+        path.write_text("".join(
+            f"0x{0x400 + 4 * (i % 97):x} 0x{0x10000 + 64 * (i % 512):x} "
+            f"{'w' if i % 5 == 0 else 'r'} {i % 3}\n"
+            for i in range(1_200)))
+        drawn = []
+        draw = cli.draw_mixes
+
+        def spy(names, count):
+            drawn.append((names, draw(names, count)))
+            return drawn[-1][1]
+
+        monkeypatch.setattr(cli, "draw_mixes", spy)
+        code = main(["mix", "--mixes", "1", "--policies", "lru", "srrip",
+                     "--scale", "tiny", "--cache-dir", "off",
+                     "--trace-file", str(path), "--trace-name", "trace",
+                     "--trace-accesses", "600", "--trace-segments", "2"])
+        assert code == 0
+        [(names, [(_, members)])] = drawn
+        assert {"trace.s0", "trace.s1"} <= set(names)
+        assert any(member.startswith("trace.") for member in members)
+        assert "srrip" in capsys.readouterr().out
+
 
 class TestStats:
     def _record(self, tmp_path, capsys):
@@ -159,7 +185,6 @@ class TestFailureHandling:
 
     @pytest.mark.parametrize("argv", [
         pytest.param(["search", "--candidates", "0"], id="search--candidates"),
-        pytest.param(["search", "--batch-size", "0"], id="search--batch-size"),
         pytest.param(["search", "--steps", "-1"], id="search--steps"),
         pytest.param(["mix", "--mixes", "0"], id="mix--mixes"),
     ])

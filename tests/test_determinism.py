@@ -319,7 +319,7 @@ class TestTelemetryPins:
             obs.disable()
 
 
-def _search_hash(batch_size=None):
+def _search_hash():
     from repro.search.evaluator import FeatureSetEvaluator
     from repro.search.hillclimb import hill_climb
     from repro.search.random_search import random_search
@@ -328,8 +328,7 @@ def _search_hash(batch_size=None):
     segments = all_segments(TINY.hierarchy.llc_bytes, ACCESSES,
                             names=["gamess", "soplex"])
     evaluator = FeatureSetEvaluator(segments, TINY.hierarchy,
-                                    warmup_fraction=TINY.warmup_fraction,
-                                    batch_size=batch_size)
+                                    warmup_fraction=TINY.warmup_fraction)
     candidates = random_search(evaluator, num_sets=6, seed=123)
     refined = hill_climb(evaluator, candidates[0].features, steps=4,
                          seed=123)
@@ -604,11 +603,14 @@ class TestIngestPins:
 
 class TestSearchPinned:
     @pytest.mark.parametrize("mode", ["on", "off"])
-    def test_stage2_batch_modes(self, mode):
+    def test_stage2_batch_modes(self, mode, monkeypatch):
         """The search pins identically whether a generation replays as
         one batch ("on") or one candidate at a time ("off")."""
-        assert _search_hash(batch_size=None if mode == "on" else 1) \
-            == SEARCH_HASH
+        if mode == "off":
+            from repro.search import evaluator as evaluator_mod
+
+            monkeypatch.setattr(evaluator_mod, "SEARCH_BATCH", 1)
+        assert _search_hash() == SEARCH_HASH
 
     @pytest.mark.parametrize("backend", _KERNEL_BACKENDS)
     def test_stage2_kernel_backends(self, backend, monkeypatch):

@@ -302,6 +302,29 @@ class TestCliResume:
         assert manifest.command == argv
         assert manifest.exec_info == {"backend": "local", "jobs": "2"}
 
+    def test_resume_drops_retired_batch_size(self, tmp_path, capsys):
+        # A search recorded with the retired --batch-size, in both
+        # forms.  Unlike the exec flags it entered the run id, so the
+        # re-driven search opens a new manifest; the candidates the
+        # old run finished are still store hits.
+        cache = str(tmp_path / "cache")
+        argv = ["search", "--candidates", "4", "--steps", "0",
+                "--scale", "tiny", "--cache-dir", cache]
+        assert main(argv) == 0
+        capsys.readouterr()
+        [done] = list_runs(cache)
+        old = RunManifest.create(
+            cache, label=done.label,
+            command=argv + ["--batch-size", "2", "--batch-size=3"],
+            cells=[(key, cell["label"], cell["kind"])
+                   for key, cell in done.cells.items()])
+        assert old.run_id != done.run_id
+
+        assert main(["resume", old.run_id[:12], "--cache-dir", cache]) == 0
+        out = capsys.readouterr().out
+        assert "--batch-size" not in out
+        assert "hits=4/4" in out
+
     def test_resume_lists_runs(self, tmp_path, capsys):
         cache = str(tmp_path / "cache")
         assert main(["resume", "--cache-dir", cache]) == 0

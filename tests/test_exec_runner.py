@@ -6,6 +6,8 @@ entry points, and warm-cache invocations return identical results
 while reporting hits.
 """
 
+import math
+
 import pytest
 
 from repro.config import TINY
@@ -19,6 +21,7 @@ from repro.exec import (
     TraceSpec,
 )
 from repro.policies import policy_factory
+from repro.search import evaluator as evaluator_mod
 from repro.search.evaluator import FeatureSetEvaluator
 from repro.sim.multi import MultiProgrammedRunner
 from repro.sim.single import SingleThreadRunner
@@ -161,6 +164,16 @@ class TestSearchCells:
         assert fanned.evaluate_many(features) == expected
         assert fanned.evaluations == evaluations
 
+    def test_search_cell_key_is_pinned(self):
+        """A candidate's store key: results stored by earlier versions
+        stay hits."""
+        from repro.exec.cachekey import stable_hash
+
+        cell = SearchCell(self.SPEC, table_1b_features(), TINY.hierarchy,
+                          warmup_fraction=TINY.warmup_fraction)
+        assert stable_hash(cell.key_payload()) == (
+            "2eb7ac92283bb749b01a4503158defd42c7aa32f8588c6e156276f25b55e8fb4")
+
     def test_search_cell_runs_standalone(self):
         cell = SearchCell(
             suite=self.SPEC,
@@ -258,6 +271,20 @@ class TestSearchBatches:
         assert report.batches == 1
         assert report.batched == 3
         assert report.cells == len(cells)
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_generation_wider_than_search_batch_splits(self, jobs,
+                                                       monkeypatch):
+        monkeypatch.setattr(evaluator_mod, "SEARCH_BATCH", 3)
+        cells = self._cells(k=5)
+        self._clear_memos()
+        expected = ParallelRunner(jobs=1, store=None).run(cells)
+        self._clear_memos()
+        engine = ParallelRunner(jobs=jobs, store=None)
+        assert engine.run_search_batches(cells) == expected
+        report = engine.last_report
+        assert report.batches == math.ceil(len(cells) / 3)
+        assert report.batched == len(cells)
 
     def test_parallel_matches_serial(self):
         cells = self._cells()

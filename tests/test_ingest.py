@@ -6,7 +6,13 @@ import struct
 import pytest
 
 from repro.config import TINY
-from repro.exec import ConfigError, ParallelRunner, SingleCell, TraceSpec
+from repro.exec import (
+    ConfigError,
+    ParallelRunner,
+    SingleCell,
+    SuiteSpec,
+    TraceSpec,
+)
 from repro.exec.artifacts import ingest_scope, stage1_key, trace_key
 from repro.exec.cachekey import stable_hash
 from repro.graph.planner import plan_cells
@@ -271,6 +277,16 @@ class TestExecIntegration:
         [result] = engine.run([self._cell(tmp_path)], label="ingest")
         assert result.benchmark == "real"
         assert result.segments[0].instructions > 0
+
+    def test_suite_segment_names_match_build(self, tmp_path):
+        """Ingested segments take their sorted-workload place in the
+        names a suite gives without building, as in what it builds."""
+        suite = SuiteSpec(TINY.hierarchy.llc_bytes, 2_000,
+                          names=("gamess", "soplex"),
+                          ingest=(self._cell(tmp_path).trace.ingest,))
+        names = suite.segment_names()
+        assert "real.s0" in names
+        assert names == [segment.name for segment in suite.build()]
 
     def test_missing_file_is_structured_failure(self, tmp_path):
         cell = self._cell(tmp_path)

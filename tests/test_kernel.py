@@ -263,6 +263,28 @@ class TestLockstep:
                                                  warmup)
             _assert_identical(result, policy, seq_result, seq_policy)
 
+    def test_srrip_victim_is_first_way_at_rrpv_max(self):
+        """SRRIP default: WAYS fills of one set, all placed at RRPV 0,
+        then one more miss ages every way to rrpv_max together and
+        SRRIP evicts the first, block 0.  Re-touching blocks 0 and
+        WAYS - 1 tells which way went: block 0 misses, block WAYS - 1
+        still hits."""
+        blocks = [way * NUM_SETS for way in range(WAYS + 1)]
+        blocks += [0, (WAYS - 1) * NUM_SETS]
+        stream, pcs = _synthetic_stream(
+            [(0x400, block, 0, False) for block in blocks])
+        # Thresholds above any reachable confidence (16 six-bit
+        # weights sum to at most 496) place every fill at RRPV 0 and
+        # bypass nothing.
+        config = MPPPBConfig(features=parse_feature_set(TABLE_1A_SPECS),
+                             default_policy="srrip", placements=(3, 2, 1),
+                             tau_bypass=1000, taus=(999, 998, 997))
+        seq_result, seq_policy = _sequential(stream, pcs, config, 0)
+        assert seq_result.outcomes == [False] * (WAYS + 2) + [True]
+        sim = _batch([config])
+        [result] = numpy_backend.replay_all(sim, _lower(sim, stream, pcs), 0)
+        _assert_identical(result, sim.policies[0], seq_result, seq_policy)
+
     @pytest.mark.parametrize("default_policy", ["mdpp", "srrip"])
     def test_instrumented_source_only_adds_recording(self, default_policy):
         """The instrumented variant is the plain source plus the two

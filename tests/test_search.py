@@ -7,6 +7,7 @@ import pytest
 from repro.core.features import random_feature_set
 from repro.core.presets import table_1a_features
 from repro.policies import policy_factory
+from repro.search import evaluator as evaluator_mod
 from repro.search.evaluator import FeatureSetEvaluator
 from repro.search.hillclimb import hill_climb
 from repro.search.random_search import mpki_distribution, random_search
@@ -59,10 +60,6 @@ class TestBatchedEvaluation:
         rng = random.Random(seed)
         return [random_feature_set(rng) for _ in range(count)]
 
-    def test_rejects_bad_batch_size(self):
-        with pytest.raises(ValueError):
-            self._fresh(batch_size=0)
-
     def test_batch_on_off_identical(self):
         """A batched generation scores exactly like candidates evaluated
         one at a time."""
@@ -72,8 +69,9 @@ class TestBatchedEvaluation:
         batched = self._fresh().evaluate_many(candidates)
         assert batched == sequential
 
-    def test_batch_size_limits_replay_width(self):
-        evaluator = self._fresh(batch_size=2)
+    def test_batch_size_limits_replay_width(self, monkeypatch):
+        monkeypatch.setattr(evaluator_mod, "SEARCH_BATCH", 2)
+        evaluator = self._fresh()
         widths = []
         original = evaluator.runner.run_segment_batch
 
@@ -85,9 +83,11 @@ class TestBatchedEvaluation:
         values = evaluator.evaluate_many(self._candidates(3, 5))
         assert len(values) == 5
         assert evaluator.evaluations == 5
-        # 5 candidates -> two batches of 2; the leftover singleton goes
-        # down the per-candidate path (no width-1 batch replays).
-        assert widths and set(widths) == {2}
+        # 5 candidates -> two batches of 2 and a batch of one, each
+        # replayed once per segment; a lone candidate takes the same
+        # path as a batch.
+        segments = len(evaluator.segments)
+        assert widths == [2] * segments + [2] * segments + [1] * segments
 
     def test_evaluate_batch_memoizes(self):
         evaluator = self._fresh()

@@ -6,9 +6,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repro.config import TINY
+from repro.config import SMALL, TINY
+from repro.exec import SuiteSpec
 from repro.traces.holdout import build_holdout_segments, holdout_names
-from repro.traces.mixes import generate_mixes, split_train_test
+from repro.traces.mixes import draw_mixes, generate_mixes, split_train_test
 from repro.traces.synth import (
     BurstyAccess,
     GatherScatter,
@@ -489,6 +490,20 @@ class TestMixes:
             split_train_test(mixes, 0)
         with pytest.raises(ValueError):
             split_train_test(mixes, 4)
+
+    @pytest.mark.parametrize("scale", [TINY, SMALL], ids=["tiny", "small"])
+    def test_draw_over_suite_names_equals_built_mixes(self, scale):
+        """Mixes drawn over the suite's segment names, which builds no
+        trace, name exactly the segments generate_mixes picks from the
+        built suite."""
+        llc = scale.hierarchy.llc_bytes
+        suite = build_suite(llc, 2_000)
+        built = generate_mixes([s for name in sorted(suite)
+                                for s in suite[name]], scale.mix_count)
+        drawn = draw_mixes(SuiteSpec(llc, 2_000).segment_names(),
+                           scale.mix_count)
+        assert drawn == [(mix.name, tuple(s.name for s in mix.segments))
+                         for mix in built]
 
     @settings(max_examples=20, deadline=None)
     @given(st.integers(min_value=4, max_value=12), st.integers(min_value=1, max_value=6))
