@@ -549,6 +549,9 @@ class SearchBatchCell:
     """Up to :data:`~repro.search.evaluator.SEARCH_BATCH` candidates of
     one evaluation scope, resolved by one shared-context replay.
 
+    :meth:`ParallelRunner.run_search_batches` spreads a generation
+    over the worker slots, one chunk per slot while a chunk stays
+    within ``SEARCH_BATCH``, so the chunks replay side by side.
     An execution grouping, not a cache unit: results are stored and
     looked up per candidate under the corresponding
     :class:`SearchCell` keys (see
@@ -736,16 +739,24 @@ def _one_task_per_miss(misses: Sequence[_Miss]) -> List[_Task]:
             for index, key, cell in misses]
 
 
-def _search_tasks(misses: Sequence[_Miss], width: int) -> List[_Task]:
-    """Search misses grouped by evaluation scope, in chunks of at most
-    ``width``; a chunk of one runs as its own :class:`SearchCell`."""
+def _search_tasks(misses: Sequence[_Miss], width: int,
+                  slots: int) -> List[_Task]:
+    """Search misses grouped by evaluation scope, each group of ``n``
+    cut into fill-first chunks of ``min(width, ceil(n / slots))``.
+
+    A group narrower than ``width * slots`` thus spreads over every
+    worker slot instead of queueing behind one, and ``width`` still
+    bounds a chunk's memory; at one slot the chunks are ``width``
+    wide.  A chunk of one runs as its own :class:`SearchCell`.
+    """
     groups: Dict[str, List[_Miss]] = {}
     for miss in misses:
         groups.setdefault(stable_hash(miss[2].scope()), []).append(miss)
     tasks: List[_Task] = []
     for members in groups.values():
-        for start in range(0, len(members), width):
-            chunk = members[start:start + width]
+        size = min(width, -(-len(members) // slots))
+        for start in range(0, len(members), size):
+            chunk = members[start:start + size]
             _, key, cell = chunk[0]
             if len(chunk) > 1:
                 cell = SearchBatchCell(
@@ -873,17 +884,22 @@ class ParallelRunner:
         Cache lookups and writes stay *per candidate*, under each
         cell's own ``search`` key, so results computed here serve later
         :meth:`run` calls and vice versa.  Misses are grouped by
-        evaluation scope (:meth:`SearchCell.scope`) and cut into chunks
-        of at most ``batch_size`` candidates (``None`` means
+        evaluation scope (:meth:`SearchCell.scope`) and each group is
+        spread over the engine's worker slots (``jobs``): ``n`` misses
+        run in chunks of ``min(batch_size, ceil(n / jobs))``
+        candidates, ``batch_size`` ``None`` meaning
         :data:`~repro.search.evaluator.SEARCH_BATCH`, the only width
-        the library itself asks for).  A chunk runs as one
+        the library itself asks for.  At ``jobs == 1`` a generation of
+        up to that width is one chunk; at ``jobs == 2`` 8 candidates
+        run as two chunks of 4 and 40 as 20 + 20.  A chunk runs as one
         :class:`SearchBatchCell` task, a chunk of one as its own
         :class:`SearchCell`; a failed batch splits into single
         candidates.
         """
         width = batch_size or _evaluator.SEARCH_BATCH
-        return self._resolve(cells, label,
-                             lambda misses: _search_tasks(misses, width))
+        return self._resolve(
+            cells, label,
+            lambda misses: _search_tasks(misses, width, self.jobs))
 
     def _resolve(self, cells: Sequence[Cell], label: str,
                  tasks_for: Callable[[List[_Miss]], List[_Task]]

@@ -15,9 +15,11 @@ independent of each other, which makes them ideal fan-out targets for
 the ``repro.exec`` engine: an evaluator built by
 :meth:`FeatureSetEvaluator.from_spec` with an ``executor`` sends each
 generation through :meth:`~repro.exec.ParallelRunner.
-run_search_batches`, whose workers run the same path and whose results
-land in the on-disk result cache.  Without an executor the evaluator
-runs in process, memoized in memory.
+run_search_batches`, which spreads it over the engine's worker slots
+(8 candidates at ``--jobs 2`` replay as two chunks of 4, side by side),
+whose workers run the same path and whose results land in the on-disk
+result cache.  Without an executor the evaluator runs in process,
+memoized in memory.
 """
 
 from __future__ import annotations
@@ -40,7 +42,9 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 #: 8 and 3.9% at 32, and wider chunks buy almost nothing more.  Every
 #: candidate's cache, sampler and tables stay resident until its chunk
 #: ends (about 4 MiB per candidate at small, 9 MiB at the paper's 2 MB
-#: LLC), so the width also bounds a generation's memory.
+#: LLC), so the width also bounds a process's memory.  The engine cuts
+#: a generation narrower than this width times its worker slots into
+#: one chunk per slot instead, so the chunks replay side by side.
 SEARCH_BATCH = 32
 
 
@@ -49,16 +53,18 @@ class FeatureSetEvaluator:
 
     def __init__(
         self,
-        segments: Sequence[Segment],
+        segments: Optional[Sequence[Segment]],
         hierarchy: HierarchyConfig,
         base_config: Optional[MPPPBConfig] = None,
         warmup_fraction: float = 0.25,
         prefetch: bool = True,
         stage1_store=None,
     ) -> None:
-        if not segments:
+        """``segments`` ``None`` leaves them to :meth:`from_spec`'s
+        recipe, built on first read of :attr:`segments`."""
+        if segments is not None and not segments:
             raise ValueError("evaluator needs at least one segment")
-        self.segments = list(segments)
+        self._segments = None if segments is None else list(segments)
         self.hierarchy = hierarchy
         self.base_config = base_config
         self.warmup_fraction = warmup_fraction
@@ -68,7 +74,7 @@ class FeatureSetEvaluator:
             stage1_store=stage1_store,
         )
         # Set by from_spec: the engine generations fan out over and the
-        # recipe its workers rebuild the segments from.
+        # recipe the workers, and a first read of segments, build from.
         self.executor: Optional["ParallelRunner"] = None
         self.spec: Optional["SuiteSpec"] = None
         self.evaluations = 0
@@ -76,6 +82,14 @@ class FeatureSetEvaluator:
         # Telemetry: evaluate_many calls are the search's generations
         # (one per random-search round or hill-climb neighborhood).
         self._generation = 0
+
+    @property
+    def segments(self) -> List[Segment]:
+        """The workload segments, built from :attr:`spec` on first read
+        when the evaluator came from :meth:`from_spec`."""
+        if self._segments is None:
+            self._segments = self.spec.build()
+        return self._segments
 
     @classmethod
     def from_spec(
@@ -89,9 +103,16 @@ class FeatureSetEvaluator:
     ) -> "FeatureSetEvaluator":
         """Build from a deterministic segment recipe so evaluations can
         be fanned out to worker processes (which rebuild identical
-        segments from the spec) and cached on disk."""
+        segments from the spec) and cached on disk.
+
+        Only :meth:`baseline_mpki` and an executor-less evaluation read
+        the segments, so they are built on first use: a search whose
+        generations all go to ``executor`` synthesizes no trace here.
+        """
+        if not spec.segment_names():
+            raise ValueError("evaluator needs at least one segment")
         evaluator = cls(
-            spec.build(),
+            None,
             hierarchy,
             base_config=base_config,
             warmup_fraction=warmup_fraction,

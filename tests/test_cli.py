@@ -56,7 +56,8 @@ class TestExecution:
 
     def test_compare_runs_tiny(self, capsys):
         code = main(["compare", "--benchmarks", "gamess",
-                     "--policies", "lru", "min", "--scale", "tiny"])
+                     "--policies", "lru", "min", "--scale", "tiny",
+                     "--cache-dir", "off"])
         assert code == 0
         out = capsys.readouterr().out
         assert "gamess" in out
@@ -64,7 +65,7 @@ class TestExecution:
 
     def test_mix_without_lru_prints_raw(self, capsys):
         code = main(["mix", "--mixes", "2", "--policies", "srrip",
-                     "--scale", "tiny"])
+                     "--scale", "tiny", "--cache-dir", "off"])
         assert code == 0
         assert "raw weighted speedups" in capsys.readouterr().out
 

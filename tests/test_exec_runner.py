@@ -184,6 +184,32 @@ class TestSearchCells:
         [value] = ParallelRunner(jobs=1, store=None).run([cell])
         assert value > 0
 
+    def test_from_spec_builds_segments_on_first_use(self, monkeypatch):
+        """An engine-backed search synthesizes no trace in the caller;
+        baseline_mpki then builds the segments, to the eager value."""
+        from repro.search import random_search
+
+        lru = policy_factory("lru")
+        eager = FeatureSetEvaluator(self.SPEC.build(), TINY.hierarchy,
+                                    warmup_fraction=TINY.warmup_fraction)
+        built = []
+        build = TraceSpec.build
+
+        def spy(spec):
+            built.append(spec.benchmark)
+            return build(spec)
+
+        # Forked workers inherit the spy, but record into their own
+        # copy of ``built``: only the parent's syntheses land here.
+        monkeypatch.setattr(TraceSpec, "build", spy)
+        lazy = FeatureSetEvaluator.from_spec(
+            self.SPEC, TINY.hierarchy, warmup_fraction=TINY.warmup_fraction,
+            executor=ParallelRunner(jobs=2, store=None))
+        random_search(lazy, 4, seed=7)
+        assert built == []
+        assert lazy.baseline_mpki(lru) == eager.baseline_mpki(lru)
+        assert built == ["gamess"]
+
     def test_evaluate_many_dedups_duplicates(self):
         plain = FeatureSetEvaluator.from_spec(self.SPEC, TINY.hierarchy,
                                               warmup_fraction=TINY.warmup_fraction)
@@ -295,6 +321,81 @@ class TestSearchBatches:
         parallel = ParallelRunner(jobs=2, store=None).run_search_batches(
             cells, batch_size=2)
         assert parallel == serial
+
+    @pytest.mark.parametrize("n, slots, widths", [
+        (8, 1, [8]),
+        (8, 2, [4, 4]),
+        (9, 2, [5, 4]),
+        (40, 1, [32, 8]),
+        (40, 2, [20, 20]),
+        (70, 2, [32, 32, 6]),
+        (3, 4, [1, 1, 1]),
+    ])
+    def test_chunks_spread_over_slots(self, n, slots, widths):
+        """n misses cut into fill-first chunks of
+        min(SEARCH_BATCH, ceil(n / slots))."""
+        from repro.exec.cachekey import stable_hash
+        from repro.exec.runner import _search_tasks
+
+        misses = [(index, stable_hash(cell.key_payload()), cell)
+                  for index, cell in enumerate(self._cells(k=n))]
+        tasks = _search_tasks(misses, evaluator_mod.SEARCH_BATCH, slots)
+        assert [len(task.context) for task in tasks] == widths
+        assert [miss for task in tasks for miss in task.context] == misses
+        assert [task.cell.kind for task in tasks] == [
+            "search-batch" if width > 1 else "search" for width in widths]
+
+    def test_each_scope_spreads_on_its_own(self):
+        from dataclasses import replace
+
+        from repro.exec.cachekey import stable_hash
+        from repro.exec.runner import _search_tasks
+
+        cells = self._cells(k=6)
+        cells[3:] = [replace(cell, prefetch=False) for cell in cells[3:]]
+        misses = [(index, stable_hash(cell.key_payload()), cell)
+                  for index, cell in enumerate(cells)]
+        tasks = _search_tasks(misses, evaluator_mod.SEARCH_BATCH, 2)
+        assert [[index for index, _, _ in task.context]
+                for task in tasks] == [[0, 1], [2], [3, 4], [5]]
+
+    def test_generation_spreads_over_worker_slots(self):
+        cells = self._cells(k=8)
+        self._clear_memos()
+        serial = ParallelRunner(jobs=1, store=None)
+        expected = serial.run_search_batches(cells)
+        assert serial.last_report.batches == 1
+        self._clear_memos()
+        engine = ParallelRunner(jobs=2, store=None)
+        assert engine.run_search_batches(cells) == expected
+        assert engine.last_report.batches == 2
+        assert engine.last_report.batched == 8
+
+    def test_narrow_generation_runs_as_single_cells(self):
+        cells = self._cells(k=3)
+        self._clear_memos()
+        expected = ParallelRunner(jobs=1, store=None).run(cells)
+        self._clear_memos()
+        engine = ParallelRunner(jobs=4, store=None)
+        assert engine.run_search_batches(cells) == expected
+        # Three misses and no batch: three single search cells.
+        assert engine.last_report.misses == 3
+        assert engine.last_report.batches == 0
+
+    def test_split_results_serve_plain_run(self, tmp_path):
+        from repro.exec.store import ResultStore
+
+        cells = self._cells(k=8)
+        store = ResultStore(tmp_path / "cache")
+        self._clear_memos()
+        engine = ParallelRunner(jobs=2, store=store)
+        values = engine.run_search_batches(cells)
+        assert engine.last_report.batches == 2
+        self._clear_memos()
+        warm = ParallelRunner(jobs=1, store=store)
+        assert warm.run(cells) == values
+        assert warm.last_report.hits == len(cells)
+        assert warm.last_report.misses == 0
 
 
 class TestReport:
