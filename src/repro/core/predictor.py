@@ -52,10 +52,6 @@ class MultiperspectivePredictor(ReusePredictor):
         self._weights: List[List[int]] = [t.weights for t in self.tables]
 
     @property
-    def num_features(self) -> int:
-        return len(self.features)
-
-    @property
     def confidence_range(self) -> float:
         return float(CONFIDENCE_MAX)
 

@@ -27,7 +27,6 @@ from repro.exec.faults import (
 from repro.exec.manifest import RunManifest, list_runs
 from repro.exec.progress import CellOutcome, ExecReport
 from repro.exec.runner import (
-    MaterializeCell,
     MixCell,
     ParallelRunner,
     SearchBatchCell,
@@ -62,7 +61,6 @@ __all__ = [
     "list_runs",
     "CellOutcome",
     "ExecReport",
-    "MaterializeCell",
     "MixCell",
     "ParallelRunner",
     "SearchBatchCell",

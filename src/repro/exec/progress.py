@@ -74,15 +74,15 @@ class ExecReport:
     # Batch-plan accounting (zero with no artifact store):
     # ``graph_nodes`` distinct trace/Stage-1 inputs of the batch's
     # misses, ``graph_loads``/``graph_computes`` those the store
-    # holds/lacks, ``graph_shared`` inputs used by more than one cell,
-    # and ``graph_prelude`` the materialize tasks run ahead of the
-    # cell wave.
+    # holds/lacks, and ``graph_shared`` inputs used by more than one
+    # cell.
     graph_nodes: int = 0
     graph_loads: int = 0
     graph_computes: int = 0
     graph_shared: int = 0
-    # Always 0: the plan never denies a load.  Kept because
-    # benchmarks/e2e/one_pass.py sums it into ``graph.denied``.
+    # Always 0: nothing denies a load or runs ahead of the cells.  Kept
+    # because benchmarks/e2e/one_pass.py sums them into
+    # ``graph.denied`` and ``graph.prelude``.
     graph_denied: int = 0
     graph_prelude: int = 0
     # Distributed-mesh accounting: which transport drove the batch
@@ -194,8 +194,6 @@ class ExecReport:
                 f"load={self.graph_loads} compute={self.graph_computes} "
                 f"shared={self.graph_shared}"
             )
-            if self.graph_prelude:
-                line += f" prelude={self.graph_prelude}"
         if (self.failed or self.retries or self.timeouts or self.requeued
                 or self.pool_rebuilds):
             line += (

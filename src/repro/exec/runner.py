@@ -313,15 +313,13 @@ def _runner_key(kind: str, hierarchy: HierarchyConfig,
     })
 
 
-def _stage1_store(artifacts: Optional[ArtifactCache], llc_bytes: int,
-                  accesses: int, seed: int, hierarchy: HierarchyConfig,
-                  prefetch: bool, scope_overrides=None):
+def _stage1_store(artifacts: Optional[ArtifactCache], scope: Dict[str, Any],
+                  hierarchy: HierarchyConfig, prefetch: bool,
+                  scope_overrides=None):
     if artifacts is None:
         return None
-    return artifacts.stage1_store(
-        scope_payload(llc_bytes, accesses, seed), hierarchy, prefetch,
-        scope_overrides=scope_overrides,
-    )
+    return artifacts.stage1_store(scope, hierarchy, prefetch,
+                                  scope_overrides=scope_overrides)
 
 
 def _single_runner(hierarchy: HierarchyConfig, timing: Optional[TimingConfig],
@@ -332,15 +330,11 @@ def _single_runner(hierarchy: HierarchyConfig, timing: Optional[TimingConfig],
                       spec.scope(), root)
     runner = _RUNNERS.get(key)
     if runner is None:
-        overrides = (None if spec.ingest is None
-                     else {spec.ingest.name: spec.stage1_scope()})
         runner = SingleThreadRunner(
             hierarchy, timing=timing, prefetch=prefetch,
             warmup_fraction=warmup_fraction,
-            stage1_store=_stage1_store(artifacts, spec.llc_bytes,
-                                       spec.accesses, spec.seed,
-                                       hierarchy, prefetch,
-                                       scope_overrides=overrides),
+            stage1_store=_stage1_store(artifacts, spec.stage1_scope(),
+                                       hierarchy, prefetch),
         )
         _RUNNERS[key] = runner
     return runner
@@ -357,10 +351,10 @@ def _multi_runner(hierarchy: HierarchyConfig, timing: Optional[TimingConfig],
         runner = MultiProgrammedRunner(
             hierarchy, timing=timing, prefetch=prefetch,
             warmup_fraction=warmup_fraction,
-            stage1_store=_stage1_store(artifacts, suite.llc_bytes,
-                                       suite.accesses, suite.seed,
-                                       hierarchy, prefetch,
-                                       scope_overrides=suite.scope_overrides()),
+            stage1_store=_stage1_store(
+                artifacts, scope_payload(suite.llc_bytes, suite.accesses,
+                                         suite.seed),
+                hierarchy, prefetch, suite.scope_overrides()),
         )
         _RUNNERS[key] = runner
     return runner
@@ -379,10 +373,10 @@ def _search_evaluator(cell: Union[SearchCell, SearchBatchCell],
             _suite_segments(suite, artifacts), cell.hierarchy,
             base_config=cell.base_config,
             warmup_fraction=cell.warmup_fraction, prefetch=cell.prefetch,
-            stage1_store=_stage1_store(artifacts, suite.llc_bytes,
-                                       suite.accesses, suite.seed,
-                                       cell.hierarchy, cell.prefetch,
-                                       scope_overrides=suite.scope_overrides()),
+            stage1_store=_stage1_store(
+                artifacts, scope_payload(suite.llc_bytes, suite.accesses,
+                                         suite.seed),
+                cell.hierarchy, cell.prefetch, suite.scope_overrides()),
         )
         _RUNNERS[key] = evaluator
     return evaluator
@@ -595,58 +589,7 @@ class SearchBatchCell:
         return [float(value) for value in payload]
 
 
-@dataclass(frozen=True)
-class MaterializeCell:
-    """Prelude task: materialize shared trace/Stage-1 artifacts once.
-
-    The runner runs these *before* the cell wave so an input shared by
-    K cells is computed exactly once and every dependent cell loads
-    it, instead of the first K workers racing to recompute it.
-    Produces no result — its output is the artifact-store side effect.
-    Failures are benign: the artifact cache self-heals, so dependent
-    cells just recompute what the prelude failed to materialize.
-    """
-
-    trace: TraceSpec
-    segment_names: Tuple[str, ...]
-    hierarchy: HierarchyConfig
-    prefetch: bool = True
-
-    kind: ClassVar[str] = "materialize"
-
-    def label(self) -> str:
-        return f"graph/{self.trace.benchmark}"
-
-    def key_payload(self) -> Dict[str, Any]:
-        """Identity payload (task seeding); never used as a store key."""
-        return {
-            "schema": SCHEMA_VERSION,
-            "kind": self.kind,
-            "trace": self.trace.payload(),
-            "segments": list(self.segment_names),
-            "hierarchy": hierarchy_payload(self.hierarchy),
-            "prefetch": self.prefetch,
-        }
-
-    def run(self, artifacts: Optional[ArtifactCache] = None) -> None:
-        segments = _segments(self.trace, artifacts)
-        overrides = (None if self.trace.ingest is None
-                     else {self.trace.ingest.name: self.trace.stage1_scope()})
-        runner = SingleThreadRunner(
-            self.hierarchy, prefetch=self.prefetch,
-            stage1_store=_stage1_store(artifacts, self.trace.llc_bytes,
-                                       self.trace.accesses, self.trace.seed,
-                                       self.hierarchy, self.prefetch,
-                                       scope_overrides=overrides),
-        )
-        wanted = set(self.segment_names)
-        for segment in segments:
-            if segment.name in wanted:
-                runner.upper_result(segment)
-
-
-Cell = Union[SingleCell, MixCell, SearchCell, SearchBatchCell,
-             MaterializeCell]
+Cell = Union[SingleCell, MixCell, SearchCell, SearchBatchCell]
 
 
 def _execute_cell(cell: Cell, key: str,
@@ -706,13 +649,18 @@ _AUTO_STORE = object()
 _MISS = object()
 
 
+#: A store miss: (position in the drive's cell list, store key, cell).
+_Miss = Tuple[int, str, Cell]
+
+
 @dataclass
 class _Task:
-    """One unit of fan-out work: a cell, its key, and caller context."""
+    """One unit of fan-out work: a cell, its key, and the chunk of
+    store misses its result settles."""
 
     cell: Cell
     key: str
-    context: Any = None
+    context: List[_Miss]
     attempt: int = 1
     started: float = 0.0  # monotonic submit time (watchdog deadline)
 
@@ -728,10 +676,6 @@ class _DriveStats:
     rebuilds: int = 0
     hb_lost: int = 0     # workers declared lost by the heartbeat timeout
     abort: Optional[CellFailure] = None  # set in on_error="raise" mode
-
-
-#: A store miss: (position in the drive's cell list, store key, cell).
-_Miss = Tuple[int, str, Cell]
 
 
 def _one_task_per_miss(misses: Sequence[_Miss]) -> List[_Task]:
@@ -951,8 +895,7 @@ class ParallelRunner:
         artifact_counts: Dict[str, int] = {}
         stats = _DriveStats()
         plan = active_plan()
-        graph = self._schedule([(cell, key) for _, key, cell in misses],
-                               sink, artifact_counts, stats)
+        graph = self._schedule([(cell, key) for _, key, cell in misses])
         batches = 0
         batched = 0
 
@@ -996,7 +939,7 @@ class ParallelRunner:
             return _one_task_per_miss(chunk)
 
         try:
-            self._drive(tasks_for(misses), stats, settle, fail, split=split)
+            self._drive(tasks_for(misses), stats, settle, fail, split)
         finally:
             self._finish_report(outcomes, started, label, artifact_counts,
                                 stats, planned=len(cells),
@@ -1039,7 +982,6 @@ class ParallelRunner:
             "exec/graph-loads": report.graph_loads,
             "exec/graph-computes": report.graph_computes,
             "exec/graph-shared": report.graph_shared,
-            "exec/graph-prelude": report.graph_prelude,
             "exec/store-shared-hits": report.store_shared_hits,
             "exec/store-shared-fills": report.store_shared_fills,
             "exec/heartbeat-lost": report.hb_lost,
@@ -1106,73 +1048,26 @@ class ParallelRunner:
             return None
         return self.last_events_path
 
-    # -- batch dedupe and prelude -------------------------------------------
+    # -- batch input counters -----------------------------------------------
 
-    def _schedule(self, items: Sequence[Tuple[Cell, str]],
-                  sink: List[Tuple[str, str, Optional[Dict[str, Any]]]],
-                  artifact_counts: Dict[str, int],
-                  stats: _DriveStats) -> Optional[Dict[str, int]]:
-        """Dedupe this batch's shared inputs and materialize them first.
+    def _schedule(self, items: Sequence[Tuple[Cell, str]]
+                  ) -> Optional[Dict[str, int]]:
+        """Count the trace and Stage-1 inputs this batch's misses share.
 
-        :func:`~repro.graph.plan_cells` counts the trace and Stage-1
-        inputs the miss cells share and picks the prelude (shared
-        inputs the store does not hold yet), which runs here as one
-        wave of :class:`MaterializeCell` tasks.  Returns the plan
-        counters for the report, or ``None`` when there is nothing to
-        plan or no artifact store is attached.  Planning failures
-        degrade to the unplanned path — the plan decides where bytes
-        come from, never whether a run completes.
+        :func:`~repro.graph.plan_cells` counts against the artifact
+        store the workers read (``artifact_root``), which need not be
+        the result store.  Returns the counters for the report, or
+        ``None`` when there is nothing to count, no artifact store is
+        attached or counting fails — the counters describe a run,
+        never decide whether it completes.
         """
         if not items or self.artifact_root is None:
             return None
         try:
-            plan = plan_cells(items, make_store(self.artifact_root,
+            return plan_cells(items, make_store(self.artifact_root,
                                                 self.shared_root))
         except Exception:
             return None
-        if plan.prelude:
-            self._run_prelude(plan.prelude, sink, artifact_counts, stats)
-        return dict(plan.counts, prelude=len(plan.prelude))
-
-    def _run_prelude(self, groups,
-                     sink: List[Tuple[str, str, Optional[Dict[str, Any]]]],
-                     artifact_counts: Dict[str, int],
-                     stats: _DriveStats) -> None:
-        """Materialize shared artifacts once, ahead of the cell wave.
-
-        Rides the same fault-tolerant drive as real cells (retries,
-        pool recovery, watchdog), but failures are non-fatal and kept
-        out of the batch's failure list: a prelude loss just means the
-        dependent cells recompute the artifact themselves.
-        """
-        cells = [MaterializeCell(trace=group.trace,
-                                 segment_names=group.segments,
-                                 hierarchy=group.hierarchy,
-                                 prefetch=group.prefetch)
-                 for group in groups]
-        tasks = [_Task(cell, stable_hash(cell.key_payload()), index)
-                 for index, cell in enumerate(cells)]
-        pstats = _DriveStats()
-
-        def settle(task: _Task, result: Any, seconds: float,
-                   delta: Dict[str, int],
-                   tele: Optional[Dict[str, Any]]) -> None:
-            _merge_counts(artifact_counts, delta)
-            if tele is not None:
-                sink.append((task.key, task.cell.label(), tele))
-
-        def fail(task: _Task, failure: CellFailure) -> None:
-            pass
-
-        try:
-            self._drive(tasks, pstats, settle, fail)
-        except CellExecutionError:
-            pass  # non-fatal by design; cells self-heal
-        stats.retries += pstats.retries
-        stats.timeouts += pstats.timeouts
-        stats.requeued += pstats.requeued
-        stats.rebuilds += pstats.rebuilds
-        stats.hb_lost += pstats.hb_lost
 
     # -- shared fault-tolerant drive machinery ------------------------------
 
@@ -1273,7 +1168,6 @@ class ParallelRunner:
             graph_loads=graph.get("loads", 0),
             graph_computes=graph.get("computes", 0),
             graph_shared=graph.get("shared", 0),
-            graph_prelude=graph.get("prelude", 0),
             backend=self.backend_name,
             store_shared_hits=shared_hits,
             store_shared_fills=shared_fills,
@@ -1287,8 +1181,7 @@ class ParallelRunner:
     def _drive(self, tasks: Sequence[_Task], stats: _DriveStats,
                settle: Callable[[_Task, Any, float, Dict[str, int]], None],
                fail: Callable[[_Task, CellFailure], None],
-               split: Optional[Callable[[_Task], Optional[List[_Task]]]]
-               = None) -> None:
+               split: Callable[[_Task], Optional[List[_Task]]]) -> None:
         """Execute ``tasks`` with isolation, retries, and recovery."""
         queue: Deque[_Task] = deque(tasks)
         workers = min(self.jobs, len(queue))
@@ -1464,12 +1357,11 @@ class ParallelRunner:
             task.attempt += 1
             queue.append(task)
             return
-        if split is not None:
-            replacements = split(task)
-            if replacements:
-                stats.requeued += len(replacements)
-                queue.extend(replacements)
-                return
+        replacements = split(task)
+        if replacements:
+            stats.requeued += len(replacements)
+            queue.extend(replacements)
+            return
         seconds = self.cell_timeout or 0.0 if kind == "timeout" else 0.0
         failure = make_failure(task.cell.label(), task.key, exc, kind,
                                attempts=task.attempt, seconds=seconds)

@@ -133,14 +133,6 @@ class LLCStats:
     demand_hits: int = 0
     demand_misses: int = 0
 
-    @property
-    def miss_ratio(self) -> float:
-        return self.misses / self.accesses if self.accesses else 0.0
-
-    @property
-    def demand_miss_ratio(self) -> float:
-        return self.demand_misses / self.demand_accesses if self.demand_accesses else 0.0
-
 
 @dataclass
 class LLCResult:

@@ -1,11 +1,11 @@
-"""Batch dedupe and prelude (repro.graph).
+"""Batch input counters (repro.graph).
 
 Covers the planner's lowering of real cells — consumer counts per
-trace and Stage-1 input, loads versus computes against the store, and
-the prelude it picks for single, mix and search cells — plus the
-end-to-end execution contracts: shared Stage-1 inputs compute exactly
-once, and corrupt or truncated blobs degrade to misses (the full
-pinned-hash matrix lives in test_determinism.py).
+trace and Stage-1 input, loads versus computes against the store, for
+single, mix and search cells — plus the engine contracts: the counts
+read the artifact store the workers read, and corrupt or truncated
+blobs degrade to misses (the full pinned-hash matrix lives in
+test_determinism.py).
 """
 
 import dataclasses
@@ -66,43 +66,38 @@ def _result_hash(cells, results):
 class TestPlanner:
     def test_shared_nodes_deduplicated(self, tmp_path):
         store = ResultStore(tmp_path / "cache")
-        plan = plan_cells(_items(_cells()), store)
+        counts = plan_cells(_items(_cells()), store)
         names = segment_names("gamess")
         # One trace + one stage1 node per segment, regardless of the
         # number of policies sharing them; every one has all of the
         # policies as consumers.
-        assert plan.counts["nodes"] == 1 + len(names)
-        assert plan.counts["shared"] == 1 + len(names)
-        # Cold store: everything computes, shared nodes join the prelude.
-        assert plan.counts["computes"] == plan.counts["nodes"]
-        assert plan.counts["loads"] == 0
-        assert len(plan.prelude) == 1
-        assert plan.prelude[0].segments == tuple(sorted(names))
+        assert counts["nodes"] == 1 + len(names)
+        assert counts["shared"] == 1 + len(names)
+        # Cold store: everything computes.
+        assert counts["computes"] == counts["nodes"]
+        assert counts["loads"] == 0
 
     def test_disjoint_benchmarks_not_shared(self, tmp_path):
         store = ResultStore(tmp_path / "cache")
         cells = _cells("gamess", ("lru",)) + _cells("soplex", ("lru",))
-        plan = plan_cells(_items(cells), store)
-        assert plan.counts["shared"] == 0
-        assert plan.prelude == ()
+        counts = plan_cells(_items(cells), store)
+        assert counts["shared"] == 0
 
     def test_materialized_blobs_load_with_default_costs(self, tmp_path):
-        """Inputs the store already holds count as loads and never
-        join the prelude, however many cells share them."""
+        """Inputs the store already holds count as loads, however many
+        cells share them."""
         _clear_memos()  # the seed run must write to *this* store
         store = ResultStore(tmp_path / "cache")
         engine = ParallelRunner(jobs=1, store=store, verbose=False)
         engine.run(_cells(), label="seed")
-        plan = plan_cells(_items(_cells(policies=("drrip", "ship"))), store)
-        assert plan.counts["loads"] == plan.counts["nodes"] > 0
-        assert plan.counts["computes"] == 0
-        assert plan.counts["shared"] == plan.counts["nodes"]
-        assert plan.prelude == ()
+        counts = plan_cells(_items(_cells(policies=("drrip", "ship"))), store)
+        assert counts["loads"] == counts["nodes"] > 0
+        assert counts["computes"] == 0
+        assert counts["shared"] == counts["nodes"]
 
     def test_mix_cells_share_the_trace_but_not_stage1(self, tmp_path):
         """Two mixes drawing different segments of one benchmark need
-        the same trace and disjoint Stage-1 inputs: the prelude builds
-        the trace alone."""
+        the same trace and disjoint Stage-1 inputs."""
         store = ResultStore(tmp_path / "cache")
         suite = SuiteSpec(TINY.hierarchy.llc_bytes, ACCESSES)
         names = segment_names("soplex")
@@ -114,12 +109,9 @@ class TestPlanner:
                     warmup_fraction=TINY.warmup_fraction)
             for name in names[:2]
         ]
-        plan = plan_cells(_items(cells), store)
-        assert plan.counts["nodes"] == 3  # one trace, two Stage-1 keys
-        assert plan.counts["shared"] == 1
-        [group] = plan.prelude
-        assert group.trace == suite.trace_spec("soplex")
-        assert group.segments == ()
+        counts = plan_cells(_items(cells), store)
+        assert counts["nodes"] == 3  # one trace, two Stage-1 keys
+        assert counts["shared"] == 1
 
     def test_search_cells_share_every_input(self, tmp_path):
         store = ResultStore(tmp_path / "cache")
@@ -133,36 +125,37 @@ class TestPlanner:
             for size in (len(features), len(features) - 1,
                          len(features) - 2)
         ]
-        plan = plan_cells(_items(cells), store)
+        counts = plan_cells(_items(cells), store)
         benchmarks = ("gamess", "soplex")
         nodes = sum(1 + len(segment_names(name)) for name in benchmarks)
-        assert plan.counts["nodes"] == plan.counts["shared"] == nodes
-        assert plan.counts["computes"] == nodes
-        # One prelude group per benchmark, holding all of its segments.
-        assert len(plan.prelude) == len(benchmarks)
-        assert {group.trace.benchmark: group.segments
-                for group in plan.prelude} == {
-            name: tuple(sorted(segment_names(name))) for name in benchmarks}
+        assert counts["nodes"] == counts["shared"] == nodes
+        assert counts["computes"] == nodes
 
 
 # -- end-to-end execution contracts ----------------------------------------
 
 
 class TestGraphExecution:
-    def test_shared_stage1_computes_exactly_once(self, tmp_path):
+    def test_counts_read_the_artifact_store(self, tmp_path):
+        """An engine whose results go to a fresh store B while its
+        artifacts come from a store A filled by a cold drive (the e2e
+        warm pass) counts every input as a load from A."""
         _clear_memos()
-        store = ResultStore(tmp_path / "cache")
-        engine = ParallelRunner(jobs=2, store=store, verbose=False)
         cells = _cells()
-        engine.run(cells, label="graph/once")
-        report = engine.last_report
-        names = segment_names("gamess")
-        # The prelude materializes each shared Stage-1 node exactly
-        # once; every consumer cell then hits the store.
-        assert report.stage1_misses == len(names)
-        assert report.stage1_hits >= len(names)
-        assert report.graph_shared == 1 + len(names)
-        assert report.graph_prelude == 1
+        cold = ParallelRunner(jobs=1, store=ResultStore(tmp_path / "a"),
+                              verbose=False)
+        cold.run(cells, label="cold")
+        assert cold.last_report.graph_computes == \
+            cold.last_report.graph_nodes > 0
+        _clear_memos()
+        warm = ParallelRunner(jobs=1, store=ResultStore(tmp_path / "b"),
+                              verbose=False)
+        warm.artifact_root = str(tmp_path / "a")
+        warm.run(cells, label="warm")
+        report = warm.last_report
+        assert report.hits == 0
+        assert report.graph_loads == report.graph_nodes > 0
+        assert report.graph_computes == 0
 
     @pytest.mark.parametrize("damage", ["truncate", "corrupt"])
     def test_damaged_stage1_blob_is_a_miss(self, damage, tmp_path):

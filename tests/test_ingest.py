@@ -309,7 +309,7 @@ class TestExecIntegration:
         store = ResultStore(tmp_path / "cache")
         items = [(cell, stable_hash(cell.key_payload()))]
         nodes = 1 + len(cell.trace.segment_names())
-        assert plan_cells(items, store).counts == {
+        assert plan_cells(items, store) == {
             "nodes": nodes, "loads": 0, "computes": nodes, "shared": 0}
         tkey = trace_key(cell.trace.payload())
         skey = stage1_key(ingest_scope(cell.trace.ingest.payload()),
@@ -317,4 +317,4 @@ class TestExecIntegration:
                           cell.prefetch)
         store.put_bytes(tkey, b"trace")
         store.put_bytes(skey, b"stage1")
-        assert plan_cells(items, store).counts["loads"] == 2
+        assert plan_cells(items, store)["loads"] == 2

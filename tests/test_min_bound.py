@@ -18,7 +18,9 @@ config; its three presets are in) then replays random LLC streams at
 the runners take, on both Stage-2 legs: the columnar kernel and
 ``REPRO_STAGE2_KERNEL=off``'s ``LLCSimulator`` reference.  Misses
 count every access, prefetches and writes included, which is the
-quantity MIN minimizes.
+quantity MIN minimizes.  The same two checks then run on the Stage-1
+LLC stream of an ingested text trace at the tiny LLC geometry, kernel-
+space PCs (at or above 2**63) included.
 """
 
 import math
@@ -29,9 +31,12 @@ from unittest import mock
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.config import TINY
 from repro.policies import make_policy, policy_names
+from repro.sim.hierarchy import UpperLevels
 from repro.sim.llc import LLCAccess
 from repro.sim.single import replay_segment
+from repro.traces.ingest import resolve_ingest
 
 SETS, WAYS = 4, 16
 POLICIES = [name for name in policy_names() if name not in ("mpppb", "min")]
@@ -100,9 +105,9 @@ def test_opt_by_hand():
     assert opt_misses([0, 1, 0, 1], 1, 1) == 3
 
 
-def _misses(name, stream, pcs, ways=WAYS):
-    policy = make_policy(name, SETS, ways)
-    return replay_segment(SETS * ways * 64, ways, policy, 64, stream, pcs,
+def _misses(name, stream, pcs, ways=WAYS, sets=SETS):
+    policy = make_policy(name, sets, ways)
+    return replay_segment(sets * ways * 64, ways, policy, 64, stream, pcs,
                           0).stats.misses
 
 
@@ -124,4 +129,42 @@ def test_min_never_misses_more(kernel, picked):
         bound = _misses("min", stream, pcs)
         below = {name: misses for name in POLICIES
                  if (misses := _misses(name, stream, pcs)) < bound}
+    assert not below, f"below MIN's {bound} misses: {below}"
+
+
+def _write_text_trace(path, records=6_000):
+    """A text trace shaped like CI's ingest fixture: an LCG draws every
+    field and every third PC is a kernel-space one (at or above 2**63).
+    Half the accesses go to a hot pool of 512 blocks, half of the LLC's
+    capacity at tiny, the rest to 4096 blocks, four times it."""
+    state, lines = 0x2017, []
+    for i in range(records):
+        state = (state * 6364136223846793005
+                 + 1442695040888963407) % (1 << 64)
+        base = 0xffffffff81000000 if i % 3 == 0 else 0x400
+        pc = base + 4 * (state % 97)
+        pool = 512 if state >> 63 else 4096
+        addr = 0x10000 + 64 * ((state >> 16) % pool)
+        rw = "w" if state % 5 == 0 else "r"
+        lines.append(f"0x{pc:x} 0x{addr:x} {rw} {state % 3}")
+    path.write_text("\n".join(lines) + "\n")
+
+
+@pytest.mark.parametrize("kernel", ["on", "off"])
+def test_min_bounds_an_ingested_stream(kernel, tmp_path):
+    path = tmp_path / "fixture.trace"
+    _write_text_trace(path)
+    [segment] = resolve_ingest(str(path), accesses=6_000).build()
+    assert max(segment.trace.pcs) >= 1 << 63
+    hierarchy = TINY.hierarchy
+    stream = UpperLevels(hierarchy).run(segment.trace).llc_stream
+    pcs = segment.trace.pcs
+    ways = hierarchy.llc_ways
+    sets = hierarchy.llc_bytes // (ways * hierarchy.block_bytes)
+    with mock.patch.dict(os.environ, {"REPRO_STAGE2_KERNEL": kernel}):
+        bound = _misses("min", stream, pcs, ways, sets)
+        below = {name: misses for name in POLICIES
+                 if (misses := _misses(name, stream, pcs, ways, sets))
+                 < bound}
+    assert bound == opt_misses(stream.block.tolist(), sets, ways)
     assert not below, f"below MIN's {bound} misses: {below}"
