@@ -357,200 +357,6 @@ class OffsetFeature(Feature):
         return self._xor_wrap(lambda ctx: (ctx.offset >> lo) & mask)
 
 
-# Fused index functions are pure functions of the feature tuple, and a
-# multi-benchmark compare constructs the same policy once per cell —
-# memoizing skips the repeated exec/compile.  Bounded: the feature
-# search churns through many random sets.
-_FUSED_CACHE: dict = {}
-
-
-def _fold_into(bits: int, cache: dict) -> Callable[[int], int]:
-    """Fold a sliced value to ``bits`` and memoize it in ``cache``.
-
-    The slow path of the inline slice-and-fold sequence emitted by
-    :func:`compile_fused`; mirrors :func:`_slice_and_fold` exactly so
-    the fused function stays bit-identical to :meth:`Feature.compile`.
-    """
-    fold_mask = (1 << bits) - 1
-
-    def fold(sliced: int) -> int:
-        key = sliced
-        folded = 0
-        while sliced:
-            folded ^= sliced & fold_mask
-            sliced >>= bits
-        if len(cache) > 1 << 16:
-            cache.clear()
-        cache[key] = folded
-        return folded
-
-    return fold
-
-
-def compile_fused(features: Sequence[Feature]) -> Callable[[AccessContext], list]:
-    """Fuse a whole feature set into one compiled per-access index function.
-
-    :meth:`Feature.compile` produces one closure per feature, so the
-    predictor's hot loop pays 16 Python calls plus 16 repeated
-    ``ctx``-attribute loads per access.  This compiler emits a single
-    function (via ``exec``) that loads each needed ``AccessContext``
-    field exactly once, hashes the PC at most once, reuses one
-    ``history_index`` base across all pc-history depths, inlines the
-    slice-and-fold memo lookups (a dict ``get`` instead of a closure
-    call on the hot path, deduplicated across features that slice the
-    same bits), and returns the full index vector as a list literal.
-    Compiled functions are memoized per feature tuple, so repeated
-    policy construction skips the ``exec``.
-
-    The generated function is bit-identical to evaluating each
-    feature's :meth:`~Feature.compile` closure in order — a pure
-    strength reduction of that per-feature reference, enforced by
-    ``tests/test_core_features.py``.
-    """
-    cache_key = tuple(features)
-    cached = _FUSED_CACHE.get(cache_key)
-    if cached is not None:
-        return cached
-
-    prologue: list = []
-    exprs: list = []
-    env: dict = {"_hp": _hashed_pc, "_hc": _PC_HASH_CACHE}
-    needs: set = set()
-    depths: set = set()
-    extractors: dict = {}  # (source, lo, hi, bits) -> value expression
-    xor_mask = MAX_TABLE_SIZE - 1
-
-    def value_expr(source: str, begin: int, end: int, limit: int,
-                   bits: int) -> str:
-        """Slice bits [lo..hi] of ``source`` and fold to ``bits``.
-
-        Narrow slices inline to a shift-and-mask; wide slices emit a
-        memo-dict probe with :func:`_fold_into` as the miss path.
-        Identical (source, range, width) extractions are emitted once.
-        """
-        lo, hi = _normalize_range(begin, end, limit)
-        key = (source, lo, hi, bits)
-        known = extractors.get(key)
-        if known is not None:
-            return known
-        width = hi - lo + 1
-        slice_mask = (1 << width) - 1
-        if width <= bits:
-            expr = f"({source} >> {lo}) & {slice_mask}" if lo else \
-                f"{source} & {slice_mask}"
-            extractors[key] = expr
-            return expr
-        k = len(extractors)
-        memo: dict = {}
-        env[f"_g{k}"] = memo.get
-        env[f"_f{k}"] = _fold_into(bits, memo)
-        sliced = f"({source} >> {lo}) & {slice_mask}" if lo else \
-            f"{source} & {slice_mask}"
-        prologue.append(f"_s{k} = {sliced}")
-        prologue.append(f"_v{k} = _g{k}(_s{k})")
-        prologue.append(f"if _v{k} is None: _v{k} = _f{k}(_s{k})")
-        extractors[key] = f"_v{k}"
-        return f"_v{k}"
-
-    def wrap(raw: str, feature: Feature) -> str:
-        if feature.xor_pc:
-            if raw == "0":
-                return f"_h & {xor_mask}"
-            return f"(({raw}) ^ _h) & {xor_mask}"
-        if feature.table_size == 1:
-            return "0"
-        # Non-XOR values are already within the table mask: narrow
-        # slices carry at most value_bits bits and folds saturate at
-        # the fold mask, so no extra masking is emitted.
-        return raw
-
-    def head(feature: Feature) -> None:
-        """Record which prologue loads this feature's source needs."""
-        family = feature.family
-        if feature.xor_pc:
-            needs.add("pc_hash")
-        if family == "pc" and feature.depth:
-            needs.add("history")
-            depths.add(feature.depth)
-        elif family == "pc":
-            needs.add("pc")
-        elif family == "address":
-            needs.add("address")
-        elif family == "offset":
-            needs.add("offset")
-        elif family == "burst":
-            needs.add("burst")
-        elif family == "insert":
-            needs.add("insert")
-        elif family == "lastmiss":
-            needs.add("lastmiss")
-
-    # Prologue ordering: all ctx loads first, then the per-depth
-    # history values, then the extractor probes (which reference both).
-    loads: list = []
-    probes = prologue  # value_expr appends probe statements here
-    for feature in features:
-        head(feature)
-
-    if "pc" in needs or "pc_hash" in needs:
-        loads.append("_pc = ctx.pc")
-    if "pc_hash" in needs:
-        loads.append("_h = _hc.get(_pc)")
-        loads.append("if _h is None: _h = _hp(_pc)")
-    if "address" in needs:
-        loads.append("_addr = ctx.address")
-    if "offset" in needs:
-        loads.append("_off = ctx.offset")
-    if "burst" in needs:
-        loads.append("_mru = 1 if ctx.is_mru_hit else 0")
-    if "insert" in needs:
-        loads.append("_ins = 1 if ctx.is_insert else 0")
-    if "lastmiss" in needs:
-        loads.append("_lm = 1 if ctx.last_was_miss else 0")
-    if "history" in needs:
-        loads.append("_hist = ctx.pc_history")
-        loads.append("_hlen = len(_hist)")
-        loads.append("_b = ctx.history_index + (1 if ctx.is_prefetch else 0)")
-        for d in sorted(depths):
-            loads.append(f"_i{d} = _b - {d}")
-            loads.append(f"_pd{d} = _hist[_i{d}] if 0 <= _i{d} < _hlen else 0")
-
-    for feature in features:
-        family = feature.family
-        if family == "pc":
-            source = "_pc" if feature.depth == 0 else f"_pd{feature.depth}"
-            raw = value_expr(source, feature.begin, feature.end, 63,
-                             feature.value_bits)
-        elif family == "address":
-            raw = value_expr("_addr", feature.begin, feature.end, 63,
-                             feature.value_bits)
-        elif family == "offset":
-            raw = value_expr("_off", feature.begin, feature.end,
-                             BLOCK_OFFSET_BITS - 1, feature.value_bits)
-        elif family == "bias":
-            raw = "0"
-        elif family == "burst":
-            raw = "_mru"
-        elif family == "insert":
-            raw = "_ins"
-        elif family == "lastmiss":
-            raw = "_lm"
-        else:  # pragma: no cover - new families must be added here
-            raise ValueError(f"compile_fused cannot fuse family {family!r}")
-        exprs.append(wrap(raw, feature))
-
-    body = "\n    ".join(loads + probes
-                         + [f"return [{', '.join(exprs)}]"])
-    source = f"def _fused(ctx):\n    {body}\n"
-    exec(compile(source, "<fused-features>", "exec"), env)  # noqa: S102
-    fused = env["_fused"]
-    fused.__source__ = source  # aid debugging/tests
-    if len(_FUSED_CACHE) > 256:
-        _FUSED_CACHE.clear()
-    _FUSED_CACHE[cache_key] = fused
-    return fused
-
-
 _FAMILIES = {
     "pc": PCFeature,
     "address": AddressFeature,

@@ -16,7 +16,7 @@ from __future__ import annotations
 from typing import Callable, List, Sequence, Tuple
 
 from repro.cache.access import AccessContext
-from repro.core.features import Feature, compile_fused
+from repro.core.features import Feature
 from repro.core.tables import WeightTable
 from repro.predictors.base import ReusePredictor
 
@@ -40,9 +40,9 @@ class MultiperspectivePredictor(ReusePredictor):
         # The per-feature table indices for an access: the vector stored
         # in a sampler entry (Section 3.3) so training can reach the
         # exact weights that produced the block's last confidence value.
-        # One compiled call per access instead of one per feature.
-        self.indices: Callable[[AccessContext], List[int]] = compile_fused(
-            self.features)
+        index_fns = tuple(f.compile() for f in self.features)
+        self.indices: Callable[[AccessContext], List[int]] = (
+            lambda ctx: [index(ctx) for index in index_fns])
         self.associativities: Tuple[int, ...] = tuple(
             f.associativity for f in self.features
         )
@@ -71,7 +71,7 @@ class MultiperspectivePredictor(ReusePredictor):
 
         Sampler-driven training is owned by the policy/probe that also
         owns the sampler; see :class:`repro.core.mpppb.MPPPBPolicy`
-        and :class:`repro.sim.roc.RocProbe`.
+        and :class:`repro.sim.roc.TrainedMultiperspective`.
         """
         return float(self.predict(self.indices(ctx)))
 

@@ -136,8 +136,9 @@ def unpack_artifact(
 
 def scope_payload(llc_bytes: int, accesses: int, seed: int) -> Dict[str, int]:
     """Trace *generation scope*: the Stage-1 key fields shared by every
-    segment of one (suite, sizing) combination.  The runner and the
-    graph planner must hash identical scopes, so both build them here."""
+    segment of one (suite, sizing) combination, as
+    :meth:`~repro.exec.runner.TraceSpec.stage1_scope` gives it for a
+    synthetic workload."""
     return {"llc_bytes": llc_bytes, "accesses": accesses, "seed": seed}
 
 
@@ -393,17 +394,14 @@ class ArtifactCache:
         key = stage1_key(scope, segment_name, hierarchy_payload, prefetch)
         self.store.put_bytes(key, pack_upper(upper))
 
-    def stage1_store(self, scope: Dict[str, Any],
+    def stage1_store(self, scopes: Dict[str, Dict[str, Any]],
                      hierarchy: HierarchyConfig,
-                     prefetch: bool,
-                     scope_overrides: Optional[Dict[str, Dict[str, Any]]]
-                     = None) -> "Stage1ArtifactStore":
-        return Stage1ArtifactStore(self, scope, hierarchy, prefetch,
-                                   scope_overrides)
+                     prefetch: bool) -> "Stage1ArtifactStore":
+        return Stage1ArtifactStore(self, scopes, hierarchy, prefetch)
 
 
 class Stage1ArtifactStore:
-    """Per-(scope, hierarchy) adapter the simulation runners plug in.
+    """Per-(workloads, hierarchy) adapter the simulation runners plug in.
 
     :class:`~repro.sim.single.SingleThreadRunner` and
     :class:`~repro.sim.multi.MultiProgrammedRunner` consult ``load``
@@ -411,27 +409,23 @@ class Stage1ArtifactStore:
     own in-memory memoization still sits in front, so within one runner
     each segment is (de)serialized at most once.
 
-    ``scope_overrides`` maps a *workload name* (the part of a segment
-    name before the first dot) to a replacement scope — how a mixed
-    suite keys its synthetic segments by generation scope and its
-    ingested segments by content digest in one store.
+    ``scopes`` maps each *workload name* (the part of a segment name
+    before the first dot) to its Stage-1 scope,
+    :meth:`~repro.exec.runner.TraceSpec.stage1_scope`, the one the
+    graph planner keys with too: a synthetic workload's generation
+    scope, an ingested one's content digest.
     """
 
-    def __init__(self, cache: ArtifactCache, scope: Dict[str, Any],
-                 hierarchy: HierarchyConfig, prefetch: bool,
-                 scope_overrides: Optional[Dict[str, Dict[str, Any]]]
-                 = None) -> None:
+    def __init__(self, cache: ArtifactCache,
+                 scopes: Dict[str, Dict[str, Any]],
+                 hierarchy: HierarchyConfig, prefetch: bool) -> None:
         self.cache = cache
-        self.scope = scope
-        self.scope_overrides = scope_overrides or {}
+        self.scopes = scopes
         self.hierarchy_payload = dataclasses.asdict(hierarchy)
         self.prefetch = prefetch
 
     def _scope_for(self, segment_name: str) -> Dict[str, Any]:
-        if not self.scope_overrides:
-            return self.scope
-        workload = segment_name.split(".", 1)[0]
-        return self.scope_overrides.get(workload, self.scope)
+        return self.scopes[segment_name.split(".", 1)[0]]
 
     def load(self, segment: Segment) -> Optional[UpperLevelResult]:
         return self.cache.load_upper(self._scope_for(segment.name),

@@ -144,19 +144,9 @@ class TraceSpec:
             "seed": self.seed,
         }
 
-    def scope(self) -> Tuple:
-        """Key for runner reuse: specs differing only by benchmark may
-        safely share a runner's per-segment caches (segment names embed
-        the benchmark name)."""
-        if self.ingest is not None:
-            return (self.llc_bytes, self.accesses, self.seed,
-                    ["ingest", self.ingest.digest, self.ingest.format,
-                     self.ingest.skip, self.ingest.accesses,
-                     self.ingest.segments, list(self.ingest.weights)])
-        return (self.llc_bytes, self.accesses, self.seed)
-
     def stage1_scope(self) -> Dict[str, Any]:
-        """Stage-1 artifact scope for this workload's segments."""
+        """Stage-1 artifact scope for this workload's segments: the one
+        place it is decided, for the runners' stores and the planner."""
         if self.ingest is not None:
             return ingest_scope(self.ingest.payload())
         return scope_payload(self.llc_bytes, self.accesses, self.seed)
@@ -221,12 +211,10 @@ class SuiteSpec:
                                  self.seed, ingest=spec)
         return TraceSpec(benchmark, self.llc_bytes, self.accesses, self.seed)
 
-    def scope_overrides(self) -> Optional[Dict[str, Dict[str, Any]]]:
-        """Per-workload Stage-1 scope overrides for ingested entries."""
-        if not self.ingest:
-            return None
-        return {spec.name: ingest_scope(spec.payload())
-                for spec in self.ingest}
+    def stage1_scopes(self) -> Dict[str, Dict[str, Any]]:
+        """Workload name → Stage-1 artifact scope, for every workload."""
+        return {name: self.trace_spec(name).stage1_scope()
+                for name in self.workloads()}
 
     def segment_names(self) -> List[str]:
         """The names :meth:`build` gives its segments, in its order,
@@ -313,13 +301,12 @@ def _runner_key(kind: str, hierarchy: HierarchyConfig,
     })
 
 
-def _stage1_store(artifacts: Optional[ArtifactCache], scope: Dict[str, Any],
-                  hierarchy: HierarchyConfig, prefetch: bool,
-                  scope_overrides=None):
+def _stage1_store(artifacts: Optional[ArtifactCache],
+                  scopes: Dict[str, Dict[str, Any]],
+                  hierarchy: HierarchyConfig, prefetch: bool):
     if artifacts is None:
         return None
-    return artifacts.stage1_store(scope, hierarchy, prefetch,
-                                  scope_overrides=scope_overrides)
+    return artifacts.stage1_store(scopes, hierarchy, prefetch)
 
 
 def _single_runner(hierarchy: HierarchyConfig, timing: Optional[TimingConfig],
@@ -327,14 +314,15 @@ def _single_runner(hierarchy: HierarchyConfig, timing: Optional[TimingConfig],
                    artifacts: Optional[ArtifactCache]) -> SingleThreadRunner:
     root = str(artifacts.store.root) if artifacts is not None else None
     key = _runner_key("single", hierarchy, timing, prefetch, warmup_fraction,
-                      spec.scope(), root)
+                      spec.payload(), root)
     runner = _RUNNERS.get(key)
     if runner is None:
         runner = SingleThreadRunner(
             hierarchy, timing=timing, prefetch=prefetch,
             warmup_fraction=warmup_fraction,
-            stage1_store=_stage1_store(artifacts, spec.stage1_scope(),
-                                       hierarchy, prefetch),
+            stage1_store=_stage1_store(
+                artifacts, {spec.benchmark: spec.stage1_scope()},
+                hierarchy, prefetch),
         )
         _RUNNERS[key] = runner
     return runner
@@ -351,10 +339,8 @@ def _multi_runner(hierarchy: HierarchyConfig, timing: Optional[TimingConfig],
         runner = MultiProgrammedRunner(
             hierarchy, timing=timing, prefetch=prefetch,
             warmup_fraction=warmup_fraction,
-            stage1_store=_stage1_store(
-                artifacts, scope_payload(suite.llc_bytes, suite.accesses,
-                                         suite.seed),
-                hierarchy, prefetch, suite.scope_overrides()),
+            stage1_store=_stage1_store(artifacts, suite.stage1_scopes(),
+                                       hierarchy, prefetch),
         )
         _RUNNERS[key] = runner
     return runner
@@ -373,10 +359,8 @@ def _search_evaluator(cell: Union[SearchCell, SearchBatchCell],
             _suite_segments(suite, artifacts), cell.hierarchy,
             base_config=cell.base_config,
             warmup_fraction=cell.warmup_fraction, prefetch=cell.prefetch,
-            stage1_store=_stage1_store(
-                artifacts, scope_payload(suite.llc_bytes, suite.accesses,
-                                         suite.seed),
-                cell.hierarchy, cell.prefetch, suite.scope_overrides()),
+            stage1_store=_stage1_store(artifacts, suite.stage1_scopes(),
+                                       cell.hierarchy, cell.prefetch),
         )
         _RUNNERS[key] = evaluator
     return evaluator

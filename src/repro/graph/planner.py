@@ -35,7 +35,7 @@ def _cell_inputs(cell: Any) -> List[Tuple[Any, List[str]]]:
     if cell.kind == "mix":
         by_workload: Dict[str, List[str]] = {}
         for name in cell.segment_names:
-            by_workload.setdefault(name.rsplit(".", 1)[0], []).append(name)
+            by_workload.setdefault(name.split(".", 1)[0], []).append(name)
         return [(cell.suite.trace_spec(workload), names)
                 for workload, names in by_workload.items()]
     specs = [cell.suite.trace_spec(name) for name in cell.suite.workloads()]

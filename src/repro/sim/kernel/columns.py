@@ -13,9 +13,11 @@ expressions over the whole stream:
   ``uint64`` arithmetic) and the PC-history gathers.
 
 Every slot column, combined with a candidate's dynamic bits, equals
-the index :func:`repro.core.features.compile_fused` computes from the
-access's :class:`~repro.cache.access.AccessContext`;
-``tests/test_kernel.py`` pins that access by access.
+the index the :meth:`repro.core.features.Feature.compile` closures
+compute from the access's :class:`~repro.cache.access.AccessContext`;
+``tests/test_kernel.py`` pins that access by access, and
+:func:`repro.sim.roc.measure_roc` reads its multiperspective indices
+from these columns.
 :func:`lower_perceptron` and :func:`lower_hawkeye` lower the two
 baseline predictors' inputs the same way, sharing the stream decode
 and the PC-history gather.
@@ -64,7 +66,7 @@ def _slice_and_fold_array(source: "np.ndarray", lo: int, hi: int,
                           bits: int) -> "np.ndarray":
     """Vectorized ``bits[lo..hi]``-slice folded to ``bits`` wide.
 
-    The scalar fold (:func:`repro.core.features._fold_into`) XORs
+    The scalar fold (:func:`repro.core.features._slice_and_fold`) XORs
     ``bits``-wide chunks until the slice is exhausted; a fixed
     ``ceil(width / bits)`` iteration count is equivalent because the
     remaining value is zero afterwards and XOR with zero is identity.

@@ -16,16 +16,77 @@ not comparable.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
 
 from repro.cache.access import AccessContext
 from repro.cache.replacement.lru import LRUPolicy
+from repro.core.features import Feature
 from repro.core.mpppb import MPPPBConfig
 from repro.core.predictor import MultiperspectivePredictor
 from repro.core.sampler import MultiperspectiveSampler
 from repro.predictors.base import ReusePredictor
+from repro.sim.batch import _build_programs
+from repro.sim.kernel import columns
 from repro.sim.llc import LLCAccess, LLCSimulator
 from repro.util.stats import RocPoint, roc_curve_fast
+
+OnAccess = Callable[[int, AccessContext, bool], float]
+
+
+def _column_indices(
+    features: Sequence[Feature],
+    sampler: MultiperspectiveSampler,
+    stream: Sequence[LLCAccess],
+    pc_trace: Sequence[int],
+) -> Callable[[AccessContext], List[int]]:
+    """The index vector of each access of ``stream``, read from the
+    Stage-2 kernel's columns.
+
+    ``stream`` is lowered once (:func:`repro.sim.kernel.columns.
+    lower_stream`) over the slots :func:`repro.sim.batch._build_programs`
+    lays out for ``features``.  Access ``ctx.stream_index`` reads its
+    static slots; each ``insert``/``burst``/``lastmiss`` feature XORs
+    its dynamic bit into 0, or into the hashed-PC slot when the feature
+    XORs the PC, as :func:`repro.sim.kernel.numpy_backend._index_exprs`
+    composes it.  Equal, access by access, to the
+    :meth:`~repro.core.features.Feature.compile` closures; every call
+    builds a fresh list, since sampler entries keep it.
+    """
+    [entries], needs_h, slots = _build_programs([features])
+    mapper = sampler.mapper
+    lowered = columns.lower_stream(
+        stream, pc_trace, mapper.llc_sets, mapper._stride,
+        mapper.sampler_sets, sampler.tag_bits, slots, needs_h)
+    values = [col.tolist() for col in lowered.cols]
+    zeros = [0] * lowered.n
+    bases: List[List[int]] = []
+    flips: dict = {"insert": [], "burst": [], "lastmiss": []}
+    for position, entry in enumerate(entries):
+        if entry[0] == "slot":
+            bases.append(values[entry[1]])
+        elif entry[0] == "const0":
+            bases.append(zeros)
+        else:  # ("dyn", family, xor)
+            bases.append(values[0] if entry[2] else zeros)
+            flips[entry[1]].append(position)
+    inserts, bursts, lastmisses = (
+        tuple(flips[family]) for family in ("insert", "burst", "lastmiss"))
+
+    def indices(ctx: AccessContext) -> List[int]:
+        i = ctx.stream_index
+        row = [base[i] for base in bases]
+        if ctx.is_insert:
+            for position in inserts:
+                row[position] ^= 1
+        if ctx.is_mru_hit:
+            for position in bursts:
+                row[position] ^= 1
+        if ctx.last_was_miss:
+            for position in lastmisses:
+                row[position] ^= 1
+        return row
+
+    return indices
 
 
 class TrainedMultiperspective(ReusePredictor):
@@ -48,7 +109,20 @@ class TrainedMultiperspective(ReusePredictor):
         )
 
     def on_llc_access(self, set_idx: int, ctx: AccessContext, hit: bool) -> float:
-        indices = self.predictor.indices(ctx)
+        return self._observe(set_idx, ctx, self.predictor.indices(ctx))
+
+    def on_stream(self, stream: Sequence[LLCAccess],
+                  pc_trace: Sequence[int]) -> OnAccess:
+        """:meth:`on_llc_access` for the accesses of ``stream``, with the
+        index vectors read from its kernel columns
+        (:func:`_column_indices`) instead of the feature closures."""
+        indices = _column_indices(self.predictor.features, self.sampler,
+                                  stream, pc_trace)
+        observe = self._observe
+        return lambda set_idx, ctx, hit: observe(set_idx, ctx, indices(ctx))
+
+    def _observe(self, set_idx: int, ctx: AccessContext,
+                 indices: List[int]) -> float:
         confidence = self.predictor.predict(indices)
         self.sampler.observe(set_idx, ctx, indices, confidence)
         return float(confidence)
@@ -61,10 +135,10 @@ class TrainedMultiperspective(ReusePredictor):
 class _ProbePolicy(LRUPolicy):
     """LRU replacement that logs predictions and resolves their labels."""
 
-    def __init__(self, num_sets: int, ways: int, predictor: ReusePredictor,
+    def __init__(self, num_sets: int, ways: int, on_llc_access: OnAccess,
                  warmup: int) -> None:
         super().__init__(num_sets, ways)
-        self.predictor = predictor
+        self.on_llc_access = on_llc_access
         self.warmup = warmup
         self._access_count = 0
         self.confidences: List[float] = []
@@ -75,7 +149,7 @@ class _ProbePolicy(LRUPolicy):
         self._current_id = -1
 
     def on_access(self, set_idx: int, ctx: AccessContext, hit: bool, way: int) -> None:
-        confidence = self.predictor.on_llc_access(set_idx, ctx, hit)
+        confidence = self.on_llc_access(set_idx, ctx, hit)
         measured = self._access_count >= self.warmup
         self._access_count += 1
         if hit and self._pending[set_idx][way] >= 0:
@@ -139,9 +213,18 @@ def measure_roc(
     warmup: int = 0,
     block_bytes: int = 64,
 ) -> RocResult:
-    """Run a predictor in measure-only mode over one LLC stream."""
+    """Run a predictor in measure-only mode over one LLC stream.
+
+    A :class:`TrainedMultiperspective` reads its index vectors from the
+    stream's Stage-2 kernel columns (:meth:`TrainedMultiperspective.
+    on_stream`); every other predictor runs its own
+    ``on_llc_access``.
+    """
     num_sets = capacity_bytes // (ways * block_bytes)
-    probe = _ProbePolicy(num_sets, ways, predictor, warmup)
+    on_access = (predictor.on_stream(stream, pc_trace)
+                 if isinstance(predictor, TrainedMultiperspective)
+                 else predictor.on_llc_access)
+    probe = _ProbePolicy(num_sets, ways, on_access, warmup)
     sim = LLCSimulator(capacity_bytes, ways, probe, block_bytes)
     sim.run(stream, pc_trace=pc_trace, warmup=warmup)
     confidences, labels = probe.resolve()

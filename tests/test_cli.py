@@ -1,10 +1,15 @@
 """Tests for the command-line interface."""
 
+import hashlib
+
 import pytest
 
 from repro import cli
 from repro.cli import build_parser, main
 
+# sha256 over ``repr((name, confidences, labels))`` of the three
+# predictors ``roc --scale tiny`` measures, in the order it prints them.
+ROC_HASH = "c2d04501734d75ed1bfbde36864b6565c37613215fef82e2a600c9e418162422"
 
 class TestParser:
     def test_requires_subcommand(self):
@@ -94,6 +99,29 @@ class TestExecution:
         assert {"trace.s0", "trace.s1"} <= set(names)
         assert any(member.startswith("trace.") for member in members)
         assert "srrip" in capsys.readouterr().out
+
+
+    def test_roc_runs_tiny(self, monkeypatch, capsys):
+        """``roc`` prints its AUC table, and the confidences and labels
+        behind it are pinned."""
+        measured = []
+        measure = cli.measure_roc
+
+        def spy(*args, **kwargs):
+            measured.append(measure(*args, **kwargs))
+            return measured[-1]
+
+        monkeypatch.setattr(cli, "measure_roc", spy)
+        assert main(["roc", "--scale", "tiny"]) == 0
+        rows = [line.split() for line in
+                capsys.readouterr().out.splitlines()[1:]]
+        assert rows == [["sdbp", "0.721"], ["perceptron", "0.868"],
+                        ["multiperspective", "0.771"]]
+        digest = hashlib.sha256()
+        for result in measured:
+            digest.update(repr((result.predictor_name, result.confidences,
+                                result.labels)).encode())
+        assert digest.hexdigest() == ROC_HASH
 
 
 class TestStats:

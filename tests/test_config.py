@@ -8,6 +8,7 @@ an empty variable is unset, and an undeclared ``REPRO_*`` name is an
 error rather than silently ignored.
 """
 
+import importlib
 import re
 from pathlib import Path
 
@@ -201,6 +202,21 @@ class TestNames:
             resolve_config()
 
 
+def _resolves(name):
+    parts = name.split(".")
+    for split in range(len(parts), 0, -1):
+        try:
+            found = importlib.import_module(".".join(parts[:split]))
+        except ImportError:
+            continue
+        for attr in parts[split:]:
+            if not hasattr(found, attr):
+                return False
+            found = getattr(found, attr)
+        return True
+    return False
+
+
 class TestDocs:
     #: Files that tell people which variables to set.
     DOCUMENTS = (".github/workflows/ci.yml", "README.md", "DESIGN.md",
@@ -212,6 +228,17 @@ class TestDocs:
             encoding="utf-8")
         undeclared = set(re.findall(r"REPRO_[A-Z0-9_]+", text)) - ENV_NAMES
         assert sorted(undeclared) == []
+
+    @pytest.mark.parametrize("document", ["README.md", "DESIGN.md"])
+    def test_documented_code_exists(self, document):
+        """Every backticked ``repro.*`` dotted name imports as a module
+        or resolves as an attribute of the longest one that does."""
+        text = (Path(__file__).resolve().parents[1] / document).read_text(
+            encoding="utf-8")
+        names = {name for span in re.findall(r"`([^`\n]+)`", text)
+                 for name in re.findall(r"(?<![\w.])repro(?:\.\w+)+", span)}
+        assert names
+        assert sorted(name for name in names if not _resolves(name)) == []
 
 
 class TestScale:

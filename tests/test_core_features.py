@@ -15,7 +15,6 @@ from repro.core.features import (
     LastMissFeature,
     OffsetFeature,
     PCFeature,
-    compile_fused,
     parse_feature,
     parse_feature_set,
     perturb_feature,
@@ -23,7 +22,12 @@ from repro.core.features import (
     random_feature_set,
     with_associativity,
 )
+from repro.core.predictor import MultiperspectivePredictor
 from repro.core.presets import TABLE_1A_SPECS, TABLE_1B_SPECS, TABLE_2_SPECS
+from repro.core.sampler import MultiperspectiveSampler
+from repro.sim.batch import _build_programs
+from repro.sim.llc import LLCAccess
+from repro.sim.roc import _column_indices
 
 
 def ctx(pc=0x401000, address=0x1234, history=(), history_index=0, **kwargs):
@@ -249,20 +253,50 @@ _FAMILY_EXEMPLARS = [
 ]
 
 
+def _random_stream(rng, n):
+    """``n`` random access contexts of one stream, sharing its PC
+    history; PCs span all 64 bits, kernel-space ones included."""
+    history = tuple(rng.getrandbits(64) for _ in range(rng.randint(0, 24)))
+    samples = []
+    for i in range(n):
+        sample = _random_ctx(rng)
+        sample.pc = rng.getrandbits(64)
+        sample.stream_index = i
+        sample.pc_history = history
+        sample.history_index = rng.randint(-2, len(history) + 2)
+        samples.append(sample)
+    return samples
+
+
+def _fused(features, samples):
+    """The Stage-2 kernel's index path over ``samples``: the static
+    slots lowered to columns once for the whole stream, then composed
+    with each access's dynamic bits (what ``measure_roc`` reads)."""
+    stream = [LLCAccess(pc=c.pc, block=c.block, offset=c.offset,
+                        is_write=c.is_write, is_prefetch=c.is_prefetch,
+                        mem_index=c.history_index, instr_index=0)
+              for c in samples]
+    sampler = MultiperspectiveSampler(MultiperspectivePredictor(features),
+                                      llc_sets=64, sampler_sets=8)
+    return _column_indices(features, sampler, stream,
+                           samples[0].pc_history if samples else ())
+
+
 class TestFusedPipeline:
-    """The fused compiler is a pure strength reduction: for every
-    feature family and parameterization it must produce exactly the
-    indices the per-feature ``compile()`` closures produce."""
+    """The kernel fuses a feature set into shared lowered columns plus
+    per-access dynamic bits; for every feature family and
+    parameterization that must produce exactly the indices the
+    per-feature ``compile()`` closures produce."""
 
     @pytest.mark.parametrize(
         "feature", _FAMILY_EXEMPLARS, ids=lambda f: f.spec()
     )
     def test_each_family_matches_compile(self, feature):
         rng = random.Random(hash(feature.spec()) & 0xFFFF)
-        fused = compile_fused([feature])
+        samples = _random_stream(rng, 300)
+        fused = _fused([feature], samples)
         closure = feature.compile()
-        for _ in range(300):
-            sample = _random_ctx(rng)
+        for sample in samples:
             assert fused(sample) == [closure(sample)]
 
     @pytest.mark.parametrize("specs", [TABLE_1A_SPECS, TABLE_1B_SPECS,
@@ -270,11 +304,10 @@ class TestFusedPipeline:
                              ids=["1a", "1b", "2"])
     def test_published_tables_match_compile(self, specs):
         features = parse_feature_set(specs)
-        fused = compile_fused(features)
+        samples = _random_stream(random.Random(2017), 300)
+        fused = _fused(features, samples)
         closures = [f.compile() for f in features]
-        rng = random.Random(2017)
-        for _ in range(300):
-            sample = _random_ctx(rng)
+        for sample in samples:
             assert fused(sample) == [fn(sample) for fn in closures]
 
     @settings(max_examples=40, deadline=None)
@@ -282,19 +315,19 @@ class TestFusedPipeline:
     def test_random_sets_match_compile(self, seed):
         rng = random.Random(seed)
         features = random_feature_set(rng, size=rng.randint(1, 16))
-        fused = compile_fused(features)
+        samples = _random_stream(rng, 50)
+        fused = _fused(features, samples)
         closures = [f.compile() for f in features]
-        for _ in range(50):
-            sample = _random_ctx(rng)
+        for sample in samples:
             assert fused(sample) == [fn(sample) for fn in closures]
 
     def test_duplicate_features_share_extractors(self):
         feature = PCFeature(10, True, begin=1, end=53, depth=0)
-        fused = compile_fused([feature, feature, feature])
-        sample = ctx()
-        index = feature.compile()(sample)
-        assert fused(sample) == [index, index, index]
-
-    def test_compiled_function_is_memoized(self):
-        features = parse_feature_set(TABLE_1A_SPECS)
-        assert compile_fused(features) is compile_fused(tuple(features))
+        [entries], needs_h, slots = _build_programs([[feature] * 3])
+        assert needs_h and len(slots) == 1
+        assert entries == (("slot", 1),) * 3
+        samples = _random_stream(random.Random(5), 20)
+        fused = _fused([feature] * 3, samples)
+        for sample in samples:
+            index = feature.compile()(sample)
+            assert fused(sample) == [index, index, index]

@@ -259,7 +259,7 @@ class TestArtifactCache:
         cache = ArtifactCache(ResultStore(tmp_path))
         scope = {"llc_bytes": TINY.hierarchy.llc_bytes,
                  "accesses": ACCESSES, "seed": 2017}
-        store = cache.stage1_store(scope, TINY.hierarchy, True)
+        store = cache.stage1_store({"gamess": scope}, TINY.hierarchy, True)
         segment = _segments()[0]
         assert store.load(segment) is None
         upper = _upper(segment)

@@ -26,6 +26,7 @@ from repro.exec.artifacts import stage1_key, scope_payload
 from repro.exec.cachekey import stable_hash
 from repro.exec.store import ResultStore
 from repro.graph import plan_cells
+from repro.traces.ingest import resolve_ingest
 from repro.traces.workloads import segment_names
 
 ACCESSES = 2_000
@@ -156,6 +157,49 @@ class TestGraphExecution:
         assert report.hits == 0
         assert report.graph_loads == report.graph_nodes > 0
         assert report.graph_computes == 0
+
+    def test_mixed_suite_warm_pass_loads_every_input(self, tmp_path):
+        """The runners and the planner key a suite's Stage-1 inputs
+        alike, synthetic and ingested workloads both: after a cold mix
+        drive and a cold search drive into store A, the same drives
+        with fresh results over A's artifacts hit every Stage-1 lookup
+        and count every input as a load."""
+        path = tmp_path / "real.trace"
+        path.write_text("".join(
+            f"0x{0x400 + 4 * (i % 97):x} 0x{0x10000 + 64 * (i % 512):x} "
+            f"{'w' if i % 5 == 0 else 'r'} {i % 3}\n"
+            for i in range(1_200)))
+        suite = SuiteSpec(TINY.hierarchy.llc_bytes, ACCESSES,
+                          names=("gamess",),
+                          ingest=(resolve_ingest(str(path), accesses=600,
+                                                 segments=2),))
+        mixes = [MixCell(suite=suite, mix_name="mixed",
+                         segment_names=(segment_names("gamess")[0],
+                                        "real.s0", "real.s1"),
+                         policy="lru", hierarchy=TINY.multi_hierarchy,
+                         warmup_fraction=TINY.warmup_fraction)]
+        searches = [SearchCell(suite=suite, features=table_1b_features(),
+                               hierarchy=TINY.hierarchy,
+                               warmup_fraction=TINY.warmup_fraction)]
+
+        def drive(results, artifact_root=None):
+            _clear_memos()
+            engine = ParallelRunner(jobs=1, store=ResultStore(results),
+                                    verbose=False)
+            if artifact_root is not None:
+                engine.artifact_root = str(artifact_root)
+            engine.run(mixes, label="mix")
+            reports = [engine.last_report]
+            engine.run_search_batches(searches, label="search")
+            return reports + [engine.last_report]
+
+        for report in drive(tmp_path / "a"):
+            assert report.stage1_misses > 0
+        for report in drive(tmp_path / "b", tmp_path / "a"):
+            assert report.hits == 0
+            assert report.stage1_hits > 0
+            assert report.stage1_misses == 0
+            assert report.graph_loads == report.graph_nodes > 0
 
     @pytest.mark.parametrize("damage", ["truncate", "corrupt"])
     def test_damaged_stage1_blob_is_a_miss(self, damage, tmp_path):

@@ -6,9 +6,10 @@ Each contract is pinned independently:
   reproduce the stream decode (blocks, set indices, partial tags,
   sampler sets, prefetch flags), and every deduplicated static feature
   slot, run through the kernel's own index expressions together with
-  the access's dynamic bits, must equal the index
-  :func:`repro.core.features.compile_fused` computes from the
-  :class:`~repro.cache.access.AccessContext`.
+  the access's dynamic bits, must equal the indices the
+  :meth:`~repro.core.features.Feature.compile` closures compute from
+  the :class:`~repro.cache.access.AccessContext`, and so must every
+  lowered slot on its own.
 * **Replay** — the exec-specialized numpy loop must finish
   bit-identical to :class:`~repro.sim.llc.LLCSimulator`: outcomes,
   stats, policy counters, sampler entries, and perceptron weights.  A
@@ -46,7 +47,7 @@ from repro.cache.access import AccessContext
 from repro.cache.replacement.lru import LRUPolicy
 from repro.config import TINY
 from repro.core.features import (
-    compile_fused,
+    BiasFeature,
     parse_feature_set,
     random_feature_set,
 )
@@ -155,11 +156,13 @@ def _contexts(stream, pcs):
 # -- lowering round trip ---------------------------------------------------
 
 
-def _assert_columns_match_compile_fused(configs, stream, pcs, seed=3):
-    """Stream columns equal the scalar decode, and each candidate's
-    kernel index expressions over the slot columns equal
-    ``compile_fused`` on the access context, under random dynamic
-    bits (hit or miss, MRU hit, set's last access a miss)."""
+def _assert_columns_match_compile(configs, stream, pcs, seed=3):
+    """Stream columns equal the scalar decode; every lowered slot equals
+    the ``compile()`` closure of a feature that reads it (slot 0, the
+    hashed PC, that of a PC-XORed bias feature); and each candidate's
+    kernel index expressions over the slot columns equal its closures
+    on the access context, under random dynamic bits (hit or miss, MRU
+    hit, set's last access a miss)."""
     sim = _batch(configs)
     cols = _lower(sim, stream, pcs)
     sampler = sim.policies[0].sampler
@@ -173,10 +176,21 @@ def _assert_columns_match_compile_fused(configs, stream, pcs, seed=3):
                                        for s in set_idxs]
     assert cols.prefetch.tolist() == [int(a.is_prefetch) for a in stream]
 
+    readers = {0: BiasFeature(1, True)} if sim._needs_h else {}
+    for config, entries in zip(configs, sim._entry_sets):
+        for feature, entry in zip(config.features, entries):
+            if entry[0] == "slot":
+                readers.setdefault(entry[1], feature)
+    assert sorted(readers) == list(range(len(cols.cols)))
+    for slot, feature in readers.items():
+        index = feature.compile()
+        assert cols.cols[slot].tolist() == [
+            index(ctx) for ctx in _contexts(stream, pcs)]
+
     rng = random.Random(seed)
     env = {f"c{j}": col.tolist() for j, col in enumerate(cols.cols)}
     for config, entries in zip(configs, sim._entry_sets):
-        fused = compile_fused(config.features)
+        closures = [feature.compile() for feature in config.features]
         exprs = {
             hit: [compile(expr, "<index>", "eval")
                   for expr in numpy_backend._index_exprs(
@@ -192,13 +206,14 @@ def _assert_columns_match_compile_fused(configs, stream, pcs, seed=3):
                        lm=int(ctx.last_was_miss))
             if sim._needs_h:
                 env["hv"] = env["c0"][i]
-            assert [eval(e, env) for e in exprs[hit]] == fused(ctx)
+            assert ([eval(e, env) for e in exprs[hit]]
+                    == [index(ctx) for index in closures])
 
 
-def test_columns_match_compile_fused(stage1):
-    """Vectorized lowering + kernel index expressions == compile_fused."""
+def test_columns_match_compile(stage1):
+    """Vectorized lowering + kernel index expressions == the closures."""
     stream, pcs = stage1
-    _assert_columns_match_compile_fused(_configs(k=6), stream, pcs)
+    _assert_columns_match_compile(_configs(k=6), stream, pcs)
 
 
 def test_columns_empty_history_and_stream():
@@ -206,9 +221,10 @@ def test_columns_empty_history_and_stream():
     cols = _lower(sim, [], [])
     assert cols.n == 0
     assert cols.as_lists()[0] == []
+    _assert_columns_match_compile(_configs(k=2), [], [])
     access = LLCAccess(pc=0x4000, block=17, offset=8, is_write=False,
                        is_prefetch=False, mem_index=0, instr_index=0)
-    _assert_columns_match_compile_fused(_configs(k=2), [access], [])
+    _assert_columns_match_compile(_configs(k=2), [access], [])
 
 
 def test_mix64_array_matches_scalar():

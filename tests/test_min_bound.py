@@ -4,8 +4,8 @@ Belady's MIN, allowed to bypass, evicts (or declines to install) the
 block whose next use is farthest away, and no replacement policy can
 miss less often on the same stream.  The bound needs no model of the
 policy under test, so it holds every policy to a check independent of
-the code the replays share (``_hashed_pc``, ``_fold_into``, the
-sampler, the weight tables).
+the code the replays share (the PC hash constants, the feature bit
+ranges, the sampler, the weight tables).
 
 The bound is only as good as MIN, so :func:`opt_misses` counts the
 optimum with a plain per-set pass that imports nothing from ``repro``:

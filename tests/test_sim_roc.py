@@ -1,12 +1,17 @@
 """Tests for the measure-only ROC harness (Section 6.3)."""
 
+from unittest import mock
+
 import pytest
 
+from repro.config import TINY
 from repro.core.presets import single_thread_config
 from repro.predictors.perceptron import PerceptronPredictor
 from repro.predictors.sdbp import SDBPPredictor
+from repro.sim.hierarchy import UpperLevels
 from repro.sim.llc import LLCAccess
 from repro.sim.roc import RocResult, TrainedMultiperspective, measure_roc
+from repro.traces.workloads import build_segments
 from repro.util.stats import auc
 
 SETS, WAYS = 16, 4
@@ -91,3 +96,25 @@ class TestMeasureRoc:
     def test_empty_result_thresholds(self):
         result = RocResult("x", (), ())
         assert result.default_thresholds() == [0.0]
+
+    def test_kernel_columns_match_closures(self):
+        """A TrainedMultiperspective's indices come from the stream's
+        kernel columns; its feature closures give the same result."""
+        segment = build_segments("soplex", TINY.hierarchy.llc_bytes, 2_000)[0]
+        stream = UpperLevels(TINY.hierarchy).run(segment.trace).llc_stream
+        ways = TINY.hierarchy.llc_ways
+        num_sets = TINY.hierarchy.llc_bytes // (ways * 64)
+
+        def roc():
+            predictor = TrainedMultiperspective(single_thread_config("a"),
+                                                llc_sets=num_sets)
+            return measure_roc(predictor, stream, segment.trace.pcs,
+                               TINY.hierarchy.llc_bytes, ways,
+                               warmup=len(stream) // 4)
+
+        columns = roc()
+        with mock.patch.object(TrainedMultiperspective, "on_stream",
+                               lambda self, *_: self.on_llc_access):
+            closures = roc()
+        assert columns == closures
+        assert any(columns.labels) and not all(columns.labels)
