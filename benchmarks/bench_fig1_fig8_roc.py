@@ -35,7 +35,7 @@ def _predictor(name: str, num_sets: int):
 
 def run_roc_experiment():
     hierarchy = SCALE.hierarchy
-    num_sets = hierarchy.llc_bytes // (hierarchy.llc_ways * 64)
+    num_sets = hierarchy.llc_sets
     suite = single_thread_suite()
     runner = single_thread_runner()
 
@@ -52,6 +52,7 @@ def run_roc_experiment():
                     predictor, upper.llc_stream, segment.trace.pcs,
                     hierarchy.llc_bytes, hierarchy.llc_ways,
                     warmup=len(upper.llc_stream) // 4,
+                    block_bytes=hierarchy.block_bytes,
                 )
                 # Normalize confidences per predictor scale before pooling.
                 rng = max(1.0, predictor.confidence_range)

@@ -56,8 +56,7 @@ def main() -> None:
     config = MPPPBConfig(features=tuple(features))
     scale = get_scale()
     hierarchy = scale.hierarchy
-    num_sets = hierarchy.llc_bytes // (hierarchy.llc_ways * 64)
-    policy = MPPPBPolicy(num_sets, hierarchy.llc_ways, config)
+    policy = MPPPBPolicy(hierarchy.llc_sets, hierarchy.llc_ways, config)
     print(f"\nHardware budget: {policy.storage_bits() / 8 / 1024:.2f} KiB "
           f"({100 * policy.storage_bits() / 8 / hierarchy.llc_bytes:.2f}% "
           f"of the {hierarchy.llc_kib} KiB LLC)")

@@ -29,7 +29,7 @@ from repro.util.stats import auc
 def main() -> None:
     scale = get_scale()
     hierarchy = scale.hierarchy
-    num_sets = hierarchy.llc_bytes // (hierarchy.llc_ways * 64)
+    num_sets = hierarchy.llc_sets
 
     segment = build_segments(
         "sphinx3", hierarchy.llc_bytes, accesses=scale.segment_accesses
@@ -52,6 +52,7 @@ def main() -> None:
         result = measure_roc(
             predictor, upper.llc_stream, segment.trace.pcs,
             hierarchy.llc_bytes, hierarchy.llc_ways, warmup=warmup,
+            block_bytes=hierarchy.block_bytes,
         )
         points = result.curve(result.default_thresholds(65))
         area = auc(points)

@@ -12,7 +12,7 @@ and ``lastmiss``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence, Tuple
+from typing import Sequence
 
 PREFETCH_PC = 0x0BADC0DE
 """The "fake PC" carried by hardware prefetches (Section 3.2, pc feature)."""
@@ -39,33 +39,3 @@ class AccessContext:
     is_insert: bool = False
     is_mru_hit: bool = False
     last_was_miss: bool = False
-
-
-class PCHistory:
-    """Per-core shift register of recent memory-access PCs.
-
-    The pc feature indexes the W-th most recent memory access
-    instruction (W = 0 is the current access); the published feature
-    tables use W up to 17, so the register holds 18 entries.
-    """
-
-    DEPTH = 18
-
-    __slots__ = ("_history",)
-
-    def __init__(self) -> None:
-        self._history = [0] * self.DEPTH
-
-    def push(self, pc: int) -> None:
-        history = self._history
-        history.insert(0, pc)
-        history.pop()
-
-    def get(self, w: int) -> int:
-        """PC of the w-th most recent memory access (0 = most recent)."""
-        if 0 <= w < self.DEPTH:
-            return self._history[w]
-        return 0
-
-    def snapshot(self) -> Tuple[int, ...]:
-        return tuple(self._history)

@@ -1,6 +1,6 @@
 """Replacement policies for the last-level cache."""
 
-from repro.cache.replacement.base import PolicyStats, ReplacementPolicy
+from repro.cache.replacement.base import ReplacementPolicy
 from repro.cache.replacement.belady import NEVER, BeladyPolicy, compute_next_uses
 from repro.cache.replacement.lru import LRUPolicy
 from repro.cache.replacement.mdpp import MDPPPolicy
@@ -9,7 +9,6 @@ from repro.cache.replacement.random_ import RandomPolicy
 from repro.cache.replacement.srrip import BRRIPPolicy, DRRIPPolicy, SRRIPPolicy
 
 __all__ = [
-    "PolicyStats",
     "ReplacementPolicy",
     "NEVER",
     "BeladyPolicy",

@@ -77,14 +77,3 @@ class ReplacementPolicy(ABC):
     def needs_future(self) -> bool:
         """True if :meth:`prepare` must be called before simulation."""
         return False
-
-
-class PolicyStats:
-    """Optional bypass/decision counters policies may expose."""
-
-    __slots__ = ("bypasses", "dead_placements", "promotions_suppressed")
-
-    def __init__(self) -> None:
-        self.bypasses = 0
-        self.dead_placements = 0
-        self.promotions_suppressed = 0

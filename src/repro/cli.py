@@ -278,7 +278,7 @@ def cmd_roc(args: argparse.Namespace) -> int:
 
     scale = args.config.scale
     hierarchy = scale.hierarchy
-    num_sets = hierarchy.llc_bytes // (hierarchy.llc_ways * 64)
+    num_sets = hierarchy.llc_sets
     ingest = _resolve_trace(args, scale.segment_accesses)
     if ingest is not None:
         segment = ingest.build()[0]
@@ -296,7 +296,8 @@ def cmd_roc(args: argparse.Namespace) -> int:
     for name, predictor in predictors.items():
         result = measure_roc(predictor, upper.llc_stream, segment.trace.pcs,
                              hierarchy.llc_bytes, hierarchy.llc_ways,
-                             warmup=len(upper.llc_stream) // 4)
+                             warmup=len(upper.llc_stream) // 4,
+                             block_bytes=hierarchy.block_bytes)
         points = result.curve(result.default_thresholds(49))
         print(f"{name:18s} {auc(points):6.3f}")
     return 0

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import os
 import shlex
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Any, Callable, Dict, Mapping, Optional, Tuple
 
 from repro.sim.hierarchy import HierarchyConfig
@@ -70,9 +70,6 @@ class ReproScale:
     train_mix_count: int
     random_feature_sets: int
     hillclimb_steps: int
-
-    def with_segment_accesses(self, accesses: int) -> "ReproScale":
-        return replace(self, segment_accesses=accesses)
 
 
 def _single_thread_hierarchy(llc_kib: int) -> HierarchyConfig:

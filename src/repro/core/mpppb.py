@@ -29,7 +29,7 @@ from repro.cache.access import AccessContext
 from repro.cache.replacement.base import ReplacementPolicy
 from repro.cache.replacement.mdpp import MDPPPolicy
 from repro.cache.replacement.srrip import SRRIPPolicy
-from repro.core.features import Feature, parse_feature_set
+from repro.core.features import Feature
 from repro.core.predictor import MultiperspectivePredictor
 from repro.core.sampler import DEFAULT_THETA, MultiperspectiveSampler
 
@@ -68,17 +68,6 @@ class MPPPBConfig:
             raise ValueError("thresholds must satisfy tau0 >= tau1 > tau2 > tau3")
         if len(self.placements) != 3:
             raise ValueError("exactly three placement positions required")
-
-    @staticmethod
-    def from_specs(
-        specs: Sequence[str], default_policy: str = "mdpp", **kwargs
-    ) -> "MPPPBConfig":
-        """Build a config from feature specs in the paper's notation."""
-        return MPPPBConfig(
-            features=parse_feature_set(specs),
-            default_policy=default_policy,
-            **kwargs,
-        )
 
     def with_features(self, features: Sequence[Feature]) -> "MPPPBConfig":
         return replace(self, features=tuple(features))

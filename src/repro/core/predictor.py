@@ -13,7 +13,7 @@ training rule.
 
 from __future__ import annotations
 
-from typing import Callable, List, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
 
 from repro.cache.access import AccessContext
 from repro.core.features import Feature
@@ -37,12 +37,8 @@ class MultiperspectivePredictor(ReusePredictor):
         self.tables: List[WeightTable] = [
             WeightTable(f.table_size) for f in self.features
         ]
-        # The per-feature table indices for an access: the vector stored
-        # in a sampler entry (Section 3.3) so training can reach the
-        # exact weights that produced the block's last confidence value.
-        index_fns = tuple(f.compile() for f in self.features)
-        self.indices: Callable[[AccessContext], List[int]] = (
-            lambda ctx: [index(ctx) for index in index_fns])
+        self._index_fns: Optional[Tuple[Callable[[AccessContext], int],
+                                        ...]] = None
         self.associativities: Tuple[int, ...] = tuple(
             f.associativity for f in self.features
         )
@@ -54,6 +50,20 @@ class MultiperspectivePredictor(ReusePredictor):
     @property
     def confidence_range(self) -> float:
         return float(CONFIDENCE_MAX)
+
+    def indices(self, ctx: AccessContext) -> List[int]:
+        """The per-feature table indices for an access: the vector stored
+        in a sampler entry (Section 3.3) so training can reach the
+        exact weights that produced the block's last confidence value.
+
+        The feature closures compile on the first call: the Stage-2
+        kernel replays read lowered columns and never call this.
+        """
+        index_fns = self._index_fns
+        if index_fns is None:
+            index_fns = self._index_fns = tuple(
+                f.compile() for f in self.features)
+        return [index(ctx) for index in index_fns]
 
     def predict(self, indices: Sequence[int]) -> int:
         """Sum the selected weights into a saturated 9-bit confidence."""

@@ -9,7 +9,7 @@ single weight for the plain bias feature.
 
 from __future__ import annotations
 
-from typing import List, Sequence
+from typing import List
 
 WEIGHT_BITS = 6
 WEIGHT_MIN = -(1 << (WEIGHT_BITS - 1))   # -32
@@ -51,7 +51,3 @@ class WeightTable:
     def storage_bits(self) -> int:
         """Hardware cost of this table in bits (Section 4.4 accounting)."""
         return WEIGHT_BITS * len(self.weights)
-
-
-def total_storage_bits(tables: Sequence[WeightTable]) -> int:
-    return sum(table.storage_bits() for table in tables)

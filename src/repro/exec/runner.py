@@ -151,6 +151,11 @@ class TraceSpec:
             return ingest_scope(self.ingest.payload())
         return scope_payload(self.llc_bytes, self.accesses, self.seed)
 
+    def stage1_scopes(self) -> Dict[str, Dict[str, Any]]:
+        """Workload name → Stage-1 artifact scope, as
+        :meth:`SuiteSpec.stage1_scopes` maps a suite's."""
+        return {self.benchmark: self.stage1_scope()}
+
     def segment_names(self) -> List[str]:
         """Static segment names (no trace build), in :meth:`build` order."""
         if self.ingest is not None:
@@ -233,7 +238,7 @@ class SuiteSpec:
 # -- per-worker-process memoization ---------------------------------------
 
 _SEGMENTS: Dict[TraceSpec, List[Segment]] = {}
-_RUNNERS: Dict[str, Any] = {}
+_RUNNERS: Dict[Tuple[Any, ...], Any] = {}
 _ARTIFACTS: Dict[Tuple[str, Optional[str]], ArtifactCache] = {}
 
 
@@ -286,84 +291,39 @@ def _suite_segments(suite: SuiteSpec,
     return segments
 
 
-def _runner_key(kind: str, hierarchy: HierarchyConfig,
-                timing: Optional[TimingConfig], prefetch: bool,
-                warmup_fraction: float, scope: Any,
-                artifact_root: Optional[str] = None) -> str:
-    return stable_hash({
-        "kind": kind,
-        "hierarchy": hierarchy_payload(hierarchy),
-        "timing": timing_payload(timing),
-        "prefetch": prefetch,
-        "warmup_fraction": warmup_fraction,
-        "scope": scope,
-        "artifacts": artifact_root,
-    })
+def _per_process(key: Tuple[Any, ...], recipe: Union[TraceSpec, SuiteSpec],
+                 hierarchy: HierarchyConfig, prefetch: bool,
+                 artifacts: Optional[ArtifactCache],
+                 build: Callable[[Any], Any]) -> Any:
+    """This process's runner or evaluator for ``key``, built once.
 
-
-def _stage1_store(artifacts: Optional[ArtifactCache],
-                  scopes: Dict[str, Dict[str, Any]],
-                  hierarchy: HierarchyConfig, prefetch: bool):
-    if artifacts is None:
-        return None
-    return artifacts.stage1_store(scopes, hierarchy, prefetch)
-
-
-def _single_runner(hierarchy: HierarchyConfig, timing: Optional[TimingConfig],
-                   prefetch: bool, warmup_fraction: float, spec: TraceSpec,
-                   artifacts: Optional[ArtifactCache]) -> SingleThreadRunner:
-    root = str(artifacts.store.root) if artifacts is not None else None
-    key = _runner_key("single", hierarchy, timing, prefetch, warmup_fraction,
-                      spec.payload(), root)
+    ``build`` receives the Stage-1 artifact store over ``recipe``'s
+    workloads, or ``None`` without an artifact cache.  The memo key is
+    ``key`` plus the recipe, the geometry and the artifact root, all
+    frozen values: it is compared within this process and never
+    stored, so it needs no stable hash.
+    """
+    root = None if artifacts is None else str(artifacts.store.root)
+    key += (recipe, hierarchy, prefetch, root)
     runner = _RUNNERS.get(key)
     if runner is None:
-        runner = SingleThreadRunner(
-            hierarchy, timing=timing, prefetch=prefetch,
-            warmup_fraction=warmup_fraction,
-            stage1_store=_stage1_store(
-                artifacts, {spec.benchmark: spec.stage1_scope()},
-                hierarchy, prefetch),
-        )
-        _RUNNERS[key] = runner
-    return runner
-
-
-def _multi_runner(hierarchy: HierarchyConfig, timing: Optional[TimingConfig],
-                  prefetch: bool, warmup_fraction: float, suite: SuiteSpec,
-                  artifacts: Optional[ArtifactCache]) -> MultiProgrammedRunner:
-    root = str(artifacts.store.root) if artifacts is not None else None
-    key = _runner_key("multi", hierarchy, timing, prefetch, warmup_fraction,
-                      suite.payload(), root)
-    runner = _RUNNERS.get(key)
-    if runner is None:
-        runner = MultiProgrammedRunner(
-            hierarchy, timing=timing, prefetch=prefetch,
-            warmup_fraction=warmup_fraction,
-            stage1_store=_stage1_store(artifacts, suite.stage1_scopes(),
-                                       hierarchy, prefetch),
-        )
-        _RUNNERS[key] = runner
+        store = (None if artifacts is None else artifacts.stage1_store(
+            recipe.stage1_scopes(), hierarchy, prefetch))
+        runner = _RUNNERS[key] = build(store)
     return runner
 
 
 def _search_evaluator(cell: Union[SearchCell, SearchBatchCell],
                       artifacts: Optional[ArtifactCache]) -> FeatureSetEvaluator:
     """The per-process evaluator for a search cell's evaluation scope."""
-    suite = cell.suite
-    root = str(artifacts.store.root) if artifacts is not None else None
-    key = stable_hash({"kind": "evaluator", "scope": cell.scope(),
-                       "artifacts": root})
-    evaluator = _RUNNERS.get(key)
-    if evaluator is None:
-        evaluator = FeatureSetEvaluator(
-            _suite_segments(suite, artifacts), cell.hierarchy,
+    return _per_process(
+        ("evaluator", cell.base_config, cell.warmup_fraction), cell.suite,
+        cell.hierarchy, cell.prefetch, artifacts,
+        lambda store: FeatureSetEvaluator(
+            _suite_segments(cell.suite, artifacts), cell.hierarchy,
             base_config=cell.base_config,
             warmup_fraction=cell.warmup_fraction, prefetch=cell.prefetch,
-            stage1_store=_stage1_store(artifacts, suite.stage1_scopes(),
-                                       cell.hierarchy, cell.prefetch),
-        )
-        _RUNNERS[key] = evaluator
-    return evaluator
+            stage1_store=store))
 
 
 # -- cells -----------------------------------------------------------------
@@ -399,8 +359,12 @@ class SingleCell:
         }
 
     def run(self, artifacts: Optional[ArtifactCache] = None) -> BenchmarkResult:
-        runner = _single_runner(self.hierarchy, self.timing, self.prefetch,
-                                self.warmup_fraction, self.trace, artifacts)
+        runner = _per_process(
+            ("single", self.timing, self.warmup_fraction), self.trace,
+            self.hierarchy, self.prefetch, artifacts,
+            lambda store: SingleThreadRunner(
+                self.hierarchy, timing=self.timing, prefetch=self.prefetch,
+                warmup_fraction=self.warmup_fraction, stage1_store=store))
         return runner.run_benchmark(
             self.trace.benchmark, _segments(self.trace, artifacts),
             policy_factory(self.policy, self.mpppb_config),
@@ -463,8 +427,12 @@ class MixCell:
         return Mix(self.mix_name, tuple(chosen))
 
     def run(self, artifacts: Optional[ArtifactCache] = None) -> MixResult:
-        runner = _multi_runner(self.hierarchy, self.timing, self.prefetch,
-                               self.warmup_fraction, self.suite, artifacts)
+        runner = _per_process(
+            ("multi", self.timing, self.warmup_fraction), self.suite,
+            self.hierarchy, self.prefetch, artifacts,
+            lambda store: MultiProgrammedRunner(
+                self.hierarchy, timing=self.timing, prefetch=self.prefetch,
+                warmup_fraction=self.warmup_fraction, stage1_store=store))
         return runner.run_mix(
             self._mix(artifacts), policy_factory(self.policy, self.mpppb_config)
         )

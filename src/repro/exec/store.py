@@ -489,59 +489,53 @@ class TieredResultStore(ResultStore):
         breaker.record_success()
         return value
 
-    def get(self, key: str) -> Optional[Dict[str, Any]]:
-        payload = super().get(key)
-        if payload is not None:
+    def _read_through(self, key: str, local: Callable[[str], Any],
+                      shared: Callable[[str], Any],
+                      fill: Callable[[str, Any], None]) -> Any:
+        """Look ``key`` up in the local tier, then the shared one; a
+        shared hit is filled into the local tier and counted a hit."""
+        value = local(key)
+        if value is not None:
             self.last_tier = "local"
             self.tiers.local_hits += 1
-            return payload
-        payload = self._shared_call(
-            key, lambda: self.shared.get_strict(key))
-        if payload is None:
+            return value
+        value = self._shared_call(key, lambda: shared(key))
+        if value is None:
             return None
         try:
-            ResultStore.put(self, key, payload)  # read-through fill
+            fill(key, value)  # read-through fill
         except OSError:
             pass
         self.stats.misses -= 1  # the local-tier miss became a hit
         self.stats.hits += 1
         self.tiers.shared_hits += 1
         self.last_tier = "shared"
-        return payload
+        return value
+
+    def _write_back(self, key: str, value: Any,
+                    local: Callable[[str, Any], None],
+                    shared: Callable[[str, Any], None]) -> None:
+        """Write ``key`` to the local tier, then (best effort) the
+        shared one."""
+        local(key, value)
+        filled = self._shared_call(key, lambda: (shared(key, value), True)[1])
+        if filled:
+            self.tiers.shared_fills += 1
+
+    def get(self, key: str) -> Optional[Dict[str, Any]]:
+        return self._read_through(key, super().get, self.shared.get_strict,
+                                  super().put)
 
     def get_bytes(self, key: str) -> Optional[bytes]:
-        data = super().get_bytes(key)
-        if data is not None:
-            self.last_tier = "local"
-            self.tiers.local_hits += 1
-            return data
-        data = self._shared_call(
-            key, lambda: self.shared.get_bytes_strict(key))
-        if data is None:
-            return None
-        try:
-            ResultStore.put_bytes(self, key, data)  # read-through fill
-        except OSError:
-            pass
-        self.stats.misses -= 1
-        self.stats.hits += 1
-        self.tiers.shared_hits += 1
-        self.last_tier = "shared"
-        return data
+        return self._read_through(key, super().get_bytes,
+                                  self.shared.get_bytes_strict,
+                                  super().put_bytes)
 
     def put(self, key: str, payload: Dict[str, Any]) -> None:
-        super().put(key, payload)
-        filled = self._shared_call(
-            key, lambda: (self.shared.put(key, payload), True)[1])
-        if filled:
-            self.tiers.shared_fills += 1
+        self._write_back(key, payload, super().put, self.shared.put)
 
     def put_bytes(self, key: str, data: bytes) -> None:
-        super().put_bytes(key, data)
-        filled = self._shared_call(
-            key, lambda: (self.shared.put_bytes(key, data), True)[1])
-        if filled:
-            self.tiers.shared_fills += 1
+        self._write_back(key, data, super().put_bytes, self.shared.put_bytes)
 
     def stat_bytes(self, key: str) -> Optional[int]:
         size = super().stat_bytes(key)

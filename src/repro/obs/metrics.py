@@ -17,8 +17,10 @@ Two metric kinds cover everything the pipeline wants to report:
 
 A :class:`MetricsRegistry` is always owned by one telemetry context
 (see ``repro.obs``): worker processes run their own registry and ship
-``payload()`` back with the cell result; the parent merges payloads
-with :func:`merge_counters` / :func:`merge_hist` when aggregating.
+``payload()`` back with the cell result; the parent writes each
+cell's counters and histograms as events, and ``repro.cli stats``
+sums the counters and merges the histograms with
+:meth:`Histogram.merge` when aggregating.
 """
 
 from __future__ import annotations
@@ -173,18 +175,3 @@ class MetricsRegistry:
                 "hists": {name: hist.to_dict()
                           for name, hist in self.hists.items()},
             }
-
-
-def merge_counters(totals: Dict[str, int], counters: Dict[str, int]) -> None:
-    for name, value in counters.items():
-        totals[name] = totals.get(name, 0) + int(value)
-
-
-def merge_hists(totals: Dict[str, Histogram],
-                hists: Dict[str, Dict[str, Any]]) -> None:
-    for name, payload in hists.items():
-        existing = totals.get(name)
-        if existing is None:
-            totals[name] = Histogram.from_dict(payload)
-        else:
-            existing.merge(payload)

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 from typing import Dict, List, Mapping, Sequence
 
-from repro.sim.multi import MixResult
 from repro.sim.single import BenchmarkResult
 from repro.util.stats import arithmetic_mean, geometric_mean
 
@@ -124,12 +123,3 @@ def weighted_speedup_summary(
     return format_table(
         ["policy", "geomean", "min", "max", "below LRU"], rows, precision=4
     )
-
-
-def mix_mpki_summary(results: Mapping[str, Sequence[MixResult]]) -> str:
-    """Mean-MPKI summary over mixes (Figure 5 layout)."""
-    rows = [
-        [policy, arithmetic_mean([r.mpki for r in mix_results])]
-        for policy, mix_results in results.items()
-    ]
-    return format_table(["policy", "mean MPKI"], rows)

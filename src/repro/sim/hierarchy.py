@@ -63,6 +63,12 @@ class HierarchyConfig:
     def llc_bytes(self) -> int:
         return self.llc_kib * 1024
 
+    @property
+    def llc_sets(self) -> int:
+        """LLC set count; raises on a geometry the set-index mask
+        cannot address, as L1 and L2 do."""
+        return _set_count(self.llc_kib, self.llc_ways, self.block_bytes)
+
 
 @dataclass
 class UpperLevelResult:

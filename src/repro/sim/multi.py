@@ -3,7 +3,8 @@
 Implements the FIESTA-flavored methodology at the LLC:
 
 * Each thread's private L1/L2 filtering and standalone-LRU timing are
-  computed once per segment (and cached across mixes).
+  computed once per segment (and cached across mixes) by the
+  single-thread runner :class:`MultiProgrammedRunner` extends.
 * The four LLC access streams are interleaved by their *standalone*
   timestamps — a fixed-interleave approximation of the paper's
   closed-loop simulation, documented in DESIGN.md — and replayed
@@ -23,17 +24,18 @@ Implements the FIESTA-flavored methodology at the LLC:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Sequence, Tuple
 
 import numpy as np
 
 from repro import obs
-from repro.cache.replacement.base import ReplacementPolicy
 from repro.cache.replacement.lru import LRUPolicy
-from repro.cpu.timing import TimingConfig, TimingModel
-from repro.sim.hierarchy import HierarchyConfig, UpperLevelResult, UpperLevels
+from repro.cpu.timing import TimingModel
+from repro.sim.hierarchy import UpperLevelResult
 from repro.sim.llc import LLCColumns
 from repro.sim.single import (
+    PolicyFactory,
+    SingleThreadRunner,
     Stage3Events,
     build_stage3_events,
     demand_load_arrays,
@@ -42,8 +44,6 @@ from repro.sim.single import (
 from repro.traces.mixes import Mix
 from repro.traces.trace import Segment
 from repro.util.stats import mpki as mpki_of
-
-PolicyFactory = Callable[[int, int], ReplacementPolicy]
 
 
 @dataclass
@@ -62,7 +62,7 @@ class ThreadData:
     warm_mem: int
     warm_llc: int
     # Measured-window Stage-3 skeleton, filled per mix by each policy's
-    # outcomes (see SingleThreadRunner._stage3_cache).
+    # outcomes (SingleThreadRunner._stage3_events).
     stage3: Stage3Events
     measured_instr: int
 
@@ -109,32 +109,19 @@ class MixResult:
         )
 
 
-class MultiProgrammedRunner:
-    """Shared-LLC runner with per-segment preparation caching."""
+class MultiProgrammedRunner(SingleThreadRunner):
+    """Shared-LLC runner with per-segment preparation caching.
 
-    def __init__(
-        self,
-        hierarchy: HierarchyConfig,
-        timing: Optional[TimingConfig] = None,
-        prefetch: bool = True,
-        warmup_fraction: float = 0.25,
-        stage1_store: Optional[Any] = None,
-    ) -> None:
-        if not 0.0 <= warmup_fraction < 1.0:
-            raise ValueError("warmup_fraction must be in [0, 1)")
-        self.hierarchy = hierarchy
-        self.timing = timing or TimingConfig()
-        self.prefetch = prefetch
-        self.warmup_fraction = warmup_fraction
-        self.stage1_store = stage1_store
-        self._upper = UpperLevels(hierarchy, prefetch=prefetch)
+    A thread is prepared by the single-thread runner this class
+    extends: its Stage-1 lookup, warmup split and measured-window
+    Stage-3 skeleton are the base class's, and SingleIPCᵢ is the
+    thread's LRU IPC as :meth:`SingleThreadRunner.run_segment`
+    measures it on this hierarchy.
+    """
+
+    def __init__(self, *args: Any, **kwargs: Any) -> None:
+        super().__init__(*args, **kwargs)
         self._threads: Dict[str, ThreadData] = {}
-
-    @property
-    def _geometry(self) -> Tuple[int, int, int]:
-        llc_bytes = self.hierarchy.llc_bytes
-        ways = self.hierarchy.llc_ways
-        return llc_bytes, ways, llc_bytes // (ways * self.hierarchy.block_bytes)
 
     # -- per-thread preparation -------------------------------------------
 
@@ -149,38 +136,27 @@ class MultiProgrammedRunner:
         cached = self._threads.get(segment.name)
         if cached is not None:
             return cached
-        upper = None
-        store = self.stage1_store
-        if store is not None:
-            upper = store.load(segment)
-        if upper is None:
-            upper = self._upper.run(segment.trace)
-            if store is not None:
-                store.save(segment, upper)
-        llc_bytes, ways, num_sets = self._geometry
-        warm_mem = int(len(segment.trace.pcs) * self.warmup_fraction)
-        warm_llc = upper.llc_warmup_boundary(warm_mem)
+        upper = self._upper_result(segment)
+        warm_mem, warm_llc, measured_instr = self._warmup(segment, upper)
+        hierarchy = self.hierarchy
+        trace = segment.trace
 
         # The standalone-LRU baseline takes the same Stage-2 route as a
         # single cell, reading the columns every mix's merge reads.
         llc_columns = upper.llc_stream
         standalone = replay_segment(
-            llc_bytes, ways, LRUPolicy(num_sets, ways),
-            self.hierarchy.block_bytes, llc_columns, segment.trace.pcs,
-            warm_llc)
+            hierarchy.llc_bytes, hierarchy.llc_ways,
+            LRUPolicy(hierarchy.llc_sets, hierarchy.llc_ways),
+            hierarchy.block_bytes, llc_columns, trace.pcs, warm_llc)
         model = TimingModel(self.timing)
-        trace = segment.trace
+        # The whole segment's standalone CPI places the merge's
+        # timestamps; SingleIPC is the measured window's.
         full_timing = model.simulate_packed(
             *demand_load_arrays(
                 build_stage3_events(trace, upper, self.timing, start_mem=0),
                 standalone.outcomes, self.timing),
             upper.num_instructions)
-        stage3 = build_stage3_events(trace, upper, self.timing,
-                                     start_mem=warm_mem)
-        measured_instr = upper.num_instructions - (
-            int(upper.instr_indices[warm_mem])
-            if warm_mem < len(trace.pcs) else 0
-        )
+        stage3 = self._stage3_events(segment, upper, warm_mem)
         single_ipc = model.simulate_packed(
             *demand_load_arrays(stage3, standalone.outcomes, self.timing),
             measured_instr).ipc
@@ -207,16 +183,16 @@ class MultiProgrammedRunner:
         with obs.span("interleave"):
             merged, origins, merged_pcs, pc_offsets = self._interleave(threads)
 
-        llc_bytes, ways, num_sets = self._geometry
-        policy = policy_factory(num_sets, ways)
+        hierarchy = self.hierarchy
+        policy = policy_factory(hierarchy.llc_sets, hierarchy.llc_ways)
         with obs.span("stage2"):
             # Same routing as single-core: MPPPB, LRU, Perceptron and
             # Hawkeye mixes ride the columnar Stage-2 kernel, which reads
             # the merged columns directly; other policies (and every
             # policy under REPRO_STAGE2_KERNEL=off) replay on
             # LLCSimulator.
-            result = replay_segment(llc_bytes, ways, policy,
-                                    self.hierarchy.block_bytes, merged,
+            result = replay_segment(hierarchy.llc_bytes, hierarchy.llc_ways,
+                                    policy, hierarchy.block_bytes, merged,
                                     merged_pcs, 0)
 
         # Scatter lap-0 outcomes back to per-thread outcome arrays.

@@ -303,44 +303,50 @@ class SingleThreadRunner:
         # the result, loaded it from the artifact store, or had it
         # memoized already (only the durations differ).
         with obs.span("stage1"):
-            cached = self._stage1_cache.get(segment.name)
+            return self._upper_result(segment)
+
+    def _upper_result(self, segment: Segment) -> UpperLevelResult:
+        """:meth:`upper_result` without its span."""
+        cached = self._stage1_cache.get(segment.name)
+        if cached is None:
+            store = self.stage1_store
+            if store is not None:
+                cached = store.load(segment)
             if cached is None:
-                store = self.stage1_store
+                cached = self._upper.run(segment.trace)
                 if store is not None:
-                    cached = store.load(segment)
-                if cached is None:
-                    cached = self._upper.run(segment.trace)
-                    if store is not None:
-                        store.save(segment, cached)
-                self._stage1_cache[segment.name] = cached
+                    store.save(segment, cached)
+            self._stage1_cache[segment.name] = cached
         return cached
 
     # -- stages 2 + 3 ----------------------------------------------------
 
-    def _prepare(self, segment: Segment
-                 ) -> Tuple[UpperLevelResult, int, int, int]:
-        """The preamble both Stage-2 paths share: the Stage-1 result,
-        the warmup boundary in memory and in LLC accesses, and the LLC
-        set count."""
-        upper = self.upper_result(segment)
+    def _warmup(self, segment: Segment, upper: UpperLevelResult
+                ) -> Tuple[int, int, int]:
+        """The warmup split: the first measured memory access, the first
+        measured LLC access, and the instructions retired from the
+        first measured access on."""
         warm_mem = int(len(segment.trace.pcs) * self.warmup_fraction)
-        hierarchy = self.hierarchy
-        num_sets = hierarchy.llc_bytes // (hierarchy.llc_ways
-                                           * hierarchy.block_bytes)
-        return upper, warm_mem, upper.llc_warmup_boundary(warm_mem), num_sets
+        measured_instr = upper.num_instructions - (
+            int(upper.instr_indices[warm_mem])
+            if warm_mem < len(segment.trace.pcs) else 0
+        )
+        return warm_mem, upper.llc_warmup_boundary(warm_mem), measured_instr
 
     def run_segment(
         self, segment: Segment, policy_factory: PolicyFactory
     ) -> SegmentResult:
-        upper, warm_mem, warm_llc, num_sets = self._prepare(segment)
+        upper = self.upper_result(segment)
+        warm_mem, warm_llc, measured_instr = self._warmup(segment, upper)
         hierarchy = self.hierarchy
-        policy = policy_factory(num_sets, hierarchy.llc_ways)
+        policy = policy_factory(hierarchy.llc_sets, hierarchy.llc_ways)
         with obs.span("stage2"):
             llc = replay_segment(hierarchy.llc_bytes, hierarchy.llc_ways,
                                  policy, hierarchy.block_bytes,
                                  upper.llc_stream, segment.trace.pcs,
                                  warm_llc)
-        return self._finish_segment(segment, upper, llc, warm_mem)
+        return self._finish_segment(segment, upper, llc, warm_mem,
+                                    measured_instr)
 
     def run_segment_batch(
         self, segment: Segment, configs: Sequence[MPPPBConfig]
@@ -352,9 +358,11 @@ class SingleThreadRunner:
         candidate-invariant per-access context are paid once; see
         :class:`repro.sim.batch.BatchLLCSimulator`.
         """
-        upper, warm_mem, warm_llc, num_sets = self._prepare(segment)
+        upper = self.upper_result(segment)
+        warm_mem, warm_llc, measured_instr = self._warmup(segment, upper)
         hierarchy = self.hierarchy
-        policies = [MPPPBPolicy(num_sets, hierarchy.llc_ways, config)
+        policies = [MPPPBPolicy(hierarchy.llc_sets, hierarchy.llc_ways,
+                                config)
                     for config in configs]
         sim = BatchLLCSimulator(hierarchy.llc_bytes, hierarchy.llc_ways,
                                 policies, hierarchy.block_bytes)
@@ -362,7 +370,8 @@ class SingleThreadRunner:
             replays = sim.run(upper.llc_stream, pc_trace=segment.trace.pcs,
                               warmup=warm_llc)
         return [
-            self._finish_segment(segment, upper, llc, warm_mem)
+            self._finish_segment(segment, upper, llc, warm_mem,
+                                 measured_instr)
             for llc in replays
         ]
 
@@ -376,13 +385,9 @@ class SingleThreadRunner:
         return events
 
     def _finish_segment(self, segment: Segment, upper: UpperLevelResult,
-                        llc: LLCResult, warm_mem: int) -> SegmentResult:
+                        llc: LLCResult, warm_mem: int,
+                        measured_instr: int) -> SegmentResult:
         """Stage 3 + metric assembly shared by both Stage-2 paths."""
-        trace = segment.trace
-        measured_instr = upper.num_instructions - (
-            int(upper.instr_indices[warm_mem])
-            if warm_mem < len(trace.pcs) else 0
-        )
         with obs.span("stage3-timing"):
             instr, latencies, depends = demand_load_arrays(
                 self._stage3_events(segment, upper, warm_mem), llc.outcomes,

@@ -86,10 +86,6 @@ class Trace:
         return len(self.pcs)
 
     @property
-    def num_accesses(self) -> int:
-        return len(self.pcs)
-
-    @property
     def num_instructions(self) -> int:
         """Total retired instructions (memory plus non-memory)."""
         return self._instr_total

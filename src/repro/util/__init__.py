@@ -1,15 +1,7 @@
-"""Shared utilities: bit manipulation, deterministic hashing, statistics."""
+"""Shared utilities: saturation, deterministic hashing, statistics."""
 
-from repro.util.bits import (
-    bit,
-    block_address,
-    block_offset,
-    extract_bits,
-    fold,
-    saturate,
-    sign_extend,
-)
-from repro.util.hashing import combine, hash_to, mix64, pc_hash, skewed_hashes
+from repro.util.bits import saturate
+from repro.util.hashing import combine, hash_to, mix64, skewed_hashes
 from repro.util.stats import (
     RocPoint,
     arithmetic_mean,
@@ -23,17 +15,10 @@ from repro.util.stats import (
 )
 
 __all__ = [
-    "bit",
-    "block_address",
-    "block_offset",
-    "extract_bits",
-    "fold",
     "saturate",
-    "sign_extend",
     "combine",
     "hash_to",
     "mix64",
-    "pc_hash",
     "skewed_hashes",
     "RocPoint",
     "arithmetic_mean",

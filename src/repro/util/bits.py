@@ -1,61 +1,10 @@
-"""Bit-field manipulation helpers used throughout the predictor stack.
+"""Bit-level helpers used by the predictor stack.
 
-The paper's features extract arbitrary bit ranges from program counters
-and physical addresses (Section 3.2) and fold them down to at most
-8 bits to index small prediction tables (Section 3.4).  The published
-feature tables contain ranges whose endpoints are reversed (for
-instance ``pc(9,11,7,16,0)`` has begin bit 11 and end bit 7), so range
-extraction normalizes its endpoints before slicing.
+Feature range normalization and xor-folding live with the features
+that use them (:mod:`repro.core.features`).
 """
 
 from __future__ import annotations
-
-MASK64 = (1 << 64) - 1
-
-
-def bit(value: int, position: int) -> int:
-    """Return bit ``position`` (0 = least significant) of ``value``."""
-    return (value >> position) & 1
-
-
-def extract_bits(value: int, lo: int, hi: int) -> int:
-    """Return bits ``lo`` through ``hi`` of ``value``, inclusive.
-
-    Endpoints are normalized (``lo`` and ``hi`` may be given in either
-    order) and clamped to the 64-bit range, mirroring the lenient
-    treatment the published feature tables require.
-    """
-    if lo > hi:
-        lo, hi = hi, lo
-    lo = max(0, min(63, lo))
-    hi = max(0, min(63, hi))
-    width = hi - lo + 1
-    return (value >> lo) & ((1 << width) - 1)
-
-
-def fold(value: int, width: int) -> int:
-    """XOR-fold ``value`` down to ``width`` bits.
-
-    Folding preserves entropy from every input bit, unlike truncation,
-    which matters when a feature slices high address bits.  ``width``
-    must be at least 1.
-    """
-    if width < 1:
-        raise ValueError("fold width must be >= 1")
-    value &= MASK64
-    mask = (1 << width) - 1
-    folded = 0
-    while value:
-        folded ^= value & mask
-        value >>= width
-    return folded
-
-
-def sign_extend(value: int, width: int) -> int:
-    """Interpret the low ``width`` bits of ``value`` as two's complement."""
-    value &= (1 << width) - 1
-    sign_bit = 1 << (width - 1)
-    return (value ^ sign_bit) - sign_bit
 
 
 def saturate(value: int, lo: int, hi: int) -> int:
@@ -65,13 +14,3 @@ def saturate(value: int, lo: int, hi: int) -> int:
     if value > hi:
         return hi
     return value
-
-
-def block_address(address: int, block_shift: int = 6) -> int:
-    """Return the cache-block-aligned address (64 B blocks by default)."""
-    return address >> block_shift
-
-
-def block_offset(address: int, block_shift: int = 6) -> int:
-    """Return the byte offset within the cache block."""
-    return address & ((1 << block_shift) - 1)

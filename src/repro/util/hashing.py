@@ -37,15 +37,6 @@ def combine(*values: int) -> int:
     return acc
 
 
-def pc_hash(pc: int, width: int = 8) -> int:
-    """Hash a program counter into a table index of ``width`` bits.
-
-    Real memory-access PCs share low-bit alignment patterns; mixing
-    before masking avoids systematically colliding them.
-    """
-    return hash_to(pc >> 2, width)
-
-
 def skewed_hashes(value: int, count: int, width: int) -> list:
     """Return ``count`` independent hashes of ``value``.
 

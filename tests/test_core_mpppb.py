@@ -4,7 +4,7 @@ import pytest
 
 from repro.cache.access import AccessContext
 from repro.cache.replacement.lru import LRUPolicy
-from repro.core.features import BiasFeature
+from repro.core.features import BiasFeature, parse_feature_set
 from repro.core.mpppb import MPPPBConfig, MPPPBPolicy
 from repro.core.presets import (
     TABLE_1A_SPECS,
@@ -52,7 +52,7 @@ class TestMPPPBConfig:
             minimal_config(default_policy="fifo")
 
     def test_from_specs(self):
-        config = MPPPBConfig.from_specs(TABLE_1A_SPECS)
+        config = MPPPBConfig(features=parse_feature_set(TABLE_1A_SPECS))
         assert len(config.features) == 16
 
     def test_with_features(self):

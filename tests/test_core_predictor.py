@@ -19,7 +19,7 @@ from repro.core.predictor import (
 )
 from repro.core.presets import TABLE_1A_SPECS, table_1b_features
 from repro.core.sampler import MultiperspectiveSampler
-from repro.core.tables import WEIGHT_MAX, WEIGHT_MIN, WeightTable, total_storage_bits
+from repro.core.tables import WEIGHT_MAX, WEIGHT_MIN, WeightTable
 
 
 def ctx(pc=0x401000, block=0x1000, **kwargs):
@@ -56,7 +56,6 @@ class TestWeightTable:
 
     def test_storage_bits(self):
         assert WeightTable(256).storage_bits() == 1536
-        assert total_storage_bits([WeightTable(2), WeightTable(1)]) == 18
 
     @given(st.lists(st.tuples(st.booleans(), st.integers(0, 3)), max_size=200))
     def test_weights_always_in_range(self, operations):

@@ -14,8 +14,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.cache.access import PREFETCH_PC
+from repro.cache.cache import SetAssociativeCache
 from repro.cache.replacement.lru import LRUPolicy
-from repro.config import TINY
+from repro.config import TINY, get_scale
 from repro.exec.artifacts import pack_upper
 from repro.sim.hierarchy import SERVICE_L1, SERVICE_L2, HierarchyConfig, UpperLevels
 from repro.sim.llc import LLCAccess, LLCSimulator
@@ -39,6 +40,18 @@ class TestHierarchyConfig:
 
     def test_llc_bytes(self):
         assert HierarchyConfig(llc_kib=2048).llc_bytes == 2 * 1024 * 1024
+
+    @pytest.mark.parametrize("scale", ["tiny", "small", "paper"])
+    @pytest.mark.parametrize("which", ["hierarchy", "multi_hierarchy"])
+    def test_llc_sets_match_the_llc(self, scale, which):
+        config = getattr(get_scale(scale), which)
+        cache = SetAssociativeCache(config.llc_bytes, config.llc_ways,
+                                    config.block_bytes)
+        assert config.llc_sets == cache.num_sets
+
+    def test_llc_sets_rejects_non_power_of_two(self):
+        with pytest.raises(ValueError, match="power of two"):
+            HierarchyConfig(llc_kib=96, llc_ways=16).llc_sets  # 96 sets
 
 
 class TestUpperLevels:

@@ -22,12 +22,7 @@ from repro.obs.events import (
     read_events,
     write_events,
 )
-from repro.obs.metrics import (
-    Histogram,
-    MetricsRegistry,
-    merge_counters,
-    merge_hists,
-)
+from repro.obs.metrics import Histogram, MetricsRegistry
 from repro.obs.spans import NULL_SPAN, SpanCollector
 
 ACCESSES = 1_500
@@ -180,19 +175,6 @@ class TestRegistry:
         second = reg.histogram("h", [5, 6])  # first bounds win
         assert first is second
         assert first.bounds == [0, 1]
-
-    def test_merge_helpers(self):
-        totals = {}
-        merge_counters(totals, {"a": 1, "b": 2})
-        merge_counters(totals, {"a": 3})
-        assert totals == {"a": 4, "b": 2}
-        hists = {}
-        payload = MetricsRegistry()
-        payload.histogram("h", [0]).observe(1)
-        shipped = payload.payload()["hists"]
-        merge_hists(hists, shipped)
-        merge_hists(hists, shipped)
-        assert hists["h"].count == 2
 
 
 class TestSwitchboard:

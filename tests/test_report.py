@@ -4,12 +4,10 @@ import pytest
 
 from repro.report import (
     format_table,
-    mix_mpki_summary,
     mpki_table,
     speedup_table,
     weighted_speedup_summary,
 )
-from repro.sim.multi import MixResult
 from repro.sim.single import BenchmarkResult, SegmentResult
 
 
@@ -20,14 +18,6 @@ def bench_result(name, ipc, mpki):
         demand_misses=50, instructions=1000,
     )
     return BenchmarkResult(benchmark=name, segments=(segment,))
-
-
-def mix_result(name, ws_ipcs, mpki):
-    return MixResult(
-        mix_name=name, thread_names=("a", "b", "c", "d"),
-        ipcs=tuple(ws_ipcs), single_ipcs=(1.0,) * 4, mpki=mpki,
-        llc_misses=10, llc_bypasses=0,
-    )
 
 
 class TestFormatTable:
@@ -104,10 +94,3 @@ class TestMultiSummaries:
         table = weighted_speedup_summary({"mpppb": [1.1, 0.9, 1.2]})
         assert "mpppb" in table
         assert "1" in table  # below-LRU count column
-
-    def test_mix_mpki_summary(self):
-        table = mix_mpki_summary({
-            "lru": [mix_result("m0", [1.0] * 4, 12.0),
-                    mix_result("m1", [1.0] * 4, 14.0)],
-        })
-        assert "13.000" in table

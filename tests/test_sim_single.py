@@ -77,10 +77,6 @@ class TestScaleConfig:
         monkeypatch.setenv("REPRO_SCALE", "tiny")
         assert get_scale().name == "tiny"
 
-    def test_with_segment_accesses(self):
-        scale = get_scale("tiny").with_segment_accesses(123)
-        assert scale.segment_accesses == 123
-
 
 class TestSingleThreadRunner:
     @pytest.fixture(scope="class")

@@ -70,7 +70,6 @@ class TestTrace:
     def test_instruction_count(self):
         trace = Trace.from_accesses("t", [(1, 2, False, 4), (1, 2, False, 0)])
         assert trace.num_instructions == 6
-        assert trace.num_accesses == 2
 
     def test_rejects_negative_gap(self):
         with pytest.raises(ValueError):

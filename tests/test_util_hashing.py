@@ -3,7 +3,8 @@
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.util.hashing import combine, hash_to, mix64, pc_hash, skewed_hashes
+from repro.core.features import _hashed_pc
+from repro.util.hashing import combine, hash_to, mix64, skewed_hashes
 
 
 class TestMix64:
@@ -45,12 +46,14 @@ class TestCombine:
 
 
 class TestPcHash:
+    """The features' PC hash (``hash_to(pc >> 2, INDEX_BITS)``)."""
+
     def test_default_width(self):
-        assert 0 <= pc_hash(0x401234) < 256
+        assert 0 <= _hashed_pc(0x401234) < 256
 
     def test_nearby_pcs_spread(self):
         # Memory PCs are typically 4-byte aligned and clustered.
-        indices = {pc_hash(0x400000 + 4 * i) for i in range(256)}
+        indices = {_hashed_pc(0x400000 + 4 * i) for i in range(256)}
         assert len(indices) > 150
 
 
