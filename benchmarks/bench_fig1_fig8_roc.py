@@ -50,9 +50,7 @@ def run_roc_experiment():
                 predictor = _predictor(predictor_name, num_sets)
                 result = measure_roc(
                     predictor, upper.llc_stream, segment.trace.pcs,
-                    hierarchy.llc_bytes, hierarchy.llc_ways,
-                    warmup=len(upper.llc_stream) // 4,
-                    block_bytes=hierarchy.block_bytes,
+                    hierarchy, warmup=len(upper.llc_stream) // 4,
                 )
                 # Normalize confidences per predictor scale before pooling.
                 rng = max(1.0, predictor.confidence_range)

@@ -50,9 +50,8 @@ def main() -> None:
     print(f"{'predictor':18s} {'AUC':>6s}   TPR at FPR = 10% / 25% / 31% / 50%")
     for name, predictor in predictors.items():
         result = measure_roc(
-            predictor, upper.llc_stream, segment.trace.pcs,
-            hierarchy.llc_bytes, hierarchy.llc_ways, warmup=warmup,
-            block_bytes=hierarchy.block_bytes,
+            predictor, upper.llc_stream, segment.trace.pcs, hierarchy,
+            warmup=warmup,
         )
         points = result.curve(result.default_thresholds(65))
         area = auc(points)

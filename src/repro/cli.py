@@ -58,6 +58,7 @@ from repro.exec import (
     TraceSpec,
     list_runs,
 )
+from repro.exec.manifest import strip_exec_flags
 from repro.report import (
     mpki_table,
     speedup_table,
@@ -110,8 +111,8 @@ def _resolve_trace(args: argparse.Namespace,
 
     Resolution happens once, here: the content digest is computed (or
     revalidated from its sidecar) before any cell is scheduled, so
-    workers, local or on ssh hosts, receive a finished recipe and only
-    ever re-open the file to decode it.
+    workers receive a finished recipe and only ever re-open the file
+    to decode it.
     """
     if not args.trace_file:
         return None
@@ -149,14 +150,6 @@ def _add_exec(parser: argparse.ArgumentParser) -> None:
                              "<cache>/runs/<run-id>.events.jsonl "
                              "(also: REPRO_TELEMETRY=1); inspect with "
                              "'repro.cli stats'")
-    parser.add_argument("--workers", default=None, metavar="SPEC",
-                        help="run workers on ssh hosts, 'host[:slots],...' "
-                             "(default: $REPRO_WORKERS; without it, --jobs "
-                             "local workers)")
-    parser.add_argument("--shared-store", default=None, metavar="DIR",
-                        help="shared read-through result-store tier "
-                             "(default: $REPRO_SHARED_STORE; 'off' "
-                             "disables)")
 
 
 #: Engine backing the currently dispatched command, so the top-level
@@ -295,9 +288,7 @@ def cmd_roc(args: argparse.Namespace) -> int:
     print(f"{'predictor':18s} {'AUC':>6s}")
     for name, predictor in predictors.items():
         result = measure_roc(predictor, upper.llc_stream, segment.trace.pcs,
-                             hierarchy.llc_bytes, hierarchy.llc_ways,
-                             warmup=len(upper.llc_stream) // 4,
-                             block_bytes=hierarchy.block_bytes)
+                             hierarchy, warmup=len(upper.llc_stream) // 4)
         points = result.curve(result.default_thresholds(49))
         print(f"{name:18s} {auc(points):6.3f}")
     return 0
@@ -664,70 +655,50 @@ def cmd_cache(args: argparse.Namespace) -> int:
     return 0
 
 
-def _drop_retired_flags(command: List[str]) -> List[str]:
-    """Drop the flags older runs recorded that the CLI has retired.
+#: Flags older runs recorded that the CLI has retired; each took a value.
+_RETIRED_FLAGS = ("--backend", "--hedge", "--workers", "--shared-store",
+                  "--batch-size")
 
-    ``--backend X`` picked a transport, a bare-integer ``--workers N``
-    sized a local worker fleet (``--jobs`` sizes the local workers
-    now), and ``--hedge M`` duplicated straggling cells.  Exec flags
-    never entered the run id, so the re-driven command still reopens
-    the same manifest.  ``search --batch-size K`` capped the
-    candidates per batch replay (:data:`~repro.search.evaluator.
-    SEARCH_BATCH` does now); it did enter the run id, so the re-driven
-    search opens a new manifest, and the candidates the old run
-    finished are still store hits.
+
+def _drop_retired_flags(command: List[str]) -> List[str]:
+    """Drop the retired flags (space and ``=`` forms) from a recorded
+    argv.
+
+    ``--backend X`` picked a transport, ``--workers SPEC`` sized a
+    local worker fleet or put the workers on ssh hosts (``--jobs``
+    sizes the local workers now), ``--shared-store DIR`` added a
+    shared read-through store tier, and ``--hedge M`` duplicated
+    straggling cells.  These exec flags never entered the run id, so
+    the re-driven command still reopens the same manifest.  ``search
+    --batch-size K`` capped the candidates per batch replay
+    (:data:`~repro.search.evaluator.SEARCH_BATCH` does now); it did
+    enter the run id, so the re-driven search opens a new manifest,
+    and the candidates the old run finished are still store hits.
     """
     kept: List[str] = []
-    parts = list(command)
-    while parts:
-        part = parts.pop(0)
-        flag, eq, value = part.partition("=")
-        if flag in ("--backend", "--hedge", "--workers", "--batch-size"):
-            if not eq and parts:
-                value = parts[0]
-            if flag != "--workers" or value.strip().isdigit():
-                if not eq and parts:
-                    parts.pop(0)
-                continue
+    parts = iter(command)
+    for part in parts:
+        flag, eq, _ = part.partition("=")
+        if flag in _RETIRED_FLAGS:
+            if not eq:
+                next(parts, None)  # the flag's value
+            continue
         kept.append(part)
     return kept
 
 
 def _override_exec_args(command: List[str],
                         args: argparse.Namespace) -> List[str]:
-    """Apply ``resume`` execution overrides to a recorded argv.
+    """Apply a ``resume --jobs`` override to a recorded argv.
 
-    Any override given to ``resume`` (``--jobs`` / ``--workers`` /
-    ``--shared-store``) replaces the recorded flag,
-    whether the original used the space or ``=`` form.  Flags not
-    overridden pass through untouched.  Exec flags never enter the
-    run id (see :data:`repro.exec.manifest.EXEC_FLAGS`), so the
-    re-driven command reopens the same manifest.
+    The override replaces the recorded ``--jobs``, whether the original
+    used the space or ``=`` form.  ``--jobs`` never enters the run id
+    (see :data:`repro.exec.manifest.EXEC_FLAGS`), so the re-driven
+    command reopens the same manifest.
     """
-    overrides = {}
-    if args.jobs is not None:
-        overrides["--jobs"] = str(args.jobs)
-    if args.workers is not None:
-        overrides["--workers"] = args.workers
-    if args.shared_store is not None:
-        overrides["--shared-store"] = args.shared_store
-    if not overrides:
+    if args.jobs is None:
         return list(command)
-    rebuilt: List[str] = []
-    skip = False
-    for part in command:
-        if skip:
-            skip = False
-            continue
-        if part in overrides:
-            skip = True
-            continue
-        if any(part.startswith(f"{flag}=") for flag in overrides):
-            continue
-        rebuilt.append(part)
-    for flag, value in sorted(overrides.items()):
-        rebuilt.extend([flag, value])
-    return rebuilt
+    return strip_exec_flags(command) + ["--jobs", str(args.jobs)]
 
 
 def cmd_resume(args: argparse.Namespace) -> int:
@@ -858,10 +829,6 @@ def build_parser() -> argparse.ArgumentParser:
                              "(default: $REPRO_CACHE_DIR or .repro-cache)")
     resume.add_argument("--jobs", type=int, default=None, metavar="N",
                         help="override the recorded --jobs for this resume")
-    resume.add_argument("--workers", default=None, metavar="SPEC",
-                        help="override the recorded ssh worker spec")
-    resume.add_argument("--shared-store", default=None, metavar="DIR",
-                        help="override the recorded shared store tier")
     resume.set_defaults(func=cmd_resume)
 
     stats = sub.add_parser(

@@ -26,7 +26,6 @@ applied to their environment) read one setting with
 from __future__ import annotations
 
 import os
-import shlex
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, Mapping, Optional, Tuple
 
@@ -220,36 +219,6 @@ def _scale(name: str, raw: Any) -> ReproScale:
         ) from None
 
 
-def _text(name: str, raw: Any) -> str:
-    text = str(raw).strip()
-    if text.lower() in ON_WORDS + OFF_WORDS:
-        raise ConfigError(f"{name} must be a command, got {raw!r}")
-    return text
-
-
-def _argv(name: str, raw: Any) -> Tuple[str, ...]:
-    text = _text(name, raw)
-    try:
-        return tuple(shlex.split(text))
-    except ValueError as exc:
-        raise ConfigError(f"{name} must be a command ({exc}), "
-                          f"got {raw!r}") from None
-
-
-def _workers(name: str, raw: Any) -> Optional[str]:
-    from repro.exec.backends.ssh import parse_worker_spec
-
-    if _is_off(raw):
-        return None
-    spec = str(raw).strip()
-    if spec.isdigit():
-        raise ConfigError(
-            f"{name} takes ssh hosts as host[:slots],..., not a count "
-            f"({spec!r}); size local workers with --jobs")
-    parse_worker_spec(spec, name)
-    return spec
-
-
 def _fault_plan(name: str, raw: Any) -> Any:
     from repro.exec.faults import FaultPlan, parse_fault_spec
 
@@ -276,20 +245,13 @@ SETTINGS: Tuple[Setting, ...] = (
     Setting("jobs", "REPRO_JOBS", "--jobs", _jobs, 1),
     Setting("cache_dir", "REPRO_CACHE_DIR", "--cache-dir", _path,
             DEFAULT_CACHE_DIR),
-    Setting("shared_store", "REPRO_SHARED_STORE", "--shared-store", _path,
-            None),
-    Setting("workers", "REPRO_WORKERS", "--workers", _workers, None),
     Setting("telemetry", "REPRO_TELEMETRY", "--telemetry", _switch, False),
     # Failure handling: flags only.
     Setting("on_error", None, "--on-error", _on_error, "collect"),
     Setting("retries", None, "--retries", _count, 0),
     Setting("cell_timeout", None, "--cell-timeout", _seconds, None),
-    # Deployment: worker liveness, ssh transport, manifest durability.
+    # Deployment: worker liveness, manifest durability.
     Setting("heartbeat", "REPRO_HEARTBEAT", None, _seconds, None),
-    Setting("ssh_command", "REPRO_SSH_COMMAND", None, _argv, None),
-    Setting("remote_python", "REPRO_REMOTE_PYTHON", None, _text, "python3"),
-    Setting("ssh_connect_timeout", "REPRO_SSH_CONNECT_TIMEOUT", None,
-            _seconds, 10.0),
     Setting("manifest_fsync", "REPRO_MANIFEST_FSYNC", None, _switch, False),
     # Test harness switches.
     Setting("fault_inject", "REPRO_FAULT_INJECT", None, _fault_plan, None),
@@ -310,16 +272,11 @@ class RunConfig:
     scale: ReproScale
     jobs: int
     cache_dir: Optional[str]
-    shared_store: Optional[str]
-    workers: Optional[str]
     telemetry: bool
     on_error: str
     retries: int
     cell_timeout: Optional[float]
     heartbeat: Optional[float]
-    ssh_command: Optional[Tuple[str, ...]]
-    remote_python: str
-    ssh_connect_timeout: Optional[float]
     manifest_fsync: bool
     fault_inject: Any  # Optional[repro.exec.faults.FaultPlan]
     stage2_kernel: bool

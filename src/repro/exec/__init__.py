@@ -14,9 +14,7 @@ from repro.exec.cachekey import (
 from repro.exec.backends import (
     BackendUnavailable,
     Frame,
-    SSHBackend,
     WorkerFleetBackend,
-    parse_worker_spec,
 )
 from repro.exec.faults import (
     CellExecutionError,
@@ -35,12 +33,7 @@ from repro.exec.runner import (
     SuiteSpec,
     TraceSpec,
 )
-from repro.exec.store import (
-    CacheStats,
-    ResultStore,
-    TieredResultStore,
-    make_store,
-)
+from repro.exec.store import CacheStats, ResultStore
 
 __all__ = [
     "SCHEMA_VERSION",
@@ -49,9 +42,7 @@ __all__ = [
     "task_seed",
     "BackendUnavailable",
     "Frame",
-    "SSHBackend",
     "WorkerFleetBackend",
-    "parse_worker_spec",
     "CellExecutionError",
     "CellFailure",
     "ConfigError",
@@ -71,6 +62,4 @@ __all__ = [
     "DEFAULT_CACHE_DIR",
     "CacheStats",
     "ResultStore",
-    "TieredResultStore",
-    "make_store",
 ]

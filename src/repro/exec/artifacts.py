@@ -314,18 +314,12 @@ def peek_kind(path) -> Optional[str]:
 
 @dataclass
 class ArtifactStats:
-    """Hit/miss counters per artifact kind, over one cache lifetime.
-
-    ``shared_hits`` counts reads a TieredResultStore served from the
-    shared directory after a local miss; it feeds the run report's
-    ``store_shared_hits``.
-    """
+    """Hit/miss counters per artifact kind, over one cache lifetime."""
 
     trace_hits: int = 0
     trace_misses: int = 0
     stage1_hits: int = 0
     stage1_misses: int = 0
-    shared_hits: int = 0
 
     def counts(self) -> Dict[str, int]:
         return {
@@ -333,7 +327,6 @@ class ArtifactStats:
             "trace_misses": self.trace_misses,
             "stage1_hits": self.stage1_hits,
             "stage1_misses": self.stage1_misses,
-            "shared_hits": self.shared_hits,
         }
 
 
@@ -350,19 +343,11 @@ class ArtifactCache:
         self.store = store
         self.stats = ArtifactStats()
 
-    def _read(self, key: str) -> Optional[bytes]:
-        """Store read that counts hits the shared tier served."""
-        blob = self.store.get_bytes(key)
-        if (blob is not None
-                and getattr(self.store, "last_tier", "local") == "shared"):
-            self.stats.shared_hits += 1
-        return blob
-
     # -- traces -----------------------------------------------------------
 
     def load_segments(self, trace_payload: Dict[str, Any]
                       ) -> Optional[List[Segment]]:
-        blob = self._read(trace_key(trace_payload))
+        blob = self.store.get_bytes(trace_key(trace_payload))
         segments = None if blob is None else unpack_segments(blob)
         if segments is None:
             self.stats.trace_misses += 1
@@ -380,7 +365,7 @@ class ArtifactCache:
                    hierarchy_payload: Dict[str, int],
                    prefetch: bool) -> Optional[UpperLevelResult]:
         key = stage1_key(scope, segment_name, hierarchy_payload, prefetch)
-        blob = self._read(key)
+        blob = self.store.get_bytes(key)
         upper = None if blob is None else unpack_upper(blob)
         if upper is None:
             self.stats.stage1_misses += 1

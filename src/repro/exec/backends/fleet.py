@@ -6,15 +6,14 @@ pair of pipes.  On Linux the local slots are children forked from this
 process: a fork starts in milliseconds with the simulation stack
 already imported, where an exec'd ``python -m repro.exec.worker`` pays
 about half a second of interpreter start and imports on every drive.
-Other slots are spawned from an argv: the ``ssh host ...`` tunnels of
-:mod:`repro.exec.backends.ssh`, and the local worker module on
-platforms where a fork without exec is not safe.  Everything above the
-spawn is shared.  One daemon reader thread per worker pumps inbound
-frames into a queue that the drive loop's ``poll`` drains.  A worker
-whose stream ends (crash, kill, dropped connection, corrupt frame)
-surfaces as a ``lost`` frame for whatever task it was running, and the
-runner's requeue + rebuild machinery guarantees the cell still runs
-exactly once per key.
+Off Linux, where a fork without exec is not safe, slots spawn that
+worker module from an argv instead, as do the tests that pass one argv
+per slot to run custom workers.  Everything above the spawn is shared.
+One daemon reader thread per worker pumps inbound frames into a queue
+that the drive loop's ``poll`` drains.  A worker whose stream ends
+(crash, kill, closed pipe, corrupt frame) surfaces as a ``lost`` frame
+for whatever task it was running, and the runner's requeue + rebuild
+machinery guarantees the cell still runs exactly once per key.
 
 The contract :class:`~repro.exec.runner.ParallelRunner` relies on:
 
@@ -47,8 +46,8 @@ Fork rules, each one load-bearing:
 Settings propagation: after start each worker receives one ``config``
 frame carrying a snapshot of the parent's ``REPRO_*`` environment, so
 the settings workers read (:func:`repro.config.env_value`: fault
-injection, heartbeats, the Stage-2 kernel switch) match the parent's
-on every host.
+injection, heartbeats, the Stage-2 kernel switch) match the parent's,
+spawned slots included.
 """
 
 from __future__ import annotations
@@ -536,38 +535,6 @@ class WorkerFleetBackend:
                 worker.task_id = None
                 worker.alive = False  # slot unusable until rebuild
                 return
-
-    def _await_ready(self, timeout: float) -> None:
-        """Block until every slot's ``hello`` lands; fail fast otherwise.
-
-        Used by the SSH backend's ``start()`` so an unreachable host
-        surfaces as a clean :class:`BackendUnavailable` within the
-        connect timeout rather than a hang at first ``submit``.  Safe
-        only before work is submitted (events drained here can only be
-        hellos or deaths).
-        """
-        deadline = time.monotonic() + timeout
-        while not all(worker.ready for worker in self._fleet):
-            dead = next((w for w in self._fleet if not w.alive), None)
-            if dead is not None:
-                tail = self._stderr_tail(dead)
-                index = dead.index
-                self.close()
-                raise BackendUnavailable(
-                    f"worker slot {index} died before its hello"
-                    + (f"\n{tail}" if tail else ""))
-            remaining = deadline - time.monotonic()
-            if remaining <= 0:
-                pending = [w.index for w in self._fleet if not w.ready]
-                self.close()
-                raise BackendUnavailable(
-                    f"worker slot(s) {pending} not ready within "
-                    f"{timeout:.0f}s")
-            try:
-                event = self._events.get(timeout=min(remaining, 0.25))
-            except queue.Empty:
-                continue
-            self._handle_event(*event)
 
     def rebuild(self) -> List[int]:
         dropped = self.in_flight()

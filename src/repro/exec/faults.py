@@ -20,7 +20,7 @@ The fault-tolerance layer needs two things this module provides:
     clause  := kind (':' option (',' option)*)?
     kind    := 'raise' | 'crash' | 'hang' | 'corrupt'
              | 'frame-drop' | 'frame-trunc' | 'frame-delay' | 'frame-dup'
-             | 'hb-loss' | 'shared-fail'
+             | 'hb-loss'
     option  := 'every=N' | 'phase=K' | 'times=T' | 'seconds=S'
              | 'key=HEXPREFIX'
 
@@ -47,7 +47,7 @@ Kinds:
   "corruption is a miss" re-execution path).
 
 Network-chaos kinds (DESIGN.md §16) simulate partitions and flaky
-infrastructure rather than cell bugs:
+links rather than cell bugs:
 
 * ``frame-drop`` — the worker silently discards the cell's result
   frame (a partition after compute: recovery needs heartbeats or the
@@ -63,12 +63,7 @@ infrastructure rather than cell bugs:
 * ``hb-loss`` — the worker suppresses heartbeat frames for the
   selected cell while still computing (a one-way partition: the
   parent's heartbeat timeout must fire even though the cell would
-  eventually finish);
-* ``shared-fail`` — shared-tier store operations raise ``OSError``
-  (a dead NFS mount: drives the circuit breaker).  Selection is
-  per *operation*, not per cell: ``times`` bounds how many shared ops
-  fail (default unlimited for this kind), ``key=`` restricts to
-  matching cache keys.
+  eventually finish).
 
 Examples::
 
@@ -77,7 +72,6 @@ Examples::
     REPRO_FAULT_INJECT="hang:key=3fa2,seconds=30" # one straggler
     REPRO_FAULT_INJECT="raise:every=7;corrupt:every=11"
     REPRO_FAULT_INJECT="frame-drop:every=6;hb-loss:every=4"
-    REPRO_FAULT_INJECT="shared-fail"              # dead shared tier
 """
 
 from __future__ import annotations
@@ -102,7 +96,7 @@ CORRUPT_RESULT = "__repro-fault-corrupt__"
 
 FAULT_KINDS = ("raise", "crash", "hang", "corrupt",
                "frame-drop", "frame-trunc", "frame-delay", "frame-dup",
-               "hb-loss", "shared-fail")
+               "hb-loss")
 
 #: Kinds that mangle the worker→parent result frame.
 FRAME_KINDS = ("frame-drop", "frame-trunc", "frame-delay", "frame-dup")
@@ -113,7 +107,7 @@ class InjectedFault(RuntimeError):
 
 
 class RemoteCellError(RuntimeError):
-    """A cell raised on the far side of a process/host boundary.
+    """A cell raised on the far side of a process boundary.
 
     Workers cannot ship exception *objects* back (the type may not
     unpickle, and a hostile/corrupt stream must never drive arbitrary
@@ -121,8 +115,7 @@ class RemoteCellError(RuntimeError):
     instead.  This wrapper carries them; :func:`make_failure`
     unwraps it so the recorded :class:`CellFailure` names the original
     remote exception type — a run's failure records read the same
-    whether the cell died in-process, in a local worker, or on another
-    host.
+    whether the cell died in-process or in a worker.
     """
 
     def __init__(self, exc_type: str, message: str,
@@ -235,16 +228,12 @@ def parse_fault_spec(spec: str) -> Tuple[FaultRule, ...]:
                         f"REPRO_FAULT_INJECT: malformed option {option!r} "
                         f"in {clause!r} (expected name=value)")
                 options[name.strip().lower()] = value.strip()
-        # ``times`` for shared-fail counts failing *operations*, and a
-        # dead mount fails every op — so its default is unlimited (0),
-        # where cell-scoped kinds default to a single faulted attempt.
-        default_times = 0 if kind == "shared-fail" else 1
         try:
             rule = FaultRule(
                 kind=kind,
                 every=int(options.pop("every", 1)),
                 phase=int(options.pop("phase", 0)),
-                times=int(options.pop("times", default_times)),
+                times=int(options.pop("times", 1)),
                 seconds=float(options.pop("seconds", 3600.0)),
                 key=options.pop("key", ""),
             )
@@ -310,50 +299,6 @@ class FaultPlan:
         """Worker-side hook: silence heartbeats while this cell runs?"""
         return any(rule.kind == "hb-loss" and rule.selects(key, attempt)
                    for rule in self.rules)
-
-    def shared_fail(self, key: str = "") -> bool:
-        """Should this shared-tier store operation fail?
-
-        Unlike the cell-scoped hooks this charges a per-*operation*
-        budget: each call that answers True consumes one of the rule's
-        ``times`` (0 = unlimited).  ``key=`` restricts to matching
-        cache keys (blob ops pass their logical name).
-        """
-        for rule in self.rules:
-            if rule.kind != "shared-fail":
-                continue
-            if rule.key and not key.startswith(rule.key):
-                continue
-            spent = _SHARED_FAIL_SPENT.get(id(rule), 0)
-            if rule.times and spent >= rule.times:
-                continue
-            _SHARED_FAIL_SPENT[id(rule)] = spent + 1
-            return True
-        return False
-
-
-#: shared-fail operations already charged, keyed by rule identity.
-#: Plans are cached per spec string (:func:`repro.config.env_value`),
-#: so rule identity is stable for the lifetime of a spec; tests
-#: switching specs get fresh budgets.
-_SHARED_FAIL_SPENT: Dict[int, int] = {}
-
-
-def reset_injection_state() -> None:
-    """Forget charged shared-fail budgets (test isolation hook)."""
-    _SHARED_FAIL_SPENT.clear()
-
-
-def shared_tier_fault(key: str = "") -> None:
-    """Raise ``OSError`` when an active ``shared-fail`` rule fires.
-
-    The tiered store calls this before every shared-tier operation;
-    with no active plan (the overwhelmingly common case) it is one
-    ``os.environ`` lookup.
-    """
-    plan = active_plan()
-    if plan is not None and plan.shared_fail(key):
-        raise OSError("injected shared-tier fault (REPRO_FAULT_INJECT)")
 
 
 def active_plan() -> Optional[FaultPlan]:

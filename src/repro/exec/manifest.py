@@ -47,7 +47,7 @@ MANIFEST_SCHEMA = 1
 #: They are stripped from the command before hashing the run id, so
 #: resuming with different execution settings (``resume --jobs 8``)
 #: reopens the same manifest and completion log.
-EXEC_FLAGS = ("--jobs", "--workers", "--shared-store")
+EXEC_FLAGS = ("--jobs",)
 
 #: Statuses a ``.done`` log line may carry; anything else on a line is
 #: treated as corruption and skipped on replay.
@@ -81,9 +81,9 @@ class RunManifest:
     command: List[str]                  # CLI argv; [] for library runs
     cells: Dict[str, Dict[str, str]]    # key -> {"label", "kind"}
     statuses: Dict[str, str] = field(default_factory=dict)
-    # Execution settings of the most recent invocation (transport,
-    # worker spec, job count) — informational, never part of the run
-    # id, so a resume with different settings updates it in place.
+    # Execution settings of the most recent invocation (the job
+    # count) — informational, never part of the run id, so a resume
+    # with different settings updates it in place.
     exec_info: Dict[str, str] = field(default_factory=dict)
     # True when the ``.done`` log ended mid-line (a torn write from a
     # crash or power loss): the torn tail was skipped on replay and
@@ -115,10 +115,9 @@ class RunManifest:
         existing manifest for the same run id is reused, so resumed
         runs continue the original completion log.  Execution-only
         flags are stripped from the command before hashing, so a
-        resume with overridden ``--jobs``/``--workers`` reopens the
-        same run; the manifest file is rewritten when the
-        recorded execution settings change (the ``.done`` log is
-        untouched).
+        resume with an overridden ``--jobs`` reopens the same run; the
+        manifest file is rewritten when the recorded execution
+        settings change (the ``.done`` log is untouched).
         """
         keys = sorted(key for key, _, _ in cells)
         run_id = stable_hash({

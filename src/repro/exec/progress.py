@@ -85,24 +85,10 @@ class ExecReport:
     # ``graph.denied`` and ``graph.prelude``.
     graph_denied: int = 0
     graph_prelude: int = 0
-    # Distributed-mesh accounting: which transport drove the batch
-    # ("local" forked workers or "ssh"), and shared-tier store traffic
-    # (read-through hits served by the shared directory — result
-    # lookups in the parent plus artifact reads inside workers — and
-    # write-backs pushed up to it).  Zero/"local" for plain
-    # single-host runs.
-    backend: str = "local"
-    store_shared_hits: int = 0
-    store_shared_fills: int = 0
-    # Health-layer accounting (DESIGN.md §16): ``hb_lost`` workers
-    # declared lost by the heartbeat timeout (a subset of the
-    # requeue/rebuild traffic above); ``store_breaker_trips``
-    # shared-tier circuit-breaker openings during this batch and
-    # ``store_breaker_open`` whether the run *ended* with the shared
-    # tier degraded to local-only.
+    # Heartbeat accounting (DESIGN.md §16): workers declared lost by
+    # the heartbeat timeout (a subset of the requeue/rebuild traffic
+    # above).
     hb_lost: int = 0
-    store_breaker_trips: int = 0
-    store_breaker_open: bool = False
 
     @property
     def cells(self) -> int:
@@ -169,16 +155,6 @@ class ExecReport:
             f"wall={self.wall_seconds:.2f}s  work={self.cell_seconds:.2f}s  "
             f"util={self.utilization:.0%}"
         )
-        if self.backend != "local":
-            line += f"  backend={self.backend}"
-        if (self.store_shared_hits or self.store_shared_fills
-                or self.store_breaker_trips or self.store_breaker_open):
-            line += (f"  shared: hits={self.store_shared_hits} "
-                     f"fills={self.store_shared_fills}")
-            if self.store_breaker_open:
-                line += " breaker=open"
-            elif self.store_breaker_trips:
-                line += f" breaker-trips={self.store_breaker_trips}"
         if self.artifact_lookups:
             line += (
                 f"  artifacts: trace {self.trace_hits}/"

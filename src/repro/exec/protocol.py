@@ -1,9 +1,8 @@
-"""Length-prefixed pickle framing for the distributed execution mesh.
+"""Length-prefixed pickle framing between the parent and its workers.
 
-Every transport the worker fleet speaks — pipes to forked local
-workers, stdin/stdout tunneled over ``ssh`` — carries the same byte
-stream: a sequence of self-delimiting frames, each a small pickled
-message::
+Every pipe the worker fleet speaks — to a forked worker, or to the
+stdin/stdout of a spawned one — carries the same byte stream: a
+sequence of self-delimiting frames, each a small pickled message::
 
     magic "RPF1" | uint32-LE payload length | pickle payload
 

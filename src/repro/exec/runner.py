@@ -74,8 +74,7 @@ from repro.exec.backends import (
     FRAME_OK,
     HEARTBEAT_LOST,
     BackendUnavailable,
-    create_backend,
-    total_slots,
+    WorkerFleetBackend,
 )
 from repro.exec.faults import (
     CellExecutionError,
@@ -94,7 +93,7 @@ from repro.obs.events import (
     span_event,
     write_events,
 )
-from repro.exec.store import ResultStore, make_store
+from repro.exec.store import ResultStore
 from repro.graph import plan_cells
 from repro.policies import policy_factory
 from repro.search import evaluator as _evaluator
@@ -239,29 +238,23 @@ class SuiteSpec:
 
 _SEGMENTS: Dict[TraceSpec, List[Segment]] = {}
 _RUNNERS: Dict[Tuple[Any, ...], Any] = {}
-_ARTIFACTS: Dict[Tuple[str, Optional[str]], ArtifactCache] = {}
+_ARTIFACTS: Dict[str, ArtifactCache] = {}
 
 
-def _artifact_cache(root: Optional[str],
-                    shared: Optional[str] = None
-                    ) -> Optional[ArtifactCache]:
+def _artifact_cache(root: Optional[str]) -> Optional[ArtifactCache]:
     """Per-process artifact cache over the store at ``root``.
 
-    Workers receive only the root path(s) (cheap to pickle) and build
+    Workers receive only the root path (cheap to pickle) and build
     the cache lazily, so every process in a pool shares the same
     on-disk trace/Stage-1 artifacts instead of recomputing them per
     worker — the cross-worker duplication the in-memory memos cannot
-    fix.  With a ``shared`` tier root the cache reads through local
-    disk into the shared store, so an artifact computed by any worker
-    on any host serves every other worker.
+    fix.
     """
     if not root:
         return None
-    memo_key = (root, shared or None)
-    cache = _ARTIFACTS.get(memo_key)
+    cache = _ARTIFACTS.get(root)
     if cache is None:
-        cache = ArtifactCache(make_store(root, shared))
-        _ARTIFACTS[memo_key] = cache
+        cache = _ARTIFACTS[root] = ArtifactCache(ResultStore(root))
     return cache
 
 
@@ -548,8 +541,7 @@ def _execute_cell(cell: Cell, key: str,
                   artifact_root: Optional[str] = None,
                   attempt: int = 1,
                   in_worker: bool = False,
-                  telemetry: bool = False,
-                  shared_root: Optional[str] = None
+                  telemetry: bool = False
                   ) -> Tuple[Any, float, Dict[str, int],
                              Optional[Dict[str, Any]]]:
     """Run one cell with deterministic seeding.
@@ -575,7 +567,7 @@ def _execute_cell(cell: Cell, key: str,
     plan = active_plan()
     if plan is not None:
         plan.fire(key, attempt, in_worker=in_worker)
-    artifacts = _artifact_cache(artifact_root, shared_root)
+    artifacts = _artifact_cache(artifact_root)
     before = artifacts.stats.counts() if artifacts is not None else {}
     if telemetry:
         obs.enable()
@@ -704,10 +696,9 @@ class ParallelRunner:
 
         ``jobs`` and ``flags`` are run-config flags, named by their
         :data:`repro.config.SETTINGS` field (``cache_dir``,
-        ``shared_store``, ``workers``, ``on_error``, ``retries``,
-        ``cell_timeout``, ...); an unset one falls back to
-        its ``REPRO_*`` variable, then its default.  A bad value or an
-        undeclared ``REPRO_*`` name raises
+        ``on_error``, ``retries``, ``cell_timeout``, ...); an unset
+        one falls back to its ``REPRO_*`` variable, then its default.
+        A bad value or an undeclared ``REPRO_*`` name raises
         :class:`~repro.config.ConfigError` here, before any work.
         ``store`` replaces the ``cache_dir`` store with a ready one
         (``None`` disables caching).
@@ -715,35 +706,12 @@ class ParallelRunner:
         self.config = config = resolve_config(dict(flags, jobs=jobs))
         if config.telemetry:
             obs.enable()
-        # Worker slots: forked local children sized by --jobs, unless
-        # a --workers / REPRO_WORKERS host spec puts them on ssh hosts;
-        # then the summed slots become the effective job count, so the
-        # submission window and report utilization reflect them.
+        # Worker slots: forked local children, sized by --jobs.
         self.jobs = config.jobs
-        self.workers_spec = config.workers
-        self.backend_name = "local"
-        if self.workers_spec is not None:
-            self.backend_name = "ssh"
-            self.jobs = total_slots(self.workers_spec)
         if store is _AUTO_STORE:
             store = (None if config.cache_dir is None
                      else ResultStore(config.cache_dir))
-        # Shared store tier (--shared-store / REPRO_SHARED_STORE):
-        # results and artifacts read through local disk into a shared
-        # directory every worker/host can reach, and write back to
-        # both.  Off by default; never wraps a caller-supplied custom
-        # store object that lacks a filesystem root.
-        if (config.shared_store is not None and store is not None
-                and getattr(store, "root", None) is not None
-                and getattr(store, "shared", None) is None):
-            store = make_store(str(store.root), config.shared_store)
         self.store: Optional[ResultStore] = store
-        # Derive the shared root from the store itself, so a caller
-        # passing an already-tiered store gets workers that read
-        # through the same shared tier.
-        shared_tier = getattr(self.store, "shared", None)
-        self.shared_root: Optional[str] = (
-            str(shared_tier.root) if shared_tier is not None else None)
         self.verbose = verbose
         self.on_error = config.on_error
         self.retries = config.retries
@@ -822,7 +790,6 @@ class ParallelRunner:
         value per chunk member, each stored under the member's own key.
         """
         started = time.perf_counter()
-        tier_before = self._tier_counts()
         results: List[Any] = [None] * len(cells)
         outcomes: List[Optional[CellOutcome]] = [None] * len(cells)
         records: List[Tuple[str, str, str]] = []
@@ -895,8 +862,7 @@ class ParallelRunner:
         finally:
             self._finish_report(outcomes, started, label, artifact_counts,
                                 stats, planned=len(cells),
-                                batches=batches, batched=batched, graph=graph,
-                                tier_before=tier_before)
+                                batches=batches, batched=batched, graph=graph)
         if self.verbose:
             print(self.last_report.table())
         return results
@@ -934,11 +900,7 @@ class ParallelRunner:
             "exec/graph-loads": report.graph_loads,
             "exec/graph-computes": report.graph_computes,
             "exec/graph-shared": report.graph_shared,
-            "exec/store-shared-hits": report.store_shared_hits,
-            "exec/store-shared-fills": report.store_shared_fills,
             "exec/heartbeat-lost": report.hb_lost,
-            "exec/store-breaker-trips": report.store_breaker_trips,
-            "exec/store-breaker-open": int(report.store_breaker_open),
         }
 
     def _write_events(self,
@@ -1016,8 +978,7 @@ class ParallelRunner:
         if not items or self.artifact_root is None:
             return None
         try:
-            return plan_cells(items, make_store(self.artifact_root,
-                                                self.shared_root))
+            return plan_cells(items, ResultStore(self.artifact_root))
         except Exception:
             return None
 
@@ -1063,41 +1024,20 @@ class ParallelRunner:
         self.last_manifest = None
         if self.store is None or len(records) < 2:
             return None
-        exec_info = {"backend": self.backend_name, "jobs": str(self.jobs)}
-        if self.workers_spec is not None:
-            exec_info["workers"] = self.workers_spec
-        if self.shared_root is not None:
-            exec_info["shared_store"] = self.shared_root
         manifest = RunManifest.create(self.store.root, label=label,
                                       command=self.command, cells=records,
-                                      exec_info=exec_info)
+                                      exec_info={"jobs": str(self.jobs)})
         self.last_manifest = manifest
         return manifest
-
-    def _tier_counts(self) -> Dict[str, int]:
-        """Shared-tier counters of the result store (empty if untiered)."""
-        counts = getattr(self.store, "tier_counts", None)
-        return dict(counts()) if callable(counts) else {}
 
     def _finish_report(self, outcomes: Sequence[Optional[CellOutcome]],
                        started: float, label: str,
                        artifact_counts: Dict[str, int], stats: _DriveStats,
                        planned: int, batches: int = 0,
                        batched: int = 0,
-                       graph: Optional[Dict[str, int]] = None,
-                       tier_before: Optional[Dict[str, int]] = None
+                       graph: Optional[Dict[str, int]] = None
                        ) -> ExecReport:
         graph = graph or {}
-        # Shared-tier traffic: parent-side result lookups (store tier
-        # counter deltas over this drive) plus worker-side artifact
-        # reads (shipped back in the artifact count deltas).
-        tier_before = tier_before or {}
-        tier_now = self._tier_counts()
-        shared_hits = (tier_now.get("shared_hits", 0)
-                       - tier_before.get("shared_hits", 0)
-                       + artifact_counts.get("shared_hits", 0))
-        shared_fills = (tier_now.get("shared_fills", 0)
-                        - tier_before.get("shared_fills", 0))
         self.last_report = ExecReport(
             outcomes=tuple(outcome for outcome in outcomes
                            if outcome is not None),
@@ -1120,13 +1060,7 @@ class ParallelRunner:
             graph_loads=graph.get("loads", 0),
             graph_computes=graph.get("computes", 0),
             graph_shared=graph.get("shared", 0),
-            backend=self.backend_name,
-            store_shared_hits=shared_hits,
-            store_shared_fills=shared_fills,
             hb_lost=stats.hb_lost,
-            store_breaker_trips=(tier_now.get("breaker_trips", 0)
-                                 - tier_before.get("breaker_trips", 0)),
-            store_breaker_open=bool(tier_now.get("breaker_open", 0)),
         )
         return self.last_report
 
@@ -1153,7 +1087,7 @@ class ParallelRunner:
             try:
                 result, seconds, delta, tele = _execute_cell(
                     task.cell, task.key, self.artifact_root, task.attempt,
-                    False, obs.enabled(), shared_root=self.shared_root)
+                    False, obs.enabled())
             except KeyboardInterrupt:
                 queue.appendleft(task)
                 raise
@@ -1169,19 +1103,18 @@ class ParallelRunner:
             "cell": task.cell,
             "key": task.key,
             "artifact_root": self.artifact_root,
-            "shared_root": self.shared_root,
             "attempt": task.attempt,
             "telemetry": obs.enabled(),
         }
 
     def _drive_parallel(self, queue: Deque[_Task], settle, fail, split,
                         stats: _DriveStats, workers: int) -> None:
-        backend = create_backend(workers, self.workers_spec)
+        backend = WorkerFleetBackend(workers)
         try:
             backend.start()
         except BackendUnavailable as exc:
-            print(f"repro.exec: {self.backend_name} backend unavailable "
-                  f"({exc}); running serially", file=sys.stderr)
+            print(f"repro.exec: worker slots unavailable ({exc}); "
+                  f"running serially", file=sys.stderr)
             self._drive_serial(queue, settle, fail, split, stats)
             return
         running: Dict[int, _Task] = {}

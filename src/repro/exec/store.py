@@ -24,19 +24,17 @@ from __future__ import annotations
 
 import json
 import os
-import sys
 import tempfile
 from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Callable, Dict, Iterator, List, Optional
+from typing import Any, Dict, Iterator, List, Optional
 
 try:
     import fcntl
 except ImportError:  # pragma: no cover - non-POSIX platform
     fcntl = None  # type: ignore[assignment]
 
-from repro.exec import faults, health
 from repro.exec.cachekey import SCHEMA_VERSION
 
 #: Name of the append-only recency log kept at the store root.
@@ -175,27 +173,15 @@ class ResultStore:
     # -- JSON result blobs -------------------------------------------------
 
     def get(self, key: str) -> Optional[Dict[str, Any]]:
-        """Return the stored payload for ``key``, or ``None`` on miss."""
-        try:
-            return self.get_strict(key)
-        except OSError:
-            self.stats.misses += 1
-            return None
+        """Return the stored payload for ``key``, or ``None`` on miss.
 
-    def get_strict(self, key: str) -> Optional[Dict[str, Any]]:
-        """Like :meth:`get`, but IO *failure* propagates as ``OSError``.
-
-        Absence (``FileNotFoundError``) and undecodable content are
-        still misses — they are normal cache states.  Everything else
-        (permission loss, stale NFS handles, dead mounts) raises, so
-        the tiered store's circuit breaker can tell a cold cache from
-        a broken one.
+        Absence, undecodable content and any IO failure are misses.
         """
         path = self._path(key)
         try:
             with open(path, "r", encoding="utf-8") as handle:
                 payload = json.load(handle)
-        except (FileNotFoundError, ValueError):
+        except (OSError, ValueError):
             self.stats.misses += 1
             return None
         if not isinstance(payload, dict) or payload.get("schema") != SCHEMA_VERSION:
@@ -217,21 +203,14 @@ class ResultStore:
     def get_bytes(self, key: str) -> Optional[bytes]:
         """Return the binary blob for ``key``, or ``None`` on miss.
 
-        Framing and schema validation are the caller's responsibility
-        (see :mod:`repro.exec.artifacts`).
+        Absence and any IO failure are misses.  Framing and schema
+        validation are the caller's responsibility (see
+        :mod:`repro.exec.artifacts`).
         """
-        try:
-            return self.get_bytes_strict(key)
-        except OSError:
-            self.stats.misses += 1
-            return None
-
-    def get_bytes_strict(self, key: str) -> Optional[bytes]:
-        """Like :meth:`get_bytes`; IO failure (not absence) raises."""
         path = self._bin_path(key)
         try:
             data = path.read_bytes()
-        except FileNotFoundError:
+        except OSError:
             self.stats.misses += 1
             return None
         self._touch(path)
@@ -247,18 +226,12 @@ class ResultStore:
 
         The batch planner (:mod:`repro.graph`) stats every candidate
         artifact this way — presence at ``stat`` price, no recency
-        touch, no hit/miss accounting.
+        touch, no hit/miss accounting.  Absence and any IO failure are
+        ``None``.
         """
         try:
-            return self.stat_bytes_strict(key)
-        except OSError:
-            return None
-
-    def stat_bytes_strict(self, key: str) -> Optional[int]:
-        """Like :meth:`stat_bytes`; IO failure (not absence) raises."""
-        try:
             return self._bin_path(key).stat().st_size
-        except FileNotFoundError:
+        except OSError:
             return None
 
     # -- shared write/evict machinery -------------------------------------
@@ -324,9 +297,8 @@ class ResultStore:
             except OSError:
                 pass
         # Writers are lock-free, so a blob can land between the ranking
-        # snapshot and this compaction (a concurrent put, or a
-        # read-through fill from the shared tier while gc runs).
-        # Re-list and keep index entries for the newcomers — ranked by
+        # snapshot and this compaction (a put from another process
+        # writing into this store while gc runs).  Re-list and keep index entries for the newcomers — ranked by
         # their current log positions — so compaction never erases
         # their recency and marks them for premature eviction.
         survivor_set = set(survivors)
@@ -414,150 +386,3 @@ class ResultStore:
             pass
         self._count = 0
         return removed
-
-
-# -- tiered (local + shared) store ----------------------------------------
-
-
-@dataclass
-class TierStats:
-    """Per-tier counters for one :class:`TieredResultStore`."""
-
-    local_hits: int = 0
-    shared_hits: int = 0    # read-through hits served by the shared tier
-    shared_fills: int = 0   # write-backs pushed up into the shared tier
-
-
-class TieredResultStore(ResultStore):
-    """Two-level store: local disk backed by a shared directory.
-
-    Lookups try the local tier first; a local miss that hits the
-    shared tier is *read through* — the blob is promoted into the
-    local tier (best effort) and counted as a hit, so a result
-    computed by any worker on any host serves every other worker at
-    local-disk speed after the first pull.  Writes go to both tiers
-    (shared write-back is best effort: a full or flaky shared mount
-    degrades to local-only caching, never to a failed run).
-
-    Deny-set and cache-key semantics are untouched: tiers only change
-    *where* a blob is found, never which key names it or whether a
-    payload validates.  A half-written or corrupt shared blob fails
-    the same schema/decode checks as a local one and degrades to a
-    miss.  ``last_tier`` records where the most recent hit came from
-    (the artifact layer uses it for per-tier throughput accounting).
-
-    Every shared-tier operation runs through a circuit breaker
-    (DESIGN.md §16): after :data:`~repro.exec.health.BREAKER_THRESHOLD`
-    consecutive IO *failures* (not misses — absence is a normal cache
-    state) the shared tier is skipped wholesale, with one stderr notice,
-    until a half-open probe after
-    :data:`~repro.exec.health.BREAKER_COOLDOWN_S` seconds finds it
-    healthy again.  A dead NFS mount therefore costs a handful of
-    failed calls, not one stall per lookup for the rest of the run.
-    """
-
-    def __init__(self, root, shared, max_entries: int = 100_000) -> None:
-        super().__init__(root, max_entries=max_entries)
-        self.shared = ResultStore(shared, max_entries=max_entries)
-        self.tiers = TierStats()
-        self.last_tier = "local"
-        self.breaker = health.CircuitBreaker()
-
-    def _shared_call(self, key: str, op: Callable[[], Any]) -> Any:
-        """One shared-tier operation: breaker gate, chaos hook, verdict.
-
-        Returns the operation's value, or ``None`` when the tier is
-        skipped (breaker open) or the operation failed.  Lookup misses
-        return ``None`` from ``op`` itself and correctly count as
-        successes — the tier answered.
-        """
-        breaker = self.breaker
-        if not breaker.allow():
-            return None
-        try:
-            faults.shared_tier_fault(key)
-            value = op()
-        except OSError as exc:
-            if breaker.record_failure():
-                print(
-                    f"repro: shared store tier degraded to local-only: "
-                    f"circuit breaker open after {breaker.threshold} "
-                    f"consecutive IO failure(s) "
-                    f"(cooldown {breaker.cooldown:g}s; last: {exc})",
-                    file=sys.stderr)
-            return None
-        breaker.record_success()
-        return value
-
-    def _read_through(self, key: str, local: Callable[[str], Any],
-                      shared: Callable[[str], Any],
-                      fill: Callable[[str, Any], None]) -> Any:
-        """Look ``key`` up in the local tier, then the shared one; a
-        shared hit is filled into the local tier and counted a hit."""
-        value = local(key)
-        if value is not None:
-            self.last_tier = "local"
-            self.tiers.local_hits += 1
-            return value
-        value = self._shared_call(key, lambda: shared(key))
-        if value is None:
-            return None
-        try:
-            fill(key, value)  # read-through fill
-        except OSError:
-            pass
-        self.stats.misses -= 1  # the local-tier miss became a hit
-        self.stats.hits += 1
-        self.tiers.shared_hits += 1
-        self.last_tier = "shared"
-        return value
-
-    def _write_back(self, key: str, value: Any,
-                    local: Callable[[str, Any], None],
-                    shared: Callable[[str, Any], None]) -> None:
-        """Write ``key`` to the local tier, then (best effort) the
-        shared one."""
-        local(key, value)
-        filled = self._shared_call(key, lambda: (shared(key, value), True)[1])
-        if filled:
-            self.tiers.shared_fills += 1
-
-    def get(self, key: str) -> Optional[Dict[str, Any]]:
-        return self._read_through(key, super().get, self.shared.get_strict,
-                                  super().put)
-
-    def get_bytes(self, key: str) -> Optional[bytes]:
-        return self._read_through(key, super().get_bytes,
-                                  self.shared.get_bytes_strict,
-                                  super().put_bytes)
-
-    def put(self, key: str, payload: Dict[str, Any]) -> None:
-        self._write_back(key, payload, super().put, self.shared.put)
-
-    def put_bytes(self, key: str, data: bytes) -> None:
-        self._write_back(key, data, super().put_bytes, self.shared.put_bytes)
-
-    def stat_bytes(self, key: str) -> Optional[int]:
-        size = super().stat_bytes(key)
-        if size is not None:
-            return size
-        return self._shared_call(
-            key, lambda: self.shared.stat_bytes_strict(key))
-
-    def tier_counts(self) -> Dict[str, int]:
-        breaker = self.breaker
-        return {
-            "local_hits": self.tiers.local_hits,
-            "shared_hits": self.tiers.shared_hits,
-            "shared_fills": self.tiers.shared_fills,
-            "breaker_trips": breaker.trips,
-            "breaker_skips": breaker.skips,
-            "breaker_open": int(breaker.state != health.CLOSED),
-        }
-
-
-def make_store(root, shared: Optional[str] = None) -> ResultStore:
-    """A store over ``root``, tiered onto ``shared`` when given."""
-    if shared:
-        return TieredResultStore(root, shared)
-    return ResultStore(root)

@@ -1,15 +1,15 @@
 """Long-lived cell-execution worker: one slot of a
 :class:`~repro.exec.backends.fleet.WorkerFleetBackend`.
 
-A local slot is a child forked from the parent that calls
-:func:`worker_main` on a pipe pair; an ssh slot (or a local one where
-forking is not safe) runs ``python -m repro.exec.worker`` and serves
+On Linux a slot is a child forked from the parent that calls
+:func:`worker_main` on a pipe pair; elsewhere (and in tests that run
+custom workers) it runs ``python -m repro.exec.worker`` and serves
 stdin/stdout.  Either way the worker speaks the framing protocol from
 :mod:`repro.exec.protocol`:
 
 * on startup it emits a ``hello`` frame (pid + protocol version);
 * ``config`` frames apply environment knobs (``REPRO_*``) before any
-  cell runs — the only state propagation an SSH-tunneled worker gets;
+  cell runs — the only state propagation a spawned worker gets;
 * ``run`` frames carry a task id plus a nested pickle of the execution
   request; the worker decodes it, runs the cell through exactly the
   same :func:`~repro.exec.runner._execute_cell` entry point a serial
@@ -122,7 +122,6 @@ def execute_request(request: Dict[str, Any]) -> Any:
         request.get("attempt", 1),
         True,
         request.get("telemetry", False),
-        shared_root=request.get("shared_root"),
     )
 
 

@@ -26,6 +26,7 @@ from repro.core.predictor import MultiperspectivePredictor
 from repro.core.sampler import MultiperspectiveSampler
 from repro.predictors.base import ReusePredictor
 from repro.sim.batch import _build_programs
+from repro.sim.hierarchy import HierarchyConfig
 from repro.sim.kernel import columns
 from repro.sim.llc import LLCAccess, LLCSimulator
 from repro.util.stats import RocPoint, roc_curve_fast
@@ -208,24 +209,24 @@ def measure_roc(
     predictor: ReusePredictor,
     stream: Sequence[LLCAccess],
     pc_trace: Sequence[int],
-    capacity_bytes: int,
-    ways: int,
+    hierarchy: HierarchyConfig,
     warmup: int = 0,
-    block_bytes: int = 64,
 ) -> RocResult:
-    """Run a predictor in measure-only mode over one LLC stream.
+    """Run a predictor in measure-only mode over one LLC stream, on
+    ``hierarchy``'s LLC geometry.
 
     A :class:`TrainedMultiperspective` reads its index vectors from the
     stream's Stage-2 kernel columns (:meth:`TrainedMultiperspective.
     on_stream`); every other predictor runs its own
     ``on_llc_access``.
     """
-    num_sets = capacity_bytes // (ways * block_bytes)
+    ways = hierarchy.llc_ways
     on_access = (predictor.on_stream(stream, pc_trace)
                  if isinstance(predictor, TrainedMultiperspective)
                  else predictor.on_llc_access)
-    probe = _ProbePolicy(num_sets, ways, on_access, warmup)
-    sim = LLCSimulator(capacity_bytes, ways, probe, block_bytes)
+    probe = _ProbePolicy(hierarchy.llc_sets, ways, on_access, warmup)
+    sim = LLCSimulator(hierarchy.llc_bytes, ways, probe,
+                       hierarchy.block_bytes)
     sim.run(stream, pc_trace=pc_trace, warmup=warmup)
     confidences, labels = probe.resolve()
     return RocResult(

@@ -39,6 +39,7 @@ class FastLRUCache:
     def __init__(self, capacity_bytes: int, ways: int, block_bytes: int = 64) -> None:
         if capacity_bytes % (ways * block_bytes) != 0:
             raise ValueError("capacity must be a whole number of sets")
+        # Set count by hand: an oracle must not share the simulator's.
         self.num_sets = capacity_bytes // (ways * block_bytes)
         if self.num_sets & (self.num_sets - 1):
             raise ValueError("set count must be a power of two")

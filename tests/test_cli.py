@@ -272,15 +272,20 @@ class TestFailureHandling:
         assert err.startswith("error: REPRO_JOBS")
         assert "Traceback" not in err
 
-    def test_integer_workers_is_a_clean_error(self, capsys):
-        # --workers names ssh hosts; a bare count would name a host "2".
-        code = main(["compare", "--benchmarks", "gamess", "--policies", "lru",
-                     "--scale", "tiny", "--cache-dir", "off",
-                     "--workers", "2"])
-        assert code == 2
-        err = capsys.readouterr().err
-        assert err.startswith("error: --workers")
-        assert err.count("\n") == 1
+    @pytest.mark.parametrize("flag,value", [
+        ("--workers", "a:2"), ("--shared-store", "d"),
+    ])
+    def test_retired_mesh_flag_is_a_clean_error(self, flag, value, capsys):
+        # The ssh workers and the shared store tier are gone: argparse
+        # rejects their flags before any work.
+        with pytest.raises(SystemExit) as excinfo:
+            main(["compare", "--benchmarks", "gamess", "--policies", "lru",
+                  "--scale", "tiny", "--cache-dir", "off", flag, value])
+        assert excinfo.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert f"error: unrecognized arguments: {flag} {value}" in err
+        assert "Traceback" not in err
 
     def test_malformed_fault_spec_is_a_clean_error(self, monkeypatch, capsys):
         monkeypatch.setenv("REPRO_FAULT_INJECT", "raise:every=two")

@@ -15,8 +15,6 @@ failure here means a bug.
 """
 
 import hashlib
-import shlex
-import sys
 import time
 from array import array
 
@@ -55,12 +53,6 @@ BASELINE_MIX_HASH = \
 # scale, seed 2017.  Pinned on the tuple-at-a-time synthesizer
 # (tests/synth_oracle.py) before the column writers replaced it.
 TRACE_HASH = "ec34e7d83ddf3e47fd485c14b54a733fc2424a29a9a4d1c88bb7601e9e2f16d9"
-
-#: A stand-in ssh client: drops the appended "host python -m ..."
-#: operands and runs the worker module locally.
-_FAKE_SSH_COMMAND = "{} -c {}".format(shlex.quote(sys.executable), shlex.quote(
-    "import sys, runpy; sys.argv = sys.argv[:1]; "
-    "runpy.run_module('repro.exec.worker', run_name='__main__')"))
 
 # The two Stage-2 legs: "off" replays on the LLCSimulator reference,
 # "numpy" on the columnar numpy kernel, the default path.
@@ -219,15 +211,14 @@ class TestFaultedPins:
 
 
 class TestFleetPins:
-    """Parallel drives run cells in framed worker processes (forked
-    locally, or behind ssh) — the transport must never touch results.
-    Pins must reproduce serial vs parallel, cold vs warm, ssh slots,
-    and through injected worker loss."""
+    """Parallel drives run cells in framed, forked worker processes —
+    the transport must never touch results.  Pins must reproduce
+    serial vs parallel, cold vs warm, and through injected worker
+    loss."""
 
     def test_fleet_matches_local_pins(self):
         engine = ParallelRunner(jobs=2, store=None, verbose=False)
         _assert_pinned(engine)
-        assert engine.last_report.backend == "local"
 
     def test_fleet_cold_then_warm_store(self, tmp_path):
         store = ResultStore(tmp_path / "cache")
@@ -235,17 +226,6 @@ class TestFleetPins:
         warm = ParallelRunner(jobs=2, store=store, verbose=False)
         _assert_pinned(warm)
         assert warm.last_report.hits == warm.last_report.cells
-
-    def test_single_worker_fleet_matches(self, monkeypatch):
-        # A --workers host spec sizes the engine over --jobs: jobs=1
-        # still fans out, to the spec's two ssh slots.  The stand-in
-        # ssh client runs the worker module locally.
-        monkeypatch.setenv("REPRO_SSH_COMMAND", _FAKE_SSH_COMMAND)
-        engine = ParallelRunner(jobs=1, store=None, verbose=False,
-                                workers="node-a:2")
-        assert engine.jobs == 2
-        _assert_pinned(engine)
-        assert engine.last_report.backend == "ssh"
 
     def test_fleet_worker_loss_reproduces_pins(self, monkeypatch):
         monkeypatch.setenv("REPRO_FAULT_INJECT", "crash:every=3")
@@ -258,35 +238,6 @@ class TestFleetPins:
         assert engine.last_report.pool_rebuilds >= 1
         assert engine.last_report.requeued >= 1
         assert engine.last_report.failures == ()
-
-
-class TestSharedTierPins:
-    """A result computed through one node's store must serve any other
-    node as a shared-tier read-through hit, bit-identically."""
-
-    def test_read_through_between_stores(self, tmp_path):
-        from repro.exec.store import TieredResultStore
-
-        cells = _single_cells()
-        shared = tmp_path / "shared"
-        first = ParallelRunner(
-            jobs=2, verbose=False,
-            store=TieredResultStore(tmp_path / "node-a", shared))
-        results = first.run(cells, label="pin/single")
-        assert stable_hash({"results": [r.to_dict() for r in results]}) \
-            == SINGLE_HASH
-        assert first.last_report.store_shared_fills >= len(cells)
-
-        # A different node: fresh local tier, same shared directory.
-        second = ParallelRunner(
-            jobs=2, verbose=False,
-            store=TieredResultStore(tmp_path / "node-b", shared))
-        results = second.run(cells, label="pin/single")
-        assert stable_hash({"results": [r.to_dict() for r in results]}) \
-            == SINGLE_HASH
-        report = second.last_report
-        assert report.hits == report.cells
-        assert report.store_shared_hits == len(cells)
 
 
 class TestTelemetryPins:
@@ -362,9 +313,9 @@ class TestGraphPins:
 
 class TestChaosPins:
     """Network chaos (DESIGN.md §16) — dropped/duplicated/delayed/torn
-    frames, one-way partitions, hung stragglers, and a dead shared
-    tier — must reproduce the clean pins bit-for-bit, and the health
-    layer must recover faster than the blunt instruments it augments."""
+    frames, one-way partitions and hung stragglers — must reproduce the
+    clean pins bit-for-bit, and heartbeats must recover faster than
+    the blunt instruments they augment."""
 
     def test_frame_drop_recovers_via_heartbeats(self, monkeypatch):
         # A dropped result frame leaves the slot busy-but-silent
@@ -444,25 +395,6 @@ class TestChaosPins:
         assert report.retries >= 1
         assert report.failures == ()
         assert wall < 20.0            # the watchdog cut a 30s straggler
-
-    def test_open_breaker_preserves_pins(self, tmp_path, monkeypatch):
-        from repro.exec import faults
-        from repro.exec.store import TieredResultStore
-
-        monkeypatch.setenv("REPRO_FAULT_INJECT", "shared-fail")
-        faults.reset_injection_state()
-        store = TieredResultStore(tmp_path / "node", tmp_path / "shared")
-        engine = ParallelRunner(jobs=2, store=store, verbose=False)
-        _assert_pinned(engine)
-        report = engine.last_report
-        assert report.store_breaker_open
-        assert report.store_shared_fills == 0
-        assert "breaker=open" in report.summary()
-        assert report.failures == ()
-        # The local tier alone serves a fully warm rerun.
-        warm = ParallelRunner(jobs=2, store=store, verbose=False)
-        _assert_pinned(warm)
-        assert warm.last_report.hits == warm.last_report.cells
 
     def test_search_pin_under_frame_chaos(self, monkeypatch):
         from repro.search.evaluator import FeatureSetEvaluator

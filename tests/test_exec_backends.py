@@ -1,5 +1,5 @@
 """Tests for the worker transport: framing protocol, worker serve loop,
-and the fleet backend's forked local slots and spawned (ssh) slots.
+and the fleet backend's forked local slots and spawned slots.
 
 The live-process tests fork or spawn real workers and drive them
 through the exact frames the runner sends, so every failure mode the
@@ -23,14 +23,10 @@ from repro.exec.backends import (
     FRAME_LOST,
     FRAME_OK,
     BackendUnavailable,
-    SSHBackend,
     WorkerFleetBackend,
-    parse_worker_spec,
-    total_slots,
     worker_command,
 )
 from repro.exec.backends.fleet import _CLOSE_GRACE_S, _ForkedProcess
-from repro.config import ConfigError, resolve_config
 from repro.exec.faults import RemoteCellError, make_failure
 from repro.exec.protocol import (
     MAGIC,
@@ -242,7 +238,7 @@ def _await_hellos(backend, deadline_s=30.0):
 
 class TestWorkerFleetBackend:
     """Live workers over real pipes: forked local slots, except where a
-    test names the spawned worker module (the ssh and non-Linux path)."""
+    test names the spawned worker module (the non-Linux path)."""
 
     def test_executes_cell_and_matches_serial(self):
         cell = _cell()
@@ -590,116 +586,7 @@ class TestForkHygiene:
             backend.close()
 
 
-class TestWorkerSpec:
-    def test_parses_hosts_and_slots(self):
-        assert parse_worker_spec("hostA:4,hostB") == [("hostA", 4),
-                                                      ("hostB", 1)]
-        assert total_slots("hostA:4,hostB:2,hostC") == 7
-
-    def test_ipv6_style_colons_take_last_field(self):
-        assert parse_worker_spec("node-1.lan:2") == [("node-1.lan", 2)]
-
-    @pytest.mark.parametrize("spec", ["", "  ", "host:abc", "host:0", ":3"])
-    def test_bad_specs_raise_config_error(self, spec):
-        with pytest.raises(ConfigError):
-            parse_worker_spec(spec)
-
-
 class TestBackendResolution:
-    def test_workers_spec_resolution(self, monkeypatch):
-        def spec(flag=None):
-            return resolve_config({"workers": flag}).workers
-
-        monkeypatch.delenv("REPRO_WORKERS", raising=False)
-        assert spec() is None
-        monkeypatch.setenv("REPRO_WORKERS", "hostB:3")
-        assert spec() == "hostB:3"
-        assert spec("hostA:2") == "hostA:2"
-        # A bare count is refused, not read as a host named "3":
-        # --jobs sizes local workers.
-        monkeypatch.setenv("REPRO_WORKERS", "3")
-        with pytest.raises(ConfigError, match="--jobs"):
-            spec()
-
-    def test_slot_sizing(self, monkeypatch):
-        monkeypatch.delenv("REPRO_WORKERS", raising=False)
-        local = ParallelRunner(jobs=4, store=None)
-        assert (local.jobs, local.backend_name) == (4, "local")
-        remote = ParallelRunner(jobs=4, store=None, workers="a:2,b")
-        assert (remote.jobs, remote.backend_name) == (3, "ssh")
-
-
-#: A stand-in ssh client: ignores the appended "host python -m ..."
-#: operands and runs the worker module locally, so the tunnel path is
-#: exercised end to end without an sshd.
-_FAKE_SSH = (
-    "import sys, runpy; sys.argv = sys.argv[:1]; "
-    "runpy.run_module('repro.exec.worker', run_name='__main__')"
-)
-
-
-class TestSSHBackend:
-    def test_builds_one_command_per_slot(self):
-        backend = SSHBackend([("hostA", 2), ("hostB", 1)],
-                             python="python3",
-                             ssh_command=["ssh", "-o", "BatchMode=yes"])
-        expected_a = ["ssh", "-o", "BatchMode=yes", "hostA", "python3",
-                      "-m", "repro.exec.worker"]
-        expected_b = ["ssh", "-o", "BatchMode=yes", "hostB", "python3",
-                      "-m", "repro.exec.worker"]
-        assert backend._commands == [expected_a, expected_a, expected_b]
-        assert backend.workers == 3
-
-    def test_env_knobs_override_client_and_python(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SSH_COMMAND", "ssh -p 2222")
-        monkeypatch.setenv("REPRO_REMOTE_PYTHON", "/opt/py/bin/python")
-        backend = SSHBackend([("hostA", 1)])
-        assert backend._commands == [
-            ["ssh", "-p", "2222", "hostA", "/opt/py/bin/python",
-             "-m", "repro.exec.worker"]]
-
-    def test_tunnel_executes_cell_with_fake_ssh(self):
-        cell = _cell()
-        backend = SSHBackend([("ignored-host", 1)],
-                             ssh_command=[sys.executable, "-c", _FAKE_SSH])
-        backend.start()
-        try:
-            backend.submit(1, _request(cell))
-            [frame] = _poll_until(backend)
-            assert frame.status == FRAME_OK
-            result, _, _, _ = frame.payload
-            assert result == _serial_result(cell)
-        finally:
-            backend.close()
-
-    def test_default_command_carries_connect_timeout(self, monkeypatch):
-        monkeypatch.delenv("REPRO_SSH_COMMAND", raising=False)
-        monkeypatch.delenv("REPRO_SSH_CONNECT_TIMEOUT", raising=False)
-        backend = SSHBackend([("hostA", 1)], python="python3")
-        assert "ConnectTimeout=10" in backend._commands[0]
-        monkeypatch.setenv("REPRO_SSH_CONNECT_TIMEOUT", "3")
-        backend = SSHBackend([("hostA", 1)], python="python3")
-        assert "ConnectTimeout=3" in backend._commands[0]
-
-    def test_connect_timeout_off_disables_fast_fail(self, monkeypatch):
-        monkeypatch.delenv("REPRO_SSH_COMMAND", raising=False)
-        monkeypatch.setenv("REPRO_SSH_CONNECT_TIMEOUT", "off")
-        backend = SSHBackend([("hostA", 1)], python="python3")
-        assert backend._connect_timeout is None
-        assert not any("ConnectTimeout" in part
-                       for part in backend._commands[0])
-
-    def test_unreachable_host_fails_start_fast(self, monkeypatch):
-        # An ssh client that dies like a refused connection: start()
-        # must surface a clean BackendUnavailable within the connect
-        # timeout, not hang until the first submit.
-        monkeypatch.setenv("REPRO_SSH_CONNECT_TIMEOUT", "5")
-        backend = SSHBackend(
-            [("unreachable-host", 1)],
-            ssh_command=[sys.executable, "-c", "import sys; sys.exit(255)"])
-        started = time.monotonic()
-        with pytest.raises(BackendUnavailable) as excinfo:
-            backend.start()
-        assert time.monotonic() - started < 20.0
-        assert "before its hello" in str(excinfo.value)
-        assert backend._fleet == []  # cleanly torn down
+    def test_slot_sizing(self):
+        engine = ParallelRunner(jobs=4, store=None)
+        assert engine.jobs == 4

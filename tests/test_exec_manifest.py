@@ -153,8 +153,7 @@ class TestExecFlagStripping:
     def test_strips_space_and_equals_forms(self):
         from repro.exec.manifest import strip_exec_flags
 
-        argv = ["compare", "--jobs", "4", "--workers=node-a:2",
-                "--shared-store=/mnt/s", "--scale", "tiny"]
+        argv = ["compare", "--jobs", "4", "--scale", "tiny", "--jobs=2"]
         assert strip_exec_flags(argv) == ["compare", "--scale", "tiny"]
 
     def test_run_id_ignores_exec_flags(self, tmp_path):
@@ -163,25 +162,24 @@ class TestExecFlagStripping:
             cells=CELLS)
         redone = RunManifest.create(
             tmp_path, label="t",
-            command=["compare", "--scale", "tiny", "--jobs", "8",
-                     "--workers=node-a:4"],
+            command=["compare", "--scale", "tiny", "--jobs", "8"],
             cells=CELLS)
         assert redone.run_id == base.run_id
 
     def test_exec_info_updates_without_losing_progress(self, tmp_path):
         first = RunManifest.create(
             tmp_path, label="t", command=["compare"], cells=CELLS,
-            exec_info={"backend": "local", "jobs": "1"})
+            exec_info={"jobs": "1"})
         first.mark(CELLS[0][0], "done")
         again = RunManifest.create(
             tmp_path, label="t", command=["compare"], cells=CELLS,
-            exec_info={"backend": "fleet", "jobs": "2"})
+            exec_info={"jobs": "2"})
         assert again.run_id == first.run_id
         assert again.completed() == {CELLS[0][0]}  # .done log untouched
         loaded = RunManifest.load(tmp_path, first.run_id)
-        assert loaded.exec_info == {"backend": "fleet", "jobs": "2"}
+        assert loaded.exec_info == {"jobs": "2"}
 
-    def test_runner_records_backend_in_manifest(self, tmp_path):
+    def test_runner_records_jobs_in_manifest(self, tmp_path):
         cells = [
             SingleCell(
                 trace=TraceSpec(name, TINY.hierarchy.llc_bytes, 2_000),
@@ -195,8 +193,7 @@ class TestExecFlagStripping:
                                 verbose=False, command=["compare", "-x"])
         engine.run(cells, label="t")
         manifest = engine.last_manifest
-        assert manifest.exec_info["backend"] == "local"
-        assert manifest.exec_info["jobs"] == "2"
+        assert manifest.exec_info == {"jobs": "2"}
         assert RunManifest.load(tmp_path, manifest.run_id).exec_info \
             == manifest.exec_info
 
@@ -300,7 +297,37 @@ class TestCliResume:
         assert manifest.run_id == run_id
         assert manifest.is_complete
         assert manifest.command == argv
-        assert manifest.exec_info == {"backend": "local", "jobs": "2"}
+        assert manifest.exec_info == {"jobs": "2"}
+
+    def test_resume_drops_retired_mesh_flags(self, tmp_path, monkeypatch,
+                                             capsys):
+        # A run recorded with ssh workers and a shared store tier, in
+        # the space and ``=`` forms.  Neither entered the run id, so
+        # the recorded manifest is the one a --jobs 2 run opens.
+        cache = str(tmp_path / "cache")
+        argv = ["compare", "--benchmarks", "gamess", "soplex",
+                "--policies", "lru", "--scale", "tiny",
+                "--cache-dir", cache, "--jobs", "2"]
+        manifest = self._fail_victim(argv, monkeypatch, capsys)
+        run_id = manifest.run_id
+        shared = str(tmp_path / "shared")
+        payload = json.loads(manifest.path.read_text(encoding="utf-8"))
+        payload["command"] = argv + [
+            "--workers", "node-a:2", "--shared-store", shared,
+            "--workers=node-b", f"--shared-store={shared}"]
+        payload["exec"] = {"backend": "ssh", "jobs": "2",
+                           "workers": "node-a:2", "shared_store": shared}
+        manifest.path.write_text(json.dumps(payload), encoding="utf-8")
+
+        assert main(["resume", run_id[:12], "--cache-dir", cache]) == 0
+        out = capsys.readouterr().out
+        assert "--workers" not in out
+        assert "--shared-store" not in out
+        [manifest] = list_runs(cache)
+        assert manifest.run_id == run_id
+        assert manifest.is_complete
+        assert manifest.command == argv
+        assert manifest.exec_info == {"jobs": "2"}
 
     def test_resume_drops_retired_batch_size(self, tmp_path, capsys):
         # A search recorded with the retired --batch-size, in both

@@ -18,6 +18,7 @@ from tests.stage1_oracle import FastLRUCache
 SMALL = HierarchyConfig(l1_kib=4, l1_ways=4, l2_kib=16, l2_ways=8,
                         llc_kib=64, llc_ways=16)
 LLC = SMALL.llc_bytes
+SETS = SMALL.llc_sets
 POLICIES = ["lru", "srrip", "mdpp", "min", "sdbp", "perceptron",
             "hawkeye", "ship", "mpppb-1a"]
 
@@ -54,7 +55,7 @@ class TestStageInvariants:
     def test_llc_stats_consistent(self, upper, segment, policy_name):
         """hits + misses == accesses; bypasses + fills == misses."""
         sim = LLCSimulator(LLC, SMALL.llc_ways,
-                           make_policy(policy_name, LLC // (64 * 16), 16))
+                           make_policy(policy_name, SETS, 16))
         result = sim.run(upper.llc_stream, pc_trace=segment.trace.pcs)
         stats = result.stats
         assert stats.hits + stats.misses == stats.accesses
@@ -67,7 +68,7 @@ class TestStageInvariants:
     def test_replay_deterministic(self, upper, segment, policy_name):
         def run():
             sim = LLCSimulator(LLC, SMALL.llc_ways,
-                               make_policy(policy_name, LLC // (64 * 16), 16))
+                               make_policy(policy_name, SETS, 16))
             return sim.run(upper.llc_stream, pc_trace=segment.trace.pcs)
 
         assert run().outcomes == run().outcomes
@@ -76,7 +77,7 @@ class TestStageInvariants:
         misses = {}
         for policy_name in POLICIES:
             sim = LLCSimulator(LLC, SMALL.llc_ways,
-                               make_policy(policy_name, LLC // (64 * 16), 16))
+                               make_policy(policy_name, SETS, 16))
             misses[policy_name] = sim.run(
                 upper.llc_stream, pc_trace=segment.trace.pcs
             ).stats.misses
@@ -105,7 +106,7 @@ class TestLRUEquivalence:
 
 class TestWarmupSemantics:
     def test_warm_plus_measured_covers_all(self, upper, segment):
-        sim = LLCSimulator(LLC, SMALL.llc_ways, LRUPolicy(LLC // (64 * 16), 16))
+        sim = LLCSimulator(LLC, SMALL.llc_ways, LRUPolicy(SETS, 16))
         boundary = len(upper.llc_stream) // 2
         result = sim.run(upper.llc_stream, pc_trace=segment.trace.pcs,
                          warmup=boundary)
@@ -116,7 +117,7 @@ class TestWarmupSemantics:
     def test_warmup_does_not_change_outcomes(self, upper, segment):
         def outcomes(warmup):
             sim = LLCSimulator(LLC, SMALL.llc_ways,
-                               LRUPolicy(LLC // (64 * 16), 16))
+                               LRUPolicy(SETS, 16))
             return sim.run(upper.llc_stream, pc_trace=segment.trace.pcs,
                            warmup=warmup).outcomes
 

@@ -73,7 +73,7 @@ from repro.traces.workloads import build_segments
 
 LLC_BYTES = TINY.hierarchy.llc_bytes
 WAYS = TINY.hierarchy.llc_ways
-NUM_SETS = LLC_BYTES // (WAYS * 64)
+NUM_SETS = TINY.hierarchy.llc_sets
 ACCESSES = 2_000
 # Base of the kernel-space PCs real x86-64 traces carry (>= 2**63).
 KERNEL_PC = 0xFFFFFFFF81000000
@@ -709,11 +709,11 @@ class TestBaselineLockstep:
     def test_merged_four_thread_mix(self, mix_stream, policy_cls):
         """A timestamp-merged 4-core stream on the shared LLC, with its
         rebased PC histories and region laps."""
-        stream, pcs, llc_bytes, ways = mix_stream
-        num_sets = llc_bytes // (ways * 64)
-        _assert_baseline_lockstep(lambda: policy_cls(num_sets, ways),
-                                  llc_bytes, ways, stream, pcs,
-                                  len(stream) // 4)
+        stream, pcs, hierarchy = mix_stream
+        ways = hierarchy.llc_ways
+        _assert_baseline_lockstep(
+            lambda: policy_cls(hierarchy.llc_sets, ways),
+            hierarchy.llc_bytes, ways, stream, pcs, len(stream) // 4)
 
 
 @pytest.fixture(scope="module")
@@ -729,7 +729,7 @@ def mix_stream():
     runner = MultiProgrammedRunner(hierarchy)
     threads = [runner.thread_data(segment) for segment in mix.segments]
     merged, _origins, merged_pcs, _offsets = runner._interleave(threads)
-    return merged, merged_pcs, hierarchy.llc_bytes, hierarchy.llc_ways
+    return merged, merged_pcs, hierarchy
 
 
 def _assert_accounting(result, cache, stream, never_bypasses):
@@ -793,10 +793,11 @@ class TestBaselineAccounting:
         assert result.stats.evictions > 0
 
     def test_lru_mix_stream(self, mix_stream):
-        stream, pcs, llc_bytes, ways = mix_stream
-        policy = LRUPolicy(llc_bytes // (ways * 64), ways)
-        result, cache = _kernel_replay(policy, llc_bytes, ways, stream, pcs,
-                                       len(stream) // 4)
+        stream, pcs, hierarchy = mix_stream
+        ways = hierarchy.llc_ways
+        policy = LRUPolicy(hierarchy.llc_sets, ways)
+        result, cache = _kernel_replay(policy, hierarchy.llc_bytes, ways,
+                                       stream, pcs, len(stream) // 4)
         _assert_accounting(result, cache, stream, never_bypasses=True)
         assert result.stats.evictions > 0
 

@@ -115,6 +115,7 @@ def test_stage1_stream(name):
     segment = build_segments(name, hierarchy.llc_bytes,
                              TINY.segment_accesses)[0]
     upper = UpperLevels(hierarchy).run(segment.trace)
+    # Set count by hand: an oracle must not share HierarchyConfig.llc_sets.
     num_sets = hierarchy.llc_bytes // (hierarchy.llc_ways * 64)
     misses = _assert_stack_property(upper.llc_stream, segment.trace.pcs,
                                     num_sets)
@@ -130,6 +131,7 @@ def test_merged_mix_stream():
     runner = MultiProgrammedRunner(hierarchy)
     threads = [runner.thread_data(segment) for segment in mix.segments]
     merged, _origins, merged_pcs, _offsets = runner._interleave(threads)
+    # Set count by hand: an oracle must not share HierarchyConfig.llc_sets.
     num_sets = hierarchy.llc_bytes // (hierarchy.llc_ways * 64)
     misses = _assert_stack_property(merged, merged_pcs, num_sets)
     assert misses[0] > misses[-1]

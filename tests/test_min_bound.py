@@ -160,6 +160,7 @@ def test_min_bounds_an_ingested_stream(kernel, tmp_path):
     stream = UpperLevels(hierarchy).run(segment.trace).llc_stream
     pcs = segment.trace.pcs
     ways = hierarchy.llc_ways
+    # Set count by hand: an oracle must not share HierarchyConfig.llc_sets.
     sets = hierarchy.llc_bytes // (ways * hierarchy.block_bytes)
     with mock.patch.dict(os.environ, {"REPRO_STAGE2_KERNEL": kernel}):
         bound = _misses("min", stream, pcs, ways, sets)

@@ -30,14 +30,14 @@ def llc_inputs():
 
 def roc_auc(predictor, llc_inputs):
     stream, pcs = llc_inputs
-    result = measure_roc(predictor, stream, pcs, SMALL.llc_bytes,
-                         SMALL.llc_ways, warmup=len(stream) // 4)
+    result = measure_roc(predictor, stream, pcs, SMALL,
+                         warmup=len(stream) // 4)
     return auc(result.curve(result.default_thresholds(49)))
 
 
 @pytest.fixture(scope="module")
 def aucs(llc_inputs):
-    num_sets = SMALL.llc_bytes // (SMALL.llc_ways * 64)
+    num_sets = SMALL.llc_sets
     return {
         "sdbp": roc_auc(SDBPPredictor(num_sets, sampler_sets=32), llc_inputs),
         "perceptron": roc_auc(

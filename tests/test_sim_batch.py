@@ -27,7 +27,7 @@ from repro.traces.workloads import build_segments
 
 LLC_BYTES = TINY.hierarchy.llc_bytes
 WAYS = TINY.hierarchy.llc_ways
-NUM_SETS = LLC_BYTES // (WAYS * 64)
+NUM_SETS = TINY.hierarchy.llc_sets
 ACCESSES = 2_500
 
 

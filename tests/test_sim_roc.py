@@ -8,14 +8,15 @@ from repro.config import TINY
 from repro.core.presets import single_thread_config
 from repro.predictors.perceptron import PerceptronPredictor
 from repro.predictors.sdbp import SDBPPredictor
-from repro.sim.hierarchy import UpperLevels
+from repro.sim.hierarchy import HierarchyConfig, UpperLevels
 from repro.sim.llc import LLCAccess
 from repro.sim.roc import RocResult, TrainedMultiperspective, measure_roc
 from repro.traces.workloads import build_segments
 from repro.util.stats import auc
 
-SETS, WAYS = 16, 4
-CAPACITY = SETS * WAYS * 64
+#: A 4 KiB, 4-way LLC of 64-byte blocks: 16 sets.
+LLC = HierarchyConfig(llc_kib=4, llc_ways=4)
+SETS = LLC.llc_sets
 
 
 def stream(blocks, pcs):
@@ -48,7 +49,7 @@ def hot_cold_workload(rounds=300):
 class TestMeasureRoc:
     def _roc(self, predictor):
         llc_stream, pcs = hot_cold_workload()
-        return measure_roc(predictor, llc_stream, pcs, CAPACITY, WAYS,
+        return measure_roc(predictor, llc_stream, pcs, LLC,
                            warmup=len(llc_stream) // 3)
 
     def test_lengths_match(self):
@@ -102,15 +103,11 @@ class TestMeasureRoc:
         kernel columns; its feature closures give the same result."""
         segment = build_segments("soplex", TINY.hierarchy.llc_bytes, 2_000)[0]
         stream = UpperLevels(TINY.hierarchy).run(segment.trace).llc_stream
-        ways = TINY.hierarchy.llc_ways
-        num_sets = TINY.hierarchy.llc_bytes // (ways * 64)
-
         def roc():
-            predictor = TrainedMultiperspective(single_thread_config("a"),
-                                                llc_sets=num_sets)
+            predictor = TrainedMultiperspective(
+                single_thread_config("a"), llc_sets=TINY.hierarchy.llc_sets)
             return measure_roc(predictor, stream, segment.trace.pcs,
-                               TINY.hierarchy.llc_bytes, ways,
-                               warmup=len(stream) // 4)
+                               TINY.hierarchy, warmup=len(stream) // 4)
 
         columns = roc()
         with mock.patch.object(TrainedMultiperspective, "on_stream",

@@ -166,7 +166,7 @@ class TestStage3Vector:
         upper = runner.upper_result(segment)
         trace = segment.trace
         warm_mem = int(len(trace.pcs) * 0.25)
-        policy = policy_factory("lru")(LLC // (16 * 64), 16)
+        policy = policy_factory("lru")(SMALL.llc_sets, 16)
         llc = LLCSimulator(LLC, 16, policy).run(
             upper.llc_stream, pc_trace=trace.pcs,
             warmup=upper.llc_warmup_boundary(warm_mem),
