@@ -17,28 +17,26 @@ class SetAssociativeCache:
 
     Tags are full block addresses (no truncation — aliasing belongs in
     predictor samplers, not the cache model).  Replacement decisions
-    live in policy objects; this class only stores and looks up.
+    live in policy objects; this class only stores and looks up.  Its
+    geometry is the policy's ``num_sets`` x ``ways``, which
+    :attr:`repro.sim.hierarchy.HierarchyConfig.llc_sets` derives.
     """
 
     __slots__ = ("num_sets", "ways", "tags", "valid", "_where")
 
-    def __init__(self, capacity_bytes: int, ways: int, block_bytes: int = 64) -> None:
-        if capacity_bytes % (ways * block_bytes) != 0:
-            raise ValueError("capacity must be a whole number of sets")
-        self.num_sets = capacity_bytes // (ways * block_bytes)
-        if self.num_sets & (self.num_sets - 1):
+    def __init__(self, num_sets: int, ways: int) -> None:
+        # Replays index a set with ``block & (num_sets - 1)``.
+        if num_sets & (num_sets - 1):
             raise ValueError("set count must be a power of two")
+        self.num_sets = num_sets
         self.ways = ways
-        self.tags: List[List[int]] = [[-1] * ways for _ in range(self.num_sets)]
-        self.valid: List[List[bool]] = [[False] * ways for _ in range(self.num_sets)]
+        self.tags: List[List[int]] = [[-1] * ways for _ in range(num_sets)]
+        self.valid: List[List[bool]] = [[False] * ways for _ in range(num_sets)]
         # Per-set tag -> way index: lookup is the single hottest cache
         # operation of a stage-2 replay, and a dict probe is O(1) where
         # the way scan was O(associativity).  tags/valid remain the
         # source of truth for introspection; the index mirrors them.
-        self._where: List[Dict[int, int]] = [dict() for _ in range(self.num_sets)]
-
-    def set_index(self, block: int) -> int:
-        return block & (self.num_sets - 1)
+        self._where: List[Dict[int, int]] = [dict() for _ in range(num_sets)]
 
     def lookup(self, set_idx: int, block: int) -> int:
         """Return the way holding ``block`` in ``set_idx``, or -1."""
@@ -62,15 +60,6 @@ class SetAssociativeCache:
         self.valid[set_idx][way] = True
         where[block] = way
         return evicted
-
-    def invalidate(self, set_idx: int, way: int) -> None:
-        if self.valid[set_idx][way]:
-            where = self._where[set_idx]
-            tag = self.tags[set_idx][way]
-            if where.get(tag) == way:
-                del where[tag]
-        self.valid[set_idx][way] = False
-        self.tags[set_idx][way] = -1
 
     def resident_blocks(self, set_idx: int) -> List[Tuple[int, int]]:
         """(way, tag) pairs for every valid way of a set."""

@@ -23,7 +23,8 @@ candidate.  :class:`BatchLLCSimulator` splits the replay accordingly:
 
 Results are bit-identical to K sequential
 :class:`~repro.sim.llc.LLCSimulator` + :class:`~repro.core.mpppb.
-MPPPBPolicy` replays, which ``REPRO_STAGE2_KERNEL=off`` runs instead;
+MPPPBPolicy` replays, which :func:`repro.sim.single.replay_segment`
+runs instead under ``REPRO_STAGE2_KERNEL=off``;
 ``tests/test_sim_batch.py``, ``tests/test_kernel.py`` and the
 determinism suite pin the two together.
 """
@@ -33,10 +34,11 @@ from __future__ import annotations
 from typing import Dict, List, Sequence, Tuple
 
 from repro import obs
+from repro.cache.cache import SetAssociativeCache
 from repro.core.features import BLOCK_OFFSET_BITS, _normalize_range, Feature
 from repro.core.mpppb import MPPPBPolicy
-from repro.sim.kernel import columns, numpy_backend, stage2_kernel_enabled
-from repro.sim.llc import LLCAccess, LLCResult, LLCSimulator, flush_llc_metrics
+from repro.sim.kernel import columns, numpy_backend
+from repro.sim.llc import LLCAccess, LLCResult, flush_llc_metrics
 
 # -- shared slot layout ----------------------------------------------------
 #
@@ -113,52 +115,42 @@ def _build_programs(
 class BatchLLCSimulator:
     """Replays one LLC stream against K MPPPB candidates in one pass.
 
-    Equivalent to constructing K :class:`~repro.sim.llc.LLCSimulator`
-    instances over the same stream, but the per-access stream decode
-    and candidate-invariant feature context are computed once and
-    broadcast.  Candidates must share geometry and sampler layout
+    Equivalent to K :class:`~repro.sim.llc.LLCSimulator` replays over
+    the same stream, but the per-access stream decode and
+    candidate-invariant feature context are computed once and
+    broadcast.  Candidates must share LLC geometry and sampler layout
     (guaranteed when they come from one
     :class:`~repro.search.evaluator.FeatureSetEvaluator`, whose
-    candidates differ only in their feature tuples).
+    candidates differ only in their feature tuples); each replays on a
+    fresh cache of that geometry.
     """
 
-    def __init__(
-        self,
-        capacity_bytes: int,
-        ways: int,
-        policies: Sequence[MPPPBPolicy],
-        block_bytes: int = 64,
-    ) -> None:
+    def __init__(self, policies: Sequence[MPPPBPolicy]) -> None:
         if not policies:
             raise ValueError("batch needs at least one candidate policy")
-        for policy in policies:
+        self.policies = list(policies)
+        first = self.policies[0]
+        for policy in self.policies:
             if not isinstance(policy, MPPPBPolicy):
                 raise TypeError(
                     "BatchLLCSimulator only replays MPPPBPolicy candidates; "
                     f"got {type(policy).__name__}"
                 )
-        self.policies = list(policies)
-        # One reference simulator per candidate: it checks geometry,
-        # owns the candidate's cache, and is the REPRO_STAGE2_KERNEL=off
-        # replay.
-        self._references = [
-            LLCSimulator(capacity_bytes, ways, policy, block_bytes)
-            for policy in policies
-        ]
-        self.caches = [sim.cache for sim in self._references]
-        self.num_sets = self.caches[0].num_sets
-        self.ways = ways
-        ref = policies[0].sampler
-        for policy in policies:
-            sampler = policy.sampler
+            if policy.num_sets != first.num_sets or policy.ways != first.ways:
+                raise ValueError("batched candidates must share LLC geometry")
+            sampler, ref = policy.sampler, first.sampler
             if (sampler.mapper._stride != ref.mapper._stride
                     or sampler.mapper.sampler_sets != ref.mapper.sampler_sets
                     or sampler.tag_bits != ref.tag_bits):
                 raise ValueError(
                     "batched candidates must share sampler geometry"
                 )
+        self.num_sets = first.num_sets
+        self.ways = first.ways
+        self.caches = [SetAssociativeCache(self.num_sets, self.ways)
+                       for _ in self.policies]
         self._entry_sets, self._needs_h, self._slots = _build_programs(
-            [policy.config.features for policy in policies]
+            [policy.config.features for policy in self.policies]
         )
 
     def run(
@@ -175,9 +167,6 @@ class BatchLLCSimulator:
         as K sequential :meth:`LLCSimulator.run` calls would leave
         them, and so does the telemetry each replay records.
         """
-        if not stage2_kernel_enabled():
-            return [sim.run(stream, pc_trace=pc_trace, warmup=warmup)
-                    for sim in self._references]
         sampler = self.policies[0].sampler
         cols = columns.lower_stream(
             stream,

@@ -36,6 +36,7 @@ from typing import List
 import numpy as np
 
 from repro.cache.access import PREFETCH_PC
+from repro.core.features import BLOCK_OFFSET_BITS
 from repro.sim.llc import LLCColumns
 from repro.traces.trace import Trace
 
@@ -54,6 +55,15 @@ class HierarchyConfig:
     llc_kib: int = 2048
     llc_ways: int = 16
     block_bytes: int = 64
+
+    def __post_init__(self) -> None:
+        # Stage 2 rebuilds each LLC address from its block and a
+        # BLOCK_OFFSET_BITS-bit offset, and the offset features read
+        # those bits: any other block size would alias addresses.
+        if self.block_bytes != 1 << BLOCK_OFFSET_BITS:
+            raise ValueError(
+                f"block_bytes must be {1 << BLOCK_OFFSET_BITS}, "
+                f"got {self.block_bytes}")
 
     @property
     def block_shift(self) -> int:

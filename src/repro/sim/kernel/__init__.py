@@ -14,8 +14,9 @@ baseline.
 
 ``REPRO_STAGE2_KERNEL=off`` runs the reference instead, end to end and
 inside worker processes (the environment is the one channel they
-inherit); the determinism suite uses it to pin both paths to the same
-hashes.  Because the kernel is bit-identical to the reference, the
+inherit); :func:`repro.sim.single.replay_segment` is the one reader of
+the switch, and the determinism suite uses it to pin both paths to the
+same hashes.  Because the kernel is bit-identical to the reference, the
 switch never appears in cache keys.
 """
 

@@ -44,6 +44,7 @@ from __future__ import annotations
 
 from typing import Sequence, Tuple
 
+from repro.cache.cache import SetAssociativeCache
 from repro.cache.replacement.lru import LRUPolicy
 from repro.predictors.hawkeye import HawkeyePolicy
 from repro.predictors.perceptron import (
@@ -54,28 +55,19 @@ from repro.predictors.perceptron import (
 )
 from repro.sim.kernel import columns as _columns
 from repro.sim.kernel.numpy_backend import _segment_stats
-from repro.sim.llc import (
-    LLCAccess,
-    LLCResult,
-    flush_llc_metrics,
-    policy_cache,
-)
+from repro.sim.llc import LLCAccess, LLCResult, flush_llc_metrics
 from repro.util.hashing import hash_to
 
 
 def replay_baseline(
-    llc_bytes: int,
-    ways: int,
     policy,
-    block_bytes: int,
     stream: Sequence[LLCAccess],
     pc_trace: Sequence[int],
     warmup: int,
 ) -> LLCResult:
-    """Equivalent of ``LLCSimulator(llc_bytes, ways, policy,
-    block_bytes).run(stream, pc_trace, warmup)`` for a policy whose
-    exact type is in :data:`REPLAYS`."""
-    cache = policy_cache(llc_bytes, ways, policy, block_bytes)
+    """Equivalent of ``LLCSimulator(policy).run(stream, pc_trace,
+    warmup)`` for a policy whose exact type is in :data:`REPLAYS`."""
+    cache = SetAssociativeCache(policy.num_sets, policy.ways)
     wb = min(max(warmup, 0), len(stream))
     prefetch, outcomes, warm_counts, counts = REPLAYS[type(policy)](
         policy, cache, stream, pc_trace, wb)

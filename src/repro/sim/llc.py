@@ -22,6 +22,7 @@ from repro.cache.access import AccessContext
 from repro.cache.cache import SetAssociativeCache
 from repro.cache.replacement.base import ReplacementPolicy
 from repro.cache.replacement.belady import compute_next_uses
+from repro.core.features import BLOCK_OFFSET_BITS
 
 
 @dataclass
@@ -143,31 +144,14 @@ class LLCResult:
     warm_stats: LLCStats
 
 
-def policy_cache(capacity_bytes: int, ways: int, policy: ReplacementPolicy,
-                 block_bytes: int = 64) -> SetAssociativeCache:
-    """A fresh LLC for ``policy``; raises if their geometries differ."""
-    cache = SetAssociativeCache(capacity_bytes, ways, block_bytes)
-    if policy.num_sets != cache.num_sets or policy.ways != ways:
-        raise ValueError(
-            f"policy geometry ({policy.num_sets}x{policy.ways}) does not "
-            f"match cache geometry ({cache.num_sets}x{ways})"
-        )
-    return cache
-
-
 class LLCSimulator:
-    """Drives one replacement policy over an LLC access stream."""
+    """Drives one replacement policy over an LLC access stream, on a
+    fresh cache of the policy's geometry."""
 
-    def __init__(
-        self,
-        capacity_bytes: int,
-        ways: int,
-        policy: ReplacementPolicy,
-        block_bytes: int = 64,
-    ) -> None:
-        self.cache = policy_cache(capacity_bytes, ways, policy, block_bytes)
+    def __init__(self, policy: ReplacementPolicy) -> None:
+        self.cache = SetAssociativeCache(policy.num_sets, policy.ways)
         self.policy = policy
-        self._last_was_miss = [False] * self.cache.num_sets
+        self._last_was_miss = [False] * policy.num_sets
 
     def run(
         self,
@@ -208,6 +192,7 @@ class LLCSimulator:
         on_fill = policy.on_fill
         on_evict = policy.on_evict
         is_mru = policy.is_mru
+        offset_bits = BLOCK_OFFSET_BITS
         should_bypass = policy.should_bypass
         choose_victim = policy.choose_victim
         invalid_way = cache.invalid_way
@@ -227,7 +212,7 @@ class LLCSimulator:
             way = where[set_idx].get(block, -1)
             hit = way >= 0
             ctx.pc = pc
-            ctx.address = (block << 6) | offset
+            ctx.address = (block << offset_bits) | offset
             ctx.block = block
             ctx.offset = offset
             ctx.is_write = is_write

@@ -144,10 +144,9 @@ class MultiProgrammedRunner(SingleThreadRunner):
         # The standalone-LRU baseline takes the same Stage-2 route as a
         # single cell, reading the columns every mix's merge reads.
         llc_columns = upper.llc_stream
-        standalone = replay_segment(
-            hierarchy.llc_bytes, hierarchy.llc_ways,
-            LRUPolicy(hierarchy.llc_sets, hierarchy.llc_ways),
-            hierarchy.block_bytes, llc_columns, trace.pcs, warm_llc)
+        [standalone] = replay_segment(
+            [LRUPolicy(hierarchy.llc_sets, hierarchy.llc_ways)],
+            llc_columns, trace.pcs, warm_llc)
         model = TimingModel(self.timing)
         # The whole segment's standalone CPI places the merge's
         # timestamps; SingleIPC is the measured window's.
@@ -191,9 +190,7 @@ class MultiProgrammedRunner(SingleThreadRunner):
             # the merged columns directly; other policies (and every
             # policy under REPRO_STAGE2_KERNEL=off) replay on
             # LLCSimulator.
-            result = replay_segment(hierarchy.llc_bytes, hierarchy.llc_ways,
-                                    policy, hierarchy.block_bytes, merged,
-                                    merged_pcs, 0)
+            [result] = replay_segment([policy], merged, merged_pcs, 0)
 
         # Scatter lap-0 outcomes back to per-thread outcome arrays.
         hits = np.asarray(result.outcomes, dtype=bool)

@@ -220,14 +220,12 @@ def measure_roc(
     on_stream`); every other predictor runs its own
     ``on_llc_access``.
     """
-    ways = hierarchy.llc_ways
     on_access = (predictor.on_stream(stream, pc_trace)
                  if isinstance(predictor, TrainedMultiperspective)
                  else predictor.on_llc_access)
-    probe = _ProbePolicy(hierarchy.llc_sets, ways, on_access, warmup)
-    sim = LLCSimulator(hierarchy.llc_bytes, ways, probe,
-                       hierarchy.block_bytes)
-    sim.run(stream, pc_trace=pc_trace, warmup=warmup)
+    probe = _ProbePolicy(hierarchy.llc_sets, hierarchy.llc_ways, on_access,
+                         warmup)
+    LLCSimulator(probe).run(stream, pc_trace=pc_trace, warmup=warmup)
     confidences, labels = probe.resolve()
     return RocResult(
         predictor_name=predictor.name,

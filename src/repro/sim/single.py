@@ -221,47 +221,50 @@ def demand_load_arrays(
 
 
 def replay_segment(
-    llc_bytes: int,
-    ways: int,
-    policy: ReplacementPolicy,
-    block_bytes: int,
+    policies: Sequence[ReplacementPolicy],
     llc_stream: Sequence,
     pcs: Sequence[int],
     warmup: int,
-) -> LLCResult:
-    """Stage-2 replay of one stream against one policy.
+) -> List[LLCResult]:
+    """Stage-2 replay of one stream; one result per policy.
 
     ``llc_stream`` is an :class:`~repro.sim.llc.LLCColumns` (a
     segment's Stage-1 stream or a mix's merged stream) or a list of
-    :class:`~repro.sim.llc.LLCAccess`.
-    With the columnar kernel on (the default;
-    ``REPRO_STAGE2_KERNEL=off`` turns it off), two routes leave the
-    sequential simulator:
+    :class:`~repro.sim.llc.LLCAccess`.  Each policy replays on a fresh
+    cache of its own geometry.  This is the one reader of the
+    ``REPRO_STAGE2_KERNEL`` switch.  Off, every policy replays on the
+    sequential :class:`LLCSimulator`.  On (the default):
 
-    * Policies whose exact type is
+    * when every policy is an MPPPB policy, one
+      :class:`~repro.sim.batch.BatchLLCSimulator` replays them all, so
+      compare and mix cells ride the kernel exactly like the batched
+      search path;
+    * a policy whose exact type is
       :class:`~repro.cache.replacement.lru.LRUPolicy`,
       :class:`~repro.predictors.perceptron.PerceptronPolicy` or
-      :class:`~repro.predictors.hawkeye.HawkeyePolicy` replay through
-      :func:`repro.sim.kernel.baselines.replay_baseline`.  Subclasses
-      may override any hook, so they stay on the sequential simulator.
-    * MPPPB policies route through a single-candidate
-      :class:`~repro.sim.batch.BatchLLCSimulator`, so compare and mix
-      runs ride the kernel exactly like the batched search path.
+      :class:`~repro.predictors.hawkeye.HawkeyePolicy` replays through
+      :func:`repro.sim.kernel.baselines.replay_baseline` (subclasses
+      may override any hook, so they stay sequential);
+    * every other policy uses the sequential simulator.
 
-    Both routes record the same telemetry as the sequential simulator.
-    Each starts from a fresh cache, like a fresh :class:`LLCSimulator`,
-    and is bit-identical to it.  Every other policy uses the sequential
-    simulator.
+    Every route records the same telemetry as the sequential simulator
+    and is bit-identical to it.
     """
-    if stage2_kernel_enabled():
-        if type(policy) in REPLAYS:
-            return replay_baseline(llc_bytes, ways, policy, block_bytes,
-                                   llc_stream, pcs, warmup)
-        if isinstance(policy, MPPPBPolicy):
-            sim = BatchLLCSimulator(llc_bytes, ways, [policy], block_bytes)
-            return sim.run(llc_stream, pc_trace=pcs, warmup=warmup)[0]
-    sim = LLCSimulator(llc_bytes, ways, policy, block_bytes)
-    return sim.run(llc_stream, pc_trace=pcs, warmup=warmup)
+    if not stage2_kernel_enabled():
+        return [LLCSimulator(policy).run(llc_stream, pc_trace=pcs,
+                                         warmup=warmup)
+                for policy in policies]
+    if policies and all(isinstance(policy, MPPPBPolicy)
+                        for policy in policies):
+        return BatchLLCSimulator(policies).run(llc_stream, pc_trace=pcs,
+                                               warmup=warmup)
+    return [
+        replay_baseline(policy, llc_stream, pcs, warmup)
+        if type(policy) in REPLAYS
+        else LLCSimulator(policy).run(llc_stream, pc_trace=pcs,
+                                      warmup=warmup)
+        for policy in policies
+    ]
 
 
 class SingleThreadRunner:
@@ -336,17 +339,9 @@ class SingleThreadRunner:
     def run_segment(
         self, segment: Segment, policy_factory: PolicyFactory
     ) -> SegmentResult:
-        upper = self.upper_result(segment)
-        warm_mem, warm_llc, measured_instr = self._warmup(segment, upper)
         hierarchy = self.hierarchy
         policy = policy_factory(hierarchy.llc_sets, hierarchy.llc_ways)
-        with obs.span("stage2"):
-            llc = replay_segment(hierarchy.llc_bytes, hierarchy.llc_ways,
-                                 policy, hierarchy.block_bytes,
-                                 upper.llc_stream, segment.trace.pcs,
-                                 warm_llc)
-        return self._finish_segment(segment, upper, llc, warm_mem,
-                                    measured_instr)
+        return self._run_policies(segment, [policy])[0]
 
     def run_segment_batch(
         self, segment: Segment, configs: Sequence[MPPPBConfig]
@@ -358,17 +353,22 @@ class SingleThreadRunner:
         candidate-invariant per-access context are paid once; see
         :class:`repro.sim.batch.BatchLLCSimulator`.
         """
+        hierarchy = self.hierarchy
+        return self._run_policies(segment, [
+            MPPPBPolicy(hierarchy.llc_sets, hierarchy.llc_ways, config)
+            for config in configs
+        ])
+
+    def _run_policies(self, segment: Segment,
+                      policies: Sequence[ReplacementPolicy]
+                      ) -> List[SegmentResult]:
+        """Stage 1 lookup, warmup split, Stage 2 and Stage 3 for each
+        policy over one segment."""
         upper = self.upper_result(segment)
         warm_mem, warm_llc, measured_instr = self._warmup(segment, upper)
-        hierarchy = self.hierarchy
-        policies = [MPPPBPolicy(hierarchy.llc_sets, hierarchy.llc_ways,
-                                config)
-                    for config in configs]
-        sim = BatchLLCSimulator(hierarchy.llc_bytes, hierarchy.llc_ways,
-                                policies, hierarchy.block_bytes)
         with obs.span("stage2"):
-            replays = sim.run(upper.llc_stream, pc_trace=segment.trace.pcs,
-                              warmup=warm_llc)
+            replays = replay_segment(policies, upper.llc_stream,
+                                     segment.trace.pcs, warm_llc)
         return [
             self._finish_segment(segment, upper, llc, warm_mem,
                                  measured_instr)

@@ -100,45 +100,37 @@ class TestFastLRUCache:
 
 class TestSetAssociativeCache:
     def test_lookup_miss_on_empty(self):
-        cache = SetAssociativeCache(4 * 64 * 2, ways=2)
+        cache = SetAssociativeCache(4, ways=2)
         assert cache.lookup(0, 123) == -1
 
     def test_install_and_lookup(self):
-        cache = SetAssociativeCache(4 * 64 * 2, ways=2)
-        set_idx = cache.set_index(8)
-        cache.install(set_idx, 0, 8)
-        assert cache.lookup(set_idx, 8) == 0
+        cache = SetAssociativeCache(4, ways=2)
+        cache.install(0, 0, 8)
+        assert cache.lookup(0, 8) == 0
 
     def test_install_returns_evicted_tag(self):
-        cache = SetAssociativeCache(4 * 64 * 2, ways=2)
+        cache = SetAssociativeCache(4, ways=2)
         assert cache.install(0, 1, 16) is None
         assert cache.install(0, 1, 32) == 16
 
     def test_invalid_way_scans_in_order(self):
-        cache = SetAssociativeCache(4 * 64 * 4, ways=4)
+        cache = SetAssociativeCache(4, ways=4)
         assert cache.invalid_way(2) == 0
         cache.install(2, 0, 2)
         assert cache.invalid_way(2) == 1
 
     def test_invalid_way_full_set(self):
-        cache = SetAssociativeCache(1 * 64 * 2, ways=2)
+        cache = SetAssociativeCache(1, ways=2)
         cache.install(0, 0, 10)
         cache.install(0, 1, 20)
         assert cache.invalid_way(0) == -1
 
-    def test_invalidate(self):
-        cache = SetAssociativeCache(4 * 64 * 2, ways=2)
-        cache.install(1, 0, 9)
-        cache.invalidate(1, 0)
-        assert cache.lookup(1, 9) == -1
-        assert cache.invalid_way(1) == 0
-
     def test_resident_blocks(self):
-        cache = SetAssociativeCache(1 * 64 * 4, ways=4)
+        cache = SetAssociativeCache(1, ways=4)
         cache.install(0, 0, 8)
         cache.install(0, 2, 12)
         assert cache.resident_blocks(0) == [(0, 8), (2, 12)]
 
-    def test_set_index_uses_low_bits(self):
-        cache = SetAssociativeCache(8 * 64 * 2, ways=2)
-        assert cache.set_index(0b10110) == 0b110
+    def test_rejects_set_count_the_mask_cannot_address(self):
+        with pytest.raises(ValueError, match="power of two"):
+            SetAssociativeCache(12, ways=2)

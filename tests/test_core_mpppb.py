@@ -130,7 +130,7 @@ class TestMPPPBEndToEnd:
     def _run(self, blocks, pcs=None, config=None, sets=16, ways=16):
         config = config or minimal_config(sampler_sets=8)
         policy = MPPPBPolicy(sets, ways, config)
-        sim = LLCSimulator(sets * ways * 64, ways, policy)
+        sim = LLCSimulator(policy)
         return sim.run(stream(blocks, pcs)), policy
 
     def test_published_config_runs(self):
@@ -178,6 +178,6 @@ class TestMPPPBEndToEnd:
         config = single_thread_config("a", sampler_sets=16)
         mp_result, _ = self._run(blocks, pcs, config=config)
         lru_policy = LRUPolicy(16, 16)
-        lru_sim = LLCSimulator(16 * 16 * 64, 16, lru_policy)
+        lru_sim = LLCSimulator(lru_policy)
         lru_result = lru_sim.run(stream(blocks, pcs))
         assert mp_result.stats.misses < lru_result.stats.misses

@@ -14,7 +14,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.cache.access import PREFETCH_PC
-from repro.cache.cache import SetAssociativeCache
 from repro.cache.replacement.lru import LRUPolicy
 from repro.config import TINY, get_scale
 from repro.exec.artifacts import pack_upper
@@ -45,9 +44,21 @@ class TestHierarchyConfig:
     @pytest.mark.parametrize("which", ["hierarchy", "multi_hierarchy"])
     def test_llc_sets_match_the_llc(self, scale, which):
         config = getattr(get_scale(scale), which)
-        cache = SetAssociativeCache(config.llc_bytes, config.llc_ways,
-                                    config.block_bytes)
-        assert config.llc_sets == cache.num_sets
+        assert config.llc_sets == (config.llc_kib * 1024
+                                   // (config.llc_ways * 64))
+
+    @pytest.mark.parametrize("block_bytes", [32, 128])
+    def test_rejects_blocks_the_llc_cannot_model(self, block_bytes):
+        """Stage 2 rebuilds addresses from six offset bits: at 128-byte
+        blocks address 0x1040 would read back as 0x840."""
+        with pytest.raises(ValueError, match="block_bytes"):
+            HierarchyConfig(block_bytes=block_bytes)
+
+    def test_every_scale_preset_constructs(self):
+        for name in ("tiny", "small", "paper"):
+            scale = get_scale(name)
+            for config in (scale.hierarchy, scale.multi_hierarchy):
+                assert HierarchyConfig(**vars(config)) == config
 
     def test_llc_sets_rejects_non_power_of_two(self):
         with pytest.raises(ValueError, match="power of two"):
@@ -220,14 +231,9 @@ class TestLLCSimulator:
             for i, b in enumerate(blocks)
         ]
 
-    def test_geometry_mismatch_rejected(self):
-        policy = LRUPolicy(8, 16)
-        with pytest.raises(ValueError):
-            LLCSimulator(64 * 1024, 16, policy)  # 64 sets != 8
-
     def test_warmup_split(self):
         policy = LRUPolicy(4, 4)
-        sim = LLCSimulator(4 * 4 * 64, 4, policy)
+        sim = LLCSimulator(policy)
         result = sim.run(self._stream([0, 0, 0, 0]), warmup=2)
         assert result.warm_stats.accesses == 2
         assert result.stats.accesses == 2
@@ -235,13 +241,13 @@ class TestLLCSimulator:
 
     def test_outcomes_cover_full_stream(self):
         policy = LRUPolicy(4, 4)
-        sim = LLCSimulator(4 * 4 * 64, 4, policy)
+        sim = LLCSimulator(policy)
         result = sim.run(self._stream([0, 1, 0]), warmup=1)
         assert result.outcomes == [False, False, True]
 
     def test_prefetch_excluded_from_demand_stats(self):
         policy = LRUPolicy(4, 4)
-        sim = LLCSimulator(4 * 4 * 64, 4, policy)
+        sim = LLCSimulator(policy)
         stream = self._stream([0, 1])
         stream[1].is_prefetch = True
         result = sim.run(stream)
@@ -251,7 +257,7 @@ class TestLLCSimulator:
 
     def test_eviction_counted(self):
         policy = LRUPolicy(1, 2)
-        sim = LLCSimulator(1 * 2 * 64, 2, policy)
+        sim = LLCSimulator(policy)
         result = sim.run(self._stream([0, 1, 2]))
         assert result.stats.evictions == 1
 
@@ -262,7 +268,7 @@ class TestLLCSimulator:
             def on_access(self, set_idx, ctx, hit, way):
                 seen.append(ctx.last_was_miss)
 
-        sim = LLCSimulator(1 * 4 * 64, 4, Spy(1, 4))
+        sim = LLCSimulator(Spy(1, 4))
         sim.run(self._stream([0, 0, 0]))
         assert seen == [False, True, False]
 
@@ -273,7 +279,7 @@ class TestLLCSimulator:
             def on_access(self, set_idx, ctx, hit, way):
                 seen.append(ctx.is_mru_hit)
 
-        sim = LLCSimulator(1 * 4 * 64, 4, Spy(1, 4))
+        sim = LLCSimulator(Spy(1, 4))
         sim.run(self._stream([0, 1, 1, 0]))
         # Access 2 hits block 1 at MRU; access 3 hits block 0 at LRU side.
         assert seen == [False, False, True, False]

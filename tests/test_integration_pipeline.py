@@ -54,8 +54,7 @@ class TestStageInvariants:
     @pytest.mark.parametrize("policy_name", POLICIES)
     def test_llc_stats_consistent(self, upper, segment, policy_name):
         """hits + misses == accesses; bypasses + fills == misses."""
-        sim = LLCSimulator(LLC, SMALL.llc_ways,
-                           make_policy(policy_name, SETS, 16))
+        sim = LLCSimulator(make_policy(policy_name, SETS, 16))
         result = sim.run(upper.llc_stream, pc_trace=segment.trace.pcs)
         stats = result.stats
         assert stats.hits + stats.misses == stats.accesses
@@ -67,8 +66,7 @@ class TestStageInvariants:
     @pytest.mark.parametrize("policy_name", POLICIES)
     def test_replay_deterministic(self, upper, segment, policy_name):
         def run():
-            sim = LLCSimulator(LLC, SMALL.llc_ways,
-                               make_policy(policy_name, SETS, 16))
+            sim = LLCSimulator(make_policy(policy_name, SETS, 16))
             return sim.run(upper.llc_stream, pc_trace=segment.trace.pcs)
 
         assert run().outcomes == run().outcomes
@@ -76,8 +74,7 @@ class TestStageInvariants:
     def test_min_lower_bounds_all_policies(self, upper, segment):
         misses = {}
         for policy_name in POLICIES:
-            sim = LLCSimulator(LLC, SMALL.llc_ways,
-                               make_policy(policy_name, SETS, 16))
+            sim = LLCSimulator(make_policy(policy_name, SETS, 16))
             misses[policy_name] = sim.run(
                 upper.llc_stream, pc_trace=segment.trace.pcs
             ).stats.misses
@@ -93,7 +90,7 @@ class TestLRUEquivalence:
         rng = random.Random(31)
         blocks = [rng.randrange(256) for _ in range(3000)]
         fast = FastLRUCache(16 * 64 * 4, ways=4)
-        sim = LLCSimulator(16 * 64 * 4, 4, LRUPolicy(16, 4))
+        sim = LLCSimulator(LRUPolicy(16, 4))
         stream = [
             LLCAccess(pc=0x400, block=b, offset=0, is_write=False,
                       is_prefetch=False, mem_index=i, instr_index=i)
@@ -106,7 +103,7 @@ class TestLRUEquivalence:
 
 class TestWarmupSemantics:
     def test_warm_plus_measured_covers_all(self, upper, segment):
-        sim = LLCSimulator(LLC, SMALL.llc_ways, LRUPolicy(SETS, 16))
+        sim = LLCSimulator(LRUPolicy(SETS, 16))
         boundary = len(upper.llc_stream) // 2
         result = sim.run(upper.llc_stream, pc_trace=segment.trace.pcs,
                          warmup=boundary)
@@ -116,8 +113,7 @@ class TestWarmupSemantics:
 
     def test_warmup_does_not_change_outcomes(self, upper, segment):
         def outcomes(warmup):
-            sim = LLCSimulator(LLC, SMALL.llc_ways,
-                               LRUPolicy(SETS, 16))
+            sim = LLCSimulator(LRUPolicy(SETS, 16))
             return sim.run(upper.llc_stream, pc_trace=segment.trace.pcs,
                            warmup=warmup).outcomes
 

@@ -25,10 +25,12 @@ Each contract is pinned independently:
   reaches every replacement and training path, policies reused on
   fresh caches, and a merged 4-thread mix; and their output satisfies
   the accounting identities with no reference involved.
-* **Routing** — with the kernel on, an exact ``LRUPolicy`` never
-  reaches ``LLCSimulator.run``, neither as a cell nor as a mix
-  thread's standalone baseline; with it off, every LRU replay does,
-  and an ``LRUPolicy`` subclass always does.
+* **Routing** — ``replay_segment`` is the switch's one reader.  With
+  the kernel on, an exact ``LRUPolicy`` never reaches
+  ``LLCSimulator.run``, neither as a cell nor as a mix thread's
+  standalone baseline; with it off, every LRU replay does, and an
+  ``LRUPolicy`` subclass always does.  MPPPB candidates replay as one
+  kernel batch (off: never the kernel), equal to one-policy calls.
 * **Columnar streams** — an :class:`~repro.sim.llc.LLCColumns` stream
   behaves as its materialized list and lowers to the same columns, and
   kernel-space PCs (>= 2**63) replay on the kernel exactly as on the
@@ -104,7 +106,7 @@ def _configs(seed=7, k=4, default_policy="mdpp"):
 
 def _batch(configs):
     policies = [MPPPBPolicy(NUM_SETS, WAYS, c) for c in configs]
-    return BatchLLCSimulator(LLC_BYTES, WAYS, policies)
+    return BatchLLCSimulator(policies)
 
 
 def _lower(sim, stream, pcs):
@@ -118,7 +120,7 @@ def _lower(sim, stream, pcs):
 
 def _sequential(stream, pcs, config, warmup):
     policy = MPPPBPolicy(NUM_SETS, WAYS, config)
-    sim = LLCSimulator(LLC_BYTES, WAYS, policy)
+    sim = LLCSimulator(policy)
     result = sim.run(stream, pc_trace=pcs, warmup=warmup)
     return result, policy
 
@@ -331,9 +333,10 @@ class TestKnob:
 
 class TestFallbacks:
     def test_batch_run_uses_kernel(self, stage1, monkeypatch):
-        """BatchLLCSimulator.run really routes through the kernel."""
+        """BatchLLCSimulator.run is the kernel alone: only replay_segment
+        reads the switch, so the batch runs the kernel even when off."""
         stream, pcs = stage1
-        monkeypatch.delenv("REPRO_STAGE2_KERNEL", raising=False)
+        monkeypatch.setenv("REPRO_STAGE2_KERNEL", "off")
         calls = []
         original = numpy_backend.replay_all
 
@@ -347,8 +350,9 @@ class TestFallbacks:
         assert calls == [250]
 
     def test_batch_run_off_uses_reference(self, stage1, monkeypatch):
-        """With the switch off, every candidate replays on LLCSimulator
-        and lands in the batch's own caches."""
+        """With the switch off, replay_segment replays every candidate on
+        LLCSimulator: the kernel is never called, and each candidate
+        equals its own sequential replay."""
         stream, pcs = stage1
         monkeypatch.setenv("REPRO_STAGE2_KERNEL", "off")
 
@@ -357,12 +361,42 @@ class TestFallbacks:
 
         monkeypatch.setattr(numpy_backend, "replay_all", refuse)
         configs = _configs(k=2)
-        sim = _batch(configs)
-        results = sim.run(stream, pc_trace=pcs, warmup=250)
-        for config, policy, result in zip(configs, sim.policies, results):
+        policies = [MPPPBPolicy(NUM_SETS, WAYS, c) for c in configs]
+        results = replay_segment(policies, stream, pcs, 250)
+        assert len(results) == len(configs)
+        for config, policy, result in zip(configs, policies, results):
             seq_result, seq_policy = _sequential(stream, pcs, config, 250)
             _assert_identical(result, policy, seq_result, seq_policy)
-        assert all(any(cache._where) for cache in sim.caches)
+
+
+class TestMPPPBRouting:
+    @pytest.mark.parametrize("kernel", ["on", "off"])
+    def test_candidates_replay_as_one_policy_calls(self, stage1, kernel,
+                                                   monkeypatch):
+        """Three MPPPB candidates in one replay_segment call (one kernel
+        batch, or three reference replays) return what three one-policy
+        calls return and leave each policy in the same state."""
+        stream, pcs = stage1
+        monkeypatch.setenv("REPRO_STAGE2_KERNEL", kernel)
+        batches = []
+        real = numpy_backend.replay_all
+
+        def spy(sim, cols, warmup):
+            batches.append(len(sim.policies))
+            return real(sim, cols, warmup)
+
+        monkeypatch.setattr(numpy_backend, "replay_all", spy)
+        configs = _configs(k=3)
+        together = [MPPPBPolicy(NUM_SETS, WAYS, c) for c in configs]
+        results = replay_segment(together, stream, pcs, 250)
+        assert batches == ([3] if kernel == "on" else [])
+        assert len(results) == len(configs)
+        for config, policy, result in zip(configs, together, results):
+            alone = MPPPBPolicy(NUM_SETS, WAYS, config)
+            [expected] = replay_segment([alone], stream, pcs, 250)
+            _assert_identical(result, policy, expected, alone)
+            assert ([tree.bits for tree in policy.default.trees]
+                    == [tree.bits for tree in alone.default.trees])
 
 
 # -- baseline predictors (Perceptron, Hawkeye) ------------------------------
@@ -372,7 +406,6 @@ class TestFallbacks:
 # victims, and wrap a 2x-associativity OptGen window.
 SMALL_SETS = 4
 SMALL_WAYS = 4
-SMALL_BYTES = SMALL_SETS * SMALL_WAYS * 64
 
 
 def _edge_stream(stream, pcs):
@@ -494,26 +527,24 @@ def _assert_same_state(kernel_policy, reference_policy):
         assert same, f"{name} differs from LLCSimulator's"
 
 
-def _kernel_replay(policy, llc_bytes, ways, stream, pcs, warmup):
+def _kernel_replay(policy, stream, pcs, warmup):
     """Replay through the kernel; also returns the cache it filled."""
     caches = []
-    real = baselines_mod.policy_cache
+    real = baselines_mod.SetAssociativeCache
 
     def capture(*args):
         caches.append(real(*args))
         return caches[-1]
 
-    with mock.patch.object(baselines_mod, "policy_cache", capture):
-        result = baselines_mod.replay_baseline(llc_bytes, ways, policy, 64,
-                                               stream, pcs, warmup)
+    with mock.patch.object(baselines_mod, "SetAssociativeCache", capture):
+        result = baselines_mod.replay_baseline(policy, stream, pcs, warmup)
     return result, caches[0]
 
 
-def _assert_baseline_lockstep(make, llc_bytes, ways, stream, pcs, warmup):
+def _assert_baseline_lockstep(make, stream, pcs, warmup):
     kernel_policy, reference_policy = make(), make()
-    result, _ = _kernel_replay(kernel_policy, llc_bytes, ways, stream, pcs,
-                               warmup)
-    reference = LLCSimulator(llc_bytes, ways, reference_policy).run(
+    result, _ = _kernel_replay(kernel_policy, stream, pcs, warmup)
+    reference = LLCSimulator(reference_policy).run(
         stream, pc_trace=pcs, warmup=warmup)
     assert result.outcomes == reference.outcomes
     assert result.stats == reference.stats
@@ -550,15 +581,14 @@ class TestBaselineLockstep:
         stream, pcs = _synthetic_stream(picks)
         _assert_baseline_lockstep(
             lambda: _small_perceptron(theta, tau_bypass, tau_replace),
-            SMALL_BYTES, SMALL_WAYS, stream, pcs, warmup)
+            stream, pcs, warmup)
 
     @settings(max_examples=60, deadline=None)
     @given(picks=st.lists(_baseline_access_st, min_size=1, max_size=300),
            warmup=st.integers(min_value=0, max_value=320))
     def test_hawkeye_lockstep(self, picks, warmup):
         stream, pcs = _synthetic_stream(picks)
-        _assert_baseline_lockstep(_small_hawkeye, SMALL_BYTES, SMALL_WAYS,
-                                  stream, pcs, warmup)
+        _assert_baseline_lockstep(_small_hawkeye, stream, pcs, warmup)
 
     @settings(max_examples=60, deadline=None)
     @given(picks=st.lists(_baseline_access_st, min_size=1, max_size=300),
@@ -568,8 +598,7 @@ class TestBaselineLockstep:
         stream, pcs = _synthetic_stream(picks)
         if columns:
             stream = LLCColumns.from_accesses(stream)
-        _assert_baseline_lockstep(_small_lru, SMALL_BYTES, SMALL_WAYS,
-                                  stream, pcs, warmup)
+        _assert_baseline_lockstep(_small_lru, stream, pcs, warmup)
 
     def test_small_geometry_reaches_every_path(self):
         """The lockstep geometry really exercises full sets, sampler
@@ -601,7 +630,7 @@ class TestBaselineLockstep:
 
         perceptron.choose_victim = counting_choose
         perceptron.predictor._train = counting_train
-        reference = LLCSimulator(SMALL_BYTES, SMALL_WAYS, perceptron).run(
+        reference = LLCSimulator(perceptron).run(
             stream, pc_trace=pcs, warmup=500)
         assert reference.stats.evictions > 0
         assert reference.stats.bypasses > 0
@@ -626,7 +655,7 @@ class TestBaselineLockstep:
                 return opt_hit
 
             optgen.access = counting_access
-        LLCSimulator(SMALL_BYTES, SMALL_WAYS, hawkeye).run(
+        LLCSimulator(hawkeye).run(
             stream, pc_trace=pcs, warmup=500)
         assert seen["detrains"] > 0 and seen["opt_capacity_misses"] > 0
         window = hawkeye.predictor._optgens[0].window
@@ -637,9 +666,8 @@ class TestBaselineLockstep:
         assert len(hawkeye.predictor._histories[0]) <= 4 * window + 1
 
         _assert_baseline_lockstep(lambda: _small_perceptron(theta=3),
-                                  SMALL_BYTES, SMALL_WAYS, stream, pcs, 500)
-        _assert_baseline_lockstep(_small_hawkeye, SMALL_BYTES, SMALL_WAYS,
                                   stream, pcs, 500)
+        _assert_baseline_lockstep(_small_hawkeye, stream, pcs, 500)
 
     @pytest.mark.parametrize("make", [_small_lru, _small_perceptron,
                                       _small_hawkeye])
@@ -656,10 +684,8 @@ class TestBaselineLockstep:
         ]
         kernel_policy, reference_policy = make(), make()
         for stream, pcs in streams:
-            result, _ = _kernel_replay(kernel_policy, SMALL_BYTES,
-                                       SMALL_WAYS, stream, pcs, 100)
-            reference = LLCSimulator(SMALL_BYTES, SMALL_WAYS,
-                                     reference_policy).run(
+            result, _ = _kernel_replay(kernel_policy, stream, pcs, 100)
+            reference = LLCSimulator(reference_policy).run(
                 stream, pc_trace=pcs, warmup=100)
             assert result.outcomes == reference.outcomes
             assert result.stats == reference.stats
@@ -679,11 +705,9 @@ class TestBaselineLockstep:
             stream, pcs = _synthetic_stream(picks)
             kernel_stream = (LLCColumns.from_accesses(stream) if columns
                              else stream)
-            result, _ = _kernel_replay(kernel_policy, SMALL_BYTES,
-                                       SMALL_WAYS, kernel_stream, pcs,
+            result, _ = _kernel_replay(kernel_policy, kernel_stream, pcs,
                                        warmup)
-            reference = LLCSimulator(SMALL_BYTES, SMALL_WAYS,
-                                     reference_policy).run(
+            reference = LLCSimulator(reference_policy).run(
                 stream, pc_trace=pcs, warmup=warmup)
             assert result.outcomes == reference.outcomes
             assert result.stats == reference.stats
@@ -696,12 +720,12 @@ class TestBaselineLockstep:
         policy = _small_lru()
         first, pcs = _synthetic_stream([(0x400, SMALL_SETS * k, 0, False)
                                         for k in range(SMALL_WAYS)])
-        _kernel_replay(policy, SMALL_BYTES, SMALL_WAYS, first, pcs, 0)
+        _kernel_replay(policy, first, pcs, 0)
         assert policy.stack(0) == (3, 2, 1, 0)
         second, pcs = _synthetic_stream([(0x400, SMALL_SETS * 9, 0, False),
                                          (0x400, SMALL_SETS * 10, 0, False),
                                          (0x400, SMALL_SETS * 9, 0, False)])
-        _kernel_replay(policy, SMALL_BYTES, SMALL_WAYS, second, pcs, 0)
+        _kernel_replay(policy, second, pcs, 0)
         assert policy.stack(0) == (0, 1, 3, 2)
 
     @pytest.mark.parametrize("policy_cls",
@@ -710,10 +734,9 @@ class TestBaselineLockstep:
         """A timestamp-merged 4-core stream on the shared LLC, with its
         rebased PC histories and region laps."""
         stream, pcs, hierarchy = mix_stream
-        ways = hierarchy.llc_ways
         _assert_baseline_lockstep(
-            lambda: policy_cls(hierarchy.llc_sets, ways),
-            hierarchy.llc_bytes, ways, stream, pcs, len(stream) // 4)
+            lambda: policy_cls(hierarchy.llc_sets, hierarchy.llc_ways),
+            stream, pcs, len(stream) // 4)
 
 
 @pytest.fixture(scope="module")
@@ -777,8 +800,7 @@ class TestBaselineAccounting:
     def test_random_streams(self, picks, warmup, make):
         stream, pcs = _synthetic_stream(picks)
         policy = make()
-        result, cache = _kernel_replay(policy, SMALL_BYTES, SMALL_WAYS,
-                                       stream, pcs, warmup)
+        result, cache = _kernel_replay(policy, stream, pcs, warmup)
         _assert_accounting(result, cache, stream,
                            never_bypasses=type(policy) in _NEVER_BYPASS)
 
@@ -786,18 +808,16 @@ class TestBaselineAccounting:
                              [LRUPolicy, PerceptronPolicy, HawkeyePolicy])
     def test_workload_stream(self, stage1, policy_cls):
         stream, pcs = stage1
-        result, cache = _kernel_replay(policy_cls(NUM_SETS, WAYS), LLC_BYTES,
-                                       WAYS, stream, pcs, 300)
+        result, cache = _kernel_replay(policy_cls(NUM_SETS, WAYS), stream,
+                                       pcs, 300)
         _assert_accounting(result, cache, stream,
                            never_bypasses=policy_cls in _NEVER_BYPASS)
         assert result.stats.evictions > 0
 
     def test_lru_mix_stream(self, mix_stream):
         stream, pcs, hierarchy = mix_stream
-        ways = hierarchy.llc_ways
-        policy = LRUPolicy(hierarchy.llc_sets, ways)
-        result, cache = _kernel_replay(policy, hierarchy.llc_bytes, ways,
-                                       stream, pcs, len(stream) // 4)
+        policy = LRUPolicy(hierarchy.llc_sets, hierarchy.llc_ways)
+        result, cache = _kernel_replay(policy, stream, pcs, len(stream) // 4)
         _assert_accounting(result, cache, stream, never_bypasses=True)
         assert result.stats.evictions > 0
 
@@ -911,9 +931,10 @@ class TestKernelSpacePcs:
         assert max(a.pc for a in upper.llc_stream) >= 2**63
 
         def run():
-            return replay_segment(LLC_BYTES, WAYS,
-                                  policy_factory(policy)(NUM_SETS, WAYS), 64,
-                                  upper.llc_stream, segment.trace.pcs, 300)
+            [result] = replay_segment(
+                [policy_factory(policy)(NUM_SETS, WAYS)], upper.llc_stream,
+                segment.trace.pcs, 300)
+            return result
 
         kernel, reference = _on_both_legs(monkeypatch, run)
         assert kernel.outcomes == reference.outcomes
@@ -966,8 +987,7 @@ class TestLRURouting:
         monkeypatch.setenv("REPRO_STAGE2_KERNEL", kernel)
         stream, pcs = stage1
         assert _reference_policies(monkeypatch, lambda: replay_segment(
-            LLC_BYTES, WAYS, policy_cls(NUM_SETS, WAYS), 64, stream, pcs,
-            300)) == reaches
+            [policy_cls(NUM_SETS, WAYS)], stream, pcs, 300)) == reaches
 
     @pytest.mark.parametrize("kernel,reaches", [
         ("on", []), ("off", [LRUPolicy, LRUPolicy])])

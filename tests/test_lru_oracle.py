@@ -69,13 +69,10 @@ def _assert_stack_property(stream, pcs, num_sets) -> List[int]:
     distances = stack_distances([a.block for a in stream], num_sets)
     misses = []
     for ways in WAY_COUNTS:
-        llc_bytes = num_sets * ways * 64
         expected = oracle_outcomes(distances, ways)
-        reference = LLCSimulator(llc_bytes, ways,
-                                 LRUPolicy(num_sets, ways)).run(
+        reference = LLCSimulator(LRUPolicy(num_sets, ways)).run(
             stream, pc_trace=pcs)
-        kernel = replay_baseline(llc_bytes, ways, LRUPolicy(num_sets, ways),
-                                 64, stream, pcs, 0)
+        kernel = replay_baseline(LRUPolicy(num_sets, ways), stream, pcs, 0)
         assert reference.outcomes == expected, f"LLCSimulator at {ways} ways"
         assert kernel.outcomes == expected, f"kernel at {ways} ways"
         misses.append(kernel.stats.misses)

@@ -107,8 +107,8 @@ def test_opt_by_hand():
 
 def _misses(name, stream, pcs, ways=WAYS, sets=SETS):
     policy = make_policy(name, sets, ways)
-    return replay_segment(sets * ways * 64, ways, policy, 64, stream, pcs,
-                          0).stats.misses
+    [result] = replay_segment([policy], stream, pcs, 0)
+    return result.stats.misses
 
 
 @pytest.mark.parametrize("ways", [1, 2, 4, WAYS])

@@ -94,14 +94,14 @@ class TestSDBPPolicy:
         # One PC streams blocks that never repeat: SDBP must learn to
         # bypass them.
         policy = SDBPPolicy(4, 4, SDBPPredictor(4, sampler_sets=4, sampler_ways=4))
-        sim = LLCSimulator(4 * 4 * 64, 4, policy)
+        sim = LLCSimulator(policy)
         blocks = list(range(100, 400))
         result = sim.run(stream(blocks))
         assert result.stats.bypasses > 0
 
     def test_tracks_lru_when_untrained(self):
         policy = SDBPPolicy(4, 4)
-        sim = LLCSimulator(4 * 4 * 64, 4, policy)
+        sim = LLCSimulator(policy)
         result = sim.run(stream([0, 4, 8, 12] * 2))
         assert result.stats.hits == 4
 
@@ -170,13 +170,13 @@ class TestPerceptronPolicy:
     def test_bypasses_streaming(self):
         policy = PerceptronPolicy(
             4, 4, PerceptronPredictor(4, sampler_sets=4, sampler_ways=4, theta=10))
-        sim = LLCSimulator(4 * 4 * 64, 4, policy)
+        sim = LLCSimulator(policy)
         result = sim.run(stream(list(range(100, 500))))
         assert result.stats.bypasses > 0
 
     def test_behaves_like_lru_untrained(self):
         policy = PerceptronPolicy(4, 4)
-        sim = LLCSimulator(4 * 4 * 64, 4, policy)
+        sim = LLCSimulator(policy)
         result = sim.run(stream([0, 4, 8, 12] * 2))
         assert result.stats.hits == 4
 
@@ -243,7 +243,7 @@ class TestHawkeyePredictor:
 class TestHawkeyePolicy:
     def test_averse_blocks_evicted_first(self):
         policy = HawkeyePolicy(4, 4)
-        sim = LLCSimulator(4 * 4 * 64, 4, policy)
+        sim = LLCSimulator(policy)
         # Mixed workload: hot PC 0x500 reuses 4 blocks; cold PC 0x600
         # streams one-shot blocks through the same sets.
         blocks, pcs = [], []
@@ -257,7 +257,7 @@ class TestHawkeyePolicy:
                 blocks.append(next(cold) * 4)
                 pcs.append(0x600)
         result = sim.run(stream(blocks, pcs))
-        lru_result = LLCSimulator(4 * 4 * 64, 4, LRUPolicy(4, 4)).run(
+        lru_result = LLCSimulator(LRUPolicy(4, 4)).run(
             stream(blocks, pcs))
         # Hot blocks must survive the cold stream in steady state,
         # which LRU cannot achieve (the cold stream displaces them).
@@ -272,9 +272,9 @@ class TestHawkeyePolicy:
             for b in hot:
                 blocks.append(b)
                 pcs.append(0x500 + 4 * (b % 4))
-        lru_sim = LLCSimulator(4 * 4 * 64, 4, LRUPolicy(4, 4))
+        lru_sim = LLCSimulator(LRUPolicy(4, 4))
         lru = lru_sim.run(stream(blocks, pcs))
-        hawkeye_sim = LLCSimulator(4 * 4 * 64, 4, HawkeyePolicy(4, 4))
+        hawkeye_sim = LLCSimulator(HawkeyePolicy(4, 4))
         hawkeye = hawkeye_sim.run(stream(blocks, pcs))
         assert lru.stats.hits == 0
         assert hawkeye.stats.hits > 0

@@ -27,7 +27,6 @@ from repro.policies import make_policy
 from repro.sim.llc import LLCAccess, LLCSimulator
 
 SETS, WAYS = 4, 4
-CAPACITY = SETS * WAYS * 64
 
 block_lists = st.lists(st.integers(min_value=0, max_value=63),
                        min_size=1, max_size=250)
@@ -46,7 +45,7 @@ class TestCacheOccupancyProperties:
     @settings(max_examples=25, deadline=None)
     @given(block_lists)
     def test_resident_blocks_unique_per_set(self, blocks):
-        sim = LLCSimulator(CAPACITY, WAYS, LRUPolicy(SETS, WAYS))
+        sim = LLCSimulator(LRUPolicy(SETS, WAYS))
         sim.run(make_stream(blocks))
         for set_idx in range(SETS):
             tags = [t for _, t in sim.cache.resident_blocks(set_idx)]
@@ -58,7 +57,7 @@ class TestCacheOccupancyProperties:
     def test_second_access_to_resident_block_hits(self, blocks):
         """Immediately repeating an access always hits (no bypass)."""
         doubled = [b for block in blocks for b in (block, block)]
-        sim = LLCSimulator(CAPACITY, WAYS, LRUPolicy(SETS, WAYS))
+        sim = LLCSimulator(LRUPolicy(SETS, WAYS))
         outcomes = sim.run(make_stream(doubled)).outcomes
         assert all(outcomes[i] for i in range(1, len(outcomes), 2))
 
@@ -68,7 +67,7 @@ class TestPolicyStateProperties:
     @given(block_lists)
     def test_srrip_rrpvs_stay_in_range(self, blocks):
         policy = SRRIPPolicy(SETS, WAYS)
-        sim = LLCSimulator(CAPACITY, WAYS, policy)
+        sim = LLCSimulator(policy)
         sim.run(make_stream(blocks))
         for rrpvs in policy.rrpvs:
             assert all(0 <= r <= policy.rrpv_max for r in rrpvs)
@@ -77,7 +76,7 @@ class TestPolicyStateProperties:
     @given(block_lists)
     def test_mdpp_positions_stay_in_range(self, blocks):
         policy = MDPPPolicy(SETS, 16)
-        sim = LLCSimulator(SETS * 16 * 64, 16, policy)
+        sim = LLCSimulator(policy)
         stream = make_stream(blocks)
         sim.run(stream)
         for set_idx in range(SETS):
@@ -88,7 +87,7 @@ class TestPolicyStateProperties:
     @given(block_lists)
     def test_lru_stack_is_permutation_of_filled_ways(self, blocks):
         policy = LRUPolicy(SETS, WAYS)
-        sim = LLCSimulator(CAPACITY, WAYS, policy)
+        sim = LLCSimulator(policy)
         sim.run(make_stream(blocks))
         for set_idx in range(SETS):
             stack = policy.stack(set_idx)
@@ -125,7 +124,7 @@ class TestPredictorNumericProperties:
             sampler_sets=SETS,
         )
         policy = MPPPBPolicy(SETS, 16, config)
-        sim = LLCSimulator(SETS * 16 * 64, 16, policy)
+        sim = LLCSimulator(policy)
         sim.run(make_stream(blocks))
         for table in policy.predictor.tables:
             assert all(WEIGHT_MIN <= w <= WEIGHT_MAX for w in table.weights)
@@ -138,7 +137,7 @@ class TestUniversalPolicyProperties:
     @given(block_lists, st.sampled_from(
         ["lru", "srrip", "mdpp", "plru", "random", "ship", "sdbp"]))
     def test_any_policy_produces_consistent_stats(self, blocks, name):
-        sim = LLCSimulator(CAPACITY, WAYS, make_policy(name, SETS, WAYS))
+        sim = LLCSimulator(make_policy(name, SETS, WAYS))
         result = sim.run(make_stream(blocks))
         stats = result.stats
         assert stats.accesses == len(blocks)

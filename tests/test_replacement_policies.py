@@ -29,7 +29,7 @@ def make_stream(blocks):
 
 def run_policy(policy_cls, blocks, sets=4, ways=4, **kwargs):
     policy = policy_cls(sets, ways, **kwargs)
-    sim = LLCSimulator(sets * ways * 64, ways, policy)
+    sim = LLCSimulator(policy)
     return sim.run(make_stream(blocks))
 
 

@@ -56,14 +56,14 @@ class TestSHiPPolicy:
 
     def test_learns_streaming_pc(self):
         policy = SHiPPolicy(4, 4, sampler_sets=4)
-        sim = LLCSimulator(4 * 4 * 64, 4, policy)
+        sim = LLCSimulator(policy)
         blocks = list(range(400))
         sim.run(stream(blocks, [0x900] * len(blocks)))
         assert not policy.shct.predicts_reuse(0x900)
 
     def test_hot_pc_stays_reused(self):
         policy = SHiPPolicy(4, 4, sampler_sets=4)
-        sim = LLCSimulator(4 * 4 * 64, 4, policy)
+        sim = LLCSimulator(policy)
         blocks = [0, 4, 8] * 200
         sim.run(stream(blocks, [0x500] * len(blocks)))
         assert policy.shct.predicts_reuse(0x500)
@@ -80,9 +80,9 @@ class TestSHiPPolicy:
             for _ in range(2):
                 blocks.append(next(cold) * 4)
                 pcs.append(0x900)
-        ship_sim = LLCSimulator(4 * 4 * 64, 4, SHiPPolicy(4, 4, sampler_sets=4))
+        ship_sim = LLCSimulator(SHiPPolicy(4, 4, sampler_sets=4))
         ship = ship_sim.run(stream(blocks, pcs))
-        lru_sim = LLCSimulator(4 * 4 * 64, 4, LRUPolicy(4, 4))
+        lru_sim = LLCSimulator(LRUPolicy(4, 4))
         lru = lru_sim.run(stream(blocks, pcs))
         assert ship.stats.hits > lru.stats.hits
 

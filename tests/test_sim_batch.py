@@ -58,7 +58,7 @@ def _configs(seed=7, k=4, default_policy="mdpp"):
 
 def _sequential(upper, trace, config, warmup):
     policy = MPPPBPolicy(NUM_SETS, WAYS, config)
-    sim = LLCSimulator(LLC_BYTES, WAYS, policy)
+    sim = LLCSimulator(policy)
     result = sim.run(upper.llc_stream, pc_trace=trace.pcs, warmup=warmup)
     return result, policy
 
@@ -84,7 +84,7 @@ def test_batch_matches_sequential(stage1, default_policy, warmup_fraction):
     warmup = int(len(upper.llc_stream) * warmup_fraction)
     configs = _configs(default_policy=default_policy)
     policies = [MPPPBPolicy(NUM_SETS, WAYS, c) for c in configs]
-    batch = BatchLLCSimulator(LLC_BYTES, WAYS, policies)
+    batch = BatchLLCSimulator(policies)
     results = batch.run(upper.llc_stream, pc_trace=trace.pcs, warmup=warmup)
     assert len(results) == len(configs)
     for config, policy, result in zip(configs, policies, results):
@@ -98,7 +98,7 @@ def test_batch_of_one_and_duplicates(stage1):
     config = _configs(k=1)[0]
     for k in (1, 3):
         policies = [MPPPBPolicy(NUM_SETS, WAYS, config) for _ in range(k)]
-        batch = BatchLLCSimulator(LLC_BYTES, WAYS, policies)
+        batch = BatchLLCSimulator(policies)
         results = batch.run(upper.llc_stream, pc_trace=trace.pcs, warmup=10)
         seq_result, seq_policy = _sequential(upper, trace, config, 10)
         for policy, result in zip(policies, results):
@@ -118,7 +118,7 @@ def test_batch_many_random_candidates(stage1):
         feature_sets.append(tuple(mutated))
     configs = [MPPPBConfig(features=fs) for fs in feature_sets]
     policies = [MPPPBPolicy(NUM_SETS, WAYS, c) for c in configs]
-    batch = BatchLLCSimulator(LLC_BYTES, WAYS, policies)
+    batch = BatchLLCSimulator(policies)
     results = batch.run(upper.llc_stream, pc_trace=trace.pcs, warmup=50)
     for config, policy, result in zip(configs, policies, results):
         seq_result, seq_policy = _sequential(upper, trace, config, 50)
@@ -129,14 +129,18 @@ def test_batch_rejects_non_mpppb():
     from repro.cache.replacement.lru import LRUPolicy
 
     with pytest.raises(TypeError):
-        BatchLLCSimulator(LLC_BYTES, WAYS, [LRUPolicy(NUM_SETS, WAYS)])
+        BatchLLCSimulator([LRUPolicy(NUM_SETS, WAYS)])
 
 
 def test_batch_rejects_mismatched_geometry():
+    """Every candidate replays on the first one's LLC geometry: a batch
+    whose set counts differ, or whose ways differ, is refused."""
     config = _configs(k=1)[0]
-    wrong = MPPPBPolicy(NUM_SETS * 2, WAYS, config)
-    with pytest.raises(ValueError):
-        BatchLLCSimulator(LLC_BYTES, WAYS, [wrong])
+    for sets, ways in ((NUM_SETS * 2, WAYS), (NUM_SETS, WAYS * 2)):
+        batch = [MPPPBPolicy(NUM_SETS, WAYS, config),
+                 MPPPBPolicy(sets, ways, config)]
+        with pytest.raises(ValueError, match="LLC geometry"):
+            BatchLLCSimulator(batch)
 
 
 def test_run_segment_batch_matches_run_segment():

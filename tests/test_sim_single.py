@@ -167,7 +167,7 @@ class TestStage3Vector:
         trace = segment.trace
         warm_mem = int(len(trace.pcs) * 0.25)
         policy = policy_factory("lru")(SMALL.llc_sets, 16)
-        llc = LLCSimulator(LLC, 16, policy).run(
+        llc = LLCSimulator(policy).run(
             upper.llc_stream, pc_trace=trace.pcs,
             warmup=upper.llc_warmup_boundary(warm_mem),
         )
