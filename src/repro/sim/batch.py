@@ -13,13 +13,14 @@ candidate.  :class:`BatchLLCSimulator` splits the replay accordingly:
    ``burst`` / ``lastmiss``, a function of the candidate's cache
    state).  :func:`_build_programs` deduplicates the static parts
    across the union of all candidates' features into shared slots.
-2. **Lowering** (once per stream): :func:`repro.sim.kernel.columns.
-   lower_stream` computes the stream columns and every shared slot as
-   numpy arrays over the whole stream.
-3. **Per-candidate replay** (K times): the columnar kernel
+2. **Lowering** (once per window of :data:`repro.sim.llc.WINDOW`
+   accesses): :func:`repro.sim.kernel.columns.lower_stream` computes
+   the stream columns and every shared slot as numpy arrays over the
+   window.
+3. **Per-candidate replay** (K times per window): the columnar kernel
    (:mod:`repro.sim.kernel.numpy_backend`) replays each candidate
    against its own :class:`~repro.cache.cache.SetAssociativeCache`,
-   sampler, and perceptron tables.
+   sampler, and perceptron tables, carried from window to window.
 
 Results are bit-identical to K sequential
 :class:`~repro.sim.llc.LLCSimulator` + :class:`~repro.core.mpppb.
@@ -37,7 +38,7 @@ from repro import obs
 from repro.cache.cache import SetAssociativeCache
 from repro.core.features import BLOCK_OFFSET_BITS, _normalize_range, Feature
 from repro.core.mpppb import MPPPBPolicy
-from repro.sim.kernel import columns, numpy_backend
+from repro.sim.kernel import numpy_backend
 from repro.sim.llc import LLCAccess, LLCResult, flush_llc_metrics
 
 # -- shared slot layout ----------------------------------------------------
@@ -167,18 +168,7 @@ class BatchLLCSimulator:
         as K sequential :meth:`LLCSimulator.run` calls would leave
         them, and so does the telemetry each replay records.
         """
-        sampler = self.policies[0].sampler
-        cols = columns.lower_stream(
-            stream,
-            pc_trace,
-            self.num_sets,
-            sampler.mapper._stride,
-            sampler.mapper.sampler_sets,
-            sampler.tag_bits,
-            self._slots,
-            self._needs_h,
-        )
-        replays = numpy_backend.replay_all(self, cols, warmup)
+        replays = numpy_backend.replay_all(self, stream, pc_trace, warmup)
         if obs.enabled():
             # Same once-per-replay aggregate flush as LLCSimulator.run.
             for policy, result in zip(self.policies, replays):

@@ -57,17 +57,15 @@ class HierarchyConfig:
     block_bytes: int = 64
 
     def __post_init__(self) -> None:
-        # Stage 2 rebuilds each LLC address from its block and a
-        # BLOCK_OFFSET_BITS-bit offset, and the offset features read
-        # those bits: any other block size would alias addresses.
+        # Both stages split addresses at BLOCK_OFFSET_BITS (Stage 1
+        # sizes its sets by it too, and Stage 2 rebuilds each LLC
+        # address from a block and that many offset bits), as do the
+        # offset features.  The field stays, so that the hierarchy's
+        # keys do not move, and admits only the block size they model.
         if self.block_bytes != 1 << BLOCK_OFFSET_BITS:
             raise ValueError(
                 f"block_bytes must be {1 << BLOCK_OFFSET_BITS}, "
                 f"got {self.block_bytes}")
-
-    @property
-    def block_shift(self) -> int:
-        return self.block_bytes.bit_length() - 1
 
     @property
     def llc_bytes(self) -> int:
@@ -77,7 +75,7 @@ class HierarchyConfig:
     def llc_sets(self) -> int:
         """LLC set count; raises on a geometry the set-index mask
         cannot address, as L1 and L2 do."""
-        return _set_count(self.llc_kib, self.llc_ways, self.block_bytes)
+        return _set_count(self.llc_kib, self.llc_ways)
 
 
 @dataclass
@@ -115,13 +113,15 @@ PREFETCH_DEGREE = 2
 PREFETCH_WINDOW = 4
 
 
-def _set_count(kib: int, ways: int, block_bytes: int) -> int:
-    """Sets of a ``kib`` KiB, ``ways``-way cache; raises on a geometry
-    the set-index mask cannot address."""
+def _set_count(kib: int, ways: int) -> int:
+    """Sets of a ``kib`` KiB, ``ways``-way cache of
+    ``2**BLOCK_OFFSET_BITS``-byte blocks; raises on a geometry the
+    set-index mask cannot address."""
     capacity = kib * 1024
-    if capacity % (ways * block_bytes) != 0:
+    set_bytes = ways << BLOCK_OFFSET_BITS
+    if capacity % set_bytes != 0:
         raise ValueError("capacity must be a whole number of sets")
-    num_sets = capacity // (ways * block_bytes)
+    num_sets = capacity // set_bytes
     if num_sets & (num_sets - 1):
         raise ValueError("set count must be a power of two")
     return num_sets
@@ -136,16 +136,14 @@ class UpperLevels:
 
     def run(self, trace: Trace) -> UpperLevelResult:
         config = self.config
-        l1_mask = _set_count(config.l1_kib, config.l1_ways,
-                             config.block_bytes) - 1
-        l2_mask = _set_count(config.l2_kib, config.l2_ways,
-                             config.block_bytes) - 1
+        l1_mask = _set_count(config.l1_kib, config.l1_ways) - 1
+        l2_mask = _set_count(config.l2_kib, config.l2_ways) - 1
         l1_ways = config.l1_ways
         l2_ways = config.l2_ways
         l1 = [{} for _ in range(l1_mask + 1)]
         l2 = [{} for _ in range(l2_mask + 1)]
-        shift = config.block_shift
-        offset_mask = config.block_bytes - 1
+        shift = BLOCK_OFFSET_BITS
+        offset_mask = (1 << BLOCK_OFFSET_BITS) - 1
         prefetch = self.prefetch
         pcs = trace.pcs
         writes = trace.writes

@@ -1,11 +1,12 @@
 """Columnar Stage-2 replay kernel: the one fast path beside the reference.
 
 :class:`~repro.sim.llc.LLCSimulator` is the readable reference replay.
-This package is its only fast path: it lowers a segment's Stage-1 LLC
-stream into numpy columns once (:mod:`~repro.sim.kernel.columns`) and
-replays every MPPPB candidate through a per-candidate ``exec``-
-specialized loop with the sampler, perceptron sum, and replacement-
-policy walks inlined (:mod:`~repro.sim.kernel.numpy_backend`).  The
+This package is its only fast path: it lowers a Stage-1 or merged LLC
+stream into numpy columns one window at a time
+(:func:`~repro.sim.kernel.columns.replay_windows`) and replays every
+MPPPB candidate through a per-candidate ``exec``-specialized loop with
+the sampler, perceptron sum, and replacement-policy walks inlined
+(:mod:`~repro.sim.kernel.numpy_backend`).  The
 LRU, Perceptron and Hawkeye baselines have one fixed-shape columnar
 replay each (:mod:`~repro.sim.kernel.baselines`), which
 :func:`repro.sim.single.replay_segment` picks by the policy's exact

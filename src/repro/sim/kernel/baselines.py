@@ -9,7 +9,7 @@ replay: the block and prefetch columns for LRU, plus six perceptron
 table indices or the Hawkeye counter index.
 
 What remains is serially dependent state, replayed here by one plain
-function per policy with everything inlined as local-variable
+kernel per policy with everything inlined as local-variable
 bytecode, the same discipline as the MPPPB loop in
 :mod:`~repro.sim.kernel.numpy_backend`.  The shapes are fixed, so no
 code is generated; hyperparameters are read from the policy object:
@@ -31,18 +31,20 @@ code is generated; hyperparameters are read from the policy object:
   n-th fill of a set goes to way n), and scalar counters from which
   ``LLCStats`` is derived afterwards.
 
-Each function runs twice, over the warm range and then the measured
+Each kernel runs through :func:`repro.sim.kernel.columns.
+replay_windows`, over each window's warm range and then its measured
 range, reproducing ``LLCSimulator.run``'s warm/measured split.
 Policy state lives in the policy's own lists and dicts, updated in
 place, except for what the reference keeps on objects (perceptron
 sampler entries, OptGen clocks) or derives per access (LRU stacks),
-which is written back; after a replay the policy is in exactly the
-state ``LLCSimulator`` would leave it in.
+which is built once per replay, carried from window to window and
+written back; after a replay the policy is in exactly the state
+``LLCSimulator`` would leave it in.
 """
 
 from __future__ import annotations
 
-from typing import Sequence, Tuple
+from typing import Sequence
 
 from repro.cache.cache import SetAssociativeCache
 from repro.cache.replacement.lru import LRUPolicy
@@ -54,7 +56,6 @@ from repro.predictors.perceptron import (
     _SamplerEntry,
 )
 from repro.sim.kernel import columns as _columns
-from repro.sim.kernel.numpy_backend import _segment_stats
 from repro.sim.llc import LLCAccess, LLCResult, flush_llc_metrics
 from repro.util.hashing import hash_to
 
@@ -68,36 +69,19 @@ def replay_baseline(
     """Equivalent of ``LLCSimulator(policy).run(stream, pc_trace,
     warmup)`` for a policy whose exact type is in :data:`REPLAYS`."""
     cache = SetAssociativeCache(policy.num_sets, policy.ways)
-    wb = min(max(warmup, 0), len(stream))
-    prefetch, outcomes, warm_counts, counts = REPLAYS[type(policy)](
-        policy, cache, stream, pc_trace, wb)
-    warm_prefetches = sum(prefetch[:wb])
-    stats = _segment_stats(len(stream) - wb,
-                           sum(prefetch) - warm_prefetches, counts)
-    flush_llc_metrics(stats, policy)
-    return LLCResult(
-        outcomes=outcomes,
-        stats=stats,
-        warm_stats=_segment_stats(wb, warm_prefetches, warm_counts),
-    )
-
-
-def _split(kernel, n: int, wb: int, *args) -> Tuple:
-    """Run ``kernel`` over ``[0, wb)`` then ``[wb, n)``; returns
-    ``(outcomes, warm counts, measured counts)``."""
-    outcomes = [False] * n
-    warm = kernel(0, wb, outcomes, *args)
-    measured = kernel(wb, n, outcomes, *args)
-    return outcomes, warm, measured
+    result = REPLAYS[type(policy)](policy, cache, stream, pc_trace, warmup)
+    flush_llc_metrics(result.stats, policy)
+    return result
 
 
 # -- LRU --------------------------------------------------------------------
 
 
-def _replay_lru(policy: LRUPolicy, cache, stream, pc_trace, wb: int):
-    blocks, prefetch = _columns.block_prefetch_lists(stream)
-    counts = _split(_lru_kernel, len(blocks), wb, blocks, prefetch,
-                    cache._where, cache.num_sets - 1, cache.ways)
+def _replay_lru(policy: LRUPolicy, cache, stream, pc_trace, warmup: int):
+    # LRU reads no PC history: an empty one costs no conversion.
+    [(result, _)] = _columns.replay_windows(
+        stream, (), warmup, _lru_columns,
+        [(_lru_kernel, (cache._where, cache.num_sets - 1, cache.ways))])
     # LRU never bypasses, so every way this replay filled is still
     # valid: the touched ways, MRU first, are each set's dict reversed.
     # A set never filled completely keeps the ways it did not touch
@@ -108,7 +92,11 @@ def _replay_lru(policy: LRUPolicy, cache, stream, pc_trace, wb: int):
             if len(touched) < cache.ways:
                 touched += [way for way in stack if way not in touched]
             stack[:] = touched
-    return (prefetch, *counts)
+    return result
+
+
+def _lru_columns(window, hist):
+    return window.block, window.is_prefetch
 
 
 def _lru_kernel(lo, hi, outcomes, blocks, prefetch, WHERE, set_mask, ways):
@@ -143,13 +131,15 @@ def _lru_kernel(lo, hi, outcomes, blocks, prefetch, WHERE, set_mask, ways):
 
 
 def _replay_perceptron(policy: PerceptronPolicy, cache, stream, pc_trace,
-                       wb: int):
+                       warmup: int):
     predictor = policy.predictor
     sampler = predictor.sampler
-    cols = _columns.lower_perceptron(stream, pc_trace, cache.num_sets,
-                                     sampler._stride, sampler.sampler_sets,
-                                     predictor.table_bits)
-    blocks, set_idxs, tags, samp_idxs, prefetch, idx_cols = cols.as_lists()
+
+    def lower(window, hist):
+        return _columns.lower_perceptron(
+            window, hist, cache.num_sets, sampler._stride,
+            sampler.sampler_sets, predictor.table_bits).arrays()
+
     s_tags = [[e.tag for e in entries] for entries in predictor._sets]
     s_ind = [[tuple(e.indices) for e in entries]
              for entries in predictor._sets]
@@ -158,18 +148,18 @@ def _replay_perceptron(policy: PerceptronPolicy, cache, stream, pc_trace,
     theta = predictor.theta
     params = (cache.ways, predictor.sampler_ways, policy.tau_bypass,
               policy.tau_replace, -max(1, theta), max(1, theta))
-    counts = _split(_perceptron_kernel, cols.n, wb, blocks, set_idxs,
-                    tags, samp_idxs, prefetch, *idx_cols, cache._where,
-                    cache.tags, [0] * cache.num_sets, policy._lru._stacks,
-                    policy._reuse_bit, s_tags, s_ind, s_conf,
-                    predictor.tables, params, last)
+    state = (cache._where, cache.tags, [0] * cache.num_sets,
+             policy._lru._stacks, policy._reuse_bit, s_tags, s_ind, s_conf,
+             predictor.tables, params, last)
+    [(result, _)] = _columns.replay_windows(
+        stream, pc_trace, warmup, lower, [(_perceptron_kernel, state)])
     predictor._sets = [
         [_SamplerEntry(tag=tag, indices=list(ind), confidence=conf)
          for tag, ind, conf in zip(tag_row, ind_row, conf_row)]
         for tag_row, ind_row, conf_row in zip(s_tags, s_ind, s_conf)
     ]
     policy._last_confidence = float(last[0])
-    return (prefetch, *counts)
+    return result
 
 
 def _perceptron_kernel(lo, hi, outcomes, blocks, set_idxs, tags, samp_idxs,
@@ -322,29 +312,35 @@ class _IndexMemo(dict):
 
 
 def _replay_hawkeye(policy: HawkeyePolicy, cache, stream, pc_trace,
-                    wb: int):
+                    warmup: int):
     predictor = policy.predictor
     sampler = predictor.sampler
-    cols = _columns.lower_hawkeye(stream, cache.num_sets, sampler._stride,
-                                  sampler.sampler_sets, predictor.table_bits)
-    blocks, set_idxs, _tags, samp_idxs, prefetch, (hidx, pcs) = \
-        cols.as_lists()
+
+    def lower(window, hist):
+        cols = _columns.lower_hawkeye(window, cache.num_sets,
+                                      sampler._stride, sampler.sampler_sets,
+                                      predictor.table_bits)
+        return (cols.blocks, cols.set_idxs, cols.samp_idxs, cols.prefetch,
+                *cols.cols)
+
     optgens = predictor._optgens
     clocks = [optgen.time for optgen in optgens]
     last = [policy._last_friendly]
     params = (cache.ways, optgens[0].ways, optgens[0].window,
               predictor.COUNTER_MAX, predictor.FRIENDLY_THRESHOLD,
               policy.RRPV_MAX)
-    counts = _split(_hawkeye_kernel, cols.n, wb, blocks, set_idxs,
-                    samp_idxs, prefetch, hidx, pcs, cache._where, cache.tags,
-                    [0] * cache.num_sets, policy.rrpvs, policy._friendly,
-                    policy._load_pc, [og.occupancy for og in optgens],
-                    clocks, predictor._histories, predictor.counters,
-                    _IndexMemo(predictor.table_bits), params, last)
+    state = (cache._where, cache.tags, [0] * cache.num_sets, policy.rrpvs,
+             policy._friendly, policy._load_pc,
+             [og.occupancy for og in optgens], clocks, predictor._histories,
+             predictor.counters, _IndexMemo(predictor.table_bits), params,
+             last)
+    # Hawkeye reads no PC history: an empty one costs no conversion.
+    [(result, _)] = _columns.replay_windows(
+        stream, (), warmup, lower, [(_hawkeye_kernel, state)])
     for optgen, clock in zip(optgens, clocks):
         optgen.time = clock
     policy._last_friendly = last[0]
-    return (prefetch, *counts)
+    return result
 
 
 def _hawkeye_kernel(lo, hi, outcomes, blocks, set_idxs, samp_idxs, prefetch,

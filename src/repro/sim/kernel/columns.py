@@ -1,8 +1,8 @@
-"""Columnar lowering of a Stage-1 LLC stream (the kernel's phase 1).
+"""Columnar lowering of a Stage-1 LLC stream (the kernel's phase 1),
+and the window loop every kernel route replays through.
 
 Everything a replay needs to know about an access that does not depend
-on cache state is computed here once per stream, as numpy array
-expressions over the whole stream:
+on cache state is computed here as numpy array expressions:
 
 * **Stream columns** — block, set index, 16-bit partial tag, sampler
   set, prefetch flag — become vectorized mask/shift/mod expressions.
@@ -25,23 +25,28 @@ All intermediate arithmetic runs in ``uint64`` (64-bit address/PC
 slices and the hash multiplies overflow ``int64``; PCs, including
 kernel-space ones >= 2**63, enter as ``uint64``) and results are
 narrowed to ``int64`` at the end, whose ``.tolist()`` yields the plain
-Python ints the replay loops index with.  This module is the one
-reader of a stream: :func:`_decode` for the lowerings, and
-:func:`block_prefetch_lists` for the LRU replay, which needs two
-columns only.  Stage-1 and merged mix streams are
-:class:`~repro.sim.llc.LLCColumns`, read as the arrays they already
-are.
+Python ints the replay loops index with.
+
+Every lowering is elementwise, so a slice of a stream lowers to the
+slice of its columns.  :func:`replay_windows` uses that: it lowers,
+converts to lists and replays :data:`repro.sim.llc.WINDOW` accesses
+at a time, so a replay's memory does not grow with its stream.  This
+module is the one reader of a stream: :func:`_decode` for the
+lowerings, :func:`replay_windows` for the replays.  Stage-1 and merged
+mix streams are :class:`~repro.sim.llc.LLCColumns`, read as the arrays
+they already are.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Any, Callable, Dict, List, Sequence, Tuple
 
 import numpy as np
 
 from repro.core.features import BLOCK_OFFSET_BITS, MAX_TABLE_SIZE
-from repro.sim.llc import LLCAccess, LLCColumns
+from repro.sim import llc as _llc
+from repro.sim.llc import LLCAccess, LLCColumns, LLCResult, LLCStats
 from repro.util.hashing import _GOLDEN64, _MIX1, _MIX2
 
 _XOR_MASK = MAX_TABLE_SIZE - 1
@@ -91,9 +96,6 @@ class StreamColumns:
     ``cols`` holds one ``int64`` array per shared slot in the batch
     engine's slot layout — slot 0 is the hashed PC when any feature
     XORs — so a per-candidate ``("slot", j)`` entry reads ``cols[j]``.
-    The replay loops index Python lists (scalar ``list``
-    subscripts beat zero-dim numpy scalars by a wide margin in a
-    bytecode loop); :meth:`as_lists` materializes them once, lazily.
     """
 
     n: int
@@ -103,20 +105,12 @@ class StreamColumns:
     samp_idxs: Any
     prefetch: Any
     cols: List[Any]
-    _lists: Optional[Tuple] = field(default=None, repr=False)
 
-    def as_lists(self) -> Tuple:
-        """Python-list views: (blocks, sets, tags, samps, pf, cols)."""
-        if self._lists is None:
-            self._lists = (
-                self.blocks.tolist(),
-                self.set_idxs.tolist(),
-                self.tags.tolist(),
-                self.samp_idxs.tolist(),
-                self.prefetch.tolist(),
-                [col.tolist() for col in self.cols],
-            )
-        return self._lists
+    def arrays(self) -> Tuple:
+        """``(blocks, set_idxs, tags, samp_idxs, prefetch, *cols)``,
+        the column order the MPPPB and Perceptron kernels read."""
+        return (self.blocks, self.set_idxs, self.tags, self.samp_idxs,
+                self.prefetch, *self.cols)
 
 
 def _decode(stream: Sequence[LLCAccess]) -> Tuple:
@@ -131,19 +125,6 @@ def _decode(stream: Sequence[LLCAccess]) -> Tuple:
         stream = LLCColumns.from_accesses(stream)
     return (stream.pc, stream.block, stream.offset, stream.mem_index,
             stream.is_prefetch.view(np.uint8))
-
-
-def block_prefetch_lists(stream: Sequence[LLCAccess]) -> Tuple[List, List]:
-    """``(blocks, prefetch)`` of ``stream`` as Python lists.
-
-    The LRU replay reads nothing else, so this skips :func:`_decode`'s
-    five array passes: two ``.tolist()`` calls on an
-    :class:`~repro.sim.llc.LLCColumns`, two comprehensions over a list
-    of :class:`LLCAccess`.
-    """
-    if isinstance(stream, LLCColumns):
-        return stream.block.tolist(), stream.is_prefetch.tolist()
-    return ([a.block for a in stream], [a.is_prefetch for a in stream])
 
 
 def _placement(blocks: "np.ndarray", num_sets: int, stride: int,
@@ -318,3 +299,88 @@ def lower_hawkeye(
     return StreamColumns(n=len(stream), blocks=blocks, set_idxs=set_idxs,
                          tags=tags, samp_idxs=samp_idxs, prefetch=prefetch,
                          cols=[index, pcs])
+
+
+# A kernel and the state it carries from call to call.
+Replay = Tuple[Callable[..., Tuple[int, ...]], Tuple]
+
+
+def replay_windows(
+    stream: Sequence[LLCAccess],
+    pc_trace: Sequence[int],
+    warmup: int,
+    lower: Callable[[LLCColumns, "np.ndarray"], Sequence["np.ndarray"]],
+    replays: Sequence[Replay],
+) -> List[Tuple[LLCResult, List[int]]]:
+    """Run every ``(kernel, state)`` of ``replays`` over ``stream``, one
+    window of :data:`repro.sim.llc.WINDOW` accesses at a time.
+
+    A window is an :class:`~repro.sim.llc.LLCColumns` of views into
+    ``stream``.  ``lower(window, hist)`` returns its columns as arrays,
+    in the order the kernels read them, where ``hist`` is ``pc_trace``
+    as a ``uint64`` array, converted once per replay.  Each array
+    becomes the Python list a kernel indexes (a ``list`` subscript
+    beats a numpy scalar by a wide margin in a bytecode loop), and each
+    kernel runs as ``kernel(lo, hi, outcomes, *lists, *state)`` over the
+    window's warm part, then its measured part (either may be empty),
+    with ``lo``, ``hi`` and ``outcomes`` local to the window.  All
+    replay state lives in ``state``, mutated in place, so it carries
+    from window to window and the lists of one window are freed before
+    the next is lowered.  A stream that fits in one window is lowered
+    and converted once.
+
+    A kernel returns a tuple of counters whose first four are hits,
+    demand hits, bypasses and evictions.  Returns, per replay, its
+    :class:`~repro.sim.llc.LLCResult` and its counters summed over the
+    whole stream.
+    """
+    if not isinstance(stream, LLCColumns):
+        stream = LLCColumns.from_accesses(stream)
+    n = len(stream)
+    wb = min(max(warmup, 0), n)
+    step = _llc.WINDOW
+    hist = np.asarray(pc_trace, dtype=np.uint64)
+    outcomes = [[False] * n for _ in replays]
+    # Per replay, the (warm, measured) counters of every window.
+    parts: List[List[Tuple]] = [[] for _ in replays]
+    for lo in range(0, max(n, 1), step):
+        hi = min(lo + step, n)
+        window = LLCColumns(*(col[lo:hi] for col in stream.arrays()))
+        lists = [col.tolist() for col in lower(window, hist)]
+        size = hi - lo
+        cut = min(max(wb - lo, 0), size)
+        for (kernel, state), full, counts in zip(replays, outcomes, parts):
+            out = full if size == n else [False] * size
+            counts.append((kernel(0, cut, out, *lists, *state),
+                           kernel(cut, size, out, *lists, *state)))
+            if out is not full:
+                full[lo:hi] = out
+        del window, lists
+
+    prefetch = stream.is_prefetch
+    warm_prefetches = int(np.count_nonzero(prefetch[:wb]))
+    measured_prefetches = int(np.count_nonzero(prefetch[wb:]))
+    results = []
+    for full, counts in zip(outcomes, parts):
+        warm, measured = np.sum(counts, axis=0).tolist()
+        result = LLCResult(
+            outcomes=full,
+            stats=_segment_stats(n - wb, measured_prefetches, measured),
+            warm_stats=_segment_stats(wb, warm_prefetches, warm))
+        results.append((result, [a + b for a, b in zip(warm, measured)]))
+    return results
+
+
+def _segment_stats(accesses: int, prefetches: int, counts) -> LLCStats:
+    hits, demand_hits, bypasses, evictions = counts[:4]
+    demand_accesses = accesses - prefetches
+    return LLCStats(
+        accesses=accesses,
+        hits=hits,
+        misses=accesses - hits,
+        bypasses=bypasses,
+        evictions=evictions,
+        demand_accesses=demand_accesses,
+        demand_hits=demand_hits,
+        demand_misses=demand_accesses - demand_hits,
+    )

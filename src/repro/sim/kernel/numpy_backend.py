@@ -36,25 +36,29 @@ The *instrumented* variant, built when the policy records the
 ``mpppb/confidence`` histogram (telemetry on), also appends every
 access's saturated confidence to a list, warm and measured alike —
 exactly the values ``MPPPBPolicy.on_access`` observes — which
-:func:`replay_all` folds into the histogram after the replay.  The uninstrumented
-variant emits no trace of it.
+:func:`replay_all` folds into the histogram after the replay.  The
+uninstrumented variant emits no trace of it.
 
-The generated function runs a half-open access range so the driver
-invokes it twice — warmup segment, then measured segment — exactly
-reproducing the warm/measured split of ``LLCSimulator.run``.  Code
-objects are memoized by shape, so a feature-search batch of K
-perturbed candidates compiles a handful of functions once and reuses
-them for every candidate and every segment.
+The generated function runs a half-open access range of one window's
+columns, and :func:`repro.sim.kernel.columns.replay_windows` invokes
+it over each window's warm part, then its measured part, exactly
+reproducing the warm/measured split of ``LLCSimulator.run``.  Each
+candidate's state is built once per replay, carried from window to
+window, and written back once.  Code objects are memoized by shape,
+so a feature-search batch of K perturbed candidates compiles a handful
+of functions once and reuses them for every candidate and every
+segment.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Tuple
+from typing import Callable, Dict, List, Sequence, Tuple
 
 from repro.core.predictor import CONFIDENCE_MAX, CONFIDENCE_MIN
 from repro.core.sampler import SamplerEntry
 from repro.core.tables import WEIGHT_MAX, WEIGHT_MIN
-from repro.sim.llc import LLCResult, LLCStats
+from repro.sim.kernel import columns
+from repro.sim.llc import LLCAccess, LLCResult
 
 _CODE_CACHE: Dict[Tuple, object] = {}
 _CODE_CACHE_MAX = 512
@@ -175,8 +179,7 @@ def _build_source(key: Tuple) -> str:
     uses_hv = needs_h and any(
         e[0] == "dyn" and e[2] for e in entries)
     col_params = "".join(f", c{j}" for j in range(ncols))
-    if instrumented:
-        col_params += ", CONFS"
+    confs_param = ", CONFS" if instrumented else ""
 
     hit_idx = _index_exprs(entries, 0, "mru")
     miss_idx = _index_exprs(entries, 1, "0")
@@ -186,9 +189,9 @@ def _build_source(key: Tuple) -> str:
     src: List[str] = []
     e = lambda depth, chunk: _emit(src, depth, chunk)  # noqa: E731
 
-    e(0, "def _kernel(lo, hi, blocks, set_idxs, tags, samp_idxs, prefetch,")
-    e(0, "            outcomes, WHERE, CTAGS, FILLS, LASTM, DEF,")
-    e(0, f"            S_TAGS, S_IND, S_CONF, WL, LIVE, LIVE_N, DEM{col_params}):")
+    e(0, "def _kernel(lo, hi, outcomes, blocks, set_idxs, tags, samp_idxs,")
+    e(0, f"            prefetch{col_params}, WHERE, CTAGS, FILLS, LASTM, DEF,")
+    e(0, f"            S_TAGS, S_IND, S_CONF, WL, LIVE, LIVE_N, DEM{confs_param}):")
     for f in range(nf):
         e(1, f"W{f} = WL[{f}]")
     e(1, "hits = 0; dhits = 0; byp = 0; evc = 0; sup = 0")
@@ -386,31 +389,40 @@ def sim_ncols(sim) -> int:
     return len(sim._slots) + (1 if sim._needs_h else 0)
 
 
-def replay_all(sim, columns, warmup: int) -> List[LLCResult]:
-    """Replay every candidate of ``sim`` over ``columns``; one
-    :class:`LLCResult` per candidate."""
-    n = columns.n
-    warm_boundary = min(max(warmup, 0), n)
-    warm_prefetches = int(columns.prefetch[:warm_boundary].sum())
-    measured_prefetches = int(columns.prefetch[warm_boundary:].sum())
-    blocks, set_idxs, tags, samp_idxs, prefetch, cols = columns.as_lists()
-    return [
-        _replay_candidate(sim, k, n, warm_boundary, warm_prefetches,
-                          measured_prefetches, blocks, set_idxs, tags,
-                          samp_idxs, prefetch, cols)
-        for k in range(len(sim.policies))
-    ]
+def replay_all(
+    sim,
+    stream: Sequence[LLCAccess],
+    pc_trace: Sequence[int],
+    warmup: int,
+) -> List[LLCResult]:
+    """Replay every candidate of ``sim`` over ``stream``, window by
+    window; one :class:`LLCResult` per candidate."""
+    sampler = sim.policies[0].sampler
+
+    def lower(window, hist):
+        return columns.lower_stream(
+            window, hist, sim.num_sets, sampler.mapper._stride,
+            sampler.mapper.sampler_sets, sampler.tag_bits, sim._slots,
+            sim._needs_h).arrays()
+
+    candidates = [_candidate(sim, k) for k in range(len(sim.policies))]
+    replays = columns.replay_windows(
+        stream, pc_trace, warmup, lower,
+        [(kernel, state) for kernel, state, _ in candidates])
+    for (_, _, finish), (_, totals) in zip(candidates, replays):
+        finish(totals)
+    return [result for result, _ in replays]
 
 
-def _replay_candidate(sim, k, n, warm_boundary, warm_prefetches,
-                      measured_prefetches, blocks, set_idxs, tags,
-                      samp_idxs, prefetch, cols):
+def _candidate(sim, k: int) -> Tuple[Callable, Tuple, Callable]:
+    """``(kernel, state, finish)`` of candidate ``k``: the state the
+    kernel carries outside the live objects is built here, and
+    ``finish(totals)`` writes it back after the last window."""
     policy = sim.policies[k]
     cache = sim.caches[k]
     sampler = policy.sampler
     kernel = _kernel_for(_candidate_key(sim, k))
 
-    outcomes = [False] * n
     # The cache has only ever installed at its lowest invalid way, so
     # each set's valid ways are a prefix: the fill cursor is its length.
     fills = [sum(valid_row) for valid_row in cache.valid]
@@ -442,51 +454,27 @@ def _replay_candidate(sim, k, n, warm_boundary, warm_prefetches,
 
     state = (cache._where, cache.tags, fills, lastm, def_state,
              s_tags, s_ind, s_conf, policy.predictor._weights,
-             live, live_n, demotions, *cols)
+             live, live_n, demotions)
     hist = policy._conf_hist
+    confs: List[int] = []
     if hist is not None:
-        confs: List[int] = []
         state += (confs,)
-    warm_counts = kernel(0, warm_boundary, blocks, set_idxs, tags,
-                         samp_idxs, prefetch, outcomes, *state)
-    counts = kernel(warm_boundary, n, blocks, set_idxs, tags,
-                    samp_idxs, prefetch, outcomes, *state)
 
-    # Write back the state the kernel tracked outside the live objects.
-    for set_idx, count in enumerate(fills):
-        valid_row = cache.valid[set_idx]
-        for way in range(count):
-            valid_row[way] = True
-    sampler._sets = [
-        [SamplerEntry(tag, ind, conf)
-         for tag, ind, conf in zip(tag_row, ind_row, conf_row)]
-        for tag_row, ind_row, conf_row in zip(s_tags, s_ind, s_conf)
-    ]
-    policy.bypasses += warm_counts[2] + counts[2]
-    policy.promotions_suppressed += warm_counts[4] + counts[4]
-    sampler.trainings_live += warm_counts[5] + counts[5]
-    sampler.trainings_dead += warm_counts[6] + counts[6]
-    if hist is not None:
-        hist.observe_many(confs)
+    def finish(totals: List[int]) -> None:
+        for set_idx, count in enumerate(fills):
+            valid_row = cache.valid[set_idx]
+            for way in range(count):
+                valid_row[way] = True
+        sampler._sets = [
+            [SamplerEntry(tag, ind, conf)
+             for tag, ind, conf in zip(tag_row, ind_row, conf_row)]
+            for tag_row, ind_row, conf_row in zip(s_tags, s_ind, s_conf)
+        ]
+        policy.bypasses += totals[2]
+        policy.promotions_suppressed += totals[4]
+        sampler.trainings_live += totals[5]
+        sampler.trainings_dead += totals[6]
+        if hist is not None:
+            hist.observe_many(confs)
 
-    warm_stats = _segment_stats(warm_boundary, warm_prefetches,
-                                warm_counts)
-    stats = _segment_stats(n - warm_boundary, measured_prefetches, counts)
-    return LLCResult(stats=stats, warm_stats=warm_stats,
-                     outcomes=outcomes)
-
-
-def _segment_stats(accesses: int, prefetches: int, counts) -> LLCStats:
-    hits, demand_hits, bypasses, evictions = counts[0], counts[1], \
-        counts[2], counts[3]
-    demand_accesses = accesses - prefetches
-    return LLCStats(
-        accesses=accesses,
-        hits=hits,
-        misses=accesses - hits,
-        bypasses=bypasses,
-        evictions=evictions,
-        demand_accesses=demand_accesses,
-        demand_hits=demand_hits,
-        demand_misses=demand_accesses - demand_hits,
-    )
+    return kernel, state, finish

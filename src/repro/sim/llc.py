@@ -52,9 +52,12 @@ _COLUMN_DTYPES = (
     ("mem_index", np.int64),
     ("instr_index", np.int64),
 )
-# Accesses materialized per step while iterating, so a replay never
-# holds more than this many objects built from the columns.
-_ITER_CHUNK = 1 << 14
+#: Accesses handled per step.  Iterating an :class:`LLCColumns` builds
+#: this many :class:`LLCAccess` objects at a time, and the columnar
+#: Stage-2 kernel lowers and replays a stream this many accesses at a
+#: time (:func:`repro.sim.kernel.columns.replay_windows`), so neither
+#: holds a whole stream of Python objects.
+WINDOW = 1 << 14
 
 
 class LLCColumns(collections.abc.Sequence[LLCAccess]):
@@ -113,8 +116,8 @@ class LLCColumns(collections.abc.Sequence[LLCAccess]):
         return LLCAccess(*(col[position].item() for col in self.arrays()))
 
     def __iter__(self):
-        for start in range(0, len(self), _ITER_CHUNK):
-            yield from self[start:start + _ITER_CHUNK]
+        for start in range(0, len(self), WINDOW):
+            yield from self[start:start + WINDOW]
 
 
 @dataclass

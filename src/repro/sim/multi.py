@@ -270,37 +270,8 @@ class MultiProgrammedRunner(SingleThreadRunner):
         stop_ts, stop_thread = max((threads[t].timestamps[-1], t)
                                    for t in live)
 
-        keys, thread_ids, locals_, laps = [], [], [], []
-        stop_entry = 0
-        for t in live:
-            thread = threads[t]
-            ts = thread.timestamps
-            n = len(ts)
-            if t == stop_thread:  # its lap-0 tail; lap 0 is all kept
-                stop_entry = sum(len(k) for k in keys) + n - 1
-            # Every lap whose first access can fall at or before the
-            # stop, plus one in case the division rounds down; the
-            # filter below is exact.
-            lap = np.arange(int((stop_ts - ts[0]) // thread.single_cycles)
-                            + 2)
-            # The heap merge's float expression, ts + lap * cycles.
-            key = (ts + (lap * thread.single_cycles)[:, None]).ravel()
-            keep = key <= stop_ts
-            keys.append(key[keep])
-            thread_ids.append(np.full(np.count_nonzero(keep), t,
-                                      dtype=np.int64))
-            locals_.append(np.tile(np.arange(n), len(lap))[keep])
-            laps.append(np.repeat(lap, n)[keep])
-
-        key, thread_id, local, lap = (
-            np.concatenate(parts) for parts in (keys, thread_ids, locals_,
-                                                laps))
-        order = np.lexsort((lap, local, thread_id, key))
-        # Keys equal to the stop key's timestamp sort after it when
-        # their (thread, local, lap) is larger: cut at the stop entry.
-        order = order[:np.flatnonzero(order == stop_entry)[0] + 1]
-        thread_id, local, lap = thread_id[order], local[order], lap[order]
-
+        thread_id, local, lap = _merge_order(threads, live, stop_ts,
+                                             stop_thread)
         starts = np.cumsum([0] + [len(t.timestamps) for t in threads])
         rows = starts[thread_id] + local
         pc, block, offset, is_write, is_prefetch, mem_index, instr_index = (
@@ -310,6 +281,55 @@ class MultiProgrammedRunner(SingleThreadRunner):
         merged = LLCColumns(pc, block, offset, is_write, is_prefetch,
                             mem_index, instr_index)
         return merged, (thread_id, local, lap), merged_pcs, pc_offsets
+
+
+def _merge_order(
+    threads: Sequence[ThreadData], live: Sequence[int], stop_ts: float,
+    stop_thread: int,
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(thread, local, lap)`` of every merged access, in merge order,
+    as ``int64`` arrays (see :meth:`MultiProgrammedRunner._interleave`).
+
+    The sort inputs live only here, so they are freed before the
+    caller gathers the merged columns: thread, local and lap are
+    ``int32`` (a thread's stream and lap count stay far below 2**31),
+    and each thread's lap expansion is dropped once its kept entries
+    are taken.
+    """
+    keys, thread_ids, locals_, laps = [], [], [], []
+    stop_entry = 0
+    for t in live:
+        thread = threads[t]
+        ts = thread.timestamps
+        n = len(ts)
+        if t == stop_thread:  # its lap-0 tail; lap 0 is all kept
+            stop_entry = sum(len(k) for k in keys) + n - 1
+        # Every lap whose first access can fall at or before the
+        # stop, plus one in case the division rounds down; the
+        # filter below is exact.
+        lap = np.arange(int((stop_ts - ts[0]) // thread.single_cycles) + 2,
+                        dtype=np.int32)
+        # The heap merge's float expression, ts + lap * cycles.
+        key = (ts + (lap * thread.single_cycles)[:, None]).ravel()
+        keep = key <= stop_ts
+        keys.append(key[keep])
+        thread_ids.append(np.full(np.count_nonzero(keep), t,
+                                  dtype=np.int32))
+        locals_.append(np.tile(np.arange(n, dtype=np.int32), len(lap))[keep])
+        laps.append(np.repeat(lap, n)[keep])
+        del key, keep
+
+    key = np.concatenate(keys)
+    thread_id, local, lap = (np.concatenate(parts)
+                             for parts in (thread_ids, locals_, laps))
+    del keys, thread_ids, locals_, laps
+    order = np.lexsort((lap, local, thread_id, key))
+    del key
+    # Keys equal to the stop key's timestamp sort after it when their
+    # (thread, local, lap) is larger: cut at the stop entry.
+    order = order[:np.flatnonzero(order == stop_entry)[0] + 1]
+    return tuple(column[order].astype(np.int64)
+                 for column in (thread_id, local, lap))
 
 
 def normalized_weighted_speedups(

@@ -198,7 +198,7 @@ def run_upper_levels(config: HierarchyConfig, trace: Trace,
     l1 = FastLRUCache(config.l1_kib * 1024, config.l1_ways, config.block_bytes)
     l2 = FastLRUCache(config.l2_kib * 1024, config.l2_ways, config.block_bytes)
     prefetcher = StreamPrefetcher() if prefetch else None
-    shift = config.block_shift
+    shift = config.block_bytes.bit_length() - 1
     offset_mask = config.block_bytes - 1
 
     service: List[int] = []

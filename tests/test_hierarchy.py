@@ -16,6 +16,7 @@ from hypothesis import given, settings, strategies as st
 from repro.cache.access import PREFETCH_PC
 from repro.cache.replacement.lru import LRUPolicy
 from repro.config import TINY, get_scale
+from repro.core.features import BLOCK_OFFSET_BITS
 from repro.exec.artifacts import pack_upper
 from repro.sim.hierarchy import SERVICE_L1, SERVICE_L2, HierarchyConfig, UpperLevels
 from repro.sim.llc import LLCAccess, LLCSimulator
@@ -35,7 +36,13 @@ def make_trace(addresses, pc=0x400, gap=3):
 
 class TestHierarchyConfig:
     def test_block_shift(self):
-        assert HierarchyConfig().block_shift == 6
+        """Stage 1 splits an address at BLOCK_OFFSET_BITS, the bits one
+        default block spans."""
+        assert HierarchyConfig().block_bytes == 1 << BLOCK_OFFSET_BITS == 64
+        stream = UpperLevels(HierarchyConfig()).run(
+            make_trace([0x1234])).llc_stream
+        assert stream.block.tolist() == [0x1234 >> 6]
+        assert stream.offset.tolist() == [0x34]
 
     def test_llc_bytes(self):
         assert HierarchyConfig(llc_kib=2048).llc_bytes == 2 * 1024 * 1024

@@ -35,9 +35,17 @@ Each contract is pinned independently:
   behaves as its materialized list and lowers to the same columns, and
   kernel-space PCs (>= 2**63) replay on the kernel exactly as on the
   reference, for a single segment and a 4-thread mix.
+* **Windows** — every route replays ``repro.sim.llc.WINDOW`` accesses
+  at a time.  At windows of 1, 97 and 1,024, with warmup at 0, on a
+  window edge, inside a window and at the stream's end, each route
+  finishes equal to its one-window replay down to every piece of
+  cache and policy state, and records the same telemetry; empty and
+  one-access streams match the reference; and quadrupling a stream
+  adds no more than 16 B per added access to a replay's traced peak.
 """
 
 import random
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -45,6 +53,7 @@ import pytest
 
 from hypothesis import given, settings, strategies as st
 
+from repro import obs
 from repro.cache.access import AccessContext
 from repro.cache.replacement.lru import LRUPolicy
 from repro.config import TINY
@@ -222,7 +231,7 @@ def test_columns_empty_history_and_stream():
     sim = _batch(_configs(k=2))
     cols = _lower(sim, [], [])
     assert cols.n == 0
-    assert cols.as_lists()[0] == []
+    assert all(len(col) == 0 for col in cols.arrays())
     _assert_columns_match_compile(_configs(k=2), [], [])
     access = LLCAccess(pc=0x4000, block=17, offset=8, is_write=False,
                        is_prefetch=False, mem_index=0, instr_index=0)
@@ -274,8 +283,7 @@ class TestLockstep:
         stream, pcs = _synthetic_stream(picks)
         configs = _configs(seed=seed, k=2, default_policy=default_policy)
         sim = _batch(configs)
-        cols = _lower(sim, stream, pcs)
-        results = numpy_backend.replay_all(sim, cols, warmup)
+        results = numpy_backend.replay_all(sim, stream, pcs, warmup)
         for config, policy, result in zip(configs, sim.policies, results):
             seq_result, seq_policy = _sequential(stream, pcs, config,
                                                  warmup)
@@ -300,7 +308,7 @@ class TestLockstep:
         seq_result, seq_policy = _sequential(stream, pcs, config, 0)
         assert seq_result.outcomes == [False] * (WAYS + 2) + [True]
         sim = _batch([config])
-        [result] = numpy_backend.replay_all(sim, _lower(sim, stream, pcs), 0)
+        [result] = numpy_backend.replay_all(sim, stream, pcs, 0)
         _assert_identical(result, sim.policies[0], seq_result, seq_policy)
 
     @pytest.mark.parametrize("default_policy", ["mdpp", "srrip"])
@@ -340,9 +348,9 @@ class TestFallbacks:
         calls = []
         original = numpy_backend.replay_all
 
-        def spy(sim, cols, warmup):
+        def spy(sim, stream, pcs, warmup):
             calls.append(warmup)
-            return original(sim, cols, warmup)
+            return original(sim, stream, pcs, warmup)
 
         monkeypatch.setattr(numpy_backend, "replay_all", spy)
         sim = _batch(_configs(k=2))
@@ -381,9 +389,9 @@ class TestMPPPBRouting:
         batches = []
         real = numpy_backend.replay_all
 
-        def spy(sim, cols, warmup):
+        def spy(sim, stream, pcs, warmup):
             batches.append(len(sim.policies))
-            return real(sim, cols, warmup)
+            return real(sim, stream, pcs, warmup)
 
         monkeypatch.setattr(numpy_backend, "replay_all", spy)
         configs = _configs(k=3)
@@ -868,7 +876,7 @@ class TestLLCColumns:
             assert columns[cut] == stream[cut]
         # Iteration materializes chunk by chunk; a small chunk crosses
         # many chunk boundaries.
-        monkeypatch.setattr(llc_mod, "_ITER_CHUNK", 7)
+        monkeypatch.setattr(llc_mod, "WINDOW", 7)
         assert list(columns) == stream
 
     def test_fields_are_python_scalars(self, streams):
@@ -1002,3 +1010,225 @@ class TestLRURouting:
             monkeypatch,
             lambda: [runner.thread_data(segment) for segment in segments]) \
             == reaches
+
+
+# -- windowed replays ----------------------------------------------------------
+
+# Every kernel route replays llc_mod.WINDOW accesses at a time; these
+# streams fit in one window at the default, which is the reference.
+WINDOW_ACCESSES = 2_000
+
+
+def _window_stream(n):
+    rng = random.Random(31)
+    picks = [(0x400 + 4 * rng.randrange(16),
+              rng.randrange(SMALL_SETS * rng.choice((6, 12, 64))),
+              rng.randrange(64), rng.random() < 0.3)
+             for _ in range(n)]
+    return _synthetic_stream(picks)
+
+
+def _window_configs():
+    """Three 4-set x 4-way candidates: MDPP and SRRIP defaults, one with
+    thresholds low enough to bypass and suppress promotions."""
+    return [
+        MPPPBConfig(features=parse_feature_set(TABLE_1A_SPECS),
+                    default_policy="mdpp", placements=(3, 2, 1),
+                    sampler_sets=2),
+        MPPPBConfig(features=parse_feature_set(TABLE_1B_SPECS),
+                    default_policy="srrip", placements=(3, 2, 1),
+                    sampler_sets=2),
+        MPPPBConfig(features=random_feature_set(random.Random(5)),
+                    default_policy="mdpp", placements=(3, 2, 1),
+                    sampler_sets=2, tau_bypass=20, taus=(10, 0, -10),
+                    tau_no_promote=0),
+    ]
+
+
+def _cache_state(cache):
+    return cache.tags, cache.valid, cache._where
+
+
+def _mpppb_state(policy, cache):
+    default = policy.default
+    recency = ([tree.bits for tree in default.trees]
+               if policy.config.default_policy == "mdpp" else default.rrpvs)
+    return {
+        "cache": _cache_state(cache),
+        "recency": recency,
+        "sampler": _sampler_state(policy),
+        "weights": policy.predictor._weights,
+        "counters": (policy.bypasses, policy.promotions_suppressed,
+                     policy.sampler.trainings_live,
+                     policy.sampler.trainings_dead),
+    }
+
+
+_SMALL_BASELINES = {"lru": _small_lru, "perceptron": _small_perceptron,
+                    "hawkeye": _small_hawkeye}
+
+
+def _route_replay(route, stream, pcs, warmup):
+    """One replay on ``route``: its results and every policy's end state
+    (cache contents included)."""
+    if route == "mpppb":
+        sim = BatchLLCSimulator([MPPPBPolicy(SMALL_SETS, SMALL_WAYS, config)
+                                 for config in _window_configs()])
+        results = sim.run(stream, pcs, warmup)
+        return results, [_mpppb_state(policy, cache)
+                         for policy, cache in zip(sim.policies, sim.caches)]
+    policy = _SMALL_BASELINES[route]()
+    result, cache = _kernel_replay(policy, stream, pcs, warmup)
+    return [result], [{"cache": _cache_state(cache),
+                       **_policy_state(policy)}]
+
+
+def _assert_same_replay(ours, theirs):
+    (results, states), (ref_results, ref_states) = ours, theirs
+    assert len(results) == len(ref_results)
+    for result, reference in zip(results, ref_results):
+        assert result.outcomes == reference.outcomes
+        assert result.stats == reference.stats
+        assert result.warm_stats == reference.warm_stats
+    for state, reference in zip(states, ref_states):
+        for name, value in reference.items():
+            same = state[name] == value  # a bool: keeps failure output short
+            assert same, f"{name} differs from the one-window replay's"
+
+
+_ROUTES = ["lru", "perceptron", "hawkeye", "mpppb"]
+
+
+class TestWindows:
+    @pytest.mark.parametrize("window", [1, 97, 1024])
+    @pytest.mark.parametrize("route", _ROUTES)
+    def test_windows_equal_one_window(self, route, window, monkeypatch):
+        """Warmup 0, on a window edge, inside a window and the whole
+        stream: every window size leaves what one window leaves."""
+        # Window 1 lowers per access: a shorter stream keeps it quick.
+        stream, pcs = _window_stream(min(WINDOW_ACCESSES, 400 * window))
+        n = len(stream)
+        assert n < llc_mod.WINDOW
+        edge = window * max(1, n // (2 * window))
+        for warmup in sorted({0, edge, edge + window // 2, n}):
+            one_window = _route_replay(route, stream, pcs, warmup)
+            with monkeypatch.context() as patch:
+                patch.setattr(llc_mod, "WINDOW", window)
+                _assert_same_replay(_route_replay(route, stream, pcs, warmup),
+                                    one_window)
+
+    def test_streams_reach_every_counter(self):
+        """The window streams evict, bypass, suppress promotions and
+        train both ways, so the counters compared above move."""
+        stream, pcs = _window_stream(WINDOW_ACCESSES)
+        results, states = _route_replay("mpppb", stream, pcs, 0)
+        assert all(result.stats.evictions > 0 for result in results)
+        bypasses, suppressed, live, dead = states[2]["counters"]
+        assert bypasses > 0 and suppressed > 0 and live > 0 and dead > 0
+        [perceptron], _ = _route_replay("perceptron", stream, pcs, 0)
+        assert perceptron.stats.bypasses > 0
+
+    @pytest.mark.parametrize("n", [0, 1])
+    @pytest.mark.parametrize("route", _ROUTES)
+    def test_empty_and_one_access_streams(self, route, n, monkeypatch):
+        """Both replay on the reference's terms at window 1."""
+        monkeypatch.setattr(llc_mod, "WINDOW", 1)
+        stream, pcs = _window_stream(n)
+        for warmup in (0, n):
+            if route != "mpppb":
+                result = _assert_baseline_lockstep(_SMALL_BASELINES[route],
+                                                   stream, pcs, warmup)
+                assert len(result.outcomes) == n
+                continue
+            config = _window_configs()[0]
+            sim = BatchLLCSimulator([MPPPBPolicy(SMALL_SETS, SMALL_WAYS,
+                                                 config)])
+            [result] = sim.run(stream, pcs, warmup)
+            reference_policy = MPPPBPolicy(SMALL_SETS, SMALL_WAYS, config)
+            reference = LLCSimulator(reference_policy).run(
+                stream, pc_trace=pcs, warmup=warmup)
+            _assert_identical(result, sim.policies[0], reference,
+                              reference_policy)
+
+    @pytest.mark.parametrize("route", _ROUTES)
+    def test_telemetry_equals_one_window(self, route, monkeypatch):
+        """The confidence histogram and the llc/* counters of a windowed
+        replay are the one-window replay's; llc/replays counts replays,
+        not windows."""
+        stream, pcs = _window_stream(WINDOW_ACCESSES)
+
+        def recorded(window):
+            obs.enable()
+            try:
+                with monkeypatch.context() as patch:
+                    patch.setattr(llc_mod, "WINDOW", window)
+                    with obs.capture() as ctx:
+                        _route_replay(route, stream, pcs, 700)
+                    return ctx.payload()
+            finally:
+                obs.disable()
+
+        windowed, one_window = recorded(97), recorded(llc_mod.WINDOW)
+        replays = len(_window_configs()) if route == "mpppb" else 1
+        assert one_window["counters"]["llc/replays"] == replays
+        assert windowed["counters"] == one_window["counters"]
+        assert windowed["hists"] == one_window["hists"]
+        if route == "mpppb":
+            assert one_window["hists"]["mpppb/confidence"]["count"] \
+                == replays * WINDOW_ACCESSES
+
+
+# The memory test's LLC: small, so that a short stream fills every
+# set, sampler set and per-block history before the stream grows.
+MEMORY_SETS = 16
+MEMORY_BLOCKS = MEMORY_SETS * 3 * WAYS
+
+
+def _columns_stream(n):
+    """``n`` accesses as :class:`LLCColumns` over a fixed 512-PC
+    history, like a mix whose threads lap: only the stream grows.  The
+    first accesses touch every block of a working set three times the
+    LLC, so the cache, the samplers and Hawkeye's OptGen histories are
+    full before the stream grows."""
+    history = 512
+    rng = np.random.default_rng(11)
+    pcs = (0x400 + 4 * rng.integers(0, 64, history)).tolist()
+    index = np.arange(n, dtype=np.int64)
+    blocks = rng.integers(0, MEMORY_BLOCKS, n, dtype=np.int64)
+    blocks[:MEMORY_BLOCKS] = np.arange(MEMORY_BLOCKS)
+    stream = LLCColumns(
+        (0x400 + 4 * rng.integers(0, 64, n)).astype(np.uint64),
+        blocks,
+        rng.integers(0, 64, n, dtype=np.int64),
+        np.zeros(n, dtype=np.bool_),
+        rng.random(n) < 0.3,
+        index % history,
+        index)
+    return stream, pcs
+
+
+def _traced_peak(route, length):
+    """Traced peak of one replay of a ``length``-access stream."""
+    stream, pcs = _columns_stream(length)
+    policy = policy_factory(route)(MEMORY_SETS, WAYS)
+    tracemalloc.start()
+    try:
+        replay_segment([policy], stream, pcs, length // 4)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestWindowMemory:
+    @pytest.mark.parametrize("route", ["lru", "perceptron", "hawkeye",
+                                       "mpppb-1a"])
+    def test_peak_grows_by_the_outcomes_alone(self, route, monkeypatch):
+        """Quadrupling the stream adds at most 16 B per added access to
+        a replay's traced peak; its outcome list alone costs 8."""
+        monkeypatch.setattr(llc_mod, "WINDOW", 1024)
+        # tracemalloc slows the allocating kernels tenfold: stay short.
+        n = 4_096
+        _traced_peak(route, n)  # compiles and memoizes what a replay may
+        short, long = _traced_peak(route, n), _traced_peak(route, 4 * n)
+        per_access = (long - short) / (3 * n)
+        assert per_access <= 16, f"{per_access:.1f} B per added access"

@@ -11,7 +11,11 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.config import TINY
-from repro.core.features import _normalize_range, _slice_and_fold
+from repro.core.features import (
+    BLOCK_OFFSET_BITS,
+    _normalize_range,
+    _slice_and_fold,
+)
 from repro.sim.hierarchy import UpperLevels
 from repro.traces.trace import Trace
 from repro.util.bits import saturate
@@ -133,6 +137,5 @@ class TestBlockAddressing:
     def test_reconstruction(self, addresses):
         demands = llc_demands(addresses)
         assert demands
-        shift = TINY.hierarchy.block_shift
         for address, block, offset in demands:
-            assert (block << shift) | offset == address
+            assert (block << BLOCK_OFFSET_BITS) | offset == address
