@@ -1,17 +1,15 @@
 """Columnar Stage-2 replay kernel: the one fast path beside the reference.
 
 :class:`~repro.sim.llc.LLCSimulator` is the readable reference replay.
-This package is its only fast path: it lowers a Stage-1 or merged LLC
-stream into numpy columns one window at a time
+This package is its only fast path, and
+:class:`repro.sim.batch.BatchLLCSimulator` its one entry: it lowers a
+Stage-1 or merged LLC stream into numpy columns one window at a time
 (:func:`~repro.sim.kernel.columns.replay_windows`) and replays every
-MPPPB candidate through a per-candidate ``exec``-specialized loop with
-the sampler, perceptron sum, and replacement-policy walks inlined
-(:mod:`~repro.sim.kernel.numpy_backend`).  The
-LRU, Perceptron and Hawkeye baselines have one fixed-shape columnar
-replay each (:mod:`~repro.sim.kernel.baselines`), which
-:func:`repro.sim.single.replay_segment` picks by the policy's exact
-type for single cells, mix cells and each mix thread's standalone-LRU
-baseline.
+policy of a batch through its kind's loop: an ``exec``-specialized
+MPPPB loop with the sampler, perceptron sum, and replacement-policy
+walks inlined (:mod:`~repro.sim.kernel.numpy_backend`), or one
+fixed-shape loop for each of the LRU, Perceptron and Hawkeye baselines
+(:mod:`~repro.sim.kernel.baselines`).
 
 ``REPRO_STAGE2_KERNEL=off`` runs the reference instead, end to end and
 inside worker processes (the environment is the one channel they

@@ -31,22 +31,24 @@ code is generated; hyperparameters are read from the policy object:
   n-th fill of a set goes to way n), and scalar counters from which
   ``LLCStats`` is derived afterwards.
 
-Each kernel runs through :func:`repro.sim.kernel.columns.
-replay_windows`, over each window's warm range and then its measured
-range, reproducing ``LLCSimulator.run``'s warm/measured split.
-Policy state lives in the policy's own lists and dicts, updated in
-place, except for what the reference keeps on objects (perceptron
-sampler entries, OptGen clocks) or derives per access (LRU stacks),
-which is built once per replay, carried from window to window and
-written back; after a replay the policy is in exactly the state
-``LLCSimulator`` would leave it in.
+Each baseline is a row of :data:`repro.sim.batch.KERNELS`: its window
+lowering (``*_lowering``) and its per-policy ``(kernel, state, finish)``
+plan (``*_plan``).  :class:`~repro.sim.batch.BatchLLCSimulator` runs the
+kernel through :func:`repro.sim.kernel.columns.replay_windows`, over
+each window's warm range and then its measured range, reproducing
+``LLCSimulator.run``'s warm/measured split.  Policy state lives in the
+policy's own lists and dicts, updated in place, except for what the
+reference keeps on objects (perceptron sampler entries, OptGen clocks)
+or derives per access (LRU stacks), which the plan builds once per
+replay, carries from window to window and ``finish`` writes back;
+after a replay the policy is in exactly the state ``LLCSimulator``
+would leave it in.
 """
 
 from __future__ import annotations
 
-from typing import Sequence
+import numpy as np
 
-from repro.cache.cache import SetAssociativeCache
 from repro.cache.replacement.lru import LRUPolicy
 from repro.predictors.hawkeye import HawkeyePolicy
 from repro.predictors.perceptron import (
@@ -56,46 +58,44 @@ from repro.predictors.perceptron import (
     _SamplerEntry,
 )
 from repro.sim.kernel import columns as _columns
-from repro.sim.llc import LLCAccess, LLCResult, flush_llc_metrics
 from repro.util.hashing import hash_to
 
 
-def replay_baseline(
-    policy,
-    stream: Sequence[LLCAccess],
-    pc_trace: Sequence[int],
-    warmup: int,
-) -> LLCResult:
-    """Equivalent of ``LLCSimulator(policy).run(stream, pc_trace,
-    warmup)`` for a policy whose exact type is in :data:`REPLAYS`."""
-    cache = SetAssociativeCache(policy.num_sets, policy.ways)
-    result = REPLAYS[type(policy)](policy, cache, stream, pc_trace, warmup)
-    flush_llc_metrics(result.stats, policy)
-    return result
+def predictor_inputs(policy) -> tuple:
+    """What the Perceptron and Hawkeye lowerings read beside the set
+    count: the sampler's stride and set count and the table width."""
+    predictor = policy.predictor
+    sampler = predictor.sampler
+    return sampler._stride, sampler.sampler_sets, predictor.table_bits
 
 
 # -- LRU --------------------------------------------------------------------
 
 
-def _replay_lru(policy: LRUPolicy, cache, stream, pc_trace, warmup: int):
-    # LRU reads no PC history: an empty one costs no conversion.
-    [(result, _)] = _columns.replay_windows(
-        stream, (), warmup, _lru_columns,
-        [(_lru_kernel, (cache._where, cache.num_sets - 1, cache.ways))])
-    # LRU never bypasses, so every way this replay filled is still
-    # valid: the touched ways, MRU first, are each set's dict reversed.
-    # A set never filled completely keeps the ways it did not touch
-    # from an earlier replay, in their old order, as on_fill leaves it.
-    for stack, ws in zip(policy._stacks, cache._where):
-        if ws:
-            touched = list(reversed(ws.values()))
-            if len(touched) < cache.ways:
-                touched += [way for way in stack if way not in touched]
-            stack[:] = touched
-    return result
+def lru_lowering(policies, pc_trace):
+    # LRU reads no PC history: it is never converted.
+    return _lru_columns, [None] * len(policies)
 
 
-def _lru_columns(window, hist):
+def lru_plan(policy: LRUPolicy, cache, program):
+    def finish(totals) -> None:
+        # LRU never bypasses, so every way this replay filled is still
+        # valid: the touched ways, MRU first, are each set's dict
+        # reversed.  A set never filled completely keeps the ways it
+        # did not touch from an earlier replay, in their old order, as
+        # on_fill leaves it.
+        for stack, ws in zip(policy._stacks, cache._where):
+            if ws:
+                touched = list(reversed(ws.values()))
+                if len(touched) < cache.ways:
+                    touched += [way for way in stack if way not in touched]
+                stack[:] = touched
+
+    return (_lru_kernel, (cache._where, cache.num_sets - 1, cache.ways),
+            finish)
+
+
+def _lru_columns(window):
     return window.block, window.is_prefetch
 
 
@@ -130,16 +130,20 @@ def _lru_kernel(lo, hi, outcomes, blocks, prefetch, WHERE, set_mask, ways):
 # -- Perceptron -------------------------------------------------------------
 
 
-def _replay_perceptron(policy: PerceptronPolicy, cache, stream, pc_trace,
-                       warmup: int):
+def perceptron_lowering(policies, pc_trace):
+    num_sets = policies[0].num_sets
+    inputs = predictor_inputs(policies[0])
+    hist = np.asarray(pc_trace, dtype=np.uint64)
+
+    def lower(window):
+        return _columns.lower_perceptron(window, hist, num_sets,
+                                         *inputs).arrays()
+
+    return lower, [None] * len(policies)
+
+
+def perceptron_plan(policy: PerceptronPolicy, cache, program):
     predictor = policy.predictor
-    sampler = predictor.sampler
-
-    def lower(window, hist):
-        return _columns.lower_perceptron(
-            window, hist, cache.num_sets, sampler._stride,
-            sampler.sampler_sets, predictor.table_bits).arrays()
-
     s_tags = [[e.tag for e in entries] for entries in predictor._sets]
     s_ind = [[tuple(e.indices) for e in entries]
              for entries in predictor._sets]
@@ -151,15 +155,16 @@ def _replay_perceptron(policy: PerceptronPolicy, cache, stream, pc_trace,
     state = (cache._where, cache.tags, [0] * cache.num_sets,
              policy._lru._stacks, policy._reuse_bit, s_tags, s_ind, s_conf,
              predictor.tables, params, last)
-    [(result, _)] = _columns.replay_windows(
-        stream, pc_trace, warmup, lower, [(_perceptron_kernel, state)])
-    predictor._sets = [
-        [_SamplerEntry(tag=tag, indices=list(ind), confidence=conf)
-         for tag, ind, conf in zip(tag_row, ind_row, conf_row)]
-        for tag_row, ind_row, conf_row in zip(s_tags, s_ind, s_conf)
-    ]
-    policy._last_confidence = float(last[0])
-    return result
+
+    def finish(totals) -> None:
+        predictor._sets = [
+            [_SamplerEntry(tag=tag, indices=list(ind), confidence=conf)
+             for tag, ind, conf in zip(tag_row, ind_row, conf_row)]
+            for tag_row, ind_row, conf_row in zip(s_tags, s_ind, s_conf)
+        ]
+        policy._last_confidence = float(last[0])
+
+    return _perceptron_kernel, state, finish
 
 
 def _perceptron_kernel(lo, hi, outcomes, blocks, set_idxs, tags, samp_idxs,
@@ -311,18 +316,21 @@ class _IndexMemo(dict):
         return value
 
 
-def _replay_hawkeye(policy: HawkeyePolicy, cache, stream, pc_trace,
-                    warmup: int):
-    predictor = policy.predictor
-    sampler = predictor.sampler
+def hawkeye_lowering(policies, pc_trace):
+    # Hawkeye reads no PC history: it is never converted.
+    num_sets = policies[0].num_sets
+    inputs = predictor_inputs(policies[0])
 
-    def lower(window, hist):
-        cols = _columns.lower_hawkeye(window, cache.num_sets,
-                                      sampler._stride, sampler.sampler_sets,
-                                      predictor.table_bits)
+    def lower(window):
+        cols = _columns.lower_hawkeye(window, num_sets, *inputs)
         return (cols.blocks, cols.set_idxs, cols.samp_idxs, cols.prefetch,
                 *cols.cols)
 
+    return lower, [None] * len(policies)
+
+
+def hawkeye_plan(policy: HawkeyePolicy, cache, program):
+    predictor = policy.predictor
     optgens = predictor._optgens
     clocks = [optgen.time for optgen in optgens]
     last = [policy._last_friendly]
@@ -334,13 +342,13 @@ def _replay_hawkeye(policy: HawkeyePolicy, cache, stream, pc_trace,
              [og.occupancy for og in optgens], clocks, predictor._histories,
              predictor.counters, _IndexMemo(predictor.table_bits), params,
              last)
-    # Hawkeye reads no PC history: an empty one costs no conversion.
-    [(result, _)] = _columns.replay_windows(
-        stream, (), warmup, lower, [(_hawkeye_kernel, state)])
-    for optgen, clock in zip(optgens, clocks):
-        optgen.time = clock
-    policy._last_friendly = last[0]
-    return result
+
+    def finish(totals) -> None:
+        for optgen, clock in zip(optgens, clocks):
+            optgen.time = clock
+        policy._last_friendly = last[0]
+
+    return _hawkeye_kernel, state, finish
 
 
 def _hawkeye_kernel(lo, hi, outcomes, blocks, set_idxs, samp_idxs, prefetch,
@@ -445,12 +453,3 @@ def _hawkeye_kernel(lo, hi, outcomes, blocks, set_idxs, samp_idxs, prefetch,
         LOAD_PC[s][fw] = pc
     last[0] = friendly
     return hits, dhits, 0, evc
-
-
-#: The columnar replay of each baseline policy, by exact type: a
-#: subclass may override any hook, so it stays on ``LLCSimulator``.
-REPLAYS = {
-    LRUPolicy: _replay_lru,
-    PerceptronPolicy: _replay_perceptron,
-    HawkeyePolicy: _replay_hawkeye,
-}

@@ -307,18 +307,17 @@ Replay = Tuple[Callable[..., Tuple[int, ...]], Tuple]
 
 def replay_windows(
     stream: Sequence[LLCAccess],
-    pc_trace: Sequence[int],
     warmup: int,
-    lower: Callable[[LLCColumns, "np.ndarray"], Sequence["np.ndarray"]],
+    lower: Callable[[LLCColumns], Sequence["np.ndarray"]],
     replays: Sequence[Replay],
 ) -> List[Tuple[LLCResult, List[int]]]:
     """Run every ``(kernel, state)`` of ``replays`` over ``stream``, one
     window of :data:`repro.sim.llc.WINDOW` accesses at a time.
 
     A window is an :class:`~repro.sim.llc.LLCColumns` of views into
-    ``stream``.  ``lower(window, hist)`` returns its columns as arrays,
-    in the order the kernels read them, where ``hist`` is ``pc_trace``
-    as a ``uint64`` array, converted once per replay.  Each array
+    ``stream``.  ``lower(window)`` returns its columns as arrays, in the
+    order the kernels read them; a lowering that reads the PC history
+    converts it once per replay, not once per window.  Each array
     becomes the Python list a kernel indexes (a ``list`` subscript
     beats a numpy scalar by a wide margin in a bytecode loop), and each
     kernel runs as ``kernel(lo, hi, outcomes, *lists, *state)`` over the
@@ -339,14 +338,13 @@ def replay_windows(
     n = len(stream)
     wb = min(max(warmup, 0), n)
     step = _llc.WINDOW
-    hist = np.asarray(pc_trace, dtype=np.uint64)
     outcomes = [[False] * n for _ in replays]
     # Per replay, the (warm, measured) counters of every window.
     parts: List[List[Tuple]] = [[] for _ in replays]
     for lo in range(0, max(n, 1), step):
         hi = min(lo + step, n)
         window = LLCColumns(*(col[lo:hi] for col in stream.arrays()))
-        lists = [col.tolist() for col in lower(window, hist)]
+        lists = [col.tolist() for col in lower(window)]
         size = hi - lo
         cut = min(max(wb - lo, 0), size)
         for (kernel, state), full, counts in zip(replays, outcomes, parts):

@@ -33,32 +33,30 @@ instrumentation) with everything inlined as local-variable bytecode:
   increments; aggregate stats are derived afterwards.
 
 The *instrumented* variant, built when the policy records the
-``mpppb/confidence`` histogram (telemetry on), also appends every
-access's saturated confidence to a list, warm and measured alike —
-exactly the values ``MPPPBPolicy.on_access`` observes — which
-:func:`replay_all` folds into the histogram after the replay.  The
-uninstrumented variant emits no trace of it.
+``mpppb/confidence`` histogram (telemetry on), also collects every
+access's saturated confidence, warm and measured alike — exactly the
+values ``MPPPBPolicy.on_access`` observes — and folds them into the
+histogram as each call returns, so it holds at most one window part
+of them.  The uninstrumented variant emits no trace of it.
 
 The generated function runs a half-open access range of one window's
 columns, and :func:`repro.sim.kernel.columns.replay_windows` invokes
 it over each window's warm part, then its measured part, exactly
-reproducing the warm/measured split of ``LLCSimulator.run``.  Each
-candidate's state is built once per replay, carried from window to
-window, and written back once.  Code objects are memoized by shape,
-so a feature-search batch of K perturbed candidates compiles a handful
-of functions once and reuses them for every candidate and every
-segment.
+reproducing the warm/measured split of ``LLCSimulator.run``.
+:func:`plan` builds each candidate's state once per replay; it is
+carried from window to window and written back once.  Code objects
+are memoized by shape, so a feature-search batch of K perturbed
+candidates compiles a handful of functions once and reuses them for
+every candidate and every segment.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Sequence, Tuple
+from typing import Callable, Dict, List, Tuple
 
 from repro.core.predictor import CONFIDENCE_MAX, CONFIDENCE_MIN
 from repro.core.sampler import SamplerEntry
 from repro.core.tables import WEIGHT_MAX, WEIGHT_MIN
-from repro.sim.kernel import columns
-from repro.sim.llc import LLCAccess, LLCResult
 
 _CODE_CACHE: Dict[Tuple, object] = {}
 _CODE_CACHE_MAX = 512
@@ -179,7 +177,7 @@ def _build_source(key: Tuple) -> str:
     uses_hv = needs_h and any(
         e[0] == "dyn" and e[2] for e in entries)
     col_params = "".join(f", c{j}" for j in range(ncols))
-    confs_param = ", CONFS" if instrumented else ""
+    hist_param = ", HIST" if instrumented else ""
 
     hit_idx = _index_exprs(entries, 0, "mru")
     miss_idx = _index_exprs(entries, 1, "0")
@@ -191,13 +189,13 @@ def _build_source(key: Tuple) -> str:
 
     e(0, "def _kernel(lo, hi, outcomes, blocks, set_idxs, tags, samp_idxs,")
     e(0, f"            prefetch{col_params}, WHERE, CTAGS, FILLS, LASTM, DEF,")
-    e(0, f"            S_TAGS, S_IND, S_CONF, WL, LIVE, LIVE_N, DEM{confs_param}):")
+    e(0, f"            S_TAGS, S_IND, S_CONF, WL, LIVE, LIVE_N, DEM{hist_param}):")
     for f in range(nf):
         e(1, f"W{f} = WL[{f}]")
     e(1, "hits = 0; dhits = 0; byp = 0; evc = 0; sup = 0")
     e(1, "t_live = 0; t_dead = 0")
     if instrumented:
-        e(1, "observe = CONFS.append")
+        e(1, "confs = []; observe = confs.append")
     e(1, "for i in range(lo, hi):")
     e(2, "block = blocks[i]")
     e(2, "s = set_idxs[i]")
@@ -335,6 +333,8 @@ def _build_source(key: Tuple) -> str:
     else:
         e(4, "tb2[fw] = pp")
     e(3, "LASTM[s] = 1")
+    if instrumented:
+        e(1, "HIST.observe_many(confs)")
     e(1, "return hits, dhits, byp, evc, sup, t_live, t_dead")
     return "\n".join(src) + "\n"
 
@@ -352,8 +352,10 @@ def _kernel_for(key: Tuple):
     return fn
 
 
-def _candidate_key(sim, k: int) -> Tuple:
-    policy = sim.policies[k]
+def _shape(policy, program: Tuple) -> Tuple:
+    """The code-cache key of one candidate: ``program`` is its
+    ``(entries, ncols, needs_h)`` in its batch's slot layout."""
+    entries, ncols, needs_h = program
     config = policy.config
     default = policy.default
     if type(default).__name__ == "MDPPPolicy":
@@ -366,62 +368,18 @@ def _candidate_key(sim, k: int) -> Tuple:
         levels = 0
         promote = 0
         rrpv_max = default.rrpv_max
-    return (
-        sim._entry_sets[k],
-        sim_ncols(sim),
-        kind,
-        sim.ways,
-        levels,
-        promote,
-        config.tau_bypass,
-        tuple(config.taus),
-        tuple(config.placements),
-        config.tau_no_promote,
-        policy.sampler.theta,
-        policy.sampler.ways,
-        rrpv_max,
-        sim._needs_h,
-        policy._conf_hist is not None,
-    )
+    return (entries, ncols, kind, policy.ways, levels, promote,
+            config.tau_bypass, tuple(config.taus), tuple(config.placements),
+            config.tau_no_promote, policy.sampler.theta, policy.sampler.ways,
+            rrpv_max, needs_h, policy._conf_hist is not None)
 
 
-def sim_ncols(sim) -> int:
-    return len(sim._slots) + (1 if sim._needs_h else 0)
-
-
-def replay_all(
-    sim,
-    stream: Sequence[LLCAccess],
-    pc_trace: Sequence[int],
-    warmup: int,
-) -> List[LLCResult]:
-    """Replay every candidate of ``sim`` over ``stream``, window by
-    window; one :class:`LLCResult` per candidate."""
-    sampler = sim.policies[0].sampler
-
-    def lower(window, hist):
-        return columns.lower_stream(
-            window, hist, sim.num_sets, sampler.mapper._stride,
-            sampler.mapper.sampler_sets, sampler.tag_bits, sim._slots,
-            sim._needs_h).arrays()
-
-    candidates = [_candidate(sim, k) for k in range(len(sim.policies))]
-    replays = columns.replay_windows(
-        stream, pc_trace, warmup, lower,
-        [(kernel, state) for kernel, state, _ in candidates])
-    for (_, _, finish), (_, totals) in zip(candidates, replays):
-        finish(totals)
-    return [result for result, _ in replays]
-
-
-def _candidate(sim, k: int) -> Tuple[Callable, Tuple, Callable]:
-    """``(kernel, state, finish)`` of candidate ``k``: the state the
+def plan(policy, cache, program: Tuple) -> Tuple[Callable, Tuple, Callable]:
+    """``(kernel, state, finish)`` of one MPPPB candidate: the state the
     kernel carries outside the live objects is built here, and
     ``finish(totals)`` writes it back after the last window."""
-    policy = sim.policies[k]
-    cache = sim.caches[k]
     sampler = policy.sampler
-    kernel = _kernel_for(_candidate_key(sim, k))
+    kernel = _kernel_for(_shape(policy, program))
 
     # The cache has only ever installed at its lowest invalid way, so
     # each set's valid ways are a prefix: the fill cursor is its length.
@@ -455,10 +413,8 @@ def _candidate(sim, k: int) -> Tuple[Callable, Tuple, Callable]:
     state = (cache._where, cache.tags, fills, lastm, def_state,
              s_tags, s_ind, s_conf, policy.predictor._weights,
              live, live_n, demotions)
-    hist = policy._conf_hist
-    confs: List[int] = []
-    if hist is not None:
-        state += (confs,)
+    if policy._conf_hist is not None:
+        state += (policy._conf_hist,)
 
     def finish(totals: List[int]) -> None:
         for set_idx, count in enumerate(fills):
@@ -474,7 +430,5 @@ def _candidate(sim, k: int) -> Tuple[Callable, Tuple, Callable]:
         policy.promotions_suppressed += totals[4]
         sampler.trainings_live += totals[5]
         sampler.trainings_dead += totals[6]
-        if hist is not None:
-            hist.observe_many(confs)
 
     return kernel, state, finish

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import collections.abc
 from dataclasses import dataclass
+from itertools import chain
 from typing import List, Sequence, Union
 
 import numpy as np
@@ -53,10 +54,11 @@ _COLUMN_DTYPES = (
     ("instr_index", np.int64),
 )
 #: Accesses handled per step.  Iterating an :class:`LLCColumns` builds
-#: this many :class:`LLCAccess` objects at a time, and the columnar
-#: Stage-2 kernel lowers and replays a stream this many accesses at a
-#: time (:func:`repro.sim.kernel.columns.replay_windows`), so neither
-#: holds a whole stream of Python objects.
+#: this many :class:`LLCAccess` objects at a time,
+#: :meth:`LLCSimulator.run` reads this many accesses' lists at a time,
+#: and the columnar Stage-2 kernel lowers and replays a stream this many
+#: accesses at a time (:func:`repro.sim.kernel.columns.replay_windows`),
+#: so none holds a whole stream of Python objects.
 WINDOW = 1 << 14
 
 
@@ -67,10 +69,10 @@ class LLCColumns(collections.abc.Sequence[LLCAccess]):
     iteration build :class:`LLCAccess` objects on demand from
     ``.tolist()`` values, so every field is a plain Python ``int`` or
     ``bool``.  Built objects are not cached: keeping them would hold
-    the whole stream as objects again.  Neither replay builds them:
-    :meth:`LLCSimulator.run` zips the columns' ``.tolist()`` lists and
-    the columnar Stage-2 kernel reads the arrays
-    (:mod:`repro.sim.kernel.columns`).
+    the whole stream as objects again.  Neither Stage-2 route builds
+    them: :meth:`LLCSimulator.run` zips the columns' ``.tolist()`` lists
+    and :class:`~repro.sim.batch.BatchLLCSimulator` lowers the arrays
+    (:mod:`repro.sim.kernel.columns`), each one :data:`WINDOW` at a time.
     """
 
     __slots__ = tuple(name for name, _ in _COLUMN_DTYPES)
@@ -164,8 +166,9 @@ class LLCSimulator:
     ) -> LLCResult:
         """Replay ``stream``; outcomes[i] is True when access i hit.
 
-        The loop reads columns; a list of :class:`LLCAccess` is turned
-        into :class:`LLCColumns` first.
+        The loop reads columns, as ``.tolist()`` lists of one
+        :data:`WINDOW` of accesses at a time; a list of
+        :class:`LLCAccess` is turned into :class:`LLCColumns` first.
 
         ``pc_trace`` is the full per-memory-instruction PC sequence of
         the workload; predictor features index it through each access's
@@ -175,10 +178,8 @@ class LLCSimulator:
         """
         if not isinstance(stream, LLCColumns):
             stream = LLCColumns.from_accesses(stream)
-        # Read the columns as plain lists: no object per access.
-        blocks = stream.block.tolist()
         if self.policy.needs_future:
-            self.policy.prepare(compute_next_uses(blocks))
+            self.policy.prepare(compute_next_uses(stream.block.tolist()))
         cache = self.cache
         policy = self.policy
         last_was_miss = self._last_was_miss
@@ -204,12 +205,14 @@ class LLCSimulator:
         # and predictors read it synchronously and never retain it.
         ctx = AccessContext(pc=0, address=0, block=0, offset=0,
                             pc_history=pc_trace)
+        # Every field but instr_index, read as plain lists one window
+        # at a time: no object per access, no list per stream.
+        fields = stream.arrays()[:6]
+        rows = chain.from_iterable(
+            zip(*(col[lo:lo + WINDOW].tolist() for col in fields))
+            for lo in range(0, len(stream), WINDOW))
         for index, (pc, block, offset, is_write, is_prefetch,
-                    mem_index) in enumerate(zip(
-                        stream.pc.tolist(), blocks, stream.offset.tolist(),
-                        stream.is_write.tolist(),
-                        stream.is_prefetch.tolist(),
-                        stream.mem_index.tolist())):
+                    mem_index) in enumerate(rows):
             stats = measured if index >= warmup else warm
             set_idx = block & set_mask
             way = where[set_idx].get(block, -1)

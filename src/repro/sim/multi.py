@@ -186,10 +186,9 @@ class MultiProgrammedRunner(SingleThreadRunner):
         policy = policy_factory(hierarchy.llc_sets, hierarchy.llc_ways)
         with obs.span("stage2"):
             # Same routing as single-core: MPPPB, LRU, Perceptron and
-            # Hawkeye mixes ride the columnar Stage-2 kernel, which reads
-            # the merged columns directly; other policies (and every
-            # policy under REPRO_STAGE2_KERNEL=off) replay on
-            # LLCSimulator.
+            # Hawkeye mixes ride the columnar Stage-2 kernel; other
+            # policies (and every policy under REPRO_STAGE2_KERNEL=off)
+            # replay on LLCSimulator.  Both read the merged columns.
             [result] = replay_segment([policy], merged, merged_pcs, 0)
 
         # Scatter lap-0 outcomes back to per-thread outcome arrays.

@@ -32,7 +32,7 @@ from repro import obs
 from repro.cache.replacement.base import ReplacementPolicy
 from repro.core.mpppb import MPPPBConfig, MPPPBPolicy
 from repro.cpu.timing import TimingConfig, TimingModel
-from repro.sim.batch import BatchLLCSimulator
+from repro.sim.batch import KERNELS, BatchLLCSimulator
 from repro.sim.hierarchy import (
     SERVICE_L1,
     SERVICE_L2,
@@ -41,7 +41,6 @@ from repro.sim.hierarchy import (
     UpperLevels,
 )
 from repro.sim.kernel import stage2_kernel_enabled
-from repro.sim.kernel.baselines import REPLAYS, replay_baseline
 from repro.sim.llc import LLCResult, LLCSimulator
 from repro.traces.trace import Segment, Trace
 from repro.util.stats import mpki as mpki_of
@@ -232,39 +231,24 @@ def replay_segment(
     segment's Stage-1 stream or a mix's merged stream) or a list of
     :class:`~repro.sim.llc.LLCAccess`.  Each policy replays on a fresh
     cache of its own geometry.  This is the one reader of the
-    ``REPRO_STAGE2_KERNEL`` switch.  Off, every policy replays on the
-    sequential :class:`LLCSimulator`.  On (the default):
+    ``REPRO_STAGE2_KERNEL`` switch, and it picks one of two routes:
 
-    * when every policy is an MPPPB policy, one
-      :class:`~repro.sim.batch.BatchLLCSimulator` replays them all, so
-      compare and mix cells ride the kernel exactly like the batched
-      search path;
-    * a policy whose exact type is
-      :class:`~repro.cache.replacement.lru.LRUPolicy`,
-      :class:`~repro.predictors.perceptron.PerceptronPolicy` or
-      :class:`~repro.predictors.hawkeye.HawkeyePolicy` replays through
-      :func:`repro.sim.kernel.baselines.replay_baseline` (subclasses
-      may override any hook, so they stay sequential);
-    * every other policy uses the sequential simulator.
+    * on (the default), when every policy has the same exact type in
+      :data:`repro.sim.batch.KERNELS` (MPPPB, LRU, Perceptron or
+      Hawkeye), one :class:`~repro.sim.batch.BatchLLCSimulator`
+      replays them all;
+    * otherwise each policy replays on the sequential
+      :class:`LLCSimulator`: off, a subclass (which may override any
+      hook), any other policy, or a mixed list.
 
-    Every route records the same telemetry as the sequential simulator
-    and is bit-identical to it.
+    Both routes record the same telemetry and are bit-identical.
     """
-    if not stage2_kernel_enabled():
-        return [LLCSimulator(policy).run(llc_stream, pc_trace=pcs,
-                                         warmup=warmup)
-                for policy in policies]
-    if policies and all(isinstance(policy, MPPPBPolicy)
-                        for policy in policies):
+    kinds = {type(policy) for policy in policies}
+    if stage2_kernel_enabled() and len(kinds) == 1 and kinds <= KERNELS.keys():
         return BatchLLCSimulator(policies).run(llc_stream, pc_trace=pcs,
                                                warmup=warmup)
-    return [
-        replay_baseline(policy, llc_stream, pcs, warmup)
-        if type(policy) in REPLAYS
-        else LLCSimulator(policy).run(llc_stream, pc_trace=pcs,
-                                      warmup=warmup)
-        for policy in policies
-    ]
+    return [LLCSimulator(policy).run(llc_stream, pc_trace=pcs, warmup=warmup)
+            for policy in policies]
 
 
 class SingleThreadRunner:

@@ -25,12 +25,14 @@ Each contract is pinned independently:
   reaches every replacement and training path, policies reused on
   fresh caches, and a merged 4-thread mix; and their output satisfies
   the accounting identities with no reference involved.
-* **Routing** — ``replay_segment`` is the switch's one reader.  With
-  the kernel on, an exact ``LRUPolicy`` never reaches
-  ``LLCSimulator.run``, neither as a cell nor as a mix thread's
-  standalone baseline; with it off, every LRU replay does, and an
-  ``LRUPolicy`` subclass always does.  MPPPB candidates replay as one
-  kernel batch (off: never the kernel), equal to one-policy calls.
+* **Routing** — ``replay_segment`` is the switch's one reader and has
+  two routes.  With the kernel on, an exact ``LRUPolicy`` never
+  reaches ``LLCSimulator.run``, neither as a cell nor as a mix
+  thread's standalone baseline; with it off, every LRU replay does.
+  An ``LRUPolicy`` or ``MPPPBPolicy`` subclass (whose override then
+  holds) and every policy of a mixed list always do.  MPPPB
+  candidates replay as one kernel batch (off: never the kernel),
+  equal to one-policy calls.
 * **Columnar streams** — an :class:`~repro.sim.llc.LLCColumns` stream
   behaves as its materialized list and lowers to the same columns, and
   kernel-space PCs (>= 2**63) replay on the kernel exactly as on the
@@ -41,12 +43,12 @@ Each contract is pinned independently:
   finishes equal to its one-window replay down to every piece of
   cache and policy state, and records the same telemetry; empty and
   one-access streams match the reference; and quadrupling a stream
-  adds no more than 16 B per added access to a replay's traced peak.
+  adds no more than 16 B per added access to a replay's traced peak,
+  on every kernel route, with telemetry on, and on ``LLCSimulator``.
 """
 
 import random
 import tracemalloc
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -63,16 +65,19 @@ from repro.core.features import (
     random_feature_set,
 )
 from repro.core.mpppb import MPPPBConfig, MPPPBPolicy
-from repro.core.presets import TABLE_1A_SPECS, TABLE_1B_SPECS
+from repro.core.presets import (
+    TABLE_1A_SPECS,
+    TABLE_1B_SPECS,
+    single_thread_config,
+)
 from repro.policies import policy_factory
 from repro.predictors.base import partial_tag
 from repro.predictors.hawkeye import HawkeyePolicy, HawkeyePredictor, OptGen
 from repro.predictors.perceptron import PerceptronPolicy, PerceptronPredictor
 from repro.sim import kernel as kernel_mod
 from repro.sim import llc as llc_mod
-from repro.sim.batch import BatchLLCSimulator
+from repro.sim.batch import KERNELS, BatchLLCSimulator, _build_programs
 from repro.sim.hierarchy import UpperLevels
-from repro.sim.kernel import baselines as baselines_mod
 from repro.sim.kernel import columns as columns_mod
 from repro.sim.kernel import numpy_backend
 from repro.sim.llc import LLCAccess, LLCColumns, LLCSimulator
@@ -118,12 +123,13 @@ def _batch(configs):
     return BatchLLCSimulator(policies)
 
 
-def _lower(sim, stream, pcs):
-    first = sim.policies[0].sampler
+def _lower(configs, stream, pcs):
+    """``stream`` lowered over the shared slots of ``configs``."""
+    _, needs_h, slots = _build_programs([c.features for c in configs])
+    first = MPPPBPolicy(NUM_SETS, WAYS, configs[0]).sampler
     return columns_mod.lower_stream(
-        stream, pcs, sim.num_sets, first.mapper._stride,
-        first.mapper.sampler_sets, first.tag_bits, sim._slots,
-        sim._needs_h,
+        stream, pcs, NUM_SETS, first.mapper._stride,
+        first.mapper.sampler_sets, first.tag_bits, slots, needs_h,
     )
 
 
@@ -174,9 +180,9 @@ def _assert_columns_match_compile(configs, stream, pcs, seed=3):
     kernel index expressions over the slot columns equal its closures
     on the access context, under random dynamic bits (hit or miss, MRU
     hit, set's last access a miss)."""
-    sim = _batch(configs)
-    cols = _lower(sim, stream, pcs)
-    sampler = sim.policies[0].sampler
+    entry_sets, needs_h, _ = _build_programs([c.features for c in configs])
+    cols = _lower(configs, stream, pcs)
+    sampler = MPPPBPolicy(NUM_SETS, WAYS, configs[0]).sampler
     assert cols.n == len(stream)
     assert cols.blocks.tolist() == [a.block for a in stream]
     set_idxs = [a.block & (NUM_SETS - 1) for a in stream]
@@ -187,8 +193,8 @@ def _assert_columns_match_compile(configs, stream, pcs, seed=3):
                                        for s in set_idxs]
     assert cols.prefetch.tolist() == [int(a.is_prefetch) for a in stream]
 
-    readers = {0: BiasFeature(1, True)} if sim._needs_h else {}
-    for config, entries in zip(configs, sim._entry_sets):
+    readers = {0: BiasFeature(1, True)} if needs_h else {}
+    for config, entries in zip(configs, entry_sets):
         for feature, entry in zip(config.features, entries):
             if entry[0] == "slot":
                 readers.setdefault(entry[1], feature)
@@ -200,7 +206,7 @@ def _assert_columns_match_compile(configs, stream, pcs, seed=3):
 
     rng = random.Random(seed)
     env = {f"c{j}": col.tolist() for j, col in enumerate(cols.cols)}
-    for config, entries in zip(configs, sim._entry_sets):
+    for config, entries in zip(configs, entry_sets):
         closures = [feature.compile() for feature in config.features]
         exprs = {
             hit: [compile(expr, "<index>", "eval")
@@ -215,7 +221,7 @@ def _assert_columns_match_compile(configs, stream, pcs, seed=3):
             ctx.last_was_miss = rng.random() < 0.5
             env.update(i=i, mru=int(ctx.is_mru_hit),
                        lm=int(ctx.last_was_miss))
-            if sim._needs_h:
+            if needs_h:
                 env["hv"] = env["c0"][i]
             assert ([eval(e, env) for e in exprs[hit]]
                     == [index(ctx) for index in closures])
@@ -228,8 +234,7 @@ def test_columns_match_compile(stage1):
 
 
 def test_columns_empty_history_and_stream():
-    sim = _batch(_configs(k=2))
-    cols = _lower(sim, [], [])
+    cols = _lower(_configs(k=2), [], [])
     assert cols.n == 0
     assert all(len(col) == 0 for col in cols.arrays())
     _assert_columns_match_compile(_configs(k=2), [], [])
@@ -283,7 +288,7 @@ class TestLockstep:
         stream, pcs = _synthetic_stream(picks)
         configs = _configs(seed=seed, k=2, default_policy=default_policy)
         sim = _batch(configs)
-        results = numpy_backend.replay_all(sim, stream, pcs, warmup)
+        results = sim.run(stream, pcs, warmup)
         for config, policy, result in zip(configs, sim.policies, results):
             seq_result, seq_policy = _sequential(stream, pcs, config,
                                                  warmup)
@@ -308,23 +313,28 @@ class TestLockstep:
         seq_result, seq_policy = _sequential(stream, pcs, config, 0)
         assert seq_result.outcomes == [False] * (WAYS + 2) + [True]
         sim = _batch([config])
-        [result] = numpy_backend.replay_all(sim, stream, pcs, 0)
+        [result] = sim.run(stream, pcs, 0)
         _assert_identical(result, sim.policies[0], seq_result, seq_policy)
 
     @pytest.mark.parametrize("default_policy", ["mdpp", "srrip"])
     def test_instrumented_source_only_adds_recording(self, default_policy):
-        """The instrumented variant is the plain source plus the two
-        confidence-recording lines and one extra parameter."""
-        sim = _batch(_configs(k=3, default_policy=default_policy))
-        for k in range(len(sim.policies)):
-            key = numpy_backend._candidate_key(sim, k)
+        """The instrumented variant is the plain source plus one extra
+        parameter, the histogram, and three lines: one that starts the
+        call's confidence list, one that records each access's, and one
+        that folds the list into the histogram as the call returns."""
+        policies = _batch(_configs(k=3, default_policy=default_policy)
+                          ).policies
+        _, programs = KERNELS[MPPPBPolicy].lowering(policies, ())
+        for policy, program in zip(policies, programs):
+            key = numpy_backend._shape(policy, program)
             assert key[-1] is False  # telemetry off at construction
             plain = numpy_backend._build_source(key)
             instrumented = numpy_backend._build_source(key[:-1] + (True,))
             assert "        observe(conf)\n" in instrumented
-            assert instrumented.replace(", CONFS):", "):").replace(
-                "    observe = CONFS.append\n", "").replace(
-                "        observe(conf)\n", "") == plain
+            assert instrumented.replace(", HIST):", "):").replace(
+                "    confs = []; observe = confs.append\n", "").replace(
+                "        observe(conf)\n", "").replace(
+                "    HIST.observe_many(confs)\n", "") == plain
 
 
 # -- the reference switch ----------------------------------------------------
@@ -342,20 +352,21 @@ class TestKnob:
 class TestFallbacks:
     def test_batch_run_uses_kernel(self, stage1, monkeypatch):
         """BatchLLCSimulator.run is the kernel alone: only replay_segment
-        reads the switch, so the batch runs the kernel even when off."""
+        reads the switch, so the batch runs the kernel even when off,
+        as one window loop for all its policies."""
         stream, pcs = stage1
         monkeypatch.setenv("REPRO_STAGE2_KERNEL", "off")
         calls = []
-        original = numpy_backend.replay_all
+        original = columns_mod.replay_windows
 
-        def spy(sim, stream, pcs, warmup):
-            calls.append(warmup)
-            return original(sim, stream, pcs, warmup)
+        def spy(stream, warmup, lower, replays):
+            calls.append((warmup, len(replays)))
+            return original(stream, warmup, lower, replays)
 
-        monkeypatch.setattr(numpy_backend, "replay_all", spy)
+        monkeypatch.setattr(columns_mod, "replay_windows", spy)
         sim = _batch(_configs(k=2))
         sim.run(stream, pc_trace=pcs, warmup=250)
-        assert calls == [250]
+        assert calls == [(250, 2)]
 
     def test_batch_run_off_uses_reference(self, stage1, monkeypatch):
         """With the switch off, replay_segment replays every candidate on
@@ -364,10 +375,10 @@ class TestFallbacks:
         stream, pcs = stage1
         monkeypatch.setenv("REPRO_STAGE2_KERNEL", "off")
 
-        def refuse(*args):
+        def refuse(*args, **kwargs):
             raise AssertionError("kernel used with REPRO_STAGE2_KERNEL=off")
 
-        monkeypatch.setattr(numpy_backend, "replay_all", refuse)
+        monkeypatch.setattr(BatchLLCSimulator, "run", refuse)
         configs = _configs(k=2)
         policies = [MPPPBPolicy(NUM_SETS, WAYS, c) for c in configs]
         results = replay_segment(policies, stream, pcs, 250)
@@ -387,13 +398,13 @@ class TestMPPPBRouting:
         stream, pcs = stage1
         monkeypatch.setenv("REPRO_STAGE2_KERNEL", kernel)
         batches = []
-        real = numpy_backend.replay_all
+        real = BatchLLCSimulator.run
 
-        def spy(sim, stream, pcs, warmup):
+        def spy(sim, *args, **kwargs):
             batches.append(len(sim.policies))
-            return real(sim, stream, pcs, warmup)
+            return real(sim, *args, **kwargs)
 
-        monkeypatch.setattr(numpy_backend, "replay_all", spy)
+        monkeypatch.setattr(BatchLLCSimulator, "run", spy)
         configs = _configs(k=3)
         together = [MPPPBPolicy(NUM_SETS, WAYS, c) for c in configs]
         results = replay_segment(together, stream, pcs, 250)
@@ -537,16 +548,9 @@ def _assert_same_state(kernel_policy, reference_policy):
 
 def _kernel_replay(policy, stream, pcs, warmup):
     """Replay through the kernel; also returns the cache it filled."""
-    caches = []
-    real = baselines_mod.SetAssociativeCache
-
-    def capture(*args):
-        caches.append(real(*args))
-        return caches[-1]
-
-    with mock.patch.object(baselines_mod, "SetAssociativeCache", capture):
-        result = baselines_mod.replay_baseline(policy, stream, pcs, warmup)
-    return result, caches[0]
+    sim = BatchLLCSimulator([policy])
+    [result] = sim.run(stream, pcs, warmup)
+    return result, sim.caches[0]
 
 
 def _assert_baseline_lockstep(make, stream, pcs, warmup):
@@ -747,6 +751,50 @@ class TestBaselineLockstep:
             stream, pcs, len(stream) // 4)
 
 
+def _small_hawkeye_window(factor):
+    policy = _small_hawkeye()
+    policy.predictor._optgens = [OptGen(SMALL_WAYS, window_factor=factor)
+                                 for _ in policy.predictor._optgens]
+    return policy
+
+
+# Three policies of one kernel type sharing their lowering inputs but
+# not their hyperparameters.
+_SMALL_BATCHES = {
+    "lru": [_small_lru] * 3,
+    "perceptron": [lambda: _small_perceptron(30, 6, 0),
+                   lambda: _small_perceptron(3, -4, 2),
+                   lambda: _small_perceptron(0, 0, -2)],
+    "hawkeye": [lambda factor=factor: _small_hawkeye_window(factor)
+                for factor in (1, 2, 8)],
+}
+
+
+class TestBaselineBatches:
+    @pytest.mark.parametrize("kind", sorted(_SMALL_BATCHES))
+    def test_batch_equals_single_replays(self, kind):
+        """K baseline policies in one batch finish as K one-policy
+        replays do, and as K LLCSimulator replays."""
+        stream, pcs = _window_stream(WINDOW_ACCESSES)
+        makes = _SMALL_BATCHES[kind]
+        sim = BatchLLCSimulator([make() for make in makes])
+        results = sim.run(stream, pcs, 500)
+        for make, policy, cache, result in zip(makes, sim.policies,
+                                               sim.caches, results):
+            alone, alone_cache = _kernel_replay(make(), stream, pcs, 500)
+            reference_policy = make()
+            reference = LLCSimulator(reference_policy).run(
+                stream, pc_trace=pcs, warmup=500)
+            for expected in (alone, reference):
+                assert result.outcomes == expected.outcomes
+                assert result.stats == expected.stats
+                assert result.warm_stats == expected.warm_stats
+            assert _cache_state(cache) == _cache_state(alone_cache)
+            _assert_same_state(policy, reference_policy)
+        if kind != "lru":
+            assert len({tuple(r.outcomes) for r in results}) == len(makes)
+
+
 @pytest.fixture(scope="module")
 def mix_stream():
     from repro.traces.mixes import generate_mixes
@@ -891,9 +939,9 @@ class TestLLCColumns:
 
     def test_lowerings_equal_list_lowerings(self, streams):
         stream, columns, pcs = streams
-        sim = _batch(_configs(k=4))
-        _assert_same_lowering(_lower(sim, columns, pcs),
-                              _lower(sim, stream, pcs))
+        configs = _configs(k=4)
+        _assert_same_lowering(_lower(configs, columns, pcs),
+                              _lower(configs, stream, pcs))
         predictor = PerceptronPredictor(NUM_SETS)
         sampler = predictor.sampler
         args = (NUM_SETS, sampler._stride, sampler.sampler_sets,
@@ -985,6 +1033,13 @@ def _reference_policies(monkeypatch, run):
     return seen
 
 
+class _NeverBypass(MPPPBPolicy):
+    """Never bypasses: the kernel's inlined cascade would ignore this."""
+
+    def should_bypass(self, set_idx, ctx):
+        return False
+
+
 class TestLRURouting:
     @pytest.mark.parametrize("policy_cls,kernel,reaches", [
         (LRUPolicy, "on", []),
@@ -1010,6 +1065,50 @@ class TestLRURouting:
             monkeypatch,
             lambda: [runner.thread_data(segment) for segment in segments]) \
             == reaches
+
+
+class TestSubclassRouting:
+    def test_mpppb_subclass_keeps_its_override(self, monkeypatch):
+        """An MPPPBPolicy subclass replays on LLCSimulator, so its
+        never-bypass override holds, as on a reference replay.  On the
+        first tiny soplex segment with Table 1(a) the kernel, which
+        inlines MPPPBPolicy's own cascade, would bypass 9 fills."""
+        monkeypatch.delenv("REPRO_STAGE2_KERNEL", raising=False)
+        segment = build_segments("soplex", LLC_BYTES,
+                                 TINY.segment_accesses)[0]
+        stream = UpperLevels(TINY.hierarchy).run(segment.trace).llc_stream
+        pcs = segment.trace.pcs
+        config = single_thread_config("a")
+        policy = _NeverBypass(NUM_SETS, WAYS, config)
+        results = []
+        routed = _reference_policies(monkeypatch, lambda: results.extend(
+            replay_segment([policy], stream, pcs, 300)))
+        reference_policy = _NeverBypass(NUM_SETS, WAYS, config)
+        reference = LLCSimulator(reference_policy).run(
+            stream, pc_trace=pcs, warmup=300)
+        [result] = results
+        assert result.stats.bypasses == reference.stats.bypasses == 0
+        _assert_identical(result, policy, reference, reference_policy)
+        assert routed == [_NeverBypass]
+
+    def test_mixed_list_replays_on_reference(self, stage1, monkeypatch):
+        """Policies of two kernel types in one call replay one by one on
+        LLCSimulator, each equal to its own one-policy kernel replay."""
+        monkeypatch.delenv("REPRO_STAGE2_KERNEL", raising=False)
+        stream, pcs = stage1
+        config = _configs(k=1)[0]
+        mixed = [LRUPolicy(NUM_SETS, WAYS), MPPPBPolicy(NUM_SETS, WAYS,
+                                                        config)]
+        results = []
+        assert _reference_policies(monkeypatch, lambda: results.extend(
+            replay_segment(mixed, stream, pcs, 300))) \
+            == [LRUPolicy, MPPPBPolicy]
+        alone = [LRUPolicy(NUM_SETS, WAYS), MPPPBPolicy(NUM_SETS, WAYS,
+                                                        config)]
+        for result, policy in zip(results, alone):
+            [expected] = replay_segment([policy], stream, pcs, 300)
+            assert result.outcomes == expected.outcomes
+            assert result.stats == expected.stats
 
 
 # -- windowed replays ----------------------------------------------------------
@@ -1207,28 +1306,45 @@ def _columns_stream(n):
     return stream, pcs
 
 
-def _traced_peak(route, length):
-    """Traced peak of one replay of a ``length``-access stream."""
+def _traced_peak(route, length, telemetry=False):
+    """Traced peak of one replay of a ``length``-access stream; with
+    ``telemetry``, the policy records its histograms."""
     stream, pcs = _columns_stream(length)
-    policy = policy_factory(route)(MEMORY_SETS, WAYS)
-    tracemalloc.start()
+    if telemetry:
+        obs.enable()
     try:
+        policy = policy_factory(route)(MEMORY_SETS, WAYS)
+        tracemalloc.start()
         replay_segment([policy], stream, pcs, length // 4)
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+        obs.disable()
 
 
 class TestWindowMemory:
-    @pytest.mark.parametrize("route", ["lru", "perceptron", "hawkeye",
-                                       "mpppb-1a"])
-    def test_peak_grows_by_the_outcomes_alone(self, route, monkeypatch):
+    @pytest.mark.parametrize("route,kernel,telemetry", [
+        pytest.param("lru", "on", False, id="lru"),
+        pytest.param("perceptron", "on", False, id="perceptron"),
+        pytest.param("hawkeye", "on", False, id="hawkeye"),
+        pytest.param("mpppb-1a", "on", False, id="mpppb-1a"),
+        pytest.param("mpppb-1a", "on", True, id="mpppb-1a-telemetry"),
+        # Off the kernel's table: LLCSimulator on either leg.
+        pytest.param("srrip", "on", False, id="srrip"),
+        pytest.param("lru", "off", False, id="lru-reference"),
+        pytest.param("hawkeye", "off", False, id="hawkeye-reference"),
+    ])
+    def test_peak_grows_by_the_outcomes_alone(self, route, kernel,
+                                              telemetry, monkeypatch):
         """Quadrupling the stream adds at most 16 B per added access to
         a replay's traced peak; its outcome list alone costs 8."""
         monkeypatch.setattr(llc_mod, "WINDOW", 1024)
+        monkeypatch.setenv("REPRO_STAGE2_KERNEL", kernel)
         # tracemalloc slows the allocating kernels tenfold: stay short.
         n = 4_096
-        _traced_peak(route, n)  # compiles and memoizes what a replay may
-        short, long = _traced_peak(route, n), _traced_peak(route, 4 * n)
+        # Compiles and memoizes what a replay may.
+        _traced_peak(route, n, telemetry)
+        short = _traced_peak(route, n, telemetry)
+        long = _traced_peak(route, 4 * n, telemetry)
         per_access = (long - short) / (3 * n)
         assert per_access <= 16, f"{per_access:.1f} B per added access"

@@ -25,8 +25,8 @@ from hypothesis import given, settings, strategies as st
 
 from repro.cache.replacement.lru import LRUPolicy
 from repro.config import TINY
+from repro.sim.batch import BatchLLCSimulator
 from repro.sim.hierarchy import UpperLevels
-from repro.sim.kernel.baselines import replay_baseline
 from repro.sim.llc import LLCAccess, LLCSimulator
 from repro.sim.multi import MultiProgrammedRunner
 from repro.traces.mixes import generate_mixes
@@ -72,7 +72,8 @@ def _assert_stack_property(stream, pcs, num_sets) -> List[int]:
         expected = oracle_outcomes(distances, ways)
         reference = LLCSimulator(LRUPolicy(num_sets, ways)).run(
             stream, pc_trace=pcs)
-        kernel = replay_baseline(LRUPolicy(num_sets, ways), stream, pcs, 0)
+        [kernel] = BatchLLCSimulator([LRUPolicy(num_sets, ways)]).run(
+            stream, pcs, 0)
         assert reference.outcomes == expected, f"LLCSimulator at {ways} ways"
         assert kernel.outcomes == expected, f"kernel at {ways} ways"
         misses.append(kernel.stats.misses)

@@ -4,13 +4,18 @@ The batched kernel path must be a pure strength reduction over K
 sequential :class:`~repro.sim.llc.LLCSimulator` replays: identical outcomes,
 stats, policy counters, sampler training, and final perceptron
 weights, for any mix of feature families (XOR'd and plain, history
-depths, single-bit state features) and both default policies.
+depths, single-bit state features) and both default policies.  A
+batch holds policies of one exact type in the kernel table, sharing
+their LLC geometry and lowering inputs; anything else is refused.
 """
 
 import random
+from dataclasses import replace
 
 import pytest
 
+from repro.cache.replacement.lru import LRUPolicy
+from repro.cache.replacement.srrip import SRRIPPolicy
 from repro.config import TINY
 from repro.core.features import (
     parse_feature_set,
@@ -19,6 +24,8 @@ from repro.core.features import (
 )
 from repro.core.mpppb import MPPPBConfig, MPPPBPolicy
 from repro.core.presets import TABLE_1A_SPECS, TABLE_1B_SPECS
+from repro.predictors.hawkeye import HawkeyePolicy, HawkeyePredictor
+from repro.predictors.perceptron import PerceptronPolicy, PerceptronPredictor
 from repro.sim.batch import BatchLLCSimulator
 from repro.sim.hierarchy import UpperLevels
 from repro.sim.llc import LLCSimulator
@@ -125,21 +132,54 @@ def test_batch_many_random_candidates(stage1):
         _assert_identical(result, policy, seq_result, seq_policy)
 
 
-def test_batch_rejects_non_mpppb():
-    from repro.cache.replacement.lru import LRUPolicy
+class _LRUSubclass(LRUPolicy):
+    """Overrides nothing, but may: only exact types ride the kernel."""
 
-    with pytest.raises(TypeError):
-        BatchLLCSimulator([LRUPolicy(NUM_SETS, WAYS)])
+
+def test_batch_rejects_types_off_the_table():
+    """A policy type without a kernel row, a subclass of one with a
+    row, and policies of two types in one batch are all refused."""
+    config = _configs(k=1)[0]
+    for batch in ([SRRIPPolicy(NUM_SETS, WAYS)],
+                  [_LRUSubclass(NUM_SETS, WAYS)],
+                  [LRUPolicy(NUM_SETS, WAYS),
+                   MPPPBPolicy(NUM_SETS, WAYS, config)]):
+        with pytest.raises(TypeError, match="one exact type"):
+            BatchLLCSimulator(batch)
 
 
 def test_batch_rejects_mismatched_geometry():
-    """Every candidate replays on the first one's LLC geometry: a batch
-    whose set counts differ, or whose ways differ, is refused."""
+    """Every policy replays on the first one's LLC geometry: a batch
+    whose set counts differ, or whose ways differ, is refused, for
+    every kernel type."""
     config = _configs(k=1)[0]
-    for sets, ways in ((NUM_SETS * 2, WAYS), (NUM_SETS, WAYS * 2)):
-        batch = [MPPPBPolicy(NUM_SETS, WAYS, config),
-                 MPPPBPolicy(sets, ways, config)]
-        with pytest.raises(ValueError, match="LLC geometry"):
+    for make in (lambda sets, ways: MPPPBPolicy(sets, ways, config),
+                 LRUPolicy, PerceptronPolicy, HawkeyePolicy):
+        for sets, ways in ((NUM_SETS * 2, WAYS), (NUM_SETS, WAYS * 2)):
+            with pytest.raises(ValueError, match="LLC geometry"):
+                BatchLLCSimulator([make(NUM_SETS, WAYS), make(sets, ways)])
+
+
+def test_batch_rejects_mismatched_lowering_inputs():
+    """One lowering serves the whole batch, so the policies must agree
+    on what it reads: MPPPB's sampler sets, and the Perceptron and
+    Hawkeye table widths and sampler sets."""
+    config = _configs(k=1)[0]
+    mismatched = [
+        [MPPPBPolicy(NUM_SETS, WAYS, config),
+         MPPPBPolicy(NUM_SETS, WAYS, replace(config, sampler_sets=16))],
+        [PerceptronPolicy(NUM_SETS, WAYS),
+         PerceptronPolicy(NUM_SETS, WAYS, PerceptronPredictor(
+             NUM_SETS, table_bits=6))],
+        [PerceptronPolicy(NUM_SETS, WAYS),
+         PerceptronPolicy(NUM_SETS, WAYS, PerceptronPredictor(
+             NUM_SETS, sampler_sets=40))],
+        [HawkeyePolicy(NUM_SETS, WAYS),
+         HawkeyePolicy(NUM_SETS, WAYS, HawkeyePredictor(
+             NUM_SETS, WAYS, table_bits=9))],
+    ]
+    for batch in mismatched:
+        with pytest.raises(ValueError, match="table widths"):
             BatchLLCSimulator(batch)
 
 
