@@ -70,8 +70,9 @@ class ReplacementPolicy(ABC):
         """Whether ``way`` currently sits in the policy's MRU position."""
         return False
 
-    def prepare(self, next_uses: Sequence[int]) -> None:
-        """Receive future-knowledge metadata (offline policies only)."""
+    def prepare(self, next_uses: Sequence[int], start: int = 0) -> None:
+        """Receive future-knowledge metadata (offline policies only):
+        ``next_uses[i]`` belongs to stream access ``start + i``."""
 
     @property
     def needs_future(self) -> bool:

@@ -27,9 +27,10 @@ where the meta records the cache-key ``SCHEMA_VERSION``, the artifact
 kind, the producer's byte order, scalar fields, and a manifest of
 integer arrays (name, ``array``-module typecode ``q``/``Q``/``B``,
 element count) that the payload concatenates in order.  Arrays load as
-numpy views of the blob (``np.frombuffer``), so a Stage-1 result
-decodes into :class:`~repro.sim.llc.LLCColumns` without building one
-object per access.  Loading validates all of it; any mismatch (schema
+numpy views of the blob (``np.frombuffer``), so a trace decodes into
+:class:`~repro.traces.trace.Trace` columns and a Stage-1 result into
+:class:`~repro.sim.llc.LLCColumns` without building one object per
+access.  Loading validates all of it; any mismatch (schema
 bump, truncation, a negative count or unknown typecode, Stage-1
 columns of unequal length, foreign endianness that fails to byteswap,
 corruption) degrades to a miss and the artifact is rebuilt — the cold
@@ -180,13 +181,12 @@ def pack_segments(segments: Sequence[Segment]) -> bytes:
     arrays: List[Tuple[str, str, Sequence[int]]] = []
     for i, segment in enumerate(segments):
         trace = segment.trace
-        flags = [
-            (_F_WRITE if write else 0) | (_F_DEP if dep else 0)
-            for write, dep in zip(trace.writes, trace.deps)
-        ]
+        flags = (trace.writes.astype(np.uint8) * _F_WRITE
+                 | trace.deps.astype(np.uint8) * _F_DEP)
         arrays.append((f"{i}:pcs", "Q", trace.pcs))
         arrays.append((f"{i}:addresses", "Q", trace.addresses))
-        arrays.append((f"{i}:gaps", "Q", trace.gaps))
+        # Gaps are non-negative (Trace checks), so the view is exact.
+        arrays.append((f"{i}:gaps", "Q", trace.gaps.view(np.uint64)))
         arrays.append((f"{i}:flags", "B", flags))
     scalars = {
         "names": [segment.name for segment in segments],
@@ -196,6 +196,8 @@ def pack_segments(segments: Sequence[Segment]) -> bytes:
 
 
 def unpack_segments(blob: bytes) -> Optional[List[Segment]]:
+    """Decode a trace blob; the PC, address and gap columns of each
+    :class:`Trace` are read-only views of ``blob``."""
     parsed = unpack_artifact(blob, "trace")
     if parsed is None:
         return None
@@ -207,11 +209,11 @@ def unpack_segments(blob: bytes) -> Optional[List[Segment]]:
             flags = arrays[f"{i}:flags"]
             trace = Trace(
                 name,
-                arrays[f"{i}:pcs"].tolist(),
-                arrays[f"{i}:addresses"].tolist(),
-                ((flags & _F_WRITE) != 0).tolist(),
-                arrays[f"{i}:gaps"].tolist(),
-                ((flags & _F_DEP) != 0).tolist(),
+                arrays[f"{i}:pcs"],
+                arrays[f"{i}:addresses"],
+                (flags & _F_WRITE) != 0,
+                arrays[f"{i}:gaps"].view(np.int64),
+                (flags & _F_DEP) != 0,
             )
             segments.append(Segment(name, trace, weight))
         return segments

@@ -20,12 +20,13 @@ issues ``PREFETCH_DEGREE`` blocks ahead of the new head; it tracks
 matches misses up to ``PREFETCH_WINDOW`` blocks ahead of its head in
 its direction, an untrained one within the window on either side.
 
-:meth:`UpperLevels.run` is one flat loop over the trace: L1 and L2 are
-per-set dicts (insertion order is recency order), the prefetcher's
-stream table is three parallel lists, and the LLC stream is appended
-straight into columns.  ``tests/stage1_oracle.py`` keeps the
-object-per-structure loop it replaced as the reference, and the tests
-hold the two equal on every field.
+:meth:`UpperLevels.run` is one flat loop over the trace's columns, read
+as lists: L1 and L2 are per-set dicts (insertion order is recency
+order), the prefetcher's stream table is three parallel lists, and the
+LLC stream is appended straight into columns.
+``tests/stage1_oracle.py`` keeps the object-per-structure loop it
+replaced as the reference, and the tests hold the two equal on every
+field.
 """
 
 from __future__ import annotations
@@ -145,8 +146,10 @@ class UpperLevels:
         shift = BLOCK_OFFSET_BITS
         offset_mask = (1 << BLOCK_OFFSET_BITS) - 1
         prefetch = self.prefetch
-        pcs = trace.pcs
-        writes = trace.writes
+        # The loop indexes plain lists, converted from the trace's
+        # columns once, here.
+        pcs = trace.pcs.tolist()
+        writes = trace.writes.tolist()
 
         # Every access an L1 hit until the loop says otherwise.
         service = [SERVICE_L1] * len(pcs)
@@ -165,7 +168,7 @@ class UpperLevels:
         ticks: List[int] = []
         tick = 0
         issued = 0
-        for mem_index, address in enumerate(trace.addresses):
+        for mem_index, address in enumerate(trace.addresses.tolist()):
             block = address >> shift
             cache_set = l1[block & l1_mask]
             if block in cache_set:
@@ -247,8 +250,7 @@ class UpperLevels:
                 s_mem.append(mem_index)
 
         service_col = np.array(service, dtype=np.int64)
-        instr_indices = np.cumsum(
-            np.asarray(trace.gaps, dtype=np.int64) + 1) - 1
+        instr_indices = np.cumsum(trace.gaps + 1) - 1
         mem = np.array(s_mem, dtype=np.int64)
         llc_stream = LLCColumns(
             np.array(s_pc, dtype=np.uint64),

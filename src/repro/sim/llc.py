@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import collections.abc
 from dataclasses import dataclass
-from itertools import chain
 from typing import List, Sequence, Union
 
 import numpy as np
@@ -22,7 +21,7 @@ from repro import obs
 from repro.cache.access import AccessContext
 from repro.cache.cache import SetAssociativeCache
 from repro.cache.replacement.base import ReplacementPolicy
-from repro.cache.replacement.belady import compute_next_uses
+from repro.cache.replacement.belady import next_use_windows
 from repro.core.features import BLOCK_OFFSET_BITS
 
 
@@ -55,10 +54,11 @@ _COLUMN_DTYPES = (
 )
 #: Accesses handled per step.  Iterating an :class:`LLCColumns` builds
 #: this many :class:`LLCAccess` objects at a time,
-#: :meth:`LLCSimulator.run` reads this many accesses' lists at a time,
-#: and the columnar Stage-2 kernel lowers and replays a stream this many
-#: accesses at a time (:func:`repro.sim.kernel.columns.replay_windows`),
-#: so none holds a whole stream of Python objects.
+#: :meth:`LLCSimulator.run` reads this many accesses' lists (and MIN's
+#: next uses) at a time, and the columnar Stage-2 kernel lowers and
+#: replays a stream this many accesses at a time
+#: (:func:`repro.sim.kernel.columns.replay_windows`), so none holds a
+#: whole stream of Python objects.
 WINDOW = 1 << 14
 
 
@@ -169,17 +169,22 @@ class LLCSimulator:
         The loop reads columns, as ``.tolist()`` lists of one
         :data:`WINDOW` of accesses at a time; a list of
         :class:`LLCAccess` is turned into :class:`LLCColumns` first.
+        A policy that needs the future (MIN) is handed each window's
+        next uses before the window replays.
 
         ``pc_trace`` is the full per-memory-instruction PC sequence of
-        the workload; predictor features index it through each access's
-        ``mem_index`` to recover the PC history (Section 3.2's pc
-        feature).  Accesses before ``warmup`` update all state but are
-        excluded from the measured statistics.
+        the workload (a trace's ``uint64`` column is read as a list);
+        predictor features index it through each access's ``mem_index``
+        to recover the PC history (Section 3.2's pc feature).  Accesses
+        before ``warmup`` update all state but are excluded from the
+        measured statistics.
         """
         if not isinstance(stream, LLCColumns):
             stream = LLCColumns.from_accesses(stream)
-        if self.policy.needs_future:
-            self.policy.prepare(compute_next_uses(stream.block.tolist()))
+        if isinstance(pc_trace, np.ndarray):
+            pc_trace = pc_trace.tolist()
+        future = (next_use_windows(stream.block, WINDOW)
+                  if self.policy.needs_future else None)
         cache = self.cache
         policy = self.policy
         last_was_miss = self._last_was_miss
@@ -208,52 +213,53 @@ class LLCSimulator:
         # Every field but instr_index, read as plain lists one window
         # at a time: no object per access, no list per stream.
         fields = stream.arrays()[:6]
-        rows = chain.from_iterable(
-            zip(*(col[lo:lo + WINDOW].tolist() for col in fields))
-            for lo in range(0, len(stream), WINDOW))
-        for index, (pc, block, offset, is_write, is_prefetch,
-                    mem_index) in enumerate(rows):
-            stats = measured if index >= warmup else warm
-            set_idx = block & set_mask
-            way = where[set_idx].get(block, -1)
-            hit = way >= 0
-            ctx.pc = pc
-            ctx.address = (block << offset_bits) | offset
-            ctx.block = block
-            ctx.offset = offset
-            ctx.is_write = is_write
-            ctx.is_prefetch = is_prefetch
-            ctx.stream_index = index
-            ctx.history_index = mem_index
-            ctx.is_insert = not hit
-            ctx.last_was_miss = last_was_miss[set_idx]
-            ctx.is_mru_hit = hit and is_mru(set_idx, way)
-            on_access(set_idx, ctx, hit, way)
-            stats.accesses += 1
-            if not is_prefetch:
-                stats.demand_accesses += 1
-            if hit:
-                stats.hits += 1
+        for lo in range(0, len(stream), WINDOW):
+            if future is not None:
+                policy.prepare(next(future), lo)
+            rows = zip(*(col[lo:lo + WINDOW].tolist() for col in fields))
+            for index, (pc, block, offset, is_write, is_prefetch,
+                        mem_index) in enumerate(rows, lo):
+                stats = measured if index >= warmup else warm
+                set_idx = block & set_mask
+                way = where[set_idx].get(block, -1)
+                hit = way >= 0
+                ctx.pc = pc
+                ctx.address = (block << offset_bits) | offset
+                ctx.block = block
+                ctx.offset = offset
+                ctx.is_write = is_write
+                ctx.is_prefetch = is_prefetch
+                ctx.stream_index = index
+                ctx.history_index = mem_index
+                ctx.is_insert = not hit
+                ctx.last_was_miss = last_was_miss[set_idx]
+                ctx.is_mru_hit = hit and is_mru(set_idx, way)
+                on_access(set_idx, ctx, hit, way)
+                stats.accesses += 1
                 if not is_prefetch:
-                    stats.demand_hits += 1
-                on_hit(set_idx, way, ctx)
-            else:
-                stats.misses += 1
-                if not is_prefetch:
-                    stats.demand_misses += 1
-                if should_bypass(set_idx, ctx):
-                    stats.bypasses += 1
+                    stats.demand_accesses += 1
+                if hit:
+                    stats.hits += 1
+                    if not is_prefetch:
+                        stats.demand_hits += 1
+                    on_hit(set_idx, way, ctx)
                 else:
-                    fill_way = invalid_way(set_idx)
-                    if fill_way < 0:
-                        fill_way = choose_victim(set_idx, ctx)
-                        evicted = cache.tags[set_idx][fill_way]
-                        on_evict(set_idx, fill_way, evicted)
-                        stats.evictions += 1
-                    install(set_idx, fill_way, block)
-                    on_fill(set_idx, fill_way, ctx)
-            last_was_miss[set_idx] = not hit
-            append_outcome(hit)
+                    stats.misses += 1
+                    if not is_prefetch:
+                        stats.demand_misses += 1
+                    if should_bypass(set_idx, ctx):
+                        stats.bypasses += 1
+                    else:
+                        fill_way = invalid_way(set_idx)
+                        if fill_way < 0:
+                            fill_way = choose_victim(set_idx, ctx)
+                            evicted = cache.tags[set_idx][fill_way]
+                            on_evict(set_idx, fill_way, evicted)
+                            stats.evictions += 1
+                        install(set_idx, fill_way, block)
+                        on_fill(set_idx, fill_way, ctx)
+                last_was_miss[set_idx] = not hit
+                append_outcome(hit)
         if obs.enabled():
             flush_llc_metrics(measured, policy)
         return LLCResult(outcomes=outcomes, stats=measured, warm_stats=warm)

@@ -229,17 +229,16 @@ class MultiProgrammedRunner(SingleThreadRunner):
     def _interleave(
         self, threads: Sequence[ThreadData]
     ) -> Tuple[LLCColumns, Tuple[np.ndarray, np.ndarray, np.ndarray],
-               List[int], List[int]]:
+               np.ndarray, List[int]]:
         """Timestamp-merge the threads' LLC streams with region laps.
 
-        Returns ``(merged, origins, merged_pcs, pc_offsets)``.  PC
-        traces are concatenated into ``merged_pcs`` (a list:
-        ``LLCSimulator``'s features index it per access), thread ``t``'s
-        starting at ``pc_offsets[t]``; each merged access gets its
-        ``mem_index`` rebased into the concatenation so PC-history
-        features keep working across threads.  ``origins`` is three
-        ``int64`` arrays, the ``(thread, local, lap)`` of every merged
-        access.
+        Returns ``(merged, origins, merged_pcs, pc_offsets)``.  The
+        threads' PC columns are concatenated into ``merged_pcs``, one
+        ``uint64`` array, thread ``t``'s starting at ``pc_offsets[t]``;
+        each merged access gets its ``mem_index`` rebased into the
+        concatenation so PC-history features keep working across
+        threads.  ``origins`` is three ``int64`` arrays, the ``(thread,
+        local, lap)`` of every merged access.
 
         Access ``local`` of thread ``t`` on lap ``lap`` has the key
         ``(ts[local] + lap * single_cycles, t, local, lap)``.  The merge
@@ -255,10 +254,12 @@ class MultiProgrammedRunner(SingleThreadRunner):
         before it ends.
         """
         pc_offsets: List[int] = []
-        merged_pcs: List[int] = []
+        total = 0
         for thread in threads:
-            pc_offsets.append(len(merged_pcs))
-            merged_pcs.extend(thread.segment.trace.pcs)
+            pc_offsets.append(total)
+            total += len(thread.segment.trace.pcs)
+        merged_pcs = np.concatenate([np.zeros(0, dtype=np.uint64)] + [
+            thread.segment.trace.pcs for thread in threads])
 
         live = [t for t, thread in enumerate(threads)
                 if len(thread.timestamps)]

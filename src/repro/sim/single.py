@@ -138,8 +138,8 @@ def demand_load_events(
     """
     l1, l2 = timing.l1_latency, timing.l2_latency
     llc_hit, llc_miss = timing.llc_latency, timing.llc_miss_latency
-    writes = trace.writes
-    deps = trace.deps
+    writes = trace.writes.tolist()
+    deps = trace.deps.tolist()
     service = upper.service.tolist()
     instr_indices = upper.instr_indices.tolist()
     base_instr = instr_indices[start_mem] if start_mem < len(trace.pcs) else 0
@@ -166,11 +166,13 @@ class Stage3Events:
     positions/stream indices of LLC-serviced loads whose latency is
     decided per policy by the Stage-2 outcomes.  Built once per
     (segment, warmup) and reused for every candidate — K policies pay
-    one numpy fill each instead of K full Python event loops.
+    one numpy fill each instead of K full Python event loops.  Every
+    field is an array; :func:`demand_load_arrays` hands the timing loop
+    lists.
     """
 
-    instr: List[int]
-    depends: List[bool]
+    instr: Any            # numpy int64 array, one entry per load event
+    depends: Any          # numpy bool array, one entry per load event
     base_latencies: Any   # numpy int64 array, one entry per load event
     llc_positions: Any    # numpy indices into the event order
     llc_stream_idx: Any   # matching indices into the LLC outcome list
@@ -183,18 +185,18 @@ def build_stage3_events(
     start_mem: int = 0,
 ) -> Stage3Events:
     """Vectorized equivalent of :func:`demand_load_events`' static part."""
-    loads = ~np.asarray(trace.writes[start_mem:], dtype=bool)
+    loads = ~trace.writes[start_mem:]
     service = upper.service[start_mem:][loads]
     base_instr = (upper.instr_indices[start_mem]
                   if start_mem < len(trace.pcs) else 0)
     instr = upper.instr_indices[start_mem:][loads] - base_instr
-    depends = np.asarray(trace.deps[start_mem:], dtype=bool)[loads]
+    depends = trace.deps[start_mem:][loads]
     latencies = np.full(len(service), timing.l1_latency, dtype=np.int64)
     latencies[service == SERVICE_L2] = timing.l2_latency
     llc_positions = np.nonzero(service >= 0)[0]
     return Stage3Events(
-        instr=instr.tolist(),
-        depends=depends.tolist(),
+        instr=instr,
+        depends=depends,
         base_latencies=latencies,
         llc_positions=llc_positions,
         llc_stream_idx=service[llc_positions],
@@ -208,15 +210,16 @@ def demand_load_arrays(
 ) -> Tuple[List[int], List[int], List[bool]]:
     """Fill a policy's LLC latencies into the shared event skeleton.
 
-    Returns ``(instr_indices, latencies, depends)`` columns for
-    :meth:`~repro.cpu.timing.TimingModel.simulate_packed`, equal
-    element for element to iterating :func:`demand_load_events`.
+    Returns ``(instr_indices, latencies, depends)`` as the lists
+    :meth:`~repro.cpu.timing.TimingModel.simulate_packed` loops over,
+    equal element for element to iterating :func:`demand_load_events`.
     """
     latencies = events.base_latencies.copy()
     hits = np.asarray(outcomes, dtype=bool)[events.llc_stream_idx]
     latencies[events.llc_positions] = np.where(
         hits, timing.llc_latency, timing.llc_miss_latency)
-    return events.instr, latencies.tolist(), events.depends
+    return (events.instr.tolist(), latencies.tolist(),
+            events.depends.tolist())
 
 
 def replay_segment(
@@ -229,8 +232,9 @@ def replay_segment(
 
     ``llc_stream`` is an :class:`~repro.sim.llc.LLCColumns` (a
     segment's Stage-1 stream or a mix's merged stream) or a list of
-    :class:`~repro.sim.llc.LLCAccess`.  Each policy replays on a fresh
-    cache of its own geometry.  This is the one reader of the
+    :class:`~repro.sim.llc.LLCAccess`, and ``pcs`` its PC history (a
+    trace's ``uint64`` PC column, or a list).  Each policy replays on a
+    fresh cache of its own geometry.  This is the one reader of the
     ``REPRO_STAGE2_KERNEL`` switch, and it picks one of two routes:
 
     * on (the default), when every policy has the same exact type in

@@ -33,8 +33,8 @@ A run can end anywhere: inside an object's field walk, a burst, a hot
 block's touches, a shuffled block's touches or a pointer chase's
 payload.  The generator frame keeps that state, so the next ``send``
 resumes mid-loop.  :func:`compose` resumes the chosen kernel once per
-run of a :class:`PhaseSpec` and returns the columns, which
-:class:`~repro.traces.trace.Trace` adopts without a copy.
+run of a :class:`PhaseSpec` and returns the column lists, which
+:class:`~repro.traces.trace.Trace` converts to numpy columns once.
 
 **Inlined draws.**  Every bounded integer draw is written out as::
 

@@ -3,15 +3,20 @@
 The paper's simulator is trace driven: each record is a memory access
 instruction identified by its program counter, touching a physical
 address, separated from the previous memory instruction by some number
-of non-memory instructions.  ``Trace`` stores these as parallel lists
-(cheap to index in hot simulation loops) and knows its total retired
-instruction count, which MPKI reporting needs (Section 4.5).
+of non-memory instructions.  ``Trace`` stores these as five read-only
+numpy columns and knows its total retired instruction count, which
+MPKI reporting needs (Section 4.5).  A column costs 8 bytes per access
+or less, where a list of Python ints costs about 40; each per-access
+loop converts the columns it reads to lists at its own entry (a
+``list`` subscript beats a numpy scalar in a bytecode loop).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Iterable, Iterator, List, Sequence, Tuple
+
+import numpy as np
 
 
 @dataclass(frozen=True)
@@ -37,8 +42,15 @@ class MemoryAccess:
     depends: bool = False
 
 
-def _adopt(column: Sequence) -> List:
-    return column if type(column) is list else list(column)
+def _column(values: Sequence, dtype: type) -> np.ndarray:
+    """``values`` as a read-only ``dtype`` column: a view of an array
+    of that dtype, else a converted copy."""
+    if isinstance(values, np.ndarray) and values.dtype == dtype:
+        column = values.view()
+    else:
+        column = np.fromiter(values, dtype=dtype, count=len(values))
+    column.flags.writeable = False
+    return column
 
 
 class Trace:
@@ -48,11 +60,15 @@ class Trace:
     memory instruction ``i-1`` and memory instruction ``i`` (for i == 0,
     before the first memory instruction).
 
-    A ``list`` argument is adopted, not copied: the trace takes it over
-    and the caller must not change it afterwards.  Every producer
-    (:func:`~repro.traces.synth.compose`, the artifact decoder,
-    :meth:`slice`, :meth:`from_accesses`) hands over fresh lists.  Any
-    other sequence is copied into a list.
+    The five fields are read-only numpy columns: ``pcs`` and
+    ``addresses`` are ``uint64`` (real traces carry kernel-space PCs
+    >= 2**63), ``writes`` and ``deps`` are ``bool`` and ``gaps`` is
+    ``int64``.  An array argument of its column's dtype is taken as a
+    read-only view, not copied: the artifact decoder hands over views
+    of the blob (:func:`~repro.exec.artifacts.unpack_segments`) and
+    :meth:`slice` views of its own columns.  Any other sequence (the
+    lists of :func:`~repro.traces.synth.compose`, the trace readers,
+    :meth:`from_accesses`) is converted once, here.
     """
 
     __slots__ = ("name", "pcs", "addresses", "writes", "gaps", "deps",
@@ -73,14 +89,15 @@ class Trace:
         if len(deps) != 0 and len(deps) != n:
             raise ValueError("trace field lengths differ")
         self.name = name
-        self.pcs: List[int] = _adopt(pcs)
-        self.addresses: List[int] = _adopt(addresses)
-        self.writes: List[bool] = _adopt(writes)
-        self.gaps: List[int] = _adopt(gaps)
-        if n and min(self.gaps) < 0:
+        self.pcs = _column(pcs, np.uint64)
+        self.addresses = _column(addresses, np.uint64)
+        self.writes = _column(writes, np.bool_)
+        self.gaps = _column(gaps, np.int64)
+        if n and self.gaps.min() < 0:
             raise ValueError("instruction gap must be non-negative")
-        self.deps: List[bool] = _adopt(deps) if len(deps) else [False] * n
-        self._instr_total = sum(self.gaps) + n
+        self.deps = _column(deps if len(deps) else np.zeros(n, np.bool_),
+                            np.bool_)
+        self._instr_total = int(self.gaps.sum()) + n
 
     def __len__(self) -> int:
         return len(self.pcs)
@@ -93,13 +110,15 @@ class Trace:
     def __iter__(self) -> Iterator[MemoryAccess]:
         index = -1
         for pc, addr, write, gap, dep in zip(
-            self.pcs, self.addresses, self.writes, self.gaps, self.deps
+            self.pcs.tolist(), self.addresses.tolist(), self.writes.tolist(),
+            self.gaps.tolist(), self.deps.tolist()
         ):
             index += gap + 1
             yield MemoryAccess(pc, addr, write, index, dep)
 
     def slice(self, start: int, stop: int) -> "Trace":
-        """Return accesses [start, stop) as a new trace."""
+        """Return accesses [start, stop) as a new trace over views of
+        this one's columns."""
         return Trace(
             f"{self.name}[{start}:{stop}]",
             self.pcs[start:stop],

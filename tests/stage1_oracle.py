@@ -201,13 +201,19 @@ def run_upper_levels(config: HierarchyConfig, trace: Trace,
     shift = config.block_bytes.bit_length() - 1
     offset_mask = config.block_bytes - 1
 
+    # The trace's numpy columns as Python ints: a uint64 scalar would
+    # wrap the prefetcher's block arithmetic.
+    pcs, addresses, writes, gaps = (trace.pcs.tolist(),
+                                    trace.addresses.tolist(),
+                                    trace.writes.tolist(),
+                                    trace.gaps.tolist())
     service: List[int] = []
     instr_indices: List[int] = []
     llc_stream: List[LLCAccess] = []
     instr = -1
-    for mem_index in range(len(trace.pcs)):
-        instr += trace.gaps[mem_index] + 1
-        address = trace.addresses[mem_index]
+    for mem_index in range(len(pcs)):
+        instr += gaps[mem_index] + 1
+        address = addresses[mem_index]
         block = address >> shift
         instr_indices.append(instr)
         if l1.access(block):
@@ -222,10 +228,10 @@ def run_upper_levels(config: HierarchyConfig, trace: Trace,
             service.append(len(llc_stream))
             llc_stream.append(
                 LLCAccess(
-                    pc=trace.pcs[mem_index],
+                    pc=pcs[mem_index],
                     block=block,
                     offset=address & offset_mask,
-                    is_write=trace.writes[mem_index],
+                    is_write=writes[mem_index],
                     is_prefetch=False,
                     mem_index=mem_index,
                     instr_index=instr,

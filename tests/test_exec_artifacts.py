@@ -10,6 +10,7 @@ eviction order of the store's LRU log.
 import json
 import os
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -33,6 +34,7 @@ from repro.exec.cachekey import SCHEMA_VERSION, canonical_json
 from repro.exec.store import ResultStore
 from repro.sim.hierarchy import UpperLevels
 from repro.traces.workloads import build_segments
+from tests.trace_checks import TRACE_DTYPES, column_list, trace_lists
 
 ACCESSES = 1_500
 
@@ -164,11 +166,7 @@ class TestFraming:
         for got, want in zip(restored, segments):
             assert got.name == want.name
             assert got.weight == want.weight
-            assert got.trace.pcs == want.trace.pcs
-            assert got.trace.addresses == want.trace.addresses
-            assert got.trace.writes == want.trace.writes
-            assert got.trace.gaps == want.trace.gaps
-            assert got.trace.deps == want.trace.deps
+            assert trace_lists(got.trace) == trace_lists(want.trace)
 
     def test_upper_round_trip(self):
         segment = _segments("soplex")[0]
@@ -193,6 +191,70 @@ class TestFraming:
         key = stage1_key(scope, "gamess/0", hierarchy, True)
         assert key != stage1_key(scope, "gamess/1", hierarchy, True)
         assert key != stage1_key(scope, "gamess/0", hierarchy, False)
+
+
+def _pack_segments_reference(segments):
+    """The list codec the numpy one replaced, flag by flag: blobs that
+    it wrote must keep loading as hits."""
+    arrays = []
+    for i, segment in enumerate(segments):
+        trace = segment.trace
+        flags = [(1 if write else 0) | (2 if dep else 0)
+                 for write, dep in zip(trace.writes.tolist(),
+                                       trace.deps.tolist())]
+        arrays += [(f"{i}:pcs", "Q", trace.pcs.tolist()),
+                   (f"{i}:addresses", "Q", trace.addresses.tolist()),
+                   (f"{i}:gaps", "Q", trace.gaps.tolist()),
+                   (f"{i}:flags", "B", flags)]
+    return pack_artifact("trace", {
+        "names": [segment.name for segment in segments],
+        "weights": [segment.weight for segment in segments],
+    }, arrays)
+
+
+class TestTraceCodec:
+    def test_blobs_equal_the_list_codec(self):
+        segments = _segments("soplex")
+        assert pack_segments(segments) == _pack_segments_reference(segments)
+
+    def test_decoded_columns_view_the_blob(self):
+        blob = pack_segments(_segments("soplex"))
+        raw = np.frombuffer(blob, dtype=np.uint8)
+        for segment in unpack_segments(blob):
+            trace = segment.trace
+            for field, _ in TRACE_DTYPES:
+                column_list(trace, field)  # pinned dtype, read-only
+            for field in ("pcs", "addresses", "gaps"):
+                assert np.shares_memory(getattr(trace, field), raw), field
+
+    def test_repacking_a_decoded_trace_returns_the_blob(self):
+        blob = pack_segments(_segments("soplex"))
+        assert pack_segments(unpack_segments(blob)) == blob
+
+    def test_gap_past_int64_is_a_miss(self):
+        blob = pack_segments(_segments("soplex"))
+        meta, _ = _split(blob)
+        arrays = unpack_artifact(blob, "trace")[1]
+        gaps = arrays["0:gaps"].copy()
+        gaps[3] = 1 << 63
+        columns = [(name, typecode, gaps if name == "0:gaps"
+                    else arrays[name])
+                   for name, typecode, _ in meta["arrays"]]
+        blob = pack_artifact("trace", meta["scalars"], columns)
+        assert unpack_segments(blob) is None
+
+    def test_decode_stays_within_32_bytes_per_access(self):
+        segments = build_segments("soplex", TINY.hierarchy.llc_bytes, 20_000)
+        blob = pack_segments(segments)
+        accesses = sum(len(segment.trace) for segment in segments)
+        tracemalloc.start()
+        try:
+            decoded = unpack_segments(blob)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert decoded is not None
+        assert peak / accesses <= 32, f"{peak / accesses:.1f} B per access"
 
 
 class TestStoreBytes:

@@ -24,6 +24,7 @@ from repro.traces.ingest import (
     trace_digest,
 )
 from repro.traces.ingest.readers import CHAMPSIM_RECORD_SIZE
+from tests.trace_checks import column_list
 
 RECORDS = [
     (0x400 + 4 * i, 0x10000 + 64 * (i % 37), i % 3 == 0, i % 5, i % 7 == 0)
@@ -193,8 +194,8 @@ class TestStreaming:
                           chunk=128)
         segments = spec.build()
         assert [len(s.trace) for s in segments] == [200, 200]
-        assert segments[0].trace.pcs == [1] * 200
-        assert segments[0].trace.addresses[0] == 64 * 50
+        assert column_list(segments[0].trace, "pcs") == [1] * 200
+        assert column_list(segments[0].trace, "addresses")[0] == 64 * 50
 
     def test_too_short_trace_fails_cleanly(self, tmp_path):
         path = _write_champsim(tmp_path / "small.bin", RECORDS[:20])

@@ -41,10 +41,12 @@ Each contract is pinned independently:
   at a time.  At windows of 1, 97 and 1,024, with warmup at 0, on a
   window edge, inside a window and at the stream's end, each route
   finishes equal to its one-window replay down to every piece of
-  cache and policy state, and records the same telemetry; empty and
-  one-access streams match the reference; and quadrupling a stream
-  adds no more than 16 B per added access to a replay's traced peak,
-  on every kernel route, with telemetry on, and on ``LLCSimulator``.
+  cache and policy state, and records the same telemetry; MIN, handed
+  its next uses one window at a time, replays as one window does;
+  empty and one-access streams match the reference; and quadrupling a
+  stream adds no more than 16 B per added access to a replay's traced
+  peak, on every kernel route, with telemetry on, and on
+  ``LLCSimulator``, MIN included.
 """
 
 import random
@@ -57,6 +59,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro import obs
 from repro.cache.access import AccessContext
+from repro.cache.replacement.belady import BeladyPolicy
 from repro.cache.replacement.lru import LRUPolicy
 from repro.config import TINY
 from repro.core.features import (
@@ -70,6 +73,7 @@ from repro.core.presets import (
     TABLE_1B_SPECS,
     single_thread_config,
 )
+from repro.exec.artifacts import pack_segments, unpack_segments
 from repro.policies import policy_factory
 from repro.predictors.base import partial_tag
 from repro.predictors.hawkeye import HawkeyePolicy, HawkeyePredictor, OptGen
@@ -86,6 +90,8 @@ from repro.sim.single import replay_segment
 from repro.traces.mixes import Mix
 from repro.traces.trace import Segment, Trace
 from repro.traces.workloads import build_segments
+from tests.stage1_oracle import run_upper_levels
+from tests.trace_checks import column_list
 
 LLC_BYTES = TINY.hierarchy.llc_bytes
 WAYS = TINY.hierarchy.llc_ways
@@ -160,7 +166,10 @@ def _assert_identical(result, policy, seq_result, seq_policy):
 
 
 def _contexts(stream, pcs):
-    """The AccessContext LLCSimulator builds for each access."""
+    """The AccessContext LLCSimulator builds for each access; like it,
+    read a trace's ``uint64`` PC column as a list."""
+    if isinstance(pcs, np.ndarray):
+        pcs = pcs.tolist()
     for index, access in enumerate(stream):
         yield AccessContext(
             pc=access.pc, address=(access.block << 6) | access.offset,
@@ -965,7 +974,7 @@ _KERNEL_POLICIES = ["mpppb-1a", "lru", "perceptron", "hawkeye"]
 def _kernel_space(segment):
     """``segment`` with every PC moved into the kernel half."""
     trace = segment.trace
-    moved = Trace(trace.name, [KERNEL_PC + pc for pc in trace.pcs],
+    moved = Trace(trace.name, [KERNEL_PC + pc for pc in trace.pcs.tolist()],
                   trace.addresses, trace.writes, trace.gaps, trace.deps)
     return Segment(segment.name, moved, segment.weight)
 
@@ -1009,6 +1018,76 @@ class TestKernelSpacePcs:
         kernel, reference = _on_both_legs(
             monkeypatch, lambda: runner.run_mix(mix, policy_factory(policy)))
         assert kernel == reference
+
+
+# -- uint64 trace columns end to end -------------------------------------------
+
+
+def _top_half_records():
+    """A soplex segment's accesses as Python tuples, every PC in the
+    kernel half and every address with its top bit set."""
+    trace = build_segments("soplex", LLC_BYTES, ACCESSES)[0].trace
+    return [(KERNEL_PC + pc, (1 << 63) | address, write, gap, dep)
+            for pc, address, write, gap, dep in zip(
+                trace.pcs.tolist(), trace.addresses.tolist(),
+                trace.writes.tolist(), trace.gaps.tolist(),
+                trace.deps.tolist())]
+
+
+def _decoded_top_half():
+    """The top-half trace through the artifact codec, and its PCs and
+    Stage-1 result as the reference builds them from Python lists."""
+    records = _top_half_records()
+    trace = Trace.from_accesses("top.p0", records)
+    [decoded] = unpack_segments(pack_segments([Segment("top.p0", trace,
+                                                       1.0)]))
+    return decoded.trace, [record[0] for record in records], \
+        run_upper_levels(TINY.hierarchy, trace)
+
+
+class TestUint64Columns:
+    @pytest.mark.parametrize("policy", _KERNEL_POLICIES)
+    def test_decoded_trace_replays_as_lists(self, policy, monkeypatch):
+        """Values >= 2**63 survive Trace, the codec, Stage 1 and both
+        Stage-2 legs: the run equals one over lists of Python ints."""
+        trace, pcs, oracle = _decoded_top_half()
+        assert column_list(trace, "pcs") == pcs
+        assert min(column_list(trace, "addresses")) >= 1 << 63
+        upper = UpperLevels(TINY.hierarchy).run(trace)
+        assert list(upper.llc_stream) == oracle.llc_stream
+        assert min(a.pc for a in oracle.llc_stream
+                   if not a.is_prefetch) >= 1 << 63
+
+        def run(stream, history):
+            [result] = replay_segment(
+                [policy_factory(policy)(NUM_SETS, WAYS)], stream, history,
+                300)
+            return result
+
+        columns = _on_both_legs(
+            monkeypatch, lambda: run(upper.llc_stream, trace.pcs))
+        kernel, reference = _on_both_legs(
+            monkeypatch, lambda: run(oracle.llc_stream, pcs))
+        for result in (*columns, reference):
+            assert result.outcomes == kernel.outcomes
+            assert result.stats == kernel.stats
+            assert result.warm_stats == kernel.warm_stats
+
+    def test_reference_leg_reads_python_ints(self):
+        """LLCSimulator hands policies Python ints read from the uint64
+        columns, never numpy scalars: PC, address, block and history."""
+        trace, _, _ = _decoded_top_half()
+        upper = UpperLevels(TINY.hierarchy).run(trace)
+        seen = set()
+
+        class Spy(LRUPolicy):
+            def on_access(self, set_idx, ctx, hit, way):
+                seen.add(tuple(type(value) for value in (
+                    ctx.pc, ctx.address, ctx.block,
+                    ctx.pc_history[ctx.history_index])))
+
+        LLCSimulator(Spy(NUM_SETS, WAYS)).run(upper.llc_stream, trace.pcs)
+        assert seen == {(int, int, int, int)}
 
 
 # -- LRU routing ---------------------------------------------------------------
@@ -1216,6 +1295,25 @@ class TestWindows:
                 _assert_same_replay(_route_replay(route, stream, pcs, warmup),
                                     one_window)
 
+    @pytest.mark.parametrize("window", [1, 97, 1024])
+    def test_min_windows_equal_one_window(self, window, monkeypatch):
+        """MIN is handed its next uses one window at a time: every
+        window size replays as one window does."""
+        stream, pcs = _window_stream(min(WINDOW_ACCESSES, 400 * window))
+        warmup = len(stream) // 3
+
+        def replay():
+            policy = BeladyPolicy(SMALL_SETS, SMALL_WAYS)
+            return LLCSimulator(policy).run(stream, pcs, warmup)
+
+        one_window = replay()
+        assert one_window.stats.bypasses > 0
+        monkeypatch.setattr(llc_mod, "WINDOW", window)
+        windowed = replay()
+        assert windowed.outcomes == one_window.outcomes
+        assert windowed.stats == one_window.stats
+        assert windowed.warm_stats == one_window.warm_stats
+
     def test_streams_reach_every_counter(self):
         """The window streams evict, bypass, suppress promotions and
         train both ways, so the counters compared above move."""
@@ -1333,6 +1431,8 @@ class TestWindowMemory:
         pytest.param("srrip", "on", False, id="srrip"),
         pytest.param("lru", "off", False, id="lru-reference"),
         pytest.param("hawkeye", "off", False, id="hawkeye-reference"),
+        # MIN's next uses, one window of lists at a time.
+        pytest.param("min", "on", False, id="min"),
     ])
     def test_peak_grows_by_the_outcomes_alone(self, route, kernel,
                                               telemetry, monkeypatch):

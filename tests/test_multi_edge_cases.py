@@ -34,7 +34,7 @@ def _reference_interleave(threads):
     merged_pcs = []
     for thread in threads:
         pc_offsets.append(len(merged_pcs))
-        merged_pcs.extend(thread.segment.trace.pcs)
+        merged_pcs.extend(thread.segment.trace.pcs.tolist())
 
     heap = []  # ts, thread, local, lap
     done = [len(t.upper.llc_stream) == 0 for t in threads]
@@ -80,7 +80,8 @@ def _assert_matches_reference(threads):
     assert list(zip(*(column.tolist() for column in origins))) \
         == ref_origins
     assert all(column.dtype == np.int64 for column in origins)
-    assert merged_pcs == ref_pcs
+    assert merged_pcs.dtype == np.uint64
+    assert merged_pcs.tolist() == ref_pcs
     assert pc_offsets == ref_offsets
     return merged, origins
 
@@ -116,7 +117,8 @@ def _fake_thread(name, steps, cpi, spare, seed):
     ]
     columns = LLCColumns.from_accesses(stream)
     return SimpleNamespace(
-        segment=SimpleNamespace(name=name, trace=SimpleNamespace(pcs=pcs)),
+        segment=SimpleNamespace(name=name, trace=SimpleNamespace(
+            pcs=np.array(pcs, dtype=np.uint64))),
         upper=SimpleNamespace(llc_stream=stream),
         timestamps=columns.instr_index * cpi,
         single_cycles=((instr[-1] if instr else 0) + spare) * cpi,

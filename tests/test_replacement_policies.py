@@ -1,11 +1,19 @@
 """Tests for LRU, random, tree-PLRU, MDPP, SRRIP/BRRIP/DRRIP, and Belady."""
 
+from itertools import chain
+
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.cache.access import AccessContext
-from repro.cache.replacement.belady import NEVER, BeladyPolicy, compute_next_uses
+from repro.cache.replacement.belady import (
+    NEVER,
+    BeladyPolicy,
+    compute_next_uses,
+    next_use_windows,
+)
 from repro.cache.replacement.lru import LRUPolicy
 from repro.cache.replacement.mdpp import MDPPPolicy
 from repro.cache.replacement.plru import PLRUTree, TreePLRUPolicy
@@ -289,6 +297,16 @@ class TestComputeNextUses:
 
     def test_empty(self):
         assert compute_next_uses([]) == []
+
+    @given(st.lists(st.integers(min_value=-3, max_value=10), max_size=50),
+           st.integers(min_value=1, max_value=8))
+    def test_windows_equal_the_reference(self, blocks, window):
+        windows = list(next_use_windows(np.array(blocks, dtype=np.int64),
+                                        window))
+        assert all(len(part) == window for part in windows[:-1])
+        flat = list(chain.from_iterable(windows))
+        assert flat == compute_next_uses(blocks)
+        assert all(type(value) is int for value in flat)
 
     @given(st.lists(st.integers(min_value=0, max_value=10), max_size=50))
     def test_pointers_are_consistent(self, blocks):

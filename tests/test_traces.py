@@ -2,6 +2,7 @@
 
 import random
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -31,6 +32,7 @@ from repro.traces.workloads import (
     get_benchmark,
 )
 from tests import synth_oracle
+from tests.trace_checks import column_list, trace_lists
 
 LLC = 512 * 1024
 
@@ -53,9 +55,8 @@ def _records(columns):
 
 
 def _oracle_columns(records):
-    """The reference's tuples as five columns."""
-    trace = Trace.from_accesses("oracle", records)
-    return (trace.pcs, trace.addresses, trace.writes, trace.gaps, trace.deps)
+    """The reference's tuples as five columns, read as lists."""
+    return trace_lists(Trace.from_accesses("oracle", records))
 
 
 class TestTrace:
@@ -87,28 +88,51 @@ class TestTrace:
         )
         sub = trace.slice(2, 5)
         assert len(sub) == 3
-        assert sub.pcs == [2, 3, 4]
+        assert column_list(sub, "pcs") == [2, 3, 4]
+        assert trace_lists(sub) == tuple(
+            column[2:5] for column in trace_lists(trace))
+        # The slice views its parent's columns.
+        assert np.shares_memory(sub.pcs, trace.pcs)
 
     def test_segment_rejects_nonpositive_weight(self):
         trace = Trace.from_accesses("t", [(1, 2, False, 0)])
         with pytest.raises(ValueError):
             Segment("s", trace, 0.0)
 
-    def test_adopts_list_columns(self):
+    def test_adopts_array_columns(self):
+        columns = (np.array([1, 2], dtype=np.uint64),
+                   np.array([64, 128], dtype=np.uint64),
+                   np.array([False, True]),
+                   np.array([0, 3], dtype=np.int64),
+                   np.array([True, False]))
+        trace = Trace("t", *columns)
+        for field, column in zip(("pcs", "addresses", "writes", "gaps",
+                                  "deps"), columns):
+            # A read-only view of the caller's array, not a copy.
+            assert np.shares_memory(getattr(trace, field), column)
+            assert column.flags.writeable
+        assert trace_lists(trace) == tuple(c.tolist() for c in columns)
+        assert trace.num_instructions == 5
+
+    def test_converts_list_columns(self):
         columns = ([1, 2], [64, 128], [False, True], [0, 3], [True, False])
         trace = Trace("t", *columns)
-        assert trace.pcs is columns[0]
-        assert trace.addresses is columns[1]
-        assert trace.writes is columns[2]
-        assert trace.gaps is columns[3]
-        assert trace.deps is columns[4]
+        assert trace_lists(trace) == columns
         assert trace.num_instructions == 5
+        with pytest.raises(ValueError):
+            trace.pcs[0] = 7
 
     def test_copies_other_sequences(self):
         trace = Trace("t", (1, 2), range(2), (False, False), (0, 1))
-        assert trace.pcs == [1, 2] and type(trace.pcs) is list
-        assert trace.addresses == [0, 1] and type(trace.addresses) is list
-        assert trace.deps == [False, False]
+        assert trace_lists(trace) == ([1, 2], [0, 1], [False, False],
+                                      [0, 1], [False, False])
+
+    def test_pcs_and_addresses_keep_64_bits(self):
+        top = (1 << 64) - 1
+        trace = Trace.from_accesses("t", [(top, top - 63, True, 0, True),
+                                          (1 << 63, 0, False, 1)])
+        assert trace_lists(trace) == ([top, 1 << 63], [top - 63, 0],
+                                      [True, False], [0, 1], [True, False])
 
     def test_empty_trace(self):
         trace = Trace("t", [], [], [], [])
@@ -295,8 +319,8 @@ def _assert_same_traces(got, want):
     for g, w in zip(got, want):
         assert g.weight == w.weight
         for field in ("pcs", "addresses", "writes", "gaps", "deps"):
-            assert getattr(g.trace, field) == getattr(w.trace, field), \
-                (g.name, field)
+            assert column_list(g.trace, field) == \
+                column_list(w.trace, field), (g.name, field)
         assert g.trace.num_instructions == w.trace.num_instructions
 
 
@@ -420,7 +444,8 @@ class TestWorkloadSuite:
     def test_segments_deterministic(self):
         a = build_segments("mcf", LLC, accesses=300, seed=7)
         b = build_segments("mcf", LLC, accesses=300, seed=7)
-        assert a[0].trace.addresses == b[0].trace.addresses
+        assert column_list(a[0].trace, "addresses") == \
+            column_list(b[0].trace, "addresses")
 
     def test_benchmarks_use_disjoint_address_spaces(self):
         mcf = build_segments("mcf", LLC, accesses=300)[0].trace
